@@ -25,6 +25,7 @@ import (
 	"testing"
 
 	"sensorcq/internal/agg"
+	"sensorcq/internal/core"
 	"sensorcq/internal/experiment"
 	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
@@ -801,11 +802,12 @@ func BenchmarkSubscriptionChurn(b *testing.B) {
 // index-incremental (stores.NewEventIndexEager) pays one tree descent per
 // insertion. Bulk loading should win clearly from 10k subscriptions up.
 func BenchmarkSubscriptionFlood(b *testing.B) {
-	// The full-stack flood pays the real protocol cost per registration —
-	// including the per-origin subsumption scan, which is quadratic in the
-	// population — so sizes beyond 1k are reserved for -benchscale=full; the
-	// index variants cover all three sizes at every scale.
-	stackSizes := []int{1000}
+	// The full-stack flood pays the real protocol cost per registration,
+	// including the subsumption scan over the arriving operator's
+	// comparability class at every node on its path. This population has few
+	// classes, so that scan still grows with it (10× the subscriptions cost
+	// ~27× the time); 50k is reserved for -benchscale=full.
+	stackSizes := []int{1000, 10000}
 	if *benchScale == "full" {
 		stackSizes = []int{1000, 10000, 50000}
 	}
@@ -1070,35 +1072,131 @@ func BenchmarkQDigestMerge(b *testing.B) {
 
 // --- micro-benchmarks of the core building blocks ---
 
+// BenchmarkSetCheckerSubsumed measures one set-filter decision against 50
+// comparable members: "covered" is decided by the first member alone (the
+// exact fast path), "union" by none of them, so the candidate's box is
+// sampled to the end against the overlapping members. Either way the steady
+// state allocates nothing — the checker's scratch is warm after one call.
 func BenchmarkSetCheckerSubsumed(b *testing.B) {
-	checker := subsume.NewSetChecker(0.02, 1)
-	var set []*model.Subscription
-	for i := 0; i < 50; i++ {
-		lo := float64(i % 10)
-		sub, err := model.NewAbstractSubscription(
-			model.SubscriptionID(fmt.Sprintf("s%d", i)),
+	sub := func(id string, temp, wind Interval) *model.Subscription {
+		s, err := model.NewAbstractSubscription(model.SubscriptionID(id),
 			[]model.AttributeFilter{
-				{Attr: model.AmbientTemperature, Range: NewInterval(-lo-5, lo+5)},
-				{Attr: model.WindSpeed, Range: NewInterval(0, 10+lo)},
+				{Attr: model.AmbientTemperature, Range: temp},
+				{Attr: model.WindSpeed, Range: wind},
 			},
 			Everywhere(), 30, model.NoSpatialConstraint)
 		if err != nil {
 			b.Fatal(err)
 		}
-		set = append(set, sub)
+		return s
 	}
-	candidate, err := model.NewAbstractSubscription("cand",
-		[]model.AttributeFilter{
-			{Attr: model.AmbientTemperature, Range: NewInterval(-3, 3)},
-			{Attr: model.WindSpeed, Range: NewInterval(2, 8)},
-		},
-		Everywhere(), 30, model.NoSpatialConstraint)
-	if err != nil {
-		b.Fatal(err)
+	var nested, strips []*model.Subscription
+	for i := 0; i < 50; i++ {
+		lo := float64(i % 10)
+		nested = append(nested, sub(fmt.Sprintf("s%d", i), NewInterval(-lo-5, lo+5), NewInterval(0, 10+lo)))
+		// Overlapping strips of the wind range: together they cover the
+		// candidate, none does alone.
+		strips = append(strips, sub(fmt.Sprintf("t%d", i), NewInterval(-5, 5), NewInterval(lo-0.5, lo+1.5)))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		checker.Subsumed(candidate, set)
+	candidate := sub("cand", NewInterval(-3, 3), NewInterval(2, 8))
+	for _, bc := range []struct {
+		name string
+		set  []*model.Subscription
+	}{{"covered", nested}, {"union", strips}} {
+		b.Run(bc.name, func(b *testing.B) {
+			checker := subsume.NewSetChecker(0.02, 1)
+			if !checker.Subsumed(candidate, bc.set) {
+				b.Fatal("candidate not subsumed")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				checker.Subsumed(candidate, bc.set)
+			}
+		})
+	}
+}
+
+// BenchmarkReexpose measures what one retraction costs at a node holding n
+// operators of one origin: a single-node Filter-Split-Forward network (no
+// sensors, so nothing is forwarded and the subscription table, the checker
+// and the local match index are all that works) holds n/8 wide subscriptions,
+// each covering seven narrow ones. The timed region is the retraction of one
+// wide subscription, which re-exposes its seven; putting the eight back is
+// untimed. With classes=1 every operator shares one comparability class, the
+// worst case: gathering the affected operators, the seven decisions and the
+// cover relinking each scan that class once. With classes=16 the groups
+// spread over sixteen correlation distances, and the cost follows the class,
+// not n.
+func BenchmarkReexpose(b *testing.B) {
+	const perCover = 7
+	for _, bc := range []struct{ n, classes int }{{1000, 1}, {1000, 16}, {4000, 1}, {4000, 16}} {
+		n, classes := bc.n, bc.classes
+		b.Run(fmt.Sprintf("subs=%d/classes=%d", n, classes), func(b *testing.B) {
+			factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 7})
+			if err != nil {
+				b.Fatal(err)
+			}
+			engine := netsim.NewEngine(topology.NewGraph(1), factory)
+			sub := func(id string, deltaT model.Timestamp, lo, hi float64) *model.Subscription {
+				s, err := model.NewAbstractSubscription(model.SubscriptionID(id),
+					[]model.AttributeFilter{{Attr: model.WindSpeed, Range: NewInterval(lo, hi)}},
+					Everywhere(), deltaT, model.NoSpatialConstraint)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return s
+			}
+			groups := make([][]*model.Subscription, n/(perCover+1))
+			register := func(group []*model.Subscription) {
+				for _, s := range group {
+					if err := engine.Subscribe(0, s); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			for g := range groups {
+				lo, deltaT := float64(10*g), model.Timestamp(30+g%classes)
+				groups[g] = append(groups[g], sub(fmt.Sprintf("wide%d", g), deltaT, lo, lo+8))
+				for k := 0; k < perCover; k++ {
+					groups[g] = append(groups[g], sub(fmt.Sprintf("narrow%d.%d", g, k), deltaT, lo+float64(k), lo+float64(k)+1))
+				}
+				register(groups[g])
+			}
+			node := engine.Handler(0).(*core.Node)
+			// retractAndRestore retracts a group's wide subscription inside
+			// the timed region and puts the group back outside it.
+			retractAndRestore := func(group []*model.Subscription) {
+				b.StartTimer()
+				err := engine.Unsubscribe(0, group[0].ID)
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := node.Subscriptions().CountCovered(); got != (len(groups)-1)*perCover {
+					b.Fatalf("%d operators covered after the retraction, want %d", got, (len(groups)-1)*perCover)
+				}
+				for _, s := range group[1:] {
+					if err := engine.Unsubscribe(0, s.ID); err != nil {
+						b.Fatal(err)
+					}
+				}
+				register(group)
+			}
+			// A few rounds first, so scratch buffers and list capacities
+			// have reached their working size and the steady state
+			// allocates nothing.
+			for _, group := range groups[:8] {
+				retractAndRestore(group)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				retractAndRestore(groups[i%len(groups)])
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+		})
 	}
 }
 

@@ -20,7 +20,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
@@ -189,7 +191,7 @@ type Node struct {
 
 	// localSubs are the whole user subscriptions registered at this node;
 	// localIdx range-indexes them for delivery matching.
-	localSubs []*model.Subscription
+	localSubs map[model.SubscriptionID]*model.Subscription
 	localIdx  *stores.EventIndex
 
 	// forwards records, per origin and stored operator, the links the
@@ -233,10 +235,10 @@ type Node struct {
 	// network has already finalised.
 	lastTick int
 
-	// reexposeScratch backs the covered-set snapshot each retraction's
-	// re-exposure walk iterates (the walk promotes entries, which mutates the
-	// covered slice under it). Borrowed and returned within one reexpose
-	// call; safe for the same reason scratch is.
+	// reexposeScratch backs the list of affected covered operators each
+	// retraction's re-exposure walk iterates (the walk promotes entries, which
+	// mutates the covered list under it). Borrowed and returned within one
+	// reexpose call; safe for the same reason scratch is.
 	reexposeScratch []*model.Subscription
 
 	maxDeltaT model.Timestamp
@@ -261,15 +263,16 @@ func NewNode(self topology.NodeID, cfg Config) *Node {
 	// policies skip the table's link-recording scan for remote arrivals.
 	subs.RecordRemoteCoverLinks(cfg.Propagation == PerSubscription)
 	return &Node{
-		cfg:      cfg,
-		checker:  cfg.checkerFor(self),
-		self:     self,
-		advs:     stores.NewAdvertisementTable(self),
-		subs:     subs,
-		window:   stores.NewEventWindow(1),
-		matchers: map[topology.NodeID]*stores.EventIndex{},
-		localIdx: stores.NewEventIndex(),
-		forwards: map[topology.NodeID]map[model.SubscriptionID][]forwardedOp{},
+		cfg:       cfg,
+		checker:   cfg.checkerFor(self),
+		self:      self,
+		advs:      stores.NewAdvertisementTable(self),
+		subs:      subs,
+		window:    stores.NewEventWindow(1),
+		matchers:  map[topology.NodeID]*stores.EventIndex{},
+		localSubs: map[model.SubscriptionID]*model.Subscription{},
+		localIdx:  stores.NewEventIndex(),
+		forwards:  map[topology.NodeID]map[model.SubscriptionID][]forwardedOp{},
 	}
 }
 
@@ -293,8 +296,16 @@ func (n *Node) Subscriptions() *stores.SubscriptionTable { return n.subs }
 // Window exposes the node's event window (for tests and diagnostics).
 func (n *Node) Window() *stores.EventWindow { return n.window }
 
-// LocalSubscriptions returns the user subscriptions registered at this node.
-func (n *Node) LocalSubscriptions() []*model.Subscription { return n.localSubs }
+// LocalSubscriptions returns the user subscriptions registered at this node,
+// sorted by ID (for tests and diagnostics).
+func (n *Node) LocalSubscriptions() []*model.Subscription {
+	out := make([]*model.Subscription, 0, len(n.localSubs))
+	for _, sub := range n.localSubs {
+		out = append(out, sub)
+	}
+	slices.SortFunc(out, func(a, b *model.Subscription) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
 
 // IndexStats aggregates the shape and lookup tallies of every match index
 // this node maintains: the local delivery index plus one matcher index per

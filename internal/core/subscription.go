@@ -45,10 +45,8 @@ func (n *Node) HandleSubscription(ctx *netsim.Context, from topology.NodeID, sub
 // subscription defines what its user must receive (Algorithm 5, line 9 uses
 // S_local, i.e. all local subscriptions).
 func (n *Node) registerLocal(sub *model.Subscription) {
-	for _, existing := range n.localSubs {
-		if existing.ID == sub.ID {
-			return
-		}
+	if _, registered := n.localSubs[sub.ID]; registered {
+		return
 	}
 	// Covering-aware delivery matching: when the filtering pass stored the
 	// subscription as covered by a single earlier one (the table records
@@ -57,7 +55,7 @@ func (n *Node) registerLocal(sub *model.Subscription) {
 	// matched. The cover is a local subscription too (origin self), so it
 	// is in localIdx; the index degrades to a plain Add when the link is
 	// empty or the cover is itself attached as covered.
-	n.localSubs = append(n.localSubs, sub)
+	n.localSubs[sub.ID] = sub
 	if sub.Aggregate != nil {
 		// Aggregate subscriptions never join the delivery match index:
 		// their results come from the window-close path, not from
@@ -84,8 +82,7 @@ func (n *Node) processSubscription(ctx *netsim.Context, m topology.NodeID, sub *
 	if n.subs.Seen(m, sub.ID) {
 		return
 	}
-	filterSet := n.subs.Uncovered(m)
-	if n.checker.Subsumed(sub, filterSet) {
+	if n.checker.Subsumed(sub, n.subs.UncoveredComparable(m, sub)) {
 		// Covered subscriptions are stored but neither forwarded nor used
 		// for per-neighbour matching (Algorithm 4, line 12). With
 		// per-subscription propagation they still generate their own result

@@ -3,6 +3,7 @@ package core
 import (
 	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
+	"sensorcq/internal/subsume"
 	"sensorcq/internal/topology"
 )
 
@@ -31,15 +32,11 @@ func (n *Node) HandleUnsubscription(ctx *netsim.Context, from topology.NodeID, i
 // unregisterLocal removes a user subscription from the local delivery state
 // (the counterpart of registerLocal).
 func (n *Node) unregisterLocal(id model.SubscriptionID) {
-	for i, existing := range n.localSubs {
-		if existing.ID == id {
-			copy(n.localSubs[i:], n.localSubs[i+1:])
-			n.localSubs[len(n.localSubs)-1] = nil
-			n.localSubs = n.localSubs[:len(n.localSubs)-1]
-			n.localIdx.Remove(id)
-			return
-		}
+	if _, registered := n.localSubs[id]; !registered {
+		return
 	}
+	delete(n.localSubs, id)
+	n.localIdx.Remove(id)
 }
 
 // retract removes the operator stored under (m, id), forwards the retraction
@@ -52,15 +49,24 @@ func (n *Node) retract(ctx *netsim.Context, m topology.NodeID, id model.Subscrip
 	if n.retractAggregate(ctx, m, id) {
 		return
 	}
+	if sub, wasUncovered := n.release(ctx, m, id); wasUncovered {
+		n.reexpose(ctx, m, sub)
+	}
+}
+
+// release drops the operator stored under (m, id) from the subscription
+// table and the match index and sends its retraction down the links it was
+// forwarded on. It returns the operator and whether it was stored uncovered
+// (nil and false when the origin never stored the ID).
+func (n *Node) release(ctx *netsim.Context, m topology.NodeID, id model.SubscriptionID) (*model.Subscription, bool) {
 	sub, wasUncovered, ok := n.subs.Remove(m, id)
 	if !ok {
-		return
+		return nil, false
 	}
-	isLocal := m == n.self
 	// Release the match-index entries mirroring the storage rules of
 	// processSubscription: uncovered remote operators always match; covered
 	// remote operators match only under per-subscription propagation.
-	if !isLocal && (wasUncovered || n.cfg.Propagation == PerSubscription) {
+	if m != n.self && (wasUncovered || n.cfg.Propagation == PerSubscription) {
 		n.removeMatcher(m, sub)
 	}
 	// Walk the recorded reverse forwarding paths, then recycle the link
@@ -72,63 +78,73 @@ func (n *Node) retract(ctx *netsim.Context, m topology.NodeID, id model.Subscrip
 				ctx.SendUnsubscription(f.to, f.op)
 			}
 			delete(byID, id)
-			for i := range links {
-				links[i] = forwardedOp{}
-			}
+			clear(links)
 			n.fwdFree = append(n.fwdFree, links[:0])
 		}
 	}
-	if wasUncovered {
-		n.reexpose(ctx, m)
-	}
+	return sub, wasUncovered
 }
 
-// reexpose re-evaluates the covered operators of an origin after one of the
+// reexpose re-evaluates covered operators of an origin after one of the
 // origin's uncovered operators was retracted: any operator no longer
-// subsumed by the remaining uncovered set is promoted back into it, added to
-// the match index (unless it is already there, or local), and re-split along
-// the reverse advertisement paths — sharing policies must re-split shared
-// operators for their remaining dependants, not orphan them.
+// subsumed by the remaining uncovered set is promoted back into it.
 //
-// The covered list is iterated in storage order and the uncovered set grows
-// as operators are promoted, so the outcome is deterministic: it depends
-// only on the stored populations, never on message interleaving (the
+// Only the operators the retracted one could have supported are looked at.
+// Between dispatches every covered operator c of the origin satisfies
+// Subsumed(c, uncovered set): it was filed on that verdict, verdicts are
+// monotone in the set, and every retraction ends with this walk. By the
+// checker's locality a verdict can only have flipped for an operator the
+// retracted one is subsume.Relevant to, and the promotions made on the way
+// only add members; so every other covered operator would be re-verified
+// true, and is skipped.
+//
+// The affected operators are visited in storage order and the uncovered set
+// grows as operators are promoted, so the outcome is deterministic: it
+// depends only on the stored populations, never on message interleaving (the
 // subsumption verdict is a pure function of candidate and set contents).
-func (n *Node) reexpose(ctx *netsim.Context, m topology.NodeID) {
-	covered := n.subs.Covered(m)
-	if len(covered) == 0 {
+func (n *Node) reexpose(ctx *netsim.Context, m topology.NodeID, retracted *model.Subscription) {
+	// Gathered into the node-owned scratch first: the walk promotes entries,
+	// which splices them out of the covered list being read. The buffer is
+	// returned before the function exits, so churn pays no per-retraction
+	// allocation once it has grown to the largest affected set.
+	affected := n.reexposeScratch[:0]
+	for _, c := range n.subs.CoveredComparable(m, retracted) {
+		if subsume.Relevant(c, retracted) {
+			affected = append(affected, c)
+		}
+	}
+	for _, c := range affected {
+		if !n.checker.Subsumed(c, n.subs.UncoveredComparable(m, c)) {
+			n.promote(ctx, m, c)
+		}
+	}
+	n.reexposeScratch = affected[:0]
+}
+
+// promote moves a covered operator of an origin back into the uncovered set,
+// adds it to the match index (unless it is already there, or local) and
+// re-splits it along the reverse advertisement paths — sharing policies must
+// re-split shared operators for their remaining dependants, not orphan them.
+func (n *Node) promote(ctx *netsim.Context, m topology.NodeID, c *model.Subscription) {
+	if n.subs.Promote(m, c.ID) == nil {
 		return
 	}
-	// Snapshot into the node-owned scratch: the walk promotes entries, which
-	// splices them out of the covered slice being iterated. The buffer is
-	// returned before the function exits, so churn pays no per-retraction
-	// snapshot allocation once it has grown to the covered set's size.
-	snapshot := append(n.reexposeScratch[:0], covered...)
 	isLocal := m == n.self
-	for _, c := range snapshot {
-		if n.checker.Subsumed(c, n.subs.Uncovered(m)) {
-			continue
-		}
-		if n.subs.Promote(m, c.ID) == nil {
-			continue
-		}
-		switch {
-		case isLocal:
-			// The promoted subscription may still be attached to a surviving
-			// cover's index entries in the local delivery index; promote it to
-			// a fresh pruning root of its own, matching its uncovered status.
-			n.localIdx.Add(c)
-		case n.cfg.Propagation != PerSubscription:
-			// Per-neighbour propagation registers covered operators for
-			// matching only on promotion.
-			n.addMatcher(m, c)
-		default:
-			// Under per-subscription propagation the operator was registered
-			// for matching when it was filed as covered — possibly attached
-			// under a cover. Give it a fresh pruning root instead.
-			n.promoteMatcher(m, c)
-		}
-		n.splitAndForward(ctx, m, c, isLocal)
+	switch {
+	case isLocal:
+		// The promoted subscription may still be attached to a surviving
+		// cover's index entries in the local delivery index; promote it to
+		// a fresh pruning root of its own, matching its uncovered status.
+		n.localIdx.Add(c)
+	case n.cfg.Propagation != PerSubscription:
+		// Per-neighbour propagation registers covered operators for
+		// matching only on promotion.
+		n.addMatcher(m, c)
+	default:
+		// Under per-subscription propagation the operator was registered
+		// for matching when it was filed as covered — possibly attached
+		// under a cover. Give it a fresh pruning root instead.
+		n.promoteMatcher(m, c)
 	}
-	n.reexposeScratch = snapshot[:0]
+	n.splitAndForward(ctx, m, c, isLocal)
 }

@@ -12,61 +12,103 @@ import (
 //
 // Dimensions are identified by string keys so that boxes originating from
 // different subscriptions can be compared without agreeing on an ordering.
+// They are stored densely, sorted byte-wise by name (the order Dims reports),
+// so the binary predicates are linear merges over two slices: no hashing, no
+// allocation. A point of a box is a []float64 holding one value per
+// dimension in that same order.
+//
+// A plain copy of a Box shares its storage. Set overwrites an existing
+// dimension in place, so Clone a box that another holder still reads before
+// changing it (model.Subscription hands out its cached box this way).
 type Box struct {
-	dims map[string]Interval
+	dims []boxDim
+}
+
+// boxDim is one named dimension of a box.
+type boxDim struct {
+	name string
+	iv   Interval
 }
 
 // NewBox returns an empty box with no dimensions.
-func NewBox() Box { return Box{dims: map[string]Interval{}} }
+func NewBox() Box { return Box{} }
 
-// BoxFrom builds a box from a dimension->interval map. The map is copied.
+// NewBoxSized returns an empty box with room for n dimensions, for builders
+// that know how many they will set.
+func NewBoxSized(n int) Box { return Box{dims: make([]boxDim, 0, n)} }
+
+// BoxFrom builds a box from a dimension->interval map.
 func BoxFrom(dims map[string]Interval) Box {
-	b := NewBox()
+	b := NewBoxSized(len(dims))
 	for k, v := range dims {
-		b.dims[k] = v
+		b = b.Set(k, v)
 	}
 	return b
 }
 
-// Set assigns the interval of a dimension, adding the dimension if needed,
-// and returns the box to allow chaining.
-func (b Box) Set(dim string, iv Interval) Box {
-	if b.dims == nil {
-		b.dims = map[string]Interval{}
+// find returns the position of the dimension in the sorted storage, or the
+// position it would be inserted at and false. Boxes hold a handful of
+// dimensions, so a linear scan beats a binary search; builders that set
+// dimensions in sorted order append without scanning.
+func (b Box) find(dim string) (int, bool) {
+	if n := len(b.dims); n == 0 || b.dims[n-1].name < dim {
+		return n, false
 	}
-	b.dims[dim] = iv
+	for i := range b.dims {
+		if b.dims[i].name >= dim {
+			return i, b.dims[i].name == dim
+		}
+	}
+	return len(b.dims), false
+}
+
+// Set assigns the interval of a dimension, adding the dimension if needed,
+// and returns the box to allow chaining. Use the returned box: adding a
+// dimension may move the storage.
+func (b Box) Set(dim string, iv Interval) Box {
+	i, ok := b.find(dim)
+	if !ok {
+		b.dims = append(b.dims, boxDim{})
+		copy(b.dims[i+1:], b.dims[i:])
+		b.dims[i].name = dim
+	}
+	b.dims[i].iv = iv
 	return b
 }
 
 // Get returns the interval of a dimension and whether it is present.
 func (b Box) Get(dim string) (Interval, bool) {
-	iv, ok := b.dims[dim]
-	return iv, ok
+	if i, ok := b.find(dim); ok {
+		return b.dims[i].iv, true
+	}
+	return Interval{}, false
 }
 
 // Dims returns the dimension names in sorted order.
 func (b Box) Dims() []string {
-	out := make([]string, 0, len(b.dims))
-	for k := range b.dims {
-		out = append(out, k)
+	out := make([]string, len(b.dims))
+	for i := range b.dims {
+		out[i] = b.dims[i].name
 	}
-	sortStrings(out)
 	return out
 }
 
 // NumDims returns the number of dimensions of the box.
 func (b Box) NumDims() int { return len(b.dims) }
 
+// At returns the interval of the i-th dimension in Dims order.
+func (b Box) At(i int) Interval { return b.dims[i].iv }
+
 // Clone returns an independent copy of the box.
 func (b Box) Clone() Box {
-	return BoxFrom(b.dims)
+	return Box{dims: append([]boxDim(nil), b.dims...)}
 }
 
 // Empty reports whether any dimension of the box is empty. A box with no
 // dimensions is not empty: it is the whole (zero-dimensional) space.
 func (b Box) Empty() bool {
-	for _, iv := range b.dims {
-		if iv.Empty() {
+	for i := range b.dims {
+		if b.dims[i].iv.Empty() {
 			return true
 		}
 	}
@@ -79,8 +121,8 @@ func (b Box) SameDims(o Box) bool {
 	if len(b.dims) != len(o.dims) {
 		return false
 	}
-	for k := range b.dims {
-		if _, ok := o.dims[k]; !ok {
+	for i := range b.dims {
+		if b.dims[i].name != o.dims[i].name {
 			return false
 		}
 	}
@@ -92,11 +134,11 @@ func (b Box) SameDims(o Box) bool {
 // missing dimension means "the attribute is not requested at all" rather
 // than "any value is acceptable" (see Section V-B of the paper).
 func (b Box) Covers(o Box) bool {
-	if !b.SameDims(o) {
+	if len(b.dims) != len(o.dims) {
 		return false
 	}
-	for k, iv := range b.dims {
-		if !iv.Covers(o.dims[k]) {
+	for i := range b.dims {
+		if b.dims[i].name != o.dims[i].name || !b.dims[i].iv.Covers(o.dims[i].iv) {
 			return false
 		}
 	}
@@ -106,11 +148,11 @@ func (b Box) Covers(o Box) bool {
 // Overlaps reports whether the two boxes intersect. Boxes over different
 // dimension sets never overlap.
 func (b Box) Overlaps(o Box) bool {
-	if !b.SameDims(o) {
+	if len(b.dims) != len(o.dims) {
 		return false
 	}
-	for k, iv := range b.dims {
-		if !iv.Overlaps(o.dims[k]) {
+	for i := range b.dims {
+		if b.dims[i].name != o.dims[i].name || !b.dims[i].iv.Overlaps(o.dims[i].iv) {
 			return false
 		}
 	}
@@ -123,13 +165,13 @@ func (b Box) Intersect(o Box) (Box, bool) {
 	if !b.SameDims(o) {
 		return Box{}, false
 	}
-	out := NewBox()
-	for k, iv := range b.dims {
-		x := iv.Intersect(o.dims[k])
+	out := b.Clone()
+	for i := range out.dims {
+		x := out.dims[i].iv.Intersect(o.dims[i].iv)
 		if x.Empty() {
 			return Box{}, false
 		}
-		out.dims[k] = x
+		out.dims[i].iv = x
 	}
 	return out, true
 }
@@ -138,18 +180,21 @@ func (b Box) Intersect(o Box) (Box, bool) {
 // (zero-width) dimensions contribute factor 0.
 func (b Box) Volume() float64 {
 	v := 1.0
-	for _, iv := range b.dims {
-		v *= iv.Width()
+	for i := range b.dims {
+		v *= b.dims[i].iv.Width()
 	}
 	return v
 }
 
-// ContainsPoint reports whether the given point (a value per dimension) lies
-// inside the box. Points missing a dimension of the box are outside.
-func (b Box) ContainsPoint(pt map[string]float64) bool {
-	for k, iv := range b.dims {
-		v, ok := pt[k]
-		if !ok || !iv.Contains(v) {
+// ContainsPoint reports whether the given point (one value per dimension, in
+// Dims order) lies inside the box. A point with fewer values than the box has
+// dimensions is outside.
+func (b Box) ContainsPoint(pt []float64) bool {
+	if len(pt) < len(b.dims) {
+		return false
+	}
+	for i := range b.dims {
+		if !b.dims[i].iv.Contains(pt[i]) {
 			return false
 		}
 	}
@@ -157,23 +202,23 @@ func (b Box) ContainsPoint(pt map[string]float64) bool {
 }
 
 // Corners invokes fn with every corner of the box (2^d points for d
-// dimensions). Iteration stops early if fn returns false. Corners of boxes
-// with more than 20 dimensions are not enumerated (fn is never called) to
-// avoid exponential blow-up; callers should fall back to sampling.
-func (b Box) Corners(fn func(pt map[string]float64) bool) {
-	dims := b.Dims()
-	if len(dims) > 20 {
+// dimensions, each one value per dimension in Dims order). The slice is
+// reused between calls; fn must copy it to keep it. Iteration stops early if
+// fn returns false. Corners of boxes with more than 20 dimensions are not
+// enumerated (fn is never called) to avoid exponential blow-up; callers
+// should fall back to sampling.
+func (b Box) Corners(fn func(pt []float64) bool) {
+	if len(b.dims) > 20 {
 		return
 	}
-	n := 1 << uint(len(dims))
+	pt := make([]float64, len(b.dims))
+	n := 1 << uint(len(b.dims))
 	for mask := 0; mask < n; mask++ {
-		pt := make(map[string]float64, len(dims))
-		for i, d := range dims {
-			iv := b.dims[d]
+		for i := range b.dims {
 			if mask&(1<<uint(i)) != 0 {
-				pt[d] = iv.Max
+				pt[i] = b.dims[i].iv.Max
 			} else {
-				pt[d] = iv.Min
+				pt[i] = b.dims[i].iv.Min
 			}
 		}
 		if !fn(pt) {
@@ -184,20 +229,9 @@ func (b Box) Corners(fn func(pt map[string]float64) bool) {
 
 // String implements fmt.Stringer.
 func (b Box) String() string {
-	dims := b.Dims()
-	parts := make([]string, 0, len(dims))
-	for _, d := range dims {
-		parts = append(parts, fmt.Sprintf("%s=%s", d, b.dims[d]))
+	parts := make([]string, 0, len(b.dims))
+	for _, d := range b.dims {
+		parts = append(parts, fmt.Sprintf("%s=%s", d.name, d.iv))
 	}
 	return "box{" + strings.Join(parts, ", ") + "}"
-}
-
-// sortStrings sorts a string slice in increasing order. A tiny insertion sort
-// is used to avoid importing sort for this hot, short-slice path.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

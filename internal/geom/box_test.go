@@ -88,13 +88,13 @@ func TestBoxOverlapsIntersectVolume(t *testing.T) {
 
 func TestBoxContainsPoint(t *testing.T) {
 	b := box("x", 0, 10, "y", 0, 10)
-	if !b.ContainsPoint(map[string]float64{"x": 5, "y": 5}) {
+	if !b.ContainsPoint([]float64{5, 5}) {
 		t.Error("point inside should be contained")
 	}
-	if b.ContainsPoint(map[string]float64{"x": 5, "y": 15}) {
+	if b.ContainsPoint([]float64{5, 15}) {
 		t.Error("point outside should not be contained")
 	}
-	if b.ContainsPoint(map[string]float64{"x": 5}) {
+	if b.ContainsPoint([]float64{5}) {
 		t.Error("point missing a dimension should not be contained")
 	}
 }
@@ -102,8 +102,8 @@ func TestBoxContainsPoint(t *testing.T) {
 func TestBoxCorners(t *testing.T) {
 	b := box("x", 0, 1, "y", 10, 20)
 	seen := map[[2]float64]bool{}
-	b.Corners(func(pt map[string]float64) bool {
-		seen[[2]float64{pt["x"], pt["y"]}] = true
+	b.Corners(func(pt []float64) bool {
+		seen[[2]float64{pt[0], pt[1]}] = true
 		return true
 	})
 	if len(seen) != 4 {
@@ -116,7 +116,7 @@ func TestBoxCorners(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	b.Corners(func(pt map[string]float64) bool {
+	b.Corners(func(pt []float64) bool {
 		count++
 		return false
 	})
@@ -136,5 +136,76 @@ func TestBoxEmptyAndString(t *testing.T) {
 	s := box("a", 0, 1, "b", 2, 3).String()
 	if s != "box{a=[0, 1], b=[2, 3]}" {
 		t.Errorf("String() = %q", s)
+	}
+}
+
+// The dense representation keeps dimensions sorted byte-wise by name whatever
+// order they were set in; the subsumption checker's sampling order (and so
+// its verdicts) depends on it.
+func TestBoxDenseRepresentation(t *testing.T) {
+	iv := func(lo, hi float64) Interval { return NewInterval(lo, hi) }
+	type set struct {
+		dim string
+		iv  Interval
+	}
+	cases := []struct {
+		name     string
+		sets     []set
+		wantDims []string
+		wantIvs  []Interval
+	}{
+		{"empty", nil, []string{}, nil},
+		{"sorted insertion", []set{{"a:x", iv(0, 1)}, {"a:y", iv(2, 3)}},
+			[]string{"a:x", "a:y"}, []Interval{iv(0, 1), iv(2, 3)}},
+		{"reverse insertion", []set{{"a:y", iv(2, 3)}, {"a:x", iv(0, 1)}},
+			[]string{"a:x", "a:y"}, []Interval{iv(0, 1), iv(2, 3)}},
+		{"location dimensions sort before attributes and sensors",
+			[]set{{"d:s1", iv(8, 9)}, {"a:wind", iv(0, 1)}, {"__loc_y", iv(4, 5)}, {"a:Temp", iv(6, 7)}, {"__loc_x", iv(2, 3)}},
+			[]string{"__loc_x", "__loc_y", "a:Temp", "a:wind", "d:s1"},
+			[]Interval{iv(2, 3), iv(4, 5), iv(6, 7), iv(0, 1), iv(8, 9)}},
+		{"set overwrites", []set{{"b", iv(0, 1)}, {"a", iv(0, 1)}, {"b", iv(5, 6)}},
+			[]string{"a", "b"}, []Interval{iv(0, 1), iv(5, 6)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBox()
+			asMap := map[string]Interval{}
+			for _, s := range tc.sets {
+				b = b.Set(s.dim, s.iv)
+				asMap[s.dim] = s.iv
+			}
+			dims := b.Dims()
+			if len(dims) != len(tc.wantDims) || b.NumDims() != len(tc.wantDims) {
+				t.Fatalf("Dims() = %v, want %v", dims, tc.wantDims)
+			}
+			for i, d := range tc.wantDims {
+				if dims[i] != d {
+					t.Fatalf("Dims() = %v, want %v", dims, tc.wantDims)
+				}
+				if b.At(i) != tc.wantIvs[i] {
+					t.Errorf("At(%d) = %v, want %v", i, b.At(i), tc.wantIvs[i])
+				}
+				if got, ok := b.Get(d); !ok || got != tc.wantIvs[i] {
+					t.Errorf("Get(%q) = %v, %v", d, got, ok)
+				}
+			}
+			if _, ok := b.Get("missing"); ok {
+				t.Error("Get of an absent dimension reported present")
+			}
+			// Any insertion order yields the same box.
+			for range 4 {
+				if o := BoxFrom(asMap); !b.SameDims(o) || !b.Covers(o) || !o.Covers(b) {
+					t.Fatalf("BoxFrom(%v) = %v, want %v", asMap, o, b)
+				}
+			}
+		})
+	}
+
+	a := box("x", 0, 10, "y", 0, 10)
+	if a.SameDims(box("x", 0, 10, "z", 0, 10)) || a.SameDims(box("x", 0, 10)) {
+		t.Error("SameDims accepted a different dimension set")
+	}
+	if a.Overlaps(box("x", 0, 10, "z", 0, 10)) || a.Covers(box("x", 1, 2, "z", 1, 2)) {
+		t.Error("boxes over different dimensions neither overlap nor cover")
 	}
 }

@@ -108,6 +108,6 @@ func NewAggregateSubscription(id SubscriptionID, filter AttributeFilter, region 
 	}
 	specCopy := spec
 	s.Aggregate = &specCopy
-	s.sig = s.computeSignature()
+	s.cacheDerived()
 	return s, nil
 }

@@ -10,7 +10,6 @@ package model
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"sensorcq/internal/geom"
 )
@@ -84,27 +83,6 @@ func (s Sensor) String() string {
 // String implements fmt.Stringer.
 func (a Advertisement) String() string {
 	return fmt.Sprintf("adv(%s %s @ %s)", a.Sensor, a.Attr, a.Location)
-}
-
-// attributeKey builds a canonical, order-independent key for a set of
-// attribute types.
-func attributeKey(attrs []AttributeType) string {
-	ss := make([]string, len(attrs))
-	for i, a := range attrs {
-		ss[i] = string(a)
-	}
-	slices.Sort(ss)
-	return strings.Join(ss, "|")
-}
-
-// sensorKey builds a canonical, order-independent key for a set of sensors.
-func sensorKey(ids []SensorID) string {
-	ss := make([]string, len(ids))
-	for i, d := range ids {
-		ss[i] = string(d)
-	}
-	slices.Sort(ss)
-	return strings.Join(ss, "|")
 }
 
 // SortedAttributes returns the attribute set in sorted order.

@@ -43,7 +43,7 @@ func (s *Subscription) ProjectAttributes(attrs []AttributeType) *Subscription {
 	out.AttrFilters = kept
 	out.Parent = s.ID
 	out.ID = deriveOperatorID(s.ID, attributeNames(kept))
-	out.sig = out.computeSignature()
+	out.cacheDerived()
 	return out
 }
 
@@ -70,7 +70,7 @@ func (s *Subscription) ProjectSensors(sensors []SensorID) *Subscription {
 	out.SensorFilters = kept
 	out.Parent = s.ID
 	out.ID = deriveOperatorID(s.ID, sensorNames(kept))
-	out.sig = out.computeSignature()
+	out.cacheDerived()
 	return out
 }
 

@@ -90,14 +90,19 @@ type Subscription struct {
 	// semantics, not just their routing.
 	Aggregate *AggregateSpec
 
-	// sig caches SignatureKey's rendering. Subscriptions are immutable once
-	// published, and the subsumption comparability scan asks for the key on
-	// every candidate-set pairing, so the constructors, Clone and the split
-	// projections fill it eagerly. A zero value (struct-literal construction
-	// in tests) falls back to computing the key per call *without* caching
-	// it — subscriptions are shared across nodes and engine goroutines, so a
-	// lazy write here would be a data race.
-	sig string
+	// class caches Class's result (which carries SignatureKey's rendering).
+	// Subscriptions are immutable once published, and every coverage decision
+	// compares classes on each candidate-set pairing, so the constructors,
+	// Clone and the split projections fill it eagerly. A zero value
+	// (struct-literal construction in tests) falls back to computing the
+	// class per call *without* caching it — subscriptions are shared across
+	// nodes and engine goroutines, so a lazy write here would be a data race.
+	class Class
+	// box caches Box's result under the same rules as class: filled eagerly
+	// wherever class is, never written lazily. A filled box has at least one
+	// dimension (a valid subscription has a filter), so the zero value marks
+	// a struct-literal subscription whose box is computed per call.
+	box geom.Box
 }
 
 // NewIdentifiedSubscription builds a user subscription over explicitly named
@@ -122,7 +127,7 @@ func NewIdentifiedSubscription(id SubscriptionID, filters []SensorFilter, deltaT
 		DeltaT:        deltaT,
 		DeltaL:        NoSpatialConstraint,
 	}
-	s.sig = s.computeSignature()
+	s.cacheDerived()
 	return s, s.Validate()
 }
 
@@ -148,7 +153,7 @@ func NewAbstractSubscription(id SubscriptionID, filters []AttributeFilter, regio
 		DeltaT:      deltaT,
 		DeltaL:      deltaL,
 	}
-	s.sig = s.computeSignature()
+	s.cacheDerived()
 	return s, s.Validate()
 }
 
@@ -182,7 +187,7 @@ func (s *Subscription) Validate() error {
 		if s.Region.Empty() {
 			return fmt.Errorf("model: abstract subscription %s has an empty region", s.ID)
 		}
-		if s.DeltaL <= 0 {
+		if !(s.DeltaL > 0) { // also rejects NaN, which is comparable with nothing
 			return fmt.Errorf("model: abstract subscription %s has non-positive DeltaL", s.ID)
 		}
 	default:
@@ -241,29 +246,102 @@ func (s *Subscription) Sensors() []SensorID {
 // set for abstract ones. Two subscriptions are comparable by set filtering
 // (and by pairwise covering) only when their signature keys are equal and
 // their kinds match.
-// The key is cached at construction (constructors, Clone, projections);
-// subscriptions built as struct literals compute it on every call instead of
-// caching, because a lazy write to a shared subscription would race.
-func (s *Subscription) SignatureKey() string {
-	if s.sig != "" {
-		return s.sig
-	}
-	return s.computeSignature()
+// The key is cached at construction (constructors, Clone, projections) as
+// part of the class; subscriptions built as struct literals compute it on
+// every call instead of caching, because a lazy write to a shared
+// subscription would race.
+func (s *Subscription) SignatureKey() string { return s.Class().Sig }
+
+// cacheDerived fills the caches derived from the filter sets and correlation
+// distances (class and box). Everything that builds a subscription or
+// replaces its filters calls it before the subscription is published; Clone
+// inherits the caches with the struct copy.
+func (s *Subscription) cacheDerived() {
+	keys := s.filterKeys()
+	s.class = s.computeClass(keys)
+	s.box = s.computeBox(keys)
 }
 
-// computeSignature renders the signature key from the filter sets.
-func (s *Subscription) computeSignature() string {
+// filterKeys returns the subscription's completeness keys (see FilterKeyFor)
+// in sorted order: "d:<sensor>" per filtered sensor, or "a:<attr>" per
+// filtered attribute. The signature key is made of them and they name the
+// filter dimensions of the box.
+func (s *Subscription) filterKeys() []string {
+	keys := make([]string, 0, s.NumFilters())
+	prefix, size := "a:", 0
+	if s.Kind == KindIdentified {
+		prefix = "d:"
+		for d := range s.SensorFilters {
+			keys = append(keys, string(d))
+			size += len(prefix) + len(d)
+		}
+	} else {
+		for a := range s.AttrFilters {
+			keys = append(keys, string(a))
+			size += len(prefix) + len(a)
+		}
+	}
+	slices.Sort(keys)
+	// The prefixed keys are cut from one string: one allocation whatever
+	// the number of filters, on a path every registration pays.
+	var all strings.Builder
+	all.Grow(size)
+	for i, k := range keys {
+		start := all.Len()
+		all.WriteString(prefix)
+		all.WriteString(k)
+		keys[i] = all.String()[start:]
+	}
+	return keys
+}
+
+// Class identifies a comparability class: two subscriptions can take part in
+// one coverage decision (pairwise covering or set filtering, Section V-B)
+// only when their classes are equal — same kind, same signature key, same
+// temporal correlation distance and, for abstract subscriptions, same
+// spatial correlation distance. It is comparable with == and usable as a map
+// key.
+type Class struct {
+	Kind   Kind
+	DeltaT Timestamp
+	// DeltaL is zero for identified subscriptions, which ignore it.
+	DeltaL float64
+	Sig    string
+}
+
+// Class returns the subscription's comparability class.
+func (s *Subscription) Class() Class {
+	if s.class.Sig != "" {
+		return s.class
+	}
+	return s.computeClass(s.filterKeys())
+}
+
+// computeClass derives the class from the subscription's current contents,
+// given its filterKeys.
+func (s *Subscription) computeClass(keys []string) Class {
+	c := Class{Kind: s.Kind, DeltaT: s.DeltaT, Sig: s.computeSignature(keys)}
+	if s.Kind == KindAbstract {
+		c.DeltaL = s.DeltaL
+	}
+	return c
+}
+
+// computeSignature renders the signature key from the subscription's
+// filterKeys.
+func (s *Subscription) computeSignature(keys []string) string {
+	filters := strings.Join(keys, "|")
 	if s.Aggregate != nil {
 		// Aggregate queries are never comparable with plain
 		// subscriptions (or with aggregates of another function or
 		// window), so the whole spec is part of the signature.
 		a := s.Aggregate
-		return fmt.Sprintf("ag:%s:w%d:q%g:k%d:x%t:%s", a.Func, a.WindowRounds, a.Quantile, a.K, a.Exact, attributeKey(s.Attributes()))
+		return fmt.Sprintf("ag:%s:w%d:q%g:k%d:x%t:%s", a.Func, a.WindowRounds, a.Quantile, a.K, a.Exact, filters)
 	}
 	if s.Kind == KindIdentified {
-		return "id:" + sensorKey(s.Sensors())
+		return "id:" + filters
 	}
-	return "ab:" + attributeKey(s.Attributes())
+	return "ab:" + filters
 }
 
 // Clone returns a deep copy of the subscription.
@@ -316,21 +394,40 @@ const (
 // Box returns the hyper-rectangle representation of the subscription used by
 // the subsumption checker: one dimension per filtered sensor (identified) or
 // per filtered attribute plus the two spatial dimensions (abstract, when the
-// region is bounded).
+// region is bounded). The box is cached like the signature key and shared by
+// every caller: Clone it before changing it.
 func (s *Subscription) Box() geom.Box {
-	b := geom.NewBox()
+	if s.box.NumDims() > 0 {
+		return s.box
+	}
+	return s.computeBox(s.filterKeys())
+}
+
+// computeBox builds the box from the filter sets, given the subscription's
+// filterKeys. The location dimensions sort before every filter dimension, so
+// a box's trailing NumFilters dimensions are its filter ranges, in the same
+// order for every subscription of one signature key; CoveredBy relies on
+// that.
+func (s *Subscription) computeBox(keys []string) geom.Box {
 	if s.Kind == KindIdentified {
-		for d, f := range s.SensorFilters {
-			b = b.Set("d:"+string(d), f.Range)
+		b := geom.NewBoxSized(len(keys))
+		for _, k := range keys {
+			b = b.Set(k, s.SensorFilters[SensorID(k[2:])].Range)
 		}
 		return b
 	}
-	for a, f := range s.AttrFilters {
-		b = b.Set("a:"+string(a), f.Range)
+	bounded := !s.Region.IsWholePlane()
+	n := len(keys)
+	if bounded {
+		n += 2
 	}
-	if !s.Region.IsWholePlane() {
+	b := geom.NewBoxSized(n)
+	if bounded {
 		b = b.Set(locDimX, s.Region.X)
 		b = b.Set(locDimY, s.Region.Y)
+	}
+	for _, k := range keys {
+		b = b.Set(k, s.AttrFilters[AttributeType(k[2:])].Range)
 	}
 	return b
 }

@@ -1,9 +1,12 @@
 package model
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"sensorcq/internal/agg"
 	"sensorcq/internal/geom"
 )
 
@@ -148,6 +151,85 @@ func TestSubscriptionBox(t *testing.T) {
 	id := mustIdentified(t, "q3", 30, sf("d1", WindSpeed, 0, 1), sf("d2", WindSpeed, 2, 3))
 	if id.Box().NumDims() != 2 {
 		t.Error("identified subscription box has one dim per sensor")
+	}
+}
+
+// The class and the box are cached wherever a subscription is built or its
+// filters replaced; each cache must equal what the current contents give, and
+// a struct literal — which has neither — must answer the same.
+func TestSubscriptionDerivedCaches(t *testing.T) {
+	ab := mustAbstract(t, "q1", geom.NewRegion(0, 0, 10, 10), 30, 5,
+		af(WindSpeed, 0, 20), af(AmbientTemperature, -5, 5), af(RelativeHumidity, 40, 90))
+	id := mustIdentified(t, "q2", 30, sf("d2", WindSpeed, 2, 3), sf("d1", WindSpeed, 0, 1), sf("d3", WindSpeed, 4, 5))
+	agg, err := NewAggregateSubscription("q3", af(WindSpeed, 0, 20), geom.WholePlane(), AggregateSpec{Func: agg.Mean, WindowRounds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := map[string]*Subscription{
+		"abstract":             ab,
+		"identified":           id,
+		"aggregate":            agg,
+		"clone":                ab.Clone(),
+		"attribute projection": ab.ProjectAttributes([]AttributeType{WindSpeed, RelativeHumidity}),
+		"sensor projection":    id.ProjectSensors([]SensorID{"d3", "d1"}),
+		"binary join":          ab.SplitBinaryJoins(RingPairing)[1],
+	}
+	for name, s := range built {
+		if s.class.Sig == "" || s.box.NumDims() == 0 {
+			t.Errorf("%s: caches not filled", name)
+			continue
+		}
+		literal := &Subscription{
+			ID: s.ID, Kind: s.Kind, SensorFilters: s.SensorFilters, AttrFilters: s.AttrFilters,
+			Region: s.Region, DeltaT: s.DeltaT, DeltaL: s.DeltaL, Aggregate: s.Aggregate,
+		}
+		if literal.Class() != s.Class() || literal.SignatureKey() != s.SignatureKey() {
+			t.Errorf("%s: cached class %q, contents give %q", name, s.SignatureKey(), literal.SignatureKey())
+		}
+		if got, want := s.Box().String(), literal.Box().String(); got != want {
+			t.Errorf("%s: cached box %s, contents give %s", name, got, want)
+		}
+		if !s.CoveredBy(literal) || !literal.CoveredBy(s) {
+			t.Errorf("%s: a subscription and its struct-literal twin must cover each other", name)
+		}
+	}
+	if got := ab.Box().Dims(); !slices.Equal(got, []string{"__loc_x", "__loc_y", "a:ambient_temperature", "a:relative_humidity", "a:wind_speed"}) {
+		t.Errorf("abstract box dimensions = %v", got)
+	}
+	if got := id.Box().Dims(); !slices.Equal(got, []string{"d:d1", "d:d2", "d:d3"}) {
+		t.Errorf("identified box dimensions = %v", got)
+	}
+}
+
+func TestSubscriptionClass(t *testing.T) {
+	base := mustAbstract(t, "q1", geom.WholePlane(), 30, 5, af(WindSpeed, 0, 20), af(AmbientTemperature, -5, 5))
+	same := mustAbstract(t, "q2", geom.NewRegion(0, 0, 1, 1), 30, 5, af(AmbientTemperature, 0, 1), af(WindSpeed, 5, 6))
+	if base.Class() != same.Class() {
+		t.Error("ranges, region and ID are not part of the class")
+	}
+	for name, other := range map[string]*Subscription{
+		"other attributes": mustAbstract(t, "q3", geom.WholePlane(), 30, 5, af(WindSpeed, 0, 20)),
+		"other δt":         mustAbstract(t, "q4", geom.WholePlane(), 60, 5, af(WindSpeed, 0, 20), af(AmbientTemperature, -5, 5)),
+		"other δl":         mustAbstract(t, "q5", geom.WholePlane(), 30, 6, af(WindSpeed, 0, 20), af(AmbientTemperature, -5, 5)),
+		"other kind":       mustIdentified(t, "q6", 30, sf("wind_speed", WindSpeed, 0, 1), sf("ambient_temperature", AmbientTemperature, 0, 1)),
+	} {
+		if base.Class() == other.Class() {
+			t.Errorf("%s: classes must differ", name)
+		}
+		if base.CoveredBy(other) || other.CoveredBy(base) {
+			t.Errorf("%s: subscriptions of different classes never cover each other", name)
+		}
+	}
+	// δl means nothing to identified subscriptions.
+	a := mustIdentified(t, "q7", 30, sf("d1", WindSpeed, 0, 1))
+	b := a.Clone()
+	b.DeltaL = 7
+	b.cacheDerived()
+	if a.Class() != b.Class() {
+		t.Error("δl must not split identified subscriptions into classes")
+	}
+	if _, err := NewAbstractSubscription("q8", []AttributeFilter{af(WindSpeed, 0, 1)}, geom.WholePlane(), 30, math.NaN()); err == nil {
+		t.Error("a NaN δl is comparable with nothing, itself included, and must be rejected")
 	}
 }
 

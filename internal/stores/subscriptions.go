@@ -12,31 +12,20 @@ import (
 // for forwarding and for event matching per Algorithm 5) and the covered set
 // (kept for completeness of the node's knowledge, per Algorithm 4 line 12).
 // Local user subscriptions are filed under the node's own ID.
+//
+// Within an origin both sets are bucketed by comparability class
+// (model.Class): a coverage decision on a subscription can only involve
+// members of its own class, so filtering, cover-link scans and removal look
+// at one bucket instead of the origin's whole population. Every bucket keeps
+// its members in storage order — the order re-exposure walks them in, which
+// the protocol's determinism depends on.
 type SubscriptionTable struct {
-	self      topology.NodeID
-	uncovered map[topology.NodeID][]*model.Subscription
-	covered   map[topology.NodeID][]*model.Subscription
-	ids       map[topology.NodeID]map[model.SubscriptionID]bool
-	// matchIdx holds, per origin, the range index over the uncovered
-	// subscriptions' filter predicates: the indexed event-matching fast
-	// path that replaces per-attribute linear scans with stabbing queries.
-	// An origin's index is built lazily on its first EventCandidates call
-	// (and kept current by AddUncovered afterwards), so tables whose
-	// callers never query it pay nothing.
-	matchIdx map[topology.NodeID]*EventIndex
-	// coverBy records, per origin, which single uncovered subscription
-	// covered each covered one at the time it was filed (when one exists —
-	// set filtering can subsume by union, leaving no single cover). The
-	// protocol handlers thread these links into their match indexes
-	// (EventIndex.AddCovered) so candidate enumeration can skip a covered
-	// set whenever its cover did not match. Links capture the coverage
-	// geometry at storage time; they are consumed when the covered operator
-	// is registered for matching and never re-read afterwards.
-	coverBy map[topology.NodeID]map[model.SubscriptionID]model.SubscriptionID
-	// origins caches the sorted origin list Origins returns; event
+	self    topology.NodeID
+	origins map[topology.NodeID]*originSubs
+	// originList caches the sorted origin list Origins returns; event
 	// processing asks for it once per event, so it is rebuilt only when a
 	// mutation invalidates it rather than on every call.
-	origins      []topology.NodeID
+	originList   []topology.NodeID
 	originsValid bool
 	// remoteCovers enables cover-link recording for remote origins. Local
 	// subscriptions (origin == self) always record links — local delivery
@@ -47,15 +36,48 @@ type SubscriptionTable struct {
 	remoteCovers bool
 }
 
+// originSubs is what the table holds for one origin.
+type originSubs struct {
+	// stored maps every stored ID (covered or uncovered) to its subscription,
+	// which names the class bucket holding it.
+	stored map[model.SubscriptionID]*model.Subscription
+	// classes holds the non-empty class buckets; order lists them as they
+	// were created, so whole-origin views are deterministic.
+	classes map[model.Class]*classSubs
+	order   []*classSubs
+	// nUncovered and nCovered count the members across all buckets.
+	nUncovered, nCovered int
+	// matchIdx is the range index over the uncovered subscriptions' filter
+	// predicates: the indexed event-matching fast path that replaces
+	// per-attribute linear scans with stabbing queries. It is built lazily
+	// on the origin's first EventCandidates call (and kept current by
+	// AddUncovered afterwards), so tables whose callers never query it pay
+	// nothing.
+	matchIdx *EventIndex
+	// coverBy records which single uncovered subscription covered each
+	// covered one at the time it was filed (when one exists — set filtering
+	// can subsume by union, leaving no single cover). The protocol handlers
+	// thread these links into their match indexes (EventIndex.AddCovered) so
+	// candidate enumeration can skip a covered set whenever its cover did
+	// not match. Links capture the coverage geometry at storage time; they
+	// are consumed when the covered operator is registered for matching and
+	// never re-read afterwards. covers is the reverse map (cover → the IDs
+	// linked to it), so retracting a cover finds its links without visiting
+	// the origin's others.
+	coverBy map[model.SubscriptionID]model.SubscriptionID
+	covers  map[model.SubscriptionID][]model.SubscriptionID
+}
+
+// classSubs is one comparability class of one origin, in storage order.
+type classSubs struct {
+	uncovered, covered []*model.Subscription
+}
+
 // NewSubscriptionTable returns an empty table for the given node.
 func NewSubscriptionTable(self topology.NodeID) *SubscriptionTable {
 	return &SubscriptionTable{
 		self:         self,
-		uncovered:    map[topology.NodeID][]*model.Subscription{},
-		covered:      map[topology.NodeID][]*model.Subscription{},
-		ids:          map[topology.NodeID]map[model.SubscriptionID]bool{},
-		matchIdx:     map[topology.NodeID]*EventIndex{},
-		coverBy:      map[topology.NodeID]map[model.SubscriptionID]model.SubscriptionID{},
+		origins:      map[topology.NodeID]*originSubs{},
 		remoteCovers: true,
 	}
 }
@@ -67,32 +89,122 @@ func NewSubscriptionTable(self topology.NodeID) *SubscriptionTable {
 // node's own origin are always recorded.
 func (t *SubscriptionTable) RecordRemoteCoverLinks(on bool) { t.remoteCovers = on }
 
+// recordsLinks reports whether cover links are kept for the origin.
+func (t *SubscriptionTable) recordsLinks(origin topology.NodeID) bool {
+	return origin == t.self || t.remoteCovers
+}
+
 // Seen reports whether a subscription with this ID was already stored for
 // the origin (covered or uncovered).
 func (t *SubscriptionTable) Seen(origin topology.NodeID, id model.SubscriptionID) bool {
-	return t.ids[origin][id]
+	_, sub := t.lookup(origin, id)
+	return sub != nil
 }
 
-func (t *SubscriptionTable) markSeen(origin topology.NodeID, id model.SubscriptionID) {
-	m := t.ids[origin]
-	if m == nil {
-		m = map[model.SubscriptionID]bool{}
-		t.ids[origin] = m
+// lookup returns the origin's state and the subscription it stores under the
+// ID, covered or uncovered (nil when it stores none).
+func (t *SubscriptionTable) lookup(origin topology.NodeID, id model.SubscriptionID) (*originSubs, *model.Subscription) {
+	o := t.origins[origin]
+	if o == nil {
+		return nil, nil
 	}
-	m[id] = true
+	return o, o.stored[id]
+}
+
+// store files a not yet seen subscription under its origin and returns the
+// origin's state and the class bucket to append it to; ok is false when the
+// ID was already present.
+func (t *SubscriptionTable) store(origin topology.NodeID, sub *model.Subscription) (o *originSubs, c *classSubs, ok bool) {
+	o = t.origins[origin]
+	if o == nil {
+		o = &originSubs{
+			stored:  map[model.SubscriptionID]*model.Subscription{},
+			classes: map[model.Class]*classSubs{},
+			coverBy: map[model.SubscriptionID]model.SubscriptionID{},
+			covers:  map[model.SubscriptionID][]model.SubscriptionID{},
+		}
+		t.origins[origin] = o
+	}
+	if o.stored[sub.ID] != nil {
+		return o, nil, false
+	}
+	o.stored[sub.ID] = sub
+	class := sub.Class()
+	c = o.classes[class]
+	if c == nil {
+		c = &classSubs{}
+		o.classes[class] = c
+		o.order = append(o.order, c)
+	}
+	t.originsValid = false
+	return o, c, true
+}
+
+// class returns the origin's bucket of the subscription's comparability
+// class, or nil when the origin stores no member of the class.
+func (t *SubscriptionTable) class(origin topology.NodeID, sub *model.Subscription) *classSubs {
+	if o := t.origins[origin]; o != nil {
+		return o.classes[sub.Class()]
+	}
+	return nil
+}
+
+// dropIfEmpty forgets a class bucket whose last member left, so a stream of
+// short-lived classes (say, ever new correlation distances) leaves nothing
+// behind.
+func (o *originSubs) dropIfEmpty(sub *model.Subscription, c *classSubs) {
+	if len(c.uncovered)+len(c.covered) > 0 {
+		return
+	}
+	delete(o.classes, sub.Class())
+	i := slices.Index(o.order, c)
+	o.order = slices.Delete(o.order, i, i+1)
+}
+
+// link records cover as the single uncovered subscription covering id.
+func (o *originSubs) link(id, cover model.SubscriptionID) {
+	o.coverBy[id] = cover
+	o.covers[cover] = append(o.covers[cover], id)
+}
+
+// unlink forgets the cover link of a covered subscription, if it has one.
+func (o *originSubs) unlink(id model.SubscriptionID) {
+	cover, linked := o.coverBy[id]
+	if !linked {
+		return
+	}
+	delete(o.coverBy, id)
+	ids := o.covers[cover]
+	if len(ids) == 1 {
+		delete(o.covers, cover)
+		return
+	}
+	i := slices.Index(ids, id)
+	ids[i] = ids[len(ids)-1]
+	o.covers[cover] = ids[:len(ids)-1]
+}
+
+// dropLinksTo deletes the cover links pointing at a retracted uncovered
+// subscription: the coverage geometry they captured died with it, and a
+// covered operator promoted later must not inherit the stale root.
+func (o *originSubs) dropLinksTo(cover model.SubscriptionID) {
+	for _, id := range o.covers[cover] {
+		delete(o.coverBy, id)
+	}
+	delete(o.covers, cover)
 }
 
 // AddUncovered stores a subscription that was not filtered out. It returns
 // false if the ID was already present for this origin.
 func (t *SubscriptionTable) AddUncovered(origin topology.NodeID, sub *model.Subscription) bool {
-	if t.Seen(origin, sub.ID) {
+	o, c, ok := t.store(origin, sub)
+	if !ok {
 		return false
 	}
-	t.markSeen(origin, sub.ID)
-	t.uncovered[origin] = append(t.uncovered[origin], sub)
-	t.originsValid = false
-	if ei := t.matchIdx[origin]; ei != nil {
-		ei.Add(sub)
+	c.uncovered = append(c.uncovered, sub)
+	o.nUncovered++
+	if o.matchIdx != nil {
+		o.matchIdx.Add(sub)
 	}
 	return true
 }
@@ -102,23 +214,18 @@ func (t *SubscriptionTable) AddUncovered(origin topology.NodeID, sub *model.Subs
 // probabilistic set filter may have subsumed it by a union instead, in which
 // case no link is recorded and candidate pruning simply does not apply).
 func (t *SubscriptionTable) AddCovered(origin topology.NodeID, sub *model.Subscription) bool {
-	if t.Seen(origin, sub.ID) {
+	o, c, ok := t.store(origin, sub)
+	if !ok {
 		return false
 	}
-	t.markSeen(origin, sub.ID)
-	t.covered[origin] = append(t.covered[origin], sub)
-	t.originsValid = false
-	if origin != t.self && !t.remoteCovers {
+	c.covered = append(c.covered, sub)
+	o.nCovered++
+	if !t.recordsLinks(origin) {
 		return true
 	}
-	for _, u := range t.uncovered[origin] {
+	for _, u := range c.uncovered {
 		if sub.CoveredBy(u) {
-			links := t.coverBy[origin]
-			if links == nil {
-				links = map[model.SubscriptionID]model.SubscriptionID{}
-				t.coverBy[origin] = links
-			}
-			links[sub.ID] = u.ID
+			o.link(sub.ID, u.ID)
 			break
 		}
 	}
@@ -131,26 +238,71 @@ func (t *SubscriptionTable) AddCovered(origin topology.NodeID, sub *model.Subscr
 // covered operators registered for matching ride their cover's tree entries
 // instead of adding their own.
 func (t *SubscriptionTable) CoverOf(origin topology.NodeID, id model.SubscriptionID) model.SubscriptionID {
-	return t.coverBy[origin][id]
+	if o := t.origins[origin]; o != nil {
+		return o.coverBy[id]
+	}
+	return ""
 }
 
-// Uncovered returns the uncovered subscriptions stored for the origin.
+// UncoveredComparable returns the origin's uncovered subscriptions of sub's
+// comparability class, in storage order: the only stored ones a coverage
+// decision on sub can depend on. The slice is the table's own; callers must
+// not hold it across table mutations.
+func (t *SubscriptionTable) UncoveredComparable(origin topology.NodeID, sub *model.Subscription) []*model.Subscription {
+	if c := t.class(origin, sub); c != nil {
+		return c.uncovered
+	}
+	return nil
+}
+
+// CoveredComparable returns the origin's covered subscriptions of sub's
+// comparability class, in storage order, under the same rules as
+// UncoveredComparable.
+func (t *SubscriptionTable) CoveredComparable(origin topology.NodeID, sub *model.Subscription) []*model.Subscription {
+	if c := t.class(origin, sub); c != nil {
+		return c.covered
+	}
+	return nil
+}
+
+// Uncovered returns a copy of the uncovered subscriptions stored for the
+// origin: class by class in order of the classes' creation, storage order
+// within a class.
 func (t *SubscriptionTable) Uncovered(origin topology.NodeID) []*model.Subscription {
-	return t.uncovered[origin]
+	return t.gather(origin, true, false)
 }
 
-// Covered returns the covered subscriptions stored for the origin.
+// Covered returns a copy of the covered subscriptions stored for the origin,
+// ordered like Uncovered.
 func (t *SubscriptionTable) Covered(origin topology.NodeID) []*model.Subscription {
-	return t.covered[origin]
+	return t.gather(origin, false, true)
 }
 
 // All returns covered and uncovered subscriptions stored for the origin (the
 // per-subscription event propagation of the operator-placement and naive
 // approaches matches against both).
 func (t *SubscriptionTable) All(origin topology.NodeID) []*model.Subscription {
-	out := make([]*model.Subscription, 0, len(t.uncovered[origin])+len(t.covered[origin]))
-	out = append(out, t.uncovered[origin]...)
-	out = append(out, t.covered[origin]...)
+	return t.gather(origin, true, true)
+}
+
+// gather collects an origin's uncovered and/or covered subscriptions across
+// its class buckets, all uncovered ones first.
+func (t *SubscriptionTable) gather(origin topology.NodeID, uncovered, covered bool) []*model.Subscription {
+	o := t.origins[origin]
+	if o == nil {
+		return nil
+	}
+	var out []*model.Subscription
+	if uncovered {
+		for _, c := range o.order {
+			out = append(out, c.uncovered...)
+		}
+	}
+	if covered {
+		for _, c := range o.order {
+			out = append(out, c.covered...)
+		}
+	}
 	return out
 }
 
@@ -159,37 +311,27 @@ func (t *SubscriptionTable) All(origin topology.NodeID) []*model.Subscription {
 // returns the removed subscription and whether it was stored uncovered; ok
 // is false when the origin never stored the ID. After Remove the ID is no
 // longer Seen, so a later re-subscription is processed afresh.
-func (t *SubscriptionTable) Remove(origin topology.NodeID, id model.SubscriptionID) (sub *model.Subscription, wasUncovered, ok bool) {
-	if !t.Seen(origin, id) {
+func (t *SubscriptionTable) Remove(origin topology.NodeID, id model.SubscriptionID) (removed *model.Subscription, wasUncovered, ok bool) {
+	o, sub := t.lookup(origin, id)
+	if sub == nil {
 		return nil, false, false
 	}
-	delete(t.ids[origin], id)
+	delete(o.stored, id)
 	t.originsValid = false
-	if sub = removeByID(t.uncovered, origin, id); sub != nil {
-		if ei := t.matchIdx[origin]; ei != nil {
-			ei.Remove(id)
+	c := o.classes[sub.Class()]
+	if wasUncovered = removeByID(&c.uncovered, id); wasUncovered {
+		o.nUncovered--
+		if o.matchIdx != nil {
+			o.matchIdx.Remove(id)
 		}
-		t.dropLinksTo(origin, id)
-		return sub, true, true
+		o.dropLinksTo(id)
+	} else {
+		removeByID(&c.covered, id)
+		o.nCovered--
+		o.unlink(id)
 	}
-	if sub = removeByID(t.covered, origin, id); sub != nil {
-		delete(t.coverBy[origin], id)
-		return sub, false, true
-	}
-	// Seen but stored nowhere — cannot happen; treat as unknown.
-	return nil, false, false
-}
-
-// dropLinksTo deletes the origin's cover links pointing at a retracted
-// uncovered subscription: the coverage geometry they captured died with it,
-// and a covered operator promoted later must not inherit the stale root.
-func (t *SubscriptionTable) dropLinksTo(origin topology.NodeID, id model.SubscriptionID) {
-	links := t.coverBy[origin]
-	for covered, cover := range links {
-		if cover == id {
-			delete(links, covered)
-		}
-	}
+	o.dropIfEmpty(sub, c)
+	return sub, wasUncovered, true
 }
 
 // Promote moves a covered subscription of the origin into the uncovered set
@@ -205,99 +347,93 @@ func (t *SubscriptionTable) dropLinksTo(origin topology.NodeID, id model.Subscri
 // As in AddCovered, remote origins only pay the scan when the handler's
 // policy consumes the links (RecordRemoteCoverLinks).
 func (t *SubscriptionTable) Promote(origin topology.NodeID, id model.SubscriptionID) *model.Subscription {
-	sub := removeByID(t.covered, origin, id)
+	o, sub := t.lookup(origin, id)
 	if sub == nil {
 		return nil
 	}
-	delete(t.coverBy[origin], id)
-	t.uncovered[origin] = append(t.uncovered[origin], sub)
-	if ei := t.matchIdx[origin]; ei != nil {
-		ei.Add(sub)
+	c := o.classes[sub.Class()]
+	if !removeByID(&c.covered, id) {
+		return nil
 	}
-	if origin == t.self || t.remoteCovers {
-		links := t.coverBy[origin]
-		for _, c := range t.covered[origin] {
-			if _, linked := links[c.ID]; linked || !c.CoveredBy(sub) {
-				continue
+	o.unlink(id)
+	c.uncovered = append(c.uncovered, sub)
+	o.nCovered--
+	o.nUncovered++
+	if o.matchIdx != nil {
+		o.matchIdx.Add(sub)
+	}
+	if t.recordsLinks(origin) {
+		for _, other := range c.covered {
+			if _, linked := o.coverBy[other.ID]; !linked && other.CoveredBy(sub) {
+				o.link(other.ID, sub.ID)
 			}
-			if links == nil {
-				links = map[model.SubscriptionID]model.SubscriptionID{}
-				t.coverBy[origin] = links
-			}
-			links[c.ID] = sub.ID
 		}
 	}
 	return sub
 }
 
 // removeByID removes (order-preserving) the subscription with the given ID
-// from the origin's slice and returns it, or nil when absent. The splice is
-// in place: accessors hand out the live slices and callers that walk one
-// across removals snapshot it first (see core's reexpose), so churn reuses
-// the backing array instead of reallocating it per retraction.
-func removeByID(m map[topology.NodeID][]*model.Subscription, origin topology.NodeID, id model.SubscriptionID) *model.Subscription {
-	subs := m[origin]
+// from a class bucket's list and reports whether it was there. The splice is
+// in place: the Comparable accessors hand out the live slices and callers
+// that walk one across removals snapshot it first (see core's reexpose), so
+// churn reuses the backing array instead of reallocating it per retraction.
+func removeByID(list *[]*model.Subscription, id model.SubscriptionID) bool {
+	subs := *list
 	for i, s := range subs {
 		if s.ID == id {
 			copy(subs[i:], subs[i+1:])
 			subs[len(subs)-1] = nil
-			m[origin] = subs[:len(subs)-1]
-			return s
+			*list = subs[:len(subs)-1]
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // EventCandidates invokes fn with every uncovered subscription of the origin
 // that matches the simple event, using the range index instead of a scan
 // over the per-attribute lists. Iteration stops early when fn returns false.
 func (t *SubscriptionTable) EventCandidates(origin topology.NodeID, ev model.Event, fn func(*model.Subscription) bool) {
-	if len(t.uncovered[origin]) == 0 {
+	o := t.origins[origin]
+	if o == nil || o.nUncovered == 0 {
 		return
 	}
-	idx := t.matchIdx[origin]
-	if idx == nil {
+	if o.matchIdx == nil {
 		// The whole uncovered population arrives at once, so the first query
 		// packs it bottom-up instead of growing trees one insert at a time.
-		idx = NewEventIndex()
-		idx.BulkLoad(t.uncovered[origin])
-		t.matchIdx[origin] = idx
+		o.matchIdx = NewEventIndex()
+		o.matchIdx.BulkLoad(t.Uncovered(origin))
 	}
-	idx.Candidates(ev, fn)
+	o.matchIdx.Candidates(ev, fn)
 }
 
 // Origins returns all origins with at least one stored subscription, sorted.
 // The returned slice is the table's cache: callers must treat it as
-// read-only and must not hold it across table mutations (Add/Remove/Promote
+// read-only and must not hold it across table mutations (Add/Remove
 // invalidate it). Event processing calls Origins once per event, so the
 // rebuild cost is paid only when the subscription population changed.
 func (t *SubscriptionTable) Origins() []topology.NodeID {
 	if t.originsValid {
-		return t.origins
+		return t.originList
 	}
-	out := t.origins[:0]
-	for o := range t.uncovered {
-		if len(t.uncovered[o]) > 0 {
-			out = append(out, o)
-		}
-	}
-	for o := range t.covered {
-		if len(t.covered[o]) > 0 && len(t.uncovered[o]) == 0 {
-			out = append(out, o)
+	out := t.originList[:0]
+	for id, o := range t.origins {
+		if o.nUncovered+o.nCovered > 0 {
+			out = append(out, id)
 		}
 	}
 	slices.Sort(out)
-	t.origins = out
+	t.originList = out
 	t.originsValid = true
-	return t.origins
+	return t.originList
 }
 
 // CountUncovered returns the total number of uncovered subscriptions across
 // all origins.
 func (t *SubscriptionTable) CountUncovered() int {
 	total := 0
-	for _, subs := range t.uncovered {
-		total += len(subs)
+	for _, o := range t.origins {
+		total += o.nUncovered
 	}
 	return total
 }
@@ -306,8 +442,8 @@ func (t *SubscriptionTable) CountUncovered() int {
 // origins.
 func (t *SubscriptionTable) CountCovered() int {
 	total := 0
-	for _, subs := range t.covered {
-		total += len(subs)
+	for _, o := range t.origins {
+		total += o.nCovered
 	}
 	return total
 }

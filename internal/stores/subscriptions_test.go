@@ -1,0 +1,188 @@
+package stores
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"sensorcq/internal/model"
+	"sensorcq/internal/stats"
+	"sensorcq/internal/topology"
+)
+
+// flatTable is the subscription table without class buckets or a reverse
+// link map: one uncovered and one covered list per origin in storage order,
+// every scan over the whole origin. The bucketed table must answer like it.
+type flatTable struct {
+	uncovered, covered []*model.Subscription
+	coverBy            map[model.SubscriptionID]model.SubscriptionID
+}
+
+func (f *flatTable) addCovered(sub *model.Subscription) {
+	f.covered = append(f.covered, sub)
+	for _, u := range f.uncovered {
+		if sub.CoveredBy(u) {
+			f.coverBy[sub.ID] = u.ID
+			return
+		}
+	}
+}
+
+func (f *flatTable) remove(id model.SubscriptionID) {
+	if i := slices.IndexFunc(f.uncovered, func(s *model.Subscription) bool { return s.ID == id }); i >= 0 {
+		f.uncovered = slices.Delete(f.uncovered, i, i+1)
+		for c, u := range f.coverBy {
+			if u == id {
+				delete(f.coverBy, c)
+			}
+		}
+		return
+	}
+	i := slices.IndexFunc(f.covered, func(s *model.Subscription) bool { return s.ID == id })
+	f.covered = slices.Delete(f.covered, i, i+1)
+	delete(f.coverBy, id)
+}
+
+func (f *flatTable) promote(id model.SubscriptionID) {
+	i := slices.IndexFunc(f.covered, func(s *model.Subscription) bool { return s.ID == id })
+	sub := f.covered[i]
+	f.covered = slices.Delete(f.covered, i, i+1)
+	delete(f.coverBy, id)
+	f.uncovered = append(f.uncovered, sub)
+	for _, c := range f.covered {
+		if _, linked := f.coverBy[c.ID]; !linked && c.CoveredBy(sub) {
+			f.coverBy[c.ID] = sub.ID
+		}
+	}
+}
+
+// inClass filters a flat list down to one comparability class.
+func inClass(subs []*model.Subscription, like *model.Subscription) []*model.Subscription {
+	var out []*model.Subscription
+	for _, s := range subs {
+		if s.Class() == like.Class() {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func sortedByID(subs []*model.Subscription) []model.SubscriptionID {
+	ids := make([]model.SubscriptionID, len(subs))
+	for i, s := range subs {
+		ids[i] = s.ID
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+func inOrder(subs []*model.Subscription) []model.SubscriptionID {
+	ids := make([]model.SubscriptionID, len(subs))
+	for i, s := range subs {
+		ids[i] = s.ID
+	}
+	return ids
+}
+
+// TestSubscriptionTableMatchesFlatTable churns one origin of a table through
+// random additions, removals and promotions and compares it, after every
+// step, with the flat reference: the same members, the same storage order
+// within every comparability class, the same cover links — and a reverse
+// link map that mirrors the links exactly.
+func TestSubscriptionTableMatchesFlatTable(t *testing.T) {
+	const origin = topology.NodeID(4)
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := stats.NewRNG(seed)
+		tbl := NewSubscriptionTable(0)
+		flat := &flatTable{coverBy: map[model.SubscriptionID]model.SubscriptionID{}}
+		var stored []*model.Subscription
+		mostLinks := 0
+		for step := 0; step < 600; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5 || len(stored) == 0:
+				sub := randomSubscription(t, rng, step)
+				if len(flat.uncovered) > 0 && rng.Bool(0.5) {
+					sub = coveredVariant(t, rng, flat.uncovered[rng.Intn(len(flat.uncovered))], fmt.Sprintf("s%d", step))
+				}
+				stored = append(stored, sub)
+				if rng.Bool(0.5) {
+					tbl.AddCovered(origin, sub)
+					flat.addCovered(sub)
+				} else {
+					tbl.AddUncovered(origin, sub)
+					flat.uncovered = append(flat.uncovered, sub)
+				}
+				if tbl.AddUncovered(origin, sub) || tbl.AddCovered(origin, sub) {
+					t.Fatalf("seed %d step %d: %s stored twice", seed, step, sub.ID)
+				}
+			case op < 8:
+				i := rng.Intn(len(stored))
+				sub := stored[i]
+				stored = slices.Delete(stored, i, i+1)
+				wasUncovered := slices.Contains(flat.uncovered, sub)
+				got, gotUncovered, ok := tbl.Remove(origin, sub.ID)
+				if !ok || got != sub || gotUncovered != wasUncovered {
+					t.Fatalf("seed %d step %d: Remove(%s) = %v, %v, %v", seed, step, sub.ID, got, gotUncovered, ok)
+				}
+				flat.remove(sub.ID)
+				if tbl.Seen(origin, sub.ID) {
+					t.Fatalf("seed %d step %d: %s still seen after Remove", seed, step, sub.ID)
+				}
+			case len(flat.covered) > 0:
+				sub := flat.covered[rng.Intn(len(flat.covered))]
+				if tbl.Promote(origin, sub.ID) != sub || tbl.Promote(origin, sub.ID) != nil {
+					t.Fatalf("seed %d step %d: Promote(%s) wrong", seed, step, sub.ID)
+				}
+				flat.promote(sub.ID)
+			}
+
+			if a, b := sortedByID(tbl.Uncovered(origin)), sortedByID(flat.uncovered); !slices.Equal(a, b) {
+				t.Fatalf("seed %d step %d: uncovered %v, want %v", seed, step, a, b)
+			}
+			if a, b := sortedByID(tbl.Covered(origin)), sortedByID(flat.covered); !slices.Equal(a, b) {
+				t.Fatalf("seed %d step %d: covered %v, want %v", seed, step, a, b)
+			}
+			if tbl.CountUncovered() != len(flat.uncovered) || tbl.CountCovered() != len(flat.covered) || len(tbl.All(origin)) != len(stored) {
+				t.Fatalf("seed %d step %d: counts %d/%d, want %d/%d", seed, step, tbl.CountUncovered(), tbl.CountCovered(), len(flat.uncovered), len(flat.covered))
+			}
+			for _, s := range stored {
+				if a, b := inOrder(tbl.UncoveredComparable(origin, s)), inOrder(inClass(flat.uncovered, s)); !slices.Equal(a, b) {
+					t.Fatalf("seed %d step %d: uncovered of %s's class %v, want %v", seed, step, s.ID, a, b)
+				}
+				if a, b := inOrder(tbl.CoveredComparable(origin, s)), inOrder(inClass(flat.covered, s)); !slices.Equal(a, b) {
+					t.Fatalf("seed %d step %d: covered of %s's class %v, want %v", seed, step, s.ID, a, b)
+				}
+				if a, b := tbl.CoverOf(origin, s.ID), flat.coverBy[s.ID]; a != b {
+					t.Fatalf("seed %d step %d: cover of %s = %q, want %q", seed, step, s.ID, a, b)
+				}
+			}
+			o := tbl.origins[origin]
+			links := 0
+			for cover, ids := range o.covers {
+				links += len(ids)
+				for _, id := range ids {
+					if o.coverBy[id] != cover {
+						t.Fatalf("seed %d step %d: reverse map lists %s under %s, its link says %q", seed, step, id, cover, o.coverBy[id])
+					}
+				}
+			}
+			mostLinks = max(mostLinks, links)
+			if links != len(o.coverBy) {
+				t.Fatalf("seed %d step %d: reverse map holds %d links, forward map %d", seed, step, links, len(o.coverBy))
+			}
+			classes := map[model.Class]bool{}
+			for _, s := range stored {
+				classes[s.Class()] = true
+			}
+			if len(o.classes) != len(classes) || len(o.order) != len(classes) {
+				t.Fatalf("seed %d step %d: %d class buckets (%d ordered) for %d live classes", seed, step, len(o.classes), len(o.order), len(classes))
+			}
+			if (len(stored) == 0) != (len(tbl.Origins()) == 0) {
+				t.Fatalf("seed %d step %d: %d stored, origins %v", seed, step, len(stored), tbl.Origins())
+			}
+		}
+		if mostLinks < 5 {
+			t.Errorf("seed %d: never more than %d cover links at once", seed, mostLinks)
+		}
+	}
+}

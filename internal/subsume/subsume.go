@@ -16,6 +16,7 @@ package subsume
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
@@ -29,7 +30,25 @@ import (
 //   - a "false" answer is always safe (the subscription is simply forwarded),
 //   - a "true" answer may be wrong with at most the configured error
 //     probability, in which case events falling into the uncovered gaps are
-//     lost (reduced recall).
+//     lost (reduced recall),
+//   - a verdict is a pure function of the candidate and the set's contents,
+//
+// and two properties core's retraction path rests on (it re-verifies, after
+// an operator is retracted, only the covered operators that operator could
+// have supported):
+//
+//   - Locality. A verdict depends only on the members that are Relevant to
+//     the candidate: comparable with it (same model.Class) and either
+//     covering it on their own or overlapping its box. Adding or removing any
+//     other member never changes the verdict.
+//   - Monotonicity. Adding members never turns a "true" into a "false".
+//
+// ExactChecker bends monotonicity in one corner: when its subtraction budget
+// runs out it answers a conservative "false", so a larger set can exhaust a
+// budget a smaller one did not. Its "true" answers are exact, and it obeys
+// locality without exception (members it skips cost no budget), so leaving
+// an operator it declared covered alone, after an irrelevant member went
+// away, is still sound.
 type Checker interface {
 	// Subsumed reports whether candidate is covered by the union of the
 	// given set. The set is expected to contain only subscriptions with the
@@ -72,43 +91,40 @@ func (NoneChecker) Subsumed(*model.Subscription, []*model.Subscription) bool { r
 // Name implements Checker.
 func (NoneChecker) Name() string { return "none" }
 
-// comparableInto filters the set down to members comparable with the
-// candidate — same kind, same signature key, same correlation distances; only
-// those can participate in a coverage decision (Section V-B) — appending them
-// to dst (pass a reused buffer's [:0] reslice, or nil to allocate).
-func comparableInto(dst []*model.Subscription, candidate *model.Subscription, set []*model.Subscription) []*model.Subscription {
-	out := dst
-	for _, s := range set {
-		if s == nil {
-			continue
-		}
-		if s.Kind != candidate.Kind || s.SignatureKey() != candidate.SignatureKey() {
-			continue
-		}
-		if s.DeltaT != candidate.DeltaT {
-			continue
-		}
-		if s.Kind == model.KindAbstract && s.DeltaL != candidate.DeltaL {
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
+// Relevant reports whether member can influence a checker's verdict on
+// candidate — the locality property of the Checker contract in executable
+// form. Callers that know which member left a set use it to find the
+// candidates whose verdict may have changed.
+func Relevant(candidate, member *model.Subscription) bool {
+	return candidate.ComparableWith(member) &&
+		(candidate.CoveredByComparable(member) || candidate.Box().Overlaps(member.Box()))
 }
 
-// boxesOfInto converts subscriptions to their box representation, appending
-// to dst (pass a reused buffer's [:0] reslice, or nil to allocate).
-func boxesOfInto(dst []geom.Box, subs []*model.Subscription) []geom.Box {
-	out := dst
-	for _, s := range subs {
-		out = append(out, s.Box())
+// relevantBoxes scans the set for the members that matter to a decision on
+// the candidate. It reports true as soon as a single member covers the
+// candidate (exact and cheap); otherwise it appends to dst (pass a reused
+// buffer's [:0] reslice, or nil to allocate) the boxes of the comparable
+// members overlapping the candidate's box — only those can take part in a
+// union covering it (Section V-B).
+func relevantBoxes(dst []geom.Box, candidate *model.Subscription, set []*model.Subscription) (boxes []geom.Box, covered bool) {
+	cbox := candidate.Box()
+	for _, s := range set {
+		if s == nil || !candidate.ComparableWith(s) {
+			continue
+		}
+		if candidate.CoveredByComparable(s) {
+			return dst, true
+		}
+		if b := s.Box(); b.Overlaps(cbox) {
+			dst = append(dst, b)
+		}
 	}
-	return out
+	return dst, false
 }
 
 // coveredByUnionAtPoint reports whether the point lies inside at least one of
 // the boxes.
-func coveredByUnionAtPoint(pt map[string]float64, boxes []geom.Box) bool {
+func coveredByUnionAtPoint(pt []float64, boxes []geom.Box) bool {
 	for _, b := range boxes {
 		if b.ContainsPoint(pt) {
 			return true
@@ -148,14 +164,12 @@ type SetChecker struct {
 	// which the cross-engine conformance suite relies on.
 	seed int64
 
-	// compScratch, boxScratch and pt back Subsumed's per-decision
-	// collections. Checkers are per-node (Config.CheckerFactory) and nodes
-	// execute sequentially, so one buffer set per checker suffices; Subsumed
-	// never retains them beyond a call, and pt is cleared per decision so a
-	// verdict cannot depend on dimensions sampled by earlier ones.
-	compScratch []*model.Subscription
-	boxScratch  []geom.Box
-	pt          map[string]float64
+	// boxScratch and pt back Subsumed's per-decision collections. Checkers
+	// are per-node (Config.CheckerFactory) and nodes execute sequentially, so
+	// one buffer set per checker suffices; Subsumed never retains them beyond
+	// a call, and every value of pt it reads was written by the same decision.
+	boxScratch []geom.Box
+	pt         []float64
 }
 
 // NewSetChecker returns a set-subsumption checker with the given error
@@ -172,15 +186,16 @@ func NewSetChecker(errorProbability float64, seed int64) *SetChecker {
 	}
 }
 
-// decisionRNG derives the sampling stream of one subsumption decision from
-// the checker seed and the candidate identity (FNV-1a over the ID).
-func (c *SetChecker) decisionRNG(id model.SubscriptionID) *stats.RNG {
+// decisionSeed derives the seed of one subsumption decision's sampling
+// stream from the checker seed and the candidate identity (FNV-1a over the
+// ID).
+func (c *SetChecker) decisionSeed(id model.SubscriptionID) int64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(id); i++ {
 		h ^= uint64(id[i])
 		h *= 1099511628211
 	}
-	return stats.NewRNG(c.seed ^ int64(h))
+	return c.seed ^ int64(h)
 }
 
 // Name implements Checker.
@@ -210,42 +225,27 @@ func (c *SetChecker) Samples() int {
 
 // Subsumed implements Checker.
 func (c *SetChecker) Subsumed(candidate *model.Subscription, set []*model.Subscription) bool {
-	comp := comparableInto(c.compScratch[:0], candidate, set)
-	c.compScratch = comp[:0]
-	if len(comp) == 0 {
-		return false
-	}
-	// Fast path: single-subscription coverage is exact and cheap.
-	for _, s := range comp {
-		if candidate.CoveredBy(s) {
-			return true
-		}
-	}
-	cbox := candidate.Box()
-	boxes := boxesOfInto(c.boxScratch[:0], comp)
-	c.boxScratch = boxes[:0]
-	// Keep only boxes that overlap the candidate at all.
-	overlapping := boxes[:0]
-	for _, b := range boxes {
-		if b.Overlaps(cbox) {
-			overlapping = append(overlapping, b)
-		}
+	overlapping, covered := relevantBoxes(c.boxScratch[:0], candidate, set)
+	c.boxScratch = overlapping[:0]
+	if covered {
+		return true
 	}
 	if len(overlapping) == 0 {
 		return false
 	}
 
-	dims := cbox.Dims()
-	samples := c.Samples()
-	rng := c.decisionRNG(candidate.ID)
-	if c.pt == nil {
-		c.pt = make(map[string]float64, len(dims))
-	}
-	pt := c.pt
-	clear(pt)
-	for i := 0; i < samples; i++ {
-		for _, d := range dims {
-			iv, _ := cbox.Get(d)
+	// One value per dimension of the candidate's box, in the box's dimension
+	// order; the overlapping boxes are over the same dimensions. That order,
+	// and drawing nothing for a zero-width dimension, fix the stream's use
+	// and with it every verdict.
+	cbox := candidate.Box()
+	pt := slices.Grow(c.pt[:0], cbox.NumDims())[:cbox.NumDims()]
+	c.pt = pt
+	var rng stats.RNG
+	rng.Seed(c.decisionSeed(candidate.ID))
+	for i, samples := 0, c.Samples(); i < samples; i++ {
+		for d := range pt {
+			iv := cbox.At(d)
 			if iv.Width() == 0 {
 				pt[d] = iv.Min
 			} else {
@@ -275,20 +275,21 @@ func (ExactChecker) Name() string { return "exact" }
 
 // Subsumed implements Checker.
 func (c ExactChecker) Subsumed(candidate *model.Subscription, set []*model.Subscription) bool {
-	comp := comparableInto(nil, candidate, set)
-	if len(comp) == 0 {
-		return false
+	overlapping, covered := relevantBoxes(nil, candidate, set)
+	if covered {
+		return true
 	}
-	for _, s := range comp {
-		if candidate.CoveredBy(s) {
-			return true
-		}
+	if len(overlapping) == 0 {
+		// Also the answer for an empty candidate box, which subtraction
+		// would call covered by anything: locality (see Checker) allows it
+		// no support but a single cover.
+		return false
 	}
 	budget := c.MaxDepth
 	if budget <= 0 {
 		budget = 10000
 	}
-	covered, ok := boxCoveredByUnion(candidate.Box(), boxesOfInto(nil, comp), &budget)
+	covered, ok := boxCoveredByUnion(candidate.Box(), overlapping, &budget)
 	return ok && covered
 }
 

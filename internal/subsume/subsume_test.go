@@ -2,6 +2,7 @@ package subsume
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -308,4 +309,288 @@ func ExamplePairwiseCovered() {
 		geom.WholePlane(), 30, model.NoSpatialConstraint)
 	fmt.Println(PairwiseCovered(narrow, []*model.Subscription{wide}))
 	// Output: true
+}
+
+// --- the dense SetChecker against the map-based one it replaced ---
+
+// refBox is the box representation the checker used before geom.Box became a
+// sorted slice: dimension name -> interval.
+type refBox map[string]geom.Interval
+
+func refBoxOf(s *model.Subscription) refBox {
+	b := refBox{}
+	if s.Kind == model.KindIdentified {
+		for d, f := range s.SensorFilters {
+			b["d:"+string(d)] = f.Range
+		}
+		return b
+	}
+	for a, f := range s.AttrFilters {
+		b["a:"+string(a)] = f.Range
+	}
+	if !s.Region.IsWholePlane() {
+		b["__loc_x"] = s.Region.X
+		b["__loc_y"] = s.Region.Y
+	}
+	return b
+}
+
+func (b refBox) overlaps(o refBox) bool {
+	if len(b) != len(o) {
+		return false
+	}
+	for k, iv := range b {
+		ov, ok := o[k]
+		if !ok || !iv.Overlaps(ov) {
+			return false
+		}
+	}
+	return true
+}
+
+func (b refBox) containsPoint(pt map[string]float64) bool {
+	for k, iv := range b {
+		v, ok := pt[k]
+		if !ok || !iv.Contains(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// refCoveredBy is model.Subscription.CoveredBy over the filter maps.
+func refCoveredBy(s, other *model.Subscription) bool {
+	if !refComparable(s, other) {
+		return false
+	}
+	if s.Kind == model.KindIdentified {
+		for d, f := range s.SensorFilters {
+			if !other.SensorFilters[d].Range.Covers(f.Range) {
+				return false
+			}
+		}
+		return true
+	}
+	if !other.Region.Covers(s.Region) {
+		return false
+	}
+	for a, f := range s.AttrFilters {
+		if !other.AttrFilters[a].Range.Covers(f.Range) {
+			return false
+		}
+	}
+	return true
+}
+
+func refComparable(a, b *model.Subscription) bool {
+	if a.Kind != b.Kind || a.SignatureKey() != b.SignatureKey() || a.DeltaT != b.DeltaT {
+		return false
+	}
+	return a.Kind != model.KindAbstract || a.DeltaL == b.DeltaL
+}
+
+// refSubsumed is SetChecker.Subsumed as it was over map boxes: filter the
+// comparable members, accept a single cover, keep the overlapping boxes,
+// then sample the candidate's dimensions in sorted name order from the
+// per-decision stream, drawing nothing for a zero-width dimension. sampled
+// tells whether the verdict came from the sampling loop.
+func refSubsumed(c *SetChecker, candidate *model.Subscription, set []*model.Subscription) (verdict, sampled bool) {
+	var comp []*model.Subscription
+	for _, s := range set {
+		if s != nil && refComparable(s, candidate) {
+			comp = append(comp, s)
+		}
+	}
+	for _, s := range comp {
+		if refCoveredBy(candidate, s) {
+			return true, false
+		}
+	}
+	cbox := refBoxOf(candidate)
+	var overlapping []refBox
+	for _, s := range comp {
+		if b := refBoxOf(s); b.overlaps(cbox) {
+			overlapping = append(overlapping, b)
+		}
+	}
+	if len(overlapping) == 0 {
+		return false, false
+	}
+	dims := make([]string, 0, len(cbox))
+	for k := range cbox {
+		dims = append(dims, k)
+	}
+	slices.Sort(dims)
+	rng := stats.NewRNG(c.decisionSeed(candidate.ID))
+	pt := map[string]float64{}
+	for i := 0; i < c.Samples(); i++ {
+		for _, d := range dims {
+			iv := cbox[d]
+			if iv.Width() == 0 {
+				pt[d] = iv.Min
+			} else {
+				pt[d] = iv.Lerp(rng.Float64())
+			}
+		}
+		covered := false
+		for _, b := range overlapping {
+			if b.containsPoint(pt) {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			return false, true
+		}
+	}
+	return true, true
+}
+
+// randomSub draws from a space where members of a population often share a
+// class and often overlap: abstract subscriptions over subsets of three
+// attributes with bounded or whole-plane regions, identified ones over
+// subsets of three sensors, a few zero-width filters, two values of δt and
+// of δl.
+func randomSub(rng *stats.RNG, id string, maxWidth float64) *model.Subscription {
+	span := func() geom.Interval {
+		if rng.Bool(0.08) {
+			return geom.Point(float64(10 * rng.Intn(10)))
+		}
+		lo := rng.Range(0, 60)
+		return geom.NewInterval(lo, lo+rng.Range(10, maxWidth))
+	}
+	deltaT := model.Timestamp(30)
+	if rng.Bool(0.1) {
+		deltaT = 60
+	}
+	// Mostly single-filter subscriptions: those are the ones unions cover.
+	n := 1
+	if rng.Bool(0.4) {
+		n += rng.Intn(3)
+	}
+	picked := rng.Choose(3, n)
+	var sub *model.Subscription
+	var err error
+	if rng.Bool(0.25) {
+		var filters []model.SensorFilter
+		for _, i := range picked {
+			filters = append(filters, model.SensorFilter{Sensor: model.SensorID(fmt.Sprintf("d%d", i)), Attr: "a", Range: span()})
+		}
+		sub, err = model.NewIdentifiedSubscription(model.SubscriptionID(id), filters, deltaT)
+	} else {
+		var filters []model.AttributeFilter
+		for _, i := range picked {
+			filters = append(filters, model.AttributeFilter{Attr: model.AttributeType(fmt.Sprintf("t%d", i)), Range: span()})
+		}
+		region := geom.WholePlane()
+		if rng.Bool(0.3) {
+			region = geom.Region{X: span(), Y: geom.NewInterval(0, 100)}
+		}
+		deltaL := model.NoSpatialConstraint
+		if rng.Bool(0.1) {
+			deltaL = 50
+		}
+		sub, err = model.NewAbstractSubscription(model.SubscriptionID(id), filters, region, deltaT, deltaL)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return sub
+}
+
+func randomPopulation(rng *stats.RNG, n int) []*model.Subscription {
+	set := make([]*model.Subscription, n)
+	for i := range set {
+		set[i] = randomSub(rng, fmt.Sprintf("m%d", i), 40)
+	}
+	return set
+}
+
+// randomFrame draws a candidate whose first dimension has zero width and a
+// frame of four members covering all of it but a hole of 1.4 % of its volume:
+// whether one of the checker's samples falls into the hole depends on every
+// draw, so the verdict moves if a draw is spent on the zero-width dimension
+// or the dimensions are sampled in another order.
+func randomFrame(rng *stats.RNG, id string) (*model.Subscription, []*model.Subscription) {
+	mk := func(id string, t0, t1, t2 geom.Interval) *model.Subscription {
+		s, err := model.NewAbstractSubscription(model.SubscriptionID(id), []model.AttributeFilter{
+			{Attr: "t0", Range: t0}, {Attr: "t1", Range: t1}, {Attr: "t2", Range: t2},
+		}, geom.WholePlane(), 30, model.NoSpatialConstraint)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+	at := rng.Range(10, 90)
+	around, all := geom.NewInterval(at-5, at+5), geom.NewInterval(0, 100)
+	x, y := rng.Range(5, 80), rng.Range(5, 80)
+	return mk(id, geom.Point(at), all, all), []*model.Subscription{
+		mk("left", around, geom.NewInterval(0, x), all),
+		mk("right", around, geom.NewInterval(x+12, 100), all),
+		mk("below", around, all, geom.NewInterval(0, y)),
+		mk("above", around, all, geom.NewInterval(y+12, 100)),
+	}
+}
+
+// checkDenseEquivalence compares the two checkers on one random (candidate,
+// set) pair and reports the verdict and whether it was sampled.
+func checkDenseEquivalence(t *testing.T, checker *SetChecker, rng *stats.RNG) (verdict, sampled bool) {
+	t.Helper()
+	id := fmt.Sprintf("c%d", rng.Intn(1<<20))
+	var candidate *model.Subscription
+	var set []*model.Subscription
+	if rng.Bool(0.05) {
+		candidate, set = randomFrame(rng, id)
+	} else {
+		candidate, set = randomSub(rng, id, 30), randomPopulation(rng, 1+rng.Intn(40))
+		if rng.Bool(0.1) {
+			set[rng.Intn(len(set))] = nil
+		}
+	}
+	want, sampled := refSubsumed(checker, candidate, set)
+	if got := checker.Subsumed(candidate, set); got != want {
+		t.Fatalf("dense checker says %v, map-based reference %v\ncandidate %s\nset %v", got, want, candidate, set)
+	}
+	return want, sampled
+}
+
+// TestSetCheckerDenseEquivalence pins the dense checker's verdicts — and
+// with them the order it draws from the per-decision stream — to the
+// map-based reference over random pairs.
+func TestSetCheckerDenseEquivalence(t *testing.T) {
+	rng := stats.NewRNG(2024)
+	checker := NewSetChecker(0.02, 17)
+	var sampledTrue, sampledFalse, unsampledTrue, unsampledFalse int
+	for i := 0; i < 12000; i++ {
+		switch verdict, sampled := checkDenseEquivalence(t, checker, rng); {
+		case sampled && verdict:
+			sampledTrue++
+		case sampled:
+			sampledFalse++
+		case verdict:
+			unsampledTrue++
+		default:
+			unsampledFalse++
+		}
+	}
+	t.Logf("sampled: %d subsumed, %d not; decided without sampling: %d subsumed, %d not",
+		sampledTrue, sampledFalse, unsampledTrue, unsampledFalse)
+	for _, n := range []int{sampledTrue, sampledFalse, unsampledTrue, unsampledFalse} {
+		if n < 200 {
+			t.Error("the random pairs leave one kind of decision almost untested")
+		}
+	}
+}
+
+func FuzzSetCheckerDenseEquivalence(f *testing.F) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+		f.Add(seed, seed*31+5)
+	}
+	f.Fuzz(func(t *testing.T, populationSeed, checkerSeed int64) {
+		rng := stats.NewRNG(populationSeed)
+		checker := NewSetChecker(0.02, checkerSeed)
+		for i := 0; i < 20; i++ {
+			checkDenseEquivalence(t, checker, rng)
+		}
+	})
 }
