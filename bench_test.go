@@ -387,55 +387,40 @@ func BenchmarkEventMatchScaling(b *testing.B) {
 // subscription churn: every iteration retracts the oldest live subscription,
 // registers a fresh one and matches an event — the interleaved
 // subscribe/match/unsubscribe workload the PR 4 lifecycle API produces. The
-// incremental index (stores.NewEventIndex) splices single entries in and out
-// in O(log n); the rebuild baseline (stores.NewEventIndexRebuild) is the
-// superseded maintenance branch — tombstoned removals with
-// rebuild-on-half-dead compaction over lazily rebuilt interval trees — which
-// pays a full rebuild whenever a match follows an insertion. Throughput is
+// index splices single entries in and out in O(log n). Throughput is
 // reported as lifecycle operations per second under the events/sec key so
-// the benchgate regression gate covers it; the incremental/rebuild gap is
-// the measured win of incremental maintenance.
+// the benchgate regression gate covers it.
 func BenchmarkIndexChurn(b *testing.B) {
 	const live = 4000
 	pool, events := indexBenchPopulation(2 * live)
-	impls := []struct {
-		name string
-		mk   func() *stores.EventIndex
-	}{
-		{"incremental", stores.NewEventIndex},
-		{"rebuild", stores.NewEventIndexRebuild},
-	}
-	for _, impl := range impls {
-		impl := impl
-		b.Run(fmt.Sprintf("%s/subs=%d", impl.name, live), func(b *testing.B) {
-			idx := impl.mk()
-			for _, s := range pool[:live] {
-				idx.Add(s)
-			}
-			// Prime any lazy structures outside the timed region.
-			idx.Candidates(events[0], func(*model.Subscription) bool { return true })
-			matches := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// The live population is a sliding window over the pool:
-				// pool[i..i+live-1] (mod 2*live) is live at iteration i.
-				idx.Remove(pool[i%len(pool)].ID)
-				idx.Add(pool[(i+live)%len(pool)])
-				idx.Candidates(events[i%len(events)], func(*model.Subscription) bool {
-					matches++
-					return true
-				})
-			}
-			b.StopTimer()
-			if idx.Len() != live {
-				b.Fatalf("live population drifted to %d, want %d", idx.Len(), live)
-			}
-			b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
-			// Three lifecycle operations per iteration: one retraction, one
-			// registration, one match.
-			b.ReportMetric(float64(b.N)*3/b.Elapsed().Seconds(), "events/sec")
-		})
-	}
+	b.Run(fmt.Sprintf("incremental/subs=%d", live), func(b *testing.B) {
+		idx := stores.NewEventIndex()
+		for _, s := range pool[:live] {
+			idx.Add(s)
+		}
+		// Run the staged bulk build outside the timed region.
+		idx.Candidates(events[0], func(*model.Subscription) bool { return true })
+		matches := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// The live population is a sliding window over the pool:
+			// pool[i..i+live-1] (mod 2*live) is live at iteration i.
+			idx.Remove(pool[i%len(pool)].ID)
+			idx.Add(pool[(i+live)%len(pool)])
+			idx.Candidates(events[i%len(events)], func(*model.Subscription) bool {
+				matches++
+				return true
+			})
+		}
+		b.StopTimer()
+		if idx.Len() != live {
+			b.Fatalf("live population drifted to %d, want %d", idx.Len(), live)
+		}
+		b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
+		// Three lifecycle operations per iteration: one retraction, one
+		// registration, one match.
+		b.ReportMetric(float64(b.N)*3/b.Elapsed().Seconds(), "events/sec")
+	})
 }
 
 // BenchmarkPublishBatchReplay compares per-event Publish against the
@@ -668,60 +653,49 @@ func wideTopologyWorkload(b *testing.B, nodes int) (*experiment.Workload, [][]ne
 	return w, replay, events
 }
 
-// BenchmarkReplayWideTopology sweeps the topology size under the pooled
-// work-stealing scheduler and under the legacy goroutine-per-node baseline
-// (NewConcurrentEngineGoroutinePerNode). Unlike benchReplay, the engine
-// lifecycle — construction, replay, Close — is deliberately inside the
-// timed region: at 10k+ nodes the cost under attack IS the per-node
-// execution contexts (16k goroutine spawns, stacks and teardowns per run),
-// which the pooled scheduler replaces with GOMAXPROCS workers. The pooled
-// engine must match the baseline at 1k nodes and pull away as the topology
-// widens.
+// BenchmarkReplayWideTopology sweeps the topology size under the concurrent
+// engine. Unlike benchReplay, the engine lifecycle — construction, replay,
+// Close — is deliberately inside the timed region: what a wide topology
+// stresses is the per-node state the engine sets up and tears down
+// (mailboxes, contexts, delivery shards) next to a worker pool whose size
+// does not grow with it.
 func BenchmarkReplayWideTopology(b *testing.B) {
 	for _, nodes := range []int{1000, 4000, 16000} {
 		w, replay, events := wideTopologyWorkload(b, nodes)
-		for _, engine := range []string{"pooled", "goroutines"} {
-			engine := engine
-			b.Run(fmt.Sprintf("%s/nodes=%d", engine, nodes), func(b *testing.B) {
-				factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{
-					Seed: w.Scenario.Seed + 7,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var conc *netsim.ConcurrentEngine
-					if engine == "pooled" {
-						conc = netsim.NewConcurrentEngine(w.Deployment.Graph, factory)
-					} else {
-						conc = netsim.NewConcurrentEngineGoroutinePerNode(w.Deployment.Graph, factory)
-					}
-					for _, sensor := range w.Deployment.Sensors {
-						if err := conc.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
-							b.Fatal(err)
-						}
-					}
-					conc.Flush()
-					for _, p := range w.Placed {
-						if err := conc.Subscribe(p.Node, p.Sub.Clone()); err != nil {
-							b.Fatal(err)
-						}
-					}
-					conc.Flush()
-					if err := conc.ReplayRounds(replay, netsim.ReplayOptions{Mode: netsim.Pipelined}); err != nil {
+		b.Run(fmt.Sprintf("pooled/nodes=%d", nodes), func(b *testing.B) {
+			factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{
+				Seed: w.Scenario.Seed + 7,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				conc := netsim.NewConcurrentEngine(w.Deployment.Graph, factory)
+				for _, sensor := range w.Deployment.Sensors {
+					if err := conc.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
 						b.Fatal(err)
 					}
-					conc.Flush()
-					if n := conc.Metrics().DroppedMessages(); n != 0 {
-						b.Fatalf("dropped %d messages", n)
-					}
-					conc.Close()
 				}
-				b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			})
-		}
+				conc.Flush()
+				for _, p := range w.Placed {
+					if err := conc.Subscribe(p.Node, p.Sub.Clone()); err != nil {
+						b.Fatal(err)
+					}
+				}
+				conc.Flush()
+				if err := conc.ReplayRounds(replay, netsim.ReplayOptions{Mode: netsim.Pipelined}); err != nil {
+					b.Fatal(err)
+				}
+				conc.Flush()
+				if n := conc.Metrics().DroppedMessages(); n != 0 {
+					b.Fatalf("dropped %d messages", n)
+				}
+				conc.Close()
+			}
+			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+		})
 	}
 }
 
@@ -796,11 +770,9 @@ func BenchmarkSubscriptionChurn(b *testing.B) {
 // injection at a time, the way the serving layer registers them — and then
 // publish one probe event, which triggers the staged bottom-up build of the
 // match indexes the flood populated (registration only stages; no tree is
-// built until an event needs one). The index variants isolate the build
-// itself on one index: index-bulk stages all n subscriptions and packs each
-// tree bottom-up on the first lookup (stores.EventIndex.BulkLoad),
-// index-incremental (stores.NewEventIndexEager) pays one tree descent per
-// insertion. Bulk loading should win clearly from 10k subscriptions up.
+// built until an event needs one). The index-bulk variant isolates the build
+// itself on one index: it stages all n subscriptions and packs each tree
+// bottom-up on the first lookup (stores.EventIndex.BulkLoad).
 func BenchmarkSubscriptionFlood(b *testing.B) {
 	// The full-stack flood pays the real protocol cost per registration,
 	// including the subsumption scan over the arriving operator's
@@ -850,15 +822,6 @@ func BenchmarkSubscriptionFlood(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				idx := stores.NewEventIndex()
 				idx.BulkLoad(subs)
-				idx.Candidates(probe, func(*model.Subscription) bool { return true })
-			}
-		})
-		b.Run(fmt.Sprintf("index-incremental/subs=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				idx := stores.NewEventIndexEager()
-				for _, s := range subs {
-					idx.Add(s)
-				}
 				idx.Candidates(probe, func(*model.Subscription) bool { return true })
 			}
 		})

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"sensorcq"
+	"sensorcq/internal/engineflags"
 	"sensorcq/internal/server"
 )
 
@@ -43,9 +44,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7007", "listen address of both HTTP planes")
 		approach     = flag.String("approach", string(sensorcq.FilterSplitForward), "query-processing approach")
-		concurrent   = flag.Bool("concurrent", false, "run one goroutine per processing node")
-		delivery     = flag.String("delivery", "quiescent", "replay delivery semantics for batch ingestion")
-		lag          = flag.Int("lag", 0, "extra in-flight rounds in windowed delivery")
+		eng          = engineflags.Register(flag.CommandLine)
 		demo         = flag.Bool("demo", false, "serve the six-node walkthrough network (sensors a, b, c) instead of a generated deployment")
 		nodes        = flag.Int("nodes", 60, "total processing nodes of the generated deployment")
 		sensors      = flag.Int("sensors", 50, "sensor nodes of the generated deployment")
@@ -55,27 +54,29 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", server.DefaultDrainTimeout, "bound on the shutdown drain")
 	)
 	flag.Parse()
-	if err := run(*addr, *approach, *concurrent, *delivery, *lag, *demo, *nodes, *sensors, *groups, *seed, *node, *drainTimeout); err != nil {
+	if err := eng.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := run(*addr, *approach, eng, *demo, *nodes, *sensors, *groups, *seed, *node, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, approach string, concurrent bool, delivery string, lag int, demo bool, nodes, sensors, groups int, seed int64, defaultNode int, drainTimeout time.Duration) error {
+func run(addr, approach string, eng *engineflags.Flags, demo bool, nodes, sensors, groups int, seed int64, defaultNode int, drainTimeout time.Duration) error {
 	dep, err := buildDeployment(demo, nodes, sensors, groups, seed)
 	if err != nil {
 		return err
 	}
-	mode, err := sensorcq.ParseDeliveryMode(delivery)
-	if err != nil {
-		return fmt.Errorf("cqd: %w (valid: %v)", err, sensorcq.DeliveryModeNames())
-	}
 	sys, err := sensorcq.NewSystem(dep, sensorcq.Config{
 		Approach:   sensorcq.Approach(approach),
 		Seed:       seed,
-		Concurrent: concurrent,
-		Delivery:   mode,
-		Lag:        lag,
+		Concurrent: eng.Concurrent,
+		Workers:    eng.Workers,
+		Delivery:   eng.Delivery,
+		Lag:        eng.Lag,
 	})
 	if err != nil {
 		return err

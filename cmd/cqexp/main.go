@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"sensorcq/internal/engineflags"
 	"sensorcq/internal/experiment"
 	"sensorcq/internal/netsim"
 	"sensorcq/internal/report"
@@ -39,36 +40,20 @@ func main() {
 		seed         = flag.Int64("seed", 0, "override the scenario seed (0 keeps the default)")
 		noRecall     = flag.Bool("no-recall", false, "skip the oracle-based recall computation")
 		quiet        = flag.Bool("quiet", false, "suppress per-batch progress lines")
-		concurrent   = flag.Bool("concurrent", false, "run each approach on the concurrent engine (pooled work-stealing scheduler)")
-		workers      = flag.Int("workers", 0, "scheduler workers of the concurrent engine (0 = GOMAXPROCS; requires -concurrent)")
-		delivery     = flag.String("delivery", "quiescent",
-			"replay delivery semantics: quiescent (drain after every event), pipelined (drain after every round) or windowed (overlap up to -lag+1 rounds)")
-		lag   = flag.Int("lag", 0, "cross-round pipelining bound of the windowed delivery mode (requires -delivery windowed)")
-		churn = flag.Float64("churn", 0,
+		eng          = engineflags.Register(flag.CommandLine)
+		churn        = flag.Float64("churn", 0,
 			"fraction of each batch's subscriptions to retract after the batch's rounds replayed (0..1); later batches run against the survivors")
 		lagSweep = flag.String("lagsweep", "",
 			"comma-separated windowed lag settings (e.g. 0,1,2,4): run each scenario's Filter-Split-Forward replay once per lag on one shared workload and print a comparison table instead of the figure series; use instead of -delivery/-lag (the sweep is always windowed)")
 		aggSweep = flag.String("aggsweep", "",
 			"comma-separated q-digest compression settings k (e.g. 8,16,32,64): replay one windowed quantile query per scenario once per k plus once with the exact ship-every-reading baseline and print an error-vs-traffic table instead of the figure series")
-		aggWindow   = flag.Int("aggwindow", 4, "tumbling window width in rounds of the -aggsweep query")
-		aggQuantile = flag.Float64("aggquantile", 0.5, "rank fraction of the -aggsweep quantile query")
+		aggWindow   = flag.Int("agg-window", 4, "tumbling window width in rounds of the -aggsweep query")
+		aggQuantile = flag.Float64("agg-quantile", 0.5, "rank fraction of the -aggsweep quantile query")
 	)
 	flag.Parse()
 
-	mode, err := netsim.ParseDeliveryMode(*delivery)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "invalid -delivery %q: valid modes are %s\n",
-			*delivery, strings.Join(netsim.DeliveryModeNames(), ", "))
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *lag < 0 || (*lag > 0 && mode != netsim.Windowed) {
-		fmt.Fprintf(os.Stderr, "invalid -lag %d: it must be >= 0 and requires -delivery windowed\n", *lag)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *workers < 0 || (*workers > 0 && !*concurrent) {
-		fmt.Fprintf(os.Stderr, "invalid -workers %d: it must be >= 0 and requires -concurrent\n", *workers)
+	if err := eng.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -95,7 +80,7 @@ func main() {
 			if *seed != 0 {
 				s.Seed = *seed
 			}
-			if err := runAggSweep(s, ks, *aggWindow, *aggQuantile, *concurrent, *workers); err != nil {
+			if err := runAggSweep(s, ks, *aggWindow, *aggQuantile, eng.Concurrent, eng.Workers); err != nil {
 				fmt.Fprintf(os.Stderr, "aggregate sweep %s: %v\n", s.Name, err)
 				os.Exit(1)
 			}
@@ -115,7 +100,7 @@ func main() {
 			if *seed != 0 {
 				s.Seed = *seed
 			}
-			if err := runLagSweep(s, lags, *concurrent, *workers, *noRecall, *churn); err != nil {
+			if err := runLagSweep(s, lags, eng.Concurrent, eng.Workers, *noRecall, *churn); err != nil {
 				fmt.Fprintf(os.Stderr, "lag sweep %s: %v\n", s.Name, err)
 				os.Exit(1)
 			}
@@ -140,10 +125,10 @@ func main() {
 		}
 		opts := experiment.DefaultOptions()
 		opts.ComputeRecall = !*noRecall
-		opts.Concurrent = *concurrent
-		opts.Workers = *workers
-		opts.Delivery = mode
-		opts.Lag = *lag
+		opts.Concurrent = eng.Concurrent
+		opts.Workers = eng.Workers
+		opts.Delivery = eng.Delivery
+		opts.Lag = eng.Lag
 		opts.Churn = *churn
 		if !*quiet {
 			opts.Progress = func(format string, args ...interface{}) {
@@ -151,8 +136,8 @@ func main() {
 			}
 		}
 		engine := ""
-		if *concurrent {
-			engine = fmt.Sprintf(" [concurrent, %d workers]", netsim.EffectiveWorkers(*workers, s.TotalNodes))
+		if eng.Concurrent {
+			engine = fmt.Sprintf(" [concurrent, %d workers]", netsim.EffectiveWorkers(eng.Workers, s.TotalNodes))
 		}
 		fmt.Printf("=== %s (%s) — %d queries in %d batches, %d rounds/batch%s ===\n",
 			s.Name, s.Description, s.TotalSubscriptions(), s.Batches, s.RoundsPerBatch, engine)

@@ -16,31 +16,27 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"sensorcq"
+	"sensorcq/internal/engineflags"
 )
 
 func main() {
 	var (
 		approach = flag.String("approach", string(sensorcq.FilterSplitForward),
 			"approach: centralized, naive, operator-placement, distributed-multi-join or filter-split-forward")
-		nodes      = flag.Int("nodes", 60, "total processing nodes")
-		sensors    = flag.Int("sensors", 50, "sensor nodes")
-		groups     = flag.Int("groups", 10, "sensor groups (base stations)")
-		subs       = flag.Int("subs", 200, "number of subscriptions")
-		minAttrs   = flag.Int("min-attrs", 3, "minimum attributes per subscription")
-		maxAttrs   = flag.Int("max-attrs", 5, "maximum attributes per subscription")
-		rounds     = flag.Int("rounds", 12, "measurement rounds to replay")
-		seed       = flag.Int64("seed", 1, "random seed")
-		topN       = flag.Int("busiest", 5, "print the N busiest links")
-		concurrent = flag.Bool("concurrent", false, "run on the concurrent engine (pooled work-stealing scheduler)")
-		workers    = flag.Int("workers", 0, "scheduler workers of the concurrent engine (0 = GOMAXPROCS; requires -concurrent)")
-		delivery   = flag.String("delivery", "quiescent",
-			"replay delivery semantics: quiescent (drain after every event), pipelined (drain after every round) or windowed (overlap up to -lag+1 rounds)")
-		lag   = flag.Int("lag", 0, "cross-round pipelining bound of the windowed delivery mode (requires -delivery windowed)")
-		churn = flag.Float64("churn", 0,
+		nodes    = flag.Int("nodes", 60, "total processing nodes")
+		sensors  = flag.Int("sensors", 50, "sensor nodes")
+		groups   = flag.Int("groups", 10, "sensor groups (base stations)")
+		subs     = flag.Int("subs", 200, "number of subscriptions")
+		minAttrs = flag.Int("min-attrs", 3, "minimum attributes per subscription")
+		maxAttrs = flag.Int("max-attrs", 5, "maximum attributes per subscription")
+		rounds   = flag.Int("rounds", 12, "measurement rounds to replay")
+		seed     = flag.Int64("seed", 1, "random seed")
+		topN     = flag.Int("busiest", 5, "print the N busiest links")
+		eng      = engineflags.Register(flag.CommandLine)
+		churn    = flag.Float64("churn", 0,
 			"fraction of subscriptions to unsubscribe halfway through the replay (0..1); exercises the retraction path and prints the traffic it saves")
 		indexStats = flag.Bool("indexstats", false,
 			"print the aggregate shape and lookup cost of the network's match indexes after the replay")
@@ -55,20 +51,8 @@ func main() {
 	)
 	flag.Parse()
 
-	mode, err := sensorcq.ParseDeliveryMode(*delivery)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "invalid -delivery %q: valid modes are %s\n",
-			*delivery, strings.Join(sensorcq.DeliveryModeNames(), ", "))
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *lag < 0 || (*lag > 0 && mode != sensorcq.Windowed) {
-		fmt.Fprintf(os.Stderr, "invalid -lag %d: it must be >= 0 and requires -delivery windowed\n", *lag)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *workers < 0 || (*workers > 0 && !*concurrent) {
-		fmt.Fprintf(os.Stderr, "invalid -workers %d: it must be >= 0 and requires -concurrent\n", *workers)
+	if err := eng.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -85,7 +69,7 @@ func main() {
 		k:        *aggK,
 		exact:    *aggExact,
 	}
-	if err := run(*approach, *nodes, *sensors, *groups, *subs, *minAttrs, *maxAttrs, *rounds, *seed, *topN, *concurrent, *workers, mode, *lag, *churn, *indexStats, agg); err != nil {
+	if err := run(*approach, *nodes, *sensors, *groups, *subs, *minAttrs, *maxAttrs, *rounds, *seed, *topN, eng.Concurrent, eng.Workers, eng.Delivery, eng.Lag, *churn, *indexStats, agg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -17,8 +17,8 @@ import (
 // structure with (value, x, y) instead of stabbing a per-attribute interval
 // tree and re-checking the region on every candidate.
 //
-// Unlike IntervalTree and PointGrid — which record insertions and rebuild
-// lazily on the next query — the BoxTree is a dynamic bounding-volume tree
+// Unlike PointGrid — which records insertions and rebuilds lazily on the
+// next query — the BoxTree is a dynamic bounding-volume tree
 // maintained in place: Insert descends to the cheapest sibling (capped
 // perimeter heuristic), splices in a new parent and rebalances with AVL-style
 // rotations on the way up; Remove splices the leaf out and refits/rebalances

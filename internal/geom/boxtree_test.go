@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -31,6 +32,8 @@ func (r *btRef) stab(pt []float64) []int {
 	sort.Ints(out)
 	return out
 }
+
+func equalInts(a, b []int) bool { return slices.Equal(a, b) }
 
 func collectStab(t *BoxTree, pt []float64) []int {
 	var out []int

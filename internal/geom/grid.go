@@ -11,7 +11,7 @@ import (
 // onto a neighbour's data space touches only the advertisements near the
 // subscription's region instead of scanning all of them.
 //
-// Like IntervalTree, the grid is rebuilt lazily: Add records the point and
+// The grid is rebuilt lazily: Add records the point and
 // marks the grid dirty, and the first Query after a batch of insertions
 // rebuilds it — the bounding box of all points is split into roughly sqrt(n)
 // cells per axis, giving O(1) expected points per cell for the roughly

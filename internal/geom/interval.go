@@ -6,8 +6,6 @@
 //   - BoxTree, an incrementally maintained (O(log n) insert/remove, AVL-style
 //     rotations, pooled nodes) point-stabbing tree over k-dimensional boxes —
 //     the composite multi-attribute structure behind the event-match index;
-//   - IntervalTree, a batch-built centered interval stabbing tree (lazy
-//     rebuild on query after insertions, no removal);
 //   - PointGrid, a lazily rebuilt uniform grid over 2D points for region
 //     containment queries over advertised sensor locations.
 //

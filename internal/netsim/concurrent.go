@@ -3,7 +3,6 @@ package netsim
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,42 +14,34 @@ import (
 // ConcurrentEngine models the fully distributed execution of the protocols:
 // a node only ever touches its own state and talks to its neighbours by
 // message passing. It implements the same Runtime interface as the
-// sequential Engine, so the two are interchangeable; the experiments use the
-// sequential engine for determinism and the tests cross-check that both
-// produce identical traffic totals.
+// sequential Engine — through the same driver — so the two are
+// interchangeable; the experiments use the sequential engine for
+// determinism and the tests cross-check that both produce identical traffic
+// totals and per-round delivery multisets.
 //
-// Execution is decoupled from the topology size by a bounded work-stealing
-// scheduler (see stealScheduler): every node keeps a private mailbox, but
-// the scheduled unit is a node *activation* — a push that makes a mailbox
-// non-empty enqueues the node onto a worker's local run deque, and a small
-// pool of workers (default GOMAXPROCS) drains active nodes burst by burst,
-// stealing from sibling deques when their own runs dry. Wakeups, watermark
-// settlement and in-flight accounting therefore cost O(active nodes), not
-// O(topology): a 10k-node simulation no longer pays 10k mostly-idle
-// goroutines' worth of stack, scheduler churn and wakeup latency.
+// What is specific to this engine is how queued items get run: a bounded
+// work-stealing scheduler (see stealScheduler) decoupled from the topology
+// size. Every node keeps a private mailbox, but the scheduled unit is a node
+// *activation* — a push that makes a mailbox non-empty enqueues the node
+// onto a worker's local run deque, and a small pool of workers (default
+// GOMAXPROCS) drains active nodes burst by burst, stealing from sibling
+// deques when their own runs dry. Wakeups, ledger settlement and in-flight
+// accounting therefore cost O(active nodes), not O(topology).
 //
-// Under Quiescent replay at most one event is in flight, so the activations
-// take turns; Pipelined replay (ReplayRounds) keeps a whole round in flight;
-// Windowed replay keeps up to Lag+1 rounds in flight, with per-node round
-// ledgers aggregated into a network watermark that gates injection.
+// How many nodes are active at once is the delivery mode's doing: under
+// Quiescent replay at most one event is in flight, so the activations take
+// turns; Pipelined keeps a whole round in flight; Windowed keeps up to
+// Lag+1 rounds in flight.
 //
 // The hot delivery path is lock-free with respect to the engine: traffic
 // counters and deliveries go to per-node shards (see Metrics and
-// deliveryShard), in-flight accounting is a single atomic, and the only
-// per-message lock is the target node's mailbox mutex — which a worker
-// drains in batches, one lock round-trip per burst.
+// deliveryShard), in-flight and per-round accounting are one atomic each,
+// and the only per-message lock is the target node's mailbox mutex — which
+// a worker drains in batches, one lock round-trip per burst.
 type ConcurrentEngine struct {
-	graph     *topology.Graph
-	handlers  []Handler
-	ctxs      []*Context
-	metrics   *Metrics
+	driver
 	mailboxes []*mailbox
-
-	// sched is the pooled work-stealing scheduler; nil in the legacy
-	// goroutine-per-node mode (NewConcurrentEngineGoroutinePerNode), where
-	// every mailbox has a dedicated goroutine instead.
-	sched       *stealScheduler
-	workerCount int
+	pool      *stealScheduler
 	// nodeWorker[n] is the scheduler worker currently (or most recently)
 	// draining node n's mailbox. It is written by that worker right before
 	// it dispatches n's burst and read only from inside that burst's
@@ -59,45 +50,11 @@ type ConcurrentEngine struct {
 	// mailbox and deque mutexes.
 	nodeWorker []int32
 
-	// inflight counts queued-but-not-yet-dispatched items; Flush waits for
+	// inflight counts queued-but-not-yet-dispatched items; drain waits for
 	// it to reach zero via idleCond.
 	inflight atomic.Int64
-	closed   atomic.Bool
 	idleMu   sync.Mutex
 	idleCond *sync.Cond
-
-	// roundMu guards the round counter (cold path: once per round).
-	roundMu sync.Mutex
-	round   int
-
-	// wmMu guards the windowed-replay injection frontier, the retired-round
-	// cursor and the condition the injector waits on; workers broadcast
-	// wmCond when a round's network-wide in-flight count drains to zero.
-	// wmWatching keeps workers off that lock entirely outside windowed
-	// replays.
-	wmMu       sync.Mutex
-	wmCond     *sync.Cond
-	wmInjected int
-	wmRetired  int
-	wmWatching atomic.Bool
-	// wmSessionOpen (guarded by wmMu) records that a KeepOpen windowed
-	// replay returned with the session live: wmWatching is still set but no
-	// ReplayRounds call is running. Flush closes such a session; while a
-	// replay IS running, Flush must instead keep its retire frontier capped
-	// at the injection frontier (the round being injected must not retire).
-	wmSessionOpen bool
-
-	// wmRing is the incremental watermark min-tracker: the network-wide
-	// in-flight item count of round r lives in slot r % wmRingSize. submit
-	// increments a round's slot before the item is enqueued and the worker
-	// decrements it after dispatching the item, preserving the
-	// child-before-parent accounting rule, so a slot reads zero only when no
-	// item of the round exists or can ever exist again. Advancing the
-	// watermark is then a scan of at most the active rounds' slots from
-	// wmRetired+1 upward — O(lag), not O(nodes): the old implementation took
-	// every mailbox lock and scanned every node's pending map on each
-	// injector wake-up.
-	wmRing [wmRingSize]atomic.Int64
 
 	// delivShards is the per-node delivery log: a node's dispatches are
 	// serialised by its activation (at most one worker drains a mailbox at
@@ -109,24 +66,9 @@ type ConcurrentEngine struct {
 	// delivering worker's goroutine (push delivery). Loaded atomically so
 	// installing it does not race the workers.
 	observer atomic.Pointer[func(Delivery)]
-
-	// aggTicks is set when an aggregate subscription registers; it gates all
-	// watermark-tick work (see maybeTick) so replays without aggregate
-	// queries pay one atomic load per round boundary. tickMu guards ticked,
-	// the highest watermark already announced to the nodes.
-	aggTicks atomic.Bool
-	tickMu   sync.Mutex
-	ticked   int
 }
 
 var _ Runtime = (*ConcurrentEngine)(nil)
-
-// wmRingSize is the per-round in-flight counter ring of the watermark
-// tracker. Slot reuse is safe because at most MaxReplayLag+2 rounds can be
-// active at once (Flush re-syncs the retired cursor between replays and the
-// windowed injection gate bounds the spread during one), so distinct active
-// rounds never collide in the ring.
-const wmRingSize = 1024
 
 // deliveryShard is one node's slice of the delivery log, padded so that
 // neighbouring shards do not false-share a cache line. bySub indexes the
@@ -145,11 +87,7 @@ type deliveryShard struct {
 // never runs concurrently with itself — the invariant every conformance
 // oracle rests on.
 type mailbox struct {
-	mu sync.Mutex
-	// cond exists only in goroutine-per-node mode, where the node's
-	// dedicated goroutine blocks on it; the pooled scheduler parks idle
-	// workers centrally instead (stealScheduler.next).
-	cond   *sync.Cond
+	mu     sync.Mutex
 	queue  []queued
 	closed bool
 	// active records that the node is scheduled: enqueued on some worker's
@@ -158,26 +96,10 @@ type mailbox struct {
 	// appears at most once across all deques and is drained by at most one
 	// worker at a time.
 	active bool
-	// pending counts this node's not-yet-dispatched items per lineage
-	// round; the node's low-watermark is derived from it (the round below
-	// the lowest round with work still pending). Maintained under mu:
-	// incremented by push, decremented in one batch after a worker
-	// dispatches a burst.
-	pending map[int]int
 }
 
-func newMailbox(perNode bool) *mailbox {
-	m := &mailbox{pending: map[int]int{}}
-	if perNode {
-		m.cond = sync.NewCond(&m.mu)
-	}
-	return m
-}
-
-// push appends an item. In pooled mode it reports whether the caller must
-// schedule the node's activation (the mailbox was empty and inactive); in
-// per-node mode it signals the node's goroutine instead and never reports
-// one.
+// push appends an item and reports whether the caller must schedule the
+// node's activation (the mailbox was empty and inactive).
 func (m *mailbox) push(item queued) (activate, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -185,11 +107,6 @@ func (m *mailbox) push(item queued) (activate, ok bool) {
 		return false, false
 	}
 	m.queue = append(m.queue, item)
-	m.pending[item.round]++
-	if m.cond != nil {
-		m.cond.Signal()
-		return false, true
-	}
 	if m.active {
 		return false, true
 	}
@@ -202,9 +119,7 @@ func (m *mailbox) push(item queued) (activate, ok bool) {
 // node's activation calls it. Draining in batches rather than item by item
 // keeps the mailbox lock out of the pipelined hot path: under a full round
 // in flight a node pays one lock round-trip per burst instead of one per
-// message. The per-round pending counts are NOT released here — the items
-// are still in flight until dispatched — the worker settles them after the
-// burst via finish().
+// message.
 func (m *mailbox) take(spare []queued) []queued {
 	m.mu.Lock()
 	items := m.queue
@@ -213,16 +128,15 @@ func (m *mailbox) take(spare []queued) []queued {
 	return items
 }
 
-// finish settles a dispatched burst's pending counts and deactivates the
-// node — or reports that the mailbox refilled during the burst (pushes land
-// in the fresh backing while active stays set) and must be rescheduled. The
-// emptiness re-check and the deactivation are atomic under mu, which closes
-// the lost-wakeup race between a worker retiring a node and a concurrent
-// push that still saw it active.
-func (m *mailbox) finish(counts map[int]int) (reschedule bool) {
+// finish deactivates the node after a dispatched burst — or reports that the
+// mailbox refilled during the burst (pushes land in the fresh backing while
+// active stays set) and must be rescheduled. The emptiness re-check and the
+// deactivation are atomic under mu, which closes the lost-wakeup race
+// between a worker retiring a node and a concurrent push that still saw it
+// active.
+func (m *mailbox) finish() (reschedule bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.settleLocked(counts)
 	if len(m.queue) > 0 {
 		return true
 	}
@@ -230,66 +144,9 @@ func (m *mailbox) finish(counts map[int]int) (reschedule bool) {
 	return false
 }
 
-// popAll is the goroutine-per-node drain: it blocks until the mailbox is
-// non-empty (or closed) and then takes every queued item in one swap.
-func (m *mailbox) popAll(spare []queued) ([]queued, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if len(m.queue) == 0 {
-		return nil, false
-	}
-	items := m.queue
-	m.queue = spare[:0]
-	return items, true
-}
-
-// settle releases a dispatched burst from the per-round pending counts — the
-// per-node decomposition NodeWatermarks reports. The network watermark
-// itself is tracked by the engine's global per-round slots (wmRing), which
-// the worker decrements separately.
-func (m *mailbox) settle(counts map[int]int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.settleLocked(counts)
-}
-
-func (m *mailbox) settleLocked(counts map[int]int) {
-	for round, n := range counts {
-		if left := m.pending[round] - n; left > 0 {
-			m.pending[round] = left
-		} else {
-			delete(m.pending, round)
-		}
-	}
-}
-
-// lowWatermarkLocked returns this node's low-watermark bound: one less than
-// the lowest round with pending work, or maxInt when the node is idle (an
-// idle node places no bound — its watermark is whatever the injection
-// frontier allows, which is how a node with no work in a round still
-// advances). Callers must hold m.mu.
-func (m *mailbox) lowWatermarkLocked() int {
-	if len(m.pending) == 0 {
-		return math.MaxInt
-	}
-	low := math.MaxInt
-	for round := range m.pending {
-		if round < low {
-			low = round
-		}
-	}
-	return low - 1
-}
-
 func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true
-	if m.cond != nil {
-		m.cond.Broadcast()
-	}
 	m.mu.Unlock()
 }
 
@@ -410,8 +267,7 @@ func (s *stealScheduler) scan(w int) (int32, bool) {
 
 // next blocks until an activated node is available for worker w (returning
 // it) or the scheduler is closed AND drained (returning false): remaining
-// activations are still run after Close, matching the behaviour of the
-// per-node goroutines, which empty their mailbox before exiting.
+// activations are still run after Close.
 func (s *stealScheduler) next(w int) (int32, bool) {
 	if n, ok := s.scan(w); ok {
 		return n, true
@@ -467,80 +323,48 @@ func EffectiveWorkers(workers, nodes int) int {
 // scheduler pool size (see EffectiveWorkers for how the count is resolved).
 // Callers must Close the engine when done.
 func NewConcurrentEngineWorkers(graph *topology.Graph, factory HandlerFactory, workers int) *ConcurrentEngine {
-	e := newConcurrentEngine(graph, factory, false)
-	e.workerCount = EffectiveWorkers(workers, graph.NumNodes())
-	e.sched = newStealScheduler(e.workerCount)
-	e.nodeWorker = make([]int32, graph.NumNodes())
-	for w := 0; w < e.workerCount; w++ {
+	n := graph.NumNodes()
+	e := &ConcurrentEngine{
+		mailboxes:   make([]*mailbox, n),
+		pool:        newStealScheduler(EffectiveWorkers(workers, n)),
+		nodeWorker:  make([]int32, n),
+		delivShards: make([]deliveryShard, n),
+	}
+	e.idleCond = sync.NewCond(&e.idleMu)
+	for i := range e.mailboxes {
+		e.mailboxes[i] = &mailbox{}
+	}
+	e.driver.init(graph, factory, e, false)
+	for w := range e.pool.deques {
 		go e.runWorker(w)
 	}
 	return e
 }
 
-// NewConcurrentEngineGoroutinePerNode builds the engine with the legacy
-// goroutine-per-node execution model: every node gets a dedicated goroutine
-// blocking on its own mailbox. It is retained solely as the comparison
-// baseline for BenchmarkReplayWideTopology — a 10k-node topology pays 10k
-// mostly-idle goroutines' worth of stack and scheduler churn, which is the
-// ceiling the pooled scheduler removes. New code should use
-// NewConcurrentEngine. Callers must Close the engine when done.
-func NewConcurrentEngineGoroutinePerNode(graph *topology.Graph, factory HandlerFactory) *ConcurrentEngine {
-	e := newConcurrentEngine(graph, factory, true)
-	e.workerCount = graph.NumNodes()
-	for n := range e.mailboxes {
-		go e.runNodeGoroutine(n)
-	}
-	return e
-}
-
-func newConcurrentEngine(graph *topology.Graph, factory HandlerFactory, perNode bool) *ConcurrentEngine {
-	e := &ConcurrentEngine{
-		graph:       graph,
-		handlers:    make([]Handler, graph.NumNodes()),
-		ctxs:        make([]*Context, graph.NumNodes()),
-		metrics:     NewMetrics(graph.NumNodes()),
-		mailboxes:   make([]*mailbox, graph.NumNodes()),
-		delivShards: make([]deliveryShard, graph.NumNodes()),
-	}
-	e.idleCond = sync.NewCond(&e.idleMu)
-	e.wmCond = sync.NewCond(&e.wmMu)
-	for n := 0; n < graph.NumNodes(); n++ {
-		id := topology.NodeID(n)
-		e.handlers[n] = factory(id)
-		e.ctxs[n] = &Context{self: id, graph: graph, metrics: e.metrics, out: e}
-		e.mailboxes[n] = newMailbox(perNode)
-		e.handlers[n].Init(e.ctxs[n])
-	}
-	return e
-}
-
-// Workers returns the effective size of the engine's execution pool: the
-// scheduler worker count, or the node count in goroutine-per-node mode.
-func (e *ConcurrentEngine) Workers() int { return e.workerCount }
+// Workers returns the size of the engine's scheduler worker pool.
+func (e *ConcurrentEngine) Workers() int { return len(e.pool.deques) }
 
 // runWorker is one pooled scheduler worker: it acquires activated nodes from
 // the deques (own first, stealing when dry) and drains one burst per
-// activation. The spare buffer and the per-round counts map are reused
-// across bursts, so the steady state allocates nothing; the spare's backing
-// array migrates between mailboxes as bursts are swapped out and handed
-// back.
+// activation. The spare buffer is reused across bursts, so the steady state
+// allocates nothing; its backing array migrates between mailboxes as bursts
+// are swapped out and handed back.
 func (e *ConcurrentEngine) runWorker(w int) {
 	var spare []queued
-	counts := map[int]int{}
 	for {
-		n, ok := e.sched.next(w)
+		n, ok := e.pool.next(w)
 		if !ok {
 			return
 		}
-		spare = e.runNode(w, int(n), spare, counts)
+		spare = e.runNode(w, int(n), spare)
 	}
 }
 
 // runNode drains one burst from node n's mailbox on worker w: take the
-// queue in one swap, dispatch every item, settle the per-node pending
-// counts (rescheduling the node if it refilled mid-burst), then release the
-// burst from the global watermark slots and the in-flight count.
-func (e *ConcurrentEngine) runNode(w, n int, spare []queued, counts map[int]int) []queued {
+// queue in one swap, dispatch every item, deactivate the node (rescheduling
+// it if it refilled mid-burst), then release the burst from the ledger and
+// the in-flight count.
+func (e *ConcurrentEngine) runNode(w, n int, spare []queued) []queued {
 	// Record the node→worker affinity before dispatching: sends performed
 	// by these dispatches read it (on this same goroutine) to land child
 	// activations on this worker's own deque.
@@ -550,28 +374,29 @@ func (e *ConcurrentEngine) runNode(w, n int, spare []queued, counts map[int]int)
 	h, ctx := e.handlers[n], e.ctxs[n]
 	for i := range items {
 		dispatch(h, ctx, items[i])
-		counts[items[i].round]++
 	}
-	if m.finish(counts) {
-		e.sched.enqueue(w, int32(n))
+	if m.finish() {
+		e.pool.enqueue(w, int32(n))
 	}
-	// Release the burst from the global per-round watermark slots; a slot
-	// draining to zero is the only transition that can advance the network
-	// watermark.
+	// Release the burst from the ledger, one call per run of equal rounds
+	// (a burst rarely mixes more than a couple). Only now — every child the
+	// dispatches produced is already counted — may a round read drained.
 	zeroed := false
-	for round, c := range counts {
-		if e.wmRing[round%wmRingSize].Add(int64(-c)) == 0 {
+	for i := 0; i < len(items); {
+		j := i + 1
+		for j < len(items) && items[j].round == items[i].round {
+			j++
+		}
+		if e.led.done(items[i].round, j-i) {
 			zeroed = true
 		}
-		delete(counts, round)
+		i = j
 	}
 	if e.inflight.Add(int64(-len(items))) == 0 {
-		e.idleMu.Lock()
-		e.idleCond.Broadcast()
-		e.idleMu.Unlock()
+		e.wakeIdle()
 	}
-	if zeroed && e.wmWatching.Load() {
-		e.wmBroadcast()
+	if zeroed {
+		e.led.wake()
 	}
 	// Zero the processed items (so queued subscriptions can be collected)
 	// and reuse the array as the next burst's spare backing.
@@ -581,103 +406,52 @@ func (e *ConcurrentEngine) runNode(w, n int, spare []queued, counts map[int]int)
 	return items
 }
 
-// runNodeGoroutine is the goroutine-per-node execution loop of the legacy
-// baseline mode: block on the node's own mailbox, drain a burst, settle.
-func (e *ConcurrentEngine) runNodeGoroutine(n int) {
-	h := e.handlers[n]
-	ctx := e.ctxs[n]
-	m := e.mailboxes[n]
-	var spare []queued
-	counts := map[int]int{}
-	for {
-		items, ok := m.popAll(spare)
-		if !ok {
-			return
-		}
-		for i := range items {
-			dispatch(h, ctx, items[i])
-			counts[items[i].round]++
-		}
-		m.settle(counts)
-		zeroed := false
-		for round, c := range counts {
-			if e.wmRing[round%wmRingSize].Add(int64(-c)) == 0 {
-				zeroed = true
-			}
-			delete(counts, round)
-		}
-		if e.inflight.Add(int64(-len(items))) == 0 {
-			e.idleMu.Lock()
-			e.idleCond.Broadcast()
-			e.idleMu.Unlock()
-		}
-		if zeroed && e.wmWatching.Load() {
-			e.wmBroadcast()
-		}
-		for i := range items {
-			items[i] = queued{}
-		}
-		spare = items
-	}
-}
+// submit implements scheduler: an external injection carries no worker
+// affinity.
+func (e *ConcurrentEngine) submit(item queued) error { return e.submitFrom(item, -1) }
 
-func (e *ConcurrentEngine) submit(item queued) error {
-	return e.submitFrom(item, -1)
-}
-
-// submitFrom is submit with worker affinity: prefer names the scheduler
-// worker whose dispatch produced the item (its local deque receives the
-// activation), or -1 for external injections, which spread round-robin.
+// submitFrom queues one item. prefer names the scheduler worker whose
+// dispatch produced it (its local deque receives the activation), or -1 for
+// external injections, which spread round-robin.
 func (e *ConcurrentEngine) submitFrom(item queued, prefer int) error {
 	if e.closed.Load() {
-		return fmt.Errorf("netsim: engine is closed")
+		return errClosed
 	}
 	e.inflight.Add(1)
-	// Count the item in its round's watermark slot before it becomes
-	// reachable: a child produced during a dispatch is therefore counted
-	// while its parent is still counted, so a slot can only read zero once
-	// no item of the round can ever exist again.
-	e.wmRing[item.round%wmRingSize].Add(1)
+	// Count the item in the ledger before it becomes reachable: a child
+	// produced during a dispatch is therefore counted while its parent is
+	// still counted, so a round can only read drained once no item of it
+	// can ever exist again.
+	e.led.add(item.round)
 	activate, ok := e.mailboxes[item.to].push(item)
 	if !ok {
-		if e.wmRing[item.round%wmRingSize].Add(-1) == 0 && e.wmWatching.Load() {
-			e.wmBroadcast()
+		if e.led.done(item.round, 1) {
+			e.led.wake()
 		}
 		if e.inflight.Add(-1) == 0 {
-			e.idleMu.Lock()
-			e.idleCond.Broadcast()
-			e.idleMu.Unlock()
+			e.wakeIdle()
 		}
 		return fmt.Errorf("netsim: node %d mailbox closed", item.to)
 	}
 	if activate {
-		e.sched.enqueue(prefer, int32(item.to))
+		e.pool.enqueue(prefer, int32(item.to))
 	}
 	return nil
 }
 
-// wmBroadcast wakes a windowed injector waiting on the watermark.
-func (e *ConcurrentEngine) wmBroadcast() {
-	e.wmMu.Lock()
-	e.wmCond.Broadcast()
-	e.wmMu.Unlock()
+// wakeIdle re-checks every drain waiting for the in-flight count.
+func (e *ConcurrentEngine) wakeIdle() {
+	e.idleMu.Lock()
+	e.idleCond.Broadcast()
+	e.idleMu.Unlock()
 }
 
 // enqueue implements sink (called from dispatches on worker goroutines). A
 // failed submit — only possible when a send races engine shutdown — is
 // counted as a dropped message so lossy runs are detectable; the conformance
 // suite asserts the counter stays zero.
-//
-// Watermark safety: the child item is counted in its target's pending map
-// (inside push) while the parent item is still unsettled at the sender, so
-// there is never an instant where a round looks drained while one of its
-// messages is in flight between nodes.
 func (e *ConcurrentEngine) enqueue(from, to topology.NodeID, msg Message, round int) {
-	prefer := -1
-	if e.sched != nil {
-		prefer = int(e.nodeWorker[from])
-	}
-	if err := e.submitFrom(queued{from: from, to: to, msg: msg, round: round}, prefer); err != nil {
+	if err := e.submitFrom(queued{from: from, to: to, msg: msg, round: round}, int(e.nodeWorker[from])); err != nil {
 		e.metrics.recordDrop()
 	}
 }
@@ -710,506 +484,48 @@ func (e *ConcurrentEngine) SetDeliveryObserver(fn func(Delivery)) {
 	e.observer.Store(&fn)
 }
 
-// advanceRound bumps the round counter injections are stamped with and
-// returns the new round. Callers advance it only between rounds.
-func (e *ConcurrentEngine) advanceRound() int {
-	e.roundMu.Lock()
-	defer e.roundMu.Unlock()
-	e.round++
-	return e.round
-}
-
-func (e *ConcurrentEngine) currentRound() int {
-	e.roundMu.Lock()
-	defer e.roundMu.Unlock()
-	return e.round
-}
-
-func (e *ConcurrentEngine) validNode(n topology.NodeID) error {
-	if n < 0 || int(n) >= len(e.handlers) {
-		return fmt.Errorf("netsim: unknown node %d", n)
-	}
-	return nil
-}
-
-// Handler returns the protocol handler of a node (used by white-box tests,
-// matching Engine.Handler). The caller must Flush first so no worker
-// goroutine is concurrently touching the handler's state.
-func (e *ConcurrentEngine) Handler(n topology.NodeID) Handler {
-	if n < 0 || int(n) >= len(e.handlers) {
-		return nil
-	}
-	return e.handlers[n]
-}
-
-// AttachSensor implements Runtime.
-func (e *ConcurrentEngine) AttachSensor(node topology.NodeID, sensor model.Sensor) error {
-	if err := e.validNode(node); err != nil {
-		return err
-	}
-	return e.submit(queued{to: node, from: node, injection: injectionSensor, sensor: sensor, round: e.currentRound()})
-}
-
-// Subscribe implements Runtime.
-func (e *ConcurrentEngine) Subscribe(node topology.NodeID, sub *model.Subscription) error {
-	if err := e.validNode(node); err != nil {
-		return err
-	}
-	if err := sub.Validate(); err != nil {
-		return err
-	}
-	if sub.Aggregate != nil {
-		e.aggTicks.Store(true)
-	}
-	return e.submit(queued{to: node, from: node, injection: injectionSubscribe, sub: sub, round: e.currentRound()})
-}
-
-// SubscribeContext implements Runtime: unlike Subscribe (which only enqueues
-// the registration), it waits for the whole propagation flood to drain.
-// Cancellation aborts the wait and submits a compensating retraction that
-// chases the registration through the network: injections land in the same
-// origin mailbox and links deliver FIFO, so the retraction observes every
-// forwarding link the registration recorded. While a windowed session is
-// open the registration joins the in-flight stream and the call returns
-// without waiting.
-func (e *ConcurrentEngine) SubscribeContext(ctx context.Context, node topology.NodeID, sub *model.Subscription) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := e.validNode(node); err != nil {
-		return err
-	}
-	if err := sub.Validate(); err != nil {
-		return err
-	}
-	if sub.Aggregate != nil {
-		e.aggTicks.Store(true)
-	}
-	if err := e.submit(queued{to: node, from: node, injection: injectionSubscribe, sub: sub, round: e.currentRound()}); err != nil {
-		return err
-	}
-	if e.wmWatching.Load() {
-		return nil
-	}
-	if err := e.FlushContext(ctx); err != nil {
-		_ = e.submit(queued{to: node, from: node, injection: injectionUnsubscribe, unsub: sub.ID, round: e.currentRound()})
-		return err
-	}
-	return nil
-}
-
-// Unsubscribe implements Runtime. Callers who need the retraction fully
-// propagated before continuing (e.g. to guarantee zero further deliveries)
-// must Flush afterwards, exactly like Subscribe.
-func (e *ConcurrentEngine) Unsubscribe(node topology.NodeID, id model.SubscriptionID) error {
-	if err := e.validNode(node); err != nil {
-		return err
-	}
-	if id == "" {
-		return fmt.Errorf("netsim: empty subscription ID")
-	}
-	return e.submit(queued{to: node, from: node, injection: injectionUnsubscribe, unsub: id, round: e.currentRound()})
-}
-
-// Publish implements Runtime.
-func (e *ConcurrentEngine) Publish(node topology.NodeID, ev model.Event) error {
-	if err := e.validNode(node); err != nil {
-		return err
-	}
-	r := e.currentRound()
-	ev.Round = r
-	return e.submit(queued{to: node, from: node, injection: injectionPublish, ev: ev, round: r})
-}
-
-// PublishContext implements Runtime: the event is injected and the call
-// waits for the network to drain. Cancellation aborts the wait with the
-// context's error; the event itself keeps propagating on the worker
-// goroutines (an injected reading cannot be recalled). While a windowed
-// session is open the event joins the in-flight stream without waiting.
-func (e *ConcurrentEngine) PublishContext(ctx context.Context, node topology.NodeID, ev model.Event) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := e.validNode(node); err != nil {
-		return err
-	}
-	r := e.currentRound()
-	ev.Round = r
-	if err := e.submit(queued{to: node, from: node, injection: injectionPublish, ev: ev, round: r}); err != nil {
-		return err
-	}
-	if e.wmWatching.Load() {
-		return nil
-	}
-	return e.FlushContext(ctx)
-}
-
-// PublishBatch implements Runtime: one quiescent round, preserving the
-// per-event replay semantics the conformance suite compares against the
-// sequential engine.
-func (e *ConcurrentEngine) PublishBatch(batch []Publication) error {
-	return e.ReplayRounds([][]Publication{batch}, ReplayOptions{Mode: Quiescent})
-}
-
-// ReplayRounds implements Runtime. In Pipelined mode a whole round is
-// submitted before the drain, so every node whose mailbox has work runs at
-// the same time; the network is drained to quiescence between rounds. In
-// Windowed mode the drain between rounds is replaced by a watermark gate:
-// round r is injected as soon as every round <= r-1-Lag has fully drained,
-// so up to Lag+1 rounds of messages overlap and active nodes never idle at a
-// round boundary while they still have in-window work.
-func (e *ConcurrentEngine) ReplayRounds(rounds [][]Publication, opts ReplayOptions) error {
-	return e.ReplayRoundsContext(context.Background(), rounds, opts)
-}
-
-// ReplayRoundsContext implements Runtime: ReplayRounds with every blocking
-// wait (between-round drains, the windowed watermark gate) cancellable.
-// Work already submitted keeps propagating on the worker goroutines; a
-// cancelled windowed replay leaves its session open with the in-flight
-// rounds still draining, and Flush (or FlushContext) closes it.
-func (e *ConcurrentEngine) ReplayRoundsContext(ctx context.Context, rounds [][]Publication, opts ReplayOptions) error {
-	if err := opts.validate(); err != nil {
-		return err
-	}
-	for _, round := range rounds {
-		for _, p := range round {
-			if err := e.validNode(p.Node); err != nil {
-				return err
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if opts.Mode == Windowed {
-		return e.replayWindowed(ctx, rounds, opts.Lag, opts.KeepOpen)
-	}
-	if e.wmWatching.Load() {
-		return fmt.Errorf("netsim: %v replay rejected while a windowed session is open (Flush to close it)", opts.Mode)
-	}
-	for _, round := range rounds {
-		r := e.advanceRound()
-		switch opts.Mode {
-		case Quiescent:
-			for _, p := range round {
-				if err := e.submitPublication(p, r); err != nil {
-					return err
-				}
-				if err := e.drainContext(ctx); err != nil {
-					return err
-				}
-			}
-		case Pipelined:
-			for _, p := range round {
-				if err := e.submitPublication(p, r); err != nil {
-					return err
-				}
-			}
-			if err := e.drainContext(ctx); err != nil {
-				return err
-			}
-		}
-		// The round is drained, so the watermark advanced: announce it and
-		// drain the window-close cascades it triggers.
-		if e.maybeTick() {
-			if err := e.drainContext(ctx); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// replayWindowed runs the watermark-gated replay. When a session is already
-// open (a previous KeepOpen call left wmWatching set), the new rounds
-// continue it — the injection frontier and the in-flight rounds carry over.
-// With keepOpen the trailing rounds stay in flight when the call returns;
-// Flush closes the session. A failed submit (engine shutdown) closes the
-// session on the way out, matching the pre-session error behaviour.
-func (e *ConcurrentEngine) replayWindowed(ctx context.Context, rounds [][]Publication, lag int, keepOpen bool) error {
-	e.wmMu.Lock()
-	if !e.wmWatching.Load() {
-		e.wmInjected = e.currentRound()
-		e.wmWatching.Store(true)
-	}
-	e.wmSessionOpen = false
-	e.wmMu.Unlock()
-	for _, round := range rounds {
-		r := e.advanceRound()
-		if err := e.waitWatermarkCtx(ctx, r-1-lag); err != nil {
-			// Cancelled at the watermark gate: mark the session open so a
-			// later Flush drains the in-flight rounds and closes it.
-			e.markSessionOpen()
+// drain implements scheduler: it blocks until every in-flight item (and
+// every item transitively produced by it) has been dispatched, or the
+// context is cancelled — the work then keeps running on the workers. A
+// context that can never be cancelled takes the hook-free path, so
+// steady-state replay loops pay nothing for the hook.
+func (e *ConcurrentEngine) drain(ctx context.Context) error {
+	if ctx.Done() != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// The gate advanced the watermark: announce it before round r's
-		// events enter the network. The ticks join the in-flight stream (no
-		// drain) like any other windowed work.
-		e.maybeTick()
-		for _, p := range round {
-			if err := e.submitPublication(p, r); err != nil {
-				e.wmWatching.Store(false)
-				return err
-			}
-		}
-		e.wmMu.Lock()
-		e.wmInjected = r
-		e.wmMu.Unlock()
+		stop := context.AfterFunc(ctx, e.wakeIdle)
+		defer stop()
 	}
-	if keepOpen {
-		e.markSessionOpen()
-		return nil
-	}
-	if err := e.FlushContext(ctx); err != nil {
-		e.markSessionOpen()
-		return err
-	}
-	e.wmWatching.Store(false)
-	return nil
-}
-
-// markSessionOpen records that a windowed session returned to the caller
-// with rounds still in flight (KeepOpen, or a cancelled replay): wmWatching
-// stays set and the next Flush closes the session.
-func (e *ConcurrentEngine) markSessionOpen() {
-	e.wmMu.Lock()
-	e.wmSessionOpen = true
-	e.wmMu.Unlock()
-}
-
-func (e *ConcurrentEngine) submitPublication(p Publication, round int) error {
-	ev := p.Event
-	ev.Round = round
-	return e.submit(queued{to: p.Node, from: p.Node, injection: injectionPublish, ev: ev, round: round})
-}
-
-// waitWatermark blocks the injector until the network watermark reaches the
-// target round (or the engine is closed). Workers broadcast wmCond whenever
-// a round's global in-flight count drains to zero; holding wmMu across the
-// recheck closes the missed-wakeup window.
-func (e *ConcurrentEngine) waitWatermark(target int) {
-	e.wmMu.Lock()
-	for e.advanceWatermarkLocked(e.wmInjected) < target && !e.closed.Load() {
-		e.wmCond.Wait()
-	}
-	e.wmMu.Unlock()
-}
-
-// waitWatermarkCtx is waitWatermark with cancellation: the context's
-// AfterFunc broadcasts wmCond, so a cancelled injector re-checks the
-// context and returns its error instead of blocking until the watermark
-// advances. A context that can never be cancelled takes the hook-free path.
-func (e *ConcurrentEngine) waitWatermarkCtx(ctx context.Context, target int) error {
-	if ctx.Done() == nil {
-		e.waitWatermark(target)
-		return nil
-	}
-	stop := context.AfterFunc(ctx, e.wmBroadcast)
-	defer stop()
-	e.wmMu.Lock()
-	for e.advanceWatermarkLocked(e.wmInjected) < target && !e.closed.Load() && ctx.Err() == nil {
-		e.wmCond.Wait()
-	}
-	e.wmMu.Unlock()
-	return ctx.Err()
-}
-
-// advanceWatermarkLocked is the incremental min-tracker behind the network
-// watermark: rounds retire in order, so the watermark advances by walking the
-// retired-round cursor over consecutive ring slots that read zero, capped by
-// the injection frontier (a round retires only once fully injected, so empty
-// rounds do not let the watermark run ahead of the trace). Each wake-up
-// touches at most the active rounds' slots — O(lag), not O(nodes): the
-// previous implementation locked every mailbox and scanned every node's
-// pending map.
-//
-// Correctness does not need a multi-node snapshot any more: a single ring
-// slot is one atomic, and the child-before-parent accounting rule (submit
-// counts an item before its parent's dispatch is released) guarantees a slot
-// reads zero only when no item of that round exists or can ever exist again.
-// The cursor is monotone under wmMu, so a transient later re-increment of a
-// colliding slot (a reused slot of a much newer round) can never un-retire a
-// round. Callers must hold wmMu.
-func (e *ConcurrentEngine) advanceWatermarkLocked(frontier int) int {
-	for e.wmRetired < frontier && e.wmRing[(e.wmRetired+1)%wmRingSize].Load() == 0 {
-		e.wmRetired++
-	}
-	return e.wmRetired
-}
-
-// Watermark implements Runtime: the highest round whose work has been fully
-// processed network-wide. Outside a windowed replay the engine drains
-// between rounds, so after Flush it equals the round counter.
-func (e *ConcurrentEngine) Watermark() int {
-	frontier := e.currentRound()
-	e.wmMu.Lock()
-	defer e.wmMu.Unlock()
-	if e.wmWatching.Load() {
-		// Mid-replay the cap is the injection frontier, not the round
-		// counter: the round being injected right now must not retire.
-		frontier = e.wmInjected
-	}
-	return e.advanceWatermarkLocked(frontier)
-}
-
-// NodeWatermarks returns every node's low-watermark: the highest round r
-// such that the node has no pending work of any round <= r, capped at the
-// highest injected round. A node with no work at all in some round reports
-// the cap — its watermark advances with the network even though it never
-// processed anything. Intended for tests and diagnostics.
-func (e *ConcurrentEngine) NodeWatermarks() []int {
-	e.wmMu.Lock()
-	defer e.wmMu.Unlock()
-	frontier := e.wmInjected
-	if !e.wmWatching.Load() {
-		frontier = e.currentRound()
-	}
-	// Hold every mailbox lock at once so the vector is a consistent
-	// snapshot: locking mailboxes one at a time would let an item migrate
-	// from a not-yet-scanned mailbox to an already-scanned one and report a
-	// node low-watermark past a round with work still in flight. This
-	// diagnostics call is the only remaining all-mailbox scan; the network
-	// watermark itself is tracked incrementally (see advanceWatermarkLocked).
-	for _, m := range e.mailboxes {
-		m.mu.Lock()
-	}
-	out := make([]int, len(e.mailboxes))
-	for n, m := range e.mailboxes {
-		low := m.lowWatermarkLocked()
-		if low > frontier {
-			low = frontier
-		}
-		out[n] = low
-	}
-	for i := len(e.mailboxes) - 1; i >= 0; i-- {
-		e.mailboxes[i].mu.Unlock()
-	}
-	return out
-}
-
-// Flush implements Runtime: it blocks until every in-flight message (and
-// every message transitively produced by it) has been processed. A live
-// windowed session (KeepOpen) is closed: after the drain no round is in
-// flight, so the watermark catches up to the round counter and the next
-// ReplayRounds starts a fresh session.
-func (e *ConcurrentEngine) Flush() {
-	e.drain()
-	for e.maybeTick() {
-		e.drain()
-	}
-}
-
-// FlushContext implements Runtime: the idle wait of Flush, abandoned when
-// the context is cancelled (the in-flight work keeps draining on the worker
-// goroutines; a live windowed session stays open). A context that can never
-// be cancelled takes the exact Flush path, so steady-state replay loops pay
-// nothing for the hook.
-func (e *ConcurrentEngine) FlushContext(ctx context.Context) error {
-	if err := e.drainContext(ctx); err != nil {
-		return err
-	}
-	for e.maybeTick() {
-		if err := e.drainContext(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// drain blocks until every in-flight message has been processed, then
-// re-syncs the watermark cursor. It does not announce the watermark; the
-// round-boundary callers (and the public Flush/FlushContext) do.
-func (e *ConcurrentEngine) drain() {
-	e.idleMu.Lock()
-	for e.inflight.Load() > 0 {
-		e.idleCond.Wait()
-	}
-	e.idleMu.Unlock()
-	e.retireDrainedRounds()
-}
-
-// drainContext is drain with cancellation. A context that can never be
-// cancelled takes the hook-free path.
-func (e *ConcurrentEngine) drainContext(ctx context.Context) error {
-	if ctx.Done() == nil {
-		e.drain()
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	stop := context.AfterFunc(ctx, func() {
-		e.idleMu.Lock()
-		e.idleCond.Broadcast()
-		e.idleMu.Unlock()
-	})
-	defer stop()
 	e.idleMu.Lock()
 	for e.inflight.Load() > 0 && ctx.Err() == nil {
 		e.idleCond.Wait()
 	}
 	e.idleMu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	e.retireDrainedRounds()
-	return nil
+	return ctx.Err()
 }
 
-// maybeTick submits one watermark tick per node when the watermark advanced
-// past the last announced value, reporting whether it did. Gated on
-// aggTicks: without aggregate subscriptions no tick is ever submitted.
-// Concurrent callers are serialised on ticked, but their submission loops
-// may interleave, so a node can observe ticks out of order — handlers must
-// ignore a tick below one they have already seen.
-func (e *ConcurrentEngine) maybeTick() bool {
-	if !e.aggTicks.Load() {
-		return false
+// awaitWatermark implements scheduler: it blocks the injector until the
+// ledger's watermark reaches the target round, the engine is closed or the
+// context is cancelled. Workers wake it whenever a round's count drains to
+// zero, Close and the context's hook when they fire.
+func (e *ConcurrentEngine) awaitWatermark(ctx context.Context, target int) error {
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, e.led.wake)
+		defer stop()
 	}
-	wm := e.Watermark()
-	e.tickMu.Lock()
-	if wm <= e.ticked {
-		e.tickMu.Unlock()
-		return false
-	}
-	e.ticked = wm
-	e.tickMu.Unlock()
-	for n := range e.mailboxes {
-		id := topology.NodeID(n)
-		// A failed submit only happens when the engine is shutting down;
-		// the tick is then moot.
-		_ = e.submit(queued{to: id, from: id, injection: injectionTick, wm: wm})
-	}
-	return true
+	e.led.wait(target, func() bool { return e.closed.Load() || ctx.Err() != nil })
+	return ctx.Err()
 }
 
-// retireDrainedRounds re-syncs the watermark cursor after a full drain: the
-// network is quiescent, so every drained round can retire and the cursor
-// keeps pace with the round counter even across replays that never consult
-// the watermark. This is what keeps distinct active rounds from ever
-// colliding in the ring — the cursor is re-synced at least once per drained
-// round, and a windowed replay's injection gate bounds the spread in
-// between.
-func (e *ConcurrentEngine) retireDrainedRounds() {
-	frontier := e.currentRound()
-	e.wmMu.Lock()
-	if e.wmSessionOpen {
-		// An open KeepOpen session with no replay running: the drain above
-		// emptied it, so close the session; the round counter is the exact
-		// frontier (every round is fully injected).
-		e.wmSessionOpen = false
-		e.wmWatching.Store(false)
-	} else if e.wmWatching.Load() {
-		// Mid-replay the cap is the injection frontier: the round being
-		// injected right now must not retire.
-		frontier = e.wmInjected
+// stop implements scheduler: mailboxes reject further items and the workers
+// exit once the activations already on their deques have run.
+func (e *ConcurrentEngine) stop() {
+	for _, m := range e.mailboxes {
+		m.close()
 	}
-	e.advanceWatermarkLocked(frontier)
-	e.wmMu.Unlock()
+	e.pool.close()
 }
-
-// Metrics implements Runtime.
-func (e *ConcurrentEngine) Metrics() *Metrics { return e.metrics }
 
 // Deliveries implements Runtime: the per-node shards are concatenated in
 // node order; the order within the result is therefore not delivery order
@@ -1262,26 +578,4 @@ func (e *ConcurrentEngine) EvictDeliveries(id model.SubscriptionID) {
 		s.mu.Unlock()
 	}
 	e.metrics.evictSubscription(id)
-}
-
-// Close shuts the scheduler down. The engine must be quiescent (Flush)
-// before closing; messages submitted after Close are rejected and Close is
-// idempotent. Workers drain the activations already on their deques — and
-// per-node goroutines their mailboxes — before exiting, so a Close racing
-// in-flight work leaves no goroutine behind once that work has run out.
-func (e *ConcurrentEngine) Close() {
-	if e.closed.Swap(true) {
-		return
-	}
-	for _, m := range e.mailboxes {
-		m.close()
-	}
-	if e.sched != nil {
-		e.sched.close()
-	}
-	// Wake a windowed injector that might be waiting on the watermark so it
-	// can observe the closed flag instead of blocking forever.
-	e.wmMu.Lock()
-	e.wmCond.Broadcast()
-	e.wmMu.Unlock()
 }

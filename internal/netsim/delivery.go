@@ -20,24 +20,23 @@ const (
 	// the replay (at most one event is in flight), so it is concurrent in
 	// name only.
 	Quiescent DeliveryMode = iota
-	// Pipelined injects a whole round of events before draining, so every
-	// message produced by the round is in flight at once and all per-node
-	// goroutines of the concurrent engine work simultaneously. Delivery
-	// interleaving within a round is unspecified; conformance is defined
-	// per round instead: the traffic totals and the multiset of deliveries
-	// of each round must equal the sequential quiescent run's.
+	// Pipelined injects a whole round of events before the next one waits
+	// for it to drain, so every message produced by the round is in flight
+	// at once and every node with work runs at the same time on the
+	// concurrent engine. It is Windowed with Lag 0 under another name: the
+	// replay loop has no arm of its own for it. Delivery interleaving
+	// within a round is unspecified; conformance is defined per round
+	// instead: the traffic totals and the multiset of deliveries of each
+	// round must equal the sequential quiescent run's.
 	Pipelined
-	// Windowed relaxes the round barrier of Pipelined: round r+1..r+Lag may
-	// be injected while round r is still draining, so up to Lag+1 rounds of
-	// messages overlap in flight. Round progress is tracked with per-node
-	// low-watermarks (the highest round whose work a node has fully
-	// processed) aggregated into a network watermark that retires rounds:
-	// round r is injected only once the network watermark has reached
+	// Windowed relaxes the round barrier: round r+1..r+Lag may be injected
+	// while round r is still draining, so up to Lag+1 rounds of messages
+	// overlap in flight. Round progress is tracked by the network watermark
+	// (the highest round that is fully injected and has no item in flight,
+	// see watermark.go): round r is injected only once it has reached
 	// r-1-Lag. Deliveries are stamped with the round of their newest
 	// component event, which is a pure function of the delivered complex
-	// event and therefore identical across interleavings. Windowed with
-	// Lag 0 degenerates to exactly Pipelined behaviour (inject one round,
-	// drain, inject the next).
+	// event and therefore identical across interleavings.
 	Windowed
 )
 
@@ -78,8 +77,8 @@ func ParseDeliveryMode(s string) (DeliveryMode, error) {
 }
 
 // MaxReplayLag bounds the cross-round pipelining of the Windowed mode. The
-// concurrent engine's watermark tracker counts each active round's in-flight
-// items in a fixed ring indexed by round number, so the number of rounds
+// watermark ledger counts each active round's in-flight items in a fixed
+// ring indexed by round number (ledgerRingSize), so the number of rounds
 // simultaneously in flight (Lag+1, plus the round being injected) must stay
 // well below the ring size; 512 leaves a 2x margin and is far beyond any
 // useful overlap (the benefit of additional lag flattens within single
@@ -97,10 +96,10 @@ type ReplayOptions struct {
 	Lag int
 	// KeepOpen, valid only with the Windowed mode, leaves the replay
 	// session open when ReplayRounds returns: the trailing rounds are NOT
-	// drained, the watermark ledger stays live, and the next Windowed
-	// ReplayRounds call continues the same session — its first round
-	// overlaps the previous call's last rounds exactly as if the traces had
-	// been replayed in one call. While a session is open, Subscribe,
+	// drained, and the next Windowed ReplayRounds call continues the same
+	// session — its first round overlaps the previous call's last rounds
+	// exactly as if the traces had been replayed in one call. While a
+	// session is open, Subscribe,
 	// Unsubscribe, AttachSensor and Publish join the in-flight stream
 	// (stamped with the current round) instead of draining the network
 	// first, and a replay in a non-Windowed mode is rejected. An explicit

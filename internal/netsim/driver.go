@@ -1,0 +1,378 @@
+package netsim
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"sensorcq/internal/model"
+	"sensorcq/internal/topology"
+)
+
+// scheduler is the part of an engine the driver cannot share: how queued
+// items get run. The sequential Engine runs them from one FIFO queue on the
+// caller's goroutine; the ConcurrentEngine hands them to its worker pool.
+// Both count every item in the driver's ledger (add before the item becomes
+// reachable, done after its dispatch returned).
+type scheduler interface {
+	// The node contexts send through the same engine.
+	sink
+	// submit queues one local injection.
+	submit(item queued) error
+	// drain returns once nothing is in flight, or with the context's error
+	// (the remaining work stays queued or keeps running).
+	drain(ctx context.Context) error
+	// awaitWatermark returns once the ledger's watermark has reached target
+	// or can make no further progress (engine closed), or with the
+	// context's error.
+	awaitWatermark(ctx context.Context, target int) error
+	// stop releases the scheduler's goroutines; queued items still run.
+	stop()
+}
+
+// Replay session states. A Windowed replay is a session: it is running
+// while ReplayRounds injects, parked when the call returned with rounds
+// still in flight (KeepOpen, or a cancelled replay), and none once a flush
+// drained it. Only a parked session is closed by Flush — a Flush from
+// another goroutine must not close the session of a replay that is still
+// injecting. The other modes leave the network drained (or, cancelled, with
+// leftovers the next drain completes) and never open one.
+const (
+	sessionNone int32 = iota
+	sessionRunning
+	sessionParked
+)
+
+// driver is everything the two engines share above the scheduling line:
+// the nodes and their handlers, validation, the injectors, the round
+// counter, the replay loop for all delivery modes, session state, the
+// watermark ledger and the ticks announcing it. It sits on the
+// per-injection and per-round path only; messages between nodes go straight
+// from Context.send to the engine's own enqueue.
+type driver struct {
+	handlers []Handler
+	ctxs     []*Context
+	metrics  *Metrics
+	led      roundLedger
+	sched    scheduler
+
+	// plainWaits is the engine's column of the blocking rule (see Runtime):
+	// whether the plain injectors drain before returning.
+	plainWaits bool
+
+	closed  atomic.Bool
+	round   atomic.Int64
+	session atomic.Int32
+
+	// aggTicks is set when an aggregate subscription registers; it gates all
+	// watermark-tick work so replays without aggregate queries pay one
+	// atomic load per round boundary and keep their zero-allocation steady
+	// state. tickMu guards ticked, the highest watermark already announced
+	// to the nodes.
+	aggTicks atomic.Bool
+	tickMu   sync.Mutex
+	ticked   int
+}
+
+// init builds one handler and context per node over the engine's scheduler,
+// which must be ready to receive sends before any handler runs.
+func (d *driver) init(graph *topology.Graph, factory HandlerFactory, sched scheduler, plainWaits bool) {
+	n := graph.NumNodes()
+	d.handlers = make([]Handler, n)
+	d.ctxs = make([]*Context, n)
+	d.metrics = NewMetrics(n)
+	d.led.init()
+	d.sched = sched
+	d.plainWaits = plainWaits
+	for i := 0; i < n; i++ {
+		id := topology.NodeID(i)
+		d.handlers[i] = factory(id)
+		d.ctxs[i] = &Context{self: id, graph: graph, metrics: d.metrics, out: sched}
+		d.handlers[i].Init(d.ctxs[i])
+	}
+}
+
+// Metrics implements Runtime.
+func (d *driver) Metrics() *Metrics { return d.metrics }
+
+// Handler implements Runtime.
+func (d *driver) Handler(n topology.NodeID) Handler {
+	if n < 0 || int(n) >= len(d.handlers) {
+		return nil
+	}
+	return d.handlers[n]
+}
+
+// Watermark implements Runtime.
+func (d *driver) Watermark() int { return d.led.watermark() }
+
+// Close releases the engine's goroutines (the sequential engine has none).
+// The engine must be quiescent (Flush) before closing; injections after
+// Close are rejected and Close is idempotent. Items already queued still
+// run, so a Close racing in-flight work leaves no goroutine behind once
+// that work has run out.
+func (d *driver) Close() {
+	if d.closed.Swap(true) {
+		return
+	}
+	d.sched.stop()
+	// Wake an injector waiting at the watermark gate so it observes the
+	// closed flag instead of blocking forever.
+	d.led.wake()
+}
+
+func (d *driver) validNode(n topology.NodeID) error {
+	if n < 0 || int(n) >= len(d.handlers) {
+		return fmt.Errorf("netsim: unknown node %d", n)
+	}
+	return nil
+}
+
+var errClosed = errors.New("netsim: engine is closed")
+
+// post validates the target of one local injection, stamps the item with
+// the current round and queues it.
+func (d *driver) post(ctx context.Context, node topology.NodeID, item queued) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := d.validNode(node); err != nil {
+		return err
+	}
+	if d.closed.Load() {
+		return errClosed
+	}
+	item.to, item.from = node, node
+	item.round = int(d.round.Load())
+	if item.injection == injectionPublish {
+		item.ev.Round = item.round
+	}
+	return d.sched.submit(item)
+}
+
+// settle is the blocking rule of the single-item entry points (see
+// Runtime): a call that waits flushes the network, except while a replay
+// session is open — then its item has joined the in-flight stream.
+func (d *driver) settle(ctx context.Context, wait bool) error {
+	if !wait || d.session.Load() != sessionNone {
+		return nil
+	}
+	return d.flush(ctx)
+}
+
+func (d *driver) inject(ctx context.Context, node topology.NodeID, item queued, wait bool) error {
+	if err := d.post(ctx, node, item); err != nil {
+		return err
+	}
+	return d.settle(ctx, wait)
+}
+
+// AttachSensor implements Runtime.
+func (d *driver) AttachSensor(node topology.NodeID, sensor model.Sensor) error {
+	return d.inject(context.Background(), node, queued{injection: injectionSensor, sensor: sensor}, d.plainWaits)
+}
+
+// Subscribe implements Runtime.
+func (d *driver) Subscribe(node topology.NodeID, sub *model.Subscription) error {
+	return d.subscribe(context.Background(), node, sub, d.plainWaits)
+}
+
+// SubscribeContext implements Runtime.
+func (d *driver) SubscribeContext(ctx context.Context, node topology.NodeID, sub *model.Subscription) error {
+	return d.subscribe(ctx, node, sub, true)
+}
+
+func (d *driver) subscribe(ctx context.Context, node topology.NodeID, sub *model.Subscription, wait bool) error {
+	if err := sub.Validate(); err != nil {
+		return err
+	}
+	if sub.Aggregate != nil {
+		d.aggTicks.Store(true)
+	}
+	if err := d.post(ctx, node, queued{injection: injectionSubscribe, sub: sub}); err != nil {
+		return err
+	}
+	err := d.settle(ctx, wait)
+	if err != nil {
+		// The wait was cancelled with the registration (partly) propagated:
+		// queue a compensating retraction behind it. Injections at one node
+		// and the messages on one link run in FIFO order, so by the time
+		// the retraction reaches a node, that node has recorded every
+		// forwarding link the walk retracts.
+		_ = d.post(context.Background(), node, queued{injection: injectionUnsubscribe, unsub: sub.ID})
+	}
+	return err
+}
+
+// Unsubscribe implements Runtime.
+func (d *driver) Unsubscribe(node topology.NodeID, id model.SubscriptionID) error {
+	if id == "" {
+		return fmt.Errorf("netsim: empty subscription ID")
+	}
+	return d.inject(context.Background(), node, queued{injection: injectionUnsubscribe, unsub: id}, d.plainWaits)
+}
+
+// Publish implements Runtime.
+func (d *driver) Publish(node topology.NodeID, ev model.Event) error {
+	return d.inject(context.Background(), node, queued{injection: injectionPublish, ev: ev}, d.plainWaits)
+}
+
+// PublishContext implements Runtime.
+func (d *driver) PublishContext(ctx context.Context, node topology.NodeID, ev model.Event) error {
+	return d.inject(ctx, node, queued{injection: injectionPublish, ev: ev}, true)
+}
+
+// PublishBatch implements Runtime: one quiescent round.
+func (d *driver) PublishBatch(batch []Publication) error {
+	return d.ReplayRounds([][]Publication{batch}, ReplayOptions{Mode: Quiescent})
+}
+
+// ReplayRounds implements Runtime.
+func (d *driver) ReplayRounds(rounds [][]Publication, opts ReplayOptions) error {
+	return d.ReplayRoundsContext(context.Background(), rounds, opts)
+}
+
+// ReplayRoundsContext implements Runtime. Every delivery mode runs the same
+// injection loop (replay); the mode only picks its two parameters.
+func (d *driver) ReplayRoundsContext(ctx context.Context, rounds [][]Publication, opts ReplayOptions) error {
+	if err := opts.validate(); err != nil {
+		return err
+	}
+	for _, round := range rounds {
+		for _, p := range round {
+			if err := d.validNode(p.Node); err != nil {
+				return err
+			}
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d.closed.Load() {
+		return errClosed
+	}
+	windowed := opts.Mode == Windowed
+	if windowed {
+		d.session.Store(sessionRunning)
+	} else if d.session.Load() != sessionNone {
+		return fmt.Errorf("netsim: %v replay rejected while a windowed session is open (Flush to close it)", opts.Mode)
+	}
+	err := d.replay(ctx, rounds, opts.Lag, opts.Mode == Quiescent)
+	if windowed {
+		// Whatever is still in flight now belongs to a parked session: the
+		// flush below closes it, and so does a later Flush when this call
+		// leaves it open (KeepOpen) or was cancelled.
+		d.session.Store(sessionParked)
+	}
+	if err != nil || opts.KeepOpen {
+		return err
+	}
+	return d.flush(ctx)
+}
+
+// replay is the injection loop of every delivery mode. Round r enters the
+// network once the watermark has reached r-1-lag, so up to lag+1 rounds
+// overlap in flight; with lag 0 the gate is a full round barrier, which is
+// the Pipelined mode. settle additionally drains after every single
+// injection — the Quiescent mode, in which at most one event is in flight.
+//
+// A windowed replay continues whatever session is open: the first new round
+// overlaps the trailing rounds of a previous KeepOpen call under the same
+// gate. On an error (cancellation, engine closed) the rounds already
+// injected stay in flight.
+func (d *driver) replay(ctx context.Context, rounds [][]Publication, lag int, settle bool) error {
+	for _, round := range rounds {
+		r := int(d.round.Load()) + 1
+		if err := d.sched.awaitWatermark(ctx, r-1-lag); err != nil {
+			return err
+		}
+		// The gate advanced the watermark: announce it before round r's
+		// events so nodes observe it in order with the in-flight stream.
+		// The window-close cascades the ticks trigger interleave with the
+		// replay like any other overlapping work, unless the mode settles.
+		if d.maybeTick() && settle {
+			if err := d.sched.drain(ctx); err != nil {
+				return err
+			}
+		}
+		d.round.Store(int64(r))
+		err := d.injectRound(ctx, round, r, settle)
+		// Mark the round injected even when it was cut short: no further
+		// event of it will ever be queued, and a round that is never marked
+		// would hold the watermark (and the next replay's gate) forever.
+		d.led.markInjected(r)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (d *driver) injectRound(ctx context.Context, round []Publication, r int, settle bool) error {
+	for _, p := range round {
+		ev := p.Event
+		ev.Round = r
+		if err := d.sched.submit(queued{to: p.Node, from: p.Node, injection: injectionPublish, ev: ev, round: r}); err != nil {
+			return err
+		}
+		if settle {
+			if err := d.sched.drain(ctx); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Flush implements Runtime.
+func (d *driver) Flush() { _ = d.flush(context.Background()) }
+
+// FlushContext implements Runtime.
+func (d *driver) FlushContext(ctx context.Context) error { return d.flush(ctx) }
+
+// flush drains the network, then announces the advanced watermark and
+// drains the window-close cascades the ticks trigger, until no further tick
+// is due: every entry point that leaves the network quiescent routes
+// through it, so an aggregate window never stays open once the watermark
+// has passed its end. A completed flush closes a parked session.
+func (d *driver) flush(ctx context.Context) error {
+	if err := d.sched.drain(ctx); err != nil {
+		return err
+	}
+	for d.maybeTick() {
+		if err := d.sched.drain(ctx); err != nil {
+			return err
+		}
+	}
+	d.session.CompareAndSwap(sessionParked, sessionNone)
+	return nil
+}
+
+// maybeTick queues one watermark tick per node when the watermark advanced
+// past the last announced value, reporting whether it did. Without
+// aggregate subscriptions no tick is ever queued. Concurrent callers are
+// serialised on ticked, but their submission loops may interleave, so a
+// node can observe ticks out of order — handlers must ignore a tick below
+// one they have already seen.
+func (d *driver) maybeTick() bool {
+	if !d.aggTicks.Load() {
+		return false
+	}
+	wm := d.led.watermark()
+	d.tickMu.Lock()
+	if wm <= d.ticked {
+		d.tickMu.Unlock()
+		return false
+	}
+	d.ticked = wm
+	d.tickMu.Unlock()
+	for n := range d.handlers {
+		id := topology.NodeID(n)
+		// A failed submit only happens when the engine is shutting down;
+		// the tick is then moot.
+		_ = d.sched.submit(queued{to: id, from: id, injection: injectionTick, wm: wm})
+	}
+	return true
+}

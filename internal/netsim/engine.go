@@ -2,14 +2,36 @@ package netsim
 
 import (
 	"context"
-	"fmt"
+	"math"
 
 	"sensorcq/internal/model"
 	"sensorcq/internal/topology"
 )
 
 // Runtime is the interface shared by the sequential and concurrent engines.
-// The experiment harness and the public facade are written against it.
+// The experiment harness and the public facade are written against it. Both
+// engines implement all of it except the delivery log with one shared
+// driver (driver.go), so validation, errors, rounds, sessions and
+// watermarks cannot differ between them.
+//
+// Blocking rule. Whether an entry point returns before the work it queued
+// has run depends on the call, the engine and whether a replay session is
+// open (ReplayOptions.KeepOpen, or a cancelled replay):
+//
+//	                               Engine             ConcurrentEngine    session open
+//	AttachSensor, Subscribe,       drains (1)         queues only (2)     joins the
+//	Unsubscribe, Publish                                                   in-flight
+//	SubscribeContext,              drains,            waits until idle,   stream, does
+//	PublishContext                 cancellable        cancellable         not wait
+//	ReplayRounds[Context]          as the mode says; KeepOpen leaves the trailing
+//	PublishBatch                   rounds in flight, otherwise ends with a flush
+//	Flush[Context]                 drains, announces the watermark, closes the session
+//
+// (1) The caller's goroutine is the only one that runs queued items, so a
+// call that did not drain would leave its work for an unrelated later call.
+// (2) The workers propagate it on their own; callers that need it finished
+// call Flush. NewSystem relies on this to attach every sensor back to back
+// and flush once.
 type Runtime interface {
 	// AttachSensor attaches a sensor to a node; the node's protocol handler
 	// reacts by advertising it (Algorithm 1).
@@ -40,37 +62,37 @@ type Runtime interface {
 	// compensating retraction behind the registration (per-link FIFO order
 	// guarantees the retraction observes every forwarding link the
 	// registration recorded), so the network converges to the
-	// not-subscribed state without further blocking the caller. While a
-	// windowed session is open the registration joins the in-flight stream
-	// and the call does not wait.
+	// not-subscribed state without further blocking the caller.
 	SubscribeContext(ctx context.Context, node topology.NodeID, sub *model.Subscription) error
 	// PublishContext injects a sensor reading and waits until it has fully
 	// propagated. Cancellation aborts the wait with the context's error;
 	// the event itself is not recalled — deliveries it causes still happen
 	// (they complete on a later drain, or concurrently on the concurrent
-	// engine). While a windowed session is open the event joins the
-	// in-flight stream and the call does not wait.
+	// engine).
 	PublishContext(ctx context.Context, node topology.NodeID, ev model.Event) error
 	// ReplayRounds injects a trace structured as rounds of events, under
-	// the delivery semantics selected by opts: Quiescent drains the
-	// network after every single event (the conformance baseline),
-	// Pipelined injects a whole round before draining, and Windowed lets
-	// up to opts.Lag+1 rounds overlap in flight, gating each injection on
-	// the network watermark (see watermark.go). Every round advances the
-	// engine's round counter; deliveries are stamped with the round of
-	// their newest component event. The whole trace is validated up front;
-	// an unknown target node rejects it before any event enters the
-	// network.
+	// the delivery semantics selected by opts. Round r enters the network
+	// once the network watermark (see watermark.go) has reached
+	// r-1-opts.Lag, so Windowed lets up to Lag+1 rounds overlap in flight;
+	// Pipelined is Windowed with Lag 0 (a whole round is injected, and the
+	// next waits until it has drained); Quiescent additionally drains the
+	// network after every single event (the conformance baseline). Every
+	// round advances the engine's round counter; deliveries are stamped with
+	// the round of their newest component event. The whole trace is
+	// validated up front; an unknown target node rejects it before any event
+	// enters the network.
 	ReplayRounds(rounds [][]Publication, opts ReplayOptions) error
 	// ReplayRoundsContext is ReplayRounds with cancellation: the context is
 	// checked between dispatch bursts (sequential engine) and wakes any
 	// blocked drain or watermark wait (concurrent engine), so a stuck or
 	// long replay can be abandoned mid-round with the context's error.
-	// Work already injected keeps propagating; a cancelled windowed replay
-	// leaves its session open — in flight rounds stay in flight — and an
-	// explicit Flush (or FlushContext) drains and closes it.
+	// Work already injected keeps propagating; a cancelled replay leaves
+	// its session open — in flight rounds stay in flight — and an explicit
+	// Flush (or FlushContext) drains and closes it.
 	ReplayRoundsContext(ctx context.Context, rounds [][]Publication, opts ReplayOptions) error
-	// Flush processes messages until the network is quiescent.
+	// Flush processes messages until the network is quiescent, announcing
+	// the watermark to open aggregate windows on the way, and closes an
+	// open replay session.
 	Flush()
 	// FlushContext is Flush with cancellation: it drains until the network
 	// is quiescent or the context is done, whichever comes first, and
@@ -110,9 +132,9 @@ type Runtime interface {
 	// so no worker goroutine is touching the handler.
 	Handler(node topology.NodeID) Handler
 	// Watermark returns the network low-watermark: the highest replay round
-	// whose work (injections and every message transitively produced by
-	// them) has been fully processed. Outside a windowed replay the network
-	// is drained between rounds, so the watermark equals the round counter.
+	// that is fully injected and whose work (injections and every message
+	// transitively produced by them) has been fully processed. On a
+	// quiescent network it equals the round counter.
 	Watermark() int
 }
 
@@ -157,36 +179,28 @@ const (
 	injectionTick
 )
 
-// Engine is the deterministic sequential engine: messages are processed in
-// FIFO order in the caller's goroutine. Given identical inputs it produces
-// identical traffic counts, which is what the experiment harness and the
-// regression tests rely on.
+// Engine is the deterministic sequential engine, and the reference schedule
+// every conformance oracle compares against: all queued items — injections
+// and link messages alike — sit in one global FIFO queue and are dispatched
+// in that order on the caller's goroutine. Given identical inputs it
+// produces identical traffic counts and an identical delivery log, which is
+// what the experiment harness and the regression tests rely on.
+//
+// Everything above the queue (injectors, replay loop, sessions, watermark
+// ticks) is the shared driver; what is specific to this engine is the queue,
+// the drain loops that run it, and the delivery-ordered log.
 type Engine struct {
-	graph      *topology.Graph
-	handlers   []Handler
-	ctxs       []*Context
-	metrics    *Metrics
-	queue      []queued
-	head       int
-	flushing   bool
+	driver
+	queue    []queued
+	head     int
+	draining bool
+
 	deliveries []Delivery
 	// delivBySub indexes deliveries per subscription (positions into the
 	// deliveries log), so DeliveriesFor is proportional to one
 	// subscription's deliveries rather than the whole log.
 	delivBySub map[model.SubscriptionID][]int
 	observer   func(Delivery)
-	round      int
-
-	// ledger tracks per-round in-flight counts during a windowed replay
-	// (nil otherwise); see watermark.go.
-	ledger *roundLedger
-
-	// aggTicks is set when an aggregate subscription registers; it gates all
-	// watermark-tick work so replays without aggregate queries keep their
-	// zero-allocation steady state. ticked is the highest watermark already
-	// announced to the nodes.
-	aggTicks bool
-	ticked   int
 }
 
 var _ Runtime = (*Engine)(nil)
@@ -194,24 +208,10 @@ var _ Runtime = (*Engine)(nil)
 // NewEngine builds a sequential engine over the given topology, creating one
 // handler per node with the factory.
 func NewEngine(graph *topology.Graph, factory HandlerFactory) *Engine {
-	e := &Engine{
-		graph:      graph,
-		handlers:   make([]Handler, graph.NumNodes()),
-		ctxs:       make([]*Context, graph.NumNodes()),
-		metrics:    NewMetrics(graph.NumNodes()),
-		delivBySub: map[model.SubscriptionID][]int{},
-	}
-	for n := 0; n < graph.NumNodes(); n++ {
-		id := topology.NodeID(n)
-		e.handlers[n] = factory(id)
-		e.ctxs[n] = &Context{self: id, graph: graph, metrics: e.metrics, out: e}
-		e.handlers[n].Init(e.ctxs[n])
-	}
+	e := &Engine{delivBySub: map[model.SubscriptionID][]int{}}
+	e.driver.init(graph, factory, e, true)
 	return e
 }
-
-// Metrics implements Runtime.
-func (e *Engine) Metrics() *Metrics { return e.metrics }
 
 // Deliveries implements Runtime.
 func (e *Engine) Deliveries() []Delivery {
@@ -243,24 +243,6 @@ func (e *Engine) SetDeliveryObserver(fn func(Delivery)) { e.observer = fn }
 func (e *Engine) EvictDeliveries(id model.SubscriptionID) {
 	delete(e.delivBySub, id)
 	e.metrics.evictSubscription(id)
-}
-
-// Handler returns the protocol handler of a node (used by white-box tests).
-func (e *Engine) Handler(n topology.NodeID) Handler {
-	if n < 0 || int(n) >= len(e.handlers) {
-		return nil
-	}
-	return e.handlers[n]
-}
-
-// Watermark implements Runtime. During a windowed replay it is the ledger's
-// watermark; otherwise the engine drains between rounds, so every injected
-// round is retired and the watermark is the round counter itself.
-func (e *Engine) Watermark() int {
-	if e.ledger != nil {
-		return e.ledger.watermark()
-	}
-	return e.round
 }
 
 // Preallocate sizes the engine's append-only stores to absorb roughly mult
@@ -298,355 +280,80 @@ func (e *Engine) Preallocate(mult int) {
 			c.arena.reserve(n)
 		}
 	}
-	e.metrics.reserveRounds((e.round + 1) * (mult + 1))
+	e.metrics.reserveRounds((int(e.round.Load()) + 1) * (mult + 1))
 }
 
-func (e *Engine) validNode(n topology.NodeID) error {
-	if n < 0 || int(n) >= len(e.handlers) {
-		return fmt.Errorf("netsim: unknown node %d", n)
-	}
+// submit implements scheduler.
+func (e *Engine) submit(item queued) error {
+	e.push(item)
 	return nil
 }
 
-// AttachSensor implements Runtime. The injection is processed (and the
-// resulting advertisement flood drained) before it returns — unless a
-// windowed session is open (KeepOpen), in which case the injection joins
-// the in-flight stream at the current round.
-func (e *Engine) AttachSensor(node topology.NodeID, sensor model.Sensor) error {
-	if err := e.validNode(node); err != nil {
-		return err
-	}
-	e.push(queued{to: node, from: node, injection: injectionSensor, sensor: sensor, round: e.round})
-	if e.ledger == nil {
-		e.Flush()
-	}
-	return nil
+// enqueue implements sink.
+func (e *Engine) enqueue(from, to topology.NodeID, msg Message, round int) {
+	e.push(queued{from: from, to: to, msg: msg, round: round})
 }
 
-// Subscribe implements Runtime; the subscription is fully propagated before
-// it returns, except while a windowed session is open (KeepOpen): then it
-// joins the in-flight stream at the current round and propagates alongside
-// the replay traffic, without draining the network first.
-func (e *Engine) Subscribe(node topology.NodeID, sub *model.Subscription) error {
-	return e.SubscribeContext(context.Background(), node, sub)
-}
-
-// SubscribeContext implements Runtime. On this engine the propagation drain
-// runs in the caller's goroutine, so cancellation takes effect between
-// dispatch steps: the remaining propagation work stays queued (the next
-// drain completes it) and a compensating retraction is queued behind it.
-func (e *Engine) SubscribeContext(ctx context.Context, node topology.NodeID, sub *model.Subscription) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := e.validNode(node); err != nil {
-		return err
-	}
-	if err := sub.Validate(); err != nil {
-		return err
-	}
-	if sub.Aggregate != nil {
-		e.aggTicks = true
-	}
-	e.push(queued{to: node, from: node, injection: injectionSubscribe, sub: sub, round: e.round})
-	if e.ledger != nil {
-		return nil
-	}
-	if err := e.drainCtx(ctx); err != nil {
-		// Compensating retraction: FIFO order puts it behind every item of
-		// the registration's propagation, so by the time it is dispatched
-		// each node has recorded the forwarding links the walk retracts.
-		e.push(queued{to: node, from: node, injection: injectionUnsubscribe, unsub: sub.ID, round: e.round})
-		return err
-	}
-	return nil
-}
-
-// Unsubscribe implements Runtime; the retraction is fully propagated (every
-// node on the subscription's forwarding paths has released its state) before
-// it returns.
-func (e *Engine) Unsubscribe(node topology.NodeID, id model.SubscriptionID) error {
-	if err := e.validNode(node); err != nil {
-		return err
-	}
-	if id == "" {
-		return fmt.Errorf("netsim: empty subscription ID")
-	}
-	e.push(queued{to: node, from: node, injection: injectionUnsubscribe, unsub: id, round: e.round})
-	if e.ledger == nil {
-		e.Flush()
-	}
-	return nil
-}
-
-// Publish implements Runtime; the event is fully propagated before it
-// returns.
-func (e *Engine) Publish(node topology.NodeID, ev model.Event) error {
-	return e.PublishContext(context.Background(), node, ev)
-}
-
-// PublishContext implements Runtime. Cancellation stops the propagation
-// drain between dispatch steps; the event and whatever it has already caused
-// stay queued and complete on the next drain.
-func (e *Engine) PublishContext(ctx context.Context, node topology.NodeID, ev model.Event) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := e.validNode(node); err != nil {
-		return err
-	}
-	ev.Round = e.round
-	e.push(queued{to: node, from: node, injection: injectionPublish, ev: ev, round: e.round})
-	if e.ledger == nil {
-		return e.drainCtx(ctx)
-	}
-	return nil
-}
-
-// PublishBatch implements Runtime: the whole batch is validated first, then
-// every event is injected and fully propagated in order, reusing the queue
-// storage across events.
-func (e *Engine) PublishBatch(batch []Publication) error {
-	return e.ReplayRounds([][]Publication{batch}, ReplayOptions{Mode: Quiescent})
-}
-
-// ReplayRounds implements Runtime. On the sequential engine every mode is
-// deterministic; they differ in interleaving only. Quiescent fully drains
-// after each event; Pipelined enqueues a whole round before draining it
-// FIFO; Windowed additionally overlaps rounds — round r+1..r+Lag are
-// enqueued while round r's items are still being worked off the FIFO queue,
-// gated on the same watermark the concurrent engine uses.
-func (e *Engine) ReplayRounds(rounds [][]Publication, opts ReplayOptions) error {
-	return e.ReplayRoundsContext(context.Background(), rounds, opts)
-}
-
-// ReplayRoundsContext implements Runtime: ReplayRounds with the drains made
-// cancellable. Cancellation takes effect between dispatch steps; already
-// injected work stays queued, and a cancelled windowed replay leaves its
-// session open (Flush drains and closes it).
-func (e *Engine) ReplayRoundsContext(ctx context.Context, rounds [][]Publication, opts ReplayOptions) error {
-	if err := opts.validate(); err != nil {
-		return err
-	}
-	for _, round := range rounds {
-		for _, p := range round {
-			if err := e.validNode(p.Node); err != nil {
-				return err
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if opts.Mode == Windowed {
-		return e.replayWindowed(ctx, rounds, opts.Lag, opts.KeepOpen)
-	}
-	if e.ledger != nil {
-		return fmt.Errorf("netsim: %v replay rejected while a windowed session is open (Flush to close it)", opts.Mode)
-	}
-	for _, round := range rounds {
-		e.round++
-		switch opts.Mode {
-		case Quiescent:
-			for _, p := range round {
-				e.pushPublication(p, e.round)
-				if err := e.drainCtx(ctx); err != nil {
-					return err
-				}
-			}
-		case Pipelined:
-			for _, p := range round {
-				e.pushPublication(p, e.round)
-			}
-			if err := e.drainCtx(ctx); err != nil {
-				return err
-			}
-		}
-		// The round is drained, so the watermark advanced: announce it and
-		// drain the window-close cascades it triggers.
-		if e.maybeTick() {
-			if err := e.drainCtx(ctx); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// replayWindowed is the bounded-lag replay: before injecting round r it
-// drains the FIFO queue only until the watermark reaches r-1-lag, so up to
-// lag+1 rounds of items interleave on the queue. With lag 0 the drain runs
-// to quiescence before each injection — exactly the Pipelined schedule.
-//
-// When a session ledger is already live (a previous KeepOpen call), the
-// replay continues it: the first new round overlaps the open session's
-// trailing rounds under the same watermark gate. With keepOpen the trailing
-// rounds are left in flight and the ledger stays live; Flush closes the
-// session.
-func (e *Engine) replayWindowed(ctx context.Context, rounds [][]Publication, lag int, keepOpen bool) error {
-	led := e.ledger
-	if led == nil {
-		led = newRoundLedger(e.round)
-		e.ledger = led
-	}
-	for _, round := range rounds {
-		r := e.round + 1
-		if err := e.drainUntil(ctx, led, r-1-lag); err != nil {
-			// Cancelled at the watermark gate: the session stays open with
-			// its in-flight rounds; Flush drains and closes it.
-			return err
-		}
-		// The gate advanced the watermark; enqueue ticks before round r's
-		// events so nodes observe the watermark in FIFO order with the
-		// in-flight stream (no forced drain — close cascades interleave with
-		// the replay like any other windowed work).
-		e.maybeTick()
-		e.round = r
-		for _, p := range round {
-			e.pushPublication(p, r)
-		}
-		led.markInjected(r)
-	}
-	if keepOpen {
-		return nil
-	}
-	return e.drainAndTick(ctx)
-}
-
-// pushPublication enqueues one replayed event stamped with its round.
-func (e *Engine) pushPublication(p Publication, round int) {
-	ev := p.Event
-	ev.Round = round
-	e.push(queued{to: p.Node, from: p.Node, injection: injectionPublish, ev: ev, round: round})
-}
-
-// push appends an item to the FIFO queue, accounting it in the windowed
-// ledger when one is active.
 func (e *Engine) push(item queued) {
-	if e.ledger != nil {
-		e.ledger.add(item.round)
-	}
+	e.led.add(item.round)
 	e.queue = append(e.queue, item)
 }
 
-// drainCheckMask paces the context checks of the cancellable drains: the
-// context is consulted once per (mask+1) dispatched items, so a background
-// context costs one predictable nil check per burst rather than one per
-// message.
+// stop implements scheduler; there is no goroutine to release.
+func (e *Engine) stop() {}
+
+// drain implements scheduler: it dispatches queued items in FIFO order until
+// none remain.
+func (e *Engine) drain(ctx context.Context) error { return e.run(ctx, math.MaxInt) }
+
+// awaitWatermark implements scheduler: it dispatches queued items in FIFO
+// order only until the watermark reaches the target (a no-op when it
+// already has), so the items of up to lag+1 rounds interleave on the queue.
+func (e *Engine) awaitWatermark(ctx context.Context, target int) error { return e.run(ctx, target) }
+
+// drainCheckMask paces the context checks of the drain loop: the context is
+// consulted once per (mask+1) dispatched items, so a background context
+// costs one predictable nil check per burst rather than one per message.
 const drainCheckMask = 255
 
-// drainUntil dispatches queued items in FIFO order until the ledger's
-// watermark reaches the target (a no-op when it already has) or the context
-// is cancelled, in which case the remaining items stay queued and the
-// context's error is returned.
-func (e *Engine) drainUntil(ctx context.Context, led *roundLedger, target int) error {
-	if e.flushing {
-		return nil
-	}
-	e.flushing = true
-	for n := 0; led.watermark() < target && e.head < len(e.queue); n++ {
-		if n&drainCheckMask == 0 && ctx.Err() != nil {
-			e.compact()
-			e.flushing = false
-			return ctx.Err()
-		}
-		e.step()
-	}
-	e.compact()
-	e.flushing = false
-	return nil
-}
-
-// Flush implements Runtime: it processes queued messages in FIFO order until
-// none remain. The queue's backing array is retained and reused across
-// flushes, so a long replay does not reallocate it per event. A live
-// windowed session (KeepOpen) is closed: after the drain no round is in
-// flight, so the ledger is retired and the next ReplayRounds starts fresh.
+// run is the dispatch loop: items leave the queue head in FIFO order until
+// the queue is empty, the watermark reaches the target (math.MaxInt: never),
+// or the context is cancelled — then the remaining items stay queued for
+// the next drain and the context's error is returned. The queue's backing
+// array is retained and reused across runs, so a long replay does not
+// reallocate it per event.
 //
-// Dispatched items stay in the queue until the drain completes, so a nested
-// Flush (a handler calling back into the engine mid-dispatch — nothing does
+// Dispatched items stay in the queue until the run completes, so a nested
+// run (a handler calling back into the engine mid-dispatch — nothing does
 // today) must not re-drain; it returns immediately and leaves the work to
-// the outer drain, which also picks up anything enqueued in between.
-func (e *Engine) Flush() {
-	_ = e.drainAndTick(context.Background())
-}
-
-// FlushContext implements Runtime: the full drain of Flush, abandoned
-// between dispatch steps when the context is cancelled. On cancellation the
-// remaining items stay queued (a later drain completes them), a live
-// windowed session stays open, and the context's error is returned.
-func (e *Engine) FlushContext(ctx context.Context) error {
-	return e.drainAndTick(ctx)
-}
-
-// maybeTick enqueues one watermark tick per node when the watermark advanced
-// past the last announced value, reporting whether it did. Ticks are gated
-// on aggTicks: without aggregate subscriptions no tick is ever queued, so
-// plain replays pay a single branch here.
-func (e *Engine) maybeTick() bool {
-	if !e.aggTicks {
-		return false
-	}
-	wm := e.Watermark()
-	if wm <= e.ticked {
-		return false
-	}
-	e.ticked = wm
-	for n := range e.handlers {
-		id := topology.NodeID(n)
-		e.push(queued{to: id, from: id, injection: injectionTick, wm: wm})
-	}
-	return true
-}
-
-// drainAndTick fully drains the network, then announces the advanced
-// watermark and drains the window-close cascades the ticks trigger, until no
-// further tick is due. Entry points that leave the network quiescent route
-// through it so an aggregate window never stays open once the watermark has
-// passed its end.
-func (e *Engine) drainAndTick(ctx context.Context) error {
-	if err := e.drainCtx(ctx); err != nil {
-		return err
-	}
-	for e.maybeTick() {
-		if err := e.drainCtx(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// drainCtx processes queued messages in FIFO order until none remain or the
-// context is cancelled. A full drain retires a live windowed session exactly
-// like Flush always has; a cancelled one leaves the queue and the session
-// ledger in place for the next drain.
-func (e *Engine) drainCtx(ctx context.Context) error {
-	if e.flushing {
+// the outer run, which also picks up anything queued in between.
+func (e *Engine) run(ctx context.Context, target int) error {
+	if e.draining {
 		return nil
 	}
-	e.flushing = true
-	for n := 0; e.head < len(e.queue); n++ {
-		if n&drainCheckMask == 0 && ctx.Err() != nil {
-			e.compact()
-			e.flushing = false
-			return ctx.Err()
+	e.draining = true
+	gated := target != math.MaxInt
+	wm := math.MinInt
+	if gated {
+		wm = e.led.watermark()
+	}
+	var err error
+	for n := 0; wm < target && e.head < len(e.queue); n++ {
+		if n&drainCheckMask == 0 {
+			if err = ctx.Err(); err != nil {
+				break
+			}
 		}
-		e.step()
+		item := e.queue[e.head]
+		e.head++
+		dispatch(e.handlers[item.to], e.ctxs[item.to], item)
+		if e.led.done(item.round, 1) && gated {
+			wm = e.led.watermark()
+		}
 	}
 	e.compact()
-	e.flushing = false
-	e.ledger = nil
-	return nil
-}
-
-// step dispatches the item at the queue head and releases it in the ledger.
-func (e *Engine) step() {
-	item := e.queue[e.head]
-	e.head++
-	dispatch(e.handlers[item.to], e.ctxs[item.to], item)
-	if e.ledger != nil {
-		e.ledger.done(item.round)
-	}
+	e.draining = false
+	return err
 }
 
 // compact reclaims queue storage between drains. When everything enqueued so
@@ -673,11 +380,6 @@ func (e *Engine) compact() {
 	}
 	e.queue = e.queue[:n]
 	e.head = 0
-}
-
-// enqueue implements sink.
-func (e *Engine) enqueue(from, to topology.NodeID, msg Message, round int) {
-	e.push(queued{from: from, to: to, msg: msg, round: round})
 }
 
 // deliver implements sink. The delivery arrives already stamped with the

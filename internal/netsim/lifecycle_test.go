@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
+	"sensorcq/internal/topology"
 )
 
 // workerCounts returns the scheduler pool sizes the concurrency tests sweep:
@@ -120,14 +122,6 @@ func TestConcurrentEngineCloseLeavesNoGoroutines(t *testing.T) {
 				}
 			})
 		}
-		t.Run(tc.name+"/goroutine-per-node", func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			e := NewConcurrentEngineGoroutinePerNode(lineGraph(t, 8), newFloodHandler)
-			tc.close(t, e)
-			if n, ok := stabilizedGoroutines(baseline, deadline); !ok {
-				t.Errorf("goroutines did not stabilize: %d live, baseline %d", n, baseline)
-			}
-		})
 	}
 }
 
@@ -226,5 +220,112 @@ func TestConcurrentEngineDeliveriesRaceClean(t *testing.T) {
 		if d.Round < 1 || d.Round > rounds {
 			t.Fatalf("delivery round %d outside [1,%d]", d.Round, rounds)
 		}
+	}
+}
+
+// TestEnginesRejectAlike calls every entry point with each kind of bad input
+// on both engines and requires the same error text from both: validation,
+// session rules and the closed check are the driver's, so an engine that
+// answered differently would have grown a path of its own.
+func TestEnginesRejectAlike(t *testing.T) {
+	g := lineGraph(t, 4)
+	good, err := model.NewAbstractSubscription("s1",
+		[]model.AttributeFilter{{Attr: model.WindSpeed, Range: geom.NewInterval(0, 10)}},
+		geom.WholePlane(), 30, model.NoSpatialConstraint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &model.Subscription{ID: "x"}
+	ctx := context.Background()
+	oneRound := func(node topology.NodeID) [][]Publication {
+		return [][]Publication{{{Node: node, Event: testEvent(1)}}}
+	}
+	// closer is what both engines offer beyond Runtime.
+	type closer interface {
+		Runtime
+		Close()
+	}
+	type call struct {
+		name string
+		do   func(rt closer) error
+	}
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, rt closer)
+		calls []call
+	}{
+		{name: "unknown node", calls: []call{
+			{"AttachSensor", func(rt closer) error { return rt.AttachSensor(99, model.Sensor{}) }},
+			{"Subscribe", func(rt closer) error { return rt.Subscribe(-1, good) }},
+			{"SubscribeContext", func(rt closer) error { return rt.SubscribeContext(ctx, 99, good) }},
+			{"Unsubscribe", func(rt closer) error { return rt.Unsubscribe(99, "s1") }},
+			{"Publish", func(rt closer) error { return rt.Publish(99, testEvent(1)) }},
+			{"PublishContext", func(rt closer) error { return rt.PublishContext(ctx, 99, testEvent(1)) }},
+			{"PublishBatch", func(rt closer) error { return rt.PublishBatch(oneRound(99)[0]) }},
+			{"ReplayRounds", func(rt closer) error { return rt.ReplayRounds(oneRound(99), ReplayOptions{Mode: Windowed}) }},
+		}},
+		{name: "empty ID", calls: []call{
+			{"Unsubscribe", func(rt closer) error { return rt.Unsubscribe(0, "") }},
+		}},
+		{name: "invalid subscription", calls: []call{
+			{"Subscribe", func(rt closer) error { return rt.Subscribe(0, bad) }},
+			{"SubscribeContext", func(rt closer) error { return rt.SubscribeContext(ctx, 0, bad) }},
+		}},
+		{name: "invalid replay options", calls: []call{
+			{"lag without windowed", func(rt closer) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Pipelined, Lag: 1}) }},
+			{"KeepOpen without windowed", func(rt closer) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{KeepOpen: true}) }},
+		}},
+		{
+			name: "non-windowed replay during an open session",
+			setup: func(t *testing.T, rt closer) {
+				if err := rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Windowed, Lag: 1, KeepOpen: true}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			calls: []call{
+				{"Quiescent", func(rt closer) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Quiescent}) }},
+				{"Pipelined", func(rt closer) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Pipelined}) }},
+				{"PublishBatch", func(rt closer) error { return rt.PublishBatch(oneRound(0)[0]) }},
+			},
+		},
+		{
+			name: "use after Close",
+			setup: func(t *testing.T, rt closer) {
+				rt.Flush()
+				rt.Close()
+				rt.Close() // idempotent
+			},
+			calls: []call{
+				{"AttachSensor", func(rt closer) error { return rt.AttachSensor(0, model.Sensor{ID: "d1", Attr: model.WindSpeed}) }},
+				{"Subscribe", func(rt closer) error { return rt.Subscribe(0, good) }},
+				{"SubscribeContext", func(rt closer) error { return rt.SubscribeContext(ctx, 0, good) }},
+				{"Unsubscribe", func(rt closer) error { return rt.Unsubscribe(0, "s1") }},
+				{"Publish", func(rt closer) error { return rt.Publish(0, testEvent(1)) }},
+				{"PublishContext", func(rt closer) error { return rt.PublishContext(ctx, 0, testEvent(1)) }},
+				{"PublishBatch", func(rt closer) error { return rt.PublishBatch(oneRound(0)[0]) }},
+				{"ReplayRounds", func(rt closer) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Windowed, Lag: 1}) }},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seq := NewEngine(g, newFloodHandler)
+			conc := NewConcurrentEngineWorkers(g, newFloodHandler, 2)
+			defer conc.Close()
+			if tc.setup != nil {
+				tc.setup(t, seq)
+				tc.setup(t, conc)
+			}
+			for _, c := range tc.calls {
+				errSeq, errConc := c.do(seq), c.do(conc)
+				if errSeq == nil || errConc == nil {
+					t.Errorf("%s: sequential error %v, concurrent error %v; both must fail", c.name, errSeq, errConc)
+					continue
+				}
+				if errSeq.Error() != errConc.Error() {
+					t.Errorf("%s: sequential says %q, concurrent says %q", c.name, errSeq, errConc)
+				}
+			}
+		})
 	}
 }

@@ -3,34 +3,41 @@ package netsim
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sensorcq/internal/model"
 	"sensorcq/internal/topology"
 )
 
-// TestRoundLedger exercises the sequential ledger directly: rounds retire in
-// order, only once fully injected, and empty rounds retire immediately.
+// TestRoundLedger exercises the ledger both engines account into: rounds
+// retire in order, only once fully injected, and empty rounds retire as soon
+// as they are marked.
 func TestRoundLedger(t *testing.T) {
-	l := newRoundLedger(0)
+	var l roundLedger
+	l.init()
 	if l.watermark() != 0 {
 		t.Fatalf("fresh ledger watermark = %d, want 0", l.watermark())
 	}
 	l.add(1)
 	l.add(1)
 	l.markInjected(1)
-	l.done(1)
+	if l.done(1, 1) {
+		t.Errorf("done reported round 1 drained with one item still in flight")
+	}
 	if l.watermark() != 0 {
 		t.Errorf("watermark advanced with round-1 work still pending")
 	}
 	// Round 2 drains before round 1: the watermark must hold at 0.
 	l.add(2)
 	l.markInjected(2)
-	l.done(2)
+	if !l.done(2, 1) {
+		t.Errorf("done did not report round 2 drained")
+	}
 	if l.watermark() != 0 {
 		t.Errorf("watermark advanced past an undrained round: %d", l.watermark())
 	}
-	l.done(1)
+	l.done(1, 1)
 	if l.watermark() != 2 {
 		t.Errorf("watermark = %d after both rounds drained, want 2", l.watermark())
 	}
@@ -41,10 +48,80 @@ func TestRoundLedger(t *testing.T) {
 	}
 	// Work cannot retire a round ahead of its injection mark.
 	l.add(5)
-	l.done(5)
+	l.done(5, 1)
 	if l.watermark() != 3 {
 		t.Errorf("watermark ran ahead of the injection frontier: %d", l.watermark())
 	}
+	// A retired round stays retired when a much later round re-uses its
+	// slot: the cursor only moves forward.
+	l.add(3 + ledgerRingSize)
+	if l.watermark() != 3 {
+		t.Errorf("slot re-use moved the watermark: %d, want 3", l.watermark())
+	}
+	l.done(3+ledgerRingSize, 1)
+
+	// The rounds that can be in flight at once under the largest lag must
+	// not share a slot, or one round's items would hold back another's.
+	if MaxReplayLag+2 >= ledgerRingSize {
+		t.Errorf("MaxReplayLag+2 = %d does not fit the ledger ring of %d slots", MaxReplayLag+2, ledgerRingSize)
+	}
+}
+
+// TestRoundLedgerConcurrent drives one ledger the way the worker pool does —
+// several goroutines adding children before releasing their parents while an
+// injector marks rounds and waits at the gate — and requires that the
+// watermark never passes a round with an item in flight and reaches the last
+// round once everything drained. Run under -race it also covers the
+// lock-free/locked split of the ledger's fields.
+func TestRoundLedgerConcurrent(t *testing.T) {
+	const rounds, workers, lag, perRound, fanout = 200, 4, 2, 8, 3
+	var l roundLedger
+	l.init()
+	type item struct{ round, depth int }
+	work := make(chan item, rounds*perRound*(fanout+1))
+	var live [rounds + 1]atomic.Int64 // the test's own count of in-flight items
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := range work {
+				if it.depth == 0 {
+					for c := 0; c < fanout; c++ {
+						live[it.round].Add(1)
+						l.add(it.round) // child before parent
+						work <- item{it.round, 1}
+					}
+				}
+				live[it.round].Add(-1)
+				if l.done(it.round, 1) {
+					l.wake()
+				}
+			}
+		}()
+	}
+	// The gate of the replay loop, as the concurrent engine waits at it.
+	await := func(target int) int { return l.wait(target, func() bool { return false }) }
+	for r := 1; r <= rounds; r++ {
+		wm := await(r - 1 - lag)
+		for q := 1; q <= wm; q++ {
+			if n := live[q].Load(); n != 0 {
+				t.Fatalf("watermark %d passed round %d with %d items in flight", wm, q, n)
+			}
+		}
+		for i := 0; i < perRound; i++ {
+			live[r].Add(1)
+			l.add(r)
+			work <- item{r, 0}
+		}
+		l.markInjected(r)
+	}
+	// Hanging here is the failure mode of a lost wake-up.
+	if wm := await(rounds); wm != rounds {
+		t.Errorf("final watermark = %d, want %d", wm, rounds)
+	}
+	close(work)
+	wg.Wait()
 }
 
 func windowedTrace(node topology.NodeID, rounds, perRound int) [][]Publication {
@@ -123,10 +200,9 @@ func (silentHandler) HandleEvent(*Context, topology.NodeID, model.Event) {}
 
 // TestWindowedIdleNodeWatermarkAdvances injects every event at node 0 of a
 // line while the handlers never forward, so nodes 1 and 2 have no work in
-// any round. Their low-watermarks must still advance with the injection
-// frontier — an idle node holding the network watermark back would deadlock
-// the windowed injection gate (this test hanging is the failure mode) and
-// must not show up in NodeWatermarks.
+// any round. The network watermark must still advance with the injection
+// frontier — an idle node holding it back would deadlock the windowed
+// injection gate (this test hanging is the failure mode).
 func TestWindowedIdleNodeWatermarkAdvances(t *testing.T) {
 	const rounds = 6
 	g := lineGraph(t, 3)
@@ -141,11 +217,6 @@ func TestWindowedIdleNodeWatermarkAdvances(t *testing.T) {
 	e.Flush()
 	if wm := e.Watermark(); wm != rounds {
 		t.Errorf("network watermark = %d, want %d", wm, rounds)
-	}
-	for n, wm := range e.NodeWatermarks() {
-		if wm != rounds {
-			t.Errorf("node %d watermark = %d, want %d (idle nodes must advance)", n, wm, rounds)
-		}
 	}
 }
 

@@ -27,14 +27,16 @@ import (
 // Maintenance is fully incremental once the index has served its first
 // lookup: Add and Remove splice single boxes in and out of the trees in
 // O(log n), so steady-state subscribe/unsubscribe churn never tombstones
-// entries or rebuilds a structure from scratch (the PR 4
-// rebuild-on-half-dead compaction path is gone; NewEventIndexRebuild keeps
-// it reachable as a benchmark baseline). Before the first lookup, Adds are
-// staged and the first Candidates call packs the whole staged population
-// with geom.BoxTree.BulkLoad — one bottom-up O(n log n) build instead of n
-// heuristic descents — which is what makes the initial subscription flood
-// (register everything, then start matching) cheap. BulkLoad triggers the
-// same packed build explicitly.
+// entries or rebuilds a structure from scratch. Before the first lookup,
+// Adds are staged and the first Candidates call packs the whole staged
+// population with geom.BoxTree.BulkLoad — one bottom-up O(n log n) build
+// instead of n heuristic descents — which is what makes the initial
+// subscription flood (register everything, then start matching) cheap.
+// BulkLoad triggers the same packed build explicitly; BulkLoad(nil) on a
+// fresh index therefore yields one that inserts every Add immediately.
+// This is the only implementation: the churn and rebuilt-from-scratch
+// oracles in the tests compare it against a linear scan and against a
+// freshly built index, not against a second index type.
 //
 // Covering-aware pruning: AddCovered registers a subscription known to be
 // covered by an already-indexed one. Covered entries are not stored in the
@@ -54,38 +56,32 @@ import (
 // protocol handler owns its indexes and the engines guarantee per-node
 // sequential execution.
 type EventIndex struct {
-	// Exactly one of the two implementations is set: the incremental
-	// composite index (the default) or the legacy tombstone-and-rebuild
-	// index retained as the BenchmarkIndexChurn baseline.
-	inc    *compositeIndex
-	legacy *rebuildIndex
+	bySensor map[model.SensorID]*boxList        // 1-D: filter value range
+	byAttr   map[model.AttributeType]*boxList   // 3-D: value range × region
+	members  map[model.SubscriptionID]*ixMember // every live subscription
+
+	// Until the first lookup, full members are staged in pending instead of
+	// being inserted into the trees one by one; build() packs them all at
+	// once. A staged member removed before the build is only deleted from
+	// members — the flush skips entries the map no longer owns — so pending
+	// may briefly hold dead members, never miss a live one.
+	pending []*ixMember
+	built   bool
+
+	// Lookup tallies for Stats (incremented on the candidates hot path; two
+	// integer adds, no allocation).
+	lookups int64
+	emitted int64
 }
 
 // NewEventIndex returns an empty index with incremental maintenance and a
 // deferred bulk-packed first build.
 func NewEventIndex() *EventIndex {
-	return &EventIndex{inc: newCompositeIndex()}
-}
-
-// NewEventIndexEager returns an index identical to NewEventIndex's except
-// that every Add inserts into the trees immediately instead of staging for
-// the bulk-packed first build. It exists as the comparison baseline for
-// BenchmarkSubscriptionFlood and for tests pinning bulk/incremental
-// equivalence; protocol code always uses NewEventIndex.
-func NewEventIndexEager() *EventIndex {
-	x := newCompositeIndex()
-	x.built = true
-	return &EventIndex{inc: x}
-}
-
-// NewEventIndexRebuild returns an index using the superseded maintenance
-// strategy — per-attribute lazily rebuilt interval trees with tombstoned
-// removals compacted by a rebuild once tombstones outnumber live members.
-// It exists solely as the comparison baseline for BenchmarkIndexChurn (the
-// branch point that forces the old rebuild path); protocol code always uses
-// NewEventIndex.
-func NewEventIndexRebuild() *EventIndex {
-	return &EventIndex{legacy: newRebuildIndex()}
+	return &EventIndex{
+		bySensor: map[model.SensorID]*boxList{},
+		byAttr:   map[model.AttributeType]*boxList{},
+		members:  map[model.SubscriptionID]*ixMember{},
+	}
 }
 
 // Add registers a subscription (or correlation operator) for event matching.
@@ -96,11 +92,19 @@ func (x *EventIndex) Add(sub *model.Subscription) {
 	if sub == nil {
 		return
 	}
-	if x.legacy != nil {
-		x.legacy.add(sub)
+	if m, live := x.members[sub.ID]; live {
+		if m.parent != nil {
+			// Promote a covered entry to a full member: detach from its
+			// cover and give it tree entries of its own.
+			m.parent.dropChild(m)
+			m.parent = nil
+			x.indexMember(m)
+		}
 		return
 	}
-	x.inc.add(sub)
+	m := &ixMember{sub: sub}
+	x.members[sub.ID] = m
+	x.indexMember(m)
 }
 
 // AddCovered registers a subscription whose matches are known to be a subset
@@ -113,11 +117,17 @@ func (x *EventIndex) AddCovered(sub *model.Subscription, cover model.Subscriptio
 	if sub == nil {
 		return
 	}
-	if x.legacy != nil {
-		x.legacy.add(sub)
+	if _, live := x.members[sub.ID]; live {
 		return
 	}
-	x.inc.addCovered(sub, cover)
+	root := x.members[cover]
+	if cover == "" || cover == sub.ID || root == nil || root.parent != nil {
+		x.Add(sub)
+		return
+	}
+	m := &ixMember{sub: sub, parent: root}
+	x.members[sub.ID] = m
+	root.children = append(root.children, m)
 }
 
 // Remove retracts a subscription from the index by ID. It returns false when
@@ -126,20 +136,33 @@ func (x *EventIndex) AddCovered(sub *model.Subscription, cover model.Subscriptio
 // to the removed subscription are re-indexed as full members (they remain
 // registered — only their pruning shortcut dies with the cover).
 func (x *EventIndex) Remove(id model.SubscriptionID) bool {
-	if x.legacy != nil {
-		return x.legacy.remove(id)
+	m, live := x.members[id]
+	if !live {
+		return false
 	}
-	return x.inc.remove(id)
+	delete(x.members, id)
+	if m.parent != nil {
+		m.parent.dropChild(m)
+		m.parent = nil
+		return true
+	}
+	for _, e := range m.entries {
+		e.list.release(e)
+	}
+	m.entries = nil
+	// Re-index the covered entries that were pruned through this member:
+	// they stay registered, as full members now.
+	for _, c := range m.children {
+		c.parent = nil
+		x.indexMember(c)
+	}
+	m.children = nil
+	return true
 }
 
 // Len returns the number of live subscriptions in the index (tree members
 // plus attached covered entries).
-func (x *EventIndex) Len() int {
-	if x.legacy != nil {
-		return x.legacy.len()
-	}
-	return x.inc.len()
-}
+func (x *EventIndex) Len() int { return len(x.members) }
 
 // BulkLoad registers a batch of subscriptions at once. It is equivalent to
 // calling Add for each (nil entries and duplicate IDs are skipped the same
@@ -149,37 +172,12 @@ func (x *EventIndex) Len() int {
 // one heuristic descent per box. On an index that has already been queried
 // it degrades to the incremental Add loop.
 func (x *EventIndex) BulkLoad(subs []*model.Subscription) {
-	if x.legacy != nil {
-		// The legacy interval trees already batch their construction (they
-		// record additions and rebuild lazily on the next stab), so the bulk
-		// path has nothing further to pack.
-		for _, sub := range subs {
-			if sub != nil {
-				x.legacy.add(sub)
-			}
-		}
-		return
-	}
 	for _, sub := range subs {
-		if sub != nil {
-			x.inc.add(sub)
-		}
+		x.Add(sub)
 	}
-	if !x.inc.built {
-		x.inc.build()
+	if !x.built {
+		x.build()
 	}
-}
-
-// Candidates invokes fn with every stored subscription that matches the
-// simple event (Subscription.MatchesEvent holds for each candidate, and no
-// matching subscription is missed). Iteration stops early when fn returns
-// false; the candidate order is unspecified.
-func (x *EventIndex) Candidates(ev model.Event, fn func(*model.Subscription) bool) {
-	if x.legacy != nil {
-		x.legacy.candidates(ev, fn)
-		return
-	}
-	x.inc.candidates(ev, fn)
 }
 
 // IndexStats summarises the shape and observed lookup cost of an EventIndex
@@ -212,42 +210,6 @@ func (s *IndexStats) Merge(o IndexStats) {
 	s.Candidates += o.Candidates
 }
 
-// Stats reports the index's current shape. On an index that has not served a
-// lookup yet it forces the deferred bulk build first, so the reported tree
-// shape is the one lookups will actually see. The legacy rebuild baseline
-// reports only its member count.
-func (x *EventIndex) Stats() IndexStats {
-	if x.legacy != nil {
-		return IndexStats{
-			Trees:   len(x.legacy.bySensor) + len(x.legacy.byAttr),
-			Members: x.legacy.len(),
-		}
-	}
-	return x.inc.stats()
-}
-
-// --- incremental composite implementation ---
-
-// compositeIndex is the incremental implementation behind NewEventIndex.
-type compositeIndex struct {
-	bySensor map[model.SensorID]*boxList        // 1-D: filter value range
-	byAttr   map[model.AttributeType]*boxList   // 3-D: value range × region
-	members  map[model.SubscriptionID]*ixMember // every live subscription
-
-	// Until the first lookup, full members are staged in pending instead of
-	// being inserted into the trees one by one; build() packs them all at
-	// once. A staged member removed before the build is only deleted from
-	// members — the flush skips entries the map no longer owns — so pending
-	// may briefly hold dead members, never miss a live one.
-	pending []*ixMember
-	built   bool
-
-	// Lookup tallies for Stats (incremented on the candidates hot path; two
-	// integer adds, no allocation).
-	lookups int64
-	emitted int64
-}
-
 // boxList pairs one composite tree with the members its slots refer to
 // (tree handle i is an index into members; freed slots are reused).
 type boxList struct {
@@ -274,35 +236,9 @@ type ixMember struct {
 	children []*ixMember
 }
 
-func newCompositeIndex() *compositeIndex {
-	return &compositeIndex{
-		bySensor: map[model.SensorID]*boxList{},
-		byAttr:   map[model.AttributeType]*boxList{},
-		members:  map[model.SubscriptionID]*ixMember{},
-	}
-}
-
-func (x *compositeIndex) len() int { return len(x.members) }
-
-func (x *compositeIndex) add(sub *model.Subscription) {
-	if m, live := x.members[sub.ID]; live {
-		if m.parent != nil {
-			// Promote a covered entry to a full member: detach from its
-			// cover and give it tree entries of its own.
-			m.parent.dropChild(m)
-			m.parent = nil
-			x.indexMember(m)
-		}
-		return
-	}
-	m := &ixMember{sub: sub}
-	x.members[sub.ID] = m
-	x.indexMember(m)
-}
-
 // indexMember gives a full member tree entries: immediately once the index
 // has been built, staged for the bulk-packed first build before that.
-func (x *compositeIndex) indexMember(m *ixMember) {
+func (x *EventIndex) indexMember(m *ixMember) {
 	if x.built {
 		x.insertEntries(m)
 		return
@@ -310,51 +246,12 @@ func (x *compositeIndex) indexMember(m *ixMember) {
 	x.pending = append(x.pending, m)
 }
 
-func (x *compositeIndex) addCovered(sub *model.Subscription, cover model.SubscriptionID) {
-	if _, live := x.members[sub.ID]; live {
-		return
-	}
-	root := x.members[cover]
-	if cover == "" || cover == sub.ID || root == nil || root.parent != nil {
-		x.add(sub)
-		return
-	}
-	m := &ixMember{sub: sub, parent: root}
-	x.members[sub.ID] = m
-	root.children = append(root.children, m)
-}
-
-func (x *compositeIndex) remove(id model.SubscriptionID) bool {
-	m, live := x.members[id]
-	if !live {
-		return false
-	}
-	delete(x.members, id)
-	if m.parent != nil {
-		m.parent.dropChild(m)
-		m.parent = nil
-		return true
-	}
-	for _, e := range m.entries {
-		e.list.release(e)
-	}
-	m.entries = nil
-	// Re-index the covered entries that were pruned through this member:
-	// they stay registered, as full members now.
-	for _, c := range m.children {
-		c.parent = nil
-		x.indexMember(c)
-	}
-	m.children = nil
-	return true
-}
-
 // build packs every staged live member's boxes into the composite trees in
 // one bottom-up pass per tree, then switches the index to incremental
 // maintenance. Each subscription contributes at most one box per tree (one
 // filter per sensor or attribute), so grouping by destination tree preserves
 // the batch order within every group and the build is deterministic.
-func (x *compositeIndex) build() {
+func (x *EventIndex) build() {
 	x.built = true
 	pend := x.pending
 	x.pending = nil
@@ -416,7 +313,7 @@ func (x *compositeIndex) build() {
 }
 
 // sensorList returns (creating on first use) the 1-D list for a sensor.
-func (x *compositeIndex) sensorList(d model.SensorID) *boxList {
+func (x *EventIndex) sensorList(d model.SensorID) *boxList {
 	l := x.bySensor[d]
 	if l == nil {
 		l = &boxList{tree: geom.NewBoxTree(1)}
@@ -426,7 +323,7 @@ func (x *compositeIndex) sensorList(d model.SensorID) *boxList {
 }
 
 // attrList returns (creating on first use) the 3-D list for an attribute.
-func (x *compositeIndex) attrList(a model.AttributeType) *boxList {
+func (x *EventIndex) attrList(a model.AttributeType) *boxList {
 	l := x.byAttr[a]
 	if l == nil {
 		l = &boxList{tree: geom.NewBoxTree(3)}
@@ -436,7 +333,7 @@ func (x *compositeIndex) attrList(a model.AttributeType) *boxList {
 }
 
 // insertEntries inserts the member's filter boxes into the composite trees.
-func (x *compositeIndex) insertEntries(m *ixMember) {
+func (x *EventIndex) insertEntries(m *ixMember) {
 	sub := m.sub
 	if sub.Kind == model.KindIdentified {
 		var box [1]geom.Interval
@@ -497,7 +394,11 @@ func (m *ixMember) dropChild(c *ixMember) {
 	}
 }
 
-func (x *compositeIndex) candidates(ev model.Event, fn func(*model.Subscription) bool) {
+// Candidates invokes fn with every stored subscription that matches the
+// simple event (Subscription.MatchesEvent holds for each candidate, and no
+// matching subscription is missed). Iteration stops early when fn returns
+// false; the candidate order is unspecified.
+func (x *EventIndex) Candidates(ev model.Event, fn func(*model.Subscription) bool) {
 	if !x.built {
 		x.build()
 	}
@@ -544,9 +445,10 @@ func (x *compositeIndex) candidates(ev model.Event, fn func(*model.Subscription)
 	}
 }
 
-// stats forces the deferred build (so tree shape reflects what lookups see)
-// and walks the per-tree summaries.
-func (x *compositeIndex) stats() IndexStats {
+// Stats reports the index's current shape. On an index that has not served a
+// lookup yet it forces the deferred bulk build first, so the reported tree
+// shape is the one lookups will actually see.
+func (x *EventIndex) Stats() IndexStats {
 	if !x.built {
 		x.build()
 	}
@@ -579,131 +481,4 @@ func (x *compositeIndex) stats() IndexStats {
 		tally(l)
 	}
 	return st
-}
-
-// --- legacy tombstone-and-rebuild implementation (benchmark baseline) ---
-
-// rebuildIndex is the PR 4 maintenance strategy: one lazily rebuilt interval
-// stabbing tree per sensor/attribute, tombstone-based removal, and a full
-// rebuild once tombstones outnumber live members. Kept only so that
-// BenchmarkIndexChurn can measure what incremental maintenance replaced.
-type rebuildIndex struct {
-	bySensor map[model.SensorID]*rangeList
-	byAttr   map[model.AttributeType]*rangeList
-	members  map[model.SubscriptionID]*model.Subscription
-	removed  map[model.SubscriptionID]bool
-}
-
-// rangeList pairs an interval tree with the subscriptions its handles refer
-// to: handle i is an index into subs.
-type rangeList struct {
-	tree geom.IntervalTree
-	subs []*model.Subscription
-}
-
-func (l *rangeList) add(iv geom.Interval, sub *model.Subscription) {
-	l.tree.Add(iv, len(l.subs))
-	l.subs = append(l.subs, sub)
-}
-
-func newRebuildIndex() *rebuildIndex {
-	return &rebuildIndex{
-		bySensor: map[model.SensorID]*rangeList{},
-		byAttr:   map[model.AttributeType]*rangeList{},
-		members:  map[model.SubscriptionID]*model.Subscription{},
-		removed:  map[model.SubscriptionID]bool{},
-	}
-}
-
-func (x *rebuildIndex) len() int { return len(x.members) }
-
-func (x *rebuildIndex) add(sub *model.Subscription) {
-	if _, live := x.members[sub.ID]; live {
-		return
-	}
-	if x.removed[sub.ID] {
-		// The trees still hold stale entries for this ID; purge them first
-		// so the fresh registration is not shadowed by (or duplicated with)
-		// the tombstoned one.
-		x.rebuild()
-	}
-	x.members[sub.ID] = sub
-	x.addToTrees(sub)
-}
-
-func (x *rebuildIndex) addToTrees(sub *model.Subscription) {
-	if sub.Kind == model.KindIdentified {
-		for d, f := range sub.SensorFilters {
-			l := x.bySensor[d]
-			if l == nil {
-				l = &rangeList{}
-				x.bySensor[d] = l
-			}
-			l.add(f.Range, sub)
-		}
-	} else {
-		for a, f := range sub.AttrFilters {
-			l := x.byAttr[a]
-			if l == nil {
-				l = &rangeList{}
-				x.byAttr[a] = l
-			}
-			l.add(f.Range, sub)
-		}
-	}
-}
-
-func (x *rebuildIndex) remove(id model.SubscriptionID) bool {
-	if _, live := x.members[id]; !live {
-		return false
-	}
-	delete(x.members, id)
-	x.removed[id] = true
-	if len(x.removed) > len(x.members) && len(x.removed) >= 16 {
-		x.rebuild()
-	}
-	return true
-}
-
-// rebuild reconstructs the stabbing trees from the live members, discarding
-// every tombstone.
-func (x *rebuildIndex) rebuild() {
-	x.bySensor = map[model.SensorID]*rangeList{}
-	x.byAttr = map[model.AttributeType]*rangeList{}
-	x.removed = map[model.SubscriptionID]bool{}
-	for _, sub := range x.members {
-		x.addToTrees(sub)
-	}
-}
-
-func (x *rebuildIndex) candidates(ev model.Event, fn func(*model.Subscription) bool) {
-	stopped := false
-	if l := x.bySensor[ev.Sensor]; l != nil {
-		l.tree.Stab(ev.Value, func(h int) bool {
-			s := l.subs[h]
-			if len(x.removed) > 0 && x.removed[s.ID] {
-				return true
-			}
-			if !fn(s) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-	}
-	if stopped {
-		return
-	}
-	if l := x.byAttr[ev.Attr]; l != nil {
-		l.tree.Stab(ev.Value, func(h int) bool {
-			s := l.subs[h]
-			if len(x.removed) > 0 && x.removed[s.ID] {
-				return true
-			}
-			if !s.Region.Contains(ev.Location) {
-				return true
-			}
-			return fn(s)
-		})
-	}
 }

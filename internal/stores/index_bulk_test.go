@@ -26,7 +26,10 @@ func TestEventIndexBulkLoadMatchesEager(t *testing.T) {
 
 		bulk := NewEventIndex()
 		bulk.BulkLoad(subs)
-		eager := NewEventIndexEager()
+		// A fresh index after BulkLoad(nil) is built, so every Add below
+		// descends into the trees one box at a time.
+		eager := NewEventIndex()
+		eager.BulkLoad(nil)
 		for _, sub := range subs {
 			eager.Add(sub)
 		}

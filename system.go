@@ -51,7 +51,8 @@ type Config struct {
 	// SetFilterError overrides the FSF set-filter error probability
 	// (0 keeps the default of 2%).
 	SetFilterError float64
-	// Concurrent runs one goroutine per processing node instead of the
+	// Concurrent runs the processing nodes on the concurrent engine (a
+	// pooled work-stealing scheduler, see Workers) instead of the
 	// deterministic sequential engine.
 	Concurrent bool
 	// Delivery selects the replay delivery semantics used by ReplayRounds
@@ -358,20 +359,6 @@ func (s *System) unsubscribe(h *SubscriptionHandle) error {
 	return nil
 }
 
-// Handle returns the active handle of a subscription, or nil when the ID is
-// unknown or already unsubscribed.
-//
-// Deprecated: the nil result conflates "never registered" with "already
-// retracted" and forces a nil check at every call site. Use HandleByID,
-// which reports the missing ID as ErrUnknownSubscription.
-func (s *System) Handle(id SubscriptionID) *SubscriptionHandle {
-	h, err := s.HandleByID(id)
-	if err != nil {
-		return nil
-	}
-	return h
-}
-
 // HandleByID returns the active handle of a subscription. An ID with no
 // active handle — never registered, or already retracted — returns
 // ErrUnknownSubscription wrapped with the ID (match with errors.Is).
@@ -603,7 +590,7 @@ func (s *System) DeliveredEventSeqs(id SubscriptionID) map[uint64]bool {
 }
 
 // Close shuts the system down: it drains in-flight work, releases the
-// per-node goroutines of a concurrent runtime, and closes the delivery
+// worker goroutines of a concurrent runtime, and closes the delivery
 // channel of every still-active subscription handle (so consumers ranging
 // over them terminate). Close is idempotent — the first call returns nil,
 // every later call returns ErrClosed. Every mutating method (Publish,
