@@ -34,7 +34,6 @@ func main() {
 		maxAttrs = flag.Int("max-attrs", 5, "maximum attributes per subscription")
 		rounds   = flag.Int("rounds", 12, "measurement rounds to replay")
 		seed     = flag.Int64("seed", 1, "random seed")
-		topN     = flag.Int("busiest", 5, "print the N busiest links")
 		eng      = engineflags.Register(flag.CommandLine)
 		churn    = flag.Float64("churn", 0,
 			"fraction of subscriptions to unsubscribe halfway through the replay (0..1); exercises the retraction path and prints the traffic it saves")
@@ -69,7 +68,7 @@ func main() {
 		k:        *aggK,
 		exact:    *aggExact,
 	}
-	if err := run(*approach, *nodes, *sensors, *groups, *subs, *minAttrs, *maxAttrs, *rounds, *seed, *topN, eng.Concurrent, eng.Workers, eng.Delivery, eng.Lag, *churn, *indexStats, agg); err != nil {
+	if err := run(*approach, *nodes, *sensors, *groups, *subs, *minAttrs, *maxAttrs, *rounds, *seed, eng.Concurrent, eng.Workers, eng.Delivery, eng.Lag, *churn, *indexStats, agg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -85,7 +84,7 @@ type aggConfig struct {
 	exact    bool
 }
 
-func run(approach string, nodes, sensors, groups, subs, minAttrs, maxAttrs, rounds int, seed int64, topN int, concurrent bool, workers int, mode sensorcq.DeliveryMode, lag int, churn float64, indexStats bool, agg aggConfig) error {
+func run(approach string, nodes, sensors, groups, subs, minAttrs, maxAttrs, rounds int, seed int64, concurrent bool, workers int, mode sensorcq.DeliveryMode, lag int, churn float64, indexStats bool, agg aggConfig) error {
 	dep, err := sensorcq.GenerateDeployment(sensorcq.DeploymentConfig{
 		TotalNodes:  nodes,
 		SensorNodes: sensors,

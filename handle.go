@@ -149,8 +149,8 @@ func WithCallback(fn func(Delivery)) SubscribeOption {
 }
 
 // WithRetainLog keeps the subscription's pull log (Log, DeliveriesFor,
-// DeliveredSeqs) readable after Unsubscribe. By default the per-subscription
-// delivery-map entries are evicted when the retraction completes, so a
+// DeliveredSeqs) readable after Unsubscribe. By default the subscription's
+// delivery-index entries are evicted when the retraction completes, so a
 // long-running system does not hold every retracted subscription's delivery
 // history for the rest of its life; a handle subscribed with WithRetainLog
 // opts out and keeps its history until the ID's next registration is itself
@@ -246,10 +246,11 @@ func (h *SubscriptionHandle) Active() bool {
 }
 
 // Log returns the subscription's pull log: every delivery recorded so far,
-// served from the per-subscription delivery maps (cost proportional to this
-// subscription's deliveries, not the whole system log). After Unsubscribe
-// the log is empty unless the handle was subscribed with WithRetainLog —
-// the delivery-map entries of a retracted subscription are evicted with it.
+// served from the delivery log's per-subscription index (cost proportional
+// to this subscription's deliveries, not the whole system log). After
+// Unsubscribe the log is empty unless the handle was subscribed with
+// WithRetainLog — the index entries of a retracted subscription are evicted
+// with it.
 func (h *SubscriptionHandle) Log() []Delivery { return h.sys.DeliveriesFor(h.sub.ID) }
 
 // DeliveredSeqs returns the set of simple-event sequence numbers delivered

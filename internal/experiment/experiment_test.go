@@ -223,8 +223,9 @@ func TestChurnRun(t *testing.T) {
 // TestWindowedRunSpansBatches exercises the open-session windowed harness:
 // under Delivery=Windowed the batches replay through one KeepOpen session —
 // no drain at batch boundaries, later batches' subscriptions join the
-// in-flight stream — and the series points are finalized from the per-round
-// traffic attribution after the closing flush. The sequential engine is
+// in-flight stream — and each series point is finalized from the per-round
+// traffic attribution once the watermark has passed the batch's last round,
+// after the closing flush at the latest. The sequential engine is
 // deterministic, so two runs must agree exactly; the points must carry a
 // sane, monotone traffic series and a recall measured against the oracle.
 func TestWindowedRunSpansBatches(t *testing.T) {

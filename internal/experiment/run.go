@@ -318,6 +318,19 @@ func RunOnWorkload(w *Workload, o Options) (*Result, error) {
 }
 
 // runApproach runs one approach over the shared workload.
+//
+// Under the windowed delivery mode the batches replay through one open
+// session (ReplayOptions.KeepOpen): nothing drains at a batch boundary, so
+// rounds of consecutive batches overlap in flight and the subscriptions and
+// retractions of later batches join the stream. The other modes drain
+// between rounds by definition.
+//
+// Every mode measures by lineage round: batch b's event load is that of its
+// own round range, the cumulative subscription load after it is everything
+// up to the round current while its subscriptions were injected, and its
+// recall is read from the delivery record. A point is final once the
+// watermark has passed its last round — one subscription batch later when
+// the mode drains, after the closing flush at the latest.
 func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error) {
 	s := w.Scenario
 	if o.Churn < 0 || o.Churn > 1 {
@@ -351,22 +364,29 @@ func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error)
 		engine.Flush()
 	}
 
-	// Under the windowed delivery mode the batches replay through one open
-	// session (ReplayOptions.KeepOpen): nothing drains at a batch boundary,
-	// so rounds of consecutive batches genuinely overlap in flight and
-	// subscription injections of later batches join the stream. Traffic is
-	// then attributed per lineage-round range (EventLoadForRounds /
-	// SubscriptionLoadForRounds) and the points are finalized after the
-	// closing flush — there is no quiescent instant mid-run to snapshot at.
-	// The quiescent and pipelined modes drain between rounds by definition,
-	// so they keep the snapshot-difference measurement (ReplayRounds already
-	// returns quiescent; no extra flush is needed).
 	windowed := o.Delivery == netsim.Windowed
 	series := &ApproachSeries{Approach: id}
+	// spans[b] is batch b's lineage-round range and the round current while
+	// its subscriptions were injected.
+	type span struct{ lo, hi, boundary int }
+	var spans []span
+	finalized := 0
+	finalize := func() {
+		m := engine.Metrics()
+		for ; finalized < len(spans) && spans[finalized].hi <= engine.Watermark(); finalized++ {
+			sp, point := spans[finalized], &series.Points[finalized]
+			point.EventLoad = m.EventLoadForRounds(sp.lo, sp.hi)
+			point.SubscriptionLoad = m.SubscriptionLoadForRounds(0, sp.boundary)
+			if o.ComputeRecall {
+				point.Recall = batchRecall(w, finalized, o, engine)
+			}
+			if o.Progress != nil {
+				o.Progress("%-24s %-22s queries=%4d  sub-load=%7d  event-load=%8d  recall=%.3f",
+					s.Name, id, point.InjectedQueries, point.SubscriptionLoad, point.EventLoad, point.Recall)
+			}
+		}
+	}
 	roundsReplayed := 0
-	// loRound[b], hiRound[b] is batch b's lineage-round range; boundary[b]
-	// is the round current while batch b's subscriptions were injected.
-	var loRound, hiRound, boundary []int
 	for b := 0; b < s.Batches; b++ {
 		// Inject this batch's subscriptions. Batch 0 always propagates to
 		// quiescence (the session opens with the first replayed round);
@@ -377,7 +397,6 @@ func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error)
 			end = len(w.Placed)
 		}
 		batch := w.Placed[start:end]
-		boundary = append(boundary, roundsReplayed)
 		for _, p := range batch {
 			if err := engine.Subscribe(p.Node, p.Sub); err != nil {
 				return nil, fmt.Errorf("experiment: subscribing %s: %w", p.Sub.ID, err)
@@ -386,33 +405,26 @@ func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error)
 				engine.Flush()
 			}
 		}
+		// Earlier batches whose rounds have retired are final. Checking here,
+		// not right after the replay, matters: reading the watermark may
+		// retire the last replayed round, which the injections at a batch
+		// boundary (retractions below, subscriptions above) are stamped with
+		// and must join while it can still hold the watermark back — or a
+		// later point could be read with their cascades in flight.
+		finalize()
 		// Replay this batch's measurement rounds under the configured
 		// delivery semantics.
 		rounds := w.PublicationRounds(b)
-		loRound = append(loRound, roundsReplayed+1)
-		roundsReplayed += len(rounds)
-		hiRound = append(hiRound, roundsReplayed)
-		var before netsim.Snapshot
-		if !windowed {
-			before = engine.Metrics().Snapshot()
-		}
 		opts := netsim.ReplayOptions{Mode: o.Delivery, Lag: o.Lag, KeepOpen: windowed}
 		if err := engine.ReplayRounds(rounds, opts); err != nil {
 			return nil, fmt.Errorf("experiment: replaying batch %d: %w", b, err)
 		}
-		point := SeriesPoint{InjectedQueries: end, Recall: 1}
-		if !windowed {
-			after := engine.Metrics().Snapshot()
-			point.SubscriptionLoad = after.SubscriptionLoad
-			point.EventLoad = after.Diff(before).EventLoad
-			if o.ComputeRecall {
-				point.Recall = batchRecall(w, b, o, engine)
-			}
-		}
+		spans = append(spans, span{lo: roundsReplayed + 1, hi: roundsReplayed + len(rounds), boundary: roundsReplayed})
+		roundsReplayed += len(rounds)
+		series.Points = append(series.Points, SeriesPoint{InjectedQueries: end, Recall: 1})
 		// Retract this batch's churned fraction (oldest first, the schedule
 		// survivorsForBatch mirrors) now that its segment has replayed;
-		// later batches run against the survivors. Under windowed delivery
-		// the retractions join the open session like the subscriptions do.
+		// later batches run against the survivors.
 		if k := churnCount(len(batch), o.Churn); k > 0 {
 			for _, p := range batch[:k] {
 				if err := engine.Unsubscribe(p.Node, p.Sub.ID); err != nil {
@@ -423,35 +435,10 @@ func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error)
 				}
 			}
 		}
-		series.Points = append(series.Points, point)
-		if o.Progress != nil && !windowed {
-			o.Progress("%-24s %-22s queries=%4d  sub-load=%7d  event-load=%8d  recall=%.3f",
-				s.Name, id, point.InjectedQueries, point.SubscriptionLoad, point.EventLoad, point.Recall)
-		}
 	}
-	if windowed {
-		// Close the session, then finalize every point from the per-round
-		// attribution: EventLoad is the batch's own round range, the
-		// cumulative SubscriptionLoad after batch b is everything up to and
-		// including its injection boundary, and recall is computed against
-		// the complete delivery record (segments have disjoint sequence
-		// numbers, so late-arriving deliveries land in their own batch's
-		// expectation).
-		engine.Flush()
-		m := engine.Metrics()
-		for b := range series.Points {
-			point := &series.Points[b]
-			point.EventLoad = m.EventLoadForRounds(loRound[b], hiRound[b])
-			point.SubscriptionLoad = m.SubscriptionLoadForRounds(0, boundary[b])
-			if o.ComputeRecall {
-				point.Recall = batchRecall(w, b, o, engine)
-			}
-			if o.Progress != nil {
-				o.Progress("%-24s %-22s queries=%4d  sub-load=%7d  event-load=%8d  recall=%.3f",
-					s.Name, id, point.InjectedQueries, point.SubscriptionLoad, point.EventLoad, point.Recall)
-			}
-		}
-	}
+	// Close the session, if one is open: every round retires.
+	engine.Flush()
+	finalize()
 	return series, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sensorcq/internal/model"
 	"sensorcq/internal/topology"
 )
 
@@ -35,7 +34,7 @@ import (
 //
 // The hot delivery path is lock-free with respect to the engine: traffic
 // counters and deliveries go to per-node shards (see Metrics and
-// deliveryShard), in-flight and per-round accounting are one atomic each,
+// deliveryLog), in-flight and per-round accounting are one atomic each,
 // and the only per-message lock is the target node's mailbox mutex — which
 // a worker drains in batches, one lock round-trip per burst.
 type ConcurrentEngine struct {
@@ -55,31 +54,9 @@ type ConcurrentEngine struct {
 	inflight atomic.Int64
 	idleMu   sync.Mutex
 	idleCond *sync.Cond
-
-	// delivShards is the per-node delivery log: a node's dispatches are
-	// serialised by its activation (at most one worker drains a mailbox at
-	// a time), so shard n never sees concurrent appends; Deliveries() merges
-	// on read.
-	delivShards []deliveryShard
-
-	// observer, when set, is invoked for every recorded delivery on the
-	// delivering worker's goroutine (push delivery). Loaded atomically so
-	// installing it does not race the workers.
-	observer atomic.Pointer[func(Delivery)]
 }
 
 var _ Runtime = (*ConcurrentEngine)(nil)
-
-// deliveryShard is one node's slice of the delivery log, padded so that
-// neighbouring shards do not false-share a cache line. bySub indexes the
-// shard's log per subscription so DeliveriesFor merges only the target
-// subscription's entries instead of rescanning every delivery.
-type deliveryShard struct {
-	mu    sync.Mutex
-	log   []Delivery
-	bySub map[model.SubscriptionID][]int
-	_     [64]byte
-}
 
 // mailbox is one node's message queue. A node's handler only ever runs on a
 // burst taken from its own mailbox, and the activation protocol guarantees
@@ -325,16 +302,15 @@ func EffectiveWorkers(workers, nodes int) int {
 func NewConcurrentEngineWorkers(graph *topology.Graph, factory HandlerFactory, workers int) *ConcurrentEngine {
 	n := graph.NumNodes()
 	e := &ConcurrentEngine{
-		mailboxes:   make([]*mailbox, n),
-		pool:        newStealScheduler(EffectiveWorkers(workers, n)),
-		nodeWorker:  make([]int32, n),
-		delivShards: make([]deliveryShard, n),
+		mailboxes:  make([]*mailbox, n),
+		pool:       newStealScheduler(EffectiveWorkers(workers, n)),
+		nodeWorker: make([]int32, n),
 	}
 	e.idleCond = sync.NewCond(&e.idleMu)
 	for i := range e.mailboxes {
 		e.mailboxes[i] = &mailbox{}
 	}
-	e.driver.init(graph, factory, e, false)
+	e.driver.init(graph, factory, e, n, false)
 	for w := range e.pool.deques {
 		go e.runWorker(w)
 	}
@@ -456,34 +432,6 @@ func (e *ConcurrentEngine) enqueue(from, to topology.NodeID, msg Message, round 
 	}
 }
 
-// deliver implements sink: the delivery arrives already stamped
-// (Context.DeliverToUser) and goes to the delivering node's own shard, so
-// the hot path takes no engine-wide lock.
-func (e *ConcurrentEngine) deliver(d Delivery) {
-	s := &e.delivShards[d.Node]
-	s.mu.Lock()
-	if s.bySub == nil {
-		s.bySub = map[model.SubscriptionID][]int{}
-	}
-	s.bySub[d.SubID] = append(s.bySub[d.SubID], len(s.log))
-	s.log = append(s.log, d)
-	s.mu.Unlock()
-	e.metrics.recordDelivery(d)
-	if fn := e.observer.Load(); fn != nil {
-		(*fn)(d)
-	}
-}
-
-// SetDeliveryObserver implements Runtime. Install the observer before any
-// event enters the network; it runs on worker goroutines.
-func (e *ConcurrentEngine) SetDeliveryObserver(fn func(Delivery)) {
-	if fn == nil {
-		e.observer.Store(nil)
-		return
-	}
-	e.observer.Store(&fn)
-}
-
 // drain implements scheduler: it blocks until every in-flight item (and
 // every item transitively produced by it) has been dispatched, or the
 // context is cancelled — the work then keeps running on the workers. A
@@ -525,57 +473,4 @@ func (e *ConcurrentEngine) stop() {
 		m.close()
 	}
 	e.pool.close()
-}
-
-// Deliveries implements Runtime: the per-node shards are concatenated in
-// node order; the order within the result is therefore not delivery order
-// (it never was specified to be for this engine).
-func (e *ConcurrentEngine) Deliveries() []Delivery {
-	total := 0
-	for i := range e.delivShards {
-		s := &e.delivShards[i]
-		s.mu.Lock()
-		total += len(s.log)
-		s.mu.Unlock()
-	}
-	out := make([]Delivery, 0, total)
-	for i := range e.delivShards {
-		s := &e.delivShards[i]
-		s.mu.Lock()
-		out = append(out, s.log...)
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// DeliveriesFor implements Runtime: the per-shard per-subscription indexes
-// are merged in node order, so the cost is proportional to the target
-// subscription's own deliveries (a subscription is typically delivered at a
-// single node — its owner's).
-func (e *ConcurrentEngine) DeliveriesFor(id model.SubscriptionID) []Delivery {
-	var out []Delivery
-	for i := range e.delivShards {
-		s := &e.delivShards[i]
-		s.mu.Lock()
-		for _, pos := range s.bySub[id] {
-			out = append(out, s.log[pos])
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// EvictDeliveries implements Runtime: the subscription's slots in every
-// shard's per-subscription delivery index and metric maps are released; the
-// shard logs keep their entries (Deliveries is unaffected). Callers should
-// be quiescent with respect to this subscription (retraction fully
-// propagated), which System guarantees by flushing before eviction.
-func (e *ConcurrentEngine) EvictDeliveries(id model.SubscriptionID) {
-	for i := range e.delivShards {
-		s := &e.delivShards[i]
-		s.mu.Lock()
-		delete(s.bySub, id)
-		s.mu.Unlock()
-	}
-	e.metrics.evictSubscription(id)
 }

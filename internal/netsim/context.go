@@ -8,12 +8,10 @@ import (
 )
 
 // sink is the engine-side interface a Context uses to hand off outgoing
-// messages and user deliveries. Both engines implement it. The round is the
-// lineage round of the item whose dispatch produced the message (see
-// watermark.go); deliveries carry their own round stamp.
+// messages. Both engines implement it. The round is the lineage round of the
+// item whose dispatch produced the message (see watermark.go).
 type sink interface {
 	enqueue(from, to topology.NodeID, msg Message, round int)
-	deliver(d Delivery)
 }
 
 // Context gives a handler access to its node's identity, its neighbourhood
@@ -25,6 +23,7 @@ type Context struct {
 	graph   *topology.Graph
 	metrics *Metrics
 	out     sink
+	log     *deliveryLog
 
 	// round is the lineage round of the item currently being dispatched on
 	// this node; dispatch() maintains it. A context is only ever touched by
@@ -152,13 +151,13 @@ func (c *Context) send(to topology.NodeID, msg Message) {
 	if !c.graph.HasEdge(c.self, to) {
 		panic(fmt.Sprintf("netsim: node %d attempted to send %s to non-neighbour %d", c.self, msg.Kind, to))
 	}
-	c.metrics.recordSend(c.self, to, msg, c.round)
+	c.metrics.recordSend(c.self, msg, c.round)
 	c.out.enqueue(c.self, to, msg, c.round)
 }
 
 // DeliverToUser hands a complex event to the local user owning the given
-// (root) subscription. Deliveries are recorded in the metrics for recall
-// accounting but generate no link traffic.
+// (root) subscription. Deliveries go to the delivery log (recall is computed
+// from it) but generate no link traffic.
 //
 // The delivery is stamped with the round of its newest component event (the
 // replay round during which the complex event logically completed). That
@@ -175,7 +174,7 @@ func (c *Context) DeliverToUser(sub model.SubscriptionID, events model.ComplexEv
 			round = e.Round
 		}
 	}
-	c.out.deliver(Delivery{Node: c.self, SubID: sub, Events: cp, Round: round})
+	c.log.deliver(Delivery{Node: c.self, SubID: sub, Events: cp, Round: round})
 }
 
 // DeliverAggregate hands one finalised windowed aggregate to the local user
@@ -184,5 +183,5 @@ func (c *Context) DeliverToUser(sub model.SubscriptionID, events model.ComplexEv
 // cascade ran — so the per-round conformance oracle compares aggregate
 // deliveries across engines and delivery modes exactly like complex events.
 func (c *Context) DeliverAggregate(sub model.SubscriptionID, res AggregateResult) {
-	c.out.deliver(Delivery{Node: c.self, SubID: sub, Aggregate: &res, Round: res.EndRound})
+	c.log.deliver(Delivery{Node: c.self, SubID: sub, Aggregate: &res, Round: res.EndRound})
 }

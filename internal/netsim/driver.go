@@ -48,10 +48,12 @@ const (
 // driver is everything the two engines share above the scheduling line:
 // the nodes and their handlers, validation, the injectors, the round
 // counter, the replay loop for all delivery modes, session state, the
-// watermark ledger and the ticks announcing it. It sits on the
-// per-injection and per-round path only; messages between nodes go straight
-// from Context.send to the engine's own enqueue.
+// watermark ledger and the ticks announcing it, and the delivery log. It
+// sits on the per-injection and per-round path only; messages between nodes
+// go straight from Context.send to the engine's own enqueue, and deliveries
+// from Context.DeliverToUser to the log.
 type driver struct {
+	deliveryLog
 	handlers []Handler
 	ctxs     []*Context
 	metrics  *Metrics
@@ -77,19 +79,21 @@ type driver struct {
 }
 
 // init builds one handler and context per node over the engine's scheduler,
-// which must be ready to receive sends before any handler runs.
-func (d *driver) init(graph *topology.Graph, factory HandlerFactory, sched scheduler, plainWaits bool) {
+// which must be ready to receive sends before any handler runs. logShards is
+// the engine's one say in the delivery log (see deliveryLog).
+func (d *driver) init(graph *topology.Graph, factory HandlerFactory, sched scheduler, logShards int, plainWaits bool) {
 	n := graph.NumNodes()
 	d.handlers = make([]Handler, n)
 	d.ctxs = make([]*Context, n)
-	d.metrics = NewMetrics(n)
+	d.deliveryLog.init(logShards)
+	d.metrics = newMetrics(n, &d.deliveryLog)
 	d.led.init()
 	d.sched = sched
 	d.plainWaits = plainWaits
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
 		d.handlers[i] = factory(id)
-		d.ctxs[i] = &Context{self: id, graph: graph, metrics: d.metrics, out: sched}
+		d.ctxs[i] = &Context{self: id, graph: graph, metrics: d.metrics, out: sched, log: &d.deliveryLog}
 		d.handlers[i].Init(d.ctxs[i])
 	}
 }

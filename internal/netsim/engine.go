@@ -10,9 +10,9 @@ import (
 
 // Runtime is the interface shared by the sequential and concurrent engines.
 // The experiment harness and the public facade are written against it. Both
-// engines implement all of it except the delivery log with one shared
-// driver (driver.go), so validation, errors, rounds, sessions and
-// watermarks cannot differ between them.
+// engines implement all of it with one shared driver (driver.go), so
+// validation, errors, rounds, sessions, watermarks and the delivery record
+// cannot differ between them.
 //
 // Blocking rule. Whether an entry point returns before the work it queued
 // has run depends on the call, the engine and whether a replay session is
@@ -107,17 +107,17 @@ type Runtime interface {
 	// delivery order (sequential engine) or an arbitrary order (concurrent).
 	Deliveries() []Delivery
 	// DeliveriesFor returns the deliveries of one subscription, served from
-	// the per-subscription delivery maps rather than a scan over the whole
-	// log: the cost is proportional to the subscription's own deliveries,
-	// not to the total delivered by the run.
+	// the delivery log's per-subscription index rather than a scan over the
+	// whole log: the cost is proportional to the subscription's own
+	// deliveries, not to the total delivered by the run.
 	DeliveriesFor(id model.SubscriptionID) []Delivery
-	// EvictDeliveries releases the per-subscription delivery-map entries of
-	// the given subscription — the DeliveriesFor index and the delivered
-	// sequence/notification counters — so a retracted subscription's history
-	// does not stay resident for the lifetime of the run. The system-wide
-	// delivery log (Deliveries) is unaffected. Serving layers call it on
-	// unsubscribe; callers that want the pull log to outlive the
-	// subscription simply do not.
+	// EvictDeliveries releases the given subscription's entries in the
+	// delivery log's per-subscription index, so every per-subscription view
+	// — DeliveriesFor, Metrics.DeliveredSeqs, Metrics.ComplexDeliveries —
+	// reads empty for it afterwards. The system-wide delivery log
+	// (Deliveries) is unaffected. Serving layers call it on unsubscribe;
+	// callers that want the pull log to outlive the subscription simply do
+	// not.
 	EvictDeliveries(id model.SubscriptionID)
 	// SetDeliveryObserver installs a function invoked for every delivery as
 	// it is recorded (push delivery). The observer runs on the delivering
@@ -187,20 +187,14 @@ const (
 // what the experiment harness and the regression tests rely on.
 //
 // Everything above the queue (injectors, replay loop, sessions, watermark
-// ticks) is the shared driver; what is specific to this engine is the queue,
-// the drain loops that run it, and the delivery-ordered log.
+// ticks, delivery log) is the shared driver; what is specific to this engine
+// is the queue and the drain loops that run it. Its delivery log has a single
+// shard, which keeps Deliveries() in delivery order.
 type Engine struct {
 	driver
 	queue    []queued
 	head     int
 	draining bool
-
-	deliveries []Delivery
-	// delivBySub indexes deliveries per subscription (positions into the
-	// deliveries log), so DeliveriesFor is proportional to one
-	// subscription's deliveries rather than the whole log.
-	delivBySub map[model.SubscriptionID][]int
-	observer   func(Delivery)
 }
 
 var _ Runtime = (*Engine)(nil)
@@ -208,41 +202,9 @@ var _ Runtime = (*Engine)(nil)
 // NewEngine builds a sequential engine over the given topology, creating one
 // handler per node with the factory.
 func NewEngine(graph *topology.Graph, factory HandlerFactory) *Engine {
-	e := &Engine{delivBySub: map[model.SubscriptionID][]int{}}
-	e.driver.init(graph, factory, e, true)
+	e := &Engine{}
+	e.driver.init(graph, factory, e, 1, true)
 	return e
-}
-
-// Deliveries implements Runtime.
-func (e *Engine) Deliveries() []Delivery {
-	out := make([]Delivery, len(e.deliveries))
-	copy(out, e.deliveries)
-	return out
-}
-
-// DeliveriesFor implements Runtime: the per-subscription index makes this
-// proportional to the subscription's own deliveries.
-func (e *Engine) DeliveriesFor(id model.SubscriptionID) []Delivery {
-	idxs := e.delivBySub[id]
-	if len(idxs) == 0 {
-		return nil
-	}
-	out := make([]Delivery, len(idxs))
-	for i, pos := range idxs {
-		out[i] = e.deliveries[pos]
-	}
-	return out
-}
-
-// SetDeliveryObserver implements Runtime.
-func (e *Engine) SetDeliveryObserver(fn func(Delivery)) { e.observer = fn }
-
-// EvictDeliveries implements Runtime: the subscription's entry in the
-// per-subscription delivery index and its metric maps are released; the
-// append-only delivery log keeps its entries.
-func (e *Engine) EvictDeliveries(id model.SubscriptionID) {
-	delete(e.delivBySub, id)
-	e.metrics.evictSubscription(id)
 }
 
 // Preallocate sizes the engine's append-only stores to absorb roughly mult
@@ -257,24 +219,13 @@ func (e *Engine) Preallocate(mult int) {
 	if mult < 1 {
 		return
 	}
-	if n := len(e.deliveries) * (mult + 1); n > cap(e.deliveries) {
-		grown := make([]Delivery, len(e.deliveries), n)
-		copy(grown, e.deliveries)
-		e.deliveries = grown
-	}
-	for id, idxs := range e.delivBySub {
-		if n := len(idxs) * (mult + 1); n > cap(idxs) {
-			grown := make([]int, len(idxs), n)
-			copy(grown, idxs)
-			e.delivBySub[id] = grown
-		}
-	}
+	e.deliveryLog.reserve(mult)
 	perNode := make([]int, len(e.ctxs))
-	for _, d := range e.deliveries {
-		if i := int(d.Node); i >= 0 && i < len(perNode) {
-			perNode[i] += len(d.Events)
+	e.deliveryLog.locked(func(s *deliveryShard) {
+		for _, d := range s.log {
+			perNode[d.Node] += len(d.Events)
 		}
-	}
+	})
 	for i, c := range e.ctxs {
 		if n := perNode[i] * mult; n > 0 {
 			c.arena.reserve(n)
@@ -380,15 +331,4 @@ func (e *Engine) compact() {
 	}
 	e.queue = e.queue[:n]
 	e.head = 0
-}
-
-// deliver implements sink. The delivery arrives already stamped with the
-// round of its newest component (Context.DeliverToUser).
-func (e *Engine) deliver(d Delivery) {
-	e.delivBySub[d.SubID] = append(e.delivBySub[d.SubID], len(e.deliveries))
-	e.deliveries = append(e.deliveries, d)
-	e.metrics.recordDelivery(d)
-	if e.observer != nil {
-		e.observer(d)
-	}
 }

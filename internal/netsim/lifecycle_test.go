@@ -162,64 +162,68 @@ func TestConcurrentEngineHandlerAccessor(t *testing.T) {
 	}
 }
 
-// TestConcurrentEngineDeliveriesRaceClean hammers Deliveries and Metrics
-// readers while a pipelined replay is in flight; run under -race this proves
-// the read paths are safe against concurrent worker writes.
+// TestConcurrentEngineDeliveriesRaceClean hammers every reader of the
+// delivery log and the metrics while a pipelined and a windowed replay are in
+// flight; run under -race this proves the read paths are safe against
+// concurrent worker writes.
 func TestConcurrentEngineDeliveriesRaceClean(t *testing.T) {
-	g := lineGraph(t, 6)
-	e := NewConcurrentEngine(g, newFloodHandler)
-	defer e.Close()
-	if err := e.AttachSensor(5, model.Sensor{ID: "d1", Attr: model.WindSpeed}); err != nil {
-		t.Fatal(err)
-	}
-	e.Flush()
-
-	const rounds, perRound = 8, 4
-	trace := make([][]Publication, rounds)
-	seq := uint64(0)
-	for r := range trace {
-		for i := 0; i < perRound; i++ {
-			seq++
-			trace[r] = append(trace[r], Publication{Node: 5, Event: testEvent(seq)})
-		}
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_ = e.Deliveries()
-				_ = e.Metrics().Snapshot()
-				_ = e.Metrics().DroppedMessages()
+	for _, opts := range []ReplayOptions{{Mode: Pipelined}, {Mode: Windowed, Lag: 2}} {
+		t.Run(fmt.Sprintf("%v-lag%d", opts.Mode, opts.Lag), func(t *testing.T) {
+			g := lineGraph(t, 6)
+			e := NewConcurrentEngine(g, newFloodHandler)
+			defer e.Close()
+			if err := e.AttachSensor(5, model.Sensor{ID: "d1", Attr: model.WindSpeed}); err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	if err := e.ReplayRounds(trace, ReplayOptions{Mode: Pipelined}); err != nil {
-		t.Fatal(err)
-	}
-	e.Flush()
-	close(stop)
-	wg.Wait()
+			e.Flush()
 
-	if got := len(e.Deliveries()); got != rounds*perRound {
-		t.Errorf("deliveries = %d, want %d", got, rounds*perRound)
-	}
-	if n := e.Metrics().DroppedMessages(); n != 0 {
-		t.Errorf("dropped %d messages", n)
-	}
-	// Every delivery must be stamped with the round that produced it.
-	for _, d := range e.Deliveries() {
-		if d.Round < 1 || d.Round > rounds {
-			t.Fatalf("delivery round %d outside [1,%d]", d.Round, rounds)
-		}
+			const rounds, perRound = 8, 4
+			trace := windowedTrace(5, rounds, perRound)
+
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						_ = e.Deliveries()
+						_ = e.DeliveriesFor("sink")
+						_ = e.Metrics().DeliveredSeqs("sink")
+						_ = e.Metrics().ComplexDeliveries("sink")
+						_ = e.Metrics().Snapshot()
+						_ = e.Metrics().DroppedMessages()
+					}
+				}()
+			}
+			if err := e.ReplayRounds(trace, opts); err != nil {
+				t.Fatal(err)
+			}
+			e.Flush()
+			close(stop)
+			wg.Wait()
+
+			if got := len(e.Deliveries()); got != rounds*perRound {
+				t.Errorf("deliveries = %d, want %d", got, rounds*perRound)
+			}
+			if got := len(e.Metrics().DeliveredSeqs("sink")); got != rounds*perRound {
+				t.Errorf("delivered seqs = %d, want %d", got, rounds*perRound)
+			}
+			if n := e.Metrics().DroppedMessages(); n != 0 {
+				t.Errorf("dropped %d messages", n)
+			}
+			// Every delivery must be stamped with the round that produced it.
+			for _, d := range e.Deliveries() {
+				if d.Round < 1 || d.Round > rounds {
+					t.Fatalf("delivery round %d outside [1,%d]", d.Round, rounds)
+				}
+			}
+		})
 	}
 }
 

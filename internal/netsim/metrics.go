@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -9,21 +8,17 @@ import (
 	"sensorcq/internal/topology"
 )
 
-// Link identifies a directed link between two neighbouring nodes.
-type Link struct {
-	From topology.NodeID
-	To   topology.NodeID
-}
-
 // Metrics accumulates the traffic counters of one simulation run. It is safe
-// for concurrent use: the counters and the per-subscription delivery maps
-// are sharded per node, and every record path touches only the shard of the
-// node doing the work — the sending node for traffic, the delivering node
-// for deliveries. Each shard is written by exactly one worker goroutine of
-// the concurrent engine, so the per-shard mutex is uncontended on the hot
-// path (it exists so that merge-on-read accessors are race-free while a
-// replay is still in flight). This is what removed the single metrics mutex
-// every node used to funnel through under pipelined/windowed replay.
+// for concurrent use: the counters are sharded per node, and recording a
+// send touches only the sending node's shard. Each shard is written by
+// exactly one worker goroutine of the concurrent engine at a time, so the
+// per-shard mutex is uncontended on the hot path (it exists so that
+// merge-on-read accessors are race-free while a replay is still in flight).
+// This is what removed the single metrics mutex every node used to funnel
+// through under pipelined/windowed replay.
+//
+// Deliveries are not recorded here a second time: DeliveredSeqs and
+// ComplexDeliveries are read-time views over the engine's delivery log.
 //
 // The two headline metrics correspond directly to the paper's figures:
 // SubscriptionLoad is the "number of forwarded queries" (Figs. 4, 6, 8, 10)
@@ -31,6 +26,8 @@ type Link struct {
 type Metrics struct {
 	shards  []metricsShard
 	dropped atomic.Int64
+	// log is the engine's delivery log, which the delivery views read.
+	log *deliveryLog
 }
 
 // metricsShard holds one node's slice of every counter. The trailing pad
@@ -53,9 +50,6 @@ type metricsShard struct {
 	partialAggregateLoad  int64
 	partialAggregateBytes int64
 
-	linkSubscription map[Link]int64
-	linkEvent        map[Link]int64
-
 	// eventLoadByRound and subscriptionLoadByRound split the event and
 	// subscription loads by lineage round (the replay round whose dispatch
 	// cascade produced the send, the same attribution the watermark ledger
@@ -69,48 +63,22 @@ type metricsShard struct {
 	eventLoadByRound        []int64
 	subscriptionLoadByRound []int64
 
-	// deliveredSeqs tracks, per user subscription, the set of simple-event
-	// sequence numbers that reached the subscribing user as part of some
-	// complex event. Recall compares it against the oracle's expectation.
-	deliveredSeqs map[model.SubscriptionID]map[uint64]bool
-	// complexDeliveries counts complex-event notifications per subscription.
-	complexDeliveries map[model.SubscriptionID]int64
-
 	_ [64]byte
 }
 
-// NewMetrics returns an empty metrics accumulator with one shard per node.
-func NewMetrics(nodes int) *Metrics {
-	if nodes < 1 {
-		nodes = 1
-	}
-	m := &Metrics{shards: make([]metricsShard, nodes)}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.linkSubscription = map[Link]int64{}
-		s.linkEvent = map[Link]int64{}
-		s.deliveredSeqs = map[model.SubscriptionID]map[uint64]bool{}
-		s.complexDeliveries = map[model.SubscriptionID]int64{}
-	}
-	return m
+// newMetrics returns an empty metrics accumulator with one shard per node,
+// whose delivery views read the given log.
+func newMetrics(nodes int, log *deliveryLog) *Metrics {
+	return &Metrics{shards: make([]metricsShard, nodes), log: log}
 }
 
-// shardFor returns the shard owned by the given node (clamped for safety:
-// records must never be lost to an out-of-range attribution).
-func (m *Metrics) shardFor(node topology.NodeID) *metricsShard {
-	i := int(node)
-	if i < 0 || i >= len(m.shards) {
-		i = 0
-	}
-	return &m.shards[i]
-}
-
-func (m *Metrics) recordSend(from, to topology.NodeID, msg Message, round int) {
+// recordSend counts one send in the sending node's shard.
+func (m *Metrics) recordSend(from topology.NodeID, msg Message, round int) {
 	units := msg.Units
 	if units <= 0 {
 		units = 1
 	}
-	s := m.shardFor(from)
+	s := &m.shards[from]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch msg.Kind {
@@ -118,13 +86,11 @@ func (m *Metrics) recordSend(from, to topology.NodeID, msg Message, round int) {
 		s.advertisementLoad += units
 	case KindSubscription:
 		s.subscriptionLoad += units
-		s.linkSubscription[Link{From: from, To: to}] += units
 		s.subscriptionLoadByRound = addByRound(s.subscriptionLoadByRound, round, units)
 	case KindUnsubscription:
 		s.unsubscriptionLoad += units
 	case KindEvent:
 		s.eventLoad += units
-		s.linkEvent[Link{From: from, To: to}] += units
 		s.eventLoadByRound = addByRound(s.eventLoadByRound, round, units)
 	case KindPartialAggregate:
 		s.partialAggregateLoad += units
@@ -215,37 +181,8 @@ func sumRounds(byRound []int64, lo, hi int) int64 {
 	return total
 }
 
-func (m *Metrics) recordDelivery(d Delivery) {
-	s := m.shardFor(d.Node)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	set := s.deliveredSeqs[d.SubID]
-	if set == nil {
-		set = map[uint64]bool{}
-		s.deliveredSeqs[d.SubID] = set
-	}
-	for _, e := range d.Events {
-		set[e.Seq] = true
-	}
-	s.complexDeliveries[d.SubID]++
-}
-
 // recordDrop counts a message an engine failed to enqueue.
 func (m *Metrics) recordDrop() { m.dropped.Add(1) }
-
-// evictSubscription releases one subscription's delivery maps across every
-// shard: the delivered-sequence set (the big one — it grows with every
-// distinct component delivered) and the notification counter. Traffic
-// counters are untouched.
-func (m *Metrics) evictSubscription(sub model.SubscriptionID) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		delete(s.deliveredSeqs, sub)
-		delete(s.complexDeliveries, sub)
-		s.mu.Unlock()
-	}
-}
 
 // DroppedMessages returns the number of messages an engine failed to enqueue
 // (for example a send racing engine shutdown). A run whose dropped count is
@@ -313,127 +250,40 @@ func (m *Metrics) PartialAggregateBytes() int64 {
 // windowed replay it is the only exact per-range accounting, since rounds
 // overlap and no quiescent instant exists to snapshot at.
 func (m *Metrics) EventLoadForRounds(lo, hi int) int64 {
-	var total int64
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		total += sumRounds(s.eventLoadByRound, lo, hi)
-		s.mu.Unlock()
-	}
-	return total
+	return m.sum(func(s *metricsShard) int64 { return sumRounds(s.eventLoadByRound, lo, hi) })
 }
 
 // SubscriptionLoadForRounds returns the number of forwarded subscriptions
 // and operators attributed to lineage rounds lo..hi inclusive. Subscription
 // injections are stamped with the round current at injection, so the
 // cumulative subscription load after a batch injected at round boundary r is
-// SubscriptionLoadForRounds(0, r) — exact even while later rounds are still
-// in flight in an open windowed session.
+// SubscriptionLoadForRounds(0, r) — exact once round r has retired, even
+// while later rounds are still in flight in an open windowed session.
 func (m *Metrics) SubscriptionLoadForRounds(lo, hi int) int64 {
-	var total int64
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		total += sumRounds(s.subscriptionLoadByRound, lo, hi)
-		s.mu.Unlock()
-	}
-	return total
+	return m.sum(func(s *metricsShard) int64 { return sumRounds(s.subscriptionLoadByRound, lo, hi) })
 }
 
-// TotalLoad returns the sum of all loads.
-func (m *Metrics) TotalLoad() int64 {
-	return m.sum(func(s *metricsShard) int64 {
-		return s.advertisementLoad + s.subscriptionLoad + s.unsubscriptionLoad + s.eventLoad
-	})
-}
-
-// DeliveredSeqs returns a copy of the delivered event sequence numbers for
-// the given user subscription, merged across every node's shard.
+// DeliveredSeqs returns the set of simple-event sequence numbers that reached
+// the given user subscription as part of some complex event, read from the
+// delivery log's per-subscription index (empty once the subscription's
+// deliveries were evicted). Recall compares it against the oracle's
+// expectation.
 func (m *Metrics) DeliveredSeqs(sub model.SubscriptionID) map[uint64]bool {
 	out := map[uint64]bool{}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for k, v := range s.deliveredSeqs[sub] {
-			out[k] = v
+	m.log.eachFor(sub, func(d Delivery) {
+		for _, e := range d.Events {
+			out[e.Seq] = true
 		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// ComplexDeliveries returns the number of complex-event notifications
-// delivered for the given subscription.
-func (m *Metrics) ComplexDeliveries(sub model.SubscriptionID) int64 {
-	return m.sum(func(s *metricsShard) int64 { return s.complexDeliveries[sub] })
-}
-
-// SubscriptionsWithDeliveries returns the IDs of subscriptions that received
-// at least one delivery, sorted.
-func (m *Metrics) SubscriptionsWithDeliveries() []model.SubscriptionID {
-	seen := map[model.SubscriptionID]bool{}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for id := range s.deliveredSeqs {
-			seen[id] = true
-		}
-		s.mu.Unlock()
-	}
-	out := make([]model.SubscriptionID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// BusiestEventLinks returns the top-n links by event units, useful for
-// reports and debugging hot spots.
-func (m *Metrics) BusiestEventLinks(n int) []struct {
-	Link  Link
-	Units int64
-} {
-	merged := map[Link]int64{}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for l, u := range s.linkEvent {
-			merged[l] += u
-		}
-		s.mu.Unlock()
-	}
-	type row struct {
-		Link  Link
-		Units int64
-	}
-	rows := make([]row, 0, len(merged))
-	for l, u := range merged {
-		rows = append(rows, row{Link: l, Units: u})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Units != rows[j].Units {
-			return rows[i].Units > rows[j].Units
-		}
-		if rows[i].Link.From != rows[j].Link.From {
-			return rows[i].Link.From < rows[j].Link.From
-		}
-		return rows[i].Link.To < rows[j].Link.To
 	})
-	if n > len(rows) {
-		n = len(rows)
-	}
-	out := make([]struct {
-		Link  Link
-		Units int64
-	}, n)
-	for i := 0; i < n; i++ {
-		out[i] = struct {
-			Link  Link
-			Units int64
-		}{rows[i].Link, rows[i].Units}
-	}
 	return out
+}
+
+// ComplexDeliveries returns the number of notifications delivered for the
+// given subscription, read like DeliveredSeqs.
+func (m *Metrics) ComplexDeliveries(sub model.SubscriptionID) int64 {
+	var n int64
+	m.log.eachFor(sub, func(Delivery) { n++ })
+	return n
 }
 
 // Snapshot is an immutable copy of the headline counters, convenient for
@@ -460,15 +310,4 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.mu.Unlock()
 	}
 	return snap
-}
-
-// Diff returns the change from an earlier snapshot to this one.
-func (s Snapshot) Diff(earlier Snapshot) Snapshot {
-	return Snapshot{
-		AdvertisementLoad:    s.AdvertisementLoad - earlier.AdvertisementLoad,
-		SubscriptionLoad:     s.SubscriptionLoad - earlier.SubscriptionLoad,
-		UnsubscriptionLoad:   s.UnsubscriptionLoad - earlier.UnsubscriptionLoad,
-		EventLoad:            s.EventLoad - earlier.EventLoad,
-		PartialAggregateLoad: s.PartialAggregateLoad - earlier.PartialAggregateLoad,
-	}
 }

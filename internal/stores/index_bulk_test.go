@@ -2,7 +2,6 @@ package stores
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"sensorcq/internal/model"
@@ -169,10 +168,6 @@ func TestPromotionRefreshesCoverLinks(t *testing.T) {
 			}
 			covered = append(covered, c)
 		}
-		// Force the match index into existence so promotion maintains it.
-		probe := randomEvent(rng, 1)
-		table.EventCandidates(origin, probe, func(*model.Subscription) bool { return true })
-
 		// Retract the cover: every link naming it must die with it.
 		if _, wasUncovered, ok := table.Remove(origin, base.ID); !ok || !wasUncovered {
 			t.Fatal("Remove(base) failed")
@@ -205,13 +200,8 @@ func TestPromotionRefreshesCoverLinks(t *testing.T) {
 		// over what is now uncovered.
 		for q := 0; q < 40; q++ {
 			ev := randomEvent(rng, uint64(q+2))
-			var got []string
-			table.EventCandidates(origin, ev, func(s *model.Subscription) bool {
-				got = append(got, string(s.ID))
-				return true
-			})
+			got := uncoveredCandidateIDs(table, origin, ev)
 			want := linearMatchIDs(table.Uncovered(origin), ev)
-			sort.Strings(got)
 			if !equalStrings(got, want) {
 				t.Fatalf("trial %d: candidates(%v) = %v, want %v", trial, ev, got, want)
 			}

@@ -104,8 +104,8 @@ func TestEventIndexDoubleAddIsNoop(t *testing.T) {
 
 // TestSubscriptionTableRemovePromote covers the churn surface of the
 // subscription table: removal from covered and uncovered sets, Seen
-// clearing, promotion of covered entries into the uncovered set, and the
-// match index staying consistent throughout.
+// clearing, promotion of covered entries into the uncovered set, and an
+// index loaded from the uncovered set following the mutations.
 func TestSubscriptionTableRemovePromote(t *testing.T) {
 	rng := stats.NewRNG(31)
 	tbl := NewSubscriptionTable(0)
@@ -130,16 +130,11 @@ func TestSubscriptionTableRemovePromote(t *testing.T) {
 	if tbl.CountUncovered() != 1 {
 		t.Errorf("uncovered count = %d, want 1", tbl.CountUncovered())
 	}
-	// The match index (built lazily by EventCandidates) must track the
-	// mutations.
+	// An index over the uncovered set must follow the mutations.
 	probe := func() int {
 		count := 0
 		for q := 0; q < 400; q++ {
-			ev := randomEvent(rng, uint64(q+1))
-			tbl.EventCandidates(origin, ev, func(*model.Subscription) bool {
-				count++
-				return true
-			})
+			count += len(uncoveredCandidateIDs(tbl, origin, randomEvent(rng, uint64(q+1))))
 		}
 		return count
 	}

@@ -8,6 +8,7 @@ import (
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
 	"sensorcq/internal/stats"
+	"sensorcq/internal/topology"
 )
 
 // randomSubscription builds a random identified or abstract subscription
@@ -81,6 +82,14 @@ func candidateIDs(idx *EventIndex, ev model.Event) []string {
 	})
 	sort.Strings(out)
 	return out
+}
+
+// uncoveredCandidateIDs stabs an index loaded from the origin's uncovered
+// set, the way a protocol node builds its matchers from the table.
+func uncoveredCandidateIDs(tbl *SubscriptionTable, origin topology.NodeID, ev model.Event) []string {
+	idx := NewEventIndex()
+	idx.BulkLoad(tbl.Uncovered(origin))
+	return candidateIDs(idx, ev)
 }
 
 func linearMatchIDs(subs []*model.Subscription, ev model.Event) []string {
@@ -203,9 +212,9 @@ func TestEventIndexEarlyStop(t *testing.T) {
 	}
 }
 
-// TestSubscriptionTableEventCandidates checks the table-level wiring: only
-// uncovered subscriptions of the right origin are candidates.
-func TestSubscriptionTableEventCandidates(t *testing.T) {
+// TestSubscriptionTableUncoveredFeedsIndex checks what the table hands an
+// index: only uncovered subscriptions of the right origin become candidates.
+func TestSubscriptionTableUncoveredFeedsIndex(t *testing.T) {
 	tbl := NewSubscriptionTable(0)
 	mk := func(id string, lo, hi float64) *model.Subscription {
 		sub, err := model.NewAbstractSubscription(model.SubscriptionID(id),
@@ -222,20 +231,10 @@ func TestSubscriptionTableEventCandidates(t *testing.T) {
 	tbl.AddCovered(1, mk("c1", 0, 10))
 
 	ev := model.Event{Seq: 1, Sensor: "dx", Attr: model.WindSpeed, Value: 5}
-	var got []string
-	tbl.EventCandidates(1, ev, func(s *model.Subscription) bool {
-		got = append(got, string(s.ID))
-		return true
-	})
-	if len(got) != 1 || got[0] != "u1" {
-		t.Errorf("EventCandidates(origin 1) = %v, want [u1]", got)
+	if got := uncoveredCandidateIDs(tbl, 1, ev); len(got) != 1 || got[0] != "u1" {
+		t.Errorf("candidates(origin 1) = %v, want [u1]", got)
 	}
-	var none []string
-	tbl.EventCandidates(9, ev, func(s *model.Subscription) bool {
-		none = append(none, string(s.ID))
-		return true
-	})
-	if len(none) != 0 {
-		t.Errorf("EventCandidates(unknown origin) = %v, want empty", none)
+	if none := uncoveredCandidateIDs(tbl, 9, ev); len(none) != 0 {
+		t.Errorf("candidates(unknown origin) = %v, want empty", none)
 	}
 }

@@ -184,20 +184,14 @@ func TestSubscriptionTable(t *testing.T) {
 	if tbl.CountUncovered() != 2 || tbl.CountCovered() != 1 {
 		t.Error("counts wrong")
 	}
-	matchIDs := func(attr model.AttributeType) []model.SubscriptionID {
-		ev := model.Event{Seq: 1, Sensor: "dx", Attr: attr, Value: 50}
-		var ids []model.SubscriptionID
-		tbl.EventCandidates(1, ev, func(s *model.Subscription) bool {
-			ids = append(ids, s.ID)
-			return true
-		})
-		return ids
+	matchIDs := func(attr model.AttributeType) []string {
+		return uncoveredCandidateIDs(tbl, 1, model.Event{Seq: 1, Sensor: "dx", Attr: attr, Value: 50})
 	}
 	if got := matchIDs(model.WindSpeed); len(got) != 2 {
-		t.Errorf("EventCandidates(wind) = %d entries, want 2", len(got))
+		t.Errorf("candidates(wind) = %d entries, want 2", len(got))
 	}
 	if got := matchIDs(model.RelativeHumidity); len(got) != 1 || got[0] != "s2" {
-		t.Errorf("EventCandidates(humidity) wrong: %v", got)
+		t.Errorf("candidates(humidity) wrong: %v", got)
 	}
 	if got := matchIDs(model.AmbientTemperature); len(got) != 0 {
 		t.Error("covered subscriptions must not be indexed for matching")

@@ -47,13 +47,6 @@ type originSubs struct {
 	order   []*classSubs
 	// nUncovered and nCovered count the members across all buckets.
 	nUncovered, nCovered int
-	// matchIdx is the range index over the uncovered subscriptions' filter
-	// predicates: the indexed event-matching fast path that replaces
-	// per-attribute linear scans with stabbing queries. It is built lazily
-	// on the origin's first EventCandidates call (and kept current by
-	// AddUncovered afterwards), so tables whose callers never query it pay
-	// nothing.
-	matchIdx *EventIndex
 	// coverBy records which single uncovered subscription covered each
 	// covered one at the time it was filed (when one exists — set filtering
 	// can subsume by union, leaving no single cover). The protocol handlers
@@ -203,9 +196,6 @@ func (t *SubscriptionTable) AddUncovered(origin topology.NodeID, sub *model.Subs
 	}
 	c.uncovered = append(c.uncovered, sub)
 	o.nUncovered++
-	if o.matchIdx != nil {
-		o.matchIdx.Add(sub)
-	}
 	return true
 }
 
@@ -307,10 +297,10 @@ func (t *SubscriptionTable) gather(origin topology.NodeID, uncovered, covered bo
 }
 
 // Remove retracts the subscription with the given ID from the origin's
-// stores (covered or uncovered) and from the origin's match index. It
-// returns the removed subscription and whether it was stored uncovered; ok
-// is false when the origin never stored the ID. After Remove the ID is no
-// longer Seen, so a later re-subscription is processed afresh.
+// stores (covered or uncovered). It returns the removed subscription and
+// whether it was stored uncovered; ok is false when the origin never stored
+// the ID. After Remove the ID is no longer Seen, so a later re-subscription
+// is processed afresh.
 func (t *SubscriptionTable) Remove(origin topology.NodeID, id model.SubscriptionID) (removed *model.Subscription, wasUncovered, ok bool) {
 	o, sub := t.lookup(origin, id)
 	if sub == nil {
@@ -321,9 +311,6 @@ func (t *SubscriptionTable) Remove(origin topology.NodeID, id model.Subscription
 	c := o.classes[sub.Class()]
 	if wasUncovered = removeByID(&c.uncovered, id); wasUncovered {
 		o.nUncovered--
-		if o.matchIdx != nil {
-			o.matchIdx.Remove(id)
-		}
 		o.dropLinksTo(id)
 	} else {
 		removeByID(&c.covered, id)
@@ -334,9 +321,8 @@ func (t *SubscriptionTable) Remove(origin topology.NodeID, id model.Subscription
 	return sub, wasUncovered, true
 }
 
-// Promote moves a covered subscription of the origin into the uncovered set
-// (and the origin's match index), re-exposing it after the subscription that
-// covered it was retracted. It returns the promoted subscription, or nil
+// Promote moves a covered subscription of the origin into the uncovered set,
+// re-exposing it after the subscription that covered it was retracted. It returns the promoted subscription, or nil
 // when the ID is not stored covered for the origin.
 //
 // Promotion also refreshes the origin's cover links: covered subscriptions
@@ -359,9 +345,6 @@ func (t *SubscriptionTable) Promote(origin topology.NodeID, id model.Subscriptio
 	c.uncovered = append(c.uncovered, sub)
 	o.nCovered--
 	o.nUncovered++
-	if o.matchIdx != nil {
-		o.matchIdx.Add(sub)
-	}
 	if t.recordsLinks(origin) {
 		for _, other := range c.covered {
 			if _, linked := o.coverBy[other.ID]; !linked && other.CoveredBy(sub) {
@@ -388,23 +371,6 @@ func removeByID(list *[]*model.Subscription, id model.SubscriptionID) bool {
 		}
 	}
 	return false
-}
-
-// EventCandidates invokes fn with every uncovered subscription of the origin
-// that matches the simple event, using the range index instead of a scan
-// over the per-attribute lists. Iteration stops early when fn returns false.
-func (t *SubscriptionTable) EventCandidates(origin topology.NodeID, ev model.Event, fn func(*model.Subscription) bool) {
-	o := t.origins[origin]
-	if o == nil || o.nUncovered == 0 {
-		return
-	}
-	if o.matchIdx == nil {
-		// The whole uncovered population arrives at once, so the first query
-		// packs it bottom-up instead of growing trees one insert at a time.
-		o.matchIdx = NewEventIndex()
-		o.matchIdx.BulkLoad(t.Uncovered(origin))
-	}
-	o.matchIdx.Candidates(ev, fn)
 }
 
 // Origins returns all origins with at least one stored subscription, sorted.

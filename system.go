@@ -349,10 +349,11 @@ func (s *System) unsubscribe(h *SubscriptionHandle) error {
 	s.runtime.Flush()
 	s.handles.Delete(h.sub.ID)
 	h.closeSink()
-	// Release the retracted subscription's delivery maps (the DeliveriesFor
-	// index and the delivered-sequence sets) unless the handle opted into
-	// keeping its history: the pull log of a long-gone subscription would
-	// otherwise stay resident for the lifetime of the system.
+	// Release the retracted subscription's entries in the delivery log's
+	// per-subscription index (which DeliveriesFor and DeliveredEventSeqs
+	// read) unless the handle opted into keeping its history: the pull log
+	// of a long-gone subscription would otherwise stay reachable for the
+	// lifetime of the system.
 	if !h.retainLog {
 		s.runtime.EvictDeliveries(h.sub.ID)
 	}
@@ -445,18 +446,28 @@ func (s *System) PublishBatch(events []Event) error {
 // PublishBatchContext is PublishBatch with cancellation (see
 // PublishContext for the semantics of an aborted propagation wait).
 func (s *System) PublishBatchContext(ctx context.Context, events []Event) error {
+	return s.replay(ctx, [][]Event{events}, netsim.ReplayOptions{Mode: netsim.Quiescent})
+}
+
+// replay pairs every reading with the node hosting its sensor (an unknown
+// sensor rejects the trace before any event enters the network), replays the
+// rounds under the given options and flushes.
+func (s *System) replay(ctx context.Context, rounds [][]Event, opts netsim.ReplayOptions) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	batch := make([]netsim.Publication, len(events))
-	for i, ev := range events {
-		host, ok := s.dep.SensorHost[ev.Sensor]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownSensor, ev.Sensor)
+	pubRounds := make([][]netsim.Publication, len(rounds))
+	for r, events := range rounds {
+		pubRounds[r] = make([]netsim.Publication, len(events))
+		for i, ev := range events {
+			host, ok := s.dep.SensorHost[ev.Sensor]
+			if !ok {
+				return fmt.Errorf("%w: %s", ErrUnknownSensor, ev.Sensor)
+			}
+			pubRounds[r][i] = netsim.Publication{Node: host, Event: ev}
 		}
-		batch[i] = netsim.Publication{Node: host, Event: ev}
 	}
-	if err := s.runtime.ReplayRoundsContext(ctx, [][]netsim.Publication{batch}, netsim.ReplayOptions{Mode: netsim.Quiescent}); err != nil {
+	if err := s.runtime.ReplayRoundsContext(ctx, pubRounds, opts); err != nil {
 		return err
 	}
 	return s.runtime.FlushContext(ctx)
@@ -484,24 +495,7 @@ func (s *System) ReplayRounds(rounds [][]Event) error {
 // the context's error. Rounds already injected keep propagating; the next
 // drain (any mutating call, or Close) completes them.
 func (s *System) ReplayRoundsContext(ctx context.Context, rounds [][]Event) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	pubRounds := make([][]netsim.Publication, len(rounds))
-	for r, events := range rounds {
-		pubRounds[r] = make([]netsim.Publication, len(events))
-		for i, ev := range events {
-			host, ok := s.dep.SensorHost[ev.Sensor]
-			if !ok {
-				return fmt.Errorf("%w: %s", ErrUnknownSensor, ev.Sensor)
-			}
-			pubRounds[r][i] = netsim.Publication{Node: host, Event: ev}
-		}
-	}
-	if err := s.runtime.ReplayRoundsContext(ctx, pubRounds, netsim.ReplayOptions{Mode: s.delivery, Lag: s.lag}); err != nil {
-		return err
-	}
-	return s.runtime.FlushContext(ctx)
+	return s.replay(ctx, rounds, netsim.ReplayOptions{Mode: s.delivery, Lag: s.lag})
 }
 
 // ReplayTrace replays a generated trace round by round under the system's
@@ -574,17 +568,18 @@ func (s *System) IndexStats() IndexStats {
 func (s *System) Deliveries() []Delivery { return s.runtime.Deliveries() }
 
 // DeliveriesFor returns the deliveries of one subscription, served from the
-// per-subscription sharded delivery maps: the cost is proportional to the
+// delivery log's per-subscription index: the cost is proportional to the
 // subscription's own deliveries, not to the total delivered by the run.
-// The maps of a retracted subscription are evicted by Unsubscribe (empty
-// result) unless it was registered with WithRetainLog; Deliveries keeps the
-// full system log either way.
+// The index entries of a retracted subscription are evicted by Unsubscribe
+// (empty result) unless it was registered with WithRetainLog; Deliveries
+// keeps the full system log either way.
 func (s *System) DeliveriesFor(id SubscriptionID) []Delivery {
 	return s.runtime.DeliveriesFor(id)
 }
 
 // DeliveredEventSeqs returns the set of simple-event sequence numbers that
-// reached the user of the given subscription.
+// reached the user of the given subscription, read from the same index as
+// DeliveriesFor (so it is empty under the same conditions).
 func (s *System) DeliveredEventSeqs(id SubscriptionID) map[uint64]bool {
 	return s.runtime.Metrics().DeliveredSeqs(id)
 }
