@@ -205,10 +205,12 @@ type Node struct {
 	// (sequence) order; kept on the node to avoid a per-event allocation.
 	pending []model.Event
 
-	// scratch is the node's reusable complex-match working storage
-	// (candidate lists + backtracking selection). It is safe because each
-	// node's handler runs on at most one goroutine at a time, and match
-	// callbacks never recurse into another enumeration on the same node.
+	// scratch is the node's reusable complex-match working storage (the
+	// current trigger's window partition, candidate lists and backtracking
+	// selection). processEvent partitions it once per trigger, before any
+	// matching. It is safe because each node's handler runs on at most one
+	// goroutine at a time, and match callbacks never recurse into another
+	// enumeration on the same node.
 	scratch model.MatchScratch
 
 	// dedupIDs caches the interned event-window key of each (origin,

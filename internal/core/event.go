@@ -48,6 +48,14 @@ func (n *Node) processEvent(ctx *netsim.Context, from topology.NodeID, ev model.
 	}
 	n.window.Prune(now)
 
+	// Every operator this trigger stabs — each origin's matchers and the
+	// local subscriptions — gathers its candidates from one partition of one
+	// view: the widest ±δt any stored operator asks for. An operator with a
+	// shorter δt drops the excess while gathering, which leaves its matches
+	// exactly those of its own window (see ForEachComplexMatchPartitioned).
+	// Nothing below inserts or prunes, so the view stays valid throughout.
+	n.scratch.Partition(n.window.Around(ev.Time, n.maxDeltaT))
+
 	// Forward towards every origin that registered interest, except the
 	// node the event just came from.
 	for _, origin := range n.subs.Origins() {
@@ -63,22 +71,17 @@ func (n *Node) processEvent(ctx *netsim.Context, from topology.NodeID, ev model.
 // dedupKey returns the interned "already forwarded" key ID for an event sent
 // to the given origin on behalf of the given operator, realising the event
 // propagation column of Table II: per-neighbour forwarding shares one key
-// per link, per-subscription forwarding uses one key per (link, operator).
-// The string is rendered once per distinct pair and cached; the steady-state
-// forwarding path reuses the small integer ID.
-func (n *Node) dedupKey(origin topology.NodeID, op *model.Subscription) uint32 {
-	k := dedupCacheKey{origin: origin}
-	if n.cfg.Propagation == PerSubscription {
-		k.op = op.ID
-	}
+// per link (op is ""), per-subscription forwarding uses one key per (link,
+// operator). The string is rendered once per distinct pair and cached; the
+// steady-state forwarding path reuses the small integer ID.
+func (n *Node) dedupKey(origin topology.NodeID, op model.SubscriptionID) uint32 {
+	k := dedupCacheKey{origin: origin, op: op}
 	if id, ok := n.dedupIDs[k]; ok {
 		return id
 	}
-	var s string
-	if n.cfg.Propagation == PerSubscription {
-		s = fmt.Sprintf("n:%d|s:%s", origin, op.ID)
-	} else {
-		s = fmt.Sprintf("n:%d", origin)
+	s := fmt.Sprintf("n:%d", origin)
+	if op != "" {
+		s += "|s:" + string(op)
 	}
 	id := n.window.KeyID(s)
 	if n.dedupIDs == nil {
@@ -97,6 +100,7 @@ type dedupCacheKey struct {
 
 // matchAndForward finds the complex events involving ev that match operators
 // stored for origin and forwards their not-yet-sent component events to it.
+// Like deliverLocal it gathers from the partition processEvent made for ev.
 //
 // Every completed match is enumerated, not just one: the set of components a
 // node forwards per round is then the union over all complex events the
@@ -120,16 +124,21 @@ func (n *Node) matchAndForward(ctx *netsim.Context, origin topology.NodeID, ev m
 		return
 	}
 	pending := n.pending[:0]
+	// Per-neighbour forwarding shares one key per link, whatever the operator.
+	perOp := n.cfg.Propagation == PerSubscription
+	var key uint32
+	if !perOp {
+		key = n.dedupKey(origin, "")
+	}
 	idx.Candidates(ev, func(op *model.Subscription) bool {
-		key := n.dedupKey(origin, op)
-		window := n.window.Around(ev.Time, op.DeltaT)
-		op.ForEachComplexMatchScratch(window, &ev, &n.scratch, func(match model.ComplexEvent) bool {
+		if perOp {
+			key = n.dedupKey(origin, op.ID)
+		}
+		op.ForEachComplexMatchPartitioned(&n.scratch, &ev, func(match model.ComplexEvent) bool {
 			for _, component := range match {
-				if n.window.WasSent(component, key) {
-					continue
+				if n.window.MarkSent(component, key) {
+					pending = append(pending, component)
 				}
-				n.window.MarkSent(component, key)
-				pending = append(pending, component)
 			}
 			return true
 		})
@@ -152,10 +161,9 @@ func (n *Node) matchAndForward(ctx *netsim.Context, origin topology.NodeID, ev m
 // the round that completed it, whatever order the components arrived in.
 func (n *Node) deliverLocal(ctx *netsim.Context, ev model.Event) {
 	n.localIdx.Candidates(ev, func(sub *model.Subscription) bool {
-		window := n.window.Around(ev.Time, sub.DeltaT)
 		// The scratch-owned match is only read within the callback;
 		// DeliverToUser copies the components into the delivery log.
-		sub.ForEachComplexMatchScratch(window, &ev, &n.scratch, func(match model.ComplexEvent) bool {
+		sub.ForEachComplexMatchPartitioned(&n.scratch, &ev, func(match model.ComplexEvent) bool {
 			ctx.DeliverToUser(sub.ID, match)
 			return true
 		})

@@ -95,28 +95,36 @@ var reexposeAttrs = []model.AttributeType{"a0", "a1", "a2"}
 
 func newReexposeNet(t *testing.T, cfg Config, fullScan bool) *reexposeNet {
 	t.Helper()
+	net := &reexposeNet{nodes: make([]*tapNode, 6)}
+	net.engine = newHubEngine(t, func(node topology.NodeID) netsim.Handler {
+		n := &tapNode{Node: NewNode(node, cfg), fullScan: fullScan, arrival: map[topology.NodeID][]*model.Subscription{}}
+		net.nodes[node] = n
+		return n
+	})
+	return net
+}
+
+// newHubEngine builds the reexposeNet topology on the given handlers and
+// attaches sensor d<i> of attribute reexposeAttrs[i] to node 3+i.
+func newHubEngine(t *testing.T, factory netsim.HandlerFactory) *netsim.Engine {
+	t.Helper()
 	g := topology.NewGraph(6)
 	for _, e := range [][2]topology.NodeID{{0, 2}, {1, 2}, {2, 3}, {2, 4}, {2, 5}} {
 		if err := g.AddEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	net := &reexposeNet{nodes: make([]*tapNode, 6)}
-	net.engine = netsim.NewEngine(g, func(node topology.NodeID) netsim.Handler {
-		n := &tapNode{Node: NewNode(node, cfg), fullScan: fullScan, arrival: map[topology.NodeID][]*model.Subscription{}}
-		net.nodes[node] = n
-		return n
-	})
+	engine := netsim.NewEngine(g, factory)
 	for i, a := range reexposeAttrs {
 		sensor := model.Sensor{
 			ID: model.SensorID(fmt.Sprintf("d%d", i)), Attr: a,
 			Location: geom.Point2D{X: float64(20 + 30*i), Y: 50},
 		}
-		if err := net.engine.AttachSensor(topology.NodeID(3+i), sensor); err != nil {
+		if err := engine.AttachSensor(topology.NodeID(3+i), sensor); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return net
+	return engine
 }
 
 // randomReexposeSub draws a subscription from a space small enough that

@@ -84,11 +84,7 @@ func (a *AggregateSpec) WindowBounds(window int) (start, end int) {
 // region. Aggregate queries bypass the complex-event matchers, so this is
 // their entire matching semantics.
 func (s *Subscription) MatchesReading(ev Event) bool {
-	f, ok := s.AttrFilters[ev.Attr]
-	if !ok {
-		return false
-	}
-	return f.Range.Contains(ev.Value) && s.Region.Contains(ev.Location)
+	return s.Kind == KindAbstract && s.matchSlot(s.filterSlots(), &ev) >= 0
 }
 
 // NewAggregateSubscription builds a continuous aggregate query: one

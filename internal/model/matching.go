@@ -1,6 +1,9 @@
 package model
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // MatchesEvent reports whether a single simple event matches the
 // subscription, i.e. whether the event satisfies the subscription's filter
@@ -8,32 +11,32 @@ import "math"
 // (abstract). This is the "simple event matches subscription" relation of
 // Section IV-A.
 func (s *Subscription) MatchesEvent(e Event) bool {
-	if s.Kind == KindIdentified {
-		f, ok := s.SensorFilters[e.Sensor]
-		return ok && f.Range.Contains(e.Value)
-	}
-	f, ok := s.AttrFilters[e.Attr]
-	if !ok {
-		return false
-	}
-	return s.Region.Contains(e.Location) && f.Range.Contains(e.Value)
+	return s.matchSlot(s.filterSlots(), &e) >= 0
 }
 
-// FilterKeyFor returns the key (sensor for identified, attribute for
-// abstract) under which the event would count towards the completeness
-// condition of the subscription, and whether the subscription filters that
-// key at all.
-func (s *Subscription) FilterKeyFor(e Event) (string, bool) {
-	if s.Kind == KindIdentified {
-		if _, ok := s.SensorFilters[e.Sensor]; ok {
-			return "d:" + string(e.Sensor), true
+// matchSlot returns the index of the slot the event counts towards — the
+// filter under the event's completeness key, whose range (and, for abstract
+// subscriptions, whose region) the event satisfies — or -1 when the event
+// does not match the subscription. It is the whole per-event test of the
+// event path: a region test and at most a handful of short string compares,
+// no map access.
+func (s *Subscription) matchSlot(slots []filterSlot, e *Event) int {
+	key := string(e.Sensor)
+	if s.Kind == KindAbstract {
+		if !s.Region.Contains(e.Location) {
+			return -1
 		}
-		return "", false
+		key = string(e.Attr)
 	}
-	if _, ok := s.AttrFilters[e.Attr]; ok {
-		return "a:" + string(e.Attr), true
+	for i := range slots {
+		if slots[i].key == key {
+			if slots[i].iv.Contains(e.Value) {
+				return i
+			}
+			return -1
+		}
 	}
-	return "", false
+	return -1
 }
 
 // MatchesComplex reports whether the given set of simple events forms a
@@ -48,23 +51,25 @@ func (s *Subscription) FilterKeyFor(e Event) (string, bool) {
 // plus, for abstract subscriptions, the pairwise location span is below δl.
 //
 // The events slice must contain exactly the component events (no extras).
+// It is the reference predicate the enumeration is tested against, and
+// allocates nothing for subscriptions of up to 64 filters.
 func (s *Subscription) MatchesComplex(events ComplexEvent) bool {
-	if len(events) != s.NumFilters() {
+	slots := s.filterSlots()
+	if len(events) != len(slots) {
 		return false
 	}
-	seen := map[string]bool{}
-	for _, e := range events {
-		if !s.MatchesEvent(e) {
-			return false
-		}
-		key, ok := s.FilterKeyFor(e)
-		if !ok || seen[key] {
-			return false
-		}
-		seen[key] = true
+	// As many events as slots, each on a slot of its own: complete.
+	var few [64]bool
+	seen := few[:]
+	if len(slots) > len(seen) {
+		seen = make([]bool, len(slots))
 	}
-	if len(seen) != s.NumFilters() {
-		return false
+	for i := range events {
+		slot := s.matchSlot(slots, &events[i])
+		if slot < 0 || seen[slot] {
+			return false
+		}
+		seen[slot] = true
 	}
 	max := events.MaxTime()
 	for _, e := range events {
@@ -80,55 +85,107 @@ func (s *Subscription) MatchesComplex(events ComplexEvent) bool {
 	return true
 }
 
-// FindComplexMatch searches the candidate window for a complex event that
-// matches the subscription and that includes the mustInclude event (pass nil
-// to disable that constraint). It returns the first matching combination in
-// the enumeration order of ForEachComplexMatch and true, or nil and false
-// when no combination matches.
-func (s *Subscription) FindComplexMatch(window []Event, mustInclude *Event) (ComplexEvent, bool) {
-	var out ComplexEvent
-	s.ForEachComplexMatch(window, mustInclude, func(match ComplexEvent) bool {
-		out = match
-		return false
-	})
-	return out, out != nil
-}
-
-// MatchScratch holds the reusable working storage of a complex-match
-// enumeration: the per-filter candidate lists and the partial selection of
-// the backtracking search. A zero MatchScratch is ready to use; reusing one
-// scratch across enumerations (one per protocol node) makes the steady-state
-// match path allocation-free. A scratch must not be shared between
-// goroutines or used reentrantly from an enumeration callback.
+// MatchScratch holds the reusable working storage of complex-match
+// enumerations: a partition of one window view by completeness key, shared
+// by every enumeration over that view, plus the per-slot candidate lists
+// and the partial selection of the backtracking search. A zero MatchScratch
+// is ready to use; reusing one scratch across enumerations (one per
+// protocol node) makes the steady-state match path allocation-free. A
+// scratch must not be shared between goroutines or used reentrantly from an
+// enumeration callback.
 type MatchScratch struct {
-	keys   []string  // raw sensor/attribute completeness keys, sorted
-	cands  [][]Event // parallel to keys; backing arrays are recycled
+	view     []Event    // the partitioned window view, in (Time, Seq) order
+	byAttr   keyBuckets // view positions by attribute type (abstract subscriptions)
+	bySensor keyBuckets // view positions by sensor (identified subscriptions)
+
+	cands  [][]int32 // per slot of the running enumeration: view positions
 	chosen ComplexEvent
 }
 
-// grow readies the scratch for an enumeration over n completeness keys,
-// retaining every backing array from previous use.
-func (sc *MatchScratch) grow(n int) {
-	sc.keys = sc.keys[:0]
-	for len(sc.cands) < n {
-		sc.cands = append(sc.cands, nil)
-	}
-	for i := range sc.cands {
-		sc.cands[i] = sc.cands[i][:0]
-	}
-	sc.chosen = sc.chosen[:0]
+// keyBuckets is one partition of the scratch's view: for every distinct
+// completeness key, the positions of the events carrying it, in view order.
+// Keys are kept sorted so that a slot finds its bucket by binary search when
+// there are many; the bucket backing arrays are recycled from one partition
+// to the next.
+type keyBuckets struct {
+	built bool
+	keys  []string
+	pos   [][]int32 // parallel to keys; len(pos) >= len(keys), the tail is spare storage
 }
 
-// rawKey returns the completeness key of an event under this subscription
-// without the "d:"/"a:" type prefix FilterKeyFor adds: a subscription is
-// either identified or abstract, never both, so within one enumeration the
-// raw names cannot collide and the prefix concatenation (an allocation per
-// call) is unnecessary.
-func (s *Subscription) rawKey(e Event) string {
-	if s.Kind == KindIdentified {
-		return string(e.Sensor)
+// find returns the index of key in the sorted key list, or its insertion
+// point and false. A window rarely holds more than a handful of distinct
+// keys (the paper's five attribute types), and for those an equality scan
+// beats a binary search's three-way string compares.
+func (b *keyBuckets) find(key string) (int, bool) {
+	if len(b.keys) <= 8 {
+		for i, k := range b.keys {
+			if k == key {
+				return i, true
+			}
+		}
 	}
-	return string(e.Attr)
+	return slices.BinarySearch(b.keys, key)
+}
+
+// add files view position p under key.
+func (b *keyBuckets) add(key string, p int32) {
+	i, found := b.find(key)
+	if !found {
+		b.keys = slices.Insert(b.keys, i, key)
+		n := len(b.keys)
+		if len(b.pos) < n {
+			b.pos = append(b.pos, nil)
+		}
+		spare := b.pos[n-1][:0]
+		copy(b.pos[i+1:n], b.pos[i:n-1])
+		b.pos[i] = spare
+	}
+	b.pos[i] = append(b.pos[i], p)
+}
+
+// bucket returns the view positions filed under key, in view order.
+func (b *keyBuckets) bucket(key string) []int32 {
+	if i, found := b.find(key); found {
+		return b.pos[i]
+	}
+	return nil
+}
+
+// Partition binds the scratch to a window view (events in (Time, Seq)
+// order, as EventWindow.Around returns them): every following
+// ForEachComplexMatchPartitioned gathers its candidates from this view's
+// buckets instead of rescanning the view. The buckets are filled on the
+// first enumeration that needs them, once per subscription kind, so a
+// trigger no operator matches pays nothing. The scratch keeps the view, not
+// a copy: it is valid exactly as long as the view is (until the next Insert
+// or Prune on the window it came from).
+func (sc *MatchScratch) Partition(window []Event) {
+	sc.view = window
+	sc.byAttr.built = false
+	sc.bySensor.built = false
+}
+
+// buckets returns the view's partition by the completeness key of the given
+// subscription kind, building it on first use.
+func (sc *MatchScratch) buckets(kind Kind) *keyBuckets {
+	b := &sc.byAttr
+	if kind == KindIdentified {
+		b = &sc.bySensor
+	}
+	if !b.built {
+		b.built = true
+		b.keys = b.keys[:0]
+		for i := range sc.view {
+			e := &sc.view[i]
+			if kind == KindIdentified {
+				b.add(string(e.Sensor), int32(i))
+			} else {
+				b.add(string(e.Attr), int32(i))
+			}
+		}
+	}
+	return b
 }
 
 // ForEachComplexMatch enumerates every complex event in the candidate window
@@ -147,17 +204,34 @@ func (s *Subscription) ForEachComplexMatch(window []Event, mustInclude *Event, f
 }
 
 // ForEachComplexMatchScratch is ForEachComplexMatch with caller-provided
-// working storage: the enumeration allocates nothing once the scratch has
-// warmed up. The ComplexEvent passed to fn is the scratch's own selection
-// buffer — it is valid only for the duration of the callback and is
-// overwritten by the next match; callbacks that retain a match must copy it
-// first.
+// working storage: it partitions the window into the scratch and runs
+// ForEachComplexMatchPartitioned over it. A caller matching several
+// subscriptions against one window partitions it once itself instead.
+func (s *Subscription) ForEachComplexMatchScratch(window []Event, mustInclude *Event, sc *MatchScratch, fn func(ComplexEvent) bool) {
+	sc.Partition(window)
+	s.ForEachComplexMatchPartitioned(sc, mustInclude, fn)
+}
+
+// ForEachComplexMatchPartitioned enumerates, over the window view the
+// scratch was last partitioned for, every complex event that matches the
+// subscription and includes the mustInclude event (nil disables that
+// constraint). It allocates nothing once the scratch has warmed up. The
+// ComplexEvent passed to fn is the scratch's own selection buffer — it is
+// valid only for the duration of the callback and is overwritten by the
+// next match; callbacks that retain a match must copy it first.
 //
 // The search is an exact backtracking search over one candidate list per
-// required sensor/attribute. Subscriptions in this system have at most a
-// handful of filters (the paper uses 3-5 attributes) and windows are short
-// (δt), so the search space stays tiny; the time-window and location-span
-// constraints additionally prune it.
+// slot (filtered sensor/attribute). A slot's candidates are the events of
+// its key's bucket that lie inside the filter range and the region — the
+// other buckets are never visited — and the slot of mustInclude's key is
+// pinned to mustInclude without gathering at all. With mustInclude set,
+// candidates a full δt or more away from it are dropped while gathering:
+// they could never share a selection with it (partialFeasible), so the view
+// may be any superset of the subscription's own ±δt window — which is what
+// lets one partition serve operators of different δt. Subscriptions in this
+// system have at most a handful of filters (the paper uses 3-5 attributes)
+// and windows are short (δt), so the search space stays tiny; the
+// time-window and location-span constraints additionally prune it.
 //
 // Enumerating every completion — rather than selecting one — is what makes
 // event forwarding and user delivery independent of arrival interleaving:
@@ -165,90 +239,74 @@ func (s *Subscription) ForEachComplexMatch(window []Event, mustInclude *Event, f
 // discovered exactly once, at the arrival of whichever of its components
 // shows up last, no matter the order the components arrived in. The
 // pipelined replay mode's per-round conformance oracle relies on this. The
-// enumeration order itself is deterministic — keys sorted, candidates in
-// window order — so runs are reproducible whatever storage the caller
-// recycles.
-func (s *Subscription) ForEachComplexMatchScratch(window []Event, mustInclude *Event, sc *MatchScratch, fn func(ComplexEvent) bool) {
-	n := s.NumFilters()
-	sc.grow(n)
-	if s.Kind == KindIdentified {
-		for d := range s.SensorFilters {
-			sc.keys = append(sc.keys, string(d))
-		}
-	} else {
-		for a := range s.AttrFilters {
-			sc.keys = append(sc.keys, string(a))
-		}
-	}
-	sortStrings(sc.keys)
-	keys := sc.keys
-	cands := sc.cands[:n]
-	for _, e := range window {
-		if !s.MatchesEvent(e) {
-			continue
-		}
-		key := s.rawKey(e)
-		for i, k := range keys {
-			if k == key {
-				cands[i] = append(cands[i], e)
-				break
-			}
-		}
-	}
-	var mustKey string
+// enumeration order itself is deterministic — slots in byte-wise key order,
+// candidates in view order — so runs are reproducible whatever storage the
+// caller recycles.
+func (s *Subscription) ForEachComplexMatchPartitioned(sc *MatchScratch, mustInclude *Event, fn func(ComplexEvent) bool) {
+	slots := s.filterSlots()
+	pinned := -1
 	if mustInclude != nil {
-		if !s.MatchesEvent(*mustInclude) {
+		if pinned = s.matchSlot(slots, mustInclude); pinned < 0 {
 			return
 		}
-		mustKey = s.rawKey(*mustInclude)
 	}
-	// Completeness pre-check: every key needs at least one candidate.
-	for i, k := range keys {
-		if k == mustKey {
+	for len(sc.cands) < len(slots) {
+		sc.cands = append(sc.cands, nil)
+	}
+	buckets := sc.buckets(s.Kind)
+	for i := range slots {
+		if i == pinned {
 			continue
 		}
-		if len(cands[i]) == 0 {
-			return
-		}
-	}
-
-	var rec func(i int) bool // returns false to abort the whole enumeration
-	rec = func(i int) bool {
-		if i == len(keys) {
-			// A full selection is a match by construction: candidates were
-			// pre-filtered with MatchesEvent, each key contributed exactly
-			// one component, and partialFeasible verified the δt/δl spans on
-			// the complete selection before this call.
-			return fn(sc.chosen)
-		}
-		if keys[i] == mustKey {
-			sc.chosen = append(sc.chosen, *mustInclude)
-			ok := !s.partialFeasible(sc.chosen) || rec(i+1)
-			sc.chosen = sc.chosen[:len(sc.chosen)-1]
-			return ok
-		}
-		for _, e := range cands[i] {
-			sc.chosen = append(sc.chosen, e)
-			ok := !s.partialFeasible(sc.chosen) || rec(i+1)
-			sc.chosen = sc.chosen[:len(sc.chosen)-1]
-			if !ok {
-				return false
+		list := sc.cands[i][:0]
+		for _, p := range buckets.bucket(slots[i].key) {
+			e := &sc.view[p]
+			if !slots[i].iv.Contains(e.Value) {
+				continue
 			}
+			if s.Kind == KindAbstract && !s.Region.Contains(e.Location) {
+				continue
+			}
+			if mustInclude != nil {
+				if d := e.Time - mustInclude.Time; d >= s.DeltaT || -d >= s.DeltaT {
+					continue
+				}
+			}
+			list = append(list, p)
 		}
-		return true
+		sc.cands[i] = list
+		if len(list) == 0 {
+			return // completeness: every slot needs a candidate
+		}
 	}
-	rec(0)
+	sc.chosen = sc.chosen[:0]
+	s.search(sc, 0, len(slots), pinned, mustInclude, fn)
 }
 
-// sortStrings is an allocation-free insertion sort for the (at most a
-// handful of) completeness keys; sort.Strings would allocate its interface
-// header on every enumeration.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// search extends the scratch's partial selection slot by slot and reports
+// false when fn aborted the whole enumeration. A full selection is a match
+// by construction: candidates were gathered per slot under that slot's
+// filter, each slot contributed exactly one component, and partialFeasible
+// verified the δt/δl spans on the complete selection before the call.
+func (s *Subscription) search(sc *MatchScratch, slot, slots, pinned int, mustInclude *Event, fn func(ComplexEvent) bool) bool {
+	if slot == slots {
+		return fn(sc.chosen)
+	}
+	if slot == pinned {
+		sc.chosen = append(sc.chosen, *mustInclude)
+		ok := !s.partialFeasible(sc.chosen) || s.search(sc, slot+1, slots, pinned, mustInclude, fn)
+		sc.chosen = sc.chosen[:len(sc.chosen)-1]
+		return ok
+	}
+	for _, p := range sc.cands[slot] {
+		sc.chosen = append(sc.chosen, sc.view[p])
+		ok := !s.partialFeasible(sc.chosen) || s.search(sc, slot+1, slots, pinned, mustInclude, fn)
+		sc.chosen = sc.chosen[:len(sc.chosen)-1]
+		if !ok {
+			return false
 		}
 	}
+	return true
 }
 
 // partialFeasible prunes the backtracking search: a partial selection is
@@ -297,11 +355,10 @@ func (s *Subscription) CoveredByComparable(other *Subscription) bool {
 	if s.Kind == KindAbstract && !other.Region.Covers(s.Region) {
 		return false
 	}
-	// One class means equal filter keys, so the two boxes list the filter
-	// ranges in the same order as their trailing dimensions (see computeBox).
-	sb, ob := s.Box(), other.Box()
-	for i := 1; i <= s.NumFilters(); i++ {
-		if !ob.At(ob.NumDims() - i).Covers(sb.At(sb.NumDims() - i)) {
+	// One class means equal filter keys, so the two slot lists pair up.
+	mine, theirs := s.filterSlots(), other.filterSlots()
+	for i := range mine {
+		if !theirs[i].iv.Covers(mine[i].iv) {
 			return false
 		}
 	}

@@ -93,6 +93,17 @@ func TestMatchesComplexSpatialConstraint(t *testing.T) {
 	}
 }
 
+// firstMatch returns the first complex event ForEachComplexMatch enumerates,
+// or nil when there is none.
+func firstMatch(s *Subscription, window []Event, mustInclude *Event) ComplexEvent {
+	var first ComplexEvent
+	s.ForEachComplexMatch(window, mustInclude, func(match ComplexEvent) bool {
+		first = match
+		return false
+	})
+	return first
+}
+
 func TestFindComplexMatch(t *testing.T) {
 	s := mustIdentified(t, "q1", 10,
 		sf("a", AmbientTemperature, 50, 80),
@@ -105,8 +116,8 @@ func TestFindComplexMatch(t *testing.T) {
 		ev(3, "c", WindSpeed, 5, 105),
 		ev(4, "a", AmbientTemperature, 95, 104), // out of range
 	}
-	match, ok := s.FindComplexMatch(window, nil)
-	if !ok {
+	match := firstMatch(s, window, nil)
+	if match == nil {
 		t.Fatal("expected a complex match")
 	}
 	if len(match) != 3 || !s.MatchesComplex(match) {
@@ -115,8 +126,8 @@ func TestFindComplexMatch(t *testing.T) {
 
 	// mustInclude constrains the selection.
 	trigger := ev(3, "c", WindSpeed, 5, 105)
-	match, ok = s.FindComplexMatch(window, &trigger)
-	if !ok {
+	match = firstMatch(s, window, &trigger)
+	if match == nil {
 		t.Fatal("expected a match including the trigger")
 	}
 	found := false
@@ -131,13 +142,13 @@ func TestFindComplexMatch(t *testing.T) {
 
 	// A trigger that does not match the subscription yields no match.
 	bad := ev(9, "c", WindSpeed, 99, 105)
-	if _, ok := s.FindComplexMatch(window, &bad); ok {
+	if firstMatch(s, window, &bad) != nil {
 		t.Error("non-matching trigger should not produce a match")
 	}
 
 	// Remove sensor b candidates: completeness fails.
 	window2 := []Event{ev(1, "a", AmbientTemperature, 60, 100), ev(3, "c", WindSpeed, 5, 105)}
-	if _, ok := s.FindComplexMatch(window2, nil); ok {
+	if firstMatch(s, window2, nil) != nil {
 		t.Error("incomplete window should not produce a match")
 	}
 }
@@ -153,8 +164,8 @@ func TestFindComplexMatchBacktracksOverTimeWindows(t *testing.T) {
 		ev(2, "a", AmbientTemperature, 20, 95), // fits
 		ev(3, "b", RelativeHumidity, 30, 100),
 	}
-	match, ok := s.FindComplexMatch(window, nil)
-	if !ok {
+	match := firstMatch(s, window, nil)
+	if match == nil {
 		t.Fatal("expected a match using the recent candidate")
 	}
 	for _, e := range match {

@@ -138,12 +138,12 @@ func TestBinaryJoinFalsePositivesExist(t *testing.T) {
 		ev(1, "a", AmbientTemperature, 5, 10),
 		ev(2, "b", RelativeHumidity, 5, 12),
 	}
-	if _, ok := s.FindComplexMatch(window, nil); ok {
+	if firstMatch(s, window, nil) != nil {
 		t.Fatal("the full multi-join must not match without sensor c")
 	}
 	matchedSomeJoin := false
 	for _, j := range joins {
-		if _, ok := j.FindComplexMatch(window, nil); ok {
+		if firstMatch(j, window, nil) != nil {
 			matchedSomeJoin = true
 		}
 	}

@@ -103,6 +103,20 @@ type Subscription struct {
 	// dimension (a valid subscription has a filter), so the zero value marks
 	// a struct-literal subscription whose box is computed per call.
 	box geom.Box
+	// slots is the compiled form of the filter set the event path reads
+	// instead of the maps: one entry per filter, sorted by raw key — the
+	// enumeration order of the complex-match search. Same rules as class and
+	// box: filled eagerly by cacheDerived, immutable afterwards, and nil only
+	// on a struct-literal subscription, which compiles per call.
+	slots []filterSlot
+}
+
+// filterSlot is one compiled simple filter: the raw completeness key (the
+// sensor of an identified subscription's filter, the attribute type of an
+// abstract one's) and the value range events under that key must satisfy.
+type filterSlot struct {
+	key string
+	iv  geom.Interval
 }
 
 // NewIdentifiedSubscription builds a user subscription over explicitly named
@@ -253,43 +267,63 @@ func (s *Subscription) Sensors() []SensorID {
 func (s *Subscription) SignatureKey() string { return s.Class().Sig }
 
 // cacheDerived fills the caches derived from the filter sets and correlation
-// distances (class and box). Everything that builds a subscription or
+// distances (slots, class and box). Everything that builds a subscription or
 // replaces its filters calls it before the subscription is published; Clone
 // inherits the caches with the struct copy.
 func (s *Subscription) cacheDerived() {
-	keys := s.filterKeys()
+	s.slots = s.compileSlots()
+	keys := filterKeys(s.Kind, s.slots)
 	s.class = s.computeClass(keys)
-	s.box = s.computeBox(keys)
+	s.box = s.computeBox(keys, s.slots)
 }
 
-// filterKeys returns the subscription's completeness keys (see FilterKeyFor)
-// in sorted order: "d:<sensor>" per filtered sensor, or "a:<attr>" per
-// filtered attribute. The signature key is made of them and they name the
-// filter dimensions of the box.
-func (s *Subscription) filterKeys() []string {
-	keys := make([]string, 0, s.NumFilters())
-	prefix, size := "a:", 0
+// compileSlots builds the key-sorted filter slots from the filter maps.
+func (s *Subscription) compileSlots() []filterSlot {
+	slots := make([]filterSlot, 0, s.NumFilters())
 	if s.Kind == KindIdentified {
-		prefix = "d:"
-		for d := range s.SensorFilters {
-			keys = append(keys, string(d))
-			size += len(prefix) + len(d)
+		for d, f := range s.SensorFilters {
+			slots = append(slots, filterSlot{key: string(d), iv: f.Range})
 		}
 	} else {
-		for a := range s.AttrFilters {
-			keys = append(keys, string(a))
-			size += len(prefix) + len(a)
+		for a, f := range s.AttrFilters {
+			slots = append(slots, filterSlot{key: string(a), iv: f.Range})
 		}
 	}
-	slices.Sort(keys)
+	slices.SortFunc(slots, func(a, b filterSlot) int { return strings.Compare(a.key, b.key) })
+	return slots
+}
+
+// filterSlots returns the compiled slots: the cached ones, or — for a
+// struct-literal subscription — freshly compiled ones that are not stored
+// (see the class field for why nothing is written lazily).
+func (s *Subscription) filterSlots() []filterSlot {
+	if s.slots != nil {
+		return s.slots
+	}
+	return s.compileSlots()
+}
+
+// filterKeys returns the prefixed completeness keys of the given slots, in
+// slot (sorted) order: "d:<sensor>" per filtered sensor, or "a:<attr>" per
+// filtered attribute. The signature key is made of them and they name the
+// filter dimensions of the box.
+func filterKeys(kind Kind, slots []filterSlot) []string {
+	prefix, size := "a:", 0
+	if kind == KindIdentified {
+		prefix = "d:"
+	}
+	for _, sl := range slots {
+		size += len(prefix) + len(sl.key)
+	}
 	// The prefixed keys are cut from one string: one allocation whatever
 	// the number of filters, on a path every registration pays.
+	keys := make([]string, len(slots))
 	var all strings.Builder
 	all.Grow(size)
-	for i, k := range keys {
+	for i, sl := range slots {
 		start := all.Len()
 		all.WriteString(prefix)
-		all.WriteString(k)
+		all.WriteString(sl.key)
 		keys[i] = all.String()[start:]
 	}
 	return keys
@@ -314,7 +348,7 @@ func (s *Subscription) Class() Class {
 	if s.class.Sig != "" {
 		return s.class
 	}
-	return s.computeClass(s.filterKeys())
+	return s.computeClass(filterKeys(s.Kind, s.filterSlots()))
 }
 
 // computeClass derives the class from the subscription's current contents,
@@ -400,19 +434,18 @@ func (s *Subscription) Box() geom.Box {
 	if s.box.NumDims() > 0 {
 		return s.box
 	}
-	return s.computeBox(s.filterKeys())
+	slots := s.filterSlots()
+	return s.computeBox(filterKeys(s.Kind, slots), slots)
 }
 
-// computeBox builds the box from the filter sets, given the subscription's
-// filterKeys. The location dimensions sort before every filter dimension, so
-// a box's trailing NumFilters dimensions are its filter ranges, in the same
-// order for every subscription of one signature key; CoveredBy relies on
-// that.
-func (s *Subscription) computeBox(keys []string) geom.Box {
+// computeBox builds the box from the compiled slots and their filterKeys.
+// The location dimensions sort before every filter dimension, so a box's
+// trailing NumFilters dimensions are its filter ranges, in slot order.
+func (s *Subscription) computeBox(keys []string, slots []filterSlot) geom.Box {
 	if s.Kind == KindIdentified {
 		b := geom.NewBoxSized(len(keys))
-		for _, k := range keys {
-			b = b.Set(k, s.SensorFilters[SensorID(k[2:])].Range)
+		for i, k := range keys {
+			b = b.Set(k, slots[i].iv)
 		}
 		return b
 	}
@@ -426,8 +459,8 @@ func (s *Subscription) computeBox(keys []string) geom.Box {
 		b = b.Set(locDimX, s.Region.X)
 		b = b.Set(locDimY, s.Region.Y)
 	}
-	for _, k := range keys {
-		b = b.Set(k, s.AttrFilters[AttributeType(k[2:])].Range)
+	for i, k := range keys {
+		b = b.Set(k, slots[i].iv)
 	}
 	return b
 }

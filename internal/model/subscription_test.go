@@ -175,7 +175,7 @@ func TestSubscriptionDerivedCaches(t *testing.T) {
 		"binary join":          ab.SplitBinaryJoins(RingPairing)[1],
 	}
 	for name, s := range built {
-		if s.class.Sig == "" || s.box.NumDims() == 0 {
+		if s.class.Sig == "" || s.box.NumDims() == 0 || len(s.slots) != s.NumFilters() {
 			t.Errorf("%s: caches not filled", name)
 			continue
 		}

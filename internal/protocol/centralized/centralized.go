@@ -316,13 +316,9 @@ func (n *Node) matchAtCenter(ctx *netsim.Context, ev model.Event) {
 		window := n.window.Around(ev.Time, sub.DeltaT)
 		sub.ForEachComplexMatchScratch(window, &ev, &n.scratch, func(match model.ComplexEvent) bool {
 			for _, component := range match {
-				if n.window.WasSent(component, key) {
-					continue
-				}
-				if entry.pathLen > 0 {
+				if n.window.MarkSent(component, key) && entry.pathLen > 0 {
 					ctx.SendEventUnits(entry.firstHop, component, entry.pathLen)
 				}
-				n.window.MarkSent(component, key)
 			}
 			ctx.DeliverToUser(sub.ID, match)
 			return true

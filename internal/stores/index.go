@@ -22,7 +22,9 @@ import (
 // bySensor[e.Sensor] with e.Value, or byAttr[e.Attr] with
 // (e.Value, e.Location). The result set is exactly {s : s.MatchesEvent(e)} —
 // verified against the linear scan by the property tests — so callers can
-// feed candidates straight into FindComplexMatch.
+// feed candidates straight into the complex-match enumeration
+// (Subscription.ForEachComplexMatchPartitioned) without re-testing the
+// trigger.
 //
 // Maintenance is fully incremental once the index has served its first
 // lookup: Add and Remove splice single boxes in and out of the trees in

@@ -1,6 +1,7 @@
 package stores
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -265,29 +266,82 @@ func TestEventWindowSentFlags(t *testing.T) {
 	if w.KeyID("n:2") != k2 {
 		t.Error("KeyID must be stable for the same key")
 	}
-	if w.WasSent(stored, k2) {
-		t.Error("fresh event should not be marked sent")
+	if !w.MarkSent(stored, k2) {
+		t.Error("the first mark of a fresh event should be new")
 	}
-	w.MarkSent(stored, k2)
-	if !w.WasSent(stored, k2) || w.WasSent(stored, k3) {
-		t.Error("sent flags wrong")
+	if w.MarkSent(stored, k2) {
+		t.Error("a repeated mark should not be new")
 	}
-	w.MarkSent(stored, k2) // idempotent
 	keys := w.SentKeys(stored)
 	if len(keys) != 1 || keys[0] != "n:2" {
 		t.Errorf("SentKeys = %v", keys)
 	}
+	if !w.MarkSent(stored, k3) {
+		t.Error("marks under different keys are independent")
+	}
 	// Unknown/expired events are treated as already sent.
 	unknown := model.Event{Seq: 99, Time: 10}
-	if !w.WasSent(unknown, k2) {
-		t.Error("unknown events should report sent")
+	if w.MarkSent(unknown, k2) {
+		t.Error("unknown events should report already sent")
 	}
-	w.MarkSent(unknown, k2) // must not panic
 	if w.SentKeys(unknown) != nil {
 		t.Error("unknown events have no keys")
 	}
 	if NewEventWindow(0).Validity != 1 {
 		t.Error("non-positive validity should be clamped to 1")
+	}
+}
+
+// TestEventWindowMarkSent pins the single mark call the forwarding path uses:
+// a mark is new exactly once per (stored event, key), an expired event reads
+// as already sent and is left alone, the per-event key lists stay sorted
+// whatever order the keys arrive in, and pruned events hand their lists —
+// emptied — to later inserts.
+func TestEventWindowMarkSent(t *testing.T) {
+	w := NewEventWindow(20)
+	old, kept := model.Event{Seq: 1, Time: 10}, model.Event{Seq: 2, Time: 40}
+	w.Insert(old)
+	w.Insert(kept)
+	keys := []uint32{w.KeyID("n:5"), w.KeyID("n:1"), w.KeyID("n:9"), w.KeyID("n:3")}
+	for _, k := range []int{2, 0, 3, 1} {
+		if !w.MarkSent(old, keys[k]) {
+			t.Fatalf("first mark under key %d not reported new", keys[k])
+		}
+		if w.MarkSent(old, keys[k]) {
+			t.Fatalf("repeated mark under key %d reported new", keys[k])
+		}
+	}
+	if !w.MarkSent(kept, keys[0]) {
+		t.Error("marks of different events are independent")
+	}
+	if list := w.sent[0]; len(list) != len(keys) || !slices.IsSorted(list) {
+		t.Errorf("sent list = %v, want the %d keys sorted", list, len(keys))
+	}
+
+	w.Prune(45) // cutoff 25: drops the event at 10
+	if w.MarkSent(old, keys[1]) {
+		t.Error("an expired event must read as already sent")
+	}
+	if w.Len() != 1 || len(w.free) != 1 {
+		t.Fatalf("after the prune: %d events, %d recycled lists; want 1 and 1", w.Len(), len(w.free))
+	}
+	recycled := &w.free[0][:1][0]
+	fresh := model.Event{Seq: 3, Time: 50}
+	w.Insert(fresh)
+	if len(w.free) != 0 {
+		t.Error("the insert should have taken the recycled list")
+	}
+	for _, k := range keys {
+		if !w.MarkSent(fresh, k) {
+			t.Fatalf("key %d already marked on a fresh event: the recycled list was not emptied", k)
+		}
+	}
+	idx, _ := w.find(fresh.Time, fresh.Seq)
+	if &w.sent[idx][0] != recycled {
+		t.Error("the fresh event's marks should live in the recycled list's storage")
+	}
+	if got := w.SentKeys(kept); len(got) != 1 || got[0] != "n:5" {
+		t.Errorf("marks of the surviving event = %v, want [n:5]", got)
 	}
 }
 

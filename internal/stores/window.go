@@ -48,9 +48,9 @@ func NewEventWindow(validity model.Timestamp) *EventWindow {
 }
 
 // KeyID interns a forwarding key, returning the stable small integer the
-// mark/check fast path uses. Handlers intern each key once (per neighbour or
-// per (neighbour, subscription) pair) and cache the ID; the per-event
-// forwarding decisions then cost two binary searches and no allocation.
+// mark fast path uses. Handlers intern each key once (per neighbour or per
+// (neighbour, subscription) pair) and cache the ID; a per-event forwarding
+// decision then costs one MarkSent — two binary searches, no allocation.
 func (w *EventWindow) KeyID(key string) uint32 {
 	if id, ok := w.keyIDs[key]; ok {
 		return id
@@ -178,33 +178,24 @@ func sentIdx(list []uint32, key uint32) (int, bool) {
 }
 
 // MarkSent records that the stored event has been forwarded under the given
-// interned key. Events not (or no longer) stored are ignored.
-func (w *EventWindow) MarkSent(ev model.Event, key uint32) {
+// interned key and reports whether the mark is new, i.e. whether the caller
+// should forward the event now. An event not (or no longer) stored reports
+// false and is left alone, so that stale events are never re-forwarded.
+func (w *EventWindow) MarkSent(ev model.Event, key uint32) bool {
 	idx, ok := w.find(ev.Time, ev.Seq)
 	if !ok {
-		return
+		return false
 	}
 	list := w.sent[idx]
 	pos, present := sentIdx(list, key)
 	if present {
-		return
+		return false
 	}
 	list = append(list, 0)
 	copy(list[pos+1:], list[pos:])
 	list[pos] = key
 	w.sent[idx] = list
-}
-
-// WasSent reports whether the event was already forwarded under the interned
-// key. Events no longer stored (expired) report true, so that stale events
-// are never re-forwarded.
-func (w *EventWindow) WasSent(ev model.Event, key uint32) bool {
-	idx, ok := w.find(ev.Time, ev.Seq)
-	if !ok {
-		return true
-	}
-	_, present := sentIdx(w.sent[idx], key)
-	return present
+	return true
 }
 
 // SentKeys returns the forwarding keys recorded for an event, as the strings
