@@ -699,6 +699,70 @@ func BenchmarkReplayWideTopology(b *testing.B) {
 	}
 }
 
+// BenchmarkAdvertisementFlood measures set-up at width: Algorithm 1 floods
+// every sensor's advertisement to every node, sensors × (nodes − 1) messages
+// and as many table entries, which is what NewSystem spends its time and
+// memory on once the topology is wide (nodes=4000 is the repository
+// benchmark's replay-wide shape, 1000 sensors). The timed region is the
+// sensor attachments and the flush that drains the flood, on the concurrent
+// engine as NewSystem runs them; engine construction, the Trim NewSystem
+// follows the flush with, and the forced GC behind live-MB — the heap the
+// flooded network retains — sit outside it. events/sec counts advertisement
+// messages, so benchgate's throughput rule covers the flood.
+func BenchmarkAdvertisementFlood(b *testing.B) {
+	for _, nodes := range []int{1000, 4000} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			dep, err := topology.GenerateDeployment(topology.DeploymentConfig{
+				TotalNodes: nodes, SensorNodes: nodes / 4, Groups: nodes / 20,
+				Attributes: model.DefaultAttributes(), Seed: 77,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 84})
+			if err != nil {
+				b.Fatal(err)
+			}
+			liveHeap := func() uint64 {
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			messages := int64(len(dep.Sensors)) * int64(nodes-1)
+			var live uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				idle := runtime.NumGoroutine()
+				before := liveHeap()
+				conc := netsim.NewConcurrentEngine(dep.Graph, factory)
+				b.StartTimer()
+				for _, sensor := range dep.Sensors {
+					if err := conc.AttachSensor(dep.SensorHost[sensor.ID], sensor); err != nil {
+						b.Fatal(err)
+					}
+				}
+				conc.Flush()
+				b.StopTimer()
+				if got := conc.Metrics().AdvertisementLoad(); got != messages {
+					b.Fatalf("advertisement load %d, want %d", got, messages)
+				}
+				conc.Trim()
+				live = liveHeap() - before
+				conc.Close()
+				// Close does not wait for the workers, and until they have
+				// exited they keep this engine in the next heap reading.
+				for runtime.NumGoroutine() > idle {
+					runtime.Gosched()
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(live)/(1<<20), "live-MB")
+			b.ReportMetric(float64(messages)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+		})
+	}
+}
+
 // BenchmarkSubscriptionChurn measures the subscription-lifecycle hot path:
 // full subscribe → network-wide unsubscribe round-trips over the wide
 // replay-benchmark topology, each operation fully propagated (subscription

@@ -91,7 +91,7 @@ func run(addr, approach string, eng *engineflags.Flags, demo bool, nodes, sensor
 		return err
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer(addr)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

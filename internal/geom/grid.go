@@ -17,40 +17,40 @@ import (
 // cells per axis, giving O(1) expected points per cell for the roughly
 // uniform sensor placements the topology generator produces.
 //
-// Points are registered with an opaque integer handle (typically an index
-// into a caller-side slice of payloads). Queries check exact containment, so
+// A point is identified by its insertion index (the first Add is 0). A wide
+// network holds millions of points across its nodes' grids, most never
+// queried, so a grid retains 16 bytes per point until its first Query and 4
+// more after: the cells are one flat index array cut by per-cell offsets,
+// not a slice header per cell. Queries check exact containment, so
 // unbounded regions (WholePlane) and degenerate regions work and duplicate
 // coordinates are fine. Not safe for concurrent use.
 type PointGrid struct {
-	pts   []gridPoint
+	pts   []Point2D
 	dirty bool
 
 	minX, minY float64
 	invCW      float64 // cells per unit length in x
 	invCH      float64 // cells per unit length in y
 	nx, ny     int
-	cells      [][]int32
+	// cellStart[c]..cellStart[c+1] bounds cell c's run in cellPts, which
+	// lists point indexes cell by cell.
+	cellStart []int32
+	cellPts   []int32
 }
 
-type gridPoint struct {
-	p      Point2D
-	handle int
-}
-
-// Add registers a point under the given handle. The grid is rebuilt lazily
-// on the next Query.
-func (g *PointGrid) Add(p Point2D, handle int) {
-	g.pts = append(g.pts, gridPoint{p: p, handle: handle})
+// Add registers a point. The grid is rebuilt lazily on the next Query.
+func (g *PointGrid) Add(p Point2D) {
+	g.pts = append(g.pts, p)
 	g.dirty = true
 }
 
 // Len returns the number of stored points.
 func (g *PointGrid) Len() int { return len(g.pts) }
 
-// Query invokes fn with the handle of every stored point inside the region
-// (closed bounds). Iteration stops early when fn returns false. The order of
-// handles is unspecified.
-func (g *PointGrid) Query(r Region, fn func(handle int) bool) {
+// Query invokes fn with the insertion index of every stored point inside the
+// region (closed bounds). Iteration stops early when fn returns false. The
+// order of indexes is unspecified.
+func (g *PointGrid) Query(r Region, fn func(i int) bool) {
 	if len(g.pts) == 0 || r.Empty() {
 		return
 	}
@@ -62,12 +62,11 @@ func (g *PointGrid) Query(r Region, fn func(handle int) bool) {
 	y0 := g.cellY(r.Y.Min)
 	y1 := g.cellY(r.Y.Max)
 	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			for _, i := range g.cells[cy*g.nx+cx] {
-				gp := g.pts[i]
-				if r.Contains(gp.p) && !fn(gp.handle) {
-					return
-				}
+		// The cells of one row are adjacent, and so are their runs.
+		row := cy * g.nx
+		for _, i := range g.cellPts[g.cellStart[row+x0]:g.cellStart[row+x1+1]] {
+			if r.Contains(g.pts[i]) && !fn(int(i)) {
+				return
 			}
 		}
 	}
@@ -100,16 +99,16 @@ func clampCell(v, min, inv float64, n int) int {
 	return c
 }
 
-// rebuild reconstructs the cell lists from the recorded points.
+// rebuild reconstructs the cells from the recorded points.
 func (g *PointGrid) rebuild() {
 	n := len(g.pts)
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, gp := range g.pts {
-		minX = math.Min(minX, gp.p.X)
-		maxX = math.Max(maxX, gp.p.X)
-		minY = math.Min(minY, gp.p.Y)
-		maxY = math.Max(maxY, gp.p.Y)
+	for _, p := range g.pts {
+		minX = math.Min(minX, p.X)
+		maxX = math.Max(maxX, p.X)
+		minY = math.Min(minY, p.Y)
+		maxY = math.Max(maxY, p.Y)
 	}
 	side := int(math.Ceil(math.Sqrt(float64(n))))
 	if side < 1 {
@@ -127,12 +126,23 @@ func (g *PointGrid) rebuild() {
 	g.nx, g.ny = side, side
 	g.invCW = float64(side) / w
 	g.invCH = float64(side) / h
-	g.cells = make([][]int32, side*side)
-	for i, gp := range g.pts {
-		cx := g.cellX(gp.p.X)
-		cy := g.cellY(gp.p.Y)
-		idx := cy*g.nx + cx
-		g.cells[idx] = append(g.cells[idx], int32(i))
+	cell := func(p Point2D) int { return g.cellY(p.Y)*g.nx + g.cellX(p.X) }
+	// Counting sort by cell: start[c+2] counts cell c; summed, start[c+1] is
+	// where cell c's run begins, and filling advances it to where the run
+	// ends — where cell c+1's begins, so start[:cells+1] are the offsets.
+	start := make([]int32, side*side+2)
+	for _, p := range g.pts {
+		start[cell(p)+2]++
 	}
+	for c := 2; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	g.cellPts = make([]int32, n)
+	for i, p := range g.pts {
+		c := cell(p) + 1
+		g.cellPts[start[c]] = int32(i)
+		start[c]++
+	}
+	g.cellStart = start[:side*side+1]
 	g.dirty = false
 }

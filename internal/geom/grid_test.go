@@ -28,8 +28,11 @@ func queryGrid(g *PointGrid, r Region) []int {
 }
 
 // TestPointGridMatchesLinearScan is the quick-check property test: random
-// point populations and random query regions (including degenerate, empty
-// and unbounded ones) report exactly what a linear scan reports.
+// point populations (down to a single point, and collinear ones whose
+// bounding box has no width) and random query regions (including degenerate,
+// empty and unbounded ones) report exactly the insertion indexes a linear
+// scan reports — the cells are one flat index array cut by offsets, and a
+// query reads a row of cells as one run of it.
 func TestPointGridMatchesLinearScan(t *testing.T) {
 	rng := stats.NewRNG(4321)
 	for trial := 0; trial < 30; trial++ {
@@ -38,8 +41,11 @@ func TestPointGridMatchesLinearScan(t *testing.T) {
 		pts := make([]Point2D, 0, n)
 		for i := 0; i < n; i++ {
 			p := Point2D{X: rng.Range(-500, 500), Y: rng.Range(-500, 500)}
+			if trial%5 == 4 {
+				p.X = 17
+			}
 			pts = append(pts, p)
-			g.Add(p, i)
+			g.Add(p)
 		}
 		regions := []Region{
 			WholePlane(),
@@ -70,7 +76,7 @@ func TestPointGridIncrementalAdds(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p := Point2D{X: rng.Range(0, 100), Y: rng.Range(0, 100)}
 		pts = append(pts, p)
-		g.Add(p, i)
+		g.Add(p)
 		if i%9 == 0 {
 			r := RegionAround(Point2D{X: rng.Range(0, 100), Y: rng.Range(0, 100)}, rng.Range(0, 40))
 			if !equalInts(queryGrid(g, r), queryLinear(pts, r)) {
@@ -88,7 +94,7 @@ func TestPointGridDuplicateCoordinates(t *testing.T) {
 	g := &PointGrid{}
 	p := Point2D{X: 3, Y: 4}
 	for i := 0; i < 10; i++ {
-		g.Add(p, i)
+		g.Add(p)
 	}
 	got := queryGrid(g, RegionAround(p, 1))
 	if len(got) != 10 {
@@ -100,7 +106,7 @@ func TestPointGridDuplicateCoordinates(t *testing.T) {
 func TestPointGridEarlyStop(t *testing.T) {
 	g := &PointGrid{}
 	for i := 0; i < 10; i++ {
-		g.Add(Point2D{X: float64(i), Y: 0}, i)
+		g.Add(Point2D{X: float64(i), Y: 0})
 	}
 	calls := 0
 	g.Query(WholePlane(), func(int) bool {

@@ -54,6 +54,7 @@ type ConcurrentEngine struct {
 	inflight atomic.Int64
 	idleMu   sync.Mutex
 	idleCond *sync.Cond
+	trims    atomic.Uint32 // Trim calls, see runWorker
 }
 
 var _ Runtime = (*ConcurrentEngine)(nil)
@@ -77,13 +78,13 @@ type mailbox struct {
 
 // push appends an item and reports whether the caller must schedule the
 // node's activation (the mailbox was empty and inactive).
-func (m *mailbox) push(item queued) (activate, ok bool) {
+func (m *mailbox) push(item *queued) (activate, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return false, false
 	}
-	m.queue = append(m.queue, item)
+	m.queue = append(m.queue, *item)
 	if m.active {
 		return false, true
 	}
@@ -324,15 +325,44 @@ func (e *ConcurrentEngine) Workers() int { return len(e.pool.deques) }
 // the deques (own first, stealing when dry) and drains one burst per
 // activation. The spare buffer is reused across bursts, so the steady state
 // allocates nothing; its backing array migrates between mailboxes as bursts
-// are swapped out and handed back.
+// are swapped out and handed back. Trim cannot reach a worker's spare (the
+// worker may still be handing it back when a drain already saw the network
+// idle), so each activation drops a spare from before the last Trim: one
+// load beside the deque lock the acquisition just paid.
 func (e *ConcurrentEngine) runWorker(w int) {
 	var spare []queued
+	var trims uint32
 	for {
 		n, ok := e.pool.next(w)
 		if !ok {
 			return
 		}
+		if t := e.trims.Load(); t != trims {
+			trims, spare = t, nil
+		}
 		spare = e.runNode(w, int(n), spare)
+	}
+}
+
+// Trim implements Runtime: every empty mailbox and run deque lets go of its
+// backing array, and each worker drops its spare burst buffer before its next
+// activation.
+func (e *ConcurrentEngine) Trim() {
+	e.trims.Add(1)
+	for _, m := range e.mailboxes {
+		m.mu.Lock()
+		if len(m.queue) == 0 {
+			m.queue = nil
+		}
+		m.mu.Unlock()
+	}
+	for i := range e.pool.deques {
+		d := &e.pool.deques[i]
+		d.mu.Lock()
+		if d.head == len(d.buf) {
+			d.buf, d.head = nil, 0
+		}
+		d.mu.Unlock()
 	}
 }
 
@@ -349,7 +379,7 @@ func (e *ConcurrentEngine) runNode(w, n int, spare []queued) []queued {
 	items := m.take(spare)
 	h, ctx := e.handlers[n], e.ctxs[n]
 	for i := range items {
-		dispatch(h, ctx, items[i])
+		dispatch(h, ctx, &items[i])
 	}
 	if m.finish() {
 		e.pool.enqueue(w, int32(n))
@@ -384,12 +414,12 @@ func (e *ConcurrentEngine) runNode(w, n int, spare []queued) []queued {
 
 // submit implements scheduler: an external injection carries no worker
 // affinity.
-func (e *ConcurrentEngine) submit(item queued) error { return e.submitFrom(item, -1) }
+func (e *ConcurrentEngine) submit(item queued) error { return e.submitFrom(&item, -1) }
 
 // submitFrom queues one item. prefer names the scheduler worker whose
 // dispatch produced it (its local deque receives the activation), or -1 for
 // external injections, which spread round-robin.
-func (e *ConcurrentEngine) submitFrom(item queued, prefer int) error {
+func (e *ConcurrentEngine) submitFrom(item *queued, prefer int) error {
 	if e.closed.Load() {
 		return errClosed
 	}
@@ -426,8 +456,8 @@ func (e *ConcurrentEngine) wakeIdle() {
 // failed submit — only possible when a send races engine shutdown — is
 // counted as a dropped message so lossy runs are detectable; the conformance
 // suite asserts the counter stays zero.
-func (e *ConcurrentEngine) enqueue(from, to topology.NodeID, msg Message, round int) {
-	if err := e.submitFrom(queued{from: from, to: to, msg: msg, round: round}, int(e.nodeWorker[from])); err != nil {
+func (e *ConcurrentEngine) enqueue(item queued) {
+	if err := e.submitFrom(&item, int(e.nodeWorker[item.from])); err != nil {
 		e.metrics.recordDrop()
 	}
 }

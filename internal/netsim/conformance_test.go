@@ -515,3 +515,53 @@ func TestAggregateConformanceAllApproaches(t *testing.T) {
 		}
 	}
 }
+
+// TestAdvertisementFloodReachesEveryNode pins the size of Algorithm 1's
+// flood on both engines: on a tree every sensor's advertisement crosses
+// every link exactly once, sensors × (nodes − 1) messages in all. A table
+// that mistook a new sensor for a known one (or the reverse) would move the
+// count; so would a set-up that "saved" messages by not telling some node,
+// which the subscriptions routed by those tables would then pay for. The
+// Trim that follows the flood in NewSystem must leave the engines ready for
+// the next burst.
+func TestAdvertisementFloodReachesEveryNode(t *testing.T) {
+	w, err := experiment.BuildWorkload(conformanceScenario(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := experiment.FactoryFor(experiment.FilterSplitForward, 12, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conc := netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, factory, 2)
+	defer conc.Close()
+	engines := map[string]netsim.Runtime{
+		"sequential": netsim.NewEngine(w.Deployment.Graph, factory),
+		"concurrent": conc,
+	}
+	want := int64(len(w.Deployment.Sensors)) * int64(w.Deployment.Graph.NumNodes()-1)
+	for name, rt := range engines {
+		for _, sensor := range w.Deployment.Sensors {
+			if err := rt.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.Flush()
+		if got := rt.Metrics().AdvertisementLoad(); got != want {
+			t.Errorf("%s: advertisement load %d, want %d sensors × %d links = %d", name, got,
+				len(w.Deployment.Sensors), w.Deployment.Graph.NumNodes()-1, want)
+		}
+		// Re-attaching is a duplicate at the host and must not flood again —
+		// and it is the first burst through the trimmed queues.
+		rt.Trim()
+		for _, sensor := range w.Deployment.Sensors {
+			if err := rt.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.Flush()
+		if got := rt.Metrics().AdvertisementLoad(); got != want {
+			t.Errorf("%s: advertisement load %d after re-attaching every sensor, want it unchanged at %d", name, got, want)
+		}
+	}
+}

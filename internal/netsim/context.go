@@ -8,10 +8,10 @@ import (
 )
 
 // sink is the engine-side interface a Context uses to hand off outgoing
-// messages. Both engines implement it. The round is the lineage round of the
-// item whose dispatch produced the message (see watermark.go).
+// messages. Both engines implement it. The item's round is the lineage round
+// of the item whose dispatch produced the message (see watermark.go).
 type sink interface {
-	enqueue(from, to topology.NodeID, msg Message, round int)
+	enqueue(item queued)
 }
 
 // Context gives a handler access to its node's identity, its neighbourhood
@@ -96,7 +96,8 @@ func (c *Context) Graph() *topology.Graph { return c.graph }
 
 // SendAdvertisement forwards an advertisement to a neighbouring node.
 func (c *Context) SendAdvertisement(to topology.NodeID, adv model.Advertisement) {
-	c.send(to, Message{Kind: KindAdvertisement, Adv: adv})
+	ev := model.Event{Sensor: adv.Sensor, Attr: adv.Attr, Location: adv.Location}
+	c.send(to, Message{Kind: KindAdvertisement, Ev: ev})
 }
 
 // SendSubscription forwards a subscription or correlation operator to a
@@ -151,8 +152,8 @@ func (c *Context) send(to topology.NodeID, msg Message) {
 	if !c.graph.HasEdge(c.self, to) {
 		panic(fmt.Sprintf("netsim: node %d attempted to send %s to non-neighbour %d", c.self, msg.Kind, to))
 	}
-	c.metrics.recordSend(c.self, msg, c.round)
-	c.out.enqueue(c.self, to, msg, c.round)
+	c.metrics.recordSend(c.self, &msg, c.round)
+	c.out.enqueue(queued{to: to, from: c.self, round: c.round, msg: msg})
 }
 
 // DeliverToUser hands a complex event to the local user owning the given

@@ -1,48 +1,47 @@
 package netsim
 
+import "sensorcq/internal/model"
+
 // dispatch routes one queued item to the owning node's handler. It is the
-// single place that understands the injection/message discrimination; both
+// single place that understands the injection/message discrimination and
+// that rebuilds a handler's arguments from the item's one payload; both
 // engines call it (the sequential engine from the caller's goroutine, the
 // concurrent engine from the node's worker goroutine), so the two can never
 // drift apart in how they present work to a protocol handler.
-func dispatch(h Handler, ctx *Context, item queued) {
+func dispatch(h Handler, ctx *Context, item *queued) {
 	// Expose the item's lineage round to the context: messages the handler
 	// sends while processing this item belong to the same round (watermark
 	// accounting), and deliveries fall back to it when a complex event has
 	// no components to derive a round from.
 	ctx.round = item.round
-	if item.injection != injectionNone {
-		switch item.injection {
-		case injectionSensor:
-			h.LocalSensor(ctx, item.sensor)
-		case injectionSubscribe:
-			h.LocalSubscribe(ctx, item.sub)
-		case injectionUnsubscribe:
-			h.LocalUnsubscribe(ctx, item.unsub)
-		case injectionPublish:
-			h.LocalPublish(ctx, item.ev)
-		case injectionTick:
-			// Watermark ticks are only generated while an aggregate
-			// subscription is registered; handlers without the capability
-			// ignore them.
-			if wh, ok := h.(WatermarkHandler); ok {
-				wh.HandleWatermark(ctx, item.wm)
-			}
+	msg := &item.msg
+	switch msg.Kind {
+	case localSensor:
+		h.LocalSensor(ctx, model.Sensor{ID: msg.Ev.Sensor, Attr: msg.Ev.Attr, Location: msg.Ev.Location})
+	case localSubscribe:
+		h.LocalSubscribe(ctx, msg.Sub)
+	case localUnsubscribe:
+		h.LocalUnsubscribe(ctx, msg.UnsubID)
+	case localPublish:
+		h.LocalPublish(ctx, msg.Ev)
+	case localTick:
+		// Watermark ticks are only generated while an aggregate
+		// subscription is registered; handlers without the capability
+		// ignore them.
+		if wh, ok := h.(WatermarkHandler); ok {
+			wh.HandleWatermark(ctx, msg.Ev.Round)
 		}
-		return
-	}
-	switch item.msg.Kind {
 	case KindAdvertisement:
-		h.HandleAdvertisement(ctx, item.from, item.msg.Adv)
+		h.HandleAdvertisement(ctx, item.from, model.Advertisement{Sensor: msg.Ev.Sensor, Attr: msg.Ev.Attr, Location: msg.Ev.Location})
 	case KindSubscription:
-		h.HandleSubscription(ctx, item.from, item.msg.Sub)
+		h.HandleSubscription(ctx, item.from, msg.Sub)
 	case KindUnsubscription:
-		h.HandleUnsubscription(ctx, item.from, item.msg.UnsubID)
+		h.HandleUnsubscription(ctx, item.from, msg.UnsubID)
 	case KindEvent:
-		h.HandleEvent(ctx, item.from, item.msg.Ev)
+		h.HandleEvent(ctx, item.from, msg.Ev)
 	case KindPartialAggregate:
 		if ah, ok := h.(AggregateHandler); ok {
-			ah.HandlePartialAggregate(ctx, item.from, item.msg.Agg)
+			ah.HandlePartialAggregate(ctx, item.from, msg.Agg)
 		}
 	}
 }

@@ -150,8 +150,8 @@ func (d *driver) post(ctx context.Context, node topology.NodeID, item queued) er
 	}
 	item.to, item.from = node, node
 	item.round = int(d.round.Load())
-	if item.injection == injectionPublish {
-		item.ev.Round = item.round
+	if item.msg.Kind == localPublish {
+		item.msg.Ev.Round = item.round
 	}
 	return d.sched.submit(item)
 }
@@ -175,7 +175,8 @@ func (d *driver) inject(ctx context.Context, node topology.NodeID, item queued, 
 
 // AttachSensor implements Runtime.
 func (d *driver) AttachSensor(node topology.NodeID, sensor model.Sensor) error {
-	return d.inject(context.Background(), node, queued{injection: injectionSensor, sensor: sensor}, d.plainWaits)
+	ev := model.Event{Sensor: sensor.ID, Attr: sensor.Attr, Location: sensor.Location}
+	return d.inject(context.Background(), node, queued{msg: Message{Kind: localSensor, Ev: ev}}, d.plainWaits)
 }
 
 // Subscribe implements Runtime.
@@ -195,7 +196,7 @@ func (d *driver) subscribe(ctx context.Context, node topology.NodeID, sub *model
 	if sub.Aggregate != nil {
 		d.aggTicks.Store(true)
 	}
-	if err := d.post(ctx, node, queued{injection: injectionSubscribe, sub: sub}); err != nil {
+	if err := d.post(ctx, node, queued{msg: Message{Kind: localSubscribe, Sub: sub}}); err != nil {
 		return err
 	}
 	err := d.settle(ctx, wait)
@@ -205,7 +206,7 @@ func (d *driver) subscribe(ctx context.Context, node topology.NodeID, sub *model
 		// and the messages on one link run in FIFO order, so by the time
 		// the retraction reaches a node, that node has recorded every
 		// forwarding link the walk retracts.
-		_ = d.post(context.Background(), node, queued{injection: injectionUnsubscribe, unsub: sub.ID})
+		_ = d.post(context.Background(), node, queued{msg: Message{Kind: localUnsubscribe, UnsubID: sub.ID}})
 	}
 	return err
 }
@@ -215,17 +216,17 @@ func (d *driver) Unsubscribe(node topology.NodeID, id model.SubscriptionID) erro
 	if id == "" {
 		return fmt.Errorf("netsim: empty subscription ID")
 	}
-	return d.inject(context.Background(), node, queued{injection: injectionUnsubscribe, unsub: id}, d.plainWaits)
+	return d.inject(context.Background(), node, queued{msg: Message{Kind: localUnsubscribe, UnsubID: id}}, d.plainWaits)
 }
 
 // Publish implements Runtime.
 func (d *driver) Publish(node topology.NodeID, ev model.Event) error {
-	return d.inject(context.Background(), node, queued{injection: injectionPublish, ev: ev}, d.plainWaits)
+	return d.inject(context.Background(), node, queued{msg: Message{Kind: localPublish, Ev: ev}}, d.plainWaits)
 }
 
 // PublishContext implements Runtime.
 func (d *driver) PublishContext(ctx context.Context, node topology.NodeID, ev model.Event) error {
-	return d.inject(ctx, node, queued{injection: injectionPublish, ev: ev}, true)
+	return d.inject(ctx, node, queued{msg: Message{Kind: localPublish, Ev: ev}}, true)
 }
 
 // PublishBatch implements Runtime: one quiescent round.
@@ -318,7 +319,7 @@ func (d *driver) injectRound(ctx context.Context, round []Publication, r int, se
 	for _, p := range round {
 		ev := p.Event
 		ev.Round = r
-		if err := d.sched.submit(queued{to: p.Node, from: p.Node, injection: injectionPublish, ev: ev, round: r}); err != nil {
+		if err := d.sched.submit(queued{to: p.Node, from: p.Node, round: r, msg: Message{Kind: localPublish, Ev: ev}}); err != nil {
 			return err
 		}
 		if settle {
@@ -376,7 +377,7 @@ func (d *driver) maybeTick() bool {
 		id := topology.NodeID(n)
 		// A failed submit only happens when the engine is shutting down;
 		// the tick is then moot.
-		_ = d.sched.submit(queued{to: id, from: id, injection: injectionTick, wm: wm})
+		_ = d.sched.submit(queued{to: id, from: id, msg: Message{Kind: localTick, Ev: model.Event{Round: wm}}})
 	}
 	return true
 }

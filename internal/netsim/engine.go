@@ -101,6 +101,13 @@ type Runtime interface {
 	// network is quiescent, with the same session-closing side effects as
 	// Flush.
 	FlushContext(ctx context.Context) error
+	// Trim releases the queue storage a past burst grew — mailbox, burst and
+	// run-deque arrays, or the FIFO queue — keeping whatever still holds
+	// items. Queues stay at their high-water mark so that a steady replay
+	// allocates nothing; after a one-off burst far above it (NewSystem's
+	// advertisement flood) that is hundreds of megabytes of dead weight.
+	// Call it on a quiescent network; later work regrows what it needs.
+	Trim()
 	// Metrics returns the run's traffic and delivery counters.
 	Metrics() *Metrics
 	// Deliveries returns every complex-event delivery recorded so far, in
@@ -138,46 +145,26 @@ type Runtime interface {
 	Watermark() int
 }
 
-// queued is one in-flight item: either a link message or a local injection.
+// queued is one in-flight item: a link message, or a local injection in the
+// same shape (from == to, and one of the local kinds). Every item is copied
+// into a mailbox or the FIFO queue, out into a burst and through array
+// growth, so it holds only the route, the lineage round and the one payload.
 type queued struct {
 	to   topology.NodeID
 	from topology.NodeID
-	msg  Message
 
 	// round is the lineage round of the item: the replay round being
 	// injected (injections), or the round of the item whose dispatch
 	// produced the message. Watermark accounting retires a round when no
-	// item of that lineage remains in flight.
+	// item of that lineage remains in flight. Tick items (and the close
+	// cascades they trigger) carry lineage round 0, which the watermark
+	// accounting never consults — the watermark gates on replay rounds
+	// >= 1 — so closing a window cannot hold back the very watermark that
+	// closed it.
 	round int
 
-	// Local injections (from == to) use the fields below instead of msg.
-	injection injectionKind
-	sensor    model.Sensor
-	sub       *model.Subscription
-	unsub     model.SubscriptionID
-	ev        model.Event
-
-	// wm is the watermark value an injectionTick item announces. Tick items
-	// (and the close cascades they trigger) carry lineage round 0, which the
-	// watermark accounting never consults — the watermark gates on replay
-	// rounds >= 1 — so closing a window cannot hold back the very watermark
-	// that closed it.
-	wm int
+	msg Message
 }
-
-type injectionKind int
-
-const (
-	injectionNone injectionKind = iota
-	injectionSensor
-	injectionSubscribe
-	injectionUnsubscribe
-	injectionPublish
-	// injectionTick announces an advanced network watermark to one node
-	// (see WatermarkHandler). Ticks are only generated while at least one
-	// aggregate subscription is registered.
-	injectionTick
-)
 
 // Engine is the deterministic sequential engine, and the reference schedule
 // every conformance oracle compares against: all queued items — injections
@@ -236,18 +223,21 @@ func (e *Engine) Preallocate(mult int) {
 
 // submit implements scheduler.
 func (e *Engine) submit(item queued) error {
-	e.push(item)
+	e.enqueue(item)
 	return nil
 }
 
 // enqueue implements sink.
-func (e *Engine) enqueue(from, to topology.NodeID, msg Message, round int) {
-	e.push(queued{from: from, to: to, msg: msg, round: round})
-}
-
-func (e *Engine) push(item queued) {
+func (e *Engine) enqueue(item queued) {
 	e.led.add(item.round)
 	e.queue = append(e.queue, item)
+}
+
+// Trim implements Runtime.
+func (e *Engine) Trim() {
+	if e.head == len(e.queue) && !e.draining {
+		e.queue, e.head = nil, 0
+	}
 }
 
 // stop implements scheduler; there is no goroutine to release.
@@ -297,7 +287,7 @@ func (e *Engine) run(ctx context.Context, target int) error {
 		}
 		item := e.queue[e.head]
 		e.head++
-		dispatch(e.handlers[item.to], e.ctxs[item.to], item)
+		dispatch(e.handlers[item.to], e.ctxs[item.to], &item)
 		if e.led.done(item.round, 1) && gated {
 			wm = e.led.watermark()
 		}

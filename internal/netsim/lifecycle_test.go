@@ -333,3 +333,66 @@ func TestEnginesRejectAlike(t *testing.T) {
 		})
 	}
 }
+
+// TestTrimReleasesQueueStorage grows the queues with a burst far above the
+// steady state — the shape of NewSystem's advertisement flood — and checks
+// that Trim on the drained engines lets the backing arrays go, including the
+// worker's spare burst buffer, which the worker drops itself before its next
+// activation: with one worker, that activation would otherwise swap the kept
+// spare straight back into a mailbox.
+func TestTrimReleasesQueueStorage(t *testing.T) {
+	const burst = 5000
+	g := lineGraph(t, 3)
+	conc := NewConcurrentEngineWorkers(g, newFloodHandler, 1)
+	defer conc.Close()
+	capacity := func() (total int) {
+		for _, m := range conc.mailboxes {
+			m.mu.Lock()
+			total += cap(m.queue)
+			m.mu.Unlock()
+		}
+		return total
+	}
+	for i := uint64(1); i <= burst; i++ {
+		if err := conc.Publish(0, testEvent(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conc.Flush()
+	conc.Trim()
+	if got := capacity(); got != 0 {
+		t.Errorf("mailboxes hold %d item slots after Trim on a drained engine, want 0", got)
+	}
+	if err := conc.Publish(0, testEvent(burst+1)); err != nil {
+		t.Fatal(err)
+	}
+	conc.Flush()
+	if got := capacity(); got > 16 {
+		t.Errorf("mailboxes hold %d item slots after one event: the worker kept its flood-sized spare", got)
+	}
+	if got := conc.Metrics().ComplexDeliveries("sink"); got != burst+1 {
+		t.Errorf("deliveries = %d, want %d", got, burst+1)
+	}
+
+	seq := NewEngine(g, newFloodHandler)
+	batch := make([]Publication, burst)
+	for i := range batch {
+		batch[i] = Publication{Node: 0, Event: testEvent(uint64(i + 1))}
+	}
+	if err := seq.ReplayRounds([][]Publication{batch}, ReplayOptions{Mode: Pipelined}); err != nil {
+		t.Fatal(err)
+	}
+	if cap(seq.queue) < burst {
+		t.Fatalf("sequential queue capacity %d after a %d-event round: the test no longer grows it", cap(seq.queue), burst)
+	}
+	seq.Trim()
+	if cap(seq.queue) != 0 {
+		t.Errorf("sequential queue holds %d item slots after Trim, want 0", cap(seq.queue))
+	}
+	if err := seq.Publish(0, testEvent(burst+1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := seq.Metrics().ComplexDeliveries("sink"); got != burst+1 {
+		t.Errorf("sequential deliveries = %d, want %d", got, burst+1)
+	}
+}

@@ -64,6 +64,18 @@ const (
 	// ship-every-reading baseline, relays one raw matching reading hop by
 	// hop). Its traffic is accounted separately from the event load.
 	KindPartialAggregate
+
+	// The kinds below tag local injections, which never cross a link: the
+	// driver queues them in the same Message shape, each in the slot of its
+	// payload's type, and dispatch turns them into the Local* calls.
+	localSensor      // attach the sensor in Ev's Sensor, Attr and Location
+	localSubscribe   // register Sub for a user at the node
+	localUnsubscribe // retract the local registration UnsubID
+	localPublish     // inject the reading Ev
+	// localTick announces the network watermark Ev.Round to one node (see
+	// WatermarkHandler); only generated while an aggregate subscription is
+	// registered.
+	localTick
 )
 
 // String implements fmt.Stringer.
@@ -84,17 +96,24 @@ func (k MessageKind) String() string {
 	}
 }
 
-// Message is one unit of traffic on a link.
+// Message is one unit of traffic on a link: a kind and the one payload that
+// kind carries. Every queued item — link message or local injection — moves
+// through mailboxes, bursts and the FIFO queue as one of these, so the
+// struct holds each payload shape once and nothing beside it.
 type Message struct {
 	Kind MessageKind
-	Adv  model.Advertisement
-	Sub  *model.Subscription
-	Ev   model.Event
+	// Ev is the value payload: the event of a KindEvent message, or the
+	// advertisement of a KindAdvertisement message in the event's Sensor,
+	// Attr and Location fields (an advertisement is exactly those three).
+	// Context.SendAdvertisement packs it and dispatch unpacks it.
+	Ev model.Event
+	// Sub is the payload of a KindSubscription message.
+	Sub *model.Subscription
+	// Agg is the payload of a KindPartialAggregate message.
+	Agg *PartialAggregate
 	// UnsubID identifies the subscription or operator a KindUnsubscription
 	// message retracts.
 	UnsubID model.SubscriptionID
-	// Agg is the payload of a KindPartialAggregate message.
-	Agg *PartialAggregate
 	// Units is the number of accounting units this message contributes to
 	// its kind's load metric. It defaults to 1; the centralized baseline
 	// uses it when shipping an event across a multi-hop path in one logical

@@ -73,7 +73,7 @@ func newMetrics(nodes int, log *deliveryLog) *Metrics {
 }
 
 // recordSend counts one send in the sending node's shard.
-func (m *Metrics) recordSend(from topology.NodeID, msg Message, round int) {
+func (m *Metrics) recordSend(from topology.NodeID, msg *Message, round int) {
 	units := msg.Units
 	if units <= 0 {
 		units = 1

@@ -43,6 +43,7 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sensorcq"
 )
@@ -96,6 +97,16 @@ func New(sys *sensorcq.System, cfg Config) (*Server, error) {
 
 // Handler returns the HTTP handler serving both planes.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// HTTPServer returns the listener the daemon serves Handler with. A peer that
+// connects and goes quiet must not hold a connection for as long as it likes:
+// it gets 10 s to finish a request header and 120 s between requests. There
+// is deliberately no ReadTimeout or WriteTimeout — both bound a whole
+// exchange, and an SSE stream is one response that lives as long as its
+// subscription.
+func (s *Server) HTTPServer(addr string) *http.Server {
+	return &http.Server{Addr: addr, Handler: s.mux, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 120 * time.Second}
+}
 
 // System returns the wrapped system (tests compare /metrics against it).
 func (s *Server) System() *sensorcq.System { return s.sys }

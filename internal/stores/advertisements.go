@@ -9,15 +9,15 @@
 // index built on geom.BoxTree that stabs every filter dimension (value
 // range × spatial region) at once, maintains itself incrementally under
 // subscribe/unsubscribe churn, and prunes covered subscriptions behind
-// their cover — and the geom.PointGrid location grids of the advertisement
-// table.
+// their cover — and the advertisement table's per-(origin, attribute)
+// geom.PointGrid location grids (there is no table-wide grid: a question
+// about every origin asks each of the node's few origins in turn).
 //
 // The structures are not safe for concurrent use; each protocol handler owns
 // one set of them and the engines guarantee per-node sequential execution.
 package stores
 
 import (
-	"cmp"
 	"slices"
 
 	"sensorcq/internal/geom"
@@ -25,22 +25,21 @@ import (
 	"sensorcq/internal/topology"
 )
 
-// AdvertisementTable stores the data-source advertisements received from
-// each neighbour (and from locally attached sensors, filed under the node's
-// own ID). The advertised locations are additionally indexed in uniform
-// grids — per (origin, attribute) and globally per attribute — so that the
-// spatial projections of abstract subscriptions (Project, HasAllSources,
-// OriginsMatching) query only the advertisements near the subscription's
-// region instead of scanning every advertisement.
+// AdvertisementTable is the node's view of the data-source advertisements
+// received from each neighbour (and from locally attached sensors, filed
+// under the node's own ID). Algorithm 1 floods every advertisement to every
+// node — n nodes and s sensors make n·s entries — so the table keeps of one
+// only what its readers ask: per origin the set of advertised sensor IDs
+// (the exact answer to Add's "already advertised by this origin" and to
+// Known's and Project's "behind this neighbour"), and per (origin,
+// attribute) the advertised locations, in a grid that answers "any of this
+// attribute inside this region via this neighbour" (Project, HasAllSources,
+// OriginsMatching). Which sensor sits at which location is not kept.
 type AdvertisementTable struct {
-	self     topology.NodeID
-	byOrigin map[topology.NodeID]map[model.SensorID]model.Advertisement
-	// attrLoc indexes, per origin and attribute type, the advertised sensor
-	// locations.
-	attrLoc map[topology.NodeID]map[model.AttributeType]*advGrid
-	// allAttrLoc indexes the advertised locations per attribute type across
-	// every origin (used by HasAllSources).
-	allAttrLoc map[model.AttributeType]*advGrid
+	self topology.NodeID
+	// origins has one entry per origin heard from, in order of first
+	// advertisement: a node's few neighbours and itself, found by scan.
+	origins []originAds
 
 	// sensorScratch/attrScratch back Project's per-call key collections. The
 	// projection methods copy what they keep (building their own kept maps)
@@ -52,114 +51,93 @@ type AdvertisementTable struct {
 	attrScratch   []model.AttributeType
 }
 
-// advGrid is a location grid over advertised sensor positions. The spatial
-// projections only ask existence questions ("is any advertised location of
-// this attribute inside the region?"), so the grid stores positions alone;
-// the advertisements themselves stay in byOrigin.
-type advGrid struct {
-	grid geom.PointGrid
+// originAds is what one origin advertised: its sensors, and their locations
+// per attribute type (a handful of types, found by scan like the origins).
+type originAds struct {
+	origin  topology.NodeID
+	sensors map[model.SensorID]struct{}
+	attrs   []attrLocations
 }
 
-func (g *advGrid) add(adv model.Advertisement) {
-	g.grid.Add(adv.Location, g.grid.Len())
+type attrLocations struct {
+	attr model.AttributeType
+	locs geom.PointGrid
 }
 
-// anyInRegion reports whether at least one advertised location lies inside
-// the region.
-func (g *advGrid) anyInRegion(r geom.Region) bool {
-	if g == nil {
-		return false
+// anyInRegion reports whether the origin advertised at least one sensor of
+// the attribute type located inside the region.
+func (o *originAds) anyInRegion(attr model.AttributeType, r geom.Region) bool {
+	for i := range o.attrs {
+		if o.attrs[i].attr != attr {
+			continue
+		}
+		found := false
+		o.attrs[i].locs.Query(r, func(int) bool {
+			found = true
+			return false
+		})
+		return found
 	}
-	found := false
-	g.grid.Query(r, func(int) bool {
-		found = true
-		return false
-	})
-	return found
+	return false
 }
 
 // NewAdvertisementTable returns an empty table for the given node.
 func NewAdvertisementTable(self topology.NodeID) *AdvertisementTable {
-	return &AdvertisementTable{
-		self:       self,
-		byOrigin:   map[topology.NodeID]map[model.SensorID]model.Advertisement{},
-		attrLoc:    map[topology.NodeID]map[model.AttributeType]*advGrid{},
-		allAttrLoc: map[model.AttributeType]*advGrid{},
+	return &AdvertisementTable{self: self}
+}
+
+// from returns the entry of an origin, nil when it advertised nothing yet.
+func (t *AdvertisementTable) from(origin topology.NodeID) *originAds {
+	for i := range t.origins {
+		if t.origins[i].origin == origin {
+			return &t.origins[i]
+		}
 	}
+	return nil
 }
 
 // Add records an advertisement received from origin (use the node's own ID
 // for local sensors). It returns false when the same sensor was already
 // advertised by that origin, which callers use to stop re-flooding.
 func (t *AdvertisementTable) Add(origin topology.NodeID, adv model.Advertisement) bool {
-	m := t.byOrigin[origin]
-	if m == nil {
-		m = map[model.SensorID]model.Advertisement{}
-		t.byOrigin[origin] = m
+	o := t.from(origin)
+	if o == nil {
+		t.origins = append(t.origins, originAds{origin: origin, sensors: map[model.SensorID]struct{}{}})
+		o = &t.origins[len(t.origins)-1]
 	}
-	if _, dup := m[adv.Sensor]; dup {
+	// One map operation both answers and records: an insert that does not
+	// grow the set found the sensor there.
+	known := len(o.sensors)
+	o.sensors[adv.Sensor] = struct{}{}
+	if len(o.sensors) == known {
 		return false
 	}
-	m[adv.Sensor] = adv
-
-	grids := t.attrLoc[origin]
-	if grids == nil {
-		grids = map[model.AttributeType]*advGrid{}
-		t.attrLoc[origin] = grids
+	i := 0
+	for i < len(o.attrs) && o.attrs[i].attr != adv.Attr {
+		i++
 	}
-	g := grids[adv.Attr]
-	if g == nil {
-		g = &advGrid{}
-		grids[adv.Attr] = g
+	if i == len(o.attrs) {
+		o.attrs = append(o.attrs, attrLocations{attr: adv.Attr})
 	}
-	g.add(adv)
-
-	ag := t.allAttrLoc[adv.Attr]
-	if ag == nil {
-		ag = &advGrid{}
-		t.allAttrLoc[adv.Attr] = ag
-	}
-	ag.add(adv)
+	o.attrs[i].locs.Add(adv.Location)
 	return true
 }
 
 // Known reports whether the sensor was advertised by any origin.
 func (t *AdvertisementTable) Known(sensor model.SensorID) bool {
-	for _, m := range t.byOrigin {
-		if _, ok := m[sensor]; ok {
+	for i := range t.origins {
+		if _, ok := t.origins[i].sensors[sensor]; ok {
 			return true
 		}
 	}
 	return false
 }
 
-// Origins returns the origins with at least one advertisement, sorted.
-func (t *AdvertisementTable) Origins() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(t.byOrigin))
-	for o := range t.byOrigin {
-		out = append(out, o)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// From returns the advertisements received from the given origin, sorted by
-// sensor ID.
-func (t *AdvertisementTable) From(origin topology.NodeID) []model.Advertisement {
-	m := t.byOrigin[origin]
-	out := make([]model.Advertisement, 0, len(m))
-	for _, adv := range m {
-		out = append(out, adv)
-	}
-	slices.SortFunc(out, func(a, b model.Advertisement) int { return cmp.Compare(a.Sensor, b.Sensor) })
-	return out
-}
-
 // Count returns the total number of stored advertisements.
 func (t *AdvertisementTable) Count() int {
 	total := 0
-	for _, m := range t.byOrigin {
-		total += len(m)
+	for i := range t.origins {
+		total += len(t.origins[i].sensors)
 	}
 	return total
 }
@@ -170,14 +148,14 @@ func (t *AdvertisementTable) Count() int {
 // attribute types advertised by that origin within sub's region for abstract
 // subscriptions. It returns nil when the projection is empty.
 func (t *AdvertisementTable) Project(sub *model.Subscription, origin topology.NodeID) *model.Subscription {
-	m := t.byOrigin[origin]
-	if len(m) == 0 {
+	o := t.from(origin)
+	if o == nil {
 		return nil
 	}
 	if sub.Kind == model.KindIdentified {
 		sensors := t.sensorScratch[:0]
 		for d := range sub.SensorFilters {
-			if _, ok := m[d]; ok {
+			if _, ok := o.sensors[d]; ok {
 				sensors = append(sensors, d)
 			}
 		}
@@ -187,10 +165,9 @@ func (t *AdvertisementTable) Project(sub *model.Subscription, origin topology.No
 		}
 		return sub.ProjectSensors(sensors)
 	}
-	grids := t.attrLoc[origin]
 	attrs := t.attrScratch[:0]
 	for a := range sub.AttrFilters {
-		if grids[a].anyInRegion(sub.Region) {
+		if o.anyInRegion(a, sub.Region) {
 			attrs = append(attrs, a)
 		}
 	}
@@ -214,11 +191,22 @@ func (t *AdvertisementTable) HasAllSources(sub *model.Subscription) bool {
 		return true
 	}
 	for a := range sub.AttrFilters {
-		if !t.allAttrLoc[a].anyInRegion(sub.Region) {
+		if !t.anyInRegion(a, sub.Region) {
 			return false
 		}
 	}
 	return true
+}
+
+// anyInRegion asks every origin in turn: with few origins per node that
+// costs less than a second, table-wide grid would to keep.
+func (t *AdvertisementTable) anyInRegion(attr model.AttributeType, r geom.Region) bool {
+	for i := range t.origins {
+		if t.origins[i].anyInRegion(attr, r) {
+			return true
+		}
+	}
+	return false
 }
 
 // OriginsMatching returns the origins (excluding the given one) whose
@@ -226,7 +214,8 @@ func (t *AdvertisementTable) HasAllSources(sub *model.Subscription) bool {
 // subscription must be forwarded to. The result is sorted.
 func (t *AdvertisementTable) OriginsMatching(sub *model.Subscription, exclude topology.NodeID) []topology.NodeID {
 	var out []topology.NodeID
-	for origin := range t.byOrigin {
+	for i := range t.origins {
+		origin := t.origins[i].origin
 		if origin == exclude || origin == t.self {
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
+	"sensorcq/internal/topology"
 )
 
 func adv(sensor model.SensorID, attr model.AttributeType, x, y float64) model.Advertisement {
@@ -59,15 +60,17 @@ func TestAdvertisementTableBasics(t *testing.T) {
 	if tbl.Count() != 3 {
 		t.Errorf("Count = %d", tbl.Count())
 	}
-	origins := tbl.Origins()
-	if len(origins) != 3 || origins[0] != 1 || origins[2] != 5 {
-		t.Errorf("Origins = %v", origins)
+	// Who advertised what is read through the projections: the table keeps
+	// no advertisement list to return. The node's own ID is not a neighbour
+	// to forward to.
+	all := idSub(t, "all", "d1", "d2", "d3")
+	if got := tbl.OriginsMatching(all, -1); !slices.Equal(got, []topology.NodeID{1, 2}) {
+		t.Errorf("OriginsMatching = %v, want [1 2]", got)
 	}
-	from1 := tbl.From(1)
-	if len(from1) != 1 || from1[0].Sensor != "d1" {
-		t.Errorf("From(1) = %v", from1)
+	if p := tbl.Project(all, 1); p == nil || !slices.Equal(p.Sensors(), []model.SensorID{"d1"}) {
+		t.Errorf("Project onto origin 1 = %v, want d1 alone", p)
 	}
-	if len(tbl.From(9)) != 0 {
+	if tbl.Project(all, 9) != nil {
 		t.Error("unknown origin should have no advertisements")
 	}
 }

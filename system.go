@@ -199,6 +199,9 @@ func NewSystem(dep *Deployment, cfg Config) (*System, error) {
 		}
 	}
 	sys.runtime.Flush()
+	// The flood is sensors × (nodes − 1) messages, far above anything a
+	// replay keeps in flight: do not carry its queue high-water marks along.
+	sys.runtime.Trim()
 	return sys, nil
 }
 
