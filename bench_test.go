@@ -893,18 +893,17 @@ func BenchmarkSubscriptionFlood(b *testing.B) {
 }
 
 // BenchmarkReplaySteadyState measures the steady state of a long-lived
-// windowed session on the sequential engine: a pre-warmed subscription
-// population, an open KeepOpen session (lag 2), and the same round-structured
-// trace replayed per iteration with timestamps shifted forward one full trace
-// span — a seamless continuation of the session, with the window pruning old
-// rounds as new ones arrive. Sequence numbers are deliberately reused so the
+// windowed replay on the sequential engine: a pre-warmed subscription
+// population and the same round-structured trace replayed per iteration
+// under Windowed delivery (lag 2), with timestamps shifted forward one full
+// trace span — a seamless continuation of the stream, with the window pruning
+// old rounds as new ones arrive. Sequence numbers are deliberately reused so the
 // per-subscription delivered-sequence sets stay at their steady-state size
 // (the window dedups on (time, seq), so shifted reuses are new events to it).
 // After warm-up, Engine.Preallocate sizes the delivery log, its
-// per-subscription index, the per-node delivery arenas and the per-round
-// metric counters for the whole measured run, so the timed region performs
-// zero heap allocations — the baseline is gated at exactly 0 allocs/op by
-// benchgate's strict zero rule.
+// per-subscription index and the per-node delivery arenas for the whole
+// measured run, so the timed region performs zero heap allocations — the
+// baseline is gated at exactly 0 allocs/op by benchgate's strict zero rule.
 func BenchmarkReplaySteadyState(b *testing.B) {
 	w, replay, events := replayThroughputWorkload(b)
 	factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{
@@ -925,7 +924,7 @@ func BenchmarkReplaySteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	opts := netsim.ReplayOptions{Mode: netsim.Windowed, Lag: 2, KeepOpen: true}
+	opts := netsim.ReplayOptions{Mode: netsim.Windowed, Lag: 2}
 	shift := model.Timestamp(len(replay)) * w.Scenario.RoundInterval
 	advance := func() {
 		for _, round := range replay {
@@ -934,13 +933,13 @@ func BenchmarkReplaySteadyState(b *testing.B) {
 			}
 		}
 	}
-	// Warm up to the allocation fixed point: the first sessions populate the
+	// Warm up to the allocation fixed point: the first replays populate the
 	// lazy structures (staged index builds, dedup-key interning, scratch
 	// buffers, queue backing storage) and ratchet the recycled buffers —
 	// window sent-lists, free lists, per-node scratch — up to their
 	// steady-state high-water marks. Capacity growth tails off over several
-	// sessions rather than stopping after one, so the warm-up measures itself:
-	// it stops only after a whole session completes without a single heap
+	// replays rather than stopping after one, so the warm-up measures itself:
+	// it stops only after a whole replay completes without a single heap
 	// allocation, which is the state the timed region is meant to measure.
 	var ms runtime.MemStats
 	for k := 0; k < 64; k++ {
@@ -964,7 +963,6 @@ func BenchmarkReplaySteadyState(b *testing.B) {
 		advance()
 	}
 	b.StopTimer()
-	eng.Flush()
 	if n := eng.Metrics().DroppedMessages(); n != 0 {
 		b.Fatalf("dropped %d messages", n)
 	}
@@ -984,16 +982,7 @@ func BenchmarkReplaySteadyState(b *testing.B) {
 // gap the aggregation subsystem exists to open.
 func BenchmarkAggregateReplay(b *testing.B) {
 	w, replay, events := replayThroughputWorkload(b)
-	counts := map[model.AttributeType]int{}
-	for _, s := range w.Deployment.Sensors {
-		counts[s.Attr]++
-	}
-	var attr model.AttributeType
-	for a, n := range counts {
-		if attr == "" || n > counts[attr] || (n == counts[attr] && a < attr) {
-			attr = a
-		}
-	}
+	attr := experiment.BusiestAttribute(w.Deployment)
 	lo, hi := w.Trace.Mins[attr], w.Trace.Maxs[attr]
 	if !(lo < hi) {
 		lo, hi = lo-1, hi+1

@@ -188,9 +188,11 @@ func parseLags(spec string) ([]int, error) {
 // runLagSweep replays one scenario's Filter-Split-Forward workload once per
 // windowed lag setting — every lag against the identical generated workload —
 // and prints a comparison table: wall-clock and throughput per lag, plus the
-// paper's load metrics and recall, which must not change with the lag (the
-// windowed mode trades latency semantics for parallelism, not results; the
-// table flags any deviation from the first lag's totals).
+// paper's load metrics and recall, which do not change with the lag: every
+// batch's subscriptions propagate to quiescence and every replay ends with a
+// flush, so the lag only decides how many rounds overlap in flight
+// (experiment.TestLagSweepIsConformant pins it; the table still flags any
+// deviation from the first lag's totals).
 func runLagSweep(s experiment.Scenario, lags []int, concurrent bool, workers int, noRecall bool, churn float64) error {
 	w, err := experiment.BuildWorkload(s)
 	if err != nil {

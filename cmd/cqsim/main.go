@@ -20,6 +20,7 @@ import (
 
 	"sensorcq"
 	"sensorcq/internal/engineflags"
+	"sensorcq/internal/experiment"
 )
 
 func main() {
@@ -144,7 +145,7 @@ func run(approach string, nodes, sensors, groups, subs, minAttrs, maxAttrs, roun
 		if err != nil {
 			return err
 		}
-		aggAttr = busiestAttribute(dep)
+		aggAttr = experiment.BusiestAttribute(dep)
 		lo, hi := trace.Mins[aggAttr], trace.Maxs[aggAttr]
 		if !(lo < hi) {
 			lo, hi = lo-1, hi+1
@@ -261,21 +262,4 @@ func run(approach string, nodes, sensors, groups, subs, minAttrs, maxAttrs, roun
 			final.PartialAggregateLoad, final.PartialAggregateBytes)
 	}
 	return nil
-}
-
-// busiestAttribute returns the deployment's attribute type with the most
-// sensors.
-func busiestAttribute(dep *sensorcq.Deployment) sensorcq.AttributeType {
-	counts := make(map[sensorcq.AttributeType]int)
-	for _, s := range dep.Sensors {
-		counts[s.Attr]++
-	}
-	var best sensorcq.AttributeType
-	bestN := -1
-	for attr, n := range counts {
-		if n > bestN || (n == bestN && attr < best) {
-			best, bestN = attr, n
-		}
-	}
-	return best
 }

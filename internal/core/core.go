@@ -14,9 +14,9 @@
 //	event propagation — whether result sets are deduplicated per neighbour
 //	    link (publish/subscribe forwarding) or constructed per subscription.
 //
-// The Filter-Split-Forward approach of the paper is NewFSF; the competitor
-// configurations live in the internal/protocol/... packages and differ only
-// in the Config they pass to NewFactory.
+// The Filter-Split-Forward approach of the paper is NewFSFConfig; the
+// competitors differ only in the Config handed to NewFactory, and all four
+// rows sit side by side in internal/experiment (ConfigFor).
 package core
 
 import (
@@ -148,12 +148,6 @@ func NewFSFConfig(setFilterError float64, seed int64) Config {
 		Split:       SplitSimple,
 		Propagation: PerNeighbor,
 	}
-}
-
-// NewFSF returns a handler factory for the Filter-Split-Forward approach
-// with the default set-filter error probability.
-func NewFSF(seed int64) netsim.HandlerFactory {
-	return NewFactory(NewFSFConfig(DefaultSetFilterError, seed))
 }
 
 // NewFactory returns a netsim.HandlerFactory producing one Node per

@@ -113,7 +113,7 @@ func coreNode(t *testing.T, e *netsim.Engine, id topology.NodeID) *Node {
 	return n
 }
 
-func fsfFactory() netsim.HandlerFactory { return NewFSF(1) }
+func fsfFactory() netsim.HandlerFactory { return NewFactory(NewFSFConfig(DefaultSetFilterError, 1)) }
 
 func TestAdvertisementFlooding(t *testing.T) {
 	e := setupFigure3(t, fsfFactory())

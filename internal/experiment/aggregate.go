@@ -117,7 +117,7 @@ func RunAggregateSweep(cfg AggregateSweepConfig) (*AggregateSweep, error) {
 		return nil, fmt.Errorf("experiment: generating trace: %w", err)
 	}
 
-	attr := busiestAttribute(dep)
+	attr := BusiestAttribute(dep)
 	lo, hi := trace.Mins[attr], trace.Maxs[attr]
 	if !(lo < hi) {
 		lo, hi = lo-1, hi+1
@@ -215,39 +215,20 @@ func replayAggregate(s Scenario, dep *topology.Deployment, trace *dataset.Trace,
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	var engine netsim.Runtime
-	if concurrent {
-		conc := netsim.NewConcurrentEngineWorkers(dep.Graph, factory, workers)
-		defer conc.Close()
-		engine = conc
-	} else {
-		engine = netsim.NewEngine(dep.Graph, factory)
+	engine, closeEngine, err := startEngine(dep, factory, concurrent, workers)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	sensors := make([]model.Sensor, len(dep.Sensors))
-	copy(sensors, dep.Sensors)
-	sort.Slice(sensors, func(i, j int) bool { return sensors[i].ID < sensors[j].ID })
-	for _, sensor := range sensors {
-		if err := engine.AttachSensor(dep.SensorHost[sensor.ID], sensor); err != nil {
-			return nil, 0, 0, fmt.Errorf("experiment: attaching %s: %w", sensor.ID, err)
-		}
-		engine.Flush()
-	}
+	defer closeEngine()
 	if err := engine.Subscribe(subscriber, sub); err != nil {
 		return nil, 0, 0, fmt.Errorf("experiment: subscribing %s: %w", sub.ID, err)
 	}
 	engine.Flush()
 
-	rounds := make([][]netsim.Publication, len(trace.ByRound))
-	for r, events := range trace.ByRound {
-		rounds[r] = make([]netsim.Publication, len(events))
-		for i, ev := range events {
-			rounds[r][i] = netsim.Publication{Node: dep.SensorHost[ev.Sensor], Event: ev}
-		}
-	}
+	rounds := publicationRounds(dep, trace.ByRound)
 	if err := engine.ReplayRounds(rounds, netsim.ReplayOptions{Mode: netsim.Quiescent}); err != nil {
 		return nil, 0, 0, fmt.Errorf("experiment: replaying %s: %w", sub.ID, err)
 	}
-	engine.Flush()
 
 	var results []netsim.AggregateResult
 	for _, d := range engine.Deliveries() {
@@ -259,9 +240,9 @@ func replayAggregate(s Scenario, dep *topology.Deployment, trace *dataset.Trace,
 	return results, m.Snapshot().PartialAggregateLoad, m.PartialAggregateBytes(), nil
 }
 
-// busiestAttribute returns the deployment's attribute type with the most
-// sensors, so the query aggregates the widest source fan-in.
-func busiestAttribute(dep *topology.Deployment) model.AttributeType {
+// BusiestAttribute returns the deployment's attribute type with the most
+// sensors, so an aggregate query over it has the widest source fan-in.
+func BusiestAttribute(dep *topology.Deployment) model.AttributeType {
 	counts := make(map[model.AttributeType]int)
 	for _, sensor := range dep.Sensors {
 		counts[sensor.Attr]++

@@ -13,10 +13,7 @@ import (
 	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
 	"sensorcq/internal/protocol/centralized"
-	"sensorcq/internal/protocol/fsf"
-	"sensorcq/internal/protocol/multijoin"
-	"sensorcq/internal/protocol/naive"
-	"sensorcq/internal/protocol/operatorplace"
+	"sensorcq/internal/subsume"
 )
 
 // ApproachID names one of the five evaluated approaches.
@@ -56,28 +53,52 @@ type FactorySpec struct {
 	ValidityFactor int
 }
 
+// ConfigFor returns the core configuration of a distributed approach — its
+// row of the paper's Table II (subscription filtering, subscription
+// splitting, event propagation). The centralized baseline is a handler of
+// its own and has none.
+func ConfigFor(id ApproachID, spec FactorySpec) (core.Config, error) {
+	var cfg core.Config
+	switch id {
+	case Naive:
+		// Section VI's baseline: every subscription travels the reverse
+		// advertisement paths unfiltered and gets its own result set.
+		cfg = core.Config{Checker: subsume.NoneChecker{}, Split: core.SplitSimple, Propagation: core.PerSubscription}
+	case OperatorPlacement:
+		// Section III-A: operator placement with local knowledge only.
+		// Identical and covered operators are shared through pairwise
+		// covering; result sets are built per subscription.
+		cfg = core.Config{Checker: subsume.PairwiseChecker{}, Split: core.SplitSimple, Propagation: core.PerSubscription}
+	case MultiJoin:
+		// Section III-B: routed exactly like operator placement, but a node
+		// evaluates a multi-join over three or more attributes as binary
+		// joins, whose false positives travel to the subscriber.
+		cfg = core.Config{Checker: subsume.PairwiseChecker{}, Split: core.SplitBinaryJoin, Pairing: model.RingPairing, Propagation: core.PerNeighbor}
+	case FilterSplitForward:
+		// Section V: probabilistic set-subsumption filtering, simple
+		// splitting, per-neighbour publish/subscribe forwarding.
+		if spec.SetFilterError <= 0 || spec.SetFilterError >= 1 {
+			spec.SetFilterError = core.DefaultSetFilterError
+		}
+		cfg = core.NewFSFConfig(spec.SetFilterError, spec.Seed)
+	default:
+		return core.Config{}, fmt.Errorf("experiment: unknown distributed approach %q", id)
+	}
+	cfg.Name = string(id)
+	cfg.ValidityFactor = spec.ValidityFactor
+	return cfg, nil
+}
+
 // FactoryForSpec returns a fresh handler factory for the approach with the
 // given construction parameters.
 func FactoryForSpec(id ApproachID, spec FactorySpec) (netsim.HandlerFactory, error) {
-	if spec.SetFilterError <= 0 || spec.SetFilterError >= 1 {
-		spec.SetFilterError = fsf.DefaultSetFilterError
-	}
-	var cfg core.Config
-	switch id {
-	case Centralized:
+	if id == Centralized {
 		return centralized.NewFactoryWithValidity(spec.ValidityFactor), nil
-	case Naive:
-		cfg = naive.NewConfig()
-	case OperatorPlacement:
-		cfg = operatorplace.NewConfig()
-	case MultiJoin:
-		cfg = multijoin.NewConfig(model.RingPairing)
-	case FilterSplitForward:
-		cfg = fsf.NewConfig(spec.SetFilterError, spec.Seed)
-	default:
-		return nil, fmt.Errorf("experiment: unknown approach %q", id)
 	}
-	cfg.ValidityFactor = spec.ValidityFactor
+	cfg, err := ConfigFor(id, spec)
+	if err != nil {
+		return nil, err
+	}
 	return core.NewFactory(cfg), nil
 }
 

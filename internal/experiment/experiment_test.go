@@ -220,14 +220,12 @@ func TestChurnRun(t *testing.T) {
 	}
 }
 
-// TestWindowedRunSpansBatches exercises the open-session windowed harness:
-// under Delivery=Windowed the batches replay through one KeepOpen session —
-// no drain at batch boundaries, later batches' subscriptions join the
-// in-flight stream — and each series point is finalized from the per-round
-// traffic attribution once the watermark has passed the batch's last round,
-// after the closing flush at the latest. The sequential engine is
-// deterministic, so two runs must agree exactly; the points must carry a
-// sane, monotone traffic series and a recall measured against the oracle.
+// TestWindowedRunSpansBatches pins that the harness measures the same
+// experiment in every delivery mode: each batch's subscriptions and
+// retractions propagate to quiescence and each replay ends with a flush, so
+// overlapping up to three rounds in flight (Windowed, lag 2) changes neither
+// the traffic nor the recall of any batch — on the sequential engine and on
+// the concurrent one.
 func TestWindowedRunSpansBatches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration run skipped in -short mode")
@@ -239,58 +237,67 @@ func TestWindowedRunSpansBatches(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Approaches = []ApproachID{OperatorPlacement, FilterSplitForward}
+	quiescent, err := RunOnWorkload(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts.Delivery = netsim.Windowed
 	opts.Lag = 2
+	for _, concurrent := range []bool{false, true} {
+		opts.Concurrent, opts.Workers = concurrent, 2
+		windowed, err := RunOnWorkload(w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range opts.Approaches {
+			series, base := windowed.SeriesFor(id), quiescent.SeriesFor(id)
+			if series == nil || base == nil || len(series.Points) != s.Batches || len(base.Points) != s.Batches {
+				t.Fatalf("%s concurrent=%v: missing or truncated series", id, concurrent)
+			}
+			for i, p := range series.Points {
+				if p != base.Points[i] {
+					t.Errorf("%s concurrent=%v batch %d: windowed %+v, quiescent %+v", id, concurrent, i, p, base.Points[i])
+				}
+			}
+		}
+	}
+}
 
-	run1, err := RunOnWorkload(w, opts)
-	if err != nil {
-		t.Fatal(err)
+// TestLagSweepIsConformant is cqexp -lagsweep without the command: on each
+// of the four scenarios, the final Filter-Split-Forward point (subscription
+// load, event load, recall) is the same at every windowed lag, on both
+// engines. The lag trades overlap for parallelism, never results.
+func TestLagSweepIsConformant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration run skipped in -short mode")
 	}
-	run2, err := RunOnWorkload(w, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quiescent, err := RunOnWorkload(w, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, id := range opts.Approaches {
-		series := run1.SeriesFor(id)
-		again := run2.SeriesFor(id)
-		base := quiescent.SeriesFor(id)
-		if series == nil || again == nil || base == nil || len(series.Points) != s.Batches {
-			t.Fatalf("%s: missing or truncated series", id)
+	for _, s := range AllScenarios() {
+		s = QuickScale(s)
+		w, err := BuildWorkload(s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var prevSubLoad int64
-		var total, baseTotal int64
-		for i, p := range series.Points {
-			if again.Points[i] != p {
-				t.Errorf("%s batch %d: windowed run not deterministic: %+v vs %+v", id, i, p, again.Points[i])
+		for _, concurrent := range []bool{false, true} {
+			var base SeriesPoint
+			for i, lag := range []int{0, 1, 2, 4} {
+				res, err := RunOnWorkload(w, Options{
+					Approaches:    []ApproachID{FilterSplitForward},
+					ComputeRecall: true,
+					Concurrent:    concurrent,
+					Workers:       2,
+					Delivery:      netsim.Windowed,
+					Lag:           lag,
+				})
+				if err != nil {
+					t.Fatalf("%s concurrent=%v lag %d: %v", s.Name, concurrent, lag, err)
+				}
+				final := res.Approaches[0].Final()
+				if i == 0 {
+					base = final
+				} else if final != base {
+					t.Errorf("%s concurrent=%v: lag %d ends at %+v, lag 0 at %+v", s.Name, concurrent, lag, final, base)
+				}
 			}
-			if p.EventLoad <= 0 {
-				t.Errorf("%s batch %d: event load %d, want > 0", id, i, p.EventLoad)
-			}
-			if p.SubscriptionLoad < prevSubLoad {
-				t.Errorf("%s batch %d: subscription load %d regressed below %d", id, i, p.SubscriptionLoad, prevSubLoad)
-			}
-			prevSubLoad = p.SubscriptionLoad
-			if p.Recall < 0 || p.Recall > 1 {
-				t.Errorf("%s batch %d: recall %f out of range", id, i, p.Recall)
-			}
-			total += p.EventLoad
-			baseTotal += base.Points[i].EventLoad
-		}
-		// Batch 0 subscribes to quiescence before the session opens, so its
-		// recall is not degraded by mid-stream registration.
-		if r := series.Points[0].Recall; r < 0.95 {
-			t.Errorf("%s: batch-0 windowed recall = %.3f, want >= 0.95", id, r)
-		}
-		// Mid-stream subscriptions may miss early matches of their own
-		// batch, so the windowed totals can undershoot the quiescent run —
-		// but they must stay in its neighbourhood, not collapse.
-		if total < baseTotal/2 || total > baseTotal*2 {
-			t.Errorf("%s: windowed total event load %d far from quiescent %d", id, total, baseTotal)
 		}
 	}
 }

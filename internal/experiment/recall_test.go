@@ -8,7 +8,6 @@ import (
 	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
 	"sensorcq/internal/oracle"
-	"sensorcq/internal/protocol/fsf"
 	"sensorcq/internal/subsume"
 )
 
@@ -95,13 +94,20 @@ func TestFSFRecallTrafficTradeoff(t *testing.T) {
 		Split:       core.SplitSimple,
 		Propagation: core.PerNeighbor,
 	}))
-	p01 := run(fsf.NewFactoryWithError(0.01, s.Seed+7))
+	fsfWithError := func(p float64) netsim.HandlerFactory {
+		factory, err := FactoryForSpec(FilterSplitForward, FactorySpec{Seed: s.Seed + 7, SetFilterError: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return factory
+	}
+	p01 := run(fsfWithError(0.01))
 	// Since event forwarding enumerates every completed match, a falsely
 	// subsumed operator only loses events that no member of its covering set
 	// matches — low error probabilities mostly drop near-covered operators
 	// whose uncovered volume sees no events on this trace, so the observable
 	// degradation starts at a much more permissive setting than before.
-	p40 := run(fsf.NewFactoryWithError(0.4, s.Seed+7))
+	p40 := run(fsfWithError(0.4))
 
 	t.Logf("recall: exact=%.4f p=0.01=%.4f p=0.4=%.4f", exact.recall, p01.recall, p40.recall)
 	t.Logf("event load: exact=%d p=0.01=%d p=0.4=%d", exact.load, p01.load, p40.load)

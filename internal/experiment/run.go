@@ -189,15 +189,44 @@ func (w *Workload) RoundsForBatch(batch int) [][]model.Event {
 // runtime's replay representation, each event paired with the node hosting
 // its sensor — ready to hand to Runtime.ReplayRounds.
 func (w *Workload) PublicationRounds(batch int) [][]netsim.Publication {
-	rounds := w.RoundsForBatch(batch)
+	return publicationRounds(w.Deployment, w.RoundsForBatch(batch))
+}
+
+func publicationRounds(dep *topology.Deployment, rounds [][]model.Event) [][]netsim.Publication {
 	out := make([][]netsim.Publication, len(rounds))
 	for r, events := range rounds {
 		out[r] = make([]netsim.Publication, len(events))
 		for i, ev := range events {
-			out[r][i] = netsim.Publication{Node: w.Deployment.SensorHost[ev.Sensor], Event: ev}
+			out[r][i] = netsim.Publication{Node: dep.SensorHost[ev.Sensor], Event: ev}
 		}
 	}
 	return out
+}
+
+// startEngine builds the engine of one run — sequential, or concurrent with
+// the given worker count — and attaches (and, for distributed approaches,
+// advertises) every sensor of the deployment in ID order, each propagated to
+// quiescence. The caller must call the returned close function when done.
+func startEngine(dep *topology.Deployment, factory netsim.HandlerFactory, concurrent bool, workers int) (netsim.Runtime, func(), error) {
+	var engine netsim.Runtime
+	closeEngine := func() {}
+	if concurrent {
+		conc := netsim.NewConcurrentEngineWorkers(dep.Graph, factory, workers)
+		engine, closeEngine = conc, conc.Close
+	} else {
+		engine = netsim.NewEngine(dep.Graph, factory)
+	}
+	sensors := make([]model.Sensor, len(dep.Sensors))
+	copy(sensors, dep.Sensors)
+	sort.Slice(sensors, func(i, j int) bool { return sensors[i].ID < sensors[j].ID })
+	for _, sensor := range sensors {
+		if err := engine.AttachSensor(dep.SensorHost[sensor.ID], sensor); err != nil {
+			closeEngine()
+			return nil, nil, fmt.Errorf("experiment: attaching %s: %w", sensor.ID, err)
+		}
+		engine.Flush()
+	}
+	return engine, closeEngine, nil
 }
 
 // SubscriptionsUpTo returns the subscriptions of batches 0..batch inclusive.
@@ -317,20 +346,14 @@ func RunOnWorkload(w *Workload, o Options) (*Result, error) {
 	return result, nil
 }
 
-// runApproach runs one approach over the shared workload.
-//
-// Under the windowed delivery mode the batches replay through one open
-// session (ReplayOptions.KeepOpen): nothing drains at a batch boundary, so
-// rounds of consecutive batches overlap in flight and the subscriptions and
-// retractions of later batches join the stream. The other modes drain
-// between rounds by definition.
-//
-// Every mode measures by lineage round: batch b's event load is that of its
-// own round range, the cumulative subscription load after it is everything
-// up to the round current while its subscriptions were injected, and its
-// recall is read from the delivery record. A point is final once the
-// watermark has passed its last round — one subscription batch later when
-// the mode drains, after the closing flush at the latest.
+// runApproach runs one approach over the shared workload: the paper's
+// experiment, the same in every delivery mode. Each batch's subscriptions
+// propagate to quiescence, then its measurement rounds replay under the
+// configured delivery semantics — which end with a flush — and the point is
+// read from the quiescent network: the cumulative subscription load, the
+// event load as the snapshot difference across the replay, and the recall
+// from the delivery record. The batch's churned fraction is retracted, again
+// to quiescence, before the next batch subscribes.
 func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error) {
 	s := w.Scenario
 	if o.Churn < 0 || o.Churn > 1 {
@@ -344,53 +367,14 @@ func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error)
 	if err != nil {
 		return nil, err
 	}
-	var engine netsim.Runtime
-	if o.Concurrent {
-		conc := netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, factory, o.Workers)
-		defer conc.Close()
-		engine = conc
-	} else {
-		engine = netsim.NewEngine(w.Deployment.Graph, factory)
+	engine, closeEngine, err := startEngine(w.Deployment, factory, o.Concurrent, o.Workers)
+	if err != nil {
+		return nil, err
 	}
+	defer closeEngine()
 
-	// Attach (and, for distributed approaches, advertise) every sensor.
-	sensorHosts := make([]model.Sensor, len(w.Deployment.Sensors))
-	copy(sensorHosts, w.Deployment.Sensors)
-	sort.Slice(sensorHosts, func(i, j int) bool { return sensorHosts[i].ID < sensorHosts[j].ID })
-	for _, sensor := range sensorHosts {
-		if err := engine.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
-			return nil, fmt.Errorf("experiment: attaching %s: %w", sensor.ID, err)
-		}
-		engine.Flush()
-	}
-
-	windowed := o.Delivery == netsim.Windowed
 	series := &ApproachSeries{Approach: id}
-	// spans[b] is batch b's lineage-round range and the round current while
-	// its subscriptions were injected.
-	type span struct{ lo, hi, boundary int }
-	var spans []span
-	finalized := 0
-	finalize := func() {
-		m := engine.Metrics()
-		for ; finalized < len(spans) && spans[finalized].hi <= engine.Watermark(); finalized++ {
-			sp, point := spans[finalized], &series.Points[finalized]
-			point.EventLoad = m.EventLoadForRounds(sp.lo, sp.hi)
-			point.SubscriptionLoad = m.SubscriptionLoadForRounds(0, sp.boundary)
-			if o.ComputeRecall {
-				point.Recall = batchRecall(w, finalized, o, engine)
-			}
-			if o.Progress != nil {
-				o.Progress("%-24s %-22s queries=%4d  sub-load=%7d  event-load=%8d  recall=%.3f",
-					s.Name, id, point.InjectedQueries, point.SubscriptionLoad, point.EventLoad, point.Recall)
-			}
-		}
-	}
-	roundsReplayed := 0
 	for b := 0; b < s.Batches; b++ {
-		// Inject this batch's subscriptions. Batch 0 always propagates to
-		// quiescence (the session opens with the first replayed round);
-		// later batches under windowed delivery join the open session.
 		start := b * s.BatchSize
 		end := start + s.BatchSize
 		if end > len(w.Placed) {
@@ -401,44 +385,38 @@ func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error)
 			if err := engine.Subscribe(p.Node, p.Sub); err != nil {
 				return nil, fmt.Errorf("experiment: subscribing %s: %w", p.Sub.ID, err)
 			}
-			if !windowed || b == 0 {
-				engine.Flush()
-			}
+			engine.Flush()
 		}
-		// Earlier batches whose rounds have retired are final. Checking here,
-		// not right after the replay, matters: reading the watermark may
-		// retire the last replayed round, which the injections at a batch
-		// boundary (retractions below, subscriptions above) are stamped with
-		// and must join while it can still hold the watermark back — or a
-		// later point could be read with their cascades in flight.
-		finalize()
-		// Replay this batch's measurement rounds under the configured
-		// delivery semantics.
-		rounds := w.PublicationRounds(b)
-		opts := netsim.ReplayOptions{Mode: o.Delivery, Lag: o.Lag, KeepOpen: windowed}
-		if err := engine.ReplayRounds(rounds, opts); err != nil {
+		before := engine.Metrics().Snapshot()
+		opts := netsim.ReplayOptions{Mode: o.Delivery, Lag: o.Lag}
+		if err := engine.ReplayRounds(w.PublicationRounds(b), opts); err != nil {
 			return nil, fmt.Errorf("experiment: replaying batch %d: %w", b, err)
 		}
-		spans = append(spans, span{lo: roundsReplayed + 1, hi: roundsReplayed + len(rounds), boundary: roundsReplayed})
-		roundsReplayed += len(rounds)
-		series.Points = append(series.Points, SeriesPoint{InjectedQueries: end, Recall: 1})
+		after := engine.Metrics().Snapshot()
+		point := SeriesPoint{
+			InjectedQueries:  end,
+			SubscriptionLoad: after.SubscriptionLoad,
+			EventLoad:        after.EventLoad - before.EventLoad,
+			Recall:           1,
+		}
+		if o.ComputeRecall {
+			point.Recall = batchRecall(w, b, o, engine)
+		}
+		series.Points = append(series.Points, point)
+		if o.Progress != nil {
+			o.Progress("%-24s %-22s queries=%4d  sub-load=%7d  event-load=%8d  recall=%.3f",
+				s.Name, id, point.InjectedQueries, point.SubscriptionLoad, point.EventLoad, point.Recall)
+		}
 		// Retract this batch's churned fraction (oldest first, the schedule
 		// survivorsForBatch mirrors) now that its segment has replayed;
 		// later batches run against the survivors.
-		if k := churnCount(len(batch), o.Churn); k > 0 {
-			for _, p := range batch[:k] {
-				if err := engine.Unsubscribe(p.Node, p.Sub.ID); err != nil {
-					return nil, fmt.Errorf("experiment: unsubscribing %s: %w", p.Sub.ID, err)
-				}
-				if !windowed {
-					engine.Flush()
-				}
+		for _, p := range batch[:churnCount(len(batch), o.Churn)] {
+			if err := engine.Unsubscribe(p.Node, p.Sub.ID); err != nil {
+				return nil, fmt.Errorf("experiment: unsubscribing %s: %w", p.Sub.ID, err)
 			}
+			engine.Flush()
 		}
 	}
-	// Close the session, if one is open: every round retires.
-	engine.Flush()
-	finalize()
 	return series, nil
 }
 

@@ -30,21 +30,9 @@ type boxDim struct {
 	iv   Interval
 }
 
-// NewBox returns an empty box with no dimensions.
-func NewBox() Box { return Box{} }
-
 // NewBoxSized returns an empty box with room for n dimensions, for builders
 // that know how many they will set.
 func NewBoxSized(n int) Box { return Box{dims: make([]boxDim, 0, n)} }
-
-// BoxFrom builds a box from a dimension->interval map.
-func BoxFrom(dims map[string]Interval) Box {
-	b := NewBoxSized(len(dims))
-	for k, v := range dims {
-		b = b.Set(k, v)
-	}
-	return b
-}
 
 // find returns the position of the dimension in the sorted storage, or the
 // position it would be inserted at and false. Boxes hold a handful of
@@ -176,16 +164,6 @@ func (b Box) Intersect(o Box) (Box, bool) {
 	return out, true
 }
 
-// Volume returns the product of the widths of all dimensions. Degenerate
-// (zero-width) dimensions contribute factor 0.
-func (b Box) Volume() float64 {
-	v := 1.0
-	for i := range b.dims {
-		v *= b.dims[i].iv.Width()
-	}
-	return v
-}
-
 // ContainsPoint reports whether the given point (one value per dimension, in
 // Dims order) lies inside the box. A point with fewer values than the box has
 // dimensions is outside.
@@ -199,32 +177,6 @@ func (b Box) ContainsPoint(pt []float64) bool {
 		}
 	}
 	return true
-}
-
-// Corners invokes fn with every corner of the box (2^d points for d
-// dimensions, each one value per dimension in Dims order). The slice is
-// reused between calls; fn must copy it to keep it. Iteration stops early if
-// fn returns false. Corners of boxes with more than 20 dimensions are not
-// enumerated (fn is never called) to avoid exponential blow-up; callers
-// should fall back to sampling.
-func (b Box) Corners(fn func(pt []float64) bool) {
-	if len(b.dims) > 20 {
-		return
-	}
-	pt := make([]float64, len(b.dims))
-	n := 1 << uint(len(b.dims))
-	for mask := 0; mask < n; mask++ {
-		for i := range b.dims {
-			if mask&(1<<uint(i)) != 0 {
-				pt[i] = b.dims[i].iv.Max
-			} else {
-				pt[i] = b.dims[i].iv.Min
-			}
-		}
-		if !fn(pt) {
-			return
-		}
-	}
 }
 
 // String implements fmt.Stringer.

@@ -96,27 +96,6 @@ func (iv Interval) Union(o Interval) Interval {
 	return Interval{Min: math.Min(iv.Min, o.Min), Max: math.Max(iv.Max, o.Max)}
 }
 
-// Expand returns the interval grown by delta on both sides. A negative delta
-// shrinks the interval and may make it empty.
-func (iv Interval) Expand(delta float64) Interval {
-	return Interval{Min: iv.Min - delta, Max: iv.Max + delta}
-}
-
-// Clamp returns v clamped into the interval. Clamping against an empty
-// interval returns v unchanged.
-func (iv Interval) Clamp(v float64) float64 {
-	if iv.Empty() {
-		return v
-	}
-	if v < iv.Min {
-		return iv.Min
-	}
-	if v > iv.Max {
-		return iv.Max
-	}
-	return v
-}
-
 // Mid returns the midpoint of the interval. It is computed as
 // Min + (Max-Min)/2 so that intervals with very large magnitudes do not
 // overflow.

@@ -76,11 +76,6 @@ func (r Region) Covers(o Region) bool {
 	return r.X.Covers(o.X) && r.Y.Covers(o.Y)
 }
 
-// Intersects reports whether the two regions share at least one point.
-func (r Region) Intersects(o Region) bool {
-	return r.X.Overlaps(o.X) && r.Y.Overlaps(o.Y)
-}
-
 // Intersect returns the overlap of the two regions (possibly empty).
 func (r Region) Intersect(o Region) Region {
 	return Region{X: r.X.Intersect(o.X), Y: r.Y.Intersect(o.Y)}
@@ -95,14 +90,6 @@ func (r Region) Union(o Region) Region {
 		return r
 	}
 	return Region{X: r.X.Union(o.X), Y: r.Y.Union(o.Y)}
-}
-
-// Area returns the area of the region; unbounded regions have infinite area.
-func (r Region) Area() float64 {
-	if r.Empty() {
-		return 0
-	}
-	return r.X.Width() * r.Y.Width()
 }
 
 // Center returns the midpoint of the region. The centre of an unbounded

@@ -152,7 +152,7 @@ func (c *Context) send(to topology.NodeID, msg Message) {
 	if !c.graph.HasEdge(c.self, to) {
 		panic(fmt.Sprintf("netsim: node %d attempted to send %s to non-neighbour %d", c.self, msg.Kind, to))
 	}
-	c.metrics.recordSend(c.self, &msg, c.round)
+	c.metrics.recordSend(c.self, &msg)
 	c.out.enqueue(queued{to: to, from: c.self, round: c.round, msg: msg})
 }
 

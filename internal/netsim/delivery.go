@@ -94,19 +94,6 @@ type ReplayOptions struct {
 	// be zero for the other modes and at most MaxReplayLag for Windowed.
 	// Lag 0 under Windowed reproduces Pipelined behaviour exactly.
 	Lag int
-	// KeepOpen, valid only with the Windowed mode, leaves the replay
-	// session open when ReplayRounds returns: the trailing rounds are NOT
-	// drained, and the next Windowed ReplayRounds call continues the same
-	// session — its first round overlaps the previous call's last rounds
-	// exactly as if the traces had been replayed in one call. While a
-	// session is open, Subscribe,
-	// Unsubscribe, AttachSensor and Publish join the in-flight stream
-	// (stamped with the current round) instead of draining the network
-	// first, and a replay in a non-Windowed mode is rejected. An explicit
-	// Flush drains the network and closes the session. Per-range traffic
-	// during an open session is available via Metrics.EventLoadForRounds;
-	// a whole-run snapshot difference would not see round boundaries.
-	KeepOpen bool
 }
 
 func (o ReplayOptions) validate() error {
@@ -123,9 +110,6 @@ func (o ReplayOptions) validate() error {
 	}
 	if o.Lag > MaxReplayLag {
 		return fmt.Errorf("netsim: replay lag %d exceeds the maximum of %d", o.Lag, MaxReplayLag)
-	}
-	if o.KeepOpen && o.Mode != Windowed {
-		return fmt.Errorf("netsim: KeepOpen requires the windowed delivery mode (got %v)", o.Mode)
 	}
 	return nil
 }

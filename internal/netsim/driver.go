@@ -32,26 +32,13 @@ type scheduler interface {
 	stop()
 }
 
-// Replay session states. A Windowed replay is a session: it is running
-// while ReplayRounds injects, parked when the call returned with rounds
-// still in flight (KeepOpen, or a cancelled replay), and none once a flush
-// drained it. Only a parked session is closed by Flush — a Flush from
-// another goroutine must not close the session of a replay that is still
-// injecting. The other modes leave the network drained (or, cancelled, with
-// leftovers the next drain completes) and never open one.
-const (
-	sessionNone int32 = iota
-	sessionRunning
-	sessionParked
-)
-
 // driver is everything the two engines share above the scheduling line:
 // the nodes and their handlers, validation, the injectors, the round
-// counter, the replay loop for all delivery modes, session state, the
-// watermark ledger and the ticks announcing it, and the delivery log. It
-// sits on the per-injection and per-round path only; messages between nodes
-// go straight from Context.send to the engine's own enqueue, and deliveries
-// from Context.DeliverToUser to the log.
+// counter, the replay loop for all delivery modes, the watermark ledger and
+// the ticks announcing it, and the delivery log. It sits on the
+// per-injection and per-round path only; messages between nodes go straight
+// from Context.send to the engine's own enqueue, and deliveries from
+// Context.DeliverToUser to the log.
 type driver struct {
 	deliveryLog
 	handlers []Handler
@@ -64,9 +51,8 @@ type driver struct {
 	// whether the plain injectors drain before returning.
 	plainWaits bool
 
-	closed  atomic.Bool
-	round   atomic.Int64
-	session atomic.Int32
+	closed atomic.Bool
+	round  atomic.Int64
 
 	// aggTicks is set when an aggregate subscription registers; it gates all
 	// watermark-tick work so replays without aggregate queries pay one
@@ -157,10 +143,9 @@ func (d *driver) post(ctx context.Context, node topology.NodeID, item queued) er
 }
 
 // settle is the blocking rule of the single-item entry points (see
-// Runtime): a call that waits flushes the network, except while a replay
-// session is open — then its item has joined the in-flight stream.
+// Runtime): a call that waits flushes the network.
 func (d *driver) settle(ctx context.Context, wait bool) error {
-	if !wait || d.session.Load() != sessionNone {
+	if !wait {
 		return nil
 	}
 	return d.flush(ctx)
@@ -258,20 +243,7 @@ func (d *driver) ReplayRoundsContext(ctx context.Context, rounds [][]Publication
 	if d.closed.Load() {
 		return errClosed
 	}
-	windowed := opts.Mode == Windowed
-	if windowed {
-		d.session.Store(sessionRunning)
-	} else if d.session.Load() != sessionNone {
-		return fmt.Errorf("netsim: %v replay rejected while a windowed session is open (Flush to close it)", opts.Mode)
-	}
-	err := d.replay(ctx, rounds, opts.Lag, opts.Mode == Quiescent)
-	if windowed {
-		// Whatever is still in flight now belongs to a parked session: the
-		// flush below closes it, and so does a later Flush when this call
-		// leaves it open (KeepOpen) or was cancelled.
-		d.session.Store(sessionParked)
-	}
-	if err != nil || opts.KeepOpen {
+	if err := d.replay(ctx, rounds, opts.Lag, opts.Mode == Quiescent); err != nil {
 		return err
 	}
 	return d.flush(ctx)
@@ -283,10 +255,8 @@ func (d *driver) ReplayRoundsContext(ctx context.Context, rounds [][]Publication
 // the Pipelined mode. settle additionally drains after every single
 // injection — the Quiescent mode, in which at most one event is in flight.
 //
-// A windowed replay continues whatever session is open: the first new round
-// overlaps the trailing rounds of a previous KeepOpen call under the same
-// gate. On an error (cancellation, engine closed) the rounds already
-// injected stay in flight.
+// On an error (cancellation, engine closed) the rounds already injected stay
+// in flight; the next drain, or the next replay's gate, completes them.
 func (d *driver) replay(ctx context.Context, rounds [][]Publication, lag int, settle bool) error {
 	for _, round := range rounds {
 		r := int(d.round.Load()) + 1
@@ -341,7 +311,7 @@ func (d *driver) FlushContext(ctx context.Context) error { return d.flush(ctx) }
 // drains the window-close cascades the ticks trigger, until no further tick
 // is due: every entry point that leaves the network quiescent routes
 // through it, so an aggregate window never stays open once the watermark
-// has passed its end. A completed flush closes a parked session.
+// has passed its end.
 func (d *driver) flush(ctx context.Context) error {
 	if err := d.sched.drain(ctx); err != nil {
 		return err
@@ -351,7 +321,6 @@ func (d *driver) flush(ctx context.Context) error {
 			return err
 		}
 	}
-	d.session.CompareAndSwap(sessionParked, sessionNone)
 	return nil
 }
 

@@ -11,21 +11,20 @@ import (
 // Runtime is the interface shared by the sequential and concurrent engines.
 // The experiment harness and the public facade are written against it. Both
 // engines implement all of it with one shared driver (driver.go), so
-// validation, errors, rounds, sessions, watermarks and the delivery record
-// cannot differ between them.
+// validation, errors, rounds, watermarks and the delivery record cannot
+// differ between them.
 //
 // Blocking rule. Whether an entry point returns before the work it queued
-// has run depends on the call, the engine and whether a replay session is
-// open (ReplayOptions.KeepOpen, or a cancelled replay):
+// has run depends on the call and the engine:
 //
-//	                               Engine             ConcurrentEngine    session open
-//	AttachSensor, Subscribe,       drains (1)         queues only (2)     joins the
-//	Unsubscribe, Publish                                                   in-flight
-//	SubscribeContext,              drains,            waits until idle,   stream, does
-//	PublishContext                 cancellable        cancellable         not wait
-//	ReplayRounds[Context]          as the mode says; KeepOpen leaves the trailing
-//	PublishBatch                   rounds in flight, otherwise ends with a flush
-//	Flush[Context]                 drains, announces the watermark, closes the session
+//	                               Engine             ConcurrentEngine
+//	AttachSensor, Subscribe,       drains (1)         queues only (2)
+//	Unsubscribe, Publish
+//	SubscribeContext,              drains,            waits until idle,
+//	PublishContext                 cancellable        cancellable
+//	ReplayRounds[Context]          as the mode says, then ends with a flush
+//	PublishBatch
+//	Flush[Context]                 drains and announces the watermark
 //
 // (1) The caller's goroutine is the only one that runs queued items, so a
 // call that did not drain would leave its work for an unrelated later call.
@@ -86,20 +85,18 @@ type Runtime interface {
 	// checked between dispatch bursts (sequential engine) and wakes any
 	// blocked drain or watermark wait (concurrent engine), so a stuck or
 	// long replay can be abandoned mid-round with the context's error.
-	// Work already injected keeps propagating; a cancelled replay leaves
-	// its session open — in flight rounds stay in flight — and an explicit
-	// Flush (or FlushContext) drains and closes it.
+	// Work already injected keeps propagating: in every mode a cancelled
+	// replay leaves its in-flight rounds as leftovers that the next drain
+	// (a Flush, a waiting injector, the next replay) completes.
 	ReplayRoundsContext(ctx context.Context, rounds [][]Publication, opts ReplayOptions) error
 	// Flush processes messages until the network is quiescent, announcing
-	// the watermark to open aggregate windows on the way, and closes an
-	// open replay session.
+	// the watermark to open aggregate windows on the way.
 	Flush()
 	// FlushContext is Flush with cancellation: it drains until the network
 	// is quiescent or the context is done, whichever comes first, and
 	// returns the context's error on cancellation (leaving the remaining
 	// work queued or in flight for a later drain). A nil error means the
-	// network is quiescent, with the same session-closing side effects as
-	// Flush.
+	// network is quiescent.
 	FlushContext(ctx context.Context) error
 	// Trim releases the queue storage a past burst grew — mailbox, burst and
 	// run-deque arrays, or the FIFO queue — keeping whatever still holds
@@ -173,8 +170,8 @@ type queued struct {
 // produces identical traffic counts and an identical delivery log, which is
 // what the experiment harness and the regression tests rely on.
 //
-// Everything above the queue (injectors, replay loop, sessions, watermark
-// ticks, delivery log) is the shared driver; what is specific to this engine
+// Everything above the queue (injectors, replay loop, watermark ticks,
+// delivery log) is the shared driver; what is specific to this engine
 // is the queue and the drain loops that run it. Its delivery log has a single
 // shard, which keeps Deliveries() in delivery order.
 type Engine struct {
@@ -196,12 +193,11 @@ func NewEngine(graph *topology.Graph, factory HandlerFactory) *Engine {
 
 // Preallocate sizes the engine's append-only stores to absorb roughly mult
 // repetitions of the work observed so far without growing: the delivery log
-// and its per-subscription index, each node's delivery arena, and the
-// metrics' per-round counters. Steady-state replay loops (benchmarks, long
-// experiment phases of known shape) call it after a warm-up pass so the
-// measured iterations allocate nothing; it is never required for
-// correctness, and a workload that outgrows the reservation simply falls
-// back to on-demand growth.
+// and its per-subscription index, and each node's delivery arena.
+// Steady-state replay loops (benchmarks, long experiment phases of known
+// shape) call it after a warm-up pass so the measured iterations allocate
+// nothing; it is never required for correctness, and a workload that
+// outgrows the reservation simply falls back to on-demand growth.
 func (e *Engine) Preallocate(mult int) {
 	if mult < 1 {
 		return
@@ -218,7 +214,6 @@ func (e *Engine) Preallocate(mult int) {
 			c.arena.reserve(n)
 		}
 	}
-	e.metrics.reserveRounds((int(e.round.Load()) + 1) * (mult + 1))
 }
 
 // submit implements scheduler.

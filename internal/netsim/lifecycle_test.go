@@ -228,9 +228,9 @@ func TestConcurrentEngineDeliveriesRaceClean(t *testing.T) {
 }
 
 // TestEnginesRejectAlike calls every entry point with each kind of bad input
-// on both engines and requires the same error text from both: validation,
-// session rules and the closed check are the driver's, so an engine that
-// answered differently would have grown a path of its own.
+// on both engines and requires the same error text from both: validation
+// and the closed check are the driver's, so an engine that answered
+// differently would have grown a path of its own.
 func TestEnginesRejectAlike(t *testing.T) {
 	g := lineGraph(t, 4)
 	good, err := model.NewAbstractSubscription("s1",
@@ -277,21 +277,7 @@ func TestEnginesRejectAlike(t *testing.T) {
 		}},
 		{name: "invalid replay options", calls: []call{
 			{"lag without windowed", func(rt closer) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Pipelined, Lag: 1}) }},
-			{"KeepOpen without windowed", func(rt closer) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{KeepOpen: true}) }},
 		}},
-		{
-			name: "non-windowed replay during an open session",
-			setup: func(t *testing.T, rt closer) {
-				if err := rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Windowed, Lag: 1, KeepOpen: true}); err != nil {
-					t.Fatal(err)
-				}
-			},
-			calls: []call{
-				{"Quiescent", func(rt closer) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Quiescent}) }},
-				{"Pipelined", func(rt closer) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Pipelined}) }},
-				{"PublishBatch", func(rt closer) error { return rt.PublishBatch(oneRound(0)[0]) }},
-			},
-		},
 		{
 			name: "use after Close",
 			setup: func(t *testing.T, rt closer) {

@@ -50,19 +50,6 @@ type metricsShard struct {
 	partialAggregateLoad  int64
 	partialAggregateBytes int64
 
-	// eventLoadByRound and subscriptionLoadByRound split the event and
-	// subscription loads by lineage round (the replay round whose dispatch
-	// cascade produced the send, the same attribution the watermark ledger
-	// uses), indexed by round number. They let the experiment harness
-	// attribute traffic to round ranges without draining the network to
-	// take a snapshot between batches — which is what allows a windowed
-	// replay to keep rounds in flight across batch boundaries. Subscription
-	// injections joining an open session are stamped with the round current
-	// at injection, so a batch subscribed between two replay calls is
-	// attributed entirely to the boundary round.
-	eventLoadByRound        []int64
-	subscriptionLoadByRound []int64
-
 	_ [64]byte
 }
 
@@ -73,7 +60,7 @@ func newMetrics(nodes int, log *deliveryLog) *Metrics {
 }
 
 // recordSend counts one send in the sending node's shard.
-func (m *Metrics) recordSend(from topology.NodeID, msg *Message, round int) {
+func (m *Metrics) recordSend(from topology.NodeID, msg *Message) {
 	units := msg.Units
 	if units <= 0 {
 		units = 1
@@ -86,12 +73,10 @@ func (m *Metrics) recordSend(from topology.NodeID, msg *Message, round int) {
 		s.advertisementLoad += units
 	case KindSubscription:
 		s.subscriptionLoad += units
-		s.subscriptionLoadByRound = addByRound(s.subscriptionLoadByRound, round, units)
 	case KindUnsubscription:
 		s.unsubscriptionLoad += units
 	case KindEvent:
 		s.eventLoad += units
-		s.eventLoadByRound = addByRound(s.eventLoadByRound, round, units)
 	case KindPartialAggregate:
 		s.partialAggregateLoad += units
 		s.partialAggregateBytes += units * encodedAggBytes(msg.Agg)
@@ -113,72 +98,6 @@ func encodedAggBytes(pa *PartialAggregate) int64 {
 		return rawReadingBytes
 	}
 	return int64(pa.State.EncodedSize())
-}
-
-// addByRound accumulates units into the per-round counter slice, growing it
-// on demand. New rounds first re-expose spare capacity (left behind by the
-// doubled-capacity growth below, or reserved up front by reserveRounds) and
-// only reallocate when none is left, so steady-state replay rounds cost no
-// allocations at all once the slice has been sized.
-func addByRound(byRound []int64, round int, units int64) []int64 {
-	if round < 0 {
-		return byRound
-	}
-	if round >= len(byRound) {
-		if round < cap(byRound) {
-			grown := byRound[:round+1]
-			// The spare region is zero today (append-only growth from zeroed
-			// makes), but zero it explicitly so the counter stays correct if
-			// a reset path ever truncates the slice.
-			for i := len(byRound); i <= round; i++ {
-				grown[i] = 0
-			}
-			byRound = grown
-		} else {
-			grown := make([]int64, round+1, 2*(round+1))
-			copy(grown, byRound)
-			byRound = grown
-		}
-	}
-	byRound[round] += units
-	return byRound
-}
-
-// reserveRounds grows every shard's per-round counters to hold at least n
-// rounds of capacity, so a replay of known length records round attributions
-// without reallocating mid-flight.
-func (m *Metrics) reserveRounds(n int) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		s.eventLoadByRound = growRoundsCap(s.eventLoadByRound, n)
-		s.subscriptionLoadByRound = growRoundsCap(s.subscriptionLoadByRound, n)
-		s.mu.Unlock()
-	}
-}
-
-func growRoundsCap(byRound []int64, n int) []int64 {
-	if n <= cap(byRound) {
-		return byRound
-	}
-	grown := make([]int64, len(byRound), n)
-	copy(grown, byRound)
-	return grown
-}
-
-// sumRounds folds byRound[lo..hi] (clamped to the recorded range).
-func sumRounds(byRound []int64, lo, hi int) int64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(byRound)-1 {
-		hi = len(byRound) - 1
-	}
-	var total int64
-	for r := lo; r <= hi; r++ {
-		total += byRound[r]
-	}
-	return total
 }
 
 // recordDrop counts a message an engine failed to enqueue.
@@ -239,28 +158,6 @@ func (m *Metrics) PartialAggregateLoad() int64 {
 // error-vs-traffic experiment.
 func (m *Metrics) PartialAggregateBytes() int64 {
 	return m.sum(func(s *metricsShard) int64 { return s.partialAggregateBytes })
-}
-
-// EventLoadForRounds returns the number of forwarded data units attributed
-// to lineage rounds lo..hi inclusive. Lineage attribution matches the
-// watermark ledger's: a send performed while dispatching round-r work counts
-// towards round r, whatever round the event payload was injected in. Under
-// quiescent and pipelined replay the network drains between rounds, so the
-// sum over a round range equals the snapshot difference across it; under
-// windowed replay it is the only exact per-range accounting, since rounds
-// overlap and no quiescent instant exists to snapshot at.
-func (m *Metrics) EventLoadForRounds(lo, hi int) int64 {
-	return m.sum(func(s *metricsShard) int64 { return sumRounds(s.eventLoadByRound, lo, hi) })
-}
-
-// SubscriptionLoadForRounds returns the number of forwarded subscriptions
-// and operators attributed to lineage rounds lo..hi inclusive. Subscription
-// injections are stamped with the round current at injection, so the
-// cumulative subscription load after a batch injected at round boundary r is
-// SubscriptionLoadForRounds(0, r) — exact once round r has retired, even
-// while later rounds are still in flight in an open windowed session.
-func (m *Metrics) SubscriptionLoadForRounds(lo, hi int) int64 {
-	return m.sum(func(s *metricsShard) int64 { return sumRounds(s.subscriptionLoadByRound, lo, hi) })
 }
 
 // DeliveredSeqs returns the set of simple-event sequence numbers that reached

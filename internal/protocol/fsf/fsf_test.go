@@ -1,12 +1,14 @@
-// White-box tests for the Filter-Split-Forward configuration (Section V):
-// probabilistic set-subsumption filtering with per-node checker instances,
-// simple splitting, per-neighbour publish/subscribe forwarding.
+// Tests for the Filter-Split-Forward approach (Section V) as the experiment
+// harness configures it: probabilistic set-subsumption filtering with
+// per-node checker instances, simple splitting, per-neighbour
+// publish/subscribe forwarding.
 package fsf
 
 import (
 	"testing"
 
 	"sensorcq/internal/core"
+	"sensorcq/internal/experiment"
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
@@ -14,10 +16,32 @@ import (
 	"sensorcq/internal/topology"
 )
 
+const approach = experiment.FilterSplitForward
+
+// tableIIRow returns the approach's configuration as the harness builds it.
+func tableIIRow(t *testing.T) core.Config {
+	t.Helper()
+	cfg, err := experiment.ConfigFor(approach, experiment.FactorySpec{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// factory returns the approach's handler factory as the harness builds it.
+func factory(t *testing.T, spec experiment.FactorySpec) netsim.HandlerFactory {
+	t.Helper()
+	f, err := experiment.FactoryForSpec(approach, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestConfigPinsSectionVRow(t *testing.T) {
-	cfg := NewConfig(DefaultSetFilterError, 7)
-	if cfg.Name != Name || Name != "filter-split-forward" {
-		t.Errorf("config name = %q, want %q", cfg.Name, Name)
+	cfg := tableIIRow(t)
+	if cfg.Name != "filter-split-forward" {
+		t.Errorf("config name = %q, want %q", cfg.Name, "filter-split-forward")
 	}
 	if cfg.CheckerFactory == nil {
 		t.Fatal("FSF needs a per-node checker factory: the set filter is stateful and nodes must not share it")
@@ -31,16 +55,13 @@ func TestConfigPinsSectionVRow(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("pinned config invalid: %v", err)
 	}
-	if DefaultSetFilterError != core.DefaultSetFilterError {
-		t.Errorf("re-exported default error %g drifted from core's %g", DefaultSetFilterError, core.DefaultSetFilterError)
-	}
 }
 
 // TestPerNodeCheckerInstances pins the concurrency requirement: every call
 // of the checker factory builds a fresh checker, so two nodes (or two
 // engines) never share the set filter's mutable sampling state.
 func TestPerNodeCheckerInstances(t *testing.T) {
-	cfg := NewConfig(DefaultSetFilterError, 7)
+	cfg := tableIIRow(t)
 	a := cfg.CheckerFactory(topology.NodeID(1))
 	b := cfg.CheckerFactory(topology.NodeID(2))
 	c := cfg.CheckerFactory(topology.NodeID(1))
@@ -68,7 +89,7 @@ func TestSetCheckerDetectsSetCovers(t *testing.T) {
 		}
 		return sub
 	}
-	checker := NewConfig(DefaultSetFilterError, 7).CheckerFactory(topology.NodeID(0))
+	checker := tableIIRow(t).CheckerFactory(topology.NodeID(0))
 	candidate := mk("cand", 10, 90)
 	left := mk("left", 0, 55)
 	right := mk("right", 45, 100)
@@ -88,8 +109,8 @@ func TestFactoriesBuildWorkingNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, factory := range []netsim.HandlerFactory{NewFactory(7), NewFactoryWithError(0.01, 7)} {
-		e := netsim.NewEngine(g, factory)
+	for _, spec := range []experiment.FactorySpec{{Seed: 7}, {Seed: 7, SetFilterError: 0.01}} {
+		e := netsim.NewEngine(g, factory(t, spec))
 		if _, ok := e.Handler(1).(*core.Node); !ok {
 			t.Fatalf("factory built %T, want *core.Node", e.Handler(1))
 		}

@@ -1,12 +1,14 @@
-// White-box tests for the distributed multi-join configuration (Table II,
-// row "Multi joins"): pairwise covering, binary-join splitting with a
-// configurable pairing, per-neighbour event propagation.
+// Tests for the distributed multi-join approach of Section III-B as the
+// experiment harness configures it (Table II, row "Multi joins"): pairwise
+// covering, binary-join splitting with the ring pairing, per-neighbour event
+// propagation.
 package multijoin
 
 import (
 	"testing"
 
 	"sensorcq/internal/core"
+	"sensorcq/internal/experiment"
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
@@ -14,10 +16,32 @@ import (
 	"sensorcq/internal/topology"
 )
 
+const approach = experiment.MultiJoin
+
+// tableIIRow returns the approach's configuration as the harness builds it.
+func tableIIRow(t *testing.T) core.Config {
+	t.Helper()
+	cfg, err := experiment.ConfigFor(approach, experiment.FactorySpec{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// factory returns the approach's handler factory as the harness builds it.
+func factory(t *testing.T, spec experiment.FactorySpec) netsim.HandlerFactory {
+	t.Helper()
+	f, err := experiment.FactoryForSpec(approach, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestConfigPinsTableIIRow(t *testing.T) {
-	cfg := NewConfig(model.RingPairing)
-	if cfg.Name != Name || Name != "distributed-multi-join" {
-		t.Errorf("config name = %q, want %q", cfg.Name, Name)
+	cfg := tableIIRow(t)
+	if cfg.Name != "distributed-multi-join" {
+		t.Errorf("config name = %q, want %q", cfg.Name, "distributed-multi-join")
 	}
 	if _, ok := cfg.Checker.(subsume.PairwiseChecker); !ok {
 		t.Errorf("checker = %T, want subsume.PairwiseChecker (same routing as operator placement)", cfg.Checker)
@@ -26,7 +50,7 @@ func TestConfigPinsTableIIRow(t *testing.T) {
 		t.Errorf("split policy = %v, want SplitBinaryJoin", cfg.Split)
 	}
 	if cfg.Pairing != model.RingPairing {
-		t.Errorf("pairing = %v, want the pairing handed to NewConfig", cfg.Pairing)
+		t.Errorf("pairing = %v, want the paper's ring pairing", cfg.Pairing)
 	}
 	if cfg.Propagation != core.PerNeighbor {
 		t.Errorf("propagation = %v, want PerNeighbor (publish/subscribe deduplication)", cfg.Propagation)
@@ -79,8 +103,10 @@ func TestFactoryBuildsWorkingNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, factory := range []netsim.HandlerFactory{NewFactory(), NewFactoryWithPairing(model.RingPairing)} {
-		e := netsim.NewEngine(g, factory)
+	chain := tableIIRow(t)
+	chain.Pairing = model.ChainPairing
+	for _, f := range []netsim.HandlerFactory{factory(t, experiment.FactorySpec{}), core.NewFactory(chain)} {
+		e := netsim.NewEngine(g, f)
 		if _, ok := e.Handler(2).(*core.Node); !ok {
 			t.Fatalf("factory built %T, want *core.Node", e.Handler(2))
 		}

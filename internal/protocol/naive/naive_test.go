@@ -1,13 +1,13 @@
-// White-box tests for the naive baseline configuration: the package's whole
-// job is pinning Table II's "Naive" row (no filtering, simple splitting,
-// per-subscription result sets), so the tests assert exactly that wiring and
-// that the resulting nodes deliver.
+// Tests for the naive baseline of Section VI as the experiment harness
+// configures it: Table II's "Naive" row (no filtering, simple splitting,
+// per-subscription result sets), and that the resulting nodes deliver.
 package naive
 
 import (
 	"testing"
 
 	"sensorcq/internal/core"
+	"sensorcq/internal/experiment"
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
@@ -15,10 +15,32 @@ import (
 	"sensorcq/internal/topology"
 )
 
+const approach = experiment.Naive
+
+// tableIIRow returns the approach's configuration as the harness builds it.
+func tableIIRow(t *testing.T) core.Config {
+	t.Helper()
+	cfg, err := experiment.ConfigFor(approach, experiment.FactorySpec{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// factory returns the approach's handler factory as the harness builds it.
+func factory(t *testing.T, spec experiment.FactorySpec) netsim.HandlerFactory {
+	t.Helper()
+	f, err := experiment.FactoryForSpec(approach, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestConfigPinsTableIIRow(t *testing.T) {
-	cfg := NewConfig()
-	if cfg.Name != Name || Name != "naive" {
-		t.Errorf("config name = %q, want %q", cfg.Name, Name)
+	cfg := tableIIRow(t)
+	if cfg.Name != "naive" {
+		t.Errorf("config name = %q, want %q", cfg.Name, "naive")
 	}
 	if _, ok := cfg.Checker.(subsume.NoneChecker); !ok {
 		t.Errorf("checker = %T, want subsume.NoneChecker (the naive approach never filters)", cfg.Checker)
@@ -41,7 +63,7 @@ func TestConfigPinsTableIIRow(t *testing.T) {
 // a subscription identical to an already-stored one is not subsumed, so
 // every subscription travels and is evaluated separately.
 func TestNoneCheckerNeverFilters(t *testing.T) {
-	cfg := NewConfig()
+	cfg := tableIIRow(t)
 	sub, err := model.NewIdentifiedSubscription("q", []model.SensorFilter{
 		{Sensor: "a", Attr: model.AmbientTemperature, Range: geom.NewInterval(0, 100)},
 	}, 30)
@@ -60,7 +82,7 @@ func TestFactoryBuildsWorkingNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := netsim.NewEngine(g, NewFactory())
+	e := netsim.NewEngine(g, factory(t, experiment.FactorySpec{}))
 	if _, ok := e.Handler(1).(*core.Node); !ok {
 		t.Fatalf("factory built %T, want *core.Node", e.Handler(1))
 	}

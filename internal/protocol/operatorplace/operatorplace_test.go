@@ -1,12 +1,14 @@
-// White-box tests for the distributed operator-placement configuration
-// (Table II, row "Operator placement"): pairwise covering detection, simple
-// splitting, per-subscription result sets.
+// Tests for the distributed operator-placement approach of Section III-A as
+// the experiment harness configures it (Table II, row "Operator placement"):
+// pairwise covering detection, simple splitting, per-subscription result
+// sets.
 package operatorplace
 
 import (
 	"testing"
 
 	"sensorcq/internal/core"
+	"sensorcq/internal/experiment"
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
@@ -14,10 +16,32 @@ import (
 	"sensorcq/internal/topology"
 )
 
+const approach = experiment.OperatorPlacement
+
+// tableIIRow returns the approach's configuration as the harness builds it.
+func tableIIRow(t *testing.T) core.Config {
+	t.Helper()
+	cfg, err := experiment.ConfigFor(approach, experiment.FactorySpec{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// factory returns the approach's handler factory as the harness builds it.
+func factory(t *testing.T, spec experiment.FactorySpec) netsim.HandlerFactory {
+	t.Helper()
+	f, err := experiment.FactoryForSpec(approach, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestConfigPinsTableIIRow(t *testing.T) {
-	cfg := NewConfig()
-	if cfg.Name != Name || Name != "operator-placement" {
-		t.Errorf("config name = %q, want %q", cfg.Name, Name)
+	cfg := tableIIRow(t)
+	if cfg.Name != "operator-placement" {
+		t.Errorf("config name = %q, want %q", cfg.Name, "operator-placement")
 	}
 	if _, ok := cfg.Checker.(subsume.PairwiseChecker); !ok {
 		t.Errorf("checker = %T, want subsume.PairwiseChecker", cfg.Checker)
@@ -49,7 +73,7 @@ func rangeSub(t *testing.T, id string, lo, hi float64) *model.Subscription {
 // are shared instead of forwarded), while an overlapping-but-not-nested one
 // is not — pairwise covering has no notion of set covers.
 func TestPairwiseCoveringShares(t *testing.T) {
-	cfg := NewConfig()
+	cfg := tableIIRow(t)
 	wide := rangeSub(t, "wide", 0, 100)
 	narrow := rangeSub(t, "narrow", 40, 60)
 	straddle := rangeSub(t, "straddle", 50, 150)
@@ -70,7 +94,7 @@ func TestPairwiseCoveringShares(t *testing.T) {
 // multi-joins): here, only the split policy and propagation distinguish the
 // rows.
 func TestSharesRoutingWithMultiJoinRow(t *testing.T) {
-	cfg := NewConfig()
+	cfg := tableIIRow(t)
 	if _, ok := cfg.Checker.(subsume.PairwiseChecker); !ok {
 		t.Fatalf("checker = %T, want the same pairwise checker the multi-join row uses", cfg.Checker)
 	}
@@ -86,7 +110,7 @@ func TestFactoryBuildsWorkingNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := netsim.NewEngine(g, NewFactory())
+	e := netsim.NewEngine(g, factory(t, experiment.FactorySpec{}))
 	if _, ok := e.Handler(0).(*core.Node); !ok {
 		t.Fatalf("factory built %T, want *core.Node", e.Handler(0))
 	}

@@ -7,14 +7,32 @@ import (
 	"testing"
 
 	"sensorcq/internal/core"
+	"sensorcq/internal/experiment"
 	"sensorcq/internal/model"
+	"sensorcq/internal/netsim"
 	"sensorcq/internal/protocol/centralized"
-	"sensorcq/internal/protocol/fsf"
-	"sensorcq/internal/protocol/multijoin"
-	"sensorcq/internal/protocol/naive"
-	"sensorcq/internal/protocol/operatorplace"
 	"sensorcq/internal/subsume"
 )
+
+// configFor returns the approach's Table II row as the harness builds it.
+func configFor(t *testing.T, id experiment.ApproachID, seed int64) core.Config {
+	t.Helper()
+	cfg, err := experiment.ConfigFor(id, experiment.FactorySpec{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// factoryFor returns the approach's handler factory as the harness builds it.
+func factoryFor(t *testing.T, id experiment.ApproachID, seed int64) netsim.HandlerFactory {
+	t.Helper()
+	factory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return factory
+}
 
 func TestTableIIApproachMatrix(t *testing.T) {
 	cases := []struct {
@@ -25,29 +43,29 @@ func TestTableIIApproachMatrix(t *testing.T) {
 		propagation core.EventPropagation
 	}{
 		{
-			name:        naive.Name,
-			cfg:         naive.NewConfig(),
+			name:        string(experiment.Naive),
+			cfg:         configFor(t, experiment.Naive, 0),
 			filtering:   "none",
 			split:       core.SplitSimple,
 			propagation: core.PerSubscription,
 		},
 		{
-			name:        operatorplace.Name,
-			cfg:         operatorplace.NewConfig(),
+			name:        string(experiment.OperatorPlacement),
+			cfg:         configFor(t, experiment.OperatorPlacement, 0),
 			filtering:   "pairwise",
 			split:       core.SplitSimple,
 			propagation: core.PerSubscription,
 		},
 		{
-			name:        multijoin.Name,
-			cfg:         multijoin.NewConfig(model.RingPairing),
+			name:        string(experiment.MultiJoin),
+			cfg:         configFor(t, experiment.MultiJoin, 0),
 			filtering:   "pairwise",
 			split:       core.SplitBinaryJoin,
 			propagation: core.PerNeighbor,
 		},
 		{
-			name:        fsf.Name,
-			cfg:         fsf.NewConfig(fsf.DefaultSetFilterError, 1),
+			name:        string(experiment.FilterSplitForward),
+			cfg:         configFor(t, experiment.FilterSplitForward, 1),
 			filtering:   "set-filter",
 			split:       core.SplitSimple,
 			propagation: core.PerNeighbor,
@@ -90,25 +108,32 @@ func TestTableIIApproachMatrix(t *testing.T) {
 }
 
 func TestFactoriesProduceHandlers(t *testing.T) {
-	factories := map[string]func() interface{}{
-		naive.Name:         func() interface{} { return naive.NewFactory()(0) },
-		operatorplace.Name: func() interface{} { return operatorplace.NewFactory()(0) },
-		multijoin.Name:     func() interface{} { return multijoin.NewFactory()(0) },
-		fsf.Name:           func() interface{} { return fsf.NewFactory(1)(0) },
-		centralized.Name:   func() interface{} { return centralized.NewFactory()(0) },
-		"multijoin-chain":  func() interface{} { return multijoin.NewFactoryWithPairing(model.ChainPairing)(0) },
-		"fsf-custom-error": func() interface{} { return fsf.NewFactoryWithError(0.1, 2)(0) },
+	chain := configFor(t, experiment.MultiJoin, 0)
+	chain.Pairing = model.ChainPairing
+	customError, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 2, SetFilterError: 0.1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, build := range factories {
-		if h := build(); h == nil {
+	factories := map[string]netsim.HandlerFactory{
+		"multijoin-chain":  core.NewFactory(chain),
+		"fsf-custom-error": customError,
+	}
+	for _, id := range experiment.All() {
+		factories[string(id)] = factoryFor(t, id, 1)
+	}
+	for name, factory := range factories {
+		if h := factory(0); h == nil {
 			t.Errorf("%s factory returned nil handler", name)
 		}
 	}
-	// The core-backed approaches report their configured names.
-	if n, ok := naive.NewFactory()(3).(*core.Node); !ok || n.Name() != naive.Name {
-		t.Error("naive factory should produce a core node with the naive name")
+	// The core-backed approaches report their configured names; the
+	// centralized baseline is a handler of its own.
+	for _, id := range experiment.AllDistributed() {
+		if n, ok := factories[string(id)](3).(*core.Node); !ok || n.Name() != string(id) {
+			t.Errorf("%s factory should produce a core node with that name", id)
+		}
 	}
-	if n, ok := fsf.NewFactory(1)(3).(*core.Node); !ok || n.Name() != fsf.Name {
-		t.Error("fsf factory should produce a core node with the fsf name")
+	if _, ok := factories[centralized.Name](3).(*core.Node); ok {
+		t.Error("the centralized factory should not produce a core node")
 	}
 }

@@ -5,14 +5,11 @@ import (
 	"testing"
 
 	"sensorcq/internal/core"
+	"sensorcq/internal/experiment"
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
 	"sensorcq/internal/protocol/centralized"
-	"sensorcq/internal/protocol/fsf"
-	"sensorcq/internal/protocol/multijoin"
-	"sensorcq/internal/protocol/naive"
-	"sensorcq/internal/protocol/operatorplace"
 	"sensorcq/internal/topology"
 )
 
@@ -100,10 +97,10 @@ func TestUnsubscribeRetractsForwardedOperators(t *testing.T) {
 		covering bool // S is filtered out as covered while B is active
 		core     bool // handlers are *core.Node (white-box checks possible)
 	}{
-		{naive.Name, naive.NewFactory(), false, true},
-		{operatorplace.Name, operatorplace.NewFactory(), true, true},
-		{multijoin.Name, multijoin.NewFactory(), true, true},
-		{fsf.Name, fsf.NewFactory(7), true, true},
+		{string(experiment.Naive), factoryFor(t, experiment.Naive, 0), false, true},
+		{string(experiment.OperatorPlacement), factoryFor(t, experiment.OperatorPlacement, 0), true, true},
+		{string(experiment.MultiJoin), factoryFor(t, experiment.MultiJoin, 0), true, true},
+		{string(experiment.FilterSplitForward), factoryFor(t, experiment.FilterSplitForward, 7), true, true},
 		{centralized.Name, centralized.NewFactory(), false, false},
 	}
 	for _, c := range cases {
@@ -218,8 +215,8 @@ func TestUnsubscribeSharedOperatorKeepsDependants(t *testing.T) {
 		name    string
 		factory netsim.HandlerFactory
 	}{
-		{operatorplace.Name, operatorplace.NewFactory()},
-		{fsf.Name, fsf.NewFactory(7)},
+		{string(experiment.OperatorPlacement), factoryFor(t, experiment.OperatorPlacement, 0)},
+		{string(experiment.FilterSplitForward), factoryFor(t, experiment.FilterSplitForward, 7)},
 	} {
 		t.Run(approach.name, func(t *testing.T) {
 			rt := netsim.NewEngine(walkthroughGraph(t), approach.factory)
@@ -264,10 +261,10 @@ func TestUnsubscribeSharedOperatorKeepsDependants(t *testing.T) {
 // readings cross no link they would not cross in an empty network.
 func TestUnsubscribeIsolatesApproachTraffic(t *testing.T) {
 	for i, factory := range []netsim.HandlerFactory{
-		naive.NewFactory(),
-		operatorplace.NewFactory(),
-		multijoin.NewFactory(),
-		fsf.NewFactory(3),
+		factoryFor(t, experiment.Naive, 0),
+		factoryFor(t, experiment.OperatorPlacement, 0),
+		factoryFor(t, experiment.MultiJoin, 0),
+		factoryFor(t, experiment.FilterSplitForward, 3),
 	} {
 		t.Run(fmt.Sprintf("approach=%d", i), func(t *testing.T) {
 			rt := netsim.NewEngine(walkthroughGraph(t), factory)
