@@ -12,11 +12,18 @@ package sensorcq
 // Absolute values depend on the synthetic trace (the original SensorScope
 // data is not redistributable); what is expected to reproduce is the shape:
 // which approach wins, by roughly what factor, and how the gap evolves with
-// the number of injected subscriptions. EXPERIMENTS.md records a full run.
+// the number of injected subscriptions. `go run ./cmd/cqexp` prints the same
+// series as tables (and CSV) for a full run.
 //
 // By default the benchmarks run the scenarios at a reduced workload so that
 // `go test -bench=.` finishes in minutes; set -benchscale=full for the
 // paper's full workload (slow) or -benchscale=quick for a smoke test.
+//
+// Below the figures are the layer benchmarks: each times one layer, for
+// profiling and on-demand comparison. End-to-end time claims are made with
+// the repository benchmark (`go run ./bench`, paired parent/change runs), and
+// the allocation contracts of the hot paths are ordinary tests
+// (alloc_test.go) that share these benchmarks' set-up.
 
 import (
 	"flag"
@@ -75,43 +82,30 @@ func runScenarioBenchmark(b *testing.B, s experiment.Scenario, approaches []expe
 	}
 }
 
+// Each scenario run reports both of its figures: sub-load/* is the
+// subscription-load figure, event-load/* the event-load one.
+
 // --- Figures 4 and 5: small-scale experiment (Section VI-C) ---
 
-func BenchmarkFig4SubscriptionLoadSmall(b *testing.B) {
-	runScenarioBenchmark(b, experiment.SmallScale(), experiment.AllDistributed(), false)
-}
-
-func BenchmarkFig5EventLoadSmall(b *testing.B) {
+func BenchmarkFig4And5Small(b *testing.B) {
 	runScenarioBenchmark(b, experiment.SmallScale(), experiment.AllDistributed(), false)
 }
 
 // --- Figures 6 and 7: medium-scale experiment with the centralized baseline ---
 
-func BenchmarkFig6SubscriptionLoadMedium(b *testing.B) {
-	runScenarioBenchmark(b, experiment.MediumScale(), experiment.All(), false)
-}
-
-func BenchmarkFig7EventLoadMedium(b *testing.B) {
+func BenchmarkFig6And7Medium(b *testing.B) {
 	runScenarioBenchmark(b, experiment.MediumScale(), experiment.All(), false)
 }
 
 // --- Figures 8 and 9: large-scale experiment #1 (network size) ---
 
-func BenchmarkFig8SubscriptionLoadLargeNet(b *testing.B) {
-	runScenarioBenchmark(b, experiment.LargeScaleNetwork(), experiment.AllDistributed(), false)
-}
-
-func BenchmarkFig9EventLoadLargeNet(b *testing.B) {
+func BenchmarkFig8And9LargeNet(b *testing.B) {
 	runScenarioBenchmark(b, experiment.LargeScaleNetwork(), experiment.AllDistributed(), false)
 }
 
 // --- Figures 10 and 11: large-scale experiment #2 (number of data sources) ---
 
-func BenchmarkFig10SubscriptionLoadLargeSrc(b *testing.B) {
-	runScenarioBenchmark(b, experiment.LargeScaleSources(), experiment.AllDistributed(), false)
-}
-
-func BenchmarkFig11EventLoadLargeSrc(b *testing.B) {
+func BenchmarkFig10And11LargeSrc(b *testing.B) {
 	runScenarioBenchmark(b, experiment.LargeScaleSources(), experiment.AllDistributed(), false)
 }
 
@@ -165,7 +159,7 @@ func BenchmarkTableISubsumptionExample(b *testing.B) {
 		mkSub("s2", map[model.SensorID][2]float64{"b": {20, 40}, "c": {2, 20}}),
 		mkSub("s3", map[model.SensorID][2]float64{"a": {55, 75}, "b": {15, 35}, "c": {5, 15}}),
 	}
-	factory, err := experiment.FactoryFor(experiment.FilterSplitForward, 1, 0)
+	factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -348,7 +342,7 @@ func BenchmarkEventMatchScaling(b *testing.B) {
 			for _, s := range subs {
 				idx.Add(s)
 			}
-			// Prime the lazy rebuild outside the timed region.
+			// Run the staged bulk build outside the timed region.
 			idx.Candidates(events[0], func(*model.Subscription) bool { return true })
 			matches := 0
 			b.ResetTimer()
@@ -387,9 +381,8 @@ func BenchmarkEventMatchScaling(b *testing.B) {
 // subscription churn: every iteration retracts the oldest live subscription,
 // registers a fresh one and matches an event — the interleaved
 // subscribe/match/unsubscribe workload the PR 4 lifecycle API produces. The
-// index splices single entries in and out in O(log n). Throughput is
-// reported as lifecycle operations per second under the events/sec key so
-// the benchgate regression gate covers it.
+// index splices single entries in and out in O(log n). events/sec counts
+// lifecycle operations.
 func BenchmarkIndexChurn(b *testing.B) {
 	const live = 4000
 	pool, events := indexBenchPopulation(2 * live)
@@ -423,74 +416,14 @@ func BenchmarkIndexChurn(b *testing.B) {
 	})
 }
 
-// BenchmarkPublishBatchReplay compares per-event Publish against the
-// batched replay path on the quick small-scale workload (full protocol
-// stack, Filter-Split-Forward).
-func BenchmarkPublishBatchReplay(b *testing.B) {
-	s := experiment.QuickScale(experiment.SmallScale())
-	w, err := experiment.BuildWorkload(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var events []model.Event
-	for _, segment := range w.Segments {
-		events = append(events, segment...)
-	}
-	setup := func(b *testing.B) *netsim.Engine {
-		b.Helper()
-		factory, err := experiment.FactoryFor(experiment.FilterSplitForward, s.Seed+7, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		engine := netsim.NewEngine(w.Deployment.Graph, factory)
-		for _, sensor := range w.Deployment.Sensors {
-			if err := engine.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, p := range w.Placed {
-			if err := engine.Subscribe(p.Node, p.Sub.Clone()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return engine
-	}
-	b.Run("publish-loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			engine := setup(b)
-			b.StartTimer()
-			for _, ev := range events {
-				if err := engine.Publish(w.Deployment.SensorHost[ev.Sensor], ev); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("publish-batch", func(b *testing.B) {
-		batch := make([]netsim.Publication, len(events))
-		for i, ev := range events {
-			batch[i] = netsim.Publication{Node: w.Deployment.SensorHost[ev.Sensor], Event: ev}
-		}
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			engine := setup(b)
-			b.StartTimer()
-			if err := engine.PublishBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // replayThroughputWorkload builds the wide replay-benchmark workload: 100
 // sensor nodes in 20 groups means every round spreads 100 readings across
 // many independent subtrees, which is what gives the pipelined/windowed
-// modes parallelism to exploit. The -benchscale=quick setting shrinks the
-// subscription population and round count so the CI benchmark-regression
-// job finishes fast.
-func replayThroughputWorkload(b *testing.B) (*experiment.Workload, [][]netsim.Publication, int) {
-	b.Helper()
+// modes parallelism to exploit. quick (the -benchscale=quick setting, and
+// what the allocation contract tests run) shrinks the subscription
+// population and the round count.
+func replayThroughputWorkload(tb testing.TB, quick bool) (*experiment.Workload, [][]netsim.Publication, int) {
+	tb.Helper()
 	s := experiment.Scenario{
 		Name:           "replay-throughput",
 		TotalNodes:     120,
@@ -504,13 +437,13 @@ func replayThroughputWorkload(b *testing.B) (*experiment.Workload, [][]netsim.Pu
 		RoundInterval:  1800,
 		Seed:           77,
 	}
-	if *benchScale == "quick" {
+	if quick {
 		s.BatchSize = 40
 		s.RoundsPerBatch = 4
 	}
 	w, err := experiment.BuildWorkload(s)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	replay := w.PublicationRounds(0)
 	events := 0
@@ -520,89 +453,6 @@ func replayThroughputWorkload(b *testing.B) (*experiment.Workload, [][]netsim.Pu
 	return w, replay, events
 }
 
-// benchReplay replays the workload once per iteration under the given
-// engine/delivery configuration and reports events/sec and GOMAXPROCS.
-func benchReplay(b *testing.B, w *experiment.Workload, replay [][]netsim.Publication, events int, concurrent bool, opts netsim.ReplayOptions) {
-	b.Helper()
-	factory := func(b *testing.B) netsim.HandlerFactory {
-		b.Helper()
-		f, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{
-			Seed:           w.Scenario.Seed + 7,
-			ValidityFactor: netsim.RequiredValidityFactor(opts.Mode, opts.Lag),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
-	prepare := func(b *testing.B, rt netsim.Runtime) {
-		b.Helper()
-		for _, sensor := range w.Deployment.Sensors {
-			if err := rt.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
-				b.Fatal(err)
-			}
-			rt.Flush()
-		}
-		for _, p := range w.Placed {
-			if err := rt.Subscribe(p.Node, p.Sub.Clone()); err != nil {
-				b.Fatal(err)
-			}
-			rt.Flush()
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		var rt netsim.Runtime
-		var conc *netsim.ConcurrentEngine
-		if concurrent {
-			conc = netsim.NewConcurrentEngine(w.Deployment.Graph, factory(b))
-			rt = conc
-		} else {
-			rt = netsim.NewEngine(w.Deployment.Graph, factory(b))
-		}
-		prepare(b, rt)
-		b.StartTimer()
-		if err := rt.ReplayRounds(replay, opts); err != nil {
-			b.Fatal(err)
-		}
-		rt.Flush()
-		b.StopTimer()
-		if n := rt.Metrics().DroppedMessages(); n != 0 {
-			b.Fatalf("dropped %d messages", n)
-		}
-		if conc != nil {
-			conc.Close()
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-	// The parallel speedup only exists with GOMAXPROCS > 1; report it so
-	// single-core results are not misread as "pipelining does nothing".
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
-// BenchmarkReplayPipelined measures what the pipelined delivery mode buys on
-// a wide topology: the same round-structured trace is replayed through the
-// concurrent engine under quiescent semantics (the network drains after
-// every single event, so the per-node goroutines take turns) and pipelined
-// semantics (a whole round is in flight at once, so they genuinely run in
-// parallel), plus the sequential engine as the single-core reference. The
-// events/sec metric is the replay throughput; on a multi-core machine the
-// pipelined concurrent replay should beat the quiescent concurrent replay
-// by well over 2x.
-func BenchmarkReplayPipelined(b *testing.B) {
-	w, replay, events := replayThroughputWorkload(b)
-	bench := func(concurrent bool, mode netsim.DeliveryMode) func(*testing.B) {
-		return func(b *testing.B) {
-			benchReplay(b, w, replay, events, concurrent, netsim.ReplayOptions{Mode: mode})
-		}
-	}
-	b.Run("concurrent-quiescent", bench(true, netsim.Quiescent))
-	b.Run("concurrent-pipelined", bench(true, netsim.Pipelined))
-	b.Run("sequential-quiescent", bench(false, netsim.Quiescent))
-	b.Run("sequential-pipelined", bench(false, netsim.Pipelined))
-}
-
 // BenchmarkReplayWindowed sweeps the cross-round pipelining bound of the
 // windowed delivery mode on the concurrent engine. Lag 0 is the pipelined
 // schedule (drain at every round boundary); higher lags let the per-node
@@ -610,13 +460,53 @@ func BenchmarkReplayPipelined(b *testing.B) {
 // round-barrier idle time on multi-core machines (run with -cpu 1,2,4 to
 // see the effect appear with parallelism). Deliveries and traffic stay
 // conformant with the quiescent baseline at every lag — that is enforced
-// by TestPipelinedConformanceAllApproaches, not measured here.
+// by TestPipelinedConformanceAllApproaches, not measured here. Every
+// iteration replays into a fresh engine (built and populated outside the timed
+// region), so this is the lag sweep from a cold engine; the repository
+// benchmark's replay-wide workload is the long-running windowed measurement,
+// at lag 2 only.
 func BenchmarkReplayWindowed(b *testing.B) {
-	w, replay, events := replayThroughputWorkload(b)
+	w, replay, events := replayThroughputWorkload(b, *benchScale == "quick")
 	for _, lag := range []int{0, 1, 2, 4} {
-		lag := lag
+		opts := netsim.ReplayOptions{Mode: netsim.Windowed, Lag: lag}
 		b.Run(fmt.Sprintf("lag=%d", lag), func(b *testing.B) {
-			benchReplay(b, w, replay, events, true, netsim.ReplayOptions{Mode: netsim.Windowed, Lag: lag})
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{
+					Seed:           w.Scenario.Seed + 7,
+					ValidityFactor: netsim.RequiredValidityFactor(opts.Mode, opts.Lag),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				conc := netsim.NewConcurrentEngine(w.Deployment.Graph, factory)
+				for _, sensor := range w.Deployment.Sensors {
+					if err := conc.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
+						b.Fatal(err)
+					}
+					conc.Flush()
+				}
+				for _, p := range w.Placed {
+					if err := conc.Subscribe(p.Node, p.Sub.Clone()); err != nil {
+						b.Fatal(err)
+					}
+					conc.Flush()
+				}
+				b.StartTimer()
+				if err := conc.ReplayRounds(replay, opts); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if n := conc.Metrics().DroppedMessages(); n != 0 {
+					b.Fatalf("dropped %d messages", n)
+				}
+				conc.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+			// The parallel speedup only exists with GOMAXPROCS > 1; report it
+			// so single-core results are not misread as "lag does nothing".
+			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 		})
 	}
 }
@@ -654,8 +544,8 @@ func wideTopologyWorkload(b *testing.B, nodes int) (*experiment.Workload, [][]ne
 }
 
 // BenchmarkReplayWideTopology sweeps the topology size under the concurrent
-// engine. Unlike benchReplay, the engine lifecycle — construction, replay,
-// Close — is deliberately inside the timed region: what a wide topology
+// engine. Unlike BenchmarkReplayWindowed, the engine lifecycle — construction,
+// replay, Close — is deliberately inside the timed region: what a wide topology
 // stresses is the per-node state the engine sets up and tears down
 // (mailboxes, contexts, delivery shards) next to a worker pool whose size
 // does not grow with it.
@@ -708,53 +598,16 @@ func BenchmarkReplayWideTopology(b *testing.B) {
 // engine as NewSystem runs them; engine construction, the Trim NewSystem
 // follows the flush with, and the forced GC behind live-MB — the heap the
 // flooded network retains — sit outside it. events/sec counts advertisement
-// messages, so benchgate's throughput rule covers the flood.
+// messages. TestAdvertisementFloodRetainedHeap pins the retained bytes per
+// message at nodes=1000.
 func BenchmarkAdvertisementFlood(b *testing.B) {
 	for _, nodes := range []int{1000, 4000} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			dep, err := topology.GenerateDeployment(topology.DeploymentConfig{
-				TotalNodes: nodes, SensorNodes: nodes / 4, Groups: nodes / 20,
-				Attributes: model.DefaultAttributes(), Seed: 77,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 84})
-			if err != nil {
-				b.Fatal(err)
-			}
-			liveHeap := func() uint64 {
-				runtime.GC()
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				return ms.HeapAlloc
-			}
-			messages := int64(len(dep.Sensors)) * int64(nodes-1)
-			var live uint64
+			dep, factory := floodDeployment(b, nodes)
+			var live, messages int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				idle := runtime.NumGoroutine()
-				before := liveHeap()
-				conc := netsim.NewConcurrentEngine(dep.Graph, factory)
-				b.StartTimer()
-				for _, sensor := range dep.Sensors {
-					if err := conc.AttachSensor(dep.SensorHost[sensor.ID], sensor); err != nil {
-						b.Fatal(err)
-					}
-				}
-				conc.Flush()
-				b.StopTimer()
-				if got := conc.Metrics().AdvertisementLoad(); got != messages {
-					b.Fatalf("advertisement load %d, want %d", got, messages)
-				}
-				conc.Trim()
-				live = liveHeap() - before
-				conc.Close()
-				// Close does not wait for the workers, and until they have
-				// exited they keep this engine in the next heap reading.
-				for runtime.NumGoroutine() > idle {
-					runtime.Gosched()
-				}
+				live, messages = floodOnce(b, dep, factory, b.StartTimer, b.StopTimer)
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(live)/(1<<20), "live-MB")
@@ -763,69 +616,61 @@ func BenchmarkAdvertisementFlood(b *testing.B) {
 	}
 }
 
-// BenchmarkSubscriptionChurn measures the subscription-lifecycle hot path:
-// full subscribe → network-wide unsubscribe round-trips over the wide
-// replay-benchmark topology, each operation fully propagated (subscription
-// split-and-forward on the way in, retraction walking the recorded reverse
-// forwarding paths — including covered-operator re-exposure — on the way
-// out). Throughput is reported as lifecycle operations per second under the
-// standard events/sec key so the benchgate regression gate covers churn
-// alongside the replay benchmarks.
-func BenchmarkSubscriptionChurn(b *testing.B) {
-	w, _, _ := replayThroughputWorkload(b)
-	bench := func(concurrent bool) func(*testing.B) {
-		return func(b *testing.B) {
-			factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{
-				Seed: w.Scenario.Seed + 7,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var rt netsim.Runtime
-			if concurrent {
-				conc := netsim.NewConcurrentEngine(w.Deployment.Graph, factory)
-				defer conc.Close()
-				rt = conc
-			} else {
-				rt = netsim.NewEngine(w.Deployment.Graph, factory)
-			}
-			for _, sensor := range w.Deployment.Sensors {
-				if err := rt.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
-					b.Fatal(err)
-				}
-				rt.Flush()
-			}
-			b.ResetTimer()
-			ops := 0
-			for i := 0; i < b.N; i++ {
-				for _, p := range w.Placed {
-					if err := rt.Subscribe(p.Node, p.Sub.Clone()); err != nil {
-						b.Fatal(err)
-					}
-					rt.Flush()
-					ops++
-				}
-				for _, p := range w.Placed {
-					if err := rt.Unsubscribe(p.Node, p.Sub.ID); err != nil {
-						b.Fatal(err)
-					}
-					rt.Flush()
-					ops++
-				}
-			}
-			b.StopTimer()
-			if n := rt.Metrics().DroppedMessages(); n != 0 {
-				b.Fatalf("dropped %d messages", n)
-			}
-			if rt.Metrics().UnsubscriptionLoad() == 0 {
-				b.Fatal("churn generated no retraction traffic")
-			}
-			b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "events/sec")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+// floodDeployment generates the flood's network — a sensor on every fourth
+// node, twenty nodes to a group — and the Filter-Split-Forward factory.
+func floodDeployment(tb testing.TB, nodes int) (*topology.Deployment, netsim.HandlerFactory) {
+	tb.Helper()
+	dep, err := topology.GenerateDeployment(topology.DeploymentConfig{
+		TotalNodes: nodes, SensorNodes: nodes / 4, Groups: nodes / 20,
+		Attributes: model.DefaultAttributes(), Seed: 77,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 84})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dep, factory
+}
+
+// floodOnce floods a fresh concurrent engine with the deployment's
+// advertisements — the attachments and the flush run between start() and
+// stop() — checks that sensors × (nodes − 1) advertisement messages were sent,
+// and returns the heap the flooded, trimmed network retains after a forced GC
+// together with that message count.
+func floodOnce(tb testing.TB, dep *topology.Deployment, factory netsim.HandlerFactory, start, stop func()) (live, messages int64) {
+	tb.Helper()
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	idle := runtime.NumGoroutine()
+	before := liveHeap()
+	conc := netsim.NewConcurrentEngine(dep.Graph, factory)
+	start()
+	for _, sensor := range dep.Sensors {
+		if err := conc.AttachSensor(dep.SensorHost[sensor.ID], sensor); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	b.Run("sequential", bench(false))
-	b.Run("concurrent", bench(true))
+	conc.Flush()
+	stop()
+	messages = int64(len(dep.Sensors)) * int64(dep.Graph.NumNodes()-1)
+	if got := conc.Metrics().AdvertisementLoad(); got != messages {
+		tb.Fatalf("advertisement load %d, want %d", got, messages)
+	}
+	conc.Trim()
+	live = liveHeap() - before
+	conc.Close()
+	// Close does not wait for the workers, and until they have exited they
+	// keep this engine in the next heap reading.
+	for runtime.NumGoroutine() > idle {
+		runtime.Gosched()
+	}
+	return live, messages
 }
 
 // BenchmarkSubscriptionFlood measures bulk registration of large subscription
@@ -847,7 +692,7 @@ func BenchmarkSubscriptionFlood(b *testing.B) {
 	if *benchScale == "full" {
 		stackSizes = []int{1000, 10000, 50000}
 	}
-	w, _, _ := replayThroughputWorkload(b)
+	w, _, _ := replayThroughputWorkload(b, *benchScale == "quick")
 	for _, n := range stackSizes {
 		subs, events := indexBenchPopulation(n)
 		b.Run(fmt.Sprintf("stack/subs=%d", n), func(b *testing.B) {
@@ -902,31 +747,55 @@ func BenchmarkSubscriptionFlood(b *testing.B) {
 // (the window dedups on (time, seq), so shifted reuses are new events to it).
 // After warm-up, Engine.Preallocate sizes the delivery log, its
 // per-subscription index and the per-node delivery arenas for the whole
-// measured run, so the timed region performs zero heap allocations — the
-// baseline is gated at exactly 0 allocs/op by benchgate's strict zero rule.
+// measured run, so the timed region performs zero heap allocations —
+// TestReplaySteadyStateAllocatesNothing holds it to exactly that.
 func BenchmarkReplaySteadyState(b *testing.B) {
-	w, replay, events := replayThroughputWorkload(b)
+	eng, replayOnce, events := steadyStateReplay(b, *benchScale == "quick")
+	eng.Preallocate(b.N + 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replayOnce()
+	}
+	b.StopTimer()
+	if n := eng.Metrics().DroppedMessages(); n != 0 {
+		b.Fatalf("dropped %d messages", n)
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+}
+
+// steadyStateReplay builds the steady-state replay: a sequential
+// Filter-Split-Forward engine over the replay-throughput workload, warmed up
+// to its allocation fixed point. replayOnce replays the trace once under
+// Windowed{Lag: 2} and shifts it forward one trace span; the caller sizes the
+// delivery record for the replays it is going to measure (Engine.Preallocate).
+func steadyStateReplay(tb testing.TB, quick bool) (eng *netsim.Engine, replayOnce func(), events int) {
+	tb.Helper()
+	w, replay, events := replayThroughputWorkload(tb, quick)
+	opts := netsim.ReplayOptions{Mode: netsim.Windowed, Lag: 2}
 	factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{
 		Seed:           w.Scenario.Seed + 7,
-		ValidityFactor: netsim.RequiredValidityFactor(netsim.Windowed, 2),
+		ValidityFactor: netsim.RequiredValidityFactor(opts.Mode, opts.Lag),
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	eng := netsim.NewEngine(w.Deployment.Graph, factory)
+	eng = netsim.NewEngine(w.Deployment.Graph, factory)
 	for _, sensor := range w.Deployment.Sensors {
 		if err := eng.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for _, p := range w.Placed {
 		if err := eng.Subscribe(p.Node, p.Sub.Clone()); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	opts := netsim.ReplayOptions{Mode: netsim.Windowed, Lag: 2}
 	shift := model.Timestamp(len(replay)) * w.Scenario.RoundInterval
-	advance := func() {
+	replayOnce = func() {
+		if err := eng.ReplayRounds(replay, opts); err != nil {
+			tb.Fatal(err)
+		}
 		for _, round := range replay {
 			for i := range round {
 				round[i].Event.Time += shift
@@ -940,34 +809,18 @@ func BenchmarkReplaySteadyState(b *testing.B) {
 	// steady-state high-water marks. Capacity growth tails off over several
 	// replays rather than stopping after one, so the warm-up measures itself:
 	// it stops only after a whole replay completes without a single heap
-	// allocation, which is the state the timed region is meant to measure.
+	// allocation, which is the state the callers are meant to measure.
 	var ms runtime.MemStats
 	for k := 0; k < 64; k++ {
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
-		if err := eng.ReplayRounds(replay, opts); err != nil {
-			b.Fatal(err)
-		}
-		advance()
+		replayOnce()
 		runtime.ReadMemStats(&ms)
 		if k >= 2 && ms.Mallocs == before {
 			break
 		}
 	}
-	eng.Preallocate(b.N + 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.ReplayRounds(replay, opts); err != nil {
-			b.Fatal(err)
-		}
-		advance()
-	}
-	b.StopTimer()
-	if n := eng.Metrics().DroppedMessages(); n != 0 {
-		b.Fatalf("dropped %d messages", n)
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+	return eng, replayOnce, events
 }
 
 // BenchmarkAggregateReplay measures the windowed aggregation data path on the
@@ -981,7 +834,7 @@ func BenchmarkReplaySteadyState(b *testing.B) {
 // partial-aggregate traffic per replay, so the run itself shows the traffic
 // gap the aggregation subsystem exists to open.
 func BenchmarkAggregateReplay(b *testing.B) {
-	w, replay, events := replayThroughputWorkload(b)
+	w, replay, events := replayThroughputWorkload(b, *benchScale == "quick")
 	attr := experiment.BusiestAttribute(w.Deployment)
 	lo, hi := w.Trace.Mins[attr], w.Trace.Maxs[attr]
 	if !(lo < hi) {
@@ -1092,33 +945,11 @@ func BenchmarkQDigestMerge(b *testing.B) {
 // comparable members: "covered" is decided by the first member alone (the
 // exact fast path), "union" by none of them, so the candidate's box is
 // sampled to the end against the overlapping members. Either way the steady
-// state allocates nothing — the checker's scratch is warm after one call.
+// state allocates nothing — the checker's scratch is warm after one call
+// (TestSetCheckerSubsumedAllocatesNothing).
 func BenchmarkSetCheckerSubsumed(b *testing.B) {
-	sub := func(id string, temp, wind Interval) *model.Subscription {
-		s, err := model.NewAbstractSubscription(model.SubscriptionID(id),
-			[]model.AttributeFilter{
-				{Attr: model.AmbientTemperature, Range: temp},
-				{Attr: model.WindSpeed, Range: wind},
-			},
-			Everywhere(), 30, model.NoSpatialConstraint)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	var nested, strips []*model.Subscription
-	for i := 0; i < 50; i++ {
-		lo := float64(i % 10)
-		nested = append(nested, sub(fmt.Sprintf("s%d", i), NewInterval(-lo-5, lo+5), NewInterval(0, 10+lo)))
-		// Overlapping strips of the wind range: together they cover the
-		// candidate, none does alone.
-		strips = append(strips, sub(fmt.Sprintf("t%d", i), NewInterval(-5, 5), NewInterval(lo-0.5, lo+1.5)))
-	}
-	candidate := sub("cand", NewInterval(-3, 3), NewInterval(2, 8))
-	for _, bc := range []struct {
-		name string
-		set  []*model.Subscription
-	}{{"covered", nested}, {"union", strips}} {
+	candidate, cases := setCheckerCases(b)
+	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
 			checker := subsume.NewSetChecker(0.02, 1)
 			if !checker.Subsumed(candidate, bc.set) {
@@ -1133,6 +964,40 @@ func BenchmarkSetCheckerSubsumed(b *testing.B) {
 	}
 }
 
+// setCheckerCase is one member set the set-checker candidate is decided
+// against.
+type setCheckerCase struct {
+	name string
+	set  []*model.Subscription
+}
+
+// setCheckerCases returns the candidate and its two 50-member sets: "covered"
+// (nested boxes, the first of which covers the candidate alone) and "union"
+// (overlapping strips of the wind range that cover it only together).
+func setCheckerCases(tb testing.TB) (*model.Subscription, []setCheckerCase) {
+	tb.Helper()
+	sub := func(id string, temp, wind Interval) *model.Subscription {
+		s, err := model.NewAbstractSubscription(model.SubscriptionID(id),
+			[]model.AttributeFilter{
+				{Attr: model.AmbientTemperature, Range: temp},
+				{Attr: model.WindSpeed, Range: wind},
+			},
+			Everywhere(), 30, model.NoSpatialConstraint)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return s
+	}
+	var nested, strips []*model.Subscription
+	for i := 0; i < 50; i++ {
+		lo := float64(i % 10)
+		nested = append(nested, sub(fmt.Sprintf("s%d", i), NewInterval(-lo-5, lo+5), NewInterval(0, 10+lo)))
+		strips = append(strips, sub(fmt.Sprintf("t%d", i), NewInterval(-5, 5), NewInterval(lo-0.5, lo+1.5)))
+	}
+	candidate := sub("cand", NewInterval(-3, 3), NewInterval(2, 8))
+	return candidate, []setCheckerCase{{"covered", nested}, {"union", strips}}
+}
+
 // BenchmarkReexpose measures what one retraction costs at a node holding n
 // operators of one origin: a single-node Filter-Split-Forward network (no
 // sensors, so nothing is forwarded and the subscription table, the checker
@@ -1143,77 +1008,103 @@ func BenchmarkSetCheckerSubsumed(b *testing.B) {
 // worst case: gathering the affected operators, the seven decisions and the
 // cover relinking each scan that class once. With classes=16 the groups
 // spread over sixteen correlation distances, and the cost follows the class,
-// not n.
+// not n. The retraction allocates nothing (TestReexposeAllocatesNothing).
 func BenchmarkReexpose(b *testing.B) {
-	const perCover = 7
 	for _, bc := range []struct{ n, classes int }{{1000, 1}, {1000, 16}, {4000, 1}, {4000, 16}} {
-		n, classes := bc.n, bc.classes
-		b.Run(fmt.Sprintf("subs=%d/classes=%d", n, classes), func(b *testing.B) {
-			factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 7})
-			if err != nil {
-				b.Fatal(err)
-			}
-			engine := netsim.NewEngine(topology.NewGraph(1), factory)
-			sub := func(id string, deltaT model.Timestamp, lo, hi float64) *model.Subscription {
-				s, err := model.NewAbstractSubscription(model.SubscriptionID(id),
-					[]model.AttributeFilter{{Attr: model.WindSpeed, Range: NewInterval(lo, hi)}},
-					Everywhere(), deltaT, model.NoSpatialConstraint)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return s
-			}
-			groups := make([][]*model.Subscription, n/(perCover+1))
-			register := func(group []*model.Subscription) {
-				for _, s := range group {
-					if err := engine.Subscribe(0, s); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			for g := range groups {
-				lo, deltaT := float64(10*g), model.Timestamp(30+g%classes)
-				groups[g] = append(groups[g], sub(fmt.Sprintf("wide%d", g), deltaT, lo, lo+8))
-				for k := 0; k < perCover; k++ {
-					groups[g] = append(groups[g], sub(fmt.Sprintf("narrow%d.%d", g, k), deltaT, lo+float64(k), lo+float64(k)+1))
-				}
-				register(groups[g])
-			}
-			node := engine.Handler(0).(*core.Node)
-			// retractAndRestore retracts a group's wide subscription inside
-			// the timed region and puts the group back outside it.
-			retractAndRestore := func(group []*model.Subscription) {
-				b.StartTimer()
-				err := engine.Unsubscribe(0, group[0].ID)
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := node.Subscriptions().CountCovered(); got != (len(groups)-1)*perCover {
-					b.Fatalf("%d operators covered after the retraction, want %d", got, (len(groups)-1)*perCover)
-				}
-				for _, s := range group[1:] {
-					if err := engine.Unsubscribe(0, s.ID); err != nil {
-						b.Fatal(err)
-					}
-				}
-				register(group)
-			}
-			// A few rounds first, so scratch buffers and list capacities
-			// have reached their working size and the steady state
-			// allocates nothing.
-			for _, group := range groups[:8] {
-				retractAndRestore(group)
-			}
+		b.Run(fmt.Sprintf("subs=%d/classes=%d", bc.n, bc.classes), func(b *testing.B) {
+			f := newReexposeFixture(b, bc.n, bc.classes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
-				retractAndRestore(groups[i%len(groups)])
+				g := i % len(f.groups)
+				b.StartTimer()
+				f.retract(b, g)
+				b.StopTimer()
+				f.restore(b, g)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 		})
 	}
+}
+
+// reexposeFixture is the single-node network of BenchmarkReexpose: groups of
+// one wide subscription (index 0) covering reexposePerCover narrow ones.
+type reexposeFixture struct {
+	engine *netsim.Engine
+	node   *core.Node
+	groups [][]*model.Subscription
+}
+
+const reexposePerCover = 7
+
+// newReexposeFixture registers n operators in n/8 groups spread over the
+// given number of comparability classes, then retracts and restores a few
+// groups, so scratch buffers and list capacities have reached their working
+// size and the steady state allocates nothing.
+func newReexposeFixture(tb testing.TB, n, classes int) *reexposeFixture {
+	tb.Helper()
+	factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := &reexposeFixture{
+		engine: netsim.NewEngine(topology.NewGraph(1), factory),
+		groups: make([][]*model.Subscription, n/(reexposePerCover+1)),
+	}
+	f.node = f.engine.Handler(0).(*core.Node)
+	sub := func(id string, deltaT model.Timestamp, lo, hi float64) *model.Subscription {
+		s, err := model.NewAbstractSubscription(model.SubscriptionID(id),
+			[]model.AttributeFilter{{Attr: model.WindSpeed, Range: NewInterval(lo, hi)}},
+			Everywhere(), deltaT, model.NoSpatialConstraint)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return s
+	}
+	for g := range f.groups {
+		lo, deltaT := float64(10*g), model.Timestamp(30+g%classes)
+		f.groups[g] = append(f.groups[g], sub(fmt.Sprintf("wide%d", g), deltaT, lo, lo+8))
+		for k := 0; k < reexposePerCover; k++ {
+			f.groups[g] = append(f.groups[g], sub(fmt.Sprintf("narrow%d.%d", g, k), deltaT, lo+float64(k), lo+float64(k)+1))
+		}
+		f.register(tb, g)
+	}
+	for g := 0; g < 8; g++ {
+		f.retract(tb, g)
+		f.restore(tb, g)
+	}
+	return f
+}
+
+func (f *reexposeFixture) register(tb testing.TB, g int) {
+	for _, s := range f.groups[g] {
+		if err := f.engine.Subscribe(0, s); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// retract retracts a group's wide subscription, which re-exposes its narrow
+// ones: the measured operation.
+func (f *reexposeFixture) retract(tb testing.TB, g int) {
+	if err := f.engine.Unsubscribe(0, f.groups[g][0].ID); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// restore puts a retracted group back as it was registered.
+func (f *reexposeFixture) restore(tb testing.TB, g int) {
+	tb.Helper()
+	if got, want := f.node.Subscriptions().CountCovered(), (len(f.groups)-1)*reexposePerCover; got != want {
+		tb.Fatalf("%d operators covered after the retraction, want %d", got, want)
+	}
+	for _, s := range f.groups[g][1:] {
+		if err := f.engine.Unsubscribe(0, s.ID); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	f.register(tb, g)
 }
 
 // BenchmarkComplexMatchGather is the complex-match layer on its own: one
@@ -1227,63 +1118,75 @@ func BenchmarkReexpose(b *testing.B) {
 // as W grows so that they admit two or three readings of a bucket — each
 // pass walks two buckets, keeps a few candidates per slot and enumerates
 // around ten matches at most, whatever W. The steady state allocates
-// nothing: the scratch is warm after one trigger.
+// nothing: the scratch is warm after one trigger
+// (TestComplexMatchGatherAllocatesNothing).
 func BenchmarkComplexMatchGather(b *testing.B) {
-	attrs := model.DefaultAttributes()
 	for _, bc := range []struct{ c, w int }{{1, 50}, {16, 50}, {64, 50}, {1, 300}, {16, 300}, {64, 300}} {
 		b.Run(fmt.Sprintf("C=%d/W=%d", bc.c, bc.w), func(b *testing.B) {
-			window := make([]model.Event, bc.w)
-			for i := range window {
-				window[i] = model.Event{
-					Seq:      uint64(i + 1),
-					Sensor:   model.SensorID(fmt.Sprintf("s%d", i%20)),
-					Attr:     attrs[i%len(attrs)],
-					Location: Point{X: float64(i % 7), Y: float64(i % 11)},
-					Value:    float64(i * 7 % 50),
-					Time:     model.Timestamp(i),
-				}
-			}
-			trigger := window[bc.w/2]
-			width := 500 / float64(bc.w)
-			ops := make([]*model.Subscription, bc.c)
-			for k := range ops {
-				// Every operator filters the trigger's attribute (around the
-				// trigger's value, as the index guarantees) and the next two.
-				filters := []model.AttributeFilter{{Attr: trigger.Attr, Range: NewInterval(trigger.Value-1, trigger.Value+1)}}
-				for j := 1; j <= 2; j++ {
-					lo := float64((k*13 + j*17) % 40)
-					filters = append(filters, model.AttributeFilter{Attr: attrs[(bc.w/2+j)%len(attrs)], Range: NewInterval(lo, lo+width)})
-				}
-				op, err := model.NewAbstractSubscription(model.SubscriptionID(fmt.Sprintf("op%d", k)),
-					filters, Everywhere(), model.Timestamp(bc.w/2), model.NoSpatialConstraint)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ops[k] = op
-			}
-			var scratch model.MatchScratch
-			matches := 0
-			gather := func() {
-				scratch.Partition(window)
-				for _, op := range ops {
-					op.ForEachComplexMatchPartitioned(&scratch, &trigger, func(model.ComplexEvent) bool {
-						matches++
-						return true
-					})
-				}
-			}
-			gather()
-			if matches == 0 {
-				b.Fatal("the benchmark's operators complete no match")
-			}
-			matches = 0
+			gather, matches := complexMatchGather(b, bc.c, bc.w)
+			*matches = 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gather()
 			}
-			b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
+			b.ReportMetric(float64(*matches)/float64(b.N), "matches/op")
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 		})
 	}
+}
+
+// complexMatchGather builds a w-event window, its middle event as the
+// trigger and c operators the trigger stabs, and returns the work of one
+// trigger — partition the window, then gather and enumerate per operator —
+// with the running count of enumerated matches. It has run once on return, so
+// the scratch is warm.
+func complexMatchGather(tb testing.TB, c, w int) (gather func(), matches *int) {
+	tb.Helper()
+	attrs := model.DefaultAttributes()
+	window := make([]model.Event, w)
+	for i := range window {
+		window[i] = model.Event{
+			Seq:      uint64(i + 1),
+			Sensor:   model.SensorID(fmt.Sprintf("s%d", i%20)),
+			Attr:     attrs[i%len(attrs)],
+			Location: Point{X: float64(i % 7), Y: float64(i % 11)},
+			Value:    float64(i * 7 % 50),
+			Time:     model.Timestamp(i),
+		}
+	}
+	trigger := window[w/2]
+	width := 500 / float64(w)
+	ops := make([]*model.Subscription, c)
+	for k := range ops {
+		// Every operator filters the trigger's attribute (around the
+		// trigger's value, as the index guarantees) and the next two.
+		filters := []model.AttributeFilter{{Attr: trigger.Attr, Range: NewInterval(trigger.Value-1, trigger.Value+1)}}
+		for j := 1; j <= 2; j++ {
+			lo := float64((k*13 + j*17) % 40)
+			filters = append(filters, model.AttributeFilter{Attr: attrs[(w/2+j)%len(attrs)], Range: NewInterval(lo, lo+width)})
+		}
+		op, err := model.NewAbstractSubscription(model.SubscriptionID(fmt.Sprintf("op%d", k)),
+			filters, Everywhere(), model.Timestamp(w/2), model.NoSpatialConstraint)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ops[k] = op
+	}
+	var scratch model.MatchScratch
+	matches = new(int)
+	gather = func() {
+		scratch.Partition(window)
+		for _, op := range ops {
+			op.ForEachComplexMatchPartitioned(&scratch, &trigger, func(model.ComplexEvent) bool {
+				*matches++
+				return true
+			})
+		}
+	}
+	gather()
+	if *matches == 0 {
+		tb.Fatal("the operators complete no match")
+	}
+	return gather, matches
 }

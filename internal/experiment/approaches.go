@@ -93,21 +93,13 @@ func ConfigFor(id ApproachID, spec FactorySpec) (core.Config, error) {
 // given construction parameters.
 func FactoryForSpec(id ApproachID, spec FactorySpec) (netsim.HandlerFactory, error) {
 	if id == Centralized {
-		return centralized.NewFactoryWithValidity(spec.ValidityFactor), nil
+		return centralized.NewFactory(spec.ValidityFactor), nil
 	}
 	cfg, err := ConfigFor(id, spec)
 	if err != nil {
 		return nil, err
 	}
 	return core.NewFactory(cfg), nil
-}
-
-// FactoryFor returns a fresh handler factory for the approach with the
-// default validity factor. The seed controls the probabilistic set filter of
-// Filter-Split-Forward and the setFilterError its false-positive probability
-// (pass 0 to use the default).
-func FactoryFor(id ApproachID, seed int64, setFilterError float64) (netsim.HandlerFactory, error) {
-	return FactoryForSpec(id, FactorySpec{Seed: seed, SetFilterError: setFilterError})
 }
 
 // IsDeterministicLossless reports whether the approach delivers every

@@ -62,12 +62,12 @@ func TestScenarioScaleAndValidate(t *testing.T) {
 
 func TestFactoryForAllApproaches(t *testing.T) {
 	for _, id := range All() {
-		f, err := FactoryFor(id, 1, 0)
+		f, err := FactoryForSpec(id, FactorySpec{Seed: 1})
 		if err != nil || f == nil {
-			t.Errorf("FactoryFor(%s) failed: %v", id, err)
+			t.Errorf("FactoryForSpec(%s) failed: %v", id, err)
 		}
 	}
-	if _, err := FactoryFor("bogus", 1, 0); err == nil {
+	if _, err := FactoryForSpec("bogus", FactorySpec{Seed: 1}); err == nil {
 		t.Error("unknown approach should fail")
 	}
 	if len(All()) != 5 || len(AllDistributed()) != 4 {

@@ -329,11 +329,11 @@ func TestEngineConformanceAllApproaches(t *testing.T) {
 		for _, id := range experiment.All() {
 			id := id
 			t.Run(fmt.Sprintf("%s/seed=%d", id, seed), func(t *testing.T) {
-				seqFactory, err := experiment.FactoryFor(id, seed+7, 0)
+				seqFactory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{Seed: seed + 7})
 				if err != nil {
 					t.Fatal(err)
 				}
-				concFactory, err := experiment.FactoryFor(id, seed+7, 0)
+				concFactory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{Seed: seed + 7})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -529,7 +529,7 @@ func TestAdvertisementFloodReachesEveryNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := experiment.FactoryFor(experiment.FilterSplitForward, 12, 0)
+	factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestEnginesDeliverAlike(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay := func(name string, build func(netsim.HandlerFactory) netsim.Runtime) *deliveryRun {
-		factory, err := experiment.FactoryFor(experiment.FilterSplitForward, 49, 0)
+		factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 49})
 		if err != nil {
 			t.Fatal(err)
 		}

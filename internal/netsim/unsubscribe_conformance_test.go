@@ -223,7 +223,7 @@ func TestDeliveriesForMatchesLogScan(t *testing.T) {
 			name = "concurrent"
 		}
 		t.Run(name, func(t *testing.T) {
-			factory, err := experiment.FactoryFor(experiment.FilterSplitForward, 49, 0)
+			factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 49})
 			if err != nil {
 				t.Fatal(err)
 			}

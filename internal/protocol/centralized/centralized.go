@@ -27,22 +27,17 @@ import (
 const Name = "centralized"
 
 // NewFactory returns the handler factory for the centralized baseline with
-// the default event-window validity factor of 2 (validity = 2 x max δt).
-func NewFactory() netsim.HandlerFactory {
-	return NewFactoryWithValidity(0)
-}
-
-// NewFactoryWithValidity returns the handler factory with an explicit
-// event-window validity factor; factor <= 0 keeps the default of 2. Windowed
-// replays with lag L need a factor of at least L+2 so that a late-arriving
-// trigger still finds every partner within δt stored at the centre (see
+// the given event-window validity factor (validity = factor x max δt);
+// validityFactor <= 0 selects the default of 2. Windowed replays with lag L
+// need a factor of at least L+2 so that a late-arriving trigger still finds
+// every partner within δt stored at the centre (see
 // netsim.RequiredValidityFactor).
-func NewFactoryWithValidity(factor int) netsim.HandlerFactory {
-	if factor <= 0 {
-		factor = 2
+func NewFactory(validityFactor int) netsim.HandlerFactory {
+	if validityFactor <= 0 {
+		validityFactor = 2
 	}
 	return func(node topology.NodeID) netsim.Handler {
-		return &Node{self: node, validityFactor: model.Timestamp(factor)}
+		return &Node{self: node, validityFactor: model.Timestamp(validityFactor)}
 	}
 }
 
@@ -249,11 +244,7 @@ func (n *Node) register(ctx *netsim.Context, sub *model.Subscription) {
 	n.idx.Add(sub)
 	if sub.DeltaT > n.maxDeltaT {
 		n.maxDeltaT = sub.DeltaT
-		factor := n.validityFactor
-		if factor <= 0 {
-			factor = 2
-		}
-		n.window.Validity = factor * n.maxDeltaT
+		n.window.Validity = n.validityFactor * n.maxDeltaT
 	}
 }
 

@@ -46,7 +46,7 @@ func pairSub(t *testing.T, id string) *model.Subscription {
 }
 
 func TestCentralizedCenterElection(t *testing.T) {
-	e := netsim.NewEngine(lineGraph(t, 5), NewFactory())
+	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
 	n := e.Handler(0).(*Node)
 	if n.Center() != 2 {
 		t.Errorf("centre = %d, want 2", n.Center())
@@ -54,7 +54,7 @@ func TestCentralizedCenterElection(t *testing.T) {
 }
 
 func TestCentralizedSubscriptionLoadIsPathToCenter(t *testing.T) {
-	e := netsim.NewEngine(lineGraph(t, 5), NewFactory())
+	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
 	if err := e.Subscribe(4, windSub(t, "q1", 0, 100)); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCentralizedSubscriptionLoadIsPathToCenter(t *testing.T) {
 }
 
 func TestCentralizedEventsAlwaysShipToCenter(t *testing.T) {
-	e := netsim.NewEngine(lineGraph(t, 5), NewFactory())
+	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
 	// No subscriptions at all: the event still crosses to the centre (the
 	// fixed traffic component the paper discusses).
 	ev := model.Event{Seq: 1, Sensor: "d1", Attr: model.WindSpeed, Value: 5, Time: 10}
@@ -92,7 +92,7 @@ func TestCentralizedEventsAlwaysShipToCenter(t *testing.T) {
 }
 
 func TestCentralizedMatchingAndResultDelivery(t *testing.T) {
-	e := netsim.NewEngine(lineGraph(t, 5), NewFactory())
+	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
 	if err := e.Subscribe(4, windSub(t, "q1", 0, 50)); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCentralizedMatchingAndResultDelivery(t *testing.T) {
 func TestCentralizedPerSubscriptionResultSets(t *testing.T) {
 	// Two identical subscriptions from the same user: the centralized scheme
 	// sends the result set once per subscription (full result sets).
-	e := netsim.NewEngine(lineGraph(t, 5), NewFactory())
+	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
 	if err := e.Subscribe(4, windSub(t, "q1", 0, 50)); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCentralizedPerSubscriptionResultSets(t *testing.T) {
 }
 
 func TestCentralizedMultiAttributeCorrelation(t *testing.T) {
-	e := netsim.NewEngine(lineGraph(t, 5), NewFactory())
+	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
 	if err := e.Subscribe(4, pairSub(t, "q1")); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCentralizedMultiAttributeCorrelation(t *testing.T) {
 }
 
 func TestCentralizedSubscriberAtCenterNoDownwardTraffic(t *testing.T) {
-	e := netsim.NewEngine(lineGraph(t, 5), NewFactory())
+	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
 	if err := e.Subscribe(2, windSub(t, "q1", 0, 50)); err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestUnsubscribeRetractsForwardedOperators(t *testing.T) {
 		{string(experiment.OperatorPlacement), factoryFor(t, experiment.OperatorPlacement, 0), true, true},
 		{string(experiment.MultiJoin), factoryFor(t, experiment.MultiJoin, 0), true, true},
 		{string(experiment.FilterSplitForward), factoryFor(t, experiment.FilterSplitForward, 7), true, true},
-		{centralized.Name, centralized.NewFactory(), false, false},
+		{centralized.Name, centralized.NewFactory(0), false, false},
 	}
 	for _, c := range cases {
 		c := c

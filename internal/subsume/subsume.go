@@ -133,6 +133,14 @@ func coveredByUnionAtPoint(pt []float64, boxes []geom.Box) bool {
 	return false
 }
 
+const (
+	// minGapFraction is the smallest relative gap volume the set checker is
+	// calibrated to detect.
+	minGapFraction = 0.05
+	// maxSamples caps the per-decision sampling effort.
+	maxSamples = 4096
+)
+
 // SetChecker is the probabilistic set-subsumption checker (the paper's "set
 // filtering"). It decides coverage of the candidate's box by the union of the
 // set's boxes via Monte-Carlo sampling: if any sampled point of the candidate
@@ -142,20 +150,15 @@ func coveredByUnionAtPoint(pt []float64, boxes []geom.Box) bool {
 // is exactly the recall/traffic trade-off of Section VI-F; a "not subsumed"
 // answer is always safe.
 //
-// The number of samples is derived from ErrorProbability and MinGapFraction:
-// if the uncovered part of the candidate occupies at least MinGapFraction of
+// The number of samples is derived from ErrorProbability and minGapFraction:
+// if the uncovered part of the candidate occupies at least minGapFraction of
 // its volume, the probability that all samples miss it (a false positive) is
 // at most ErrorProbability. Smaller error probabilities therefore cost more
 // samples — the processing/recall trade-off discussed in Section VI-F.
 type SetChecker struct {
 	// ErrorProbability is the acceptable probability of a false "subsumed"
-	// decision for gaps of relative volume at least MinGapFraction.
+	// decision for gaps of relative volume at least minGapFraction.
 	ErrorProbability float64
-	// MinGapFraction is the smallest relative gap volume the checker is
-	// calibrated to detect (default 0.05).
-	MinGapFraction float64
-	// MaxSamples caps the per-decision sampling effort (default 4096).
-	MaxSamples int
 	// seed drives the sampling. Each decision derives its own RNG from the
 	// seed and the candidate's identity, so a verdict depends only on the
 	// (candidate, set) pair — never on how many decisions were made before
@@ -180,8 +183,6 @@ func NewSetChecker(errorProbability float64, seed int64) *SetChecker {
 	}
 	return &SetChecker{
 		ErrorProbability: errorProbability,
-		MinGapFraction:   0.05,
-		MaxSamples:       4096,
 		seed:             seed,
 	}
 }
@@ -205,22 +206,8 @@ func (c *SetChecker) Name() string {
 
 // Samples returns the number of Monte-Carlo samples a single decision uses.
 func (c *SetChecker) Samples() int {
-	gap := c.MinGapFraction
-	if gap <= 0 || gap >= 1 {
-		gap = 0.05
-	}
-	n := int(math.Ceil(math.Log(c.ErrorProbability) / math.Log(1-gap)))
-	if n < 8 {
-		n = 8
-	}
-	max := c.MaxSamples
-	if max <= 0 {
-		max = 4096
-	}
-	if n > max {
-		n = max
-	}
-	return n
+	n := int(math.Ceil(math.Log(c.ErrorProbability) / math.Log(1-minGapFraction)))
+	return min(max(n, 8), maxSamples)
 }
 
 // Subsumed implements Checker.
