@@ -26,6 +26,7 @@ package sensorcq
 // (alloc_test.go) that share these benchmarks' set-up.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"runtime"
@@ -173,11 +174,11 @@ func BenchmarkTableISubsumptionExample(b *testing.B) {
 			}
 		}
 		for _, sub := range subs {
-			if err := engine.Subscribe(5, sub.Clone()); err != nil {
+			if err := engine.SubscribeContext(context.Background(), 5, sub.Clone()); err != nil {
 				b.Fatal(err)
 			}
 		}
-		finalLoad = engine.Metrics().SubscriptionLoad()
+		finalLoad = engine.Metrics().Snapshot().SubscriptionLoad
 	}
 	b.ReportMetric(float64(finalLoad), "sub-load")
 }
@@ -229,18 +230,18 @@ func runMultiJoinOnce(b *testing.B, w *experiment.Workload, pairing model.Binary
 		}
 	}
 	for _, p := range w.Placed {
-		if err := engine.Subscribe(p.Node, p.Sub); err != nil {
+		if err := engine.SubscribeContext(context.Background(), p.Node, p.Sub); err != nil {
 			b.Fatal(err)
 		}
 	}
 	for _, segment := range w.Segments {
 		for _, ev := range segment {
-			if err := engine.Publish(w.Deployment.SensorHost[ev.Sensor], ev); err != nil {
+			if err := engine.PublishContext(context.Background(), w.Deployment.SensorHost[ev.Sensor], ev); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	return engine.Metrics().EventLoad()
+	return engine.Metrics().Snapshot().EventLoad
 }
 
 // BenchmarkAblationLinkDedup compares per-neighbour (publish/subscribe) and
@@ -268,18 +269,18 @@ func BenchmarkAblationLinkDedup(b *testing.B) {
 					}
 				}
 				for _, p := range w.Placed {
-					if err := engine.Subscribe(p.Node, p.Sub); err != nil {
+					if err := engine.SubscribeContext(context.Background(), p.Node, p.Sub); err != nil {
 						b.Fatal(err)
 					}
 				}
 				for _, segment := range w.Segments {
 					for _, ev := range segment {
-						if err := engine.Publish(w.Deployment.SensorHost[ev.Sensor], ev); err != nil {
+						if err := engine.PublishContext(context.Background(), w.Deployment.SensorHost[ev.Sensor], ev); err != nil {
 							b.Fatal(err)
 						}
 					}
 				}
-				load = engine.Metrics().EventLoad()
+				load = engine.Metrics().Snapshot().EventLoad
 			}
 			b.ReportMetric(float64(load), "event-load")
 		})
@@ -479,7 +480,7 @@ func BenchmarkReplayWindowed(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				conc := netsim.NewConcurrentEngine(w.Deployment.Graph, factory)
+				conc := netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, factory, 0)
 				for _, sensor := range w.Deployment.Sensors {
 					if err := conc.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
 						b.Fatal(err)
@@ -487,7 +488,7 @@ func BenchmarkReplayWindowed(b *testing.B) {
 					conc.Flush()
 				}
 				for _, p := range w.Placed {
-					if err := conc.Subscribe(p.Node, p.Sub.Clone()); err != nil {
+					if err := conc.SubscribeContext(context.Background(), p.Node, p.Sub.Clone()); err != nil {
 						b.Fatal(err)
 					}
 					conc.Flush()
@@ -561,7 +562,7 @@ func BenchmarkReplayWideTopology(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				conc := netsim.NewConcurrentEngine(w.Deployment.Graph, factory)
+				conc := netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, factory, 0)
 				for _, sensor := range w.Deployment.Sensors {
 					if err := conc.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
 						b.Fatal(err)
@@ -569,7 +570,7 @@ func BenchmarkReplayWideTopology(b *testing.B) {
 				}
 				conc.Flush()
 				for _, p := range w.Placed {
-					if err := conc.Subscribe(p.Node, p.Sub.Clone()); err != nil {
+					if err := conc.SubscribeContext(context.Background(), p.Node, p.Sub.Clone()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -649,7 +650,7 @@ func floodOnce(tb testing.TB, dep *topology.Deployment, factory netsim.HandlerFa
 	}
 	idle := runtime.NumGoroutine()
 	before := liveHeap()
-	conc := netsim.NewConcurrentEngine(dep.Graph, factory)
+	conc := netsim.NewConcurrentEngineWorkers(dep.Graph, factory, 0)
 	start()
 	for _, sensor := range dep.Sensors {
 		if err := conc.AttachSensor(dep.SensorHost[sensor.ID], sensor); err != nil {
@@ -659,7 +660,7 @@ func floodOnce(tb testing.TB, dep *topology.Deployment, factory netsim.HandlerFa
 	conc.Flush()
 	stop()
 	messages = int64(len(dep.Sensors)) * int64(dep.Graph.NumNodes()-1)
-	if got := conc.Metrics().AdvertisementLoad(); got != messages {
+	if got := conc.Metrics().Snapshot().AdvertisementLoad; got != messages {
 		tb.Fatalf("advertisement load %d, want %d", got, messages)
 	}
 	conc.Trim()
@@ -713,11 +714,11 @@ func BenchmarkSubscriptionFlood(b *testing.B) {
 				}
 				b.StartTimer()
 				for j, sub := range subs {
-					if err := engine.Subscribe(topology.NodeID(j%nodes), sub); err != nil {
+					if err := engine.SubscribeContext(context.Background(), topology.NodeID(j%nodes), sub); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if err := engine.Publish(0, events[0]); err != nil {
+				if err := engine.PublishContext(context.Background(), 0, events[0]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -787,7 +788,7 @@ func steadyStateReplay(tb testing.TB, quick bool) (eng *netsim.Engine, replayOnc
 		}
 	}
 	for _, p := range w.Placed {
-		if err := eng.Subscribe(p.Node, p.Sub.Clone()); err != nil {
+		if err := eng.SubscribeContext(context.Background(), p.Node, p.Sub.Clone()); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -863,7 +864,7 @@ func BenchmarkAggregateReplay(b *testing.B) {
 					}
 				}
 				eng.Flush()
-				if err := eng.Subscribe(0, sub.Clone()); err != nil {
+				if err := eng.SubscribeContext(context.Background(), 0, sub.Clone()); err != nil {
 					b.Fatal(err)
 				}
 				eng.Flush()
@@ -877,7 +878,7 @@ func BenchmarkAggregateReplay(b *testing.B) {
 					b.Fatalf("dropped %d messages", n)
 				}
 				load = eng.Metrics().Snapshot().PartialAggregateLoad
-				bytes = eng.Metrics().PartialAggregateBytes()
+				bytes = eng.Metrics().Snapshot().PartialAggregateBytes
 				if load == 0 {
 					b.Fatal("replay shipped no partial aggregates; the benchmark is vacuous")
 				}
@@ -1079,7 +1080,7 @@ func newReexposeFixture(tb testing.TB, n, classes int) *reexposeFixture {
 
 func (f *reexposeFixture) register(tb testing.TB, g int) {
 	for _, s := range f.groups[g] {
-		if err := f.engine.Subscribe(0, s); err != nil {
+		if err := f.engine.SubscribeContext(context.Background(), 0, s); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -166,7 +166,7 @@ func run(approach string, nodes, sensors, groups, subs, minAttrs, maxAttrs, roun
 		if err != nil {
 			return err
 		}
-		if _, err := sys.SubscribeAggregate(0, sub, sensorcq.WithSinkBuffer(0)); err != nil {
+		if _, err := sys.Subscribe(0, sub, sensorcq.WithSinkBuffer(0)); err != nil {
 			return fmt.Errorf("subscribing aggregate query: %w", err)
 		}
 	}
@@ -191,7 +191,7 @@ func run(approach string, nodes, sensors, groups, subs, minAttrs, maxAttrs, roun
 		if err := sys.ReplayRounds(trace.ByRound[half:]); err != nil {
 			return err
 		}
-	} else if err := sys.ReplayTrace(trace); err != nil {
+	} else if err := sys.ReplayRounds(trace.ByRound); err != nil {
 		return err
 	}
 	elapsed := time.Since(start)

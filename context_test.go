@@ -17,7 +17,7 @@ func TestBackpressureModes(t *testing.T) {
 		// Three matching pairs, far enough apart that they correlate into
 		// exactly three complex events (seqs {1,2}, {3,4}, {5,6}).
 		for i := 0; i < 3; i++ {
-			if err := sys.Replay(matchingPair(uint64(1+2*i), Timestamp(100*(i+1)))); err != nil {
+			if err := sys.PublishBatch(matchingPair(uint64(1+2*i), Timestamp(100*(i+1)))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -47,7 +47,7 @@ func TestBackpressureModes(t *testing.T) {
 		if seqs := d.Events.Seqs(); len(seqs) != 2 || seqs[0] != 1 || seqs[1] != 2 {
 			t.Errorf("buffered delivery seqs = %v, want [1 2] (oldest kept)", seqs)
 		}
-		if got := len(h.Log()); got != 3 {
+		if got := len(sys.DeliveriesFor(h.ID())); got != 3 {
 			t.Errorf("pull log = %d deliveries, want 3 (push drops never lose history)", got)
 		}
 	})
@@ -73,7 +73,7 @@ func TestBackpressureModes(t *testing.T) {
 		if seqs := d.Events.Seqs(); len(seqs) != 2 || seqs[0] != 5 || seqs[1] != 6 {
 			t.Errorf("buffered delivery seqs = %v, want [5 6] (newest kept)", seqs)
 		}
-		if got := len(h.Log()); got != 3 {
+		if got := len(sys.DeliveriesFor(h.ID())); got != 3 {
 			t.Errorf("pull log = %d deliveries, want 3", got)
 		}
 	})
@@ -94,7 +94,7 @@ func TestBackpressureModes(t *testing.T) {
 		// counted as dropped.
 		start := time.Now()
 		for i := 0; i < 2; i++ {
-			if err := sys.Replay(matchingPair(uint64(1+2*i), Timestamp(100*(i+1)))); err != nil {
+			if err := sys.PublishBatch(matchingPair(uint64(1+2*i), Timestamp(100*(i+1)))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -109,7 +109,7 @@ func TestBackpressureModes(t *testing.T) {
 			for range h.Deliveries() {
 			}
 		}()
-		if err := sys.Replay(matchingPair(5, 300)); err != nil {
+		if err := sys.PublishBatch(matchingPair(5, 300)); err != nil {
 			t.Fatal(err)
 		}
 		if got := h.DroppedPushes(); got != 1 {
@@ -188,7 +188,7 @@ func TestContextCancellationSequential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-subscribe after cancelled Subscribe: %v", err)
 	}
-	if err := sys.Replay(matchingPair(5, 300)); err != nil {
+	if err := sys.PublishBatch(matchingPair(5, 300)); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.Delivered(); got != 1 {
@@ -216,7 +216,7 @@ func TestContextCancellationBlocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First pair fills the buffer without blocking.
-	if err := sys.Replay(matchingPair(1, 100)); err != nil {
+	if err := sys.PublishBatch(matchingPair(1, 100)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -280,7 +280,7 @@ func TestUnsubscribePromptWithBlockedSink(t *testing.T) {
 	}
 	// Fill the one-slot buffer, then stall node 5's worker on a second
 	// delivery (nobody consumes).
-	if err := sys.Replay(matchingPair(1, 100)); err != nil {
+	if err := sys.PublishBatch(matchingPair(1, 100)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -320,7 +320,7 @@ func TestCloseContextBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill the buffer, then block the worker on a second delivery.
-	if err := sys.Replay(matchingPair(1, 100)); err != nil {
+	if err := sys.PublishBatch(matchingPair(1, 100)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

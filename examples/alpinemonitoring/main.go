@@ -94,7 +94,7 @@ func run(dep *sensorcq.Deployment, trace *sensorcq.Trace, approach sensorcq.Appr
 		}
 	}
 
-	if err := sys.Replay(trace.Events); err != nil {
+	if err := sys.PublishBatch(trace.Events); err != nil {
 		return 0, 0, err
 	}
 	alerts := 0

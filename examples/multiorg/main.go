@@ -59,7 +59,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		if err := sys.Replay(trace.Events); err != nil {
+		if err := sys.PublishBatch(trace.Events); err != nil {
 			log.Fatal(err)
 		}
 		t := sys.Traffic()

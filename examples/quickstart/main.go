@@ -57,7 +57,7 @@ func main() {
 		{Seq: 3, Sensor: "b", Attr: sensorcq.RelativeHumidity, Value: 22, Time: 105},
 		{Seq: 4, Sensor: "a", Attr: sensorcq.AmbientTemperature, Value: 95, Time: 200}, // out of range: dropped
 	}
-	if err := sys.Replay(readings); err != nil {
+	if err := sys.PublishBatch(readings); err != nil {
 		log.Fatal(err)
 	}
 
@@ -77,7 +77,7 @@ func main() {
 	// The query is gone from every node: the same mild-and-dry conditions no
 	// longer produce deliveries or event traffic.
 	after := sys.Traffic().EventLoad
-	if err := sys.Replay([]sensorcq.Event{
+	if err := sys.PublishBatch([]sensorcq.Event{
 		{Seq: 5, Sensor: "a", Attr: sensorcq.AmbientTemperature, Value: 60, Time: 300},
 		{Seq: 6, Sensor: "b", Attr: sensorcq.RelativeHumidity, Value: 25, Time: 301},
 	}); err != nil {

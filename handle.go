@@ -41,7 +41,7 @@ const DefaultSinkBuffer = 1024
 const DefaultBackpressureTimeout = time.Second
 
 // BackpressureMode selects what a full push-delivery channel does with the
-// next delivery. Whatever the mode, the pull log (Log, System.DeliveriesFor)
+// next delivery. Whatever the mode, the pull log (System.DeliveriesFor)
 // always records every delivery — backpressure only shapes the push stream.
 type BackpressureMode int
 
@@ -109,8 +109,8 @@ type subscribeOptions struct {
 // Zero disables the channel entirely (Deliveries returns nil); negative
 // values keep the default. When the consumer falls behind and the channel
 // fills up, further deliveries are counted in DroppedPushes instead of
-// blocking the engine — the pull log (Log, System.DeliveriesFor) always
-// remains complete.
+// blocking the engine — the pull log (System.DeliveriesFor) always remains
+// complete.
 func WithSinkBuffer(n int) SubscribeOption {
 	return func(o *subscribeOptions) {
 		if n >= 0 {
@@ -148,14 +148,15 @@ func WithCallback(fn func(Delivery)) SubscribeOption {
 	return func(o *subscribeOptions) { o.callback = fn }
 }
 
-// WithRetainLog keeps the subscription's pull log (Log, DeliveriesFor,
-// DeliveredSeqs) readable after Unsubscribe. By default the subscription's
-// delivery-index entries are evicted when the retraction completes, so a
-// long-running system does not hold every retracted subscription's delivery
-// history for the rest of its life; a handle subscribed with WithRetainLog
-// opts out and keeps its history until the ID's next registration is itself
-// unsubscribed without the option (eviction is per subscription ID). The
-// system-wide delivery log (System.Deliveries) is never evicted either way.
+// WithRetainLog keeps the subscription's pull log (System.DeliveriesFor and
+// System.DeliveredEventSeqs) readable after Unsubscribe. By default the
+// subscription's delivery-index entries are evicted when the retraction
+// completes, so a long-running system does not hold every retracted
+// subscription's delivery history for the rest of its life; a handle
+// subscribed with WithRetainLog opts out and keeps its history until the
+// ID's next registration is itself unsubscribed without the option
+// (eviction is per subscription ID). The system-wide delivery log
+// (System.Deliveries) is never evicted either way.
 func WithRetainLog() SubscribeOption {
 	return func(o *subscribeOptions) { o.retainLog = true }
 }
@@ -215,9 +216,6 @@ func (h *SubscriptionHandle) ID() SubscriptionID { return h.sub.ID }
 // Node returns the processing node the subscription was registered at.
 func (h *SubscriptionHandle) Node() NodeID { return h.node }
 
-// Subscription returns the registered subscription.
-func (h *SubscriptionHandle) Subscription() *Subscription { return h.sub }
-
 // Deliveries returns the push-delivery stream: every complex event delivered
 // to this subscription is sent to the channel as it happens. The channel is
 // closed by Unsubscribe and by System.Close, so ranging over it terminates
@@ -243,20 +241,6 @@ func (h *SubscriptionHandle) DroppedPushes() int64 { return h.droppedPush.Load()
 // unsubscribed, system not closed).
 func (h *SubscriptionHandle) Active() bool {
 	return !h.unsubscribed.Load() && !h.sys.closed.Load()
-}
-
-// Log returns the subscription's pull log: every delivery recorded so far,
-// served from the delivery log's per-subscription index (cost proportional
-// to this subscription's deliveries, not the whole system log). After
-// Unsubscribe the log is empty unless the handle was subscribed with
-// WithRetainLog — the index entries of a retracted subscription are evicted
-// with it.
-func (h *SubscriptionHandle) Log() []Delivery { return h.sys.DeliveriesFor(h.sub.ID) }
-
-// DeliveredSeqs returns the set of simple-event sequence numbers delivered
-// to this subscription as components of some complex event.
-func (h *SubscriptionHandle) DeliveredSeqs() map[uint64]bool {
-	return h.sys.DeliveredEventSeqs(h.sub.ID)
 }
 
 // Unsubscribe retracts the subscription network-wide: every node that stored

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sensorcq/internal/geom"
@@ -99,7 +100,7 @@ func setupFigure3(t *testing.T, factory netsim.HandlerFactory) *netsim.Engine {
 
 func publish(t *testing.T, e *netsim.Engine, node topology.NodeID, seq uint64, sensor model.SensorID, attr model.AttributeType, value float64, ts model.Timestamp) {
 	t.Helper()
-	if err := e.Publish(node, model.Event{Seq: seq, Sensor: sensor, Attr: attr, Value: value, Time: ts}); err != nil {
+	if err := e.PublishContext(context.Background(), node, model.Event{Seq: seq, Sensor: sensor, Attr: attr, Value: value, Time: ts}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -118,7 +119,7 @@ func fsfFactory() netsim.HandlerFactory { return NewFactory(NewFSFConfig(Default
 func TestAdvertisementFlooding(t *testing.T) {
 	e := setupFigure3(t, fsfFactory())
 	// Each of the 3 advertisements floods the whole 6-node tree: 5 links each.
-	if got := e.Metrics().AdvertisementLoad(); got != 15 {
+	if got := e.Metrics().Snapshot().AdvertisementLoad; got != 15 {
 		t.Errorf("advertisement load = %d, want 15", got)
 	}
 	// Every node knows every sensor.
@@ -136,27 +137,27 @@ func TestFigure3Walkthrough(t *testing.T) {
 	e := setupFigure3(t, fsfFactory())
 
 	// s1: user -> hubMain -> hubAB -> {sensorA, sensorB} = 4 forwarded ops.
-	if err := e.Subscribe(nodeUser, sub1(t)); err != nil {
+	if err := e.SubscribeContext(context.Background(), nodeUser, sub1(t)); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().SubscriptionLoad(); got != 4 {
+	if got := e.Metrics().Snapshot().SubscriptionLoad; got != 4 {
 		t.Errorf("subscription load after s1 = %d, want 4", got)
 	}
 	// s2: user -> hubMain, then hubMain -> {hubAB, sensorC}, hubAB -> sensorB
 	// = 4 more.
-	if err := e.Subscribe(nodeUser, sub2(t)); err != nil {
+	if err := e.SubscribeContext(context.Background(), nodeUser, sub2(t)); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().SubscriptionLoad(); got != 8 {
+	if got := e.Metrics().Snapshot().SubscriptionLoad; got != 8 {
 		t.Errorf("subscription load after s2 = %d, want 8", got)
 	}
 	// s3: user -> hubMain, hubMain -> {hubAB (a,b), sensorC (c)}, hubAB ->
 	// {sensorA, sensorB} = 5 more; the leaf operators are detected as covered
 	// and stored without further forwarding.
-	if err := e.Subscribe(nodeUser, sub3(t)); err != nil {
+	if err := e.SubscribeContext(context.Background(), nodeUser, sub3(t)); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().SubscriptionLoad(); got != 13 {
+	if got := e.Metrics().Snapshot().SubscriptionLoad; got != 13 {
 		t.Errorf("subscription load after s3 = %d, want 13", got)
 	}
 
@@ -200,7 +201,7 @@ func TestTableIIOperatorPlacementStoresMoreUncovered(t *testing.T) {
 	})
 	e := setupFigure3(t, pairwise)
 	for _, s := range []*model.Subscription{sub1(t), sub2(t), sub3(t)} {
-		if err := e.Subscribe(nodeUser, s); err != nil {
+		if err := e.SubscribeContext(context.Background(), nodeUser, s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,11 +217,11 @@ func TestTableIIOperatorPlacementStoresMoreUncovered(t *testing.T) {
 func TestEventPropagationFSFTableIExample(t *testing.T) {
 	e := setupFigure3(t, fsfFactory())
 	for _, s := range []*model.Subscription{sub1(t), sub2(t), sub3(t)} {
-		if err := e.Subscribe(nodeUser, s); err != nil {
+		if err := e.SubscribeContext(context.Background(), nodeUser, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	evBase := e.Metrics().EventLoad()
+	evBase := e.Metrics().Snapshot().EventLoad
 
 	publish(t, e, nodeSensorA, 1, "a", model.AmbientTemperature, 60, 10)
 	publish(t, e, nodeSensorB, 2, "b", model.RelativeHumidity, 25, 11)
@@ -228,7 +229,7 @@ func TestEventPropagationFSFTableIExample(t *testing.T) {
 
 	// Per-neighbour forwarding: a:0->3 (1), b:1->3 (1), {a,b}:3->4 (2),
 	// {a,b}:4->5 (2), c:2->4 (1), c:4->5 (1)  =>  8 data units.
-	if got := e.Metrics().EventLoad() - evBase; got != 8 {
+	if got := e.Metrics().Snapshot().EventLoad - evBase; got != 8 {
 		t.Errorf("FSF event load = %d, want 8", got)
 	}
 	// All three users received their complex events with full recall.
@@ -257,15 +258,15 @@ func TestEventPropagationPerSubscriptionDuplicates(t *testing.T) {
 	run := func(factory netsim.HandlerFactory) int64 {
 		e := setupFigure3(t, factory)
 		for _, s := range []*model.Subscription{sub1(t), sub2(t), sub3(t)} {
-			if err := e.Subscribe(nodeUser, s); err != nil {
+			if err := e.SubscribeContext(context.Background(), nodeUser, s); err != nil {
 				t.Fatal(err)
 			}
 		}
-		base := e.Metrics().EventLoad()
+		base := e.Metrics().Snapshot().EventLoad
 		publish(t, e, nodeSensorA, 1, "a", model.AmbientTemperature, 60, 10)
 		publish(t, e, nodeSensorB, 2, "b", model.RelativeHumidity, 25, 11)
 		publish(t, e, nodeSensorC, 3, "c", model.WindSpeed, 10, 12)
-		return e.Metrics().EventLoad() - base
+		return e.Metrics().Snapshot().EventLoad - base
 	}
 
 	fsfLoad := run(fsfFactory())
@@ -295,16 +296,16 @@ func TestMultiJoinFalsePositiveTraffic(t *testing.T) {
 	// of range, so no complex event exists. The binary-join approach still
 	// forwards the (a,b) pair all the way to the user (false positives); FSF
 	// stops them at the node where the full correlation is known to fail.
-	scenario := func(factory netsim.HandlerFactory) (int64, int64) {
+	scenario := func(factory netsim.HandlerFactory) (int64, int) {
 		e := setupFigure3(t, factory)
-		if err := e.Subscribe(nodeUser, sub3(t)); err != nil {
+		if err := e.SubscribeContext(context.Background(), nodeUser, sub3(t)); err != nil {
 			t.Fatal(err)
 		}
-		base := e.Metrics().EventLoad()
+		base := e.Metrics().Snapshot().EventLoad
 		publish(t, e, nodeSensorA, 1, "a", model.AmbientTemperature, 60, 10)
 		publish(t, e, nodeSensorB, 2, "b", model.RelativeHumidity, 25, 11)
 		publish(t, e, nodeSensorC, 3, "c", model.WindSpeed, 99, 12) // out of range
-		return e.Metrics().EventLoad() - base, e.Metrics().ComplexDeliveries("s3")
+		return e.Metrics().Snapshot().EventLoad - base, len(e.DeliveriesFor("s3"))
 	}
 
 	fsfLoad, fsfDeliveries := scenario(fsfFactory())
@@ -332,7 +333,7 @@ func TestMultiJoinStillDeliversTrueMatches(t *testing.T) {
 		Pairing:     model.RingPairing,
 		Propagation: PerNeighbor,
 	}))
-	if err := e.Subscribe(nodeUser, sub3(t)); err != nil {
+	if err := e.SubscribeContext(context.Background(), nodeUser, sub3(t)); err != nil {
 		t.Fatal(err)
 	}
 	publish(t, e, nodeSensorA, 1, "a", model.AmbientTemperature, 60, 10)
@@ -349,11 +350,11 @@ func TestMultiJoinStillDeliversTrueMatches(t *testing.T) {
 func TestSubscriptionWithoutSourcesIsNotForwarded(t *testing.T) {
 	e := setupFigure3(t, fsfFactory())
 	missing := tableISub(t, "sx", map[model.SensorID][2]float64{"a": {0, 100}, "z": {0, 100}})
-	before := e.Metrics().SubscriptionLoad()
-	if err := e.Subscribe(nodeUser, missing); err != nil {
+	before := e.Metrics().Snapshot().SubscriptionLoad
+	if err := e.SubscribeContext(context.Background(), nodeUser, missing); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().SubscriptionLoad() - before; got != 0 {
+	if got := e.Metrics().Snapshot().SubscriptionLoad - before; got != 0 {
 		t.Errorf("subscription without sources was forwarded %d times", got)
 	}
 	// It is still stored locally for (never-occurring) delivery.
@@ -365,14 +366,14 @@ func TestSubscriptionWithoutSourcesIsNotForwarded(t *testing.T) {
 func TestDuplicateSubscriptionIgnored(t *testing.T) {
 	e := setupFigure3(t, fsfFactory())
 	s := sub1(t)
-	if err := e.Subscribe(nodeUser, s); err != nil {
+	if err := e.SubscribeContext(context.Background(), nodeUser, s); err != nil {
 		t.Fatal(err)
 	}
-	load := e.Metrics().SubscriptionLoad()
-	if err := e.Subscribe(nodeUser, s); err != nil {
+	load := e.Metrics().Snapshot().SubscriptionLoad
+	if err := e.SubscribeContext(context.Background(), nodeUser, s); err != nil {
 		t.Fatal(err)
 	}
-	if e.Metrics().SubscriptionLoad() != load {
+	if e.Metrics().Snapshot().SubscriptionLoad != load {
 		t.Error("re-registering the same subscription should not generate traffic")
 	}
 	if got := len(coreNode(t, e, nodeUser).LocalSubscriptions()); got != 1 {
@@ -383,37 +384,37 @@ func TestDuplicateSubscriptionIgnored(t *testing.T) {
 func TestEventsWithoutSubscribersAreDropped(t *testing.T) {
 	e := setupFigure3(t, fsfFactory())
 	publish(t, e, nodeSensorA, 1, "a", model.AmbientTemperature, 60, 10)
-	if got := e.Metrics().EventLoad(); got != 0 {
+	if got := e.Metrics().Snapshot().EventLoad; got != 0 {
 		t.Errorf("events without any subscription generated %d data units", got)
 	}
 }
 
 func TestOutOfRangeEventsFilteredAtSource(t *testing.T) {
 	e := setupFigure3(t, fsfFactory())
-	if err := e.Subscribe(nodeUser, sub1(t)); err != nil {
+	if err := e.SubscribeContext(context.Background(), nodeUser, sub1(t)); err != nil {
 		t.Fatal(err)
 	}
-	base := e.Metrics().EventLoad()
+	base := e.Metrics().Snapshot().EventLoad
 	publish(t, e, nodeSensorA, 1, "a", model.AmbientTemperature, 200, 10) // outside [50,80]
-	if got := e.Metrics().EventLoad() - base; got != 0 {
+	if got := e.Metrics().Snapshot().EventLoad - base; got != 0 {
 		t.Errorf("out-of-range reading generated %d data units", got)
 	}
 }
 
 func TestTemporalCorrelationWindow(t *testing.T) {
 	e := setupFigure3(t, fsfFactory())
-	if err := e.Subscribe(nodeUser, sub1(t)); err != nil {
+	if err := e.SubscribeContext(context.Background(), nodeUser, sub1(t)); err != nil {
 		t.Fatal(err)
 	}
 	// a and b are too far apart in time (δt = 30) to correlate.
 	publish(t, e, nodeSensorA, 1, "a", model.AmbientTemperature, 60, 10)
 	publish(t, e, nodeSensorB, 2, "b", model.RelativeHumidity, 25, 100)
-	if got := e.Metrics().ComplexDeliveries("s1"); got != 0 {
+	if got := len(e.DeliveriesFor("s1")); got != 0 {
 		t.Errorf("uncorrelated events delivered %d complex events", got)
 	}
 	// A later a reading inside the window completes the match.
 	publish(t, e, nodeSensorA, 3, "a", model.AmbientTemperature, 61, 110)
-	if got := e.Metrics().ComplexDeliveries("s1"); got != 1 {
+	if got := len(e.DeliveriesFor("s1")); got != 1 {
 		t.Errorf("correlated events delivered %d complex events, want 1", got)
 	}
 	seqs := e.Metrics().DeliveredSeqs("s1")
@@ -423,14 +424,9 @@ func TestTemporalCorrelationWindow(t *testing.T) {
 }
 
 func TestConcurrentEngineSameTraffic(t *testing.T) {
-	build := func() (netsim.Runtime, func()) {
-		conc := netsim.NewConcurrentEngine(figure3Graph(t), fsfFactory())
-		return conc, conc.Close
-	}
 	seq := setupFigure3(t, fsfFactory())
-	concRT, closeFn := build()
-	defer closeFn()
-	conc := concRT.(*netsim.ConcurrentEngine)
+	conc := netsim.NewConcurrentEngineWorkers(figure3Graph(t), fsfFactory(), 0)
+	defer conc.Close()
 	for _, s := range []struct {
 		node topology.NodeID
 		id   model.SensorID
@@ -446,10 +442,10 @@ func TestConcurrentEngineSameTraffic(t *testing.T) {
 		conc.Flush()
 	}
 	for _, s := range []*model.Subscription{sub1(t), sub2(t), sub3(t)} {
-		if err := seq.Subscribe(nodeUser, s.Clone()); err != nil {
+		if err := seq.SubscribeContext(context.Background(), nodeUser, s.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		if err := conc.Subscribe(nodeUser, s.Clone()); err != nil {
+		if err := conc.SubscribeContext(context.Background(), nodeUser, s.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		conc.Flush()
@@ -461,18 +457,18 @@ func TestConcurrentEngineSameTraffic(t *testing.T) {
 	}
 	nodes := []topology.NodeID{nodeSensorA, nodeSensorB, nodeSensorC}
 	for i, ev := range events {
-		if err := seq.Publish(nodes[i], ev); err != nil {
+		if err := seq.PublishContext(context.Background(), nodes[i], ev); err != nil {
 			t.Fatal(err)
 		}
-		if err := conc.Publish(nodes[i], ev); err != nil {
+		if err := conc.PublishContext(context.Background(), nodes[i], ev); err != nil {
 			t.Fatal(err)
 		}
 		conc.Flush()
 	}
-	if a, b := seq.Metrics().SubscriptionLoad(), conc.Metrics().SubscriptionLoad(); a != b {
+	if a, b := seq.Metrics().Snapshot().SubscriptionLoad, conc.Metrics().Snapshot().SubscriptionLoad; a != b {
 		t.Errorf("subscription load differs: sequential=%d concurrent=%d", a, b)
 	}
-	if a, b := seq.Metrics().EventLoad(), conc.Metrics().EventLoad(); a != b {
+	if a, b := seq.Metrics().Snapshot().EventLoad, conc.Metrics().Snapshot().EventLoad; a != b {
 		t.Errorf("event load differs: sequential=%d concurrent=%d", a, b)
 	}
 }

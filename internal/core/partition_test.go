@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -154,7 +155,7 @@ func TestPartitionReuseMatchesRescan(t *testing.T) {
 				}
 				user := topology.NodeID(rng.Intn(3)) // a user node or the hub
 				for _, engine := range []*netsim.Engine{got, want} {
-					if err := engine.Subscribe(user, sub); err != nil {
+					if err := engine.SubscribeContext(context.Background(), user, sub); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -168,7 +169,7 @@ func TestPartitionReuseMatchesRescan(t *testing.T) {
 					Location: geom.Point2D{X: float64(20 + 30*k), Y: 50}, Value: float64(rng.Intn(100)), Time: now,
 				}
 				for _, engine := range []*netsim.Engine{got, want} {
-					if err := engine.Publish(topology.NodeID(3+k), ev); err != nil {
+					if err := engine.PublishContext(context.Background(), topology.NodeID(3+k), ev); err != nil {
 						t.Fatal(err)
 					}
 				}

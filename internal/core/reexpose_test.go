@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -294,13 +295,13 @@ func TestReexposeMatchesFullScan(t *testing.T) {
 						live = slices.Delete(live, i, i+1)
 						retired = append(retired, l.sub.ID)
 						what = fmt.Sprintf("step %d: unsubscribe %s at %d", step, l.sub.ID, l.node)
-						before := got.engine.Metrics().SubscriptionLoad()
+						before := got.engine.Metrics().Snapshot().SubscriptionLoad
 						for _, net := range []*reexposeNet{got, want} {
 							if err := net.engine.Unsubscribe(l.node, l.sub.ID); err != nil {
 								t.Fatal(err)
 							}
 						}
-						if got.engine.Metrics().SubscriptionLoad() > before {
+						if got.engine.Metrics().Snapshot().SubscriptionLoad > before {
 							promoted++
 						}
 					} else {
@@ -315,7 +316,7 @@ func TestReexposeMatchesFullScan(t *testing.T) {
 						live = append(live, l)
 						what = fmt.Sprintf("step %d: subscribe %s at %d", step, l.sub, l.node)
 						for _, net := range []*reexposeNet{got, want} {
-							if err := net.engine.Subscribe(l.node, l.sub); err != nil {
+							if err := net.engine.SubscribeContext(context.Background(), l.node, l.sub); err != nil {
 								t.Fatal(err)
 							}
 						}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -211,19 +212,14 @@ func RunAggregateSweep(cfg AggregateSweepConfig) (*AggregateSweep, error) {
 func replayAggregate(s Scenario, dep *topology.Deployment, trace *dataset.Trace,
 	subscriber topology.NodeID, sub *model.Subscription, concurrent bool, workers int,
 ) ([]netsim.AggregateResult, int64, int64, error) {
-	factory, err := FactoryForSpec(FilterSplitForward, FactorySpec{Seed: s.Seed + 7})
+	engine, err := Start(dep, FilterSplitForward, FactorySpec{Seed: s.Seed + 7}, concurrent, workers)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	engine, closeEngine, err := startEngine(dep, factory, concurrent, workers)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer closeEngine()
-	if err := engine.Subscribe(subscriber, sub); err != nil {
+	defer engine.Close()
+	if err := engine.SubscribeContext(context.Background(), subscriber, sub); err != nil {
 		return nil, 0, 0, fmt.Errorf("experiment: subscribing %s: %w", sub.ID, err)
 	}
-	engine.Flush()
 
 	rounds := publicationRounds(dep, trace.ByRound)
 	if err := engine.ReplayRounds(rounds, netsim.ReplayOptions{Mode: netsim.Quiescent}); err != nil {
@@ -236,8 +232,8 @@ func replayAggregate(s Scenario, dep *topology.Deployment, trace *dataset.Trace,
 			results = append(results, *d.Aggregate)
 		}
 	}
-	m := engine.Metrics()
-	return results, m.Snapshot().PartialAggregateLoad, m.PartialAggregateBytes(), nil
+	traffic := engine.Metrics().Snapshot()
+	return results, traffic.PartialAggregateLoad, traffic.PartialAggregateBytes, nil
 }
 
 // BusiestAttribute returns the deployment's attribute type with the most

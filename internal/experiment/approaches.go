@@ -14,6 +14,7 @@ import (
 	"sensorcq/internal/netsim"
 	"sensorcq/internal/protocol/centralized"
 	"sensorcq/internal/subsume"
+	"sensorcq/internal/topology"
 )
 
 // ApproachID names one of the five evaluated approaches.
@@ -48,8 +49,10 @@ type FactorySpec struct {
 	SetFilterError float64
 	// ValidityFactor scales each node's event-window validity (validity =
 	// factor x max δt); 0 keeps the protocol default of 2. Windowed replays
-	// with lag L need at least L+2 (netsim.RequiredValidityFactor) so a
-	// late-arriving trigger still finds its in-window partners stored.
+	// with lag L use L+2 (netsim.RequiredValidityFactor) so a late-arriving
+	// trigger still finds its in-window partners stored. That bound holds at
+	// 5 sensors per group; at 10 it prunes partners that late-forwarded
+	// components still need (ROADMAP, direction 5(a)).
 	ValidityFactor int
 }
 
@@ -102,7 +105,36 @@ func FactoryForSpec(id ApproachID, spec FactorySpec) (netsim.HandlerFactory, err
 	return core.NewFactory(cfg), nil
 }
 
-// IsDeterministicLossless reports whether the approach delivers every
-// matching event by construction (everything except FSF, whose probabilistic
-// set filter may lose events).
-func IsDeterministicLossless(id ApproachID) bool { return id != FilterSplitForward }
+// Start builds the network of one run: the approach's handlers on the
+// sequential engine, or on the concurrent one with the given worker count,
+// and every sensor of the deployment attached at its host in deployment
+// order. It returns once the advertisement flood has drained, with the
+// queue storage the flood grew released. The caller must Close the runtime.
+func Start(dep *topology.Deployment, id ApproachID, spec FactorySpec, concurrent bool, workers int) (netsim.Runtime, error) {
+	factory, err := FactoryForSpec(id, spec)
+	if err != nil {
+		return nil, err
+	}
+	var rt netsim.Runtime
+	if concurrent {
+		rt = netsim.NewConcurrentEngineWorkers(dep.Graph, factory, workers)
+	} else {
+		rt = netsim.NewEngine(dep.Graph, factory)
+	}
+	for _, sensor := range dep.Sensors {
+		host, ok := dep.SensorHost[sensor.ID]
+		if !ok {
+			rt.Close()
+			return nil, fmt.Errorf("experiment: sensor %s has no host node", sensor.ID)
+		}
+		if err := rt.AttachSensor(host, sensor); err != nil {
+			rt.Close()
+			return nil, fmt.Errorf("experiment: attaching sensor %s: %w", sensor.ID, err)
+		}
+	}
+	rt.Flush()
+	// The flood is sensors × (nodes − 1) messages, far above anything a
+	// replay keeps in flight: do not carry its queue high-water marks along.
+	rt.Trim()
+	return rt, nil
+}

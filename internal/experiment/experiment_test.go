@@ -73,9 +73,6 @@ func TestFactoryForAllApproaches(t *testing.T) {
 	if len(All()) != 5 || len(AllDistributed()) != 4 {
 		t.Error("approach lists wrong")
 	}
-	if IsDeterministicLossless(FilterSplitForward) || !IsDeterministicLossless(Naive) {
-		t.Error("IsDeterministicLossless wrong")
-	}
 }
 
 func TestBuildWorkloadSegments(t *testing.T) {

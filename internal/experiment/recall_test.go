@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestFSFRecallTrafficTradeoff(t *testing.T) {
 			}
 		}
 		for _, p := range w.Placed {
-			if err := engine.Subscribe(p.Node, p.Sub.Clone()); err != nil {
+			if err := engine.SubscribeContext(context.Background(), p.Node, p.Sub.Clone()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -79,12 +80,12 @@ func TestFSFRecallTrafficTradeoff(t *testing.T) {
 		for i, ev := range events {
 			batch[i] = netsim.Publication{Node: w.Deployment.SensorHost[ev.Sensor], Event: ev}
 		}
-		if err := engine.PublishBatch(batch); err != nil {
+		if err := engine.ReplayRounds([][]netsim.Publication{batch}, netsim.ReplayOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return outcome{
 			recall: exp.Recall(engine.Metrics().DeliveredSeqs),
-			load:   engine.Metrics().EventLoad(),
+			load:   engine.Metrics().Snapshot().EventLoad,
 		}
 	}
 

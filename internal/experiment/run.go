@@ -1,8 +1,8 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"sensorcq/internal/dataset"
 	"sensorcq/internal/model"
@@ -203,32 +203,6 @@ func publicationRounds(dep *topology.Deployment, rounds [][]model.Event) [][]net
 	return out
 }
 
-// startEngine builds the engine of one run — sequential, or concurrent with
-// the given worker count — and attaches (and, for distributed approaches,
-// advertises) every sensor of the deployment in ID order, each propagated to
-// quiescence. The caller must call the returned close function when done.
-func startEngine(dep *topology.Deployment, factory netsim.HandlerFactory, concurrent bool, workers int) (netsim.Runtime, func(), error) {
-	var engine netsim.Runtime
-	closeEngine := func() {}
-	if concurrent {
-		conc := netsim.NewConcurrentEngineWorkers(dep.Graph, factory, workers)
-		engine, closeEngine = conc, conc.Close
-	} else {
-		engine = netsim.NewEngine(dep.Graph, factory)
-	}
-	sensors := make([]model.Sensor, len(dep.Sensors))
-	copy(sensors, dep.Sensors)
-	sort.Slice(sensors, func(i, j int) bool { return sensors[i].ID < sensors[j].ID })
-	for _, sensor := range sensors {
-		if err := engine.AttachSensor(dep.SensorHost[sensor.ID], sensor); err != nil {
-			closeEngine()
-			return nil, nil, fmt.Errorf("experiment: attaching %s: %w", sensor.ID, err)
-		}
-		engine.Flush()
-	}
-	return engine, closeEngine, nil
-}
-
 // SubscriptionsUpTo returns the subscriptions of batches 0..batch inclusive.
 func (w *Workload) SubscriptionsUpTo(batch int) []*model.Subscription {
 	end := (batch + 1) * w.Scenario.BatchSize
@@ -359,19 +333,15 @@ func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error)
 	if o.Churn < 0 || o.Churn > 1 {
 		return nil, fmt.Errorf("experiment: churn %g outside [0,1]", o.Churn)
 	}
-	factory, err := FactoryForSpec(id, FactorySpec{
+	engine, err := Start(w.Deployment, id, FactorySpec{
 		Seed:           s.Seed + 7,
 		SetFilterError: s.SetFilterError,
 		ValidityFactor: netsim.RequiredValidityFactor(o.Delivery, o.Lag),
-	})
+	}, o.Concurrent, o.Workers)
 	if err != nil {
 		return nil, err
 	}
-	engine, closeEngine, err := startEngine(w.Deployment, factory, o.Concurrent, o.Workers)
-	if err != nil {
-		return nil, err
-	}
-	defer closeEngine()
+	defer engine.Close()
 
 	series := &ApproachSeries{Approach: id}
 	for b := 0; b < s.Batches; b++ {
@@ -382,10 +352,9 @@ func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error)
 		}
 		batch := w.Placed[start:end]
 		for _, p := range batch {
-			if err := engine.Subscribe(p.Node, p.Sub); err != nil {
+			if err := engine.SubscribeContext(context.Background(), p.Node, p.Sub); err != nil {
 				return nil, fmt.Errorf("experiment: subscribing %s: %w", p.Sub.ID, err)
 			}
-			engine.Flush()
 		}
 		before := engine.Metrics().Snapshot()
 		opts := netsim.ReplayOptions{Mode: o.Delivery, Lag: o.Lag}

@@ -207,6 +207,16 @@ func (s *Subscription) Validate() error {
 	default:
 		return fmt.Errorf("model: subscription %s has unknown kind %d", s.ID, s.Kind)
 	}
+	if s.Aggregate != nil {
+		// The shape NewAggregateSubscription builds: the aggregate path folds
+		// the readings of one attribute filter per window.
+		if s.Kind != KindAbstract || len(s.AttrFilters) != 1 {
+			return fmt.Errorf("model: aggregate subscription %s needs exactly one attribute filter", s.ID)
+		}
+		if err := s.Aggregate.Validate(); err != nil {
+			return fmt.Errorf("model: aggregate subscription %s: %w", s.ID, err)
+		}
+	}
 	return nil
 }
 

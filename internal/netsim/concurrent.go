@@ -274,13 +274,6 @@ func (s *stealScheduler) close() {
 	s.parkMu.Unlock()
 }
 
-// NewConcurrentEngine builds a concurrent engine over the given topology,
-// executed by the pooled work-stealing scheduler with GOMAXPROCS workers.
-// Callers must Close it when done.
-func NewConcurrentEngine(graph *topology.Graph, factory HandlerFactory) *ConcurrentEngine {
-	return NewConcurrentEngineWorkers(graph, factory, 0)
-}
-
 // EffectiveWorkers resolves a requested scheduler pool size the way the
 // engine does: non-positive selects GOMAXPROCS, and the pool is capped at
 // the node count (more workers than nodes could never all be busy).
@@ -297,9 +290,10 @@ func EffectiveWorkers(workers, nodes int) int {
 	return workers
 }
 
-// NewConcurrentEngineWorkers is NewConcurrentEngine with an explicit
-// scheduler pool size (see EffectiveWorkers for how the count is resolved).
-// Callers must Close the engine when done.
+// NewConcurrentEngineWorkers builds a concurrent engine over the given
+// topology, executed by the pooled work-stealing scheduler with the given
+// number of workers (see EffectiveWorkers for how the count is resolved; 0
+// selects GOMAXPROCS). Callers must Close the engine when done.
 func NewConcurrentEngineWorkers(graph *topology.Graph, factory HandlerFactory, workers int) *ConcurrentEngine {
 	n := graph.NumNodes()
 	e := &ConcurrentEngine{
@@ -317,9 +311,6 @@ func NewConcurrentEngineWorkers(graph *topology.Graph, factory HandlerFactory, w
 	}
 	return e
 }
-
-// Workers returns the size of the engine's scheduler worker pool.
-func (e *ConcurrentEngine) Workers() int { return len(e.pool.deques) }
 
 // runWorker is one pooled scheduler worker: it acquires activated nodes from
 // the deques (own first, stealing when dry) and drains one burst per

@@ -12,6 +12,7 @@
 package netsim_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -59,17 +60,16 @@ func drive(t *testing.T, rt netsim.Runtime, w *experiment.Workload) {
 		rt.Flush()
 	}
 	for _, p := range w.Placed {
-		if err := rt.Subscribe(p.Node, p.Sub.Clone()); err != nil {
+		if err := rt.SubscribeContext(context.Background(), p.Node, p.Sub.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		rt.Flush()
 	}
 	for _, segment := range w.Segments {
 		batch := make([]netsim.Publication, len(segment))
 		for i, ev := range segment {
 			batch[i] = netsim.Publication{Node: w.Deployment.SensorHost[ev.Sensor], Event: ev}
 		}
-		if err := rt.PublishBatch(batch); err != nil {
+		if err := rt.ReplayRounds([][]netsim.Publication{batch}, netsim.ReplayOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,16 +132,14 @@ func driveRoundsWith(t *testing.T, rt netsim.Runtime, w *experiment.Workload, ag
 		rt.Flush()
 	}
 	for _, p := range w.Placed {
-		if err := rt.Subscribe(p.Node, p.Sub.Clone()); err != nil {
+		if err := rt.SubscribeContext(context.Background(), p.Node, p.Sub.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		rt.Flush()
 	}
 	for _, p := range aggs {
-		if err := rt.Subscribe(p.node, p.sub.Clone()); err != nil {
+		if err := rt.SubscribeContext(context.Background(), p.node, p.sub.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		rt.Flush()
 	}
 	for b := 0; b < w.Scenario.Batches; b++ {
 		if err := rt.ReplayRounds(w.PublicationRounds(b), opts); err != nil {
@@ -265,9 +263,10 @@ func variantRuns(name string, concurrent bool) []variantRun {
 // variant must produce the sequential quiescent run's traffic totals and,
 // round by round, the same multiset of deliveries — the interleaving within
 // the lag window is free, the outcome of each round is not. Windowed
-// variants build their nodes with the lag-matched validity factor; that
-// never changes match sets (see netsim.RequiredValidityFactor), so they stay
-// comparable with the default-validity baseline.
+// variants build their nodes with the lag-matched validity factor and are
+// compared with the default-validity baseline, which holds at this
+// scenario's 5 sensors per group; at 10 the factor changes match sets (see
+// netsim.RequiredValidityFactor and ROADMAP direction 5(a)).
 func TestPipelinedConformanceAllApproaches(t *testing.T) {
 	for _, seed := range []int64{11, 42, 1234} {
 		w, err := experiment.BuildWorkload(conformanceScenario(seed))
@@ -338,7 +337,7 @@ func TestEngineConformanceAllApproaches(t *testing.T) {
 					t.Fatal(err)
 				}
 				seq := netsim.NewEngine(w.Deployment.Graph, seqFactory)
-				conc := netsim.NewConcurrentEngine(w.Deployment.Graph, concFactory)
+				conc := netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, concFactory, 0)
 				defer conc.Close()
 
 				drive(t, seq, w)
@@ -470,7 +469,7 @@ func TestAggregateConformanceAllApproaches(t *testing.T) {
 				baseline := newRuntime(false, 0, netsim.ReplayOptions{Mode: netsim.Quiescent})
 				driveRoundsWith(t, baseline, w, placements, netsim.ReplayOptions{Mode: netsim.Quiescent})
 				base := baseline.Metrics().Snapshot()
-				baseBytes := baseline.Metrics().PartialAggregateBytes()
+				baseBytes := baseline.Metrics().Snapshot().PartialAggregateBytes
 				if n := baseline.Metrics().DroppedMessages(); n != 0 {
 					t.Errorf("baseline dropped %d messages", n)
 				}
@@ -499,7 +498,7 @@ func TestAggregateConformanceAllApproaches(t *testing.T) {
 						}
 						driveRoundsWith(t, rt, w, placements, v.opts)
 						assertSameTraffic(t, run.name, base, rt.Metrics().Snapshot())
-						if got := rt.Metrics().PartialAggregateBytes(); got != baseBytes {
+						if got := rt.Metrics().Snapshot().PartialAggregateBytes; got != baseBytes {
 							t.Errorf("%s: partial-aggregate bytes: baseline=%d got=%d", run.name, baseBytes, got)
 						}
 						assertSamePerRoundDeliveries(t, run.name, baseline.Deliveries(), rt.Deliveries())
@@ -547,7 +546,7 @@ func TestAdvertisementFloodReachesEveryNode(t *testing.T) {
 			}
 		}
 		rt.Flush()
-		if got := rt.Metrics().AdvertisementLoad(); got != want {
+		if got := rt.Metrics().Snapshot().AdvertisementLoad; got != want {
 			t.Errorf("%s: advertisement load %d, want %d sensors × %d links = %d", name, got,
 				len(w.Deployment.Sensors), w.Deployment.Graph.NumNodes()-1, want)
 		}
@@ -560,7 +559,7 @@ func TestAdvertisementFloodReachesEveryNode(t *testing.T) {
 			}
 		}
 		rt.Flush()
-		if got := rt.Metrics().AdvertisementLoad(); got != want {
+		if got := rt.Metrics().Snapshot().AdvertisementLoad; got != want {
 			t.Errorf("%s: advertisement load %d after re-attaching every sensor, want it unchanged at %d", name, got, want)
 		}
 	}

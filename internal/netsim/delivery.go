@@ -119,11 +119,13 @@ func (o ReplayOptions) validate() error {
 // semantics. Quiescent and Pipelined replays skew arrivals by less than one
 // round interval, so the default factor of 2 suffices; a Windowed replay with
 // lag L lets arrivals of rounds r..r+L interleave, so a node may see a
-// round-r trigger after it already pruned against a round-(r+L) timestamp —
-// retaining L+2 round intervals guarantees every partner within δt of a
-// late trigger is still stored. A larger window never changes match sets
-// (candidate partners are selected by the δt correlation predicate, not by
-// storage), so runs with different factors remain conformant.
+// round-r trigger after it already pruned against a round-(r+L) timestamp,
+// and L+2 round intervals keep the partners of such a trigger stored.
+// Runs with different factors then agree only where no trigger reaches
+// further back than that: true of every fixture with 5 sensors per group,
+// false at 10, where a forwarded component is a trigger one round older per
+// matching stage and the factor needed grows with the operator's depth
+// (ROADMAP, direction 5(a)).
 func RequiredValidityFactor(mode DeliveryMode, lag int) int {
 	if mode == Windowed && lag > 0 {
 		return lag + 2

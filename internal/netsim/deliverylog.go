@@ -10,8 +10,8 @@ import (
 // deliveryLog is the one record of what reached the users, under both
 // engines: an append-only log, a per-subscription index of positions into
 // it, and the push observer. The driver embeds it, which is how both engines
-// implement the delivery part of Runtime; Metrics.DeliveredSeqs and
-// Metrics.ComplexDeliveries are read-time views over the same index.
+// implement the delivery part of Runtime; Metrics.DeliveredSeqs is a
+// read-time view over the same index.
 //
 // The engine kind only picks the shard count: one on the sequential engine,
 // so Deliveries() is in delivery order; one per node on the concurrent

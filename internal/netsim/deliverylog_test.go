@@ -90,9 +90,6 @@ func TestEnginesDeliverAlike(t *testing.T) {
 				if got := run.rt.Metrics().DeliveredSeqs(id); !reflect.DeepEqual(got, seqs) {
 					t.Errorf("DeliveredSeqs(%s) = %v, log scan implies %v", id, got, seqs)
 				}
-				if got := run.rt.Metrics().ComplexDeliveries(id); got != int64(len(scan)) {
-					t.Errorf("ComplexDeliveries(%s) = %d, log scan implies %d", id, got, len(scan))
-				}
 			}
 			var evicted model.SubscriptionID
 			for _, p := range w.Placed {

@@ -48,7 +48,7 @@ type driver struct {
 	sched    scheduler
 
 	// plainWaits is the engine's column of the blocking rule (see Runtime):
-	// whether the plain injectors drain before returning.
+	// whether AttachSensor and Unsubscribe drain before returning.
 	plainWaits bool
 
 	closed atomic.Bool
@@ -98,11 +98,9 @@ func (d *driver) Handler(n topology.NodeID) Handler {
 // Watermark implements Runtime.
 func (d *driver) Watermark() int { return d.led.watermark() }
 
-// Close releases the engine's goroutines (the sequential engine has none).
-// The engine must be quiescent (Flush) before closing; injections after
-// Close are rejected and Close is idempotent. Items already queued still
-// run, so a Close racing in-flight work leaves no goroutine behind once
-// that work has run out.
+// Close implements Runtime. Items already queued still run, so a Close
+// racing in-flight work leaves no goroutine behind once that work has run
+// out.
 func (d *driver) Close() {
 	if d.closed.Swap(true) {
 		return
@@ -142,20 +140,16 @@ func (d *driver) post(ctx context.Context, node topology.NodeID, item queued) er
 	return d.sched.submit(item)
 }
 
-// settle is the blocking rule of the single-item entry points (see
-// Runtime): a call that waits flushes the network.
-func (d *driver) settle(ctx context.Context, wait bool) error {
-	if !wait {
-		return nil
-	}
-	return d.flush(ctx)
-}
-
+// inject queues one local injection; a call that waits (the blocking rule,
+// see Runtime) flushes the network before it returns.
 func (d *driver) inject(ctx context.Context, node topology.NodeID, item queued, wait bool) error {
 	if err := d.post(ctx, node, item); err != nil {
 		return err
 	}
-	return d.settle(ctx, wait)
+	if !wait {
+		return nil
+	}
+	return d.flush(ctx)
 }
 
 // AttachSensor implements Runtime.
@@ -164,17 +158,8 @@ func (d *driver) AttachSensor(node topology.NodeID, sensor model.Sensor) error {
 	return d.inject(context.Background(), node, queued{msg: Message{Kind: localSensor, Ev: ev}}, d.plainWaits)
 }
 
-// Subscribe implements Runtime.
-func (d *driver) Subscribe(node topology.NodeID, sub *model.Subscription) error {
-	return d.subscribe(context.Background(), node, sub, d.plainWaits)
-}
-
 // SubscribeContext implements Runtime.
 func (d *driver) SubscribeContext(ctx context.Context, node topology.NodeID, sub *model.Subscription) error {
-	return d.subscribe(ctx, node, sub, true)
-}
-
-func (d *driver) subscribe(ctx context.Context, node topology.NodeID, sub *model.Subscription, wait bool) error {
 	if err := sub.Validate(); err != nil {
 		return err
 	}
@@ -184,7 +169,7 @@ func (d *driver) subscribe(ctx context.Context, node topology.NodeID, sub *model
 	if err := d.post(ctx, node, queued{msg: Message{Kind: localSubscribe, Sub: sub}}); err != nil {
 		return err
 	}
-	err := d.settle(ctx, wait)
+	err := d.flush(ctx)
 	if err != nil {
 		// The wait was cancelled with the registration (partly) propagated:
 		// queue a compensating retraction behind it. Injections at one node
@@ -204,19 +189,9 @@ func (d *driver) Unsubscribe(node topology.NodeID, id model.SubscriptionID) erro
 	return d.inject(context.Background(), node, queued{msg: Message{Kind: localUnsubscribe, UnsubID: id}}, d.plainWaits)
 }
 
-// Publish implements Runtime.
-func (d *driver) Publish(node topology.NodeID, ev model.Event) error {
-	return d.inject(context.Background(), node, queued{msg: Message{Kind: localPublish, Ev: ev}}, d.plainWaits)
-}
-
 // PublishContext implements Runtime.
 func (d *driver) PublishContext(ctx context.Context, node topology.NodeID, ev model.Event) error {
 	return d.inject(ctx, node, queued{msg: Message{Kind: localPublish, Ev: ev}}, true)
-}
-
-// PublishBatch implements Runtime: one quiescent round.
-func (d *driver) PublishBatch(batch []Publication) error {
-	return d.ReplayRounds([][]Publication{batch}, ReplayOptions{Mode: Quiescent})
 }
 
 // ReplayRounds implements Runtime.

@@ -18,25 +18,21 @@ import (
 // has run depends on the call and the engine:
 //
 //	                               Engine             ConcurrentEngine
-//	AttachSensor, Subscribe,       drains (1)         queues only (2)
-//	Unsubscribe, Publish
+//	AttachSensor, Unsubscribe      drains (1)         queues only (2)
 //	SubscribeContext,              drains,            waits until idle,
 //	PublishContext                 cancellable        cancellable
 //	ReplayRounds[Context]          as the mode says, then ends with a flush
-//	PublishBatch
 //	Flush[Context]                 drains and announces the watermark
 //
 // (1) The caller's goroutine is the only one that runs queued items, so a
 // call that did not drain would leave its work for an unrelated later call.
 // (2) The workers propagate it on their own; callers that need it finished
-// call Flush. NewSystem relies on this to attach every sensor back to back
-// and flush once.
+// call Flush. experiment.Start relies on this to attach every sensor back to
+// back and flush once.
 type Runtime interface {
 	// AttachSensor attaches a sensor to a node; the node's protocol handler
 	// reacts by advertising it (Algorithm 1).
 	AttachSensor(node topology.NodeID, sensor model.Sensor) error
-	// Subscribe registers a user subscription at a node.
-	Subscribe(node topology.NodeID, sub *model.Subscription) error
 	// Unsubscribe retracts a subscription previously registered at the node.
 	// The retraction propagates network-wide: every node that stored or
 	// forwarded one of the subscription's operators removes it and releases
@@ -44,17 +40,6 @@ type Runtime interface {
 	// registered at the node is a silent no-op (the injection is processed,
 	// nothing matches).
 	Unsubscribe(node topology.NodeID, id model.SubscriptionID) error
-	// Publish injects a sensor reading at the node hosting the sensor.
-	Publish(node topology.NodeID, ev model.Event) error
-	// PublishBatch injects a trace of sensor readings in order. Each event
-	// is fully propagated before the next one is injected — the observable
-	// behaviour (traffic totals, deliveries) is identical to calling
-	// Publish per event — but the engine validates the batch up front and
-	// amortizes per-call queue management, so trace replay should prefer
-	// it. A batch is rejected as a whole when any target node is unknown.
-	// The batch counts as one replay round (deliveries are stamped with
-	// it); it is equivalent to ReplayRounds with a single quiescent round.
-	PublishBatch(batch []Publication) error
 	// SubscribeContext registers a user subscription at a node and waits
 	// until it has fully propagated through the network. Cancellation aborts
 	// the wait with the context's error; the engine then enqueues a
@@ -75,7 +60,9 @@ type Runtime interface {
 	// r-1-opts.Lag, so Windowed lets up to Lag+1 rounds overlap in flight;
 	// Pipelined is Windowed with Lag 0 (a whole round is injected, and the
 	// next waits until it has drained); Quiescent additionally drains the
-	// network after every single event (the conformance baseline). Every
+	// network after every single event (the conformance baseline), so one
+	// quiescent round is a batch of readings each fully propagated in turn.
+	// Every
 	// round advances the engine's round counter; deliveries are stamped with
 	// the round of their newest component event. The whole trace is
 	// validated up front; an unknown target node rejects it before any event
@@ -116,9 +103,9 @@ type Runtime interface {
 	// deliveries, not to the total delivered by the run.
 	DeliveriesFor(id model.SubscriptionID) []Delivery
 	// EvictDeliveries releases the given subscription's entries in the
-	// delivery log's per-subscription index, so every per-subscription view
-	// — DeliveriesFor, Metrics.DeliveredSeqs, Metrics.ComplexDeliveries —
-	// reads empty for it afterwards. The system-wide delivery log
+	// delivery log's per-subscription index, so both per-subscription views
+	// — DeliveriesFor and Metrics.DeliveredSeqs — read empty for it
+	// afterwards. The system-wide delivery log
 	// (Deliveries) is unaffected. Serving layers call it on unsubscribe;
 	// callers that want the pull log to outlive the subscription simply do
 	// not.
@@ -140,6 +127,10 @@ type Runtime interface {
 	// transitively produced by them) has been fully processed. On a
 	// quiescent network it equals the round counter.
 	Watermark() int
+	// Close releases the engine's goroutines (the sequential engine has
+	// none) and rejects every later injection. Flush first: items already
+	// queued still run, but nothing waits for them. Close is idempotent.
+	Close()
 }
 
 // queued is one in-flight item: a link message, or a local injection in the

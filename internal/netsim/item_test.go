@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -88,10 +89,10 @@ func TestDispatchRebuildsHandlerArguments(t *testing.T) {
 	if err := e.AttachSensor(0, sensor); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Subscribe(0, sub); err != nil {
+	if err := e.SubscribeContext(context.Background(), 0, sub); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Publish(0, ev); err != nil {
+	if err := e.PublishContext(context.Background(), 0, ev); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Unsubscribe(0, "q"); err != nil {

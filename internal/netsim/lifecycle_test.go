@@ -29,7 +29,7 @@ func workersLabel(n int) string { return fmt.Sprintf("workers=%d", n) }
 // point is rejected once the engine is closed and that closing is idempotent.
 func TestConcurrentEngineLifecycleAfterClose(t *testing.T) {
 	g := lineGraph(t, 4)
-	e := NewConcurrentEngine(g, newFloodHandler)
+	e := NewConcurrentEngineWorkers(g, newFloodHandler, 0)
 	e.Flush()
 	e.Close()
 	e.Close() // double-Close is safe
@@ -43,14 +43,14 @@ func TestConcurrentEngineLifecycleAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Subscribe(0, sub); err == nil {
+	if err := e.SubscribeContext(context.Background(), 0, sub); err == nil {
 		t.Error("Subscribe after Close should fail")
 	}
-	if err := e.Publish(0, testEvent(1)); err == nil {
+	if err := e.PublishContext(context.Background(), 0, testEvent(1)); err == nil {
 		t.Error("Publish after Close should fail")
 	}
-	if err := e.PublishBatch([]Publication{{Node: 0, Event: testEvent(2)}}); err == nil {
-		t.Error("PublishBatch after Close should fail")
+	if err := e.ReplayRounds([][]Publication{{{Node: 0, Event: testEvent(2)}}}, ReplayOptions{}); err == nil {
+		t.Error("a quiescent ReplayRounds after Close should fail")
 	}
 	rounds := [][]Publication{{{Node: 0, Event: testEvent(3)}}}
 	if err := e.ReplayRounds(rounds, ReplayOptions{Mode: Pipelined}); err == nil {
@@ -94,18 +94,12 @@ func TestConcurrentEngineCloseLeavesNoGoroutines(t *testing.T) {
 			e.Close()
 		}},
 		{"pending-work", func(t *testing.T, e *ConcurrentEngine) {
-			// Close while a replay's messages are still propagating: the
-			// workers must drain what is already queued and then exit.
-			if err := e.AttachSensor(7, model.Sensor{ID: "d1", Attr: model.WindSpeed}); err != nil {
-				t.Fatal(err)
-			}
-			e.Flush()
-			var batch []Publication
-			for seq := uint64(1); seq <= 32; seq++ {
-				batch = append(batch, Publication{Node: 7, Event: testEvent(seq)})
-			}
-			for _, p := range batch {
-				if err := e.Publish(p.Node, p.Event); err != nil {
+			// Close while an advertisement flood is still propagating
+			// (AttachSensor only queues on this engine): the workers must
+			// drain what is already queued and then exit.
+			for i := 0; i < 32; i++ {
+				sensor := model.Sensor{ID: model.SensorID(fmt.Sprintf("d%d", i)), Attr: model.WindSpeed}
+				if err := e.AttachSensor(7, sensor); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -129,7 +123,7 @@ func TestConcurrentEngineCloseLeavesNoGoroutines(t *testing.T) {
 // engine with no in-flight work.
 func TestConcurrentEngineFlushIdle(t *testing.T) {
 	g := lineGraph(t, 3)
-	e := NewConcurrentEngine(g, newFloodHandler)
+	e := NewConcurrentEngineWorkers(g, newFloodHandler, 0)
 	defer e.Close()
 	done := make(chan struct{})
 	go func() {
@@ -144,7 +138,7 @@ func TestConcurrentEngineFlushIdle(t *testing.T) {
 // the sequential engine's contract.
 func TestConcurrentEngineHandlerAccessor(t *testing.T) {
 	g := lineGraph(t, 3)
-	e := NewConcurrentEngine(g, newFloodHandler)
+	e := NewConcurrentEngineWorkers(g, newFloodHandler, 0)
 	defer e.Close()
 	if e.Handler(0) == nil || e.Handler(2) == nil {
 		t.Error("Handler should return the node's handler")
@@ -170,7 +164,7 @@ func TestConcurrentEngineDeliveriesRaceClean(t *testing.T) {
 	for _, opts := range []ReplayOptions{{Mode: Pipelined}, {Mode: Windowed, Lag: 2}} {
 		t.Run(fmt.Sprintf("%v-lag%d", opts.Mode, opts.Lag), func(t *testing.T) {
 			g := lineGraph(t, 6)
-			e := NewConcurrentEngine(g, newFloodHandler)
+			e := NewConcurrentEngineWorkers(g, newFloodHandler, 0)
 			defer e.Close()
 			if err := e.AttachSensor(5, model.Sensor{ID: "d1", Attr: model.WindSpeed}); err != nil {
 				t.Fatal(err)
@@ -195,7 +189,7 @@ func TestConcurrentEngineDeliveriesRaceClean(t *testing.T) {
 						_ = e.Deliveries()
 						_ = e.DeliveriesFor("sink")
 						_ = e.Metrics().DeliveredSeqs("sink")
-						_ = e.Metrics().ComplexDeliveries("sink")
+						_ = len(e.DeliveriesFor("sink"))
 						_ = e.Metrics().Snapshot()
 						_ = e.Metrics().DroppedMessages()
 					}
@@ -227,6 +221,127 @@ func TestConcurrentEngineDeliveriesRaceClean(t *testing.T) {
 	}
 }
 
+// gatedHandler holds every local injection until gate is closed, then runs
+// the flood handler's reaction, or sends the subscription or retraction to
+// each neighbour, so that every entry point leaves traffic to settle.
+type gatedHandler struct {
+	Handler
+	gate <-chan struct{}
+}
+
+func (h gatedHandler) LocalSensor(ctx *Context, sensor model.Sensor) {
+	<-h.gate
+	h.Handler.LocalSensor(ctx, sensor)
+}
+
+func (h gatedHandler) LocalPublish(ctx *Context, ev model.Event) {
+	<-h.gate
+	h.Handler.LocalPublish(ctx, ev)
+}
+
+func (h gatedHandler) LocalSubscribe(ctx *Context, sub *model.Subscription) {
+	<-h.gate
+	for _, nb := range ctx.Neighbors() {
+		ctx.SendSubscription(nb, sub)
+	}
+}
+
+func (h gatedHandler) LocalUnsubscribe(ctx *Context, id model.SubscriptionID) {
+	<-h.gate
+	for _, nb := range ctx.Neighbors() {
+		ctx.SendUnsubscription(nb, id)
+	}
+}
+
+// TestBlockingRule pins the Runtime doc's blocking table, row by row, on
+// both engines. Each call is made while its injection is held at the gate:
+// a call that waits must not return before the gate opens, and returns with
+// its traffic settled; a call that only queues returns with the gate still
+// shut, and its work completes at the next Flush.
+func TestBlockingRule(t *testing.T) {
+	sub, err := model.NewAbstractSubscription("s1",
+		[]model.AttributeFilter{{Attr: model.WindSpeed, Range: geom.NewInterval(0, 10)}},
+		geom.WholePlane(), 30, model.NoSpatialConstraint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Node 0 of a three-node line: a flood crosses two links, a message to
+	// the neighbours one.
+	rows := []struct {
+		name        string
+		concQueues  bool // the ConcurrentEngine column reads "queues only"
+		do          func(rt Runtime) error
+		traffic     func(s Snapshot) int64
+		wantTraffic int64
+	}{
+		{"AttachSensor", true,
+			func(rt Runtime) error { return rt.AttachSensor(0, model.Sensor{ID: "d1", Attr: model.WindSpeed}) },
+			func(s Snapshot) int64 { return s.AdvertisementLoad }, 2},
+		{"Unsubscribe", true,
+			func(rt Runtime) error { return rt.Unsubscribe(0, "s1") },
+			func(s Snapshot) int64 { return s.UnsubscriptionLoad }, 1},
+		{"SubscribeContext", false,
+			func(rt Runtime) error { return rt.SubscribeContext(ctx, 0, sub) },
+			func(s Snapshot) int64 { return s.SubscriptionLoad }, 1},
+		{"PublishContext", false,
+			func(rt Runtime) error { return rt.PublishContext(ctx, 0, testEvent(1)) },
+			func(s Snapshot) int64 { return s.EventLoad }, 2},
+	}
+	for _, concurrent := range []bool{false, true} {
+		for _, row := range rows {
+			name := "sequential/" + row.name
+			if concurrent {
+				name = "concurrent/" + row.name
+			}
+			t.Run(name, func(t *testing.T) {
+				gate := make(chan struct{})
+				factory := func(n topology.NodeID) Handler { return gatedHandler{Handler: newFloodHandler(n), gate: gate} }
+				var rt Runtime
+				if concurrent {
+					rt = NewConcurrentEngineWorkers(lineGraph(t, 3), factory, 2)
+				} else {
+					rt = NewEngine(lineGraph(t, 3), factory)
+				}
+				defer rt.Close()
+				returned := make(chan error, 1)
+				go func() { returned <- row.do(rt) }()
+
+				if concurrent && row.concQueues {
+					select {
+					case err := <-returned:
+						if err != nil {
+							t.Fatal(err)
+						}
+					case <-time.After(5 * time.Second):
+						close(gate)
+						t.Fatal("the call waited for work it should only queue")
+					}
+					if got := row.traffic(rt.Metrics().Snapshot()); got != 0 {
+						t.Fatalf("traffic %d while the injection is held", got)
+					}
+					close(gate)
+					rt.Flush()
+				} else {
+					select {
+					case err := <-returned:
+						close(gate)
+						t.Fatalf("the call returned (%v) while its injection was held: it does not wait", err)
+					case <-time.After(20 * time.Millisecond):
+					}
+					close(gate)
+					if err := <-returned; err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := row.traffic(rt.Metrics().Snapshot()); got != row.wantTraffic {
+					t.Errorf("traffic %d once settled, want %d", got, row.wantTraffic)
+				}
+			})
+		}
+	}
+}
+
 // TestEnginesRejectAlike calls every entry point with each kind of bad input
 // on both engines and requires the same error text from both: validation
 // and the closed check are the driver's, so an engine that answered
@@ -244,56 +359,47 @@ func TestEnginesRejectAlike(t *testing.T) {
 	oneRound := func(node topology.NodeID) [][]Publication {
 		return [][]Publication{{{Node: node, Event: testEvent(1)}}}
 	}
-	// closer is what both engines offer beyond Runtime.
-	type closer interface {
-		Runtime
-		Close()
-	}
 	type call struct {
 		name string
-		do   func(rt closer) error
+		do   func(rt Runtime) error
 	}
 	cases := []struct {
 		name  string
-		setup func(t *testing.T, rt closer)
+		setup func(t *testing.T, rt Runtime)
 		calls []call
 	}{
 		{name: "unknown node", calls: []call{
-			{"AttachSensor", func(rt closer) error { return rt.AttachSensor(99, model.Sensor{}) }},
-			{"Subscribe", func(rt closer) error { return rt.Subscribe(-1, good) }},
-			{"SubscribeContext", func(rt closer) error { return rt.SubscribeContext(ctx, 99, good) }},
-			{"Unsubscribe", func(rt closer) error { return rt.Unsubscribe(99, "s1") }},
-			{"Publish", func(rt closer) error { return rt.Publish(99, testEvent(1)) }},
-			{"PublishContext", func(rt closer) error { return rt.PublishContext(ctx, 99, testEvent(1)) }},
-			{"PublishBatch", func(rt closer) error { return rt.PublishBatch(oneRound(99)[0]) }},
-			{"ReplayRounds", func(rt closer) error { return rt.ReplayRounds(oneRound(99), ReplayOptions{Mode: Windowed}) }},
+			{"AttachSensor", func(rt Runtime) error { return rt.AttachSensor(99, model.Sensor{}) }},
+			{"SubscribeContext", func(rt Runtime) error { return rt.SubscribeContext(ctx, 99, good) }},
+			{"SubscribeContext negative", func(rt Runtime) error { return rt.SubscribeContext(ctx, -1, good) }},
+			{"Unsubscribe", func(rt Runtime) error { return rt.Unsubscribe(99, "s1") }},
+			{"PublishContext", func(rt Runtime) error { return rt.PublishContext(ctx, 99, testEvent(1)) }},
+			{"ReplayRounds quiescent", func(rt Runtime) error { return rt.ReplayRounds(oneRound(99), ReplayOptions{}) }},
+			{"ReplayRounds", func(rt Runtime) error { return rt.ReplayRounds(oneRound(99), ReplayOptions{Mode: Windowed}) }},
 		}},
 		{name: "empty ID", calls: []call{
-			{"Unsubscribe", func(rt closer) error { return rt.Unsubscribe(0, "") }},
+			{"Unsubscribe", func(rt Runtime) error { return rt.Unsubscribe(0, "") }},
 		}},
 		{name: "invalid subscription", calls: []call{
-			{"Subscribe", func(rt closer) error { return rt.Subscribe(0, bad) }},
-			{"SubscribeContext", func(rt closer) error { return rt.SubscribeContext(ctx, 0, bad) }},
+			{"SubscribeContext", func(rt Runtime) error { return rt.SubscribeContext(ctx, 0, bad) }},
 		}},
 		{name: "invalid replay options", calls: []call{
-			{"lag without windowed", func(rt closer) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Pipelined, Lag: 1}) }},
+			{"lag without windowed", func(rt Runtime) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Pipelined, Lag: 1}) }},
 		}},
 		{
 			name: "use after Close",
-			setup: func(t *testing.T, rt closer) {
+			setup: func(t *testing.T, rt Runtime) {
 				rt.Flush()
 				rt.Close()
 				rt.Close() // idempotent
 			},
 			calls: []call{
-				{"AttachSensor", func(rt closer) error { return rt.AttachSensor(0, model.Sensor{ID: "d1", Attr: model.WindSpeed}) }},
-				{"Subscribe", func(rt closer) error { return rt.Subscribe(0, good) }},
-				{"SubscribeContext", func(rt closer) error { return rt.SubscribeContext(ctx, 0, good) }},
-				{"Unsubscribe", func(rt closer) error { return rt.Unsubscribe(0, "s1") }},
-				{"Publish", func(rt closer) error { return rt.Publish(0, testEvent(1)) }},
-				{"PublishContext", func(rt closer) error { return rt.PublishContext(ctx, 0, testEvent(1)) }},
-				{"PublishBatch", func(rt closer) error { return rt.PublishBatch(oneRound(0)[0]) }},
-				{"ReplayRounds", func(rt closer) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Windowed, Lag: 1}) }},
+				{"AttachSensor", func(rt Runtime) error { return rt.AttachSensor(0, model.Sensor{ID: "d1", Attr: model.WindSpeed}) }},
+				{"SubscribeContext", func(rt Runtime) error { return rt.SubscribeContext(ctx, 0, good) }},
+				{"Unsubscribe", func(rt Runtime) error { return rt.Unsubscribe(0, "s1") }},
+				{"PublishContext", func(rt Runtime) error { return rt.PublishContext(ctx, 0, testEvent(1)) }},
+				{"ReplayRounds quiescent", func(rt Runtime) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{}) }},
+				{"ReplayRounds", func(rt Runtime) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Windowed, Lag: 1}) }},
 			},
 		},
 	}
@@ -339,32 +445,30 @@ func TestTrimReleasesQueueStorage(t *testing.T) {
 		}
 		return total
 	}
-	for i := uint64(1); i <= burst; i++ {
-		if err := conc.Publish(0, testEvent(i)); err != nil {
-			t.Fatal(err)
-		}
+	batch := make([]Publication, burst)
+	for i := range batch {
+		batch[i] = Publication{Node: 0, Event: testEvent(uint64(i + 1))}
+	}
+	if err := conc.ReplayRounds([][]Publication{batch}, ReplayOptions{Mode: Pipelined}); err != nil {
+		t.Fatal(err)
 	}
 	conc.Flush()
 	conc.Trim()
 	if got := capacity(); got != 0 {
 		t.Errorf("mailboxes hold %d item slots after Trim on a drained engine, want 0", got)
 	}
-	if err := conc.Publish(0, testEvent(burst+1)); err != nil {
+	if err := conc.PublishContext(context.Background(), 0, testEvent(burst+1)); err != nil {
 		t.Fatal(err)
 	}
 	conc.Flush()
 	if got := capacity(); got > 16 {
 		t.Errorf("mailboxes hold %d item slots after one event: the worker kept its flood-sized spare", got)
 	}
-	if got := conc.Metrics().ComplexDeliveries("sink"); got != burst+1 {
+	if got := len(conc.DeliveriesFor("sink")); got != burst+1 {
 		t.Errorf("deliveries = %d, want %d", got, burst+1)
 	}
 
 	seq := NewEngine(g, newFloodHandler)
-	batch := make([]Publication, burst)
-	for i := range batch {
-		batch[i] = Publication{Node: 0, Event: testEvent(uint64(i + 1))}
-	}
 	if err := seq.ReplayRounds([][]Publication{batch}, ReplayOptions{Mode: Pipelined}); err != nil {
 		t.Fatal(err)
 	}
@@ -375,10 +479,10 @@ func TestTrimReleasesQueueStorage(t *testing.T) {
 	if cap(seq.queue) != 0 {
 		t.Errorf("sequential queue holds %d item slots after Trim, want 0", cap(seq.queue))
 	}
-	if err := seq.Publish(0, testEvent(burst+1)); err != nil {
+	if err := seq.PublishContext(context.Background(), 0, testEvent(burst+1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := seq.Metrics().ComplexDeliveries("sink"); got != burst+1 {
+	if got := len(seq.DeliveriesFor("sink")); got != burst+1 {
 		t.Errorf("sequential deliveries = %d, want %d", got, burst+1)
 	}
 }

@@ -179,7 +179,7 @@ type Delivery struct {
 }
 
 // Publication pairs a sensor reading with the node where it enters the
-// network. Trace replays hand slices of these to Runtime.PublishBatch.
+// network. Trace replays hand rounds of these to Runtime.ReplayRounds.
 type Publication struct {
 	Node  topology.NodeID
 	Event model.Event

@@ -17,8 +17,8 @@ import (
 // This is what removed the single metrics mutex every node used to funnel
 // through under pipelined/windowed replay.
 //
-// Deliveries are not recorded here a second time: DeliveredSeqs and
-// ComplexDeliveries are read-time views over the engine's delivery log.
+// Deliveries are not recorded here a second time: DeliveredSeqs is a
+// read-time view over the engine's delivery log.
 //
 // The two headline metrics correspond directly to the paper's figures:
 // SubscriptionLoad is the "number of forwarded queries" (Figs. 4, 6, 8, 10)
@@ -109,57 +109,6 @@ func (m *Metrics) recordDrop() { m.dropped.Add(1) }
 // conformance suite asserts it is zero.
 func (m *Metrics) DroppedMessages() int64 { return m.dropped.Load() }
 
-// sum folds one int64 field across every shard.
-func (m *Metrics) sum(get func(*metricsShard) int64) int64 {
-	var total int64
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		total += get(s)
-		s.mu.Unlock()
-	}
-	return total
-}
-
-// AdvertisementLoad returns the number of advertisement link traversals.
-func (m *Metrics) AdvertisementLoad() int64 {
-	return m.sum(func(s *metricsShard) int64 { return s.advertisementLoad })
-}
-
-// SubscriptionLoad returns the number of forwarded subscriptions/operators
-// (one per link traversal).
-func (m *Metrics) SubscriptionLoad() int64 {
-	return m.sum(func(s *metricsShard) int64 { return s.subscriptionLoad })
-}
-
-// UnsubscriptionLoad returns the number of forwarded retraction messages
-// (one per link traversal). Retractions are control traffic generated by
-// Unsubscribe; they are accounted separately so that the paper's
-// subscription-load figures are unaffected by churn.
-func (m *Metrics) UnsubscriptionLoad() int64 {
-	return m.sum(func(s *metricsShard) int64 { return s.unsubscriptionLoad })
-}
-
-// EventLoad returns the number of forwarded data units (simple events, one
-// per link traversal).
-func (m *Metrics) EventLoad() int64 {
-	return m.sum(func(s *metricsShard) int64 { return s.eventLoad })
-}
-
-// PartialAggregateLoad returns the number of forwarded windowed partial
-// aggregates (one per link traversal; the exact baseline's relayed raw
-// readings count here too). Accounted separately from EventLoad.
-func (m *Metrics) PartialAggregateLoad() int64 {
-	return m.sum(func(s *metricsShard) int64 { return s.partialAggregateLoad })
-}
-
-// PartialAggregateBytes returns the accumulated encoded wire size of every
-// forwarded partial aggregate — the bytes-upstream axis of the
-// error-vs-traffic experiment.
-func (m *Metrics) PartialAggregateBytes() int64 {
-	return m.sum(func(s *metricsShard) int64 { return s.partialAggregateBytes })
-}
-
 // DeliveredSeqs returns the set of simple-event sequence numbers that reached
 // the given user subscription as part of some complex event, read from the
 // delivery log's per-subscription index (empty once the subscription's
@@ -175,25 +124,29 @@ func (m *Metrics) DeliveredSeqs(sub model.SubscriptionID) map[uint64]bool {
 	return out
 }
 
-// ComplexDeliveries returns the number of notifications delivered for the
-// given subscription, read like DeliveredSeqs.
-func (m *Metrics) ComplexDeliveries(sub model.SubscriptionID) int64 {
-	var n int64
-	m.log.eachFor(sub, func(Delivery) { n++ })
-	return n
-}
-
-// Snapshot is an immutable copy of the headline counters, convenient for
-// recording a time series during an experiment.
+// Snapshot is an immutable copy of the traffic counters, each one merged
+// across the node shards. Every counter counts link traversals.
 type Snapshot struct {
-	AdvertisementLoad    int64
-	SubscriptionLoad     int64
-	UnsubscriptionLoad   int64
-	EventLoad            int64
+	// AdvertisementLoad counts forwarded advertisements.
+	AdvertisementLoad int64
+	// SubscriptionLoad counts forwarded subscriptions and operators.
+	SubscriptionLoad int64
+	// UnsubscriptionLoad counts forwarded retractions: control traffic
+	// accounted apart so that the paper's subscription-load figures are
+	// unaffected by churn.
+	UnsubscriptionLoad int64
+	// EventLoad counts forwarded data units (simple events).
+	EventLoad int64
+	// PartialAggregateLoad counts forwarded windowed partial aggregates (the
+	// exact baseline's relayed raw readings count here too), accounted
+	// apart from EventLoad.
 	PartialAggregateLoad int64
+	// PartialAggregateBytes accumulates the encoded wire size of those
+	// messages: the bytes-upstream axis of the error-vs-traffic experiment.
+	PartialAggregateBytes int64
 }
 
-// Snapshot returns the current headline counters (merged across shards).
+// Snapshot returns the current traffic counters.
 func (m *Metrics) Snapshot() Snapshot {
 	var snap Snapshot
 	for i := range m.shards {
@@ -204,6 +157,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		snap.UnsubscriptionLoad += s.unsubscriptionLoad
 		snap.EventLoad += s.eventLoad
 		snap.PartialAggregateLoad += s.partialAggregateLoad
+		snap.PartialAggregateBytes += s.partialAggregateBytes
 		s.mu.Unlock()
 	}
 	return snap

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"testing"
 
 	"sensorcq/internal/geom"
@@ -94,17 +95,17 @@ func TestSequentialEngineFloodCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Advertisement flooding on a 5-node line crosses 4 links.
-	if got := e.Metrics().AdvertisementLoad(); got != 4 {
+	if got := e.Metrics().Snapshot().AdvertisementLoad; got != 4 {
 		t.Errorf("advertisement load = %d, want 4", got)
 	}
-	if err := e.Publish(4, testEvent(1)); err != nil {
+	if err := e.PublishContext(context.Background(), 4, testEvent(1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().EventLoad(); got != 4 {
+	if got := e.Metrics().Snapshot().EventLoad; got != 4 {
 		t.Errorf("event load = %d, want 4", got)
 	}
 	// The event reached node 0 and was delivered to the sink user.
-	if got := e.Metrics().ComplexDeliveries("sink"); got != 1 {
+	if got := len(e.DeliveriesFor("sink")); got != 1 {
 		t.Errorf("deliveries = %d, want 1", got)
 	}
 	if seqs := e.Metrics().DeliveredSeqs("sink"); !seqs[1] {
@@ -121,14 +122,14 @@ func TestSequentialEngineFloodCounts(t *testing.T) {
 func TestEngineRejectsInvalidInput(t *testing.T) {
 	g := lineGraph(t, 3)
 	e := NewEngine(g, newFloodHandler)
-	if err := e.Publish(99, testEvent(1)); err == nil {
+	if err := e.PublishContext(context.Background(), 99, testEvent(1)); err == nil {
 		t.Error("publishing at an unknown node should fail")
 	}
 	if err := e.AttachSensor(-1, model.Sensor{}); err == nil {
 		t.Error("attaching to an unknown node should fail")
 	}
 	bad := &model.Subscription{ID: "x"}
-	if err := e.Subscribe(0, bad); err == nil {
+	if err := e.SubscribeContext(context.Background(), 0, bad); err == nil {
 		t.Error("invalid subscriptions should be rejected")
 	}
 	if e.Handler(0) == nil || e.Handler(99) != nil {
@@ -168,7 +169,7 @@ func TestMetricsSnapshotAndLinks(t *testing.T) {
 	g := lineGraph(t, 4)
 	e := NewEngine(g, newFloodHandler)
 	before := e.Metrics().Snapshot()
-	_ = e.Publish(3, testEvent(7))
+	_ = e.PublishContext(context.Background(), 3, testEvent(7))
 	after := e.Metrics().Snapshot()
 	if ev, sub := after.EventLoad-before.EventLoad, after.SubscriptionLoad-before.SubscriptionLoad; ev != 3 || sub != 0 {
 		t.Errorf("snapshot difference: event load %d, subscription load %d, want 3, 0", ev, sub)
@@ -178,7 +179,7 @@ func TestMetricsSnapshotAndLinks(t *testing.T) {
 func TestConcurrentEngineMatchesSequential(t *testing.T) {
 	g := lineGraph(t, 8)
 	seq := NewEngine(g, newFloodHandler)
-	conc := NewConcurrentEngine(g, newFloodHandler)
+	conc := NewConcurrentEngineWorkers(g, newFloodHandler, 0)
 	defer conc.Close()
 
 	sensor := model.Sensor{ID: "d1", Attr: model.WindSpeed}
@@ -189,21 +190,21 @@ func TestConcurrentEngineMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 20; i++ {
-		if err := seq.Publish(7, testEvent(i)); err != nil {
+		if err := seq.PublishContext(context.Background(), 7, testEvent(i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := conc.Publish(7, testEvent(i)); err != nil {
+		if err := conc.PublishContext(context.Background(), 7, testEvent(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	conc.Flush()
-	if a, b := seq.Metrics().EventLoad(), conc.Metrics().EventLoad(); a != b {
+	if a, b := seq.Metrics().Snapshot().EventLoad, conc.Metrics().Snapshot().EventLoad; a != b {
 		t.Errorf("event load differs: sequential=%d concurrent=%d", a, b)
 	}
-	if a, b := seq.Metrics().AdvertisementLoad(), conc.Metrics().AdvertisementLoad(); a != b {
+	if a, b := seq.Metrics().Snapshot().AdvertisementLoad, conc.Metrics().Snapshot().AdvertisementLoad; a != b {
 		t.Errorf("advertisement load differs: sequential=%d concurrent=%d", a, b)
 	}
-	if a, b := seq.Metrics().ComplexDeliveries("sink"), conc.Metrics().ComplexDeliveries("sink"); a != b {
+	if a, b := len(seq.DeliveriesFor("sink")), len(conc.DeliveriesFor("sink")); a != b {
 		t.Errorf("deliveries differ: sequential=%d concurrent=%d", a, b)
 	}
 	if len(conc.Deliveries()) != 20 {
@@ -213,18 +214,18 @@ func TestConcurrentEngineMatchesSequential(t *testing.T) {
 
 func TestConcurrentEngineCloseRejectsWork(t *testing.T) {
 	g := lineGraph(t, 3)
-	e := NewConcurrentEngine(g, newFloodHandler)
+	e := NewConcurrentEngineWorkers(g, newFloodHandler, 0)
 	e.Flush()
 	e.Close()
 	e.Close() // idempotent
-	if err := e.Publish(0, testEvent(1)); err == nil {
+	if err := e.PublishContext(context.Background(), 0, testEvent(1)); err == nil {
 		t.Error("publishing after Close should fail")
 	}
-	if err := e.Publish(42, testEvent(1)); err == nil {
+	if err := e.PublishContext(context.Background(), 42, testEvent(1)); err == nil {
 		t.Error("unknown node should fail")
 	}
 	bad := &model.Subscription{ID: "x"}
-	if err := e.Subscribe(0, bad); err == nil {
+	if err := e.SubscribeContext(context.Background(), 0, bad); err == nil {
 		t.Error("invalid subscription should fail")
 	}
 }

@@ -8,6 +8,7 @@
 package netsim_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -90,10 +91,9 @@ func attachAndSubscribe(t *testing.T, rt netsim.Runtime, w *experiment.Workload)
 		rt.Flush()
 	}
 	for _, p := range w.Placed {
-		if err := rt.Subscribe(p.Node, p.Sub.Clone()); err != nil {
+		if err := rt.SubscribeContext(context.Background(), p.Node, p.Sub.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		rt.Flush()
 	}
 }
 
@@ -229,7 +229,7 @@ func TestDeliveriesForMatchesLogScan(t *testing.T) {
 			}
 			var rt netsim.Runtime
 			if concurrent {
-				conc := netsim.NewConcurrentEngine(w.Deployment.Graph, factory)
+				conc := netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, factory, 0)
 				defer conc.Close()
 				rt = conc
 			} else {

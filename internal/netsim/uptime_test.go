@@ -1,6 +1,7 @@
 package netsim_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -42,19 +43,19 @@ func TestCountersDoNotGrowWithRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Subscribe(1, sub); err != nil {
+	if err := e.SubscribeContext(context.Background(), 1, sub); err != nil {
 		t.Fatal(err)
 	}
 
-	batch := make([]netsim.Publication, 1)
+	round := [][]netsim.Publication{make([]netsim.Publication, 1)}
 	seq := uint64(0)
 	publish := func(n int) {
 		for i := 0; i < n; i++ {
 			seq++
-			batch[0] = netsim.Publication{Node: 0, Event: model.Event{
+			round[0][0] = netsim.Publication{Node: 0, Event: model.Event{
 				Seq: seq, Sensor: "a", Attr: model.AmbientTemperature, Value: 50, Time: model.Timestamp(10 * seq),
 			}}
-			if err := e.PublishBatch(batch); err != nil {
+			if err := e.ReplayRounds(round, netsim.ReplayOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -68,11 +69,11 @@ func TestCountersDoNotGrowWithRounds(t *testing.T) {
 
 	publish(warmup)
 	before := liveHeap()
-	load := e.Metrics().EventLoad()
+	load := e.Metrics().Snapshot().EventLoad
 	publish(rounds)
 	after := liveHeap()
 
-	if got := e.Metrics().EventLoad() - load; got != rounds {
+	if got := e.Metrics().Snapshot().EventLoad - load; got != rounds {
 		t.Fatalf("event load grew by %d over %d rounds: the readings are not forwarded, the test measures nothing", got, rounds)
 	}
 	if n := len(e.Deliveries()); n != 0 {

@@ -154,7 +154,7 @@ func TestWindowedSingleNodeNetwork(t *testing.T) {
 			}
 			var rt Runtime
 			if concurrent {
-				conc := NewConcurrentEngine(g, newFloodHandler)
+				conc := NewConcurrentEngineWorkers(g, newFloodHandler, 0)
 				defer conc.Close()
 				rt = conc
 			} else {
@@ -206,7 +206,7 @@ func (silentHandler) HandleEvent(*Context, topology.NodeID, model.Event) {}
 func TestWindowedIdleNodeWatermarkAdvances(t *testing.T) {
 	const rounds = 6
 	g := lineGraph(t, 3)
-	e := NewConcurrentEngine(g, func(topology.NodeID) Handler { return silentHandler{} })
+	e := NewConcurrentEngineWorkers(g, func(topology.NodeID) Handler { return silentHandler{} }, 0)
 	defer e.Close()
 	// Lag 0 makes every injection wait for the full drain of the previous
 	// round: if an idle node's watermark did not advance, the second round
@@ -242,7 +242,7 @@ func TestWindowedLagLargerThanTrace(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var rt Runtime
 			if concurrent {
-				conc := NewConcurrentEngine(g, newFloodHandler)
+				conc := NewConcurrentEngineWorkers(g, newFloodHandler, 0)
 				defer conc.Close()
 				rt = conc
 			} else {
@@ -345,7 +345,7 @@ func TestWindowedWatermarkInvariantConcurrent(t *testing.T) {
 		mu   sync.Mutex
 		seen []struct{ round, wm int }
 	)
-	eng = NewConcurrentEngine(g, func(n topology.NodeID) Handler {
+	eng = NewConcurrentEngineWorkers(g, func(n topology.NodeID) Handler {
 		inner := newFloodHandler(n)
 		return &watermarkSpy{Handler: inner, observe: func(ctx *Context) {
 			round, wm := ctx.round, eng.Watermark()
@@ -353,7 +353,7 @@ func TestWindowedWatermarkInvariantConcurrent(t *testing.T) {
 			seen = append(seen, struct{ round, wm int }{round, wm})
 			mu.Unlock()
 		}}
-	})
+	}, 0)
 	defer eng.Close()
 	if err := eng.AttachSensor(5, model.Sensor{ID: "d1", Attr: model.WindSpeed}); err != nil {
 		t.Fatal(err)

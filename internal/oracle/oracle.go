@@ -1,9 +1,12 @@
 // Package oracle computes the ground-truth result sets a lossless, fully
 // informed matcher would deliver to each subscriber, given the complete
 // event trace. It is used to measure the end-user event recall of the
-// Filter-Split-Forward approach (Figure 12): the deterministic approaches
-// deliver the oracle's result sets by construction, while FSF may miss
-// events whose subscription fell into a falsely detected subsumption gap.
+// Filter-Split-Forward approach (Figure 12), which may miss events whose
+// subscription fell into a falsely detected subsumption gap. The
+// deterministic approaches deliver the oracle's result sets on the 5
+// sensors per group the experiment scenarios use, not in general: at 10,
+// where a subtree holds sensors of several of a query's attributes, they
+// miss cross-subtree combinations too (ROADMAP, direction 5(b)).
 //
 // The oracle uses exactly the same trigger-based matching semantics as the
 // protocol nodes (Algorithm 5): events are inserted in timestamp order into

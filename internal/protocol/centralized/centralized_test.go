@@ -1,6 +1,7 @@
 package centralized
 
 import (
+	"context"
 	"testing"
 
 	"sensorcq/internal/geom"
@@ -55,25 +56,25 @@ func TestCentralizedCenterElection(t *testing.T) {
 
 func TestCentralizedSubscriptionLoadIsPathToCenter(t *testing.T) {
 	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
-	if err := e.Subscribe(4, windSub(t, "q1", 0, 100)); err != nil {
+	if err := e.SubscribeContext(context.Background(), 4, windSub(t, "q1", 0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// node 4 -> 3 -> 2: two hops.
-	if got := e.Metrics().SubscriptionLoad(); got != 2 {
+	if got := e.Metrics().Snapshot().SubscriptionLoad; got != 2 {
 		t.Errorf("subscription load = %d, want 2", got)
 	}
 	// Subscribing at the centre itself costs nothing.
-	if err := e.Subscribe(2, windSub(t, "q2", 0, 100)); err != nil {
+	if err := e.SubscribeContext(context.Background(), 2, windSub(t, "q2", 0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().SubscriptionLoad(); got != 2 {
+	if got := e.Metrics().Snapshot().SubscriptionLoad; got != 2 {
 		t.Errorf("subscription load = %d, want 2 (no extra hops)", got)
 	}
 	// No advertisements exist in this scheme.
 	if err := e.AttachSensor(0, model.Sensor{ID: "d1", Attr: model.WindSpeed}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Metrics().AdvertisementLoad() != 0 {
+	if e.Metrics().Snapshot().AdvertisementLoad != 0 {
 		t.Error("centralized scheme must not send advertisements")
 	}
 }
@@ -83,39 +84,39 @@ func TestCentralizedEventsAlwaysShipToCenter(t *testing.T) {
 	// No subscriptions at all: the event still crosses to the centre (the
 	// fixed traffic component the paper discusses).
 	ev := model.Event{Seq: 1, Sensor: "d1", Attr: model.WindSpeed, Value: 5, Time: 10}
-	if err := e.Publish(0, ev); err != nil {
+	if err := e.PublishContext(context.Background(), 0, ev); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().EventLoad(); got != 2 {
+	if got := e.Metrics().Snapshot().EventLoad; got != 2 {
 		t.Errorf("event load = %d, want 2 (0->1->2)", got)
 	}
 }
 
 func TestCentralizedMatchingAndResultDelivery(t *testing.T) {
 	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
-	if err := e.Subscribe(4, windSub(t, "q1", 0, 50)); err != nil {
+	if err := e.SubscribeContext(context.Background(), 4, windSub(t, "q1", 0, 50)); err != nil {
 		t.Fatal(err)
 	}
-	subLoad := e.Metrics().SubscriptionLoad()
+	subLoad := e.Metrics().Snapshot().SubscriptionLoad
 
 	// Matching event: 2 hops up (0->2) plus 2 hops down (2->4) = 4 units.
-	if err := e.Publish(0, model.Event{Seq: 1, Sensor: "d1", Attr: model.WindSpeed, Value: 10, Time: 10}); err != nil {
+	if err := e.PublishContext(context.Background(), 0, model.Event{Seq: 1, Sensor: "d1", Attr: model.WindSpeed, Value: 10, Time: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().EventLoad(); got != 4 {
+	if got := e.Metrics().Snapshot().EventLoad; got != 4 {
 		t.Errorf("event load = %d, want 4", got)
 	}
-	if got := e.Metrics().ComplexDeliveries("q1"); got != 1 {
+	if got := len(e.DeliveriesFor("q1")); got != 1 {
 		t.Errorf("deliveries = %d, want 1", got)
 	}
 	// Non-matching event: still 2 hops up, nothing down.
-	if err := e.Publish(0, model.Event{Seq: 2, Sensor: "d1", Attr: model.WindSpeed, Value: 500, Time: 11}); err != nil {
+	if err := e.PublishContext(context.Background(), 0, model.Event{Seq: 2, Sensor: "d1", Attr: model.WindSpeed, Value: 500, Time: 11}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().EventLoad(); got != 6 {
+	if got := e.Metrics().Snapshot().EventLoad; got != 6 {
 		t.Errorf("event load = %d, want 6", got)
 	}
-	if e.Metrics().SubscriptionLoad() != subLoad {
+	if e.Metrics().Snapshot().SubscriptionLoad != subLoad {
 		t.Error("event processing must not change subscription load")
 	}
 }
@@ -124,39 +125,39 @@ func TestCentralizedPerSubscriptionResultSets(t *testing.T) {
 	// Two identical subscriptions from the same user: the centralized scheme
 	// sends the result set once per subscription (full result sets).
 	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
-	if err := e.Subscribe(4, windSub(t, "q1", 0, 50)); err != nil {
+	if err := e.SubscribeContext(context.Background(), 4, windSub(t, "q1", 0, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Subscribe(4, windSub(t, "q2", 0, 50)); err != nil {
+	if err := e.SubscribeContext(context.Background(), 4, windSub(t, "q2", 0, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Publish(0, model.Event{Seq: 1, Sensor: "d1", Attr: model.WindSpeed, Value: 10, Time: 10}); err != nil {
+	if err := e.PublishContext(context.Background(), 0, model.Event{Seq: 1, Sensor: "d1", Attr: model.WindSpeed, Value: 10, Time: 10}); err != nil {
 		t.Fatal(err)
 	}
 	// 2 up + 2 down for q1 + 2 down for q2 = 6.
-	if got := e.Metrics().EventLoad(); got != 6 {
+	if got := e.Metrics().Snapshot().EventLoad; got != 6 {
 		t.Errorf("event load = %d, want 6", got)
 	}
-	if e.Metrics().ComplexDeliveries("q1") != 1 || e.Metrics().ComplexDeliveries("q2") != 1 {
+	if len(e.DeliveriesFor("q1")) != 1 || len(e.DeliveriesFor("q2")) != 1 {
 		t.Error("both subscriptions should be delivered")
 	}
 }
 
 func TestCentralizedMultiAttributeCorrelation(t *testing.T) {
 	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
-	if err := e.Subscribe(4, pairSub(t, "q1")); err != nil {
+	if err := e.SubscribeContext(context.Background(), 4, pairSub(t, "q1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Publish(0, model.Event{Seq: 1, Sensor: "d1", Attr: model.WindSpeed, Value: 10, Time: 10}); err != nil {
+	if err := e.PublishContext(context.Background(), 0, model.Event{Seq: 1, Sensor: "d1", Attr: model.WindSpeed, Value: 10, Time: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Metrics().ComplexDeliveries("q1") != 0 {
+	if len(e.DeliveriesFor("q1")) != 0 {
 		t.Fatal("incomplete correlation must not be delivered")
 	}
-	if err := e.Publish(1, model.Event{Seq: 2, Sensor: "d2", Attr: model.AmbientTemperature, Value: 0, Time: 12}); err != nil {
+	if err := e.PublishContext(context.Background(), 1, model.Event{Seq: 2, Sensor: "d2", Attr: model.AmbientTemperature, Value: 0, Time: 12}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Metrics().ComplexDeliveries("q1") != 1 {
+	if len(e.DeliveriesFor("q1")) != 1 {
 		t.Error("correlated pair should be delivered")
 	}
 	seqs := e.Metrics().DeliveredSeqs("q1")
@@ -166,28 +167,28 @@ func TestCentralizedMultiAttributeCorrelation(t *testing.T) {
 	// Events stop being re-sent once delivered: publishing the wind reading
 	// again as a new event only charges the upward path plus the downward
 	// path for the new event (the old temperature reading is not re-sent).
-	before := e.Metrics().EventLoad()
-	if err := e.Publish(0, model.Event{Seq: 3, Sensor: "d1", Attr: model.WindSpeed, Value: 11, Time: 13}); err != nil {
+	before := e.Metrics().Snapshot().EventLoad
+	if err := e.PublishContext(context.Background(), 0, model.Event{Seq: 3, Sensor: "d1", Attr: model.WindSpeed, Value: 11, Time: 13}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().EventLoad() - before; got != 4 {
+	if got := e.Metrics().Snapshot().EventLoad - before; got != 4 {
 		t.Errorf("incremental event load = %d, want 4", got)
 	}
 }
 
 func TestCentralizedSubscriberAtCenterNoDownwardTraffic(t *testing.T) {
 	e := netsim.NewEngine(lineGraph(t, 5), NewFactory(0))
-	if err := e.Subscribe(2, windSub(t, "q1", 0, 50)); err != nil {
+	if err := e.SubscribeContext(context.Background(), 2, windSub(t, "q1", 0, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Publish(0, model.Event{Seq: 1, Sensor: "d1", Attr: model.WindSpeed, Value: 10, Time: 10}); err != nil {
+	if err := e.PublishContext(context.Background(), 0, model.Event{Seq: 1, Sensor: "d1", Attr: model.WindSpeed, Value: 10, Time: 10}); err != nil {
 		t.Fatal(err)
 	}
 	// Only the upward 2 hops are charged.
-	if got := e.Metrics().EventLoad(); got != 2 {
+	if got := e.Metrics().Snapshot().EventLoad; got != 2 {
 		t.Errorf("event load = %d, want 2", got)
 	}
-	if e.Metrics().ComplexDeliveries("q1") != 1 {
+	if len(e.DeliveriesFor("q1")) != 1 {
 		t.Error("centre-local subscriber should still be delivered")
 	}
 }

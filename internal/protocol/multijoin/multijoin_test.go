@@ -5,6 +5,7 @@
 package multijoin
 
 import (
+	"context"
 	"testing"
 
 	"sensorcq/internal/core"
@@ -123,13 +124,13 @@ func TestFactoryBuildsWorkingNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Subscribe(1, sub); err != nil {
+		if err := e.SubscribeContext(context.Background(), 1, sub); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Publish(0, model.Event{Seq: 1, Sensor: "a", Attr: model.AmbientTemperature, Value: 60, Time: 100}); err != nil {
+		if err := e.PublishContext(context.Background(), 0, model.Event{Seq: 1, Sensor: "a", Attr: model.AmbientTemperature, Value: 60, Time: 100}); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Publish(2, model.Event{Seq: 2, Sensor: "b", Attr: model.RelativeHumidity, Value: 20, Time: 110}); err != nil {
+		if err := e.PublishContext(context.Background(), 2, model.Event{Seq: 2, Sensor: "b", Attr: model.RelativeHumidity, Value: 20, Time: 110}); err != nil {
 			t.Fatal(err)
 		}
 		if deliveries := e.DeliveriesFor("q"); len(deliveries) != 1 {

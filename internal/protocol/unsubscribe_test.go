@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -64,10 +65,10 @@ func attachWalkthroughSensors(t *testing.T, rt netsim.Runtime) {
 // free sequence number.
 func publishPair(t *testing.T, rt netsim.Runtime, seq uint64, value float64, at model.Timestamp) uint64 {
 	t.Helper()
-	if err := rt.Publish(0, model.Event{Seq: seq, Sensor: "a", Attr: model.AmbientTemperature, Value: value, Time: at}); err != nil {
+	if err := rt.PublishContext(context.Background(), 0, model.Event{Seq: seq, Sensor: "a", Attr: model.AmbientTemperature, Value: value, Time: at}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Publish(1, model.Event{Seq: seq + 1, Sensor: "b", Attr: model.RelativeHumidity, Value: value, Time: at + 2}); err != nil {
+	if err := rt.PublishContext(context.Background(), 1, model.Event{Seq: seq + 1, Sensor: "b", Attr: model.RelativeHumidity, Value: value, Time: at + 2}); err != nil {
 		t.Fatal(err)
 	}
 	return seq + 2
@@ -111,10 +112,10 @@ func TestUnsubscribeRetractsForwardedOperators(t *testing.T) {
 
 			broad := identified(t, "B", 0, 100, 30)
 			strict := identified(t, "S", 20, 40, 30)
-			if err := rt.Subscribe(5, broad); err != nil {
+			if err := rt.SubscribeContext(context.Background(), 5, broad); err != nil {
 				t.Fatal(err)
 			}
-			if err := rt.Subscribe(5, strict); err != nil {
+			if err := rt.SubscribeContext(context.Background(), 5, strict); err != nil {
 				t.Fatal(err)
 			}
 
@@ -140,11 +141,11 @@ func TestUnsubscribeRetractsForwardedOperators(t *testing.T) {
 				t.Fatalf("S deliveries = %d, want 1", got)
 			}
 
-			eventsBefore := rt.Metrics().EventLoad()
+			eventsBefore := rt.Metrics().Snapshot().EventLoad
 			if err := rt.Unsubscribe(5, "B"); err != nil {
 				t.Fatal(err)
 			}
-			if rt.Metrics().UnsubscriptionLoad() == 0 {
+			if rt.Metrics().Snapshot().UnsubscriptionLoad == 0 {
 				t.Error("retraction generated no unsubscription messages")
 			}
 
@@ -180,13 +181,13 @@ func TestUnsubscribeRetractsForwardedOperators(t *testing.T) {
 			if got := len(rt.DeliveriesFor("S")); got != 2 {
 				t.Errorf("S deliveries after retraction = %d, want 2", got)
 			}
-			if rt.Metrics().EventLoad() == eventsBefore {
+			if rt.Metrics().Snapshot().EventLoad == eventsBefore {
 				t.Error("surviving subscription stopped generating event traffic")
 			}
 
 			// Re-registering the retracted ID works like a fresh
 			// subscription: the dedup tables were released network-wide.
-			if err := rt.Subscribe(5, identified(t, "B", 0, 100, 30)); err != nil {
+			if err := rt.SubscribeContext(context.Background(), 5, identified(t, "B", 0, 100, 30)); err != nil {
 				t.Fatal(err)
 			}
 			publishPair(t, rt, seq, 30, 300)
@@ -221,10 +222,10 @@ func TestUnsubscribeSharedOperatorKeepsDependants(t *testing.T) {
 		t.Run(approach.name, func(t *testing.T) {
 			rt := netsim.NewEngine(walkthroughGraph(t), approach.factory)
 			attachWalkthroughSensors(t, rt)
-			if err := rt.Subscribe(5, identified(t, "B", 0, 100, 30)); err != nil {
+			if err := rt.SubscribeContext(context.Background(), 5, identified(t, "B", 0, 100, 30)); err != nil {
 				t.Fatal(err)
 			}
-			if err := rt.Subscribe(5, identified(t, "S", 20, 40, 30)); err != nil {
+			if err := rt.SubscribeContext(context.Background(), 5, identified(t, "S", 20, 40, 30)); err != nil {
 				t.Fatal(err)
 			}
 			// Retract the covered subscription: the covering one keeps
@@ -243,9 +244,9 @@ func TestUnsubscribeSharedOperatorKeepsDependants(t *testing.T) {
 			if err := rt.Unsubscribe(5, "B"); err != nil {
 				t.Fatal(err)
 			}
-			before := rt.Metrics().EventLoad()
+			before := rt.Metrics().Snapshot().EventLoad
 			publishPair(t, rt, seq, 30, 200)
-			if got := rt.Metrics().EventLoad(); got != before {
+			if got := rt.Metrics().Snapshot().EventLoad; got != before {
 				t.Errorf("event load grew from %d to %d with no subscription registered", before, got)
 			}
 			if got := len(rt.Deliveries()); got != 1 {
@@ -271,7 +272,7 @@ func TestUnsubscribeIsolatesApproachTraffic(t *testing.T) {
 			attachWalkthroughSensors(t, rt)
 			for s := 0; s < 8; s++ {
 				lo, hi := float64(s), 100-float64(s)
-				if err := rt.Subscribe(5, identified(t, fmt.Sprintf("q%d", s), lo, hi, 30)); err != nil {
+				if err := rt.SubscribeContext(context.Background(), 5, identified(t, fmt.Sprintf("q%d", s), lo, hi, 30)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -280,9 +281,9 @@ func TestUnsubscribeIsolatesApproachTraffic(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			before := rt.Metrics().EventLoad()
+			before := rt.Metrics().Snapshot().EventLoad
 			publishPair(t, rt, 1, 50, 100)
-			if got := rt.Metrics().EventLoad(); got != before {
+			if got := rt.Metrics().Snapshot().EventLoad; got != before {
 				t.Errorf("event load grew from %d to %d after full churn", before, got)
 			}
 			if got := len(rt.Deliveries()); got != 0 {

@@ -71,11 +71,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.mu.Unlock()
-	subscribe := s.sys.SubscribeContext
-	if sub.Aggregate != nil {
-		subscribe = s.sys.SubscribeAggregateContext
-	}
-	handle, err := subscribe(r.Context(), node, sub, opts...)
+	handle, err := s.sys.SubscribeContext(r.Context(), node, sub, opts...)
 	switch {
 	case errors.Is(err, sensorcq.ErrDuplicateSubscription):
 		writeError(w, http.StatusConflict, err)

@@ -62,7 +62,7 @@ func TestSubscriptionHandleLifecycle(t *testing.T) {
 			if h.ID() != "alert" || h.Node() != 5 || !h.Active() {
 				t.Error("handle identity accessors wrong")
 			}
-			if got, err := sys.HandleByID("alert"); err != nil || got != h || sys.ActiveSubscriptions() != 1 {
+			if got, err := sys.HandleByID("alert"); err != nil || got != h || len(sys.Handles()) != 1 {
 				t.Errorf("handle registry lookup = (%v, %v), want the registered handle", got, err)
 			}
 			if _, err := sys.HandleByID("never-registered"); !errors.Is(err, ErrUnknownSubscription) {
@@ -74,10 +74,10 @@ func TestSubscriptionHandleLifecycle(t *testing.T) {
 				t.Errorf("duplicate subscribe error = %v, want ErrDuplicateSubscription", err)
 			}
 
-			if err := sys.Replay(matchingPair(1, 100)); err != nil {
+			if err := sys.PublishBatch(matchingPair(1, 100)); err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Replay(matchingPair(3, 200)); err != nil {
+			if err := sys.PublishBatch(matchingPair(3, 200)); err != nil {
 				t.Fatal(err)
 			}
 			if got := h.Delivered(); got != 2 {
@@ -89,7 +89,7 @@ func TestSubscriptionHandleLifecycle(t *testing.T) {
 			if h.DroppedPushes() != 0 {
 				t.Errorf("dropped pushes = %d, want 0", h.DroppedPushes())
 			}
-			seqs := h.DeliveredSeqs()
+			seqs := sys.DeliveredEventSeqs(h.ID())
 			for _, want := range []uint64{1, 2, 3, 4} {
 				if !seqs[want] {
 					t.Errorf("delivered seqs missing %d: %v", want, seqs)
@@ -104,14 +104,14 @@ func TestSubscriptionHandleLifecycle(t *testing.T) {
 			if _, err := sys.HandleByID("alert"); !errors.Is(err, ErrUnknownSubscription) {
 				t.Errorf("HandleByID of retired ID = %v, want ErrUnknownSubscription", err)
 			}
-			if h.Active() || sys.ActiveSubscriptions() != 0 {
+			if h.Active() || len(sys.Handles()) != 0 {
 				t.Error("handle should be retired after Unsubscribe")
 			}
 			var pushed []Delivery
 			for d := range h.Deliveries() {
 				pushed = append(pushed, d)
 			}
-			pulled := h.Log()
+			pulled := sys.DeliveriesFor(h.ID())
 			if len(pushed) != len(pulled) || len(pushed) != 2 {
 				t.Fatalf("pushed %d deliveries, pulled %d, want 2", len(pushed), len(pulled))
 			}
@@ -136,7 +136,7 @@ func TestSubscriptionHandleLifecycle(t *testing.T) {
 				t.Error("retraction generated no unsubscription traffic")
 			}
 			eventsBefore := traffic.EventLoad
-			if err := sys.Replay(matchingPair(5, 300)); err != nil {
+			if err := sys.PublishBatch(matchingPair(5, 300)); err != nil {
 				t.Fatal(err)
 			}
 			if got := len(sys.DeliveriesFor("alert")); got != 2 {
@@ -151,7 +151,7 @@ func TestSubscriptionHandleLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("re-subscribe after unsubscribe: %v", err)
 			}
-			if err := sys.Replay(matchingPair(7, 400)); err != nil {
+			if err := sys.PublishBatch(matchingPair(7, 400)); err != nil {
 				t.Fatal(err)
 			}
 			if got := h2.Delivered(); got != 1 {
@@ -188,7 +188,7 @@ func TestUnsubscribeEvictsDeliveryMaps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Replay(matchingPair(1, 100)); err != nil {
+			if err := sys.PublishBatch(matchingPair(1, 100)); err != nil {
 				t.Fatal(err)
 			}
 			if got := len(sys.DeliveriesFor("evicted")); got != 1 {
@@ -211,7 +211,7 @@ func TestUnsubscribeEvictsDeliveryMaps(t *testing.T) {
 			if got := len(sys.DeliveredEventSeqs("evicted")); got != 0 {
 				t.Errorf("evicted delivered seqs = %d after unsubscribe, want 0", got)
 			}
-			if got := len(evicted.Log()); got != 0 {
+			if got := len(sys.DeliveriesFor(evicted.ID())); got != 0 {
 				t.Errorf("evicted handle log = %d deliveries, want 0", got)
 			}
 			if got := len(sys.DeliveriesFor("retained")); got != 1 {
@@ -244,7 +244,7 @@ func TestSinkBufferOverflowCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := sys.Replay(matchingPair(uint64(1+2*i), Timestamp(100*(i+1)))); err != nil {
+		if err := sys.PublishBatch(matchingPair(uint64(1+2*i), Timestamp(100*(i+1)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +254,7 @@ func TestSinkBufferOverflowCounts(t *testing.T) {
 	if got := h.DroppedPushes(); got != 2 {
 		t.Errorf("dropped pushes = %d, want 2 (buffer of 1, no consumer)", got)
 	}
-	if got := len(h.Log()); got != 3 {
+	if got := len(sys.DeliveriesFor(h.ID())); got != 3 {
 		t.Errorf("pull log = %d deliveries, want 3 (never drops)", got)
 	}
 	// A disabled sink never buffers and never drops.
@@ -265,7 +265,7 @@ func TestSinkBufferOverflowCounts(t *testing.T) {
 	if h2.Deliveries() != nil {
 		t.Error("WithSinkBuffer(0) should disable the delivery channel")
 	}
-	if err := sys.Replay(matchingPair(7, 400)); err != nil {
+	if err := sys.PublishBatch(matchingPair(7, 400)); err != nil {
 		t.Fatal(err)
 	}
 	if h2.DroppedPushes() != 0 || h2.Delivered() == 0 {

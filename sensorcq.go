@@ -52,16 +52,17 @@
 //
 // After Unsubscribe returns, a replayed trace produces zero further
 // deliveries for the retracted subscription and strictly less event traffic;
-// the handle's counters (Delivered, DroppedPushes) and pull log (Log,
-// System.DeliveriesFor) remain readable. Failures on this surface are typed
-// sentinel errors — ErrUnknownSensor, ErrClosed, ErrUnsubscribed,
-// ErrDuplicateSubscription, ErrUnknownSubscription — matched with errors.Is.
+// the handle's counters (Delivered, DroppedPushes) remain readable, and so
+// does its pull log (System.DeliveriesFor) when it was subscribed
+// WithRetainLog. Failures on this surface are typed sentinel errors —
+// ErrUnknownSensor, ErrClosed, ErrUnsubscribed, ErrDuplicateSubscription,
+// ErrUnknownSubscription — matched with errors.Is.
 //
 // # Cancellation and backpressure
 //
-// Every mutating method has a context-aware variant (SubscribeContext,
-// PublishContext, PublishAtContext, ReplayRoundsContext,
-// ReplayTraceContext, CloseContext) whose context bounds the wait for
+// Every mutating method that waits for the network has a context-aware
+// variant (SubscribeContext, PublishContext, PublishBatchContext,
+// ReplayRoundsContext, CloseContext) whose context bounds the wait for
 // network-wide propagation; the plain forms delegate with
 // context.Background() at zero extra cost. Cancellation aborts the wait
 // with the context's error, never corrupts the network: a cancelled
@@ -225,7 +226,7 @@ func AggregateFuncNames() []string { return agg.FuncNames() }
 // NewAggregateSubscription builds a windowed GROUP-BY-time continuous
 // aggregate query: one attribute filter bound to a region, folded per
 // tumbling window of spec.WindowRounds measurement rounds with the spec's
-// aggregate function. Register it with System.SubscribeAggregate; each
+// aggregate function. Register it with System.Subscribe like any query; each
 // finalised window arrives on the handle's delivery channel as a Delivery
 // whose Aggregate field carries the result.
 func NewAggregateSubscription(id SubscriptionID, filter AttributeFilter, region Region, spec AggregateSpec) (*Subscription, error) {

@@ -1,6 +1,8 @@
 package sensorcq
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -80,7 +82,7 @@ func TestSystemEndToEndFSF(t *testing.T) {
 		{Seq: 1, Sensor: "a", Attr: AmbientTemperature, Value: 60, Time: 10},
 		{Seq: 2, Sensor: "b", Attr: RelativeHumidity, Value: 20, Time: 12},
 	}
-	if err := sys.Replay(events); err != nil {
+	if err := sys.PublishBatch(events); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(sys.DeliveriesFor("alert")); got != 1 {
@@ -138,8 +140,73 @@ func TestSystemDefaultsAndErrors(t *testing.T) {
 	if _, err := NewSystem(dep, Config{Approach: "bogus"}); err == nil {
 		t.Error("unknown approach should fail")
 	}
+	for _, p := range []float64{-0.01, 1, 1.5, math.NaN()} {
+		if _, err := NewSystem(dep, Config{SetFilterError: p}); err == nil {
+			t.Errorf("set-filter error %g should fail, not fall back to the default", p)
+		}
+	}
 	if _, err := sys.Subscribe(99, nil); err == nil {
 		t.Error("subscribing nil at an unknown node should fail")
+	}
+}
+
+// TestSubscribeRejectsInvalidAggregate registers aggregate queries that
+// never went through NewAggregateSubscription's checks. A zero window would
+// divide by zero inside the network — on a worker goroutine, which kills the
+// process, on the concurrent engine — so Subscribe must reject each of them
+// on both engines, and the system must stay usable.
+func TestSubscribeRejectsInvalidAggregate(t *testing.T) {
+	abstract := func(t *testing.T, attrs ...AttributeType) *Subscription {
+		t.Helper()
+		var filters []AttributeFilter
+		for _, a := range attrs {
+			filters = append(filters, AttributeFilter{Attr: a, Range: NewInterval(0, 100)})
+		}
+		sub, err := NewAbstractSubscription("agg", filters, Everywhere(), 30, NoSpatialConstraint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	cases := []struct {
+		name  string
+		build func(t *testing.T) *Subscription
+	}{
+		{"zero window", func(t *testing.T) *Subscription {
+			sub := abstract(t, AmbientTemperature)
+			sub.Aggregate = &AggregateSpec{Func: AggSum}
+			return sub
+		}},
+		{"two filters", func(t *testing.T) *Subscription {
+			sub := abstract(t, AmbientTemperature, RelativeHumidity)
+			sub.Aggregate = &AggregateSpec{Func: AggSum, WindowRounds: 2}
+			return sub
+		}},
+		{"identified", func(t *testing.T) *Subscription {
+			sub := walkthroughSub(t, "agg")
+			sub.Aggregate = &AggregateSpec{Func: AggSum, WindowRounds: 2}
+			return sub
+		}},
+	}
+	for _, concurrent := range []bool{false, true} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/concurrent=%v", tc.name, concurrent), func(t *testing.T) {
+				sys, err := NewSystem(buildWalkthroughDeployment(t), Config{Seed: 1, Concurrent: concurrent})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Close()
+				if _, err := sys.Subscribe(5, tc.build(t)); err == nil {
+					t.Fatal("Subscribe accepted an invalid aggregate query")
+				}
+				if n := len(sys.Handles()); n != 0 {
+					t.Errorf("%d handles after a rejected Subscribe, want 0", n)
+				}
+				if err := sys.ReplayRounds([][]Event{matchingPair(1, 100), matchingPair(3, 200)}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

@@ -48,18 +48,18 @@ type Config struct {
 	Approach Approach
 	// Seed drives the probabilistic set filter of FilterSplitForward.
 	Seed int64
-	// SetFilterError overrides the FSF set-filter error probability
-	// (0 keeps the default of 2%).
+	// SetFilterError overrides the FSF set-filter error probability, which
+	// must lie in [0, 1) (0 keeps the default of 2%).
 	SetFilterError float64
 	// Concurrent runs the processing nodes on the concurrent engine (a
 	// pooled work-stealing scheduler, see Workers) instead of the
 	// deterministic sequential engine.
 	Concurrent bool
-	// Delivery selects the replay delivery semantics used by ReplayRounds
-	// and ReplayTrace: Quiescent (the default) fully propagates every
-	// event before injecting the next one; Pipelined injects a whole
-	// measurement round before draining, which is what lets a Concurrent
-	// system evaluate a round in parallel.
+	// Delivery selects the replay delivery semantics used by ReplayRounds:
+	// Quiescent (the default) fully propagates every event before injecting
+	// the next one; Pipelined injects a whole measurement round before
+	// draining, which is what lets a Concurrent system evaluate a round in
+	// parallel.
 	//
 	// Pipelined runs produce the same traffic totals and the same
 	// per-round delivery multisets as quiescent runs — only the delivery
@@ -71,14 +71,15 @@ type Config struct {
 	// events a quiescent run would still have matched, and pipelined
 	// deliveries may diverge.
 	//
-	// Windowed additionally overlaps successive rounds: ReplayRounds and
-	// ReplayTrace inject round r+1..r+Lag while round r is still draining,
-	// gated on the network watermark. Nodes are built with an event-window
-	// validity factor of Lag+2 so the cross-round arrival skew cannot
-	// prune events still needed by a late trigger; with that, windowed
-	// runs keep the quiescent run's traffic totals and per-round delivery
-	// multisets (deliveries are stamped with the round of their newest
-	// component, which does not depend on interleaving).
+	// Windowed additionally overlaps successive rounds: ReplayRounds
+	// injects round r+1..r+Lag while round r is still draining, gated on
+	// the network watermark. Nodes are built with an event-window validity
+	// factor of Lag+2 against the cross-round arrival skew. At 5 sensors per
+	// group that keeps the quiescent run's traffic totals and per-round
+	// delivery multisets (deliveries are stamped with the round of their
+	// newest component, which does not depend on interleaving); at 10 a late
+	// trigger can still miss a pruned partner and the modes diverge
+	// (ROADMAP, direction 5(a)).
 	Delivery DeliveryMode
 	// Lag bounds the cross-round pipelining of the Windowed delivery mode:
 	// how many rounds beyond the oldest still-draining round may be in
@@ -100,12 +101,12 @@ type Config struct {
 // produced and whose Unsubscribe retracts the query network-wide. A closed
 // System rejects every operation with ErrClosed.
 type System struct {
-	dep        *Deployment
-	runtime    netsim.Runtime
-	concurrent *netsim.ConcurrentEngine
-	approach   Approach
-	delivery   DeliveryMode
-	lag        int
+	dep      *Deployment
+	runtime  netsim.Runtime
+	approach Approach
+	delivery DeliveryMode
+	lag      int
+	workers  int
 
 	closed atomic.Bool
 
@@ -162,46 +163,30 @@ func NewSystem(dep *Deployment, cfg Config) (*System, error) {
 	if cfg.Workers > 0 && !cfg.Concurrent {
 		return nil, fmt.Errorf("sensorcq: worker count %d requires the concurrent engine", cfg.Workers)
 	}
-	factory, err := experiment.FactoryForSpec(cfg.Approach, experiment.FactorySpec{
+	if !(cfg.SetFilterError >= 0 && cfg.SetFilterError < 1) {
+		return nil, fmt.Errorf("sensorcq: set-filter error %g outside [0,1)", cfg.SetFilterError)
+	}
+	rt, err := experiment.Start(dep, cfg.Approach, experiment.FactorySpec{
 		Seed:           cfg.Seed,
 		SetFilterError: cfg.SetFilterError,
 		ValidityFactor: netsim.RequiredValidityFactor(cfg.Delivery, cfg.Lag),
-	})
+	}, cfg.Concurrent, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{dep: dep, approach: cfg.Approach, delivery: cfg.Delivery, lag: cfg.Lag}
+	sys := &System{dep: dep, runtime: rt, approach: cfg.Approach, delivery: cfg.Delivery, lag: cfg.Lag}
 	if cfg.Concurrent {
-		conc := netsim.NewConcurrentEngineWorkers(dep.Graph, factory, cfg.Workers)
-		sys.runtime = conc
-		sys.concurrent = conc
-	} else {
-		sys.runtime = netsim.NewEngine(dep.Graph, factory)
+		sys.workers = netsim.EffectiveWorkers(cfg.Workers, dep.Graph.NumNodes())
 	}
 	// Push delivery: the observer runs on the delivering node's dispatch
 	// path and routes each delivery to its subscription's handle (one
 	// lock-free registry lookup + the handle's own lock — no engine-wide
 	// mutex).
-	sys.runtime.SetDeliveryObserver(func(d Delivery) {
+	rt.SetDeliveryObserver(func(d Delivery) {
 		if h, ok := sys.handles.Load(d.SubID); ok {
 			h.(*SubscriptionHandle).push(d)
 		}
 	})
-	for _, sensor := range dep.Sensors {
-		host, ok := dep.SensorHost[sensor.ID]
-		if !ok {
-			sys.Close()
-			return nil, fmt.Errorf("sensorcq: sensor %s has no host node", sensor.ID)
-		}
-		if err := sys.runtime.AttachSensor(host, sensor); err != nil {
-			sys.Close()
-			return nil, fmt.Errorf("sensorcq: attaching sensor %s: %w", sensor.ID, err)
-		}
-	}
-	sys.runtime.Flush()
-	// The flood is sensors × (nodes − 1) messages, far above anything a
-	// replay keeps in flight: do not carry its queue high-water marks along.
-	sys.runtime.Trim()
 	return sys, nil
 }
 
@@ -213,18 +198,20 @@ func (s *System) Deployment() *Deployment { return s.dep }
 
 // Workers returns the effective scheduler worker count of a Concurrent
 // system, or 0 for the sequential engine (which has no worker pool).
-func (s *System) Workers() int {
-	if s.concurrent == nil {
-		return 0
-	}
-	return s.concurrent.Workers()
-}
+func (s *System) Workers() int { return s.workers }
 
 // Subscribe registers a user subscription at the given processing node and
 // returns its lifecycle handle. The subscription is fully propagated through
 // the network before Subscribe returns; results are then streamed to the
 // handle's delivery channel (and callback, if one was configured) as they
 // are produced, in addition to the pull log served by DeliveriesFor.
+//
+// A windowed aggregate query (NewAggregateSubscription) registers the same
+// way: each node of its dissemination tree folds matching readings into one
+// mergeable partial per tumbling window and ships it upstream when the
+// network watermark closes the window, and the handle receives one Delivery
+// per finalised window, carrying an AggregateResult instead of complex
+// events.
 //
 // Subscribing an ID that is still active returns ErrDuplicateSubscription;
 // after the ID is unsubscribed it may be registered again. A closed system
@@ -291,30 +278,6 @@ func (s *System) SubscribeContext(ctx context.Context, node NodeID, sub *Subscri
 		return nil, ErrClosed
 	}
 	return h, nil
-}
-
-// SubscribeAggregate registers a windowed aggregate continuous query (built
-// with NewAggregateSubscription) at the given processing node. The query is
-// routed along the same advertisement paths as any subscription, but each
-// node of its dissemination tree folds matching readings into one mergeable
-// partial aggregate per tumbling window and ships a single partial upstream
-// when the network watermark closes the window; the handle's delivery
-// channel then streams one Delivery per finalised window, carrying an
-// AggregateResult instead of complex events.
-func (s *System) SubscribeAggregate(node NodeID, sub *Subscription, opts ...SubscribeOption) (*SubscriptionHandle, error) {
-	return s.SubscribeAggregateContext(context.Background(), node, sub, opts...)
-}
-
-// SubscribeAggregateContext is SubscribeAggregate with cancellation (see
-// SubscribeContext).
-func (s *System) SubscribeAggregateContext(ctx context.Context, node NodeID, sub *Subscription, opts ...SubscribeOption) (*SubscriptionHandle, error) {
-	if sub == nil || sub.Aggregate == nil {
-		return nil, fmt.Errorf("sensorcq: SubscribeAggregate needs a subscription built with NewAggregateSubscription")
-	}
-	if err := sub.Aggregate.Validate(); err != nil {
-		return nil, err
-	}
-	return s.SubscribeContext(ctx, node, sub, opts...)
 }
 
 // Unsubscribe retracts the active subscription with the given ID
@@ -389,14 +352,6 @@ func (s *System) Handles() []*SubscriptionHandle {
 	return out
 }
 
-// ActiveSubscriptions returns the number of active (not yet unsubscribed)
-// subscriptions.
-func (s *System) ActiveSubscriptions() int {
-	n := 0
-	s.handles.Range(func(any, any) bool { n++; return true })
-	return n
-}
-
 // Publish injects a sensor reading. The event's Sensor must be part of the
 // deployment; the reading enters the network at the node hosting it. An
 // unknown sensor returns ErrUnknownSensor; a closed system ErrClosed.
@@ -418,22 +373,7 @@ func (s *System) PublishContext(ctx context.Context, ev Event) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSensor, ev.Sensor)
 	}
-	return s.PublishAtContext(ctx, host, ev)
-}
-
-// PublishAt injects a reading at an explicit node (for hand-built
-// deployments or readings of sensors attached after construction).
-func (s *System) PublishAt(node NodeID, ev Event) error {
-	return s.PublishAtContext(context.Background(), node, ev)
-}
-
-// PublishAtContext is PublishAt with cancellation, with the same
-// cancellation semantics as PublishContext.
-func (s *System) PublishAtContext(ctx context.Context, node NodeID, ev Event) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return s.runtime.PublishContext(ctx, node, ev)
+	return s.runtime.PublishContext(ctx, host, ev)
 }
 
 // PublishBatch injects a trace of readings in order through the runtime's
@@ -476,18 +416,11 @@ func (s *System) replay(ctx context.Context, rounds [][]Event, opts netsim.Repla
 	return s.runtime.FlushContext(ctx)
 }
 
-// Replay publishes every event of a trace in order (an alias for
-// PublishBatch kept for readability at call sites). It always uses quiescent
-// semantics; use ReplayRounds or ReplayTrace for the configured Delivery
-// mode.
-func (s *System) Replay(events []Event) error {
-	return s.PublishBatch(events)
-}
-
-// ReplayRounds replays a trace structured as measurement rounds under the
-// system's configured Delivery mode. With Delivery: Pipelined on a
-// Concurrent system, each round is evaluated by all processing nodes in
-// parallel; the network is drained to quiescence between rounds.
+// ReplayRounds replays a trace structured as measurement rounds (a
+// generated Trace's ByRound) under the system's configured Delivery mode.
+// With Delivery: Pipelined on a Concurrent system, each round is evaluated
+// by all processing nodes in parallel; the network is drained to quiescence
+// between rounds. PublishBatch is the quiescent replay of one round.
 func (s *System) ReplayRounds(rounds [][]Event) error {
 	return s.ReplayRoundsContext(context.Background(), rounds)
 }
@@ -499,21 +432,6 @@ func (s *System) ReplayRounds(rounds [][]Event) error {
 // drain (any mutating call, or Close) completes them.
 func (s *System) ReplayRoundsContext(ctx context.Context, rounds [][]Event) error {
 	return s.replay(ctx, rounds, netsim.ReplayOptions{Mode: s.delivery, Lag: s.lag})
-}
-
-// ReplayTrace replays a generated trace round by round under the system's
-// configured Delivery mode.
-func (s *System) ReplayTrace(trace *Trace) error {
-	return s.ReplayTraceContext(context.Background(), trace)
-}
-
-// ReplayTraceContext is ReplayTrace with cancellation (see
-// ReplayRoundsContext).
-func (s *System) ReplayTraceContext(ctx context.Context, trace *Trace) error {
-	if trace == nil {
-		return fmt.Errorf("sensorcq: nil trace")
-	}
-	return s.ReplayRoundsContext(ctx, trace.ByRound)
 }
 
 // DroppedMessages returns the number of messages the runtime failed to
@@ -530,15 +448,14 @@ func (s *System) Watermark() int { return s.runtime.Watermark() }
 
 // Traffic returns the accumulated traffic counters.
 func (s *System) Traffic() TrafficStats {
-	m := s.runtime.Metrics()
-	snap := m.Snapshot()
+	snap := s.runtime.Metrics().Snapshot()
 	return TrafficStats{
 		AdvertisementLoad:     snap.AdvertisementLoad,
 		SubscriptionLoad:      snap.SubscriptionLoad,
 		UnsubscriptionLoad:    snap.UnsubscriptionLoad,
 		EventLoad:             snap.EventLoad,
 		PartialAggregateLoad:  snap.PartialAggregateLoad,
-		PartialAggregateBytes: m.PartialAggregateBytes(),
+		PartialAggregateBytes: snap.PartialAggregateBytes,
 	}
 }
 
@@ -592,7 +509,7 @@ func (s *System) DeliveredEventSeqs(id SubscriptionID) map[uint64]bool {
 // channel of every still-active subscription handle (so consumers ranging
 // over them terminate). Close is idempotent — the first call returns nil,
 // every later call returns ErrClosed. Every mutating method (Publish,
-// PublishAt, PublishBatch, Replay*, Subscribe, Unsubscribe) called after
+// PublishBatch, ReplayRounds, Subscribe, Unsubscribe) called after
 // Close fails with ErrClosed instead of panicking or silently dropping
 // work; read-only accessors (Traffic, Deliveries, DeliveriesFor,
 // DeliveredEventSeqs, Watermark, DroppedMessages, handle counters and logs)
@@ -613,9 +530,7 @@ func (s *System) CloseContext(ctx context.Context) error {
 		return ErrClosed
 	}
 	drainErr := s.runtime.FlushContext(ctx)
-	if s.concurrent != nil {
-		s.concurrent.Close()
-	}
+	s.runtime.Close()
 	s.handles.Range(func(_, h any) bool {
 		h.(*SubscriptionHandle).closeSink()
 		return true
