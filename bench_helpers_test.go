@@ -2,22 +2,9 @@ package sensorcq
 
 import (
 	"sensorcq/internal/core"
-	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
 	"sensorcq/internal/subsume"
 )
-
-// multiJoinFactory builds the distributed multi-join approach with an
-// explicit binary-join pairing (used by the pairing ablation benchmark).
-func multiJoinFactory(pairing model.BinaryJoinPairing) netsim.HandlerFactory {
-	return core.NewFactory(core.Config{
-		Name:        "distributed-multi-join/" + pairing.String(),
-		Checker:     subsume.PairwiseChecker{},
-		Split:       core.SplitBinaryJoin,
-		Pairing:     pairing,
-		Propagation: core.PerNeighbor,
-	})
-}
 
 // dedupFactory builds two configurations that differ only in the event
 // propagation policy (per-neighbour vs per-subscription), isolating the

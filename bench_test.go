@@ -198,52 +198,6 @@ func BenchmarkAblationSetFilterError(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBinaryJoinPairing compares the ring and chain binary-join
-// pairings of the distributed multi-join competitor on identical inputs.
-func BenchmarkAblationBinaryJoinPairing(b *testing.B) {
-	for _, pairing := range []model.BinaryJoinPairing{model.RingPairing, model.ChainPairing} {
-		pairing := pairing
-		b.Run(pairing.String(), func(b *testing.B) {
-			s := scaled(experiment.MediumScale())
-			w, err := experiment.BuildWorkload(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var load int64
-			for i := 0; i < b.N; i++ {
-				load = runMultiJoinOnce(b, w, pairing)
-			}
-			b.ReportMetric(float64(load), "event-load")
-		})
-	}
-}
-
-// runMultiJoinOnce replays a workload against the multi-join approach with
-// an explicit pairing and returns the final event load.
-func runMultiJoinOnce(b *testing.B, w *experiment.Workload, pairing model.BinaryJoinPairing) int64 {
-	b.Helper()
-	factory := multiJoinFactory(pairing)
-	engine := netsim.NewEngine(w.Deployment.Graph, factory)
-	for _, sensor := range w.Deployment.Sensors {
-		if err := engine.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range w.Placed {
-		if err := engine.SubscribeContext(context.Background(), p.Node, p.Sub); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, segment := range w.Segments {
-		for _, ev := range segment {
-			if err := engine.PublishContext(context.Background(), w.Deployment.SensorHost[ev.Sensor], ev); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	return engine.Metrics().Snapshot().EventLoad
-}
-
 // BenchmarkAblationLinkDedup compares per-neighbour (publish/subscribe) and
 // per-subscription event forwarding with everything else held equal — the
 // "event propagation" column of Table II in isolation.
@@ -1006,8 +960,8 @@ func setCheckerCases(tb testing.TB) (*model.Subscription, []setCheckerCase) {
 // each covering seven narrow ones. The timed region is the retraction of one
 // wide subscription, which re-exposes its seven; putting the eight back is
 // untimed. With classes=1 every operator shares one comparability class, the
-// worst case: gathering the affected operators, the seven decisions and the
-// cover relinking each scan that class once. With classes=16 the groups
+// worst case: gathering the affected operators and the seven decisions each
+// scan that class once. With classes=16 the groups
 // spread over sixteen correlation distances, and the cost follows the class,
 // not n. The retraction allocates nothing (TestReexposeAllocatesNothing).
 func BenchmarkReexpose(b *testing.B) {

@@ -229,8 +229,7 @@ func run(approach string, nodes, sensors, groups, subs, minAttrs, maxAttrs, roun
 
 	if indexStats {
 		ix := sys.IndexStats()
-		fmt.Printf("match indexes:       %d trees (%d members indexed, %d covered entries kept out)\n",
-			ix.Trees, ix.Members, ix.Covered)
+		fmt.Printf("match indexes:       %d trees (%d members indexed)\n", ix.Trees, ix.Members)
 		fmt.Printf("index shape:         %d boxes in %d tree nodes, max height %d\n",
 			ix.Boxes, ix.Nodes, ix.MaxHeight)
 		if ix.Lookups > 0 {

@@ -43,8 +43,8 @@ const (
 	// SplitBinaryJoin is the distributed adaptation of Chandramouli & Yang
 	// (Section III-B): subscriptions are routed like SplitSimple ("the
 	// natural splitting into simple operators"), but every node that stores
-	// a multi-join over three or more attributes evaluates it as the set of
-	// binary joins obtained from the configured pairing. Binary-join
+	// a multi-join over three or more attributes evaluates it as the ring of
+	// binary joins model.Subscription.SplitBinaryJoins returns. Binary-join
 	// matching sanctions a main attribute's events with a single filtering
 	// attribute, so events can be forwarded towards the subscriber even
 	// when the full multi-join correlation never completes — the false
@@ -100,8 +100,6 @@ type Config struct {
 	CheckerFactory func(node topology.NodeID) subsume.Checker
 	// Split is the subscription splitting policy.
 	Split SplitPolicy
-	// Pairing selects the binary-join pairing when Split is SplitBinaryJoin.
-	Pairing model.BinaryJoinPairing
 	// Propagation is the event propagation policy.
 	Propagation EventPropagation
 	// ValidityFactor scales each node's event validity: validity =
@@ -253,17 +251,12 @@ func NewNode(self topology.NodeID, cfg Config) *Node {
 	if cfg.ValidityFactor <= 0 {
 		cfg.ValidityFactor = 2
 	}
-	subs := stores.NewSubscriptionTable(self)
-	// Remote covered operators are registered for matching (and hence can
-	// consume a cover link) only under per-subscription propagation; other
-	// policies skip the table's link-recording scan for remote arrivals.
-	subs.RecordRemoteCoverLinks(cfg.Propagation == PerSubscription)
 	return &Node{
 		cfg:       cfg,
 		checker:   cfg.checkerFor(self),
 		self:      self,
 		advs:      stores.NewAdvertisementTable(self),
-		subs:      subs,
+		subs:      stores.NewSubscriptionTable(),
 		window:    stores.NewEventWindow(1),
 		matchers:  map[topology.NodeID]*stores.EventIndex{},
 		localSubs: map[model.SubscriptionID]*model.Subscription{},
@@ -323,31 +316,18 @@ func (n *Node) observeDeltaT(dt model.Timestamp) {
 	}
 }
 
-// addMatcher registers an operator for event matching on behalf of origin.
+// addMatcher registers an operator for event matching on behalf of origin
+// (a no-op for an operator already registered).
 func (n *Node) addMatcher(origin topology.NodeID, sub *model.Subscription) {
-	n.addMatcherWithCover(origin, sub, "")
-}
-
-// addMatcherWithCover registers an operator for event matching, threading
-// the cover link recorded by the subscription table into the index: a
-// covered operator attaches to its covering operator's tree entries and is
-// tested only when the cover matched, instead of adding entries of its own.
-// The link is ignored for the binary-join decomposition, whose derived
-// operators are not the subscription the cover relation was computed for.
-func (n *Node) addMatcherWithCover(origin topology.NodeID, sub *model.Subscription, cover model.SubscriptionID) {
 	idx := n.matchers[origin]
 	if idx == nil {
 		idx = stores.NewEventIndex()
 		n.matchers[origin] = idx
 	}
 	if n.splitsForMatching(sub) {
-		for _, op := range sub.SplitBinaryJoins(n.cfg.Pairing) {
+		for _, op := range sub.SplitBinaryJoins() {
 			idx.Add(op)
 		}
-		return
-	}
-	if cover != "" {
-		idx.AddCovered(sub, cover)
 		return
 	}
 	idx.Add(sub)
@@ -361,7 +341,7 @@ func (n *Node) removeMatcher(origin topology.NodeID, sub *model.Subscription) {
 		return
 	}
 	if n.splitsForMatching(sub) {
-		for _, op := range sub.SplitBinaryJoins(n.cfg.Pairing) {
+		for _, op := range sub.SplitBinaryJoins() {
 			idx.Remove(op.ID)
 		}
 		return
@@ -369,31 +349,12 @@ func (n *Node) removeMatcher(origin topology.NodeID, sub *model.Subscription) {
 	idx.Remove(sub.ID)
 }
 
-// promoteMatcher re-roots an operator that is already registered for
-// matching after its cover was retracted: EventIndex.Add promotes a covered
-// entry to a full member with tree entries of its own (and is a no-op for an
-// operator that already is one), so the operator's matches stop depending on
-// a cover that may no longer exist.
-func (n *Node) promoteMatcher(origin topology.NodeID, sub *model.Subscription) {
-	idx := n.matchers[origin]
-	if idx == nil {
-		return
-	}
-	if n.splitsForMatching(sub) {
-		for _, op := range sub.SplitBinaryJoins(n.cfg.Pairing) {
-			idx.Add(op)
-		}
-		return
-	}
-	idx.Add(sub)
-}
-
 // splitsForMatching reports whether the subscription is evaluated as its
 // binary-join decomposition rather than as-is. Kept as a predicate — with
 // the decomposition slice built only inside the branch that needs it — so
 // the common single-operator paths allocate nothing. The decomposition
-// derives deterministic operator IDs, so add, promote and remove resolve the
-// same entries.
+// derives deterministic operator IDs, so add and remove resolve the same
+// entries.
 func (n *Node) splitsForMatching(sub *model.Subscription) bool {
 	return n.cfg.Split == SplitBinaryJoin && sub.NumFilters() > 2
 }

@@ -313,7 +313,6 @@ func TestMultiJoinFalsePositiveTraffic(t *testing.T) {
 		Name:        "multi-join",
 		Checker:     subsume.PairwiseChecker{},
 		Split:       SplitBinaryJoin,
-		Pairing:     model.RingPairing,
 		Propagation: PerNeighbor,
 	}))
 
@@ -330,7 +329,6 @@ func TestMultiJoinStillDeliversTrueMatches(t *testing.T) {
 		Name:        "multi-join",
 		Checker:     subsume.PairwiseChecker{},
 		Split:       SplitBinaryJoin,
-		Pairing:     model.RingPairing,
 		Propagation: PerNeighbor,
 	}))
 	if err := e.SubscribeContext(context.Background(), nodeUser, sub3(t)); err != nil {

@@ -20,14 +20,8 @@ func (n *Node) LocalSubscribe(ctx *netsim.Context, sub *model.Subscription) {
 		return
 	}
 	n.observeDeltaT(sub.DeltaT)
-	// Filtering runs first so that registerLocal can reuse the cover link
-	// the subscription table records when the checker files the
-	// subscription as covered — local delivery matching then prunes it
-	// behind its cover without a scan of its own. No event can interleave
-	// between the two calls (the engines dispatch one item at a time per
-	// node), so delivery registration is not delayed observably.
-	n.processSubscription(ctx, n.self, sub, true)
 	n.registerLocal(sub)
+	n.processSubscription(ctx, n.self, sub, true)
 }
 
 // HandleSubscription implements netsim.Handler: a subscription or operator
@@ -48,13 +42,6 @@ func (n *Node) registerLocal(sub *model.Subscription) {
 	if _, registered := n.localSubs[sub.ID]; registered {
 		return
 	}
-	// Covering-aware delivery matching: when the filtering pass stored the
-	// subscription as covered by a single earlier one (the table records
-	// the link as a by-product — no scan is paid here), it rides that
-	// subscription's index entries and is tested only when the cover
-	// matched. The cover is a local subscription too (origin self), so it
-	// is in localIdx; the index degrades to a plain Add when the link is
-	// empty or the cover is itself attached as covered.
 	n.localSubs[sub.ID] = sub
 	if sub.Aggregate != nil {
 		// Aggregate subscriptions never join the delivery match index:
@@ -62,11 +49,7 @@ func (n *Node) registerLocal(sub *model.Subscription) {
 		// complex-event matching.
 		return
 	}
-	if cover := n.subs.CoverOf(n.self, sub.ID); cover != "" {
-		n.localIdx.AddCovered(sub, cover)
-	} else {
-		n.localIdx.Add(sub)
-	}
+	n.localIdx.Add(sub)
 }
 
 // processSubscription implements Algorithm 4 for a subscription arriving
@@ -90,11 +73,7 @@ func (n *Node) processSubscription(ctx *netsim.Context, m topology.NodeID, sub *
 		// generated where covering was detected" of Section III-A.
 		n.subs.AddCovered(m, sub)
 		if n.cfg.Propagation == PerSubscription && !isLocal {
-			// The table just recorded which uncovered operator covers this
-			// one (when a single cover exists); threading the link into the
-			// match index lets candidate enumeration skip this operator
-			// whenever its cover did not match the event.
-			n.addMatcherWithCover(m, sub, n.subs.CoverOf(m, sub.ID))
+			n.addMatcher(m, sub)
 		}
 		return
 	}

@@ -122,7 +122,8 @@ func (n *Node) reexpose(ctx *netsim.Context, m topology.NodeID, retracted *model
 }
 
 // promote moves a covered operator of an origin back into the uncovered set,
-// adds it to the match index (unless it is already there, or local) and
+// registers a remote one for matching (a no-op under per-subscription
+// propagation, which registered it when it was filed as covered) and
 // re-splits it along the reverse advertisement paths — sharing policies must
 // re-split shared operators for their remaining dependants, not orphan them.
 func (n *Node) promote(ctx *netsim.Context, m topology.NodeID, c *model.Subscription) {
@@ -130,21 +131,8 @@ func (n *Node) promote(ctx *netsim.Context, m topology.NodeID, c *model.Subscrip
 		return
 	}
 	isLocal := m == n.self
-	switch {
-	case isLocal:
-		// The promoted subscription may still be attached to a surviving
-		// cover's index entries in the local delivery index; promote it to
-		// a fresh pruning root of its own, matching its uncovered status.
-		n.localIdx.Add(c)
-	case n.cfg.Propagation != PerSubscription:
-		// Per-neighbour propagation registers covered operators for
-		// matching only on promotion.
+	if !isLocal {
 		n.addMatcher(m, c)
-	default:
-		// Under per-subscription propagation the operator was registered
-		// for matching when it was filed as covered — possibly attached
-		// under a cover. Give it a fresh pruning root instead.
-		n.promoteMatcher(m, c)
 	}
 	n.splitAndForward(ctx, m, c, isLocal)
 }

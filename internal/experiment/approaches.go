@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"sensorcq/internal/core"
-	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
 	"sensorcq/internal/protocol/centralized"
 	"sensorcq/internal/subsume"
@@ -76,7 +75,7 @@ func ConfigFor(id ApproachID, spec FactorySpec) (core.Config, error) {
 		// Section III-B: routed exactly like operator placement, but a node
 		// evaluates a multi-join over three or more attributes as binary
 		// joins, whose false positives travel to the subscriber.
-		cfg = core.Config{Checker: subsume.PairwiseChecker{}, Split: core.SplitBinaryJoin, Pairing: model.RingPairing, Propagation: core.PerNeighbor}
+		cfg = core.Config{Checker: subsume.PairwiseChecker{}, Split: core.SplitBinaryJoin, Propagation: core.PerNeighbor}
 	case FilterSplitForward:
 		// Section V: probabilistic set-subsumption filtering, simple
 		// splitting, per-neighbour publish/subscribe forwarding.

@@ -137,7 +137,7 @@ func randomSubscription(t testing.TB, rng *stats.RNG) *Subscription {
 		s := identified(2 + rng.Intn(3))
 		return s.ProjectSensors(s.Sensors()[rng.Intn(2):])
 	case 6:
-		joins := abstract(3 + rng.Intn(2)).SplitBinaryJoins(RingPairing)
+		joins := abstract(3 + rng.Intn(2)).SplitBinaryJoins()
 		return joins[rng.Intn(len(joins))]
 	case 7:
 		s, err := NewAggregateSubscription("agg", AttributeFilter{Attr: compiledAttrs[rng.Intn(len(compiledAttrs))], Range: randomInterval(rng)},

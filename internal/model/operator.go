@@ -74,71 +74,33 @@ func (s *Subscription) ProjectSensors(sensors []SensorID) *Subscription {
 	return out
 }
 
-// BinaryJoinPairing selects how a multi-join is decomposed into binary joins
-// by the distributed multi-join approach.
-type BinaryJoinPairing int
-
-const (
-	// RingPairing pairs attribute i with attribute (i+1) mod k, producing k
-	// binary joins for a k-attribute multi-join (k >= 3); each attribute is
-	// the "main" attribute of exactly one binary join.
-	RingPairing BinaryJoinPairing = iota
-	// ChainPairing pairs attribute i with attribute i+1, producing k-1
-	// binary joins; the last attribute is main in the final join.
-	ChainPairing
-)
-
-// String implements fmt.Stringer.
-func (p BinaryJoinPairing) String() string {
-	if p == ChainPairing {
-		return "chain"
-	}
-	return "ring"
-}
-
 // SplitBinaryJoins decomposes the subscription into binary joins following
-// the multi-join approximation of Section III-B. Subscriptions with at most
-// two filters are returned unchanged (a binary join is exact for them). The
-// resulting operators are projections of s onto pairs of its filter keys and
-// therefore lose the correlation constraints that span more than two
-// attributes — exactly the source of the false positives the paper measures.
-func (s *Subscription) SplitBinaryJoins(pairing BinaryJoinPairing) []*Subscription {
-	n := s.NumFilters()
-	if n <= 2 {
+// the multi-join approximation of Section III-B. The pairing is the ring:
+// filter i is paired with filter (i+1) mod k, producing k binary joins for a
+// k-filter multi-join (k >= 3), so each filter is the "main" one of exactly
+// one binary join. Subscriptions with at most two filters are returned
+// unchanged (a binary join is exact for them). The resulting operators are
+// projections of s onto pairs of its filter keys and therefore lose the
+// correlation constraints that span more than two attributes — exactly the
+// source of the false positives the paper measures.
+func (s *Subscription) SplitBinaryJoins() []*Subscription {
+	if s.NumFilters() <= 2 {
 		return []*Subscription{s.Clone()}
 	}
 	var out []*Subscription
 	if s.Kind == KindAbstract {
 		attrs := s.Attributes()
-		for _, pair := range pairIndices(len(attrs), pairing) {
-			op := s.ProjectAttributes([]AttributeType{attrs[pair[0]], attrs[pair[1]]})
-			if op != nil {
+		for i, a := range attrs {
+			if op := s.ProjectAttributes([]AttributeType{a, attrs[(i+1)%len(attrs)]}); op != nil {
 				out = append(out, op)
 			}
 		}
 		return out
 	}
 	sensors := s.Sensors()
-	for _, pair := range pairIndices(len(sensors), pairing) {
-		op := s.ProjectSensors([]SensorID{sensors[pair[0]], sensors[pair[1]]})
-		if op != nil {
+	for i, d := range sensors {
+		if op := s.ProjectSensors([]SensorID{d, sensors[(i+1)%len(sensors)]}); op != nil {
 			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// pairIndices returns the index pairs for the chosen pairing strategy.
-func pairIndices(k int, pairing BinaryJoinPairing) [][2]int {
-	var out [][2]int
-	switch pairing {
-	case ChainPairing:
-		for i := 0; i+1 < k; i++ {
-			out = append(out, [2]int{i, i + 1})
-		}
-	default: // RingPairing
-		for i := 0; i < k; i++ {
-			out = append(out, [2]int{i, (i + 1) % k})
 		}
 	}
 	return out

@@ -77,7 +77,7 @@ func TestSplitBinaryJoinsRing(t *testing.T) {
 	s := mustAbstract(t, "q1", geom.WholePlane(), 30, NoSpatialConstraint,
 		af(AmbientTemperature, -5, 5), af(WindSpeed, 0, 20), af(RelativeHumidity, 40, 90),
 		af(SurfaceTemperature, -10, 10))
-	joins := s.SplitBinaryJoins(RingPairing)
+	joins := s.SplitBinaryJoins()
 	if len(joins) != 4 {
 		t.Fatalf("ring pairing of 4 attributes should give 4 binary joins, got %d", len(joins))
 	}
@@ -97,29 +97,20 @@ func TestSplitBinaryJoinsRing(t *testing.T) {
 	}
 }
 
-func TestSplitBinaryJoinsChainAndSmall(t *testing.T) {
-	s := mustAbstract(t, "q1", geom.WholePlane(), 30, NoSpatialConstraint,
-		af(AmbientTemperature, -5, 5), af(WindSpeed, 0, 20), af(RelativeHumidity, 40, 90))
-	joins := s.SplitBinaryJoins(ChainPairing)
-	if len(joins) != 2 {
-		t.Fatalf("chain pairing of 3 attributes should give 2 binary joins, got %d", len(joins))
-	}
+func TestSplitBinaryJoinsSmallAndIdentified(t *testing.T) {
 	// Two-attribute subscriptions are exact binary joins already.
 	s2 := mustAbstract(t, "q2", geom.WholePlane(), 30, NoSpatialConstraint,
 		af(AmbientTemperature, -5, 5), af(WindSpeed, 0, 20))
-	joins2 := s2.SplitBinaryJoins(RingPairing)
+	joins2 := s2.SplitBinaryJoins()
 	if len(joins2) != 1 || joins2[0].ID != "q2" {
 		t.Errorf("small subscriptions should be returned unchanged, got %v", joins2)
 	}
 	// Identified flavour splits over sensors.
 	id := mustIdentified(t, "q3", 30,
 		sf("a", AmbientTemperature, 0, 1), sf("b", WindSpeed, 0, 1), sf("c", RelativeHumidity, 0, 1))
-	j3 := id.SplitBinaryJoins(RingPairing)
+	j3 := id.SplitBinaryJoins()
 	if len(j3) != 3 {
 		t.Fatalf("ring pairing of 3 sensors should give 3 binary joins, got %d", len(j3))
-	}
-	if RingPairing.String() != "ring" || ChainPairing.String() != "chain" {
-		t.Error("pairing String() wrong")
 	}
 }
 
@@ -131,7 +122,7 @@ func TestBinaryJoinFalsePositivesExist(t *testing.T) {
 		sf("a", AmbientTemperature, 0, 10),
 		sf("b", RelativeHumidity, 0, 10),
 		sf("c", WindSpeed, 0, 10))
-	joins := s.SplitBinaryJoins(RingPairing)
+	joins := s.SplitBinaryJoins()
 
 	// Events for a and b match, but c is missing entirely.
 	window := []Event{

@@ -172,7 +172,7 @@ func TestSubscriptionDerivedCaches(t *testing.T) {
 		"clone":                ab.Clone(),
 		"attribute projection": ab.ProjectAttributes([]AttributeType{WindSpeed, RelativeHumidity}),
 		"sensor projection":    id.ProjectSensors([]SensorID{"d3", "d1"}),
-		"binary join":          ab.SplitBinaryJoins(RingPairing)[1],
+		"binary join":          ab.SplitBinaryJoins()[1],
 	}
 	for name, s := range built {
 		if s.class.Sig == "" || s.box.NumDims() == 0 || len(s.slots) != s.NumFilters() {

@@ -50,9 +50,6 @@ func TestConfigPinsTableIIRow(t *testing.T) {
 	if cfg.Split != core.SplitBinaryJoin {
 		t.Errorf("split policy = %v, want SplitBinaryJoin", cfg.Split)
 	}
-	if cfg.Pairing != model.RingPairing {
-		t.Errorf("pairing = %v, want the paper's ring pairing", cfg.Pairing)
-	}
 	if cfg.Propagation != core.PerNeighbor {
 		t.Errorf("propagation = %v, want PerNeighbor (publish/subscribe deduplication)", cfg.Propagation)
 	}
@@ -75,7 +72,7 @@ func TestRingPairingDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joins := sub.SplitBinaryJoins(model.RingPairing)
+	joins := sub.SplitBinaryJoins()
 	if len(joins) != 3 {
 		t.Fatalf("3-attribute multi-join split into %d operators, want 3 binary joins", len(joins))
 	}
@@ -92,7 +89,7 @@ func TestRingPairingDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if whole := pair.SplitBinaryJoins(model.RingPairing); len(whole) != 1 || whole[0].NumFilters() != 2 {
+	if whole := pair.SplitBinaryJoins(); len(whole) != 1 || whole[0].NumFilters() != 2 {
 		t.Errorf("binary join should not be decomposed further: %v", whole)
 	}
 }
@@ -104,37 +101,33 @@ func TestFactoryBuildsWorkingNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	chain := tableIIRow(t)
-	chain.Pairing = model.ChainPairing
-	for _, f := range []netsim.HandlerFactory{factory(t, experiment.FactorySpec{}), core.NewFactory(chain)} {
-		e := netsim.NewEngine(g, f)
-		if _, ok := e.Handler(2).(*core.Node); !ok {
-			t.Fatalf("factory built %T, want *core.Node", e.Handler(2))
-		}
-		if err := e.AttachSensor(0, model.Sensor{ID: "a", Attr: model.AmbientTemperature}); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.AttachSensor(2, model.Sensor{ID: "b", Attr: model.RelativeHumidity}); err != nil {
-			t.Fatal(err)
-		}
-		sub, err := model.NewIdentifiedSubscription("q", []model.SensorFilter{
-			{Sensor: "a", Attr: model.AmbientTemperature, Range: geom.NewInterval(50, 80)},
-			{Sensor: "b", Attr: model.RelativeHumidity, Range: geom.NewInterval(10, 30)},
-		}, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.SubscribeContext(context.Background(), 1, sub); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.PublishContext(context.Background(), 0, model.Event{Seq: 1, Sensor: "a", Attr: model.AmbientTemperature, Value: 60, Time: 100}); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.PublishContext(context.Background(), 2, model.Event{Seq: 2, Sensor: "b", Attr: model.RelativeHumidity, Value: 20, Time: 110}); err != nil {
-			t.Fatal(err)
-		}
-		if deliveries := e.DeliveriesFor("q"); len(deliveries) != 1 {
-			t.Fatalf("got %d deliveries, want 1: %v", len(deliveries), deliveries)
-		}
+	e := netsim.NewEngine(g, factory(t, experiment.FactorySpec{}))
+	if _, ok := e.Handler(2).(*core.Node); !ok {
+		t.Fatalf("factory built %T, want *core.Node", e.Handler(2))
+	}
+	if err := e.AttachSensor(0, model.Sensor{ID: "a", Attr: model.AmbientTemperature}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AttachSensor(2, model.Sensor{ID: "b", Attr: model.RelativeHumidity}); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := model.NewIdentifiedSubscription("q", []model.SensorFilter{
+		{Sensor: "a", Attr: model.AmbientTemperature, Range: geom.NewInterval(50, 80)},
+		{Sensor: "b", Attr: model.RelativeHumidity, Range: geom.NewInterval(10, 30)},
+	}, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SubscribeContext(context.Background(), 1, sub); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.PublishContext(context.Background(), 0, model.Event{Seq: 1, Sensor: "a", Attr: model.AmbientTemperature, Value: 60, Time: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.PublishContext(context.Background(), 2, model.Event{Seq: 2, Sensor: "b", Attr: model.RelativeHumidity, Value: 20, Time: 110}); err != nil {
+		t.Fatal(err)
+	}
+	if deliveries := e.DeliveriesFor("q"); len(deliveries) != 1 {
+		t.Fatalf("got %d deliveries, want 1: %v", len(deliveries), deliveries)
 	}
 }

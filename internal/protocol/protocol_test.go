@@ -8,7 +8,6 @@ import (
 
 	"sensorcq/internal/core"
 	"sensorcq/internal/experiment"
-	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
 	"sensorcq/internal/protocol/centralized"
 	"sensorcq/internal/subsume"
@@ -108,14 +107,11 @@ func TestTableIIApproachMatrix(t *testing.T) {
 }
 
 func TestFactoriesProduceHandlers(t *testing.T) {
-	chain := configFor(t, experiment.MultiJoin, 0)
-	chain.Pairing = model.ChainPairing
 	customError, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 2, SetFilterError: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	factories := map[string]netsim.HandlerFactory{
-		"multijoin-chain":  core.NewFactory(chain),
 		"fsf-custom-error": customError,
 	}
 	for _, id := range experiment.All() {

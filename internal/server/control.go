@@ -229,7 +229,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Index: IndexWire{
 			Trees:      index.Trees,
 			Members:    index.Members,
-			Covered:    index.Covered,
 			Boxes:      index.Boxes,
 			MaxHeight:  index.MaxHeight,
 			Lookups:    index.Lookups,

@@ -22,6 +22,16 @@ import (
 // service and returns the httptest server wrapping it.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	srv := newWalkthroughServer(t, cfg)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
+// newWalkthroughServer builds the six-node walkthrough network behind the
+// HTTP service, without a listener; the System is closed when the test ends.
+func newWalkthroughServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
 	dep, err := sensorcq.NewTopology(6).
 		Link(5, 4).Link(4, 3).Link(3, 0).Link(3, 1).Link(4, 2).
 		PlaceSensor(0, sensorcq.Sensor{ID: "a", Attr: sensorcq.AmbientTemperature}).
@@ -36,16 +46,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	cfg.DefaultNode = 5
+	t.Cleanup(func() { _ = sys.Close() })
 	srv, err := New(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		_ = sys.Close()
-	})
-	return srv, ts
+	return srv
 }
 
 const walkthroughSpec = `{"id":"mild-and-dry","delta_t":30,"sensors":[` +
@@ -229,6 +235,23 @@ func TestEndToEnd(t *testing.T) {
 		t.Errorf("metrics approach = %q", m.Approach)
 	}
 
+	// A client-sent "round" is accepted and ignored: the reading correlates
+	// with seq 4, and the delivery carries the round the engine gave this
+	// third POST, not 99.
+	resp, body = doJSON(t, http.MethodPost, ts.URL+"/events", "application/json",
+		`{"seq":5,"sensor":"b","value":20,"time":510,"round":99}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest with a round: %s %s", resp.Status, body)
+	}
+	f = waitFrame(t, frames, "delivery")
+	var late DeliveryWire
+	if err := json.Unmarshal([]byte(f.data), &late); err != nil {
+		t.Fatalf("delivery frame %q: %v", f.data, err)
+	}
+	if len(late.Events) != 2 || late.Round != d.Round+2 {
+		t.Fatalf("delivery = %+v, want 2 events stamped round %d", late, d.Round+2)
+	}
+
 	// Retract: 204, the stream ends with an "event: end" frame, and the
 	// subscription is gone from the registry.
 	resp, body = doJSON(t, http.MethodDelete, ts.URL+"/subscriptions/mild-and-dry", "", "")
@@ -248,33 +271,40 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
+// controlPlaneErrors is the error contract of the control plane, one
+// request per case. The wire fuzzers seed their corpora with its bodies.
+var controlPlaneErrors = []struct {
+	name, method, path, ct, body string
+	want                         int
+}{
+	{"malformed spec", http.MethodPost, "/subscriptions", "application/json", `{"id":`, http.StatusBadRequest},
+	{"no filters", http.MethodPost, "/subscriptions", "application/json", `{"id":"x","delta_t":30}`, http.StatusBadRequest},
+	{"both filter kinds", http.MethodPost, "/subscriptions", "application/json",
+		`{"id":"x","delta_t":30,"sensors":[{"sensor":"a","min":0,"max":1}],"attributes":[{"attr":"wind_speed","min":0,"max":1}]}`,
+		http.StatusBadRequest},
+	{"unknown sensor", http.MethodPost, "/subscriptions", "application/json",
+		`{"id":"x","delta_t":30,"sensors":[{"sensor":"ghost","min":0,"max":1}]}`, http.StatusBadRequest},
+	{"node out of range", http.MethodPost, "/subscriptions", "application/json",
+		`{"id":"x","node":99,"delta_t":30,"sensors":[{"sensor":"a","min":0,"max":1}]}`, http.StatusBadRequest},
+	{"bad backpressure", http.MethodPost, "/subscriptions", "application/json",
+		`{"id":"x","delta_t":30,"sensors":[{"sensor":"a","min":0,"max":1}],"backpressure":{"mode":"bogus"}}`,
+		http.StatusBadRequest},
+	{"oversized sink buffer", http.MethodPost, "/subscriptions", "application/json",
+		`{"id":"x","delta_t":30,"sensors":[{"sensor":"a","min":0,"max":1}],"sink_buffer":1099511627776}`,
+		http.StatusBadRequest},
+	{"unknown event sensor", http.MethodPost, "/events", "application/json", `{"sensor":"ghost","value":1}`, http.StatusBadRequest},
+	{"malformed ndjson line", http.MethodPost, "/events", "application/x-ndjson",
+		`{"sensor":"a","value":1}` + "\n" + `{"sensor":`, http.StatusBadRequest},
+	{"unknown subscription status", http.MethodGet, "/subscriptions/nope", "", "", http.StatusNotFound},
+	{"unknown subscription stream", http.MethodGet, "/subscriptions/nope/stream", "", "", http.StatusNotFound},
+	{"unknown subscription retract", http.MethodDelete, "/subscriptions/nope", "", "", http.StatusNotFound},
+}
+
 // TestControlPlaneErrors pins the error contract of the control plane.
 func TestControlPlaneErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	for _, tc := range []struct {
-		name, method, path, ct, body string
-		want                         int
-	}{
-		{"malformed spec", http.MethodPost, "/subscriptions", "application/json", `{"id":`, http.StatusBadRequest},
-		{"no filters", http.MethodPost, "/subscriptions", "application/json", `{"id":"x","delta_t":30}`, http.StatusBadRequest},
-		{"both filter kinds", http.MethodPost, "/subscriptions", "application/json",
-			`{"id":"x","delta_t":30,"sensors":[{"sensor":"a","min":0,"max":1}],"attributes":[{"attr":"wind_speed","min":0,"max":1}]}`,
-			http.StatusBadRequest},
-		{"unknown sensor", http.MethodPost, "/subscriptions", "application/json",
-			`{"id":"x","delta_t":30,"sensors":[{"sensor":"ghost","min":0,"max":1}]}`, http.StatusBadRequest},
-		{"node out of range", http.MethodPost, "/subscriptions", "application/json",
-			`{"id":"x","node":99,"delta_t":30,"sensors":[{"sensor":"a","min":0,"max":1}]}`, http.StatusBadRequest},
-		{"bad backpressure", http.MethodPost, "/subscriptions", "application/json",
-			`{"id":"x","delta_t":30,"sensors":[{"sensor":"a","min":0,"max":1}],"backpressure":{"mode":"bogus"}}`,
-			http.StatusBadRequest},
-		{"unknown event sensor", http.MethodPost, "/events", "application/json", `{"sensor":"ghost","value":1}`, http.StatusBadRequest},
-		{"malformed ndjson line", http.MethodPost, "/events", "application/x-ndjson",
-			`{"sensor":"a","value":1}` + "\n" + `{"sensor":`, http.StatusBadRequest},
-		{"unknown subscription status", http.MethodGet, "/subscriptions/nope", "", "", http.StatusNotFound},
-		{"unknown subscription stream", http.MethodGet, "/subscriptions/nope/stream", "", "", http.StatusNotFound},
-		{"unknown subscription retract", http.MethodDelete, "/subscriptions/nope", "", "", http.StatusNotFound},
-	} {
+	for _, tc := range controlPlaneErrors {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := doJSON(t, tc.method, ts.URL+tc.path, tc.ct, tc.body)
 			if resp.StatusCode != tc.want {

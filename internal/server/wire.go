@@ -98,13 +98,13 @@ type SubscriptionStatus struct {
 // NDJSON line of a batch). The sensor's attribute type and location are
 // resolved from the deployment. A zero Seq is assigned from the server's
 // own counter; callers injecting their own sequence numbers should do so
-// for every event.
+// for every event. There is no round field: the engine stamps every
+// injected reading with its own round.
 type EventSpec struct {
 	Seq    uint64  `json:"seq,omitempty"`
 	Sensor string  `json:"sensor"`
 	Value  float64 `json:"value"`
 	Time   int64   `json:"time"`
-	Round  int     `json:"round,omitempty"`
 }
 
 // EventWire is one component reading of a delivered complex event.
@@ -183,7 +183,6 @@ type TrafficWire struct {
 type IndexWire struct {
 	Trees      int   `json:"trees"`
 	Members    int   `json:"members"`
-	Covered    int   `json:"covered"`
 	Boxes      int   `json:"boxes"`
 	MaxHeight  int   `json:"max_height"`
 	Lookups    int64 `json:"lookups"`
@@ -202,6 +201,11 @@ type MetricsWire struct {
 	Index           IndexWire   `json:"index"`
 }
 
+// maxSinkBuffer bounds a client's sink_buffer: the channel is allocated up
+// front, and an allocation the runtime cannot satisfy is a fatal error that
+// no handler recover catches.
+const maxSinkBuffer = 1 << 16
+
 // errorWire is the JSON body of every non-2xx response.
 type errorWire struct {
 	Error string `json:"error"`
@@ -211,8 +215,13 @@ type errorWire struct {
 // node and subscribe options to register it with. Validation errors are
 // client errors (HTTP 400).
 func (s *Server) buildSubscription(spec *SubscriptionSpec) (*sensorcq.Subscription, sensorcq.NodeID, []sensorcq.SubscribeOption, error) {
-	if spec.ID == "" {
+	switch spec.ID {
+	case "":
 		return nil, 0, nil, fmt.Errorf("subscription id is required")
+	case ".", "..":
+		// A dot segment is cleaned out of /subscriptions/{id}, so the
+		// subscription could never be read, streamed or retracted.
+		return nil, 0, nil, fmt.Errorf("subscription id %q is a path dot segment", spec.ID)
 	}
 	if (len(spec.Sensors) == 0) == (len(spec.Attributes) == 0) {
 		return nil, 0, nil, fmt.Errorf("exactly one of sensors (identified) or attributes (abstract) must be set")
@@ -305,6 +314,9 @@ func (s *Server) buildSubscription(spec *SubscriptionSpec) (*sensorcq.Subscripti
 		if *spec.SinkBuffer < 1 {
 			return nil, 0, nil, fmt.Errorf("sink_buffer must be >= 1 (the SSE stream needs a channel sink)")
 		}
+		if *spec.SinkBuffer > maxSinkBuffer {
+			return nil, 0, nil, fmt.Errorf("sink_buffer must be <= %d", maxSinkBuffer)
+		}
 		buffer = *spec.SinkBuffer
 	}
 	mode, timeout := s.cfg.Backpressure, s.cfg.BackpressureTimeout
@@ -340,7 +352,6 @@ func (s *Server) buildEvent(spec *EventSpec) (sensorcq.Event, error) {
 		Location: sensor.Location,
 		Value:    spec.Value,
 		Time:     sensorcq.Timestamp(spec.Time),
-		Round:    spec.Round,
 	}, nil
 }
 

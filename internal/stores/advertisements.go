@@ -1,15 +1,14 @@
 // Package stores contains the node-local data structures of Figure 2 in the
 // paper: the per-neighbour advertisement tables (DSA_m), the per-neighbour
-// subscription tables (S_m, split into covered and uncovered sets, with
-// cover links recording which uncovered subscription subsumed each covered
-// one) and the timestamp-ordered event store U with per-destination
-// "already forwarded" flags used by the event-propagation algorithm
-// (Algorithm 5), plus the range indexes that keep matching sublinear as the
-// stored populations grow: EventIndex — a composite multi-attribute match
-// index built on geom.BoxTree that stabs every filter dimension (value
-// range × spatial region) at once, maintains itself incrementally under
-// subscribe/unsubscribe churn, and prunes covered subscriptions behind
-// their cover — and the advertisement table's per-(origin, attribute)
+// subscription tables (S_m, split into covered and uncovered sets) and the
+// timestamp-ordered event store U with per-destination "already forwarded"
+// flags used by the event-propagation algorithm (Algorithm 5), plus the
+// range indexes that keep matching sublinear as the stored populations
+// grow: EventIndex — a composite multi-attribute match index built on
+// geom.BoxTree that stabs every filter dimension (value range × spatial
+// region) at once and maintains itself incrementally under
+// subscribe/unsubscribe churn, one ordinary entry per registered
+// subscription — and the advertisement table's per-(origin, attribute)
 // geom.PointGrid location grids (there is no table-wide grid: a question
 // about every origin asks each of the node's few origins in turn).
 //

@@ -40,19 +40,11 @@ import (
 // oracles in the tests compare it against a linear scan and against a
 // freshly built index, not against a second index type.
 //
-// Covering-aware pruning: AddCovered registers a subscription known to be
-// covered by an already-indexed one. Covered entries are not stored in the
-// trees at all — they attach to their covering subscription and are tested
-// (one MatchesEvent call) only after the covering subscription matched.
-// Because covering implies per-filter range and region containment, a
-// covered subscription can only match events its cover also matches, so the
-// candidate set is provably unchanged while the trees stay smaller and
-// enumeration skips entire covered sets whenever their cover missed.
-//
 // A subscription appears at most once per lookup: identified subscriptions
 // have one filter per sensor and abstract ones one filter per attribute, so
-// no per-query deduplication is needed; covered subscriptions hang off
-// exactly one cover.
+// no per-query deduplication is needed. Every registered subscription is an
+// ordinary member with entries of its own: covered operators (Algorithm 4
+// stores them without forwarding them) are indexed like any other.
 //
 // Like the other stores, an EventIndex is not safe for concurrent use; each
 // protocol handler owns its indexes and the engines guarantee per-node
@@ -62,7 +54,7 @@ type EventIndex struct {
 	byAttr   map[model.AttributeType]*boxList   // 3-D: value range × region
 	members  map[model.SubscriptionID]*ixMember // every live subscription
 
-	// Until the first lookup, full members are staged in pending instead of
+	// Until the first lookup, members are staged in pending instead of
 	// being inserted into the trees one by one; build() packs them all at
 	// once. A staged member removed before the build is only deleted from
 	// members — the flush skips entries the map no longer owns — so pending
@@ -87,83 +79,40 @@ func NewEventIndex() *EventIndex {
 }
 
 // Add registers a subscription (or correlation operator) for event matching.
-// Adding an ID already present is a no-op — unless the ID is attached as a
-// covered entry, in which case it is promoted to a full tree member (its
-// matches no longer depend on its former cover being present).
+// Adding an ID already present is a no-op.
 func (x *EventIndex) Add(sub *model.Subscription) {
-	if sub == nil {
-		return
-	}
-	if m, live := x.members[sub.ID]; live {
-		if m.parent != nil {
-			// Promote a covered entry to a full member: detach from its
-			// cover and give it tree entries of its own.
-			m.parent.dropChild(m)
-			m.parent = nil
-			x.indexMember(m)
-		}
-		return
-	}
-	m := &ixMember{sub: sub}
-	x.members[sub.ID] = m
-	x.indexMember(m)
-}
-
-// AddCovered registers a subscription whose matches are known to be a subset
-// of the already-indexed cover's (sub.CoveredBy(cover's subscription) holds):
-// it is attached to the cover and tested only when the cover matches,
-// skipping the trees entirely. When the cover is unknown, itself covered, or
-// empty, AddCovered degrades to a plain Add — pruning is an optimisation,
-// never a requirement.
-func (x *EventIndex) AddCovered(sub *model.Subscription, cover model.SubscriptionID) {
 	if sub == nil {
 		return
 	}
 	if _, live := x.members[sub.ID]; live {
 		return
 	}
-	root := x.members[cover]
-	if cover == "" || cover == sub.ID || root == nil || root.parent != nil {
-		x.Add(sub)
+	m := &ixMember{sub: sub}
+	x.members[sub.ID] = m
+	if x.built {
+		x.insertEntries(m)
 		return
 	}
-	m := &ixMember{sub: sub, parent: root}
-	x.members[sub.ID] = m
-	root.children = append(root.children, m)
+	x.pending = append(x.pending, m)
 }
 
 // Remove retracts a subscription from the index by ID. It returns false when
 // the ID is not (or no longer) indexed. Removal is incremental: the entry's
-// boxes are spliced out of the trees in O(log n); covered entries attached
-// to the removed subscription are re-indexed as full members (they remain
-// registered — only their pruning shortcut dies with the cover).
+// boxes are spliced out of the trees in O(log n).
 func (x *EventIndex) Remove(id model.SubscriptionID) bool {
 	m, live := x.members[id]
 	if !live {
 		return false
 	}
 	delete(x.members, id)
-	if m.parent != nil {
-		m.parent.dropChild(m)
-		m.parent = nil
-		return true
-	}
 	for _, e := range m.entries {
 		e.list.release(e)
 	}
 	m.entries = nil
-	// Re-index the covered entries that were pruned through this member:
-	// they stay registered, as full members now.
-	for _, c := range m.children {
-		c.parent = nil
-		x.indexMember(c)
-	}
-	m.children = nil
 	return true
 }
 
-// Len returns the number of live subscriptions in the index (tree members
-// plus attached covered entries).
+// Len returns the number of live subscriptions in the index.
 func (x *EventIndex) Len() int { return len(x.members) }
 
 // BulkLoad registers a batch of subscriptions at once. It is equivalent to
@@ -187,8 +136,7 @@ func (x *EventIndex) BulkLoad(subs []*model.Subscription) {
 // tree, and the running candidates-per-lookup tally.
 type IndexStats struct {
 	Trees      int   // composite trees (one per filtered sensor / attribute type)
-	Members    int   // full members with tree entries of their own
-	Covered    int   // entries attached under a cover, kept out of the trees
+	Members    int   // registered subscriptions
 	Boxes      int   // boxes stored across all trees
 	Nodes      int   // pooled tree nodes backing those boxes (2·boxes−1 per packed tree)
 	MaxHeight  int   // height of the tallest tree (stab cost is O(height) per visited branch)
@@ -202,7 +150,6 @@ type IndexStats struct {
 func (s *IndexStats) Merge(o IndexStats) {
 	s.Trees += o.Trees
 	s.Members += o.Members
-	s.Covered += o.Covered
 	s.Boxes += o.Boxes
 	s.Nodes += o.Nodes
 	if o.MaxHeight > s.MaxHeight {
@@ -228,24 +175,11 @@ type ixEntry struct {
 	slot  int
 }
 
-// ixMember is the per-subscription state: its tree entries (full members),
-// or the cover it is attached under (covered entries), plus the covered
-// entries attached to it.
+// ixMember is the per-subscription state: the subscription and its tree
+// entries.
 type ixMember struct {
-	sub      *model.Subscription
-	entries  []ixEntry
-	parent   *ixMember
-	children []*ixMember
-}
-
-// indexMember gives a full member tree entries: immediately once the index
-// has been built, staged for the bulk-packed first build before that.
-func (x *EventIndex) indexMember(m *ixMember) {
-	if x.built {
-		x.insertEntries(m)
-		return
-	}
-	x.pending = append(x.pending, m)
+	sub     *model.Subscription
+	entries []ixEntry
 }
 
 // build packs every staged live member's boxes into the composite trees in
@@ -383,19 +317,6 @@ func (l *boxList) release(e ixEntry) {
 	l.free = append(l.free, e.slot)
 }
 
-// dropChild detaches a covered entry from this member's children.
-func (m *ixMember) dropChild(c *ixMember) {
-	for i, cc := range m.children {
-		if cc == c {
-			last := len(m.children) - 1
-			m.children[i] = m.children[last]
-			m.children[last] = nil
-			m.children = m.children[:last]
-			return
-		}
-	}
-}
-
 // Candidates invokes fn with every stored subscription that matches the
 // simple event (Subscription.MatchesEvent holds for each candidate, and no
 // matching subscription is missed). Iteration stops early when fn returns
@@ -405,31 +326,12 @@ func (x *EventIndex) Candidates(ev model.Event, fn func(*model.Subscription) boo
 		x.build()
 	}
 	x.lookups++
-	emit := func(h int, l *boxList) bool {
-		m := l.members[h]
-		x.emitted++
-		if !fn(m.sub) {
-			return false
-		}
-		// The member matched, so its covered entries may too: each costs one
-		// exact MatchesEvent test. When the member does not match, its whole
-		// covered set is skipped without being visited (covering implies the
-		// cover matches every event a covered subscription matches).
-		for _, c := range m.children {
-			if c.sub.MatchesEvent(ev) {
-				x.emitted++
-				if !fn(c.sub) {
-					return false
-				}
-			}
-		}
-		return true
-	}
 	if l := x.bySensor[ev.Sensor]; l != nil {
 		pt := [1]float64{ev.Value}
 		stopped := false
 		l.tree.Stab(pt[:], func(h int) bool {
-			if !emit(h, l) {
+			x.emitted++
+			if !fn(l.members[h].sub) {
 				stopped = true
 				return false
 			}
@@ -442,7 +344,8 @@ func (x *EventIndex) Candidates(ev model.Event, fn func(*model.Subscription) boo
 	if l := x.byAttr[ev.Attr]; l != nil {
 		pt := [3]float64{ev.Value, ev.Location.X, ev.Location.Y}
 		l.tree.Stab(pt[:], func(h int) bool {
-			return emit(h, l)
+			x.emitted++
+			return fn(l.members[h].sub)
 		})
 	}
 }
@@ -455,15 +358,9 @@ func (x *EventIndex) Stats() IndexStats {
 		x.build()
 	}
 	st := IndexStats{
+		Members:    len(x.members),
 		Lookups:    x.lookups,
 		Candidates: x.emitted,
-	}
-	for _, m := range x.members {
-		if m.parent != nil {
-			st.Covered++
-		} else {
-			st.Members++
-		}
 	}
 	tally := func(l *boxList) {
 		st.Trees++

@@ -1,12 +1,10 @@
 package stores
 
 import (
-	"fmt"
 	"testing"
 
 	"sensorcq/internal/model"
 	"sensorcq/internal/stats"
-	"sensorcq/internal/topology"
 )
 
 // TestEventIndexBulkLoadMatchesEager is the index-level bulk equivalence
@@ -114,8 +112,8 @@ func TestEventIndexStats(t *testing.T) {
 	idx.BulkLoad(subs)
 
 	st := idx.Stats()
-	if st.Members != 120 || st.Covered != 0 {
-		t.Fatalf("Members/Covered = %d/%d, want 120/0", st.Members, st.Covered)
+	if st.Members != 120 {
+		t.Fatalf("Members = %d, want 120", st.Members)
 	}
 	if st.Trees == 0 || st.Boxes == 0 {
 		t.Fatalf("no trees/boxes recorded: %+v", st)
@@ -132,79 +130,4 @@ func TestEventIndexStats(t *testing.T) {
 		t.Fatalf("Lookups = %d after one Candidates call", st.Lookups)
 	}
 
-	// A covered attachment counts as covered, not as a member.
-	base := randomSubscription(t, rng, 1000)
-	idx.Add(base)
-	cov := coveredVariant(t, rng, base, "covd")
-	idx.AddCovered(cov, base.ID)
-	if st = idx.Stats(); st.Members != 121 || st.Covered != 1 {
-		t.Fatalf("Members/Covered = %d/%d after covered add, want 121/1", st.Members, st.Covered)
-	}
-}
-
-// TestPromotionRefreshesCoverLinks is the promotion-then-match property
-// test: after retracting a cover, the table must drop the links that named
-// it, re-link surviving covered subscriptions to the promoted operator when
-// it covers them, and keep the indexed candidate sets equal to a linear scan
-// of the uncovered population throughout.
-func TestPromotionRefreshesCoverLinks(t *testing.T) {
-	rng := stats.NewRNG(555)
-	origin := topology.NodeID(1)
-	for trial := 0; trial < 15; trial++ {
-		table := NewSubscriptionTable(0)
-		base := randomSubscription(t, rng, trial*100)
-		if !table.AddUncovered(origin, base) {
-			t.Fatal("AddUncovered failed")
-		}
-		// File several covered variants; each records base as its cover.
-		covered := make([]*model.Subscription, 0, 5)
-		for i := 0; i < 5; i++ {
-			c := coveredVariant(t, rng, base, fmt.Sprintf("c%d-%d", trial, i))
-			if !table.AddCovered(origin, c) {
-				t.Fatal("AddCovered failed")
-			}
-			if got := table.CoverOf(origin, c.ID); got != base.ID {
-				t.Fatalf("CoverOf(%s) = %q, want %q", c.ID, got, base.ID)
-			}
-			covered = append(covered, c)
-		}
-		// Retract the cover: every link naming it must die with it.
-		if _, wasUncovered, ok := table.Remove(origin, base.ID); !ok || !wasUncovered {
-			t.Fatal("Remove(base) failed")
-		}
-		for _, c := range covered {
-			if got := table.CoverOf(origin, c.ID); got != "" {
-				t.Fatalf("stale link survived retraction: CoverOf(%s) = %q", c.ID, got)
-			}
-		}
-
-		// Promote the first covered variant (the reexposure walk would pick
-		// the survivors in order). The rest must be re-linked to it exactly
-		// when it covers them — fresh pruning roots, never the retracted ID.
-		promoted := table.Promote(origin, covered[0].ID)
-		if promoted == nil {
-			t.Fatal("Promote failed")
-		}
-		for _, c := range covered[1:] {
-			got := table.CoverOf(origin, c.ID)
-			if c.CoveredBy(promoted) {
-				if got != promoted.ID {
-					t.Fatalf("CoverOf(%s) = %q after promotion, want %q", c.ID, got, promoted.ID)
-				}
-			} else if got != "" {
-				t.Fatalf("CoverOf(%s) = %q, but %s does not cover it", c.ID, got, promoted.ID)
-			}
-		}
-
-		// Matching after the promotion chain must agree with the linear scan
-		// over what is now uncovered.
-		for q := 0; q < 40; q++ {
-			ev := randomEvent(rng, uint64(q+2))
-			got := uncoveredCandidateIDs(table, origin, ev)
-			want := linearMatchIDs(table.Uncovered(origin), ev)
-			if !equalStrings(got, want) {
-				t.Fatalf("trial %d: candidates(%v) = %v, want %v", trial, ev, got, want)
-			}
-		}
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
 	"sensorcq/internal/stats"
-	"sensorcq/internal/topology"
 )
 
 // coveredVariant derives a subscription provably covered by base: same
@@ -57,7 +56,7 @@ func coveredVariant(t *testing.T, rng *stats.RNG, base *model.Subscription, id s
 }
 
 // churnStep is the shared body of the churn property test and the fuzz
-// harness: it drives steps random add / addCovered / remove / match
+// harness: it drives steps random add / covered-add / remove / match
 // operations from the given seed, checking every match against both oracles
 // — an index rebuilt from scratch over the live population and the linear
 // scan — and returns the number of match checks performed.
@@ -91,7 +90,7 @@ func churnStep(t *testing.T, seed int64, steps int) int {
 			idx.Add(sub)
 			live[sub.ID] = sub
 			liveIDs = append(liveIDs, sub.ID)
-		case rng.Bool(0.25): // covered add, attached to a random live member
+		case rng.Bool(0.25): // add a variant covered by a random live member
 			base := live[liveIDs[rng.Intn(len(liveIDs))]]
 			id := fmt.Sprintf("c%d-%d", seed%1000, next)
 			next++
@@ -99,7 +98,7 @@ func churnStep(t *testing.T, seed int64, steps int) int {
 			if live[sub.ID] != nil {
 				continue
 			}
-			idx.AddCovered(sub, base.ID)
+			idx.Add(sub)
 			live[sub.ID] = sub
 			liveIDs = append(liveIDs, sub.ID)
 		case rng.Bool(0.45): // remove
@@ -143,8 +142,8 @@ func churnStep(t *testing.T, seed int64, steps int) int {
 // TestEventIndexChurnAgainstRebuiltOracle pins the incremental index against
 // a rebuilt-from-scratch oracle (and the brute-force scan) under random
 // interleaved add / covered-add / remove / match churn: at no point may
-// incremental maintenance and cover-attachment be distinguishable from a
-// fresh index over the live population.
+// incremental maintenance be distinguishable from a fresh index over the
+// live population.
 func TestEventIndexChurnAgainstRebuiltOracle(t *testing.T) {
 	totalChecks := 0
 	for seed := int64(1); seed <= 12; seed++ {
@@ -166,113 +165,4 @@ func FuzzEventIndexChurn(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		churnStep(t, seed, 120)
 	})
-}
-
-// TestEventIndexCoveringPruningSameMatchSet is the covering-pruning
-// contract: registering covered subscriptions through AddCovered (pruned
-// enumeration — tested only when their cover matched) must produce exactly
-// the match sets of the brute-force scan, while storing fewer entries in the
-// trees, and retracting the cover must re-expose the covered entries as
-// ordinary members.
-func TestEventIndexCoveringPruningSameMatchSet(t *testing.T) {
-	rng := stats.NewRNG(99)
-	for trial := 0; trial < 10; trial++ {
-		idx := NewEventIndex()
-		var all []*model.Subscription
-		var covers []*model.Subscription
-		for i := 0; i < 30; i++ {
-			base := randomSubscription(t, rng, trial*1000+i)
-			idx.Add(base)
-			all = append(all, base)
-			covers = append(covers, base)
-			for c := 0; c < 1+rng.Intn(3); c++ {
-				covered := coveredVariant(t, rng, base, fmt.Sprintf("t%dc%d-%d", trial, i, c))
-				idx.AddCovered(covered, base.ID)
-				all = append(all, covered)
-			}
-		}
-		check := func(stage string) {
-			for q := 0; q < 120; q++ {
-				ev := randomEvent(rng, uint64(q+1))
-				got := candidateIDs(idx, ev)
-				want := linearMatchIDs(all, ev)
-				if !equalStrings(got, want) {
-					t.Fatalf("trial %d %s: pruned candidates(%v) = %v, want %v", trial, stage, ev, got, want)
-				}
-			}
-		}
-		check("with covers attached")
-
-		// Retract a third of the covering subscriptions: their covered
-		// entries must keep matching (now as full members).
-		for i, base := range covers {
-			if i%3 != 0 {
-				continue
-			}
-			if !idx.Remove(base.ID) {
-				t.Fatalf("trial %d: Remove(%s) failed", trial, base.ID)
-			}
-			kept := all[:0]
-			for _, s := range all {
-				if s.ID != base.ID {
-					kept = append(kept, s)
-				}
-			}
-			all = kept
-		}
-		check("after cover retraction")
-
-		// A covered entry must also be individually removable.
-		for _, s := range all {
-			if !idx.Remove(s.ID) {
-				t.Fatalf("trial %d: Remove(%s) failed during teardown", trial, s.ID)
-			}
-		}
-		if idx.Len() != 0 {
-			t.Fatalf("trial %d: Len() = %d after removing everything", trial, idx.Len())
-		}
-	}
-}
-
-// TestSubscriptionTableCoverLinks pins the cover-link bookkeeping: AddCovered
-// records a single covering uncovered subscription when one exists, CoverOf
-// serves it, and removal/promotion clear the link.
-func TestSubscriptionTableCoverLinks(t *testing.T) {
-	rng := stats.NewRNG(41)
-	tbl := NewSubscriptionTable(0)
-	origin := topology.NodeID(2)
-
-	base := randomSubscription(t, rng, 1)
-	covered := coveredVariant(t, rng, base, "cv")
-	unrelated := randomSubscription(t, rng, 2)
-
-	tbl.AddUncovered(origin, base)
-	tbl.AddCovered(origin, covered)
-	if got := tbl.CoverOf(origin, covered.ID); got != base.ID {
-		t.Fatalf("CoverOf = %q, want %q", got, base.ID)
-	}
-	if got := tbl.CoverOf(origin, unrelated.ID); got != "" {
-		t.Fatalf("CoverOf(unknown) = %q, want empty", got)
-	}
-
-	// Promotion clears the link: the subscription is no longer covered.
-	if tbl.Promote(origin, covered.ID) != covered {
-		t.Fatal("Promote failed")
-	}
-	if got := tbl.CoverOf(origin, covered.ID); got != "" {
-		t.Fatalf("CoverOf after Promote = %q, want empty", got)
-	}
-
-	// Removal clears the link of a covered entry.
-	covered2 := coveredVariant(t, rng, base, "cv2")
-	tbl.AddCovered(origin, covered2)
-	if got := tbl.CoverOf(origin, covered2.ID); got != base.ID {
-		t.Fatalf("CoverOf(cv2) = %q, want %q", got, base.ID)
-	}
-	if _, _, ok := tbl.Remove(origin, covered2.ID); !ok {
-		t.Fatal("Remove(covered) failed")
-	}
-	if got := tbl.CoverOf(origin, covered2.ID); got != "" {
-		t.Fatalf("CoverOf after Remove = %q, want empty", got)
-	}
 }

@@ -108,7 +108,7 @@ func TestEventIndexDoubleAddIsNoop(t *testing.T) {
 // index loaded from the uncovered set following the mutations.
 func TestSubscriptionTableRemovePromote(t *testing.T) {
 	rng := stats.NewRNG(31)
-	tbl := NewSubscriptionTable(0)
+	tbl := NewSubscriptionTable()
 	origin := topology.NodeID(3)
 	a := randomSubscription(t, rng, 1)
 	b := randomSubscription(t, rng, 2)

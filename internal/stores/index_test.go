@@ -215,7 +215,7 @@ func TestEventIndexEarlyStop(t *testing.T) {
 // TestSubscriptionTableUncoveredFeedsIndex checks what the table hands an
 // index: only uncovered subscriptions of the right origin become candidates.
 func TestSubscriptionTableUncoveredFeedsIndex(t *testing.T) {
-	tbl := NewSubscriptionTable(0)
+	tbl := NewSubscriptionTable()
 	mk := func(id string, lo, hi float64) *model.Subscription {
 		sub, err := model.NewAbstractSubscription(model.SubscriptionID(id),
 			[]model.AttributeFilter{{Attr: model.WindSpeed, Range: geom.NewInterval(lo, hi)}},

@@ -162,7 +162,7 @@ func TestAdvertisementTableOriginsMatching(t *testing.T) {
 }
 
 func TestSubscriptionTable(t *testing.T) {
-	tbl := NewSubscriptionTable(0)
+	tbl := NewSubscriptionTable()
 	s1 := absSub(t, "s1", geom.WholePlane(), model.WindSpeed)
 	s2 := absSub(t, "s2", geom.WholePlane(), model.WindSpeed, model.RelativeHumidity)
 	s3 := absSub(t, "s3", geom.WholePlane(), model.AmbientTemperature)

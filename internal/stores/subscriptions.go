@@ -15,25 +15,17 @@ import (
 //
 // Within an origin both sets are bucketed by comparability class
 // (model.Class): a coverage decision on a subscription can only involve
-// members of its own class, so filtering, cover-link scans and removal look
-// at one bucket instead of the origin's whole population. Every bucket keeps
+// members of its own class, so filtering, re-exposure and removal look at one
+// bucket instead of the origin's whole population. Every bucket keeps
 // its members in storage order — the order re-exposure walks them in, which
 // the protocol's determinism depends on.
 type SubscriptionTable struct {
-	self    topology.NodeID
 	origins map[topology.NodeID]*originSubs
 	// originList caches the sorted origin list Origins returns; event
 	// processing asks for it once per event, so it is rebuilt only when a
 	// mutation invalidates it rather than on every call.
 	originList   []topology.NodeID
 	originsValid bool
-	// remoteCovers enables cover-link recording for remote origins. Local
-	// subscriptions (origin == self) always record links — local delivery
-	// matching consumes them on every policy — but remote covered operators
-	// are only registered for matching under per-subscription propagation,
-	// so handlers whose policy never reads the links disable the recording
-	// scan (RecordRemoteCoverLinks) instead of paying it per covered arrival.
-	remoteCovers bool
 }
 
 // originSubs is what the table holds for one origin.
@@ -47,18 +39,6 @@ type originSubs struct {
 	order   []*classSubs
 	// nUncovered and nCovered count the members across all buckets.
 	nUncovered, nCovered int
-	// coverBy records which single uncovered subscription covered each
-	// covered one at the time it was filed (when one exists — set filtering
-	// can subsume by union, leaving no single cover). The protocol handlers
-	// thread these links into their match indexes (EventIndex.AddCovered) so
-	// candidate enumeration can skip a covered set whenever its cover did
-	// not match. Links capture the coverage geometry at storage time; they
-	// are consumed when the covered operator is registered for matching and
-	// never re-read afterwards. covers is the reverse map (cover → the IDs
-	// linked to it), so retracting a cover finds its links without visiting
-	// the origin's others.
-	coverBy map[model.SubscriptionID]model.SubscriptionID
-	covers  map[model.SubscriptionID][]model.SubscriptionID
 }
 
 // classSubs is one comparability class of one origin, in storage order.
@@ -66,25 +46,9 @@ type classSubs struct {
 	uncovered, covered []*model.Subscription
 }
 
-// NewSubscriptionTable returns an empty table for the given node.
-func NewSubscriptionTable(self topology.NodeID) *SubscriptionTable {
-	return &SubscriptionTable{
-		self:         self,
-		origins:      map[topology.NodeID]*originSubs{},
-		remoteCovers: true,
-	}
-}
-
-// RecordRemoteCoverLinks enables or disables cover-link recording for
-// covered subscriptions of remote origins (default on). Handlers whose
-// event-propagation policy never registers remote covered operators for
-// matching turn it off so AddCovered skips the covering scan; links for the
-// node's own origin are always recorded.
-func (t *SubscriptionTable) RecordRemoteCoverLinks(on bool) { t.remoteCovers = on }
-
-// recordsLinks reports whether cover links are kept for the origin.
-func (t *SubscriptionTable) recordsLinks(origin topology.NodeID) bool {
-	return origin == t.self || t.remoteCovers
+// NewSubscriptionTable returns an empty table.
+func NewSubscriptionTable() *SubscriptionTable {
+	return &SubscriptionTable{origins: map[topology.NodeID]*originSubs{}}
 }
 
 // Seen reports whether a subscription with this ID was already stored for
@@ -113,8 +77,6 @@ func (t *SubscriptionTable) store(origin topology.NodeID, sub *model.Subscriptio
 		o = &originSubs{
 			stored:  map[model.SubscriptionID]*model.Subscription{},
 			classes: map[model.Class]*classSubs{},
-			coverBy: map[model.SubscriptionID]model.SubscriptionID{},
-			covers:  map[model.SubscriptionID][]model.SubscriptionID{},
 		}
 		t.origins[origin] = o
 	}
@@ -154,39 +116,6 @@ func (o *originSubs) dropIfEmpty(sub *model.Subscription, c *classSubs) {
 	o.order = slices.Delete(o.order, i, i+1)
 }
 
-// link records cover as the single uncovered subscription covering id.
-func (o *originSubs) link(id, cover model.SubscriptionID) {
-	o.coverBy[id] = cover
-	o.covers[cover] = append(o.covers[cover], id)
-}
-
-// unlink forgets the cover link of a covered subscription, if it has one.
-func (o *originSubs) unlink(id model.SubscriptionID) {
-	cover, linked := o.coverBy[id]
-	if !linked {
-		return
-	}
-	delete(o.coverBy, id)
-	ids := o.covers[cover]
-	if len(ids) == 1 {
-		delete(o.covers, cover)
-		return
-	}
-	i := slices.Index(ids, id)
-	ids[i] = ids[len(ids)-1]
-	o.covers[cover] = ids[:len(ids)-1]
-}
-
-// dropLinksTo deletes the cover links pointing at a retracted uncovered
-// subscription: the coverage geometry they captured died with it, and a
-// covered operator promoted later must not inherit the stale root.
-func (o *originSubs) dropLinksTo(cover model.SubscriptionID) {
-	for _, id := range o.covers[cover] {
-		delete(o.coverBy, id)
-	}
-	delete(o.covers, cover)
-}
-
 // AddUncovered stores a subscription that was not filtered out. It returns
 // false if the ID was already present for this origin.
 func (t *SubscriptionTable) AddUncovered(origin topology.NodeID, sub *model.Subscription) bool {
@@ -199,10 +128,8 @@ func (t *SubscriptionTable) AddUncovered(origin topology.NodeID, sub *model.Subs
 	return true
 }
 
-// AddCovered stores a subscription that was filtered out as covered and
-// records which single uncovered subscription covers it, when one does (a
-// probabilistic set filter may have subsumed it by a union instead, in which
-// case no link is recorded and candidate pruning simply does not apply).
+// AddCovered stores a subscription that was filtered out as covered. It
+// returns false if the ID was already present for this origin.
 func (t *SubscriptionTable) AddCovered(origin topology.NodeID, sub *model.Subscription) bool {
 	o, c, ok := t.store(origin, sub)
 	if !ok {
@@ -210,28 +137,7 @@ func (t *SubscriptionTable) AddCovered(origin topology.NodeID, sub *model.Subscr
 	}
 	c.covered = append(c.covered, sub)
 	o.nCovered++
-	if !t.recordsLinks(origin) {
-		return true
-	}
-	for _, u := range c.uncovered {
-		if sub.CoveredBy(u) {
-			o.link(sub.ID, u.ID)
-			break
-		}
-	}
 	return true
-}
-
-// CoverOf returns the ID of the single uncovered subscription recorded as
-// covering the given covered subscription of the origin, or "" when none was
-// found at storage time. Handlers pass it to EventIndex.AddCovered so
-// covered operators registered for matching ride their cover's tree entries
-// instead of adding their own.
-func (t *SubscriptionTable) CoverOf(origin topology.NodeID, id model.SubscriptionID) model.SubscriptionID {
-	if o := t.origins[origin]; o != nil {
-		return o.coverBy[id]
-	}
-	return ""
 }
 
 // UncoveredComparable returns the origin's uncovered subscriptions of sub's
@@ -311,27 +217,18 @@ func (t *SubscriptionTable) Remove(origin topology.NodeID, id model.Subscription
 	c := o.classes[sub.Class()]
 	if wasUncovered = removeByID(&c.uncovered, id); wasUncovered {
 		o.nUncovered--
-		o.dropLinksTo(id)
 	} else {
 		removeByID(&c.covered, id)
 		o.nCovered--
-		o.unlink(id)
 	}
 	o.dropIfEmpty(sub, c)
 	return sub, wasUncovered, true
 }
 
 // Promote moves a covered subscription of the origin into the uncovered set,
-// re-exposing it after the subscription that covered it was retracted. It returns the promoted subscription, or nil
-// when the ID is not stored covered for the origin.
-//
-// Promotion also refreshes the origin's cover links: covered subscriptions
-// whose link died with the retracted cover (Remove drops links pointing at a
-// retracted subscription) are re-linked to the promoted one when it covers
-// them, so an operator registered or promoted later gets a live pruning root
-// instead of the stale — possibly since reused — ID its original link named.
-// As in AddCovered, remote origins only pay the scan when the handler's
-// policy consumes the links (RecordRemoteCoverLinks).
+// re-exposing it after the subscription that covered it was retracted. It
+// returns the promoted subscription, or nil when the ID is not stored
+// covered for the origin.
 func (t *SubscriptionTable) Promote(origin topology.NodeID, id model.SubscriptionID) *model.Subscription {
 	o, sub := t.lookup(origin, id)
 	if sub == nil {
@@ -341,17 +238,9 @@ func (t *SubscriptionTable) Promote(origin topology.NodeID, id model.Subscriptio
 	if !removeByID(&c.covered, id) {
 		return nil
 	}
-	o.unlink(id)
 	c.uncovered = append(c.uncovered, sub)
 	o.nCovered--
 	o.nUncovered++
-	if t.recordsLinks(origin) {
-		for _, other := range c.covered {
-			if _, linked := o.coverBy[other.ID]; !linked && other.CoveredBy(sub) {
-				o.link(other.ID, sub.ID)
-			}
-		}
-	}
 	return sub
 }
 

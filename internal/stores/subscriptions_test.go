@@ -10,50 +10,27 @@ import (
 	"sensorcq/internal/topology"
 )
 
-// flatTable is the subscription table without class buckets or a reverse
-// link map: one uncovered and one covered list per origin in storage order,
-// every scan over the whole origin. The bucketed table must answer like it.
+// flatTable is the subscription table without class buckets: one uncovered
+// and one covered list per origin in storage order, every scan over the
+// whole origin. The bucketed table must answer like it.
 type flatTable struct {
 	uncovered, covered []*model.Subscription
-	coverBy            map[model.SubscriptionID]model.SubscriptionID
-}
-
-func (f *flatTable) addCovered(sub *model.Subscription) {
-	f.covered = append(f.covered, sub)
-	for _, u := range f.uncovered {
-		if sub.CoveredBy(u) {
-			f.coverBy[sub.ID] = u.ID
-			return
-		}
-	}
 }
 
 func (f *flatTable) remove(id model.SubscriptionID) {
 	if i := slices.IndexFunc(f.uncovered, func(s *model.Subscription) bool { return s.ID == id }); i >= 0 {
 		f.uncovered = slices.Delete(f.uncovered, i, i+1)
-		for c, u := range f.coverBy {
-			if u == id {
-				delete(f.coverBy, c)
-			}
-		}
 		return
 	}
 	i := slices.IndexFunc(f.covered, func(s *model.Subscription) bool { return s.ID == id })
 	f.covered = slices.Delete(f.covered, i, i+1)
-	delete(f.coverBy, id)
 }
 
 func (f *flatTable) promote(id model.SubscriptionID) {
 	i := slices.IndexFunc(f.covered, func(s *model.Subscription) bool { return s.ID == id })
 	sub := f.covered[i]
 	f.covered = slices.Delete(f.covered, i, i+1)
-	delete(f.coverBy, id)
 	f.uncovered = append(f.uncovered, sub)
-	for _, c := range f.covered {
-		if _, linked := f.coverBy[c.ID]; !linked && c.CoveredBy(sub) {
-			f.coverBy[c.ID] = sub.ID
-		}
-	}
 }
 
 // inClass filters a flat list down to one comparability class.
@@ -87,16 +64,16 @@ func inOrder(subs []*model.Subscription) []model.SubscriptionID {
 // TestSubscriptionTableMatchesFlatTable churns one origin of a table through
 // random additions, removals and promotions and compares it, after every
 // step, with the flat reference: the same members, the same storage order
-// within every comparability class, the same cover links — and a reverse
-// link map that mirrors the links exactly.
+// within every comparability class, the same counts and one bucket per live
+// class.
 func TestSubscriptionTableMatchesFlatTable(t *testing.T) {
 	const origin = topology.NodeID(4)
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := stats.NewRNG(seed)
-		tbl := NewSubscriptionTable(0)
-		flat := &flatTable{coverBy: map[model.SubscriptionID]model.SubscriptionID{}}
+		tbl := NewSubscriptionTable()
+		flat := &flatTable{}
 		var stored []*model.Subscription
-		mostLinks := 0
+		mostCovered := 0
 		for step := 0; step < 600; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5 || len(stored) == 0:
@@ -107,7 +84,7 @@ func TestSubscriptionTableMatchesFlatTable(t *testing.T) {
 				stored = append(stored, sub)
 				if rng.Bool(0.5) {
 					tbl.AddCovered(origin, sub)
-					flat.addCovered(sub)
+					flat.covered = append(flat.covered, sub)
 				} else {
 					tbl.AddUncovered(origin, sub)
 					flat.uncovered = append(flat.uncovered, sub)
@@ -152,24 +129,9 @@ func TestSubscriptionTableMatchesFlatTable(t *testing.T) {
 				if a, b := inOrder(tbl.CoveredComparable(origin, s)), inOrder(inClass(flat.covered, s)); !slices.Equal(a, b) {
 					t.Fatalf("seed %d step %d: covered of %s's class %v, want %v", seed, step, s.ID, a, b)
 				}
-				if a, b := tbl.CoverOf(origin, s.ID), flat.coverBy[s.ID]; a != b {
-					t.Fatalf("seed %d step %d: cover of %s = %q, want %q", seed, step, s.ID, a, b)
-				}
 			}
+			mostCovered = max(mostCovered, len(flat.covered))
 			o := tbl.origins[origin]
-			links := 0
-			for cover, ids := range o.covers {
-				links += len(ids)
-				for _, id := range ids {
-					if o.coverBy[id] != cover {
-						t.Fatalf("seed %d step %d: reverse map lists %s under %s, its link says %q", seed, step, id, cover, o.coverBy[id])
-					}
-				}
-			}
-			mostLinks = max(mostLinks, links)
-			if links != len(o.coverBy) {
-				t.Fatalf("seed %d step %d: reverse map holds %d links, forward map %d", seed, step, links, len(o.coverBy))
-			}
 			classes := map[model.Class]bool{}
 			for _, s := range stored {
 				classes[s.Class()] = true
@@ -181,8 +143,8 @@ func TestSubscriptionTableMatchesFlatTable(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d stored, origins %v", seed, step, len(stored), tbl.Origins())
 			}
 		}
-		if mostLinks < 5 {
-			t.Errorf("seed %d: never more than %d cover links at once", seed, mostLinks)
+		if mostCovered < 5 {
+			t.Errorf("seed %d: never more than %d covered subscriptions at once", seed, mostCovered)
 		}
 	}
 }
