@@ -1,29 +1,12 @@
 package sensorcq
 
-// This file is the benchmark harness that regenerates every table and figure
-// of the paper's evaluation (Section VI). Each benchmark runs the relevant
-// scenario for the relevant approaches on the shared synthetic SensorScope
-// workload and reports the paper's metrics as custom benchmark outputs:
-//
-//	sub-load/<approach>     number of forwarded queries (Figs. 4, 6, 8, 10)
-//	event-load/<approach>   number of forwarded data units (Figs. 5, 7, 9, 11)
-//	recall-%/<approach>     end-user event recall (Fig. 12)
-//
-// Absolute values depend on the synthetic trace (the original SensorScope
-// data is not redistributable); what is expected to reproduce is the shape:
-// which approach wins, by roughly what factor, and how the gap evolves with
-// the number of injected subscriptions. `go run ./cmd/cqexp` prints the same
-// series as tables (and CSV) for a full run.
-//
-// By default the benchmarks run the scenarios at a reduced workload so that
-// `go test -bench=.` finishes in minutes; set -benchscale=full for the
-// paper's full workload (slow) or -benchscale=quick for a smoke test.
-//
-// Below the figures are the layer benchmarks: each times one layer, for
-// profiling and on-demand comparison. End-to-end time claims are made with
-// the repository benchmark (`go run ./bench`, paired parent/change runs), and
-// the allocation contracts of the hot paths are ordinary tests
-// (alloc_test.go) that share these benchmarks' set-up.
+// This file holds the layer benchmarks: each times one layer, for profiling
+// and on-demand comparison. End-to-end time claims are made with the
+// repository benchmark (`go run ./bench`, paired parent/change runs), the
+// allocation contracts of the hot paths are ordinary tests (alloc_test.go)
+// that share these benchmarks' set-up, and the paper's figures are checked by
+// TestPaperEvaluation (internal/experiment) and printed by `go run
+// ./cmd/cqexp`.
 
 import (
 	"context"
@@ -43,203 +26,9 @@ import (
 	"sensorcq/internal/topology"
 )
 
-var benchScale = flag.String("benchscale", "default", "benchmark workload scale: quick, default or full")
-
-// scaled applies the -benchscale flag to a scenario.
-func scaled(s experiment.Scenario) experiment.Scenario {
-	switch *benchScale {
-	case "full":
-		return s
-	case "quick":
-		return experiment.QuickScale(s)
-	default:
-		return s.Scale(1, 0.4, 0.5)
-	}
-}
-
-// runScenarioBenchmark runs one scenario once per benchmark iteration and
-// reports the final-point metrics of every approach.
-func runScenarioBenchmark(b *testing.B, s experiment.Scenario, approaches []experiment.ApproachID, withRecall bool) {
-	b.Helper()
-	s = scaled(s)
-	opts := experiment.DefaultOptions()
-	opts.Approaches = approaches
-	opts.ComputeRecall = withRecall
-	var last *experiment.Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Run(s, &opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	for _, series := range last.Approaches {
-		final := series.Final()
-		b.ReportMetric(float64(final.SubscriptionLoad), "sub-load/"+string(series.Approach))
-		b.ReportMetric(float64(final.EventLoad), "event-load/"+string(series.Approach))
-		if withRecall {
-			b.ReportMetric(final.Recall*100, "recall-%/"+string(series.Approach))
-		}
-	}
-}
-
-// Each scenario run reports both of its figures: sub-load/* is the
-// subscription-load figure, event-load/* the event-load one.
-
-// --- Figures 4 and 5: small-scale experiment (Section VI-C) ---
-
-func BenchmarkFig4And5Small(b *testing.B) {
-	runScenarioBenchmark(b, experiment.SmallScale(), experiment.AllDistributed(), false)
-}
-
-// --- Figures 6 and 7: medium-scale experiment with the centralized baseline ---
-
-func BenchmarkFig6And7Medium(b *testing.B) {
-	runScenarioBenchmark(b, experiment.MediumScale(), experiment.All(), false)
-}
-
-// --- Figures 8 and 9: large-scale experiment #1 (network size) ---
-
-func BenchmarkFig8And9LargeNet(b *testing.B) {
-	runScenarioBenchmark(b, experiment.LargeScaleNetwork(), experiment.AllDistributed(), false)
-}
-
-// --- Figures 10 and 11: large-scale experiment #2 (number of data sources) ---
-
-func BenchmarkFig10And11LargeSrc(b *testing.B) {
-	runScenarioBenchmark(b, experiment.LargeScaleSources(), experiment.AllDistributed(), false)
-}
-
-// --- Figure 12: end-user event recall of Filter-Split-Forward ---
-
-func BenchmarkFig12EventRecall(b *testing.B) {
-	for _, s := range experiment.AllScenarios() {
-		s := s
-		b.Run(s.Name, func(b *testing.B) {
-			runScenarioBenchmark(b, s, []experiment.ApproachID{experiment.FilterSplitForward}, true)
-		})
-	}
-}
-
-// --- Table I / Figure 3: the subscription-subsumption walkthrough ---
-
-// BenchmarkTableISubsumptionExample measures the filter-split-forward
-// processing of the three Table I subscriptions on the six-node walkthrough
-// network (the functional behaviour is asserted by the unit tests in
-// internal/core).
-func BenchmarkTableISubsumptionExample(b *testing.B) {
-	graph := topology.NewGraph(6)
-	edges := [][2]topology.NodeID{{5, 4}, {4, 3}, {3, 0}, {3, 1}, {4, 2}}
-	for _, e := range edges {
-		if err := graph.AddEdge(e[0], e[1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	sensors := []struct {
-		node topology.NodeID
-		id   model.SensorID
-		attr model.AttributeType
-	}{
-		{0, "a", model.AmbientTemperature},
-		{1, "b", model.RelativeHumidity},
-		{2, "c", model.WindSpeed},
-	}
-	mkSub := func(id string, ranges map[model.SensorID][2]float64) *model.Subscription {
-		var filters []model.SensorFilter
-		for d, r := range ranges {
-			filters = append(filters, model.SensorFilter{Sensor: d, Range: NewInterval(r[0], r[1])})
-		}
-		sub, err := model.NewIdentifiedSubscription(model.SubscriptionID(id), filters, 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sub
-	}
-	subs := []*model.Subscription{
-		mkSub("s1", map[model.SensorID][2]float64{"a": {50, 80}, "b": {10, 30}}),
-		mkSub("s2", map[model.SensorID][2]float64{"b": {20, 40}, "c": {2, 20}}),
-		mkSub("s3", map[model.SensorID][2]float64{"a": {55, 75}, "b": {15, 35}, "c": {5, 15}}),
-	}
-	factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var finalLoad int64
-	for i := 0; i < b.N; i++ {
-		engine := netsim.NewEngine(graph, factory)
-		for _, sn := range sensors {
-			if err := engine.AttachSensor(sn.node, model.Sensor{ID: sn.id, Attr: sn.attr}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, sub := range subs {
-			if err := engine.SubscribeContext(context.Background(), 5, sub.Clone()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		finalLoad = engine.Metrics().Snapshot().SubscriptionLoad
-	}
-	b.ReportMetric(float64(finalLoad), "sub-load")
-}
-
-// --- Table II ablations: the design choices that distinguish the approaches ---
-
-// BenchmarkAblationSetFilterError sweeps the FSF set-filter error probability
-// (the traffic/recall trade-off of Section VI-F).
-func BenchmarkAblationSetFilterError(b *testing.B) {
-	for _, errProb := range []float64{0.001, 0.02, 0.2} {
-		errProb := errProb
-		b.Run(fmt.Sprintf("err=%g", errProb), func(b *testing.B) {
-			s := scaled(experiment.SmallScale())
-			s.SetFilterError = errProb
-			runScenarioBenchmark(b, s, []experiment.ApproachID{experiment.FilterSplitForward}, true)
-		})
-	}
-}
-
-// BenchmarkAblationLinkDedup compares per-neighbour (publish/subscribe) and
-// per-subscription event forwarding with everything else held equal — the
-// "event propagation" column of Table II in isolation.
-func BenchmarkAblationLinkDedup(b *testing.B) {
-	configs := map[string]netsim.HandlerFactory{
-		"per-neighbor":     dedupFactory(true),
-		"per-subscription": dedupFactory(false),
-	}
-	s := scaled(experiment.SmallScale())
-	w, err := experiment.BuildWorkload(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for name, factory := range configs {
-		factory := factory
-		b.Run(name, func(b *testing.B) {
-			var load int64
-			for i := 0; i < b.N; i++ {
-				engine := netsim.NewEngine(w.Deployment.Graph, factory)
-				for _, sensor := range w.Deployment.Sensors {
-					if err := engine.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, p := range w.Placed {
-					if err := engine.SubscribeContext(context.Background(), p.Node, p.Sub); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, segment := range w.Segments {
-					for _, ev := range segment {
-						if err := engine.PublishContext(context.Background(), w.Deployment.SensorHost[ev.Sensor], ev); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				load = engine.Metrics().Snapshot().EventLoad
-			}
-			b.ReportMetric(float64(load), "event-load")
-		})
-	}
-}
+// benchScale sizes the set-up of the layer benchmarks that have more than
+// one: quick shrinks it (the CI smoke run), full adds the largest sizes.
+var benchScale = flag.String("benchscale", "default", "layer benchmark set-up size: quick, default or full")
 
 // --- index-vs-linear scaling: the event-matching fast path ---
 

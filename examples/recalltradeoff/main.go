@@ -1,11 +1,10 @@
 // Recall/traffic trade-off: the Filter-Split-Forward approach relies on a
 // probabilistic set-subsumption check whose error probability is a user
-// parameter (Section VI-F). Lower error probabilities cost more processing
-// but lose fewer events; higher ones filter more aggressively and may drop
-// subscriptions that were not actually covered. This example sweeps the
-// error probability on a fixed workload and prints the resulting
-// subscription load, event load and end-user recall, reproducing the
-// trade-off the paper discusses alongside Figure 12.
+// parameter (Section VI-F). A higher error probability samples fewer points
+// per decision, so more subscriptions are declared covered by mistake and
+// are not forwarded. This example sweeps the error probability on a fixed
+// workload and prints the resulting subscription load, event load and
+// end-user recall — the trade-off the paper discusses alongside Figure 12.
 package main
 
 import (
@@ -39,7 +38,5 @@ func main() {
 			errProb, final.SubscriptionLoad, final.EventLoad, final.Recall*100)
 	}
 
-	fmt.Println("\nSmaller error probabilities sample more points per subsumption decision and")
-	fmt.Println("never drop an uncovered subscription by mistake; larger ones trade a little")
-	fmt.Println("recall for cheaper filtering, which is acceptable for most monitoring uses.")
+	fmt.Println("\nA wrong \"covered\" verdict loses only readings no other forwarded match carries; recall shows what that cost.")
 }

@@ -89,15 +89,10 @@ func (p EventPropagation) String() string {
 type Config struct {
 	// Name identifies the approach in reports ("filter-split-forward", ...).
 	Name string
-	// Checker is the subscription filtering policy, shared by every node
-	// built from this configuration. Use it for stateless checkers
-	// (pairwise, none); stateful checkers such as the probabilistic set
-	// filter should use CheckerFactory instead so that each node owns an
-	// independent instance (required by the concurrent engine).
-	Checker subsume.Checker
-	// CheckerFactory, when non-nil, builds a per-node filtering checker and
-	// takes precedence over Checker.
-	CheckerFactory func(node topology.NodeID) subsume.Checker
+	// Checker builds each node's subscription filtering policy, so a stateful
+	// checker (the set filter) is never shared by nodes running in parallel;
+	// SharedChecker gives every node one stateless checker.
+	Checker func(node topology.NodeID) subsume.Checker
 	// Split is the subscription splitting policy.
 	Split SplitPolicy
 	// Propagation is the event propagation policy.
@@ -113,18 +108,16 @@ func (c Config) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("core: config needs a name")
 	}
-	if c.Checker == nil && c.CheckerFactory == nil {
+	if c.Checker == nil {
 		return fmt.Errorf("core: config %q needs a subsumption checker", c.Name)
 	}
 	return nil
 }
 
-// checkerFor resolves the filtering checker for one node.
-func (c Config) checkerFor(node topology.NodeID) subsume.Checker {
-	if c.CheckerFactory != nil {
-		return c.CheckerFactory(node)
-	}
-	return c.Checker
+// SharedChecker returns a Config.Checker that gives every node the same
+// stateless checker (pairwise, none, exact).
+func SharedChecker(c subsume.Checker) func(topology.NodeID) subsume.Checker {
+	return func(topology.NodeID) subsume.Checker { return c }
 }
 
 // DefaultSetFilterError is the error probability the FSF configuration uses
@@ -139,7 +132,7 @@ const DefaultSetFilterError = 0.02
 func NewFSFConfig(setFilterError float64, seed int64) Config {
 	return Config{
 		Name: "filter-split-forward",
-		CheckerFactory: func(node topology.NodeID) subsume.Checker {
+		Checker: func(node topology.NodeID) subsume.Checker {
 			mixed := seed ^ int64(uint64(node+1)*0x9e3779b97f4a7c15>>1)
 			return subsume.NewSetChecker(setFilterError, mixed)
 		},
@@ -154,9 +147,6 @@ func NewFSFConfig(setFilterError float64, seed int64) Config {
 func NewFactory(cfg Config) netsim.HandlerFactory {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
-	}
-	if cfg.ValidityFactor <= 0 {
-		cfg.ValidityFactor = 2
 	}
 	return func(node topology.NodeID) netsim.Handler {
 		return NewNode(node, cfg)
@@ -253,7 +243,7 @@ func NewNode(self topology.NodeID, cfg Config) *Node {
 	}
 	return &Node{
 		cfg:       cfg,
-		checker:   cfg.checkerFor(self),
+		checker:   cfg.Checker(self),
 		self:      self,
 		advs:      stores.NewAdvertisementTable(self),
 		subs:      stores.NewSubscriptionTable(),

@@ -195,7 +195,7 @@ func TestTableIIOperatorPlacementStoresMoreUncovered(t *testing.T) {
 	// as covered (it needs the union of the first two).
 	pairwise := NewFactory(Config{
 		Name:        "operator-placement",
-		Checker:     subsume.PairwiseChecker{},
+		Checker:     SharedChecker(subsume.PairwiseChecker{}),
 		Split:       SplitSimple,
 		Propagation: PerSubscription,
 	})
@@ -272,13 +272,13 @@ func TestEventPropagationPerSubscriptionDuplicates(t *testing.T) {
 	fsfLoad := run(fsfFactory())
 	opLoad := run(NewFactory(Config{
 		Name:        "operator-placement",
-		Checker:     subsume.PairwiseChecker{},
+		Checker:     SharedChecker(subsume.PairwiseChecker{}),
 		Split:       SplitSimple,
 		Propagation: PerSubscription,
 	}))
 	naiveLoad := run(NewFactory(Config{
 		Name:        "naive",
-		Checker:     subsume.NoneChecker{},
+		Checker:     SharedChecker(subsume.NoneChecker{}),
 		Split:       SplitSimple,
 		Propagation: PerSubscription,
 	}))
@@ -311,7 +311,7 @@ func TestMultiJoinFalsePositiveTraffic(t *testing.T) {
 	fsfLoad, fsfDeliveries := scenario(fsfFactory())
 	mjLoad, mjDeliveries := scenario(NewFactory(Config{
 		Name:        "multi-join",
-		Checker:     subsume.PairwiseChecker{},
+		Checker:     SharedChecker(subsume.PairwiseChecker{}),
 		Split:       SplitBinaryJoin,
 		Propagation: PerNeighbor,
 	}))
@@ -327,7 +327,7 @@ func TestMultiJoinFalsePositiveTraffic(t *testing.T) {
 func TestMultiJoinStillDeliversTrueMatches(t *testing.T) {
 	e := setupFigure3(t, NewFactory(Config{
 		Name:        "multi-join",
-		Checker:     subsume.PairwiseChecker{},
+		Checker:     SharedChecker(subsume.PairwiseChecker{}),
 		Split:       SplitBinaryJoin,
 		Propagation: PerNeighbor,
 	}))

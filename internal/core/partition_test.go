@@ -118,8 +118,8 @@ func newPartitionNet(t *testing.T, cfg Config, rescan bool) (*netsim.Engine, []*
 // those of the per-candidate rescan.
 func TestPartitionReuseMatchesRescan(t *testing.T) {
 	configs := []Config{
-		{Name: "none/per-subscription", Checker: subsume.NoneChecker{}, Propagation: PerSubscription},
-		{Name: "pairwise/binary-join", Checker: subsume.PairwiseChecker{}, Split: SplitBinaryJoin, Propagation: PerNeighbor},
+		{Name: "none/per-subscription", Checker: SharedChecker(subsume.NoneChecker{}), Propagation: PerSubscription},
+		{Name: "pairwise/binary-join", Checker: SharedChecker(subsume.PairwiseChecker{}), Split: SplitBinaryJoin, Propagation: PerNeighbor},
 		NewFSFConfig(DefaultSetFilterError, 5),
 	}
 	deltas := []model.Timestamp{3, 7, 12}

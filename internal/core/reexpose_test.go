@@ -256,11 +256,11 @@ func requireSameState(t *testing.T, step string, got, want *reexposeNet, probes 
 // messages show them, in order) and match-index membership after every step.
 func TestReexposeMatchesFullScan(t *testing.T) {
 	configs := []Config{
-		{Name: "none", Checker: subsume.NoneChecker{}, Propagation: PerSubscription},
-		{Name: "pairwise/per-subscription", Checker: subsume.PairwiseChecker{}, Propagation: PerSubscription},
-		{Name: "pairwise/binary-join", Checker: subsume.PairwiseChecker{}, Split: SplitBinaryJoin, Propagation: PerNeighbor},
+		{Name: "none", Checker: SharedChecker(subsume.NoneChecker{}), Propagation: PerSubscription},
+		{Name: "pairwise/per-subscription", Checker: SharedChecker(subsume.PairwiseChecker{}), Propagation: PerSubscription},
+		{Name: "pairwise/binary-join", Checker: SharedChecker(subsume.PairwiseChecker{}), Split: SplitBinaryJoin, Propagation: PerNeighbor},
 		NewFSFConfig(DefaultSetFilterError, 5),
-		{Name: "exact", Checker: subsume.ExactChecker{}, Propagation: PerNeighbor},
+		{Name: "exact", Checker: SharedChecker(subsume.ExactChecker{}), Propagation: PerNeighbor},
 	}
 	var probes []model.Event
 	for i, a := range reexposeAttrs {
@@ -323,7 +323,7 @@ func TestReexposeMatchesFullScan(t *testing.T) {
 			})
 		}
 		t.Logf("%s: %d retractions re-exposed covered operators", cfg.Name, promoted)
-		if _, never := cfg.checkerFor(0).(subsume.NoneChecker); !never && promoted < 20 {
+		if _, never := cfg.Checker(0).(subsume.NoneChecker); !never && promoted < 20 {
 			t.Errorf("%s: only %d retractions re-exposed anything: the populations exercise too little", cfg.Name, promoted)
 		}
 	}

@@ -43,8 +43,7 @@ func All() []ApproachID {
 type FactorySpec struct {
 	// Seed controls the probabilistic set filter of Filter-Split-Forward.
 	Seed int64
-	// SetFilterError is the FSF false-positive probability (<=0 or >=1
-	// selects the default).
+	// SetFilterError is the FSF false-positive probability in [0,1); 0 = default.
 	SetFilterError float64
 	// ValidityFactor scales each node's event-window validity (validity =
 	// factor x max δt); 0 keeps the protocol default of 2. Windowed replays
@@ -60,26 +59,29 @@ type FactorySpec struct {
 // splitting, event propagation). The centralized baseline is a handler of
 // its own and has none.
 func ConfigFor(id ApproachID, spec FactorySpec) (core.Config, error) {
+	if err := checkSetFilterError(spec.SetFilterError); err != nil {
+		return core.Config{}, err
+	}
 	var cfg core.Config
 	switch id {
 	case Naive:
 		// Section VI's baseline: every subscription travels the reverse
 		// advertisement paths unfiltered and gets its own result set.
-		cfg = core.Config{Checker: subsume.NoneChecker{}, Split: core.SplitSimple, Propagation: core.PerSubscription}
+		cfg = core.Config{Checker: core.SharedChecker(subsume.NoneChecker{}), Split: core.SplitSimple, Propagation: core.PerSubscription}
 	case OperatorPlacement:
 		// Section III-A: operator placement with local knowledge only.
 		// Identical and covered operators are shared through pairwise
 		// covering; result sets are built per subscription.
-		cfg = core.Config{Checker: subsume.PairwiseChecker{}, Split: core.SplitSimple, Propagation: core.PerSubscription}
+		cfg = core.Config{Checker: core.SharedChecker(subsume.PairwiseChecker{}), Split: core.SplitSimple, Propagation: core.PerSubscription}
 	case MultiJoin:
 		// Section III-B: routed exactly like operator placement, but a node
 		// evaluates a multi-join over three or more attributes as binary
 		// joins, whose false positives travel to the subscriber.
-		cfg = core.Config{Checker: subsume.PairwiseChecker{}, Split: core.SplitBinaryJoin, Propagation: core.PerNeighbor}
+		cfg = core.Config{Checker: core.SharedChecker(subsume.PairwiseChecker{}), Split: core.SplitBinaryJoin, Propagation: core.PerNeighbor}
 	case FilterSplitForward:
 		// Section V: probabilistic set-subsumption filtering, simple
 		// splitting, per-neighbour publish/subscribe forwarding.
-		if spec.SetFilterError <= 0 || spec.SetFilterError >= 1 {
+		if spec.SetFilterError == 0 {
 			spec.SetFilterError = core.DefaultSetFilterError
 		}
 		cfg = core.NewFSFConfig(spec.SetFilterError, spec.Seed)
@@ -91,11 +93,20 @@ func ConfigFor(id ApproachID, spec FactorySpec) (core.Config, error) {
 	return cfg, nil
 }
 
+// checkSetFilterError rejects a set-filter error probability outside [0, 1),
+// NaN included, instead of silently running at the default.
+func checkSetFilterError(p float64) error {
+	if !(p >= 0 && p < 1) {
+		return fmt.Errorf("experiment: set-filter error %g outside [0,1)", p)
+	}
+	return nil
+}
+
 // FactoryForSpec returns a fresh handler factory for the approach with the
 // given construction parameters.
 func FactoryForSpec(id ApproachID, spec FactorySpec) (netsim.HandlerFactory, error) {
 	if id == Centralized {
-		return centralized.NewFactory(spec.ValidityFactor), nil
+		return centralized.NewFactory(spec.ValidityFactor), checkSetFilterError(spec.SetFilterError)
 	}
 	cfg, err := ConfigFor(id, spec)
 	if err != nil {

@@ -91,7 +91,7 @@ func TestFSFRecallTrafficTradeoff(t *testing.T) {
 
 	exact := run(core.NewFactory(core.Config{
 		Name:        "filter-split-forward/exact",
-		Checker:     subsume.ExactChecker{},
+		Checker:     core.SharedChecker(subsume.ExactChecker{}),
 		Split:       core.SplitSimple,
 		Propagation: core.PerNeighbor,
 	}))

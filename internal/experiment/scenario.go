@@ -9,7 +9,7 @@ import (
 
 // Scenario describes one experimental setup of Section VI. The four
 // constructors below reproduce the paper's parameters; Scale derives cheaper
-// variants for unit tests and quick benchmark runs.
+// variants for tests and cqexp's smaller scales.
 type Scenario struct {
 	// Name identifies the scenario ("small-scale", ...).
 	Name string
@@ -37,7 +37,7 @@ type Scenario struct {
 	// reports it for the medium-scale experiment).
 	IncludeCentralized bool
 
-	// SetFilterError is the FSF set-filter error probability (0 = default).
+	// SetFilterError is the FSF set-filter error probability in [0,1); 0 = default.
 	SetFilterError float64
 
 	// ParetoScale and OffsetCap override the subscription-range width
@@ -61,6 +61,9 @@ func (s Scenario) Validate() error {
 	}
 	if s.RoundsPerBatch <= 0 {
 		return fmt.Errorf("experiment: scenario %s needs positive rounds per batch", s.Name)
+	}
+	if err := checkSetFilterError(s.SetFilterError); err != nil {
+		return err
 	}
 	cfg := s.DeploymentConfig()
 	return cfg.Validate()
@@ -190,9 +193,8 @@ func AllScenarios() []Scenario {
 	return []Scenario{SmallScale(), MediumScale(), LargeScaleNetwork(), LargeScaleSources()}
 }
 
-// QuickScale scales a scenario down to a size suitable for unit tests and
-// default benchmark runs while keeping the network shape: 4 batches of 25
-// subscriptions and 3 rounds per batch.
+// QuickScale scales a scenario down to a smoke-test size while keeping the
+// network shape: 4 batches of 25 subscriptions and 3 rounds per batch.
 func QuickScale(s Scenario) Scenario {
 	s.Batches = 4
 	s.BatchSize = 25

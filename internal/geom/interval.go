@@ -53,9 +53,9 @@ func (iv Interval) Width() float64 {
 	return iv.Max - iv.Min
 }
 
-// Contains reports whether v lies inside the closed interval.
+// Contains reports whether v is in the closed interval (never if empty or NaN).
 func (iv Interval) Contains(v float64) bool {
-	return !iv.Empty() && v >= iv.Min && v <= iv.Max
+	return v >= iv.Min && v <= iv.Max
 }
 
 // Covers reports whether iv fully contains o, i.e. every value of o is also a

@@ -42,8 +42,21 @@ func TestIntervalContains(t *testing.T) {
 			t.Errorf("expected %v not to contain %g", iv, v)
 		}
 	}
-	if (Interval{5, 1}).Contains(3) {
-		t.Error("empty interval must not contain anything")
+	// Min <= v <= Max alone rejects every value for an empty interval and
+	// for NaN bounds or values: Contains needs no Empty test.
+	nan := math.NaN()
+	for _, c := range []struct {
+		iv Interval
+		v  float64
+	}{
+		{Interval{5, 1}, 3}, {Interval{5, 1}, 5}, {Interval{5, 1}, 1},
+		{Interval{math.Inf(1), math.Inf(-1)}, 0},
+		{Interval{nan, 20}, 15}, {Interval{10, nan}, 15}, {Interval{nan, nan}, nan},
+		{iv, nan},
+	} {
+		if c.iv.Contains(c.v) {
+			t.Errorf("%v must not contain %g", c.iv, c.v)
+		}
 	}
 }
 

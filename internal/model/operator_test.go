@@ -83,8 +83,8 @@ func TestSplitBinaryJoinsRing(t *testing.T) {
 	}
 	attrCount := map[AttributeType]int{}
 	for _, j := range joins {
-		if j.NumFilters() != 2 {
-			t.Fatalf("binary join with %d filters", j.NumFilters())
+		if j.NumFilters() != 2 || j.Root != "q1" {
+			t.Fatalf("binary join with %d filters and root %q", j.NumFilters(), j.Root)
 		}
 		for _, a := range j.Attributes() {
 			attrCount[a]++

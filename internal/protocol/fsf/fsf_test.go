@@ -44,7 +44,7 @@ func TestConfigPinsSectionVRow(t *testing.T) {
 	if cfg.Name != "filter-split-forward" {
 		t.Errorf("config name = %q, want %q", cfg.Name, "filter-split-forward")
 	}
-	if cfg.CheckerFactory == nil {
+	if cfg.Checker == nil {
 		t.Fatal("FSF needs a per-node checker factory: the set filter is stateful and nodes must not share it")
 	}
 	if cfg.Split != core.SplitSimple {
@@ -63,9 +63,9 @@ func TestConfigPinsSectionVRow(t *testing.T) {
 // engines) never share the set filter's mutable sampling state.
 func TestPerNodeCheckerInstances(t *testing.T) {
 	cfg := tableIIRow(t)
-	a := cfg.CheckerFactory(topology.NodeID(1))
-	b := cfg.CheckerFactory(topology.NodeID(2))
-	c := cfg.CheckerFactory(topology.NodeID(1))
+	a := cfg.Checker(topology.NodeID(1))
+	b := cfg.Checker(topology.NodeID(2))
+	c := cfg.Checker(topology.NodeID(1))
 	if a == nil || b == nil || c == nil {
 		t.Fatal("checker factory returned nil")
 	}
@@ -90,7 +90,7 @@ func TestSetCheckerDetectsSetCovers(t *testing.T) {
 		}
 		return sub
 	}
-	checker := tableIIRow(t).CheckerFactory(topology.NodeID(0))
+	checker := tableIIRow(t).Checker(topology.NodeID(0))
 	candidate := mk("cand", 10, 90)
 	left := mk("left", 0, 55)
 	right := mk("right", 45, 100)

@@ -44,8 +44,8 @@ func TestConfigPinsTableIIRow(t *testing.T) {
 	if cfg.Name != "distributed-multi-join" {
 		t.Errorf("config name = %q, want %q", cfg.Name, "distributed-multi-join")
 	}
-	if _, ok := cfg.Checker.(subsume.PairwiseChecker); !ok {
-		t.Errorf("checker = %T, want subsume.PairwiseChecker (same routing as operator placement)", cfg.Checker)
+	if _, ok := cfg.Checker(0).(subsume.PairwiseChecker); !ok {
+		t.Errorf("checker = %T, want subsume.PairwiseChecker (same routing as operator placement)", cfg.Checker(0))
 	}
 	if cfg.Split != core.SplitBinaryJoin {
 		t.Errorf("split policy = %v, want SplitBinaryJoin", cfg.Split)

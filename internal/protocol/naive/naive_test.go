@@ -43,10 +43,10 @@ func TestConfigPinsTableIIRow(t *testing.T) {
 	if cfg.Name != "naive" {
 		t.Errorf("config name = %q, want %q", cfg.Name, "naive")
 	}
-	if _, ok := cfg.Checker.(subsume.NoneChecker); !ok {
-		t.Errorf("checker = %T, want subsume.NoneChecker (the naive approach never filters)", cfg.Checker)
+	if _, ok := cfg.Checker(0).(subsume.NoneChecker); !ok {
+		t.Errorf("checker = %T, want subsume.NoneChecker (the naive approach never filters)", cfg.Checker(0))
 	}
-	if cfg.CheckerFactory != nil {
+	if cfg.Checker(0) != cfg.Checker(1) {
 		t.Error("naive needs no per-node checker state")
 	}
 	if cfg.Split != core.SplitSimple {
@@ -71,7 +71,7 @@ func TestNoneCheckerNeverFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Checker.Subsumed(sub, []*model.Subscription{sub.Clone()}) {
+	if cfg.Checker(0).Subsumed(sub, []*model.Subscription{sub.Clone()}) {
 		t.Error("NoneChecker subsumed a subscription; the naive approach must never filter")
 	}
 }

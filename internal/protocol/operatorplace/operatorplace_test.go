@@ -44,8 +44,8 @@ func TestConfigPinsTableIIRow(t *testing.T) {
 	if cfg.Name != "operator-placement" {
 		t.Errorf("config name = %q, want %q", cfg.Name, "operator-placement")
 	}
-	if _, ok := cfg.Checker.(subsume.PairwiseChecker); !ok {
-		t.Errorf("checker = %T, want subsume.PairwiseChecker", cfg.Checker)
+	if _, ok := cfg.Checker(0).(subsume.PairwiseChecker); !ok {
+		t.Errorf("checker = %T, want subsume.PairwiseChecker", cfg.Checker(0))
 	}
 	if cfg.Split != core.SplitSimple {
 		t.Errorf("split policy = %v, want SplitSimple", cfg.Split)
@@ -78,13 +78,13 @@ func TestPairwiseCoveringShares(t *testing.T) {
 	wide := rangeSub(t, "wide", 0, 100)
 	narrow := rangeSub(t, "narrow", 40, 60)
 	straddle := rangeSub(t, "straddle", 50, 150)
-	if !cfg.Checker.Subsumed(narrow, []*model.Subscription{wide}) {
+	if !cfg.Checker(0).Subsumed(narrow, []*model.Subscription{wide}) {
 		t.Error("nested subscription not detected as pairwise covered")
 	}
-	if cfg.Checker.Subsumed(straddle, []*model.Subscription{wide}) {
+	if cfg.Checker(0).Subsumed(straddle, []*model.Subscription{wide}) {
 		t.Error("straddling subscription wrongly detected as covered")
 	}
-	if cfg.Checker.Subsumed(wide, []*model.Subscription{narrow}) {
+	if cfg.Checker(0).Subsumed(wide, []*model.Subscription{narrow}) {
 		t.Error("covering direction inverted: the wide subscription is not covered by the narrow one")
 	}
 }
@@ -96,8 +96,8 @@ func TestPairwiseCoveringShares(t *testing.T) {
 // rows.
 func TestSharesRoutingWithMultiJoinRow(t *testing.T) {
 	cfg := tableIIRow(t)
-	if _, ok := cfg.Checker.(subsume.PairwiseChecker); !ok {
-		t.Fatalf("checker = %T, want the same pairwise checker the multi-join row uses", cfg.Checker)
+	if _, ok := cfg.Checker(0).(subsume.PairwiseChecker); !ok {
+		t.Fatalf("checker = %T, want the same pairwise checker the multi-join row uses", cfg.Checker(0))
 	}
 	if cfg.Split == core.SplitBinaryJoin {
 		t.Error("operator placement must store whole multi-joins, not binary joins")

@@ -84,10 +84,7 @@ func TestTableIIApproachMatrix(t *testing.T) {
 			if c.cfg.Propagation != c.propagation {
 				t.Errorf("propagation = %v, want %v", c.cfg.Propagation, c.propagation)
 			}
-			checker := c.cfg.Checker
-			if checker == nil && c.cfg.CheckerFactory != nil {
-				checker = c.cfg.CheckerFactory(0)
-			}
+			checker := c.cfg.Checker(0)
 			switch c.filtering {
 			case "none":
 				if _, ok := checker.(subsume.NoneChecker); !ok {

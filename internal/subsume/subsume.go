@@ -168,7 +168,7 @@ type SetChecker struct {
 	seed int64
 
 	// boxScratch and pt back Subsumed's per-decision collections. Checkers
-	// are per-node (Config.CheckerFactory) and nodes execute sequentially, so
+	// are per-node (core.Config.Checker) and nodes execute sequentially, so
 	// one buffer set per checker suffices; Subsumed never retains them beyond
 	// a call, and every value of pt it reads was written by the same decision.
 	boxScratch []geom.Box

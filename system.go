@@ -163,9 +163,6 @@ func NewSystem(dep *Deployment, cfg Config) (*System, error) {
 	if cfg.Workers > 0 && !cfg.Concurrent {
 		return nil, fmt.Errorf("sensorcq: worker count %d requires the concurrent engine", cfg.Workers)
 	}
-	if !(cfg.SetFilterError >= 0 && cfg.SetFilterError < 1) {
-		return nil, fmt.Errorf("sensorcq: set-filter error %g outside [0,1)", cfg.SetFilterError)
-	}
 	rt, err := experiment.Start(dep, cfg.Approach, experiment.FactorySpec{
 		Seed:           cfg.Seed,
 		SetFilterError: cfg.SetFilterError,
