@@ -26,7 +26,7 @@ type Flags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.BoolVar(&f.Concurrent, "concurrent", false,
-		"run on the concurrent engine (pooled work-stealing scheduler)")
+		"run on the concurrent engine (a worker pool sharing one run queue)")
 	fs.IntVar(&f.Workers, "workers", 0,
 		"scheduler workers of the concurrent engine (0 = GOMAXPROCS; requires -concurrent)")
 	fs.StringVar(&f.delivery, "delivery", netsim.Quiescent.String(),
@@ -45,7 +45,7 @@ func (f *Flags) Validate() error {
 			f.delivery, strings.Join(netsim.DeliveryModeNames(), ", "))
 	}
 	f.Delivery = mode
-	if f.Lag < 0 || f.Lag > netsim.MaxReplayLag || (f.Lag > 0 && mode != netsim.Windowed) {
+	if (netsim.ReplayOptions{Mode: mode, Lag: f.Lag}).Validate() != nil {
 		return fmt.Errorf("invalid -lag %d: it must be in 0..%d and requires -delivery windowed", f.Lag, netsim.MaxReplayLag)
 	}
 	if f.Workers < 0 || (f.Workers > 0 && !f.Concurrent) {

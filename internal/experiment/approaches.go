@@ -47,10 +47,11 @@ type FactorySpec struct {
 	SetFilterError float64
 	// ValidityFactor scales each node's event-window validity (validity =
 	// factor x max δt); 0 keeps the protocol default of 2. Windowed replays
-	// with lag L use L+2 (netsim.RequiredValidityFactor) so a late-arriving
-	// trigger still finds its in-window partners stored. That bound holds at
-	// 5 sensors per group; at 10 it prunes partners that late-forwarded
-	// components still need (ROADMAP, direction 5(a)).
+	// with lag L use L+2 (netsim.RequiredValidityFactor) so that a
+	// late-arriving trigger finds its in-window partners stored. That is
+	// not always enough: the factor needed grows with matching depth, and a
+	// windowed lag-2 run of the quick scenarios differs from the quiescent
+	// one (see RequiredValidityFactor; ROADMAP, direction 5(a)).
 	ValidityFactor int
 }
 

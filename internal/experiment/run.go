@@ -71,8 +71,8 @@ type Options struct {
 	// Progress, when non-nil, receives a short line after each batch of
 	// each approach (used by the CLI).
 	Progress func(format string, args ...interface{})
-	// Concurrent runs each approach on the concurrent engine (a pooled
-	// work-stealing scheduler over the nodes) instead of the deterministic
+	// Concurrent runs each approach on the concurrent engine (a worker pool
+	// sharing one run queue of active nodes) instead of the deterministic
 	// sequential engine.
 	Concurrent bool
 	// Workers sizes the concurrent engine's scheduler pool (0 selects
@@ -86,9 +86,9 @@ type Options struct {
 	// parallel.
 	Delivery netsim.DeliveryMode
 	// Lag is the cross-round pipelining bound of the Windowed delivery
-	// mode (ignored by the other modes; Windowed with Lag 0 behaves like
-	// Pipelined). Nodes are built with the matching event-window validity
-	// factor so late-arriving triggers still find their partners.
+	// mode (it must be 0 for the other modes; Windowed with Lag 0 behaves
+	// like Pipelined). Nodes are built with the matching event-window
+	// validity factor (netsim.RequiredValidityFactor).
 	Lag int
 	// Churn is the fraction (in [0,1]) of each batch's subscriptions that
 	// are retracted again after the batch's measurement rounds have been
@@ -321,17 +321,21 @@ func RunOnWorkload(w *Workload, o Options) (*Result, error) {
 }
 
 // runApproach runs one approach over the shared workload: the paper's
-// experiment, the same in every delivery mode. Each batch's subscriptions
-// propagate to quiescence, then its measurement rounds replay under the
-// configured delivery semantics — which end with a flush — and the point is
-// read from the quiescent network: the cumulative subscription load, the
-// event load as the snapshot difference across the replay, and the recall
-// from the delivery record. The batch's churned fraction is retracted, again
-// to quiescence, before the next batch subscribes.
+// experiment. Each batch's subscriptions propagate to quiescence, then its
+// measurement rounds replay under the configured delivery semantics — which
+// end with a flush — and the point is read from the quiescent network: the
+// cumulative subscription load, the event load as the snapshot difference
+// across the replay, and the recall from the delivery record. The batch's
+// churned fraction is retracted, again to quiescence, before the next batch
+// subscribes.
 func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error) {
 	s := w.Scenario
 	if o.Churn < 0 || o.Churn > 1 {
 		return nil, fmt.Errorf("experiment: churn %g outside [0,1]", o.Churn)
+	}
+	opts := netsim.ReplayOptions{Mode: o.Delivery, Lag: o.Lag}
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	engine, err := Start(w.Deployment, id, FactorySpec{
 		Seed:           s.Seed + 7,
@@ -357,7 +361,6 @@ func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error)
 			}
 		}
 		before := engine.Metrics().Snapshot()
-		opts := netsim.ReplayOptions{Mode: o.Delivery, Lag: o.Lag}
 		if err := engine.ReplayRounds(w.PublicationRounds(b), opts); err != nil {
 			return nil, fmt.Errorf("experiment: replaying batch %d: %w", b, err)
 		}

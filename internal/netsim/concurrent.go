@@ -19,13 +19,13 @@ import (
 // totals and per-round delivery multisets.
 //
 // What is specific to this engine is how queued items get run: a bounded
-// work-stealing scheduler (see stealScheduler) decoupled from the topology
-// size. Every node keeps a private mailbox, but the scheduled unit is a node
-// *activation* — a push that makes a mailbox non-empty enqueues the node
-// onto a worker's local run deque, and a small pool of workers (default
-// GOMAXPROCS) drains active nodes burst by burst, stealing from sibling
-// deques when their own runs dry. Wakeups, ledger settlement and in-flight
-// accounting therefore cost O(active nodes), not O(topology).
+// worker pool decoupled from the topology size. Every node keeps a private
+// mailbox, but the scheduled unit is a node *activation* — a push that makes
+// a mailbox non-empty appends the node to the engine's one FIFO run queue
+// (see runQueue), and a small pool of workers (default GOMAXPROCS) takes
+// active nodes from it and drains them burst by burst. Wakeups, ledger
+// settlement and in-flight accounting therefore cost O(active nodes), not
+// O(topology).
 //
 // How many nodes are active at once is the delivery mode's doing: under
 // Quiescent replay at most one event is in flight, so the activations take
@@ -35,19 +35,13 @@ import (
 // The hot delivery path is lock-free with respect to the engine: traffic
 // counters and deliveries go to per-node shards (see Metrics and
 // deliveryLog), in-flight and per-round accounting are one atomic each,
-// and the only per-message lock is the target node's mailbox mutex — which
-// a worker drains in batches, one lock round-trip per burst.
+// and the per-message lock is the target node's mailbox mutex — which a
+// worker drains in batches, one lock round-trip per burst. The run queue's
+// lock is taken twice per activation: to queue the node and to take it.
 type ConcurrentEngine struct {
 	driver
 	mailboxes []*mailbox
-	pool      *stealScheduler
-	// nodeWorker[n] is the scheduler worker currently (or most recently)
-	// draining node n's mailbox. It is written by that worker right before
-	// it dispatches n's burst and read only from inside that burst's
-	// dispatches (the sink's enqueue runs on the same goroutine), so access
-	// is race-free: the node handoff between workers is ordered by the
-	// mailbox and deque mutexes.
-	nodeWorker []int32
+	runs      *runQueue
 
 	// inflight counts queued-but-not-yet-dispatched items; drain waits for
 	// it to reach zero via idleCond.
@@ -68,11 +62,11 @@ type mailbox struct {
 	mu     sync.Mutex
 	queue  []queued
 	closed bool
-	// active records that the node is scheduled: enqueued on some worker's
-	// run deque, or currently being drained. push reports an activation only
-	// on the empty→non-empty transition of an inactive mailbox, so a node
-	// appears at most once across all deques and is drained by at most one
-	// worker at a time.
+	// active records that the node is scheduled: in the run queue, or
+	// currently being drained. push reports an activation only on the
+	// empty→non-empty transition of an inactive mailbox, so a node is in
+	// the run queue at most once and drained by at most one worker at a
+	// time.
 	active bool
 }
 
@@ -93,7 +87,7 @@ func (m *mailbox) push(item *queued) (activate, ok bool) {
 }
 
 // take removes every queued item in one swap without blocking, leaving spare
-// as the mailbox's next backing array. Only the worker that dequeued the
+// as the mailbox's next backing array. Only the worker that took the
 // node's activation calls it. Draining in batches rather than item by item
 // keeps the mailbox lock out of the pipelined hot path: under a full round
 // in flight a node pays one lock round-trip per burst instead of one per
@@ -128,150 +122,68 @@ func (m *mailbox) close() {
 	m.mu.Unlock()
 }
 
-// runDeque is one scheduler worker's run queue of activated nodes. The owner
-// pushes and pops at the tail (LIFO: the most recently activated node's
-// messages are the ones still warm in cache); idle workers steal from the
-// head (FIFO: the oldest activation is the fairest to migrate). A node
-// appears at most once across all deques (mailbox.active), so total
-// occupancy — and therefore every backing array — is bounded by the topology
-// size: the buffer ratchets up to its high-water capacity during warm-up and
-// is never reallocated in steady state, keeping activations off the heap.
-type runDeque struct {
-	mu   sync.Mutex
-	head int
-	buf  []int32
-	// The padding keeps neighbouring deques off a shared cache line: every
-	// worker hammers its own deque's lock once per activation.
-	_ [64]byte
+// runQueue is the engine's one queue of activated nodes, taken in FIFO order
+// by the worker pool. A node is in it at most once (mailbox.active), so a
+// ring of one slot per node never overflows, and activations never allocate.
+// No wakeup is lost: a worker waits only after seeing the ring empty under
+// the lock, and Wait registers it before releasing the lock, so the push
+// that next takes the lock is followed by a Signal that reaches it.
+type runQueue struct {
+	mu     sync.Mutex
+	ready  sync.Cond
+	ring   []int32
+	head   int // slot of the oldest queued node
+	n      int // queued nodes
+	closed bool
 }
 
-func (d *runDeque) push(n int32) {
-	d.mu.Lock()
-	d.buf = append(d.buf, n)
-	d.mu.Unlock()
+func newRunQueue(nodes int) *runQueue {
+	q := &runQueue{ring: make([]int32, nodes)}
+	q.ready.L = &q.mu
+	return q
 }
 
-// pop takes from the tail (owner side).
-func (d *runDeque) pop() (int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head == len(d.buf) {
-		d.buf, d.head = d.buf[:0], 0
-		return 0, false
+func (q *runQueue) push(node int32) {
+	q.mu.Lock()
+	if q.n == len(q.ring) {
+		q.mu.Unlock()
+		panic("netsim: run queue overflow")
 	}
-	n := d.buf[len(d.buf)-1]
-	d.buf = d.buf[:len(d.buf)-1]
-	if d.head == len(d.buf) {
-		d.buf, d.head = d.buf[:0], 0
+	tail := q.head + q.n
+	if tail >= len(q.ring) {
+		tail -= len(q.ring)
 	}
-	return n, true
+	q.ring[tail] = node
+	q.n++
+	q.mu.Unlock()
+	q.ready.Signal()
 }
 
-// stealHead takes from the head (thief side).
-func (d *runDeque) stealHead() (int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head == len(d.buf) {
-		return 0, false
-	}
-	n := d.buf[d.head]
-	d.head++
-	if d.head == len(d.buf) {
-		d.buf, d.head = d.buf[:0], 0
-	}
-	return n, true
-}
-
-// stealScheduler multiplexes node activations over a bounded worker pool:
-// one run deque per worker plus a central parking lot for idle workers.
-//
-// The lost-wakeup race between a worker going idle and a concurrent
-// activation is closed by ordering: a parking worker increments seekers
-// under parkMu BEFORE its final scan of every deque, and an enqueuer pushes
-// its node BEFORE loading seekers. The atomics are sequentially consistent,
-// so if the enqueuer reads seekers == 0 the worker's final scan happens
-// after the push and finds the node; if it reads > 0 the signal is delivered
-// under parkMu, after the worker entered Wait (or harmlessly spuriously).
-// In the steady state — every worker busy — an activation therefore costs
-// one deque lock plus one atomic load, with the parking lot untouched.
-type stealScheduler struct {
-	deques   []runDeque
-	parkMu   sync.Mutex
-	parkCond *sync.Cond
-	// seekers counts workers inside the acquire slow path (scanning under
-	// parkMu or waiting on parkCond).
-	seekers atomic.Int32
-	closed  atomic.Bool
-	// rr spreads external injections (which carry no worker affinity)
-	// round-robin over the deques.
-	rr atomic.Uint32
-}
-
-func newStealScheduler(workers int) *stealScheduler {
-	s := &stealScheduler{deques: make([]runDeque, workers)}
-	s.parkCond = sync.NewCond(&s.parkMu)
-	return s
-}
-
-// enqueue schedules an activated node. prefer is the worker whose dispatch
-// caused the activation — the sender's burst is still warm, so the child
-// activation lands on its local deque without any shared-counter traffic;
-// negative means no affinity (an external injection) and spreads round-robin.
-func (s *stealScheduler) enqueue(prefer int, node int32) {
-	if prefer < 0 {
-		prefer = int(s.rr.Add(1)) % len(s.deques)
-	}
-	s.deques[prefer].push(node)
-	if s.seekers.Load() > 0 {
-		s.parkMu.Lock()
-		s.parkCond.Signal()
-		s.parkMu.Unlock()
-	}
-}
-
-// scan is one full acquisition attempt: the worker's own deque first, then a
-// steal sweep over the siblings starting at its right-hand neighbour.
-func (s *stealScheduler) scan(w int) (int32, bool) {
-	if n, ok := s.deques[w].pop(); ok {
-		return n, true
-	}
-	for i := 1; i < len(s.deques); i++ {
-		if n, ok := s.deques[(w+i)%len(s.deques)].stealHead(); ok {
-			return n, true
-		}
-	}
-	return 0, false
-}
-
-// next blocks until an activated node is available for worker w (returning
-// it) or the scheduler is closed AND drained (returning false): remaining
-// activations are still run after Close.
-func (s *stealScheduler) next(w int) (int32, bool) {
-	if n, ok := s.scan(w); ok {
-		return n, true
-	}
-	s.parkMu.Lock()
-	s.seekers.Add(1)
-	for {
-		if n, ok := s.scan(w); ok {
-			s.seekers.Add(-1)
-			s.parkMu.Unlock()
-			return n, true
-		}
-		if s.closed.Load() {
-			s.seekers.Add(-1)
-			s.parkMu.Unlock()
+// next blocks until a node is queued (returning it) or the queue is closed
+// AND empty (returning false): activations queued before close still run.
+func (q *runQueue) next() (int32, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.n == 0 {
+		if q.closed {
 			return 0, false
 		}
-		s.parkCond.Wait()
+		q.ready.Wait()
 	}
+	node := q.ring[q.head]
+	q.head++
+	if q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n--
+	return node, true
 }
 
-func (s *stealScheduler) close() {
-	s.closed.Store(true)
-	s.parkMu.Lock()
-	s.parkCond.Broadcast()
-	s.parkMu.Unlock()
+func (q *runQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.ready.Broadcast()
 }
 
 // EffectiveWorkers resolves a requested scheduler pool size the way the
@@ -291,53 +203,53 @@ func EffectiveWorkers(workers, nodes int) int {
 }
 
 // NewConcurrentEngineWorkers builds a concurrent engine over the given
-// topology, executed by the pooled work-stealing scheduler with the given
-// number of workers (see EffectiveWorkers for how the count is resolved; 0
-// selects GOMAXPROCS). Callers must Close the engine when done.
+// topology, executed by a pool of the given number of workers sharing one
+// run queue (see EffectiveWorkers for how the count is resolved; 0 selects
+// GOMAXPROCS). Callers must Close the engine when done.
 func NewConcurrentEngineWorkers(graph *topology.Graph, factory HandlerFactory, workers int) *ConcurrentEngine {
 	n := graph.NumNodes()
 	e := &ConcurrentEngine{
-		mailboxes:  make([]*mailbox, n),
-		pool:       newStealScheduler(EffectiveWorkers(workers, n)),
-		nodeWorker: make([]int32, n),
+		mailboxes: make([]*mailbox, n),
+		runs:      newRunQueue(n),
 	}
 	e.idleCond = sync.NewCond(&e.idleMu)
 	for i := range e.mailboxes {
 		e.mailboxes[i] = &mailbox{}
 	}
 	e.driver.init(graph, factory, e, n, false)
-	for w := range e.pool.deques {
-		go e.runWorker(w)
+	for w := EffectiveWorkers(workers, n); w > 0; w-- {
+		go e.runWorker()
 	}
 	return e
 }
 
-// runWorker is one pooled scheduler worker: it acquires activated nodes from
-// the deques (own first, stealing when dry) and drains one burst per
-// activation. The spare buffer is reused across bursts, so the steady state
-// allocates nothing; its backing array migrates between mailboxes as bursts
-// are swapped out and handed back. Trim cannot reach a worker's spare (the
-// worker may still be handing it back when a drain already saw the network
-// idle), so each activation drops a spare from before the last Trim: one
-// load beside the deque lock the acquisition just paid.
-func (e *ConcurrentEngine) runWorker(w int) {
+// runWorker is one pooled scheduler worker: it takes activated nodes from
+// the run queue and drains one burst per activation. The spare buffer is
+// reused across bursts, so the steady state allocates nothing; its backing
+// array migrates between mailboxes as bursts are swapped out and handed
+// back. Trim cannot reach a worker's spare (the worker may still be handing
+// it back when a drain already saw the network idle), so each activation
+// drops a spare from before the last Trim: one load beside the run-queue
+// lock the activation just paid.
+func (e *ConcurrentEngine) runWorker() {
 	var spare []queued
 	var trims uint32
 	for {
-		n, ok := e.pool.next(w)
+		n, ok := e.runs.next()
 		if !ok {
 			return
 		}
 		if t := e.trims.Load(); t != trims {
 			trims, spare = t, nil
 		}
-		spare = e.runNode(w, int(n), spare)
+		spare = e.runNode(int(n), spare)
 	}
 }
 
-// Trim implements Runtime: every empty mailbox and run deque lets go of its
-// backing array, and each worker drops its spare burst buffer before its next
-// activation.
+// Trim implements Runtime: every empty mailbox lets go of its backing array,
+// and each worker drops its spare burst buffer before its next activation.
+// The run queue is a fixed ring of one slot per node and has nothing to
+// release.
 func (e *ConcurrentEngine) Trim() {
 	e.trims.Add(1)
 	for _, m := range e.mailboxes {
@@ -347,25 +259,13 @@ func (e *ConcurrentEngine) Trim() {
 		}
 		m.mu.Unlock()
 	}
-	for i := range e.pool.deques {
-		d := &e.pool.deques[i]
-		d.mu.Lock()
-		if d.head == len(d.buf) {
-			d.buf, d.head = nil, 0
-		}
-		d.mu.Unlock()
-	}
 }
 
-// runNode drains one burst from node n's mailbox on worker w: take the
-// queue in one swap, dispatch every item, deactivate the node (rescheduling
-// it if it refilled mid-burst), then release the burst from the ledger and
-// the in-flight count.
-func (e *ConcurrentEngine) runNode(w, n int, spare []queued) []queued {
-	// Record the node→worker affinity before dispatching: sends performed
-	// by these dispatches read it (on this same goroutine) to land child
-	// activations on this worker's own deque.
-	e.nodeWorker[n] = int32(w)
+// runNode drains one burst from node n's mailbox: take the queue in one
+// swap, dispatch every item, deactivate the node (rescheduling it if it
+// refilled mid-burst), then release the burst from the ledger and the
+// in-flight count.
+func (e *ConcurrentEngine) runNode(n int, spare []queued) []queued {
 	m := e.mailboxes[n]
 	items := m.take(spare)
 	h, ctx := e.handlers[n], e.ctxs[n]
@@ -373,7 +273,7 @@ func (e *ConcurrentEngine) runNode(w, n int, spare []queued) []queued {
 		dispatch(h, ctx, &items[i])
 	}
 	if m.finish() {
-		e.pool.enqueue(w, int32(n))
+		e.runs.push(int32(n))
 	}
 	// Release the burst from the ledger, one call per run of equal rounds
 	// (a burst rarely mixes more than a couple). Only now — every child the
@@ -403,14 +303,11 @@ func (e *ConcurrentEngine) runNode(w, n int, spare []queued) []queued {
 	return items
 }
 
-// submit implements scheduler: an external injection carries no worker
-// affinity.
-func (e *ConcurrentEngine) submit(item queued) error { return e.submitFrom(&item, -1) }
+// submit implements scheduler.
+func (e *ConcurrentEngine) submit(item queued) error { return e.add(&item) }
 
-// submitFrom queues one item. prefer names the scheduler worker whose
-// dispatch produced it (its local deque receives the activation), or -1 for
-// external injections, which spread round-robin.
-func (e *ConcurrentEngine) submitFrom(item *queued, prefer int) error {
+// add queues one item, activating its node if the mailbox was idle.
+func (e *ConcurrentEngine) add(item *queued) error {
 	if e.closed.Load() {
 		return errClosed
 	}
@@ -431,7 +328,7 @@ func (e *ConcurrentEngine) submitFrom(item *queued, prefer int) error {
 		return fmt.Errorf("netsim: node %d mailbox closed", item.to)
 	}
 	if activate {
-		e.pool.enqueue(prefer, int32(item.to))
+		e.runs.push(int32(item.to))
 	}
 	return nil
 }
@@ -444,11 +341,11 @@ func (e *ConcurrentEngine) wakeIdle() {
 }
 
 // enqueue implements sink (called from dispatches on worker goroutines). A
-// failed submit — only possible when a send races engine shutdown — is
-// counted as a dropped message so lossy runs are detectable; the conformance
-// suite asserts the counter stays zero.
+// failed add — only possible when a send races engine shutdown — is counted
+// as a dropped message so lossy runs are detectable; the conformance suite
+// asserts the counter stays zero.
 func (e *ConcurrentEngine) enqueue(item queued) {
-	if err := e.submitFrom(&item, int(e.nodeWorker[item.from])); err != nil {
+	if err := e.add(&item); err != nil {
 		e.metrics.recordDrop()
 	}
 }
@@ -488,10 +385,10 @@ func (e *ConcurrentEngine) awaitWatermark(ctx context.Context, target int) error
 }
 
 // stop implements scheduler: mailboxes reject further items and the workers
-// exit once the activations already on their deques have run.
+// exit once the activations already in the run queue have run.
 func (e *ConcurrentEngine) stop() {
 	for _, m := range e.mailboxes {
 		m.close()
 	}
-	e.pool.close()
+	e.runs.close()
 }

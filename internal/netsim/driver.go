@@ -202,7 +202,7 @@ func (d *driver) ReplayRounds(rounds [][]Publication, opts ReplayOptions) error 
 // ReplayRoundsContext implements Runtime. Every delivery mode runs the same
 // injection loop (replay); the mode only picks its two parameters.
 func (d *driver) ReplayRoundsContext(ctx context.Context, rounds [][]Publication, opts ReplayOptions) error {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return err
 	}
 	for _, round := range rounds {

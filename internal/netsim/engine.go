@@ -85,8 +85,8 @@ type Runtime interface {
 	// work queued or in flight for a later drain). A nil error means the
 	// network is quiescent.
 	FlushContext(ctx context.Context) error
-	// Trim releases the queue storage a past burst grew — mailbox, burst and
-	// run-deque arrays, or the FIFO queue — keeping whatever still holds
+	// Trim releases the queue storage a past burst grew — mailbox and burst
+	// arrays, or the FIFO queue — keeping whatever still holds
 	// items. Queues stay at their high-water mark so that a steady replay
 	// allocates nothing; after a one-off burst far above it (NewSystem's
 	// advertisement flood) that is hundreds of megabytes of dead weight.

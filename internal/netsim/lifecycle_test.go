@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,6 +117,99 @@ func TestConcurrentEngineCloseLeavesNoGoroutines(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// heldCounter counts the readings its node dispatches. A reading with Seq 0
+// holds its worker inside the dispatch: it reports on held, then waits for
+// one token on release.
+type heldCounter struct {
+	silentHandler
+	count   *atomic.Int64
+	held    chan<- struct{}
+	release <-chan struct{}
+}
+
+func (h heldCounter) LocalPublish(_ *Context, ev model.Event) {
+	h.count.Add(1)
+	if ev.Seq == 0 {
+		h.held <- struct{}{}
+		<-h.release
+	}
+}
+
+// TestConcurrentEngineRunQueueAtCapacity fills the run queue to its capacity
+// of one slot per node. Each of the w workers is held inside a dispatch at
+// one of the nodes 0..w-1 while one reading is injected at every node, so
+// the other n-w activations are queued at once; each held node refilled
+// while it was held and is queued behind them when its worker is let go.
+// With one worker the queue then holds all n nodes; a queue one slot short
+// overflows. Every node must dispatch exactly its readings with nothing
+// dropped. A second fill is closed while queued, and the workers must run
+// it out and exit.
+func TestConcurrentEngineRunQueueAtCapacity(t *testing.T) {
+	const nodes = 64
+	for _, workers := range workerCounts() {
+		t.Run(workersLabel(workers), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			counts := make([]atomic.Int64, nodes)
+			held, release := make(chan struct{}), make(chan struct{})
+			e := NewConcurrentEngineWorkers(lineGraph(t, nodes), func(n topology.NodeID) Handler {
+				return heldCounter{count: &counts[n], held: held, release: release}
+			}, workers)
+			w := EffectiveWorkers(workers, nodes)
+			publish := func(node int, seq uint64) {
+				t.Helper()
+				ev := testEvent(seq)
+				if err := e.post(context.Background(), topology.NodeID(node), queued{msg: Message{Kind: localPublish, Ev: ev}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fill := func() {
+				for k := 0; k < w; k++ {
+					publish(k, 0)
+				}
+				for k := 0; k < w; k++ {
+					<-held
+				}
+				for n := 0; n < nodes; n++ {
+					publish(n, uint64(n+1))
+				}
+			}
+			letGo := func() {
+				for k := 0; k < w; k++ {
+					release <- struct{}{}
+				}
+			}
+			check := func(fills int64) {
+				t.Helper()
+				for n := range counts {
+					want := fills
+					if n < w {
+						want *= 2
+					}
+					if got := counts[n].Load(); got != want {
+						t.Errorf("node %d dispatched %d readings, want %d", n, got, want)
+					}
+				}
+			}
+
+			fill()
+			letGo()
+			e.Flush()
+			check(1)
+			if n := e.Metrics().DroppedMessages(); n != 0 {
+				t.Errorf("dropped %d messages", n)
+			}
+
+			fill()
+			e.Close()
+			letGo()
+			if n, ok := stabilizedGoroutines(baseline, 5*time.Second); !ok {
+				t.Fatalf("goroutines did not stabilize: %d live, baseline %d", n, baseline)
+			}
+			check(2)
+		})
 	}
 }
 

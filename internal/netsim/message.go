@@ -15,21 +15,20 @@
 // The concurrent engine decouples execution from topology size: instead of
 // one goroutine per node, a bounded pool of workers (default GOMAXPROCS)
 // runs node *activations*. Every node owns a mailbox with an `active` flag;
-// a push that lands in an empty, inactive mailbox flips the flag and hands
-// the node to the work-stealing scheduler, which places it on the
-// activating worker's local run deque (owners pop LIFO, idle workers steal
-// FIFO from siblings). A worker that dequeues a node drains its mailbox in
-// one burst through the node's handler; the flag is only cleared — under
-// the mailbox lock — once the queue is seen empty again, so a node is on at
-// most one deque and drained by at most one worker at a time. That is what
-// preserves the sequential engine's per-node contract: a handler never runs
+// a push that lands in an empty, inactive mailbox flips the flag and appends
+// the node to the engine's one FIFO run queue, which every worker takes
+// from. A worker that takes a node drains its mailbox in one burst through
+// the node's handler; the flag is only cleared — under the mailbox lock —
+// once the queue is seen empty again, so a node is in the run queue at most
+// once and drained by at most one worker at a time. That is what preserves
+// the sequential engine's per-node contract: a handler never runs
 // concurrently with itself, only with other nodes' handlers.
 //
 // Because scheduling work is proportional to *active* nodes rather than
 // topology size, a 10k-node network with a handful of busy subtrees costs a
-// handful of deque operations per message — not 10k parked goroutines'
+// handful of run-queue operations per message — not 10k parked goroutines'
 // worth of stacks and wakeups. See ConcurrentEngine and ROADMAP.md
-// ("Work-stealing scheduler core") for the invariants in detail.
+// ("Run-queue scheduler core") for the invariants in detail.
 package netsim
 
 import (

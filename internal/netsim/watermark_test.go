@@ -391,12 +391,12 @@ func TestReplayOptionsValidation(t *testing.T) {
 		{ReplayOptions{Mode: DeliveryMode(42)}, false},
 	}
 	for _, c := range cases {
-		err := c.opts.validate()
+		err := c.opts.Validate()
 		if c.ok && err != nil {
-			t.Errorf("validate(%+v) = %v, want nil", c.opts, err)
+			t.Errorf("Validate(%+v) = %v, want nil", c.opts, err)
 		}
 		if !c.ok && err == nil {
-			t.Errorf("validate(%+v) accepted invalid options", c.opts)
+			t.Errorf("Validate(%+v) accepted invalid options", c.opts)
 		}
 	}
 }

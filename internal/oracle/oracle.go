@@ -2,11 +2,17 @@
 // informed matcher would deliver to each subscriber, given the complete
 // event trace. It is used to measure the end-user event recall of the
 // Filter-Split-Forward approach (Figure 12), which may miss events whose
-// subscription fell into a falsely detected subsumption gap. The
-// deterministic approaches deliver the oracle's result sets on the 5
-// sensors per group the experiment scenarios use, not in general: at 10,
-// where a subtree holds sensors of several of a query's attributes, they
-// miss cross-subtree combinations too (ROADMAP, direction 5(b)).
+// subscription fell into a falsely detected subsumption gap. On the four
+// experiment scenarios (5 sensors per group) every approach delivers the
+// oracle's result sets under quiescent replay, which TestPaperEvaluation
+// pins at default scale. On those scenarios windowed replay is pinned
+// equal to quiescent only for operator placement and Filter-Split-Forward
+// on the small one, and for Filter-Split-Forward's final points across
+// lags; elsewhere it moves event loads, because the event-window factor it needs grows with
+// matching depth (ROADMAP, findings 2 and 4, direction 5(a)). At 10 sensors
+// per group, where a subtree holds sensors of several of a query's
+// attributes, the deterministic approaches miss cross-subtree combinations
+// too (ROADMAP, direction 5(b)).
 //
 // The oracle uses exactly the same trigger-based matching semantics as the
 // protocol nodes (Algorithm 5): events are inserted in timestamp order into

@@ -145,6 +145,16 @@ func TestSystemDefaultsAndErrors(t *testing.T) {
 			t.Errorf("set-filter error %g should fail, not fall back to the default", p)
 		}
 	}
+	// Replay settings every ReplayRounds would reject fail here, before the
+	// advertisement flood.
+	for _, cfg := range []Config{
+		{Delivery: Windowed, Lag: 1000},
+		{Delivery: DeliveryMode(9)},
+	} {
+		if _, err := NewSystem(dep, cfg); err == nil {
+			t.Errorf("delivery %v with lag %d should fail", cfg.Delivery, cfg.Lag)
+		}
+	}
 	if _, err := sys.Subscribe(99, nil); err == nil {
 		t.Error("subscribing nil at an unknown node should fail")
 	}
