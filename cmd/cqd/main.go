@@ -8,7 +8,7 @@
 //
 //	cqd -demo                                # six-node walkthrough network
 //	cqd -nodes 60 -sensors 50 -groups 10     # generated SensorScope-like net
-//	cqd -approach centralized -concurrent -delivery pipelined
+//	cqd -approach centralized -concurrent -workers 2
 //	cqd -addr 127.0.0.1:8080 -drain-timeout 10s
 //
 // Register, ingest and stream with curl:
@@ -59,6 +59,14 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// POST /events ingests every body as one quiescent round; no replay
+	// reaches the daemon, so another mode would only enlarge event windows.
+	// Validate already refuses -lag without -delivery windowed.
+	if eng.Delivery != sensorcq.Quiescent {
+		fmt.Fprintf(os.Stderr, "invalid -delivery %s: cqd ingests every POST /events as one quiescent round, so neither another delivery mode nor -lag applies\n", eng.Delivery)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := run(*addr, *approach, eng, *demo, *nodes, *sensors, *groups, *seed, *node, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -75,8 +83,6 @@ func run(addr, approach string, eng *engineflags.Flags, demo bool, nodes, sensor
 		Seed:       seed,
 		Concurrent: eng.Concurrent,
 		Workers:    eng.Workers,
-		Delivery:   eng.Delivery,
-		Lag:        eng.Lag,
 	})
 	if err != nil {
 		return err

@@ -21,10 +21,17 @@ import (
 // Upstream traffic per window therefore scales with the tree's fan-in
 // instead of the window's reading count.
 //
+// The per-node state is one registry, Aggregates, which the centralized
+// baseline embeds as well: there the centre is the only node holding the
+// query, with no child links, and each result it finalises is charged the
+// subscriber's whole shortest path. All five approaches therefore close
+// windows by one rule.
+//
 // Correctness rests on three invariants:
 //
-//  1. Exactly-once accumulation: only LocalPublish feeds readings into
-//     window states, and a reading is published at exactly one node.
+//  1. Exactly-once accumulation: a reading is folded in at exactly one
+//     node — the one that published it (LocalPublish), or, in the
+//     centralized baseline, the centre after its duplicate check.
 //  2. FIFO links + watermark ticks: a node's tick(wm) is dispatched after
 //     every item of rounds ≤ wm that the node will ever receive, so a
 //     window whose end round is ≤ wm has seen all of its readings.
@@ -40,6 +47,22 @@ import (
 // the registration has reached every node, results are mode-independent.
 // The conformance suite registers aggregate queries up front.
 
+// Aggregates is one node's registry of windowed aggregate subscriptions.
+// Protocol handlers embed it: its HandleWatermark and HandlePartialAggregate
+// implement netsim.WatermarkHandler and netsim.AggregateHandler.
+type Aggregates struct {
+	// byID keys the registered subscriptions; list iterates them in
+	// registration order for reading accumulation and watermark ticks.
+	byID map[model.SubscriptionID]*aggSub
+	list []*aggSub
+
+	// lastTick is the highest watermark announced to this node. It is
+	// tracked even before any aggregate subscription registers, because a
+	// registration arriving mid-stream needs it to catch up on windows the
+	// network has already finalised.
+	lastTick int
+}
+
 // aggSub is the per-node state of one registered aggregate subscription.
 type aggSub struct {
 	sub  *model.Subscription
@@ -47,10 +70,17 @@ type aggSub struct {
 	cfg  agg.Config
 
 	// origin is the neighbour the subscription arrived from — the parent in
-	// the dissemination tree, where partials are shipped. Self for the
-	// subscriber's own node.
-	origin  topology.NodeID
-	isLocal bool
+	// the dissemination tree, where partials are shipped, and the only link
+	// a retraction is honoured on. Self for the subscriber's own node.
+	origin topology.NodeID
+	// final marks the node that finalises results: the subscriber's node in
+	// the network, the centre in the centralized baseline.
+	final bool
+	// resultHop and resultHops charge shipping a finalised result to the
+	// subscriber: resultHops units on the link to resultHop. Zero when the
+	// result is delivered where it is finalised.
+	resultHop  topology.NodeID
+	resultHops int64
 
 	// children are the neighbours the subscription was forwarded to; each
 	// ships exactly one partial per window.
@@ -62,13 +92,12 @@ type aggSub struct {
 	// maxTick is the highest watermark this subscription has processed.
 	maxTick int
 	// empty is the result value of an empty window (0 for count/sum, NaN
-	// for the rest); cached at the subscriber's node.
+	// for the rest); cached at the finalising node.
 	empty float64
 
 	// windows holds the open windows' accumulation state, keyed by window
-	// index; free recycles closed windows' wrappers (and, at the
-	// subscriber's node, their states) so steady-state accumulation
-	// allocates nothing.
+	// index; free recycles closed windows' wrappers (and, at the finalising
+	// node, their states) so steady-state accumulation allocates nothing.
 	windows map[int]*aggWindow
 	free    []*aggWindow
 }
@@ -194,34 +223,12 @@ func (a *aggSub) complete(w *aggWindow) bool {
 // instance, same ID — so the whole dissemination tree keys its partials by
 // the subscriber's original ID.
 func (n *Node) registerAggregate(ctx *netsim.Context, m topology.NodeID, sub *model.Subscription, isLocal bool) {
-	if _, dup := n.aggs[sub.ID]; dup {
+	if _, dup := n.byID[sub.ID]; dup {
 		return
 	}
-	spec := sub.Aggregate
-	a := &aggSub{
-		sub:     sub,
-		spec:    spec,
-		cfg:     spec.Config(),
-		origin:  m,
-		isLocal: isLocal,
-		windows: map[int]*aggWindow{},
-	}
-	// The registration cascade shares one lineage round network-wide, so
-	// every node derives the same first window: the one holding the round
-	// after the registration round.
-	a.nextClose = spec.WindowOf(ctx.Round() + 1)
-	a.maxTick = n.lastTick
-	if isLocal {
-		a.empty = a.cfg.New().Result()
-	}
-	if n.aggs == nil {
-		n.aggs = map[model.SubscriptionID]*aggSub{}
-	}
-	n.aggs[sub.ID] = a
-	n.aggList = append(n.aggList, a)
-
 	// Forward along the reverse advertisement paths exactly like
 	// splitAndForward; local registrations require all sources advertised.
+	var children []topology.NodeID
 	if !isLocal || n.advs.HasAllSources(sub) {
 		for _, j := range ctx.Neighbors() {
 			if j == m {
@@ -229,23 +236,60 @@ func (n *Node) registerAggregate(ctx *netsim.Context, m topology.NodeID, sub *mo
 			}
 			if op := n.advs.Project(sub, j); op != nil {
 				ctx.SendSubscription(j, op)
-				a.children = append(a.children, j)
+				children = append(children, j)
 			}
 		}
 	}
+	n.AddAggregate(ctx, sub, m, children, isLocal, 0, 0)
+}
+
+// AddAggregate registers an aggregate subscription that arrived from origin
+// and was forwarded on the children links; a duplicate ID is ignored. final
+// marks the node that finalises results, each charged hops units on the
+// link to hop towards the subscriber (hops 0: delivered here).
+func (r *Aggregates) AddAggregate(ctx *netsim.Context, sub *model.Subscription, origin topology.NodeID, children []topology.NodeID, final bool, hop topology.NodeID, hops int64) {
+	if _, dup := r.byID[sub.ID]; dup {
+		return
+	}
+	spec := sub.Aggregate
+	a := &aggSub{
+		sub:        sub,
+		spec:       spec,
+		cfg:        spec.Config(),
+		origin:     origin,
+		final:      final,
+		resultHop:  hop,
+		resultHops: hops,
+		children:   children,
+		windows:    map[int]*aggWindow{},
+	}
+	// The registration cascade shares one lineage round network-wide, so
+	// every node derives the same first window: the one holding the round
+	// after the registration round.
+	a.nextClose = spec.WindowOf(ctx.Round() + 1)
+	a.maxTick = r.lastTick
+	if final {
+		a.empty = a.cfg.New().Result()
+	}
+	if r.byID == nil {
+		r.byID = map[model.SubscriptionID]*aggSub{}
+	}
+	r.byID[sub.ID] = a
+	r.list = append(r.list, a)
 	// Catch up: when the watermark overtook the registration cascade
 	// (windowed replay), windows may already be finalisable — close them now
 	// (shipping empty partials) so parents upstream are never left waiting.
-	n.closeAggWindows(ctx, a)
+	a.closeWindows(ctx)
 }
 
-// retractAggregate intercepts the retraction of an aggregate subscription:
-// it reports false when the ID is not a registered aggregate (the caller
-// proceeds with ordinary operator retraction). Open windows are dropped —
-// the user no longer wants results, and upstream nodes retract in the same
-// cascade so nobody waits on a final partial.
-func (n *Node) retractAggregate(ctx *netsim.Context, m topology.NodeID, id model.SubscriptionID) bool {
-	a := n.aggs[id]
+// RetractAggregate intercepts the retraction of an aggregate subscription
+// arriving from m: it reports false when the ID is not a registered
+// aggregate (the caller proceeds with its ordinary retraction). Open windows
+// are dropped — the user no longer wants results, and the retraction is
+// forwarded on the child links in the same cascade so nobody waits on a
+// final partial.
+func (r *Aggregates) RetractAggregate(ctx *netsim.Context, m topology.NodeID, id model.SubscriptionID) bool {
+	a := r.byID[id]
 	if a == nil {
 		return false
 	}
@@ -254,12 +298,12 @@ func (n *Node) retractAggregate(ctx *netsim.Context, m topology.NodeID, id model
 		// from (the tree parent); anything else is a stray duplicate.
 		return true
 	}
-	delete(n.aggs, id)
-	for i, e := range n.aggList {
+	delete(r.byID, id)
+	for i, e := range r.list {
 		if e == a {
-			copy(n.aggList[i:], n.aggList[i+1:])
-			n.aggList[len(n.aggList)-1] = nil
-			n.aggList = n.aggList[:len(n.aggList)-1]
+			copy(r.list[i:], r.list[i+1:])
+			r.list[len(r.list)-1] = nil
+			r.list = r.list[:len(r.list)-1]
 			break
 		}
 	}
@@ -269,12 +313,13 @@ func (n *Node) retractAggregate(ctx *netsim.Context, m topology.NodeID, id model
 	return true
 }
 
-// accumulateLocal folds one locally published reading into every matching
-// aggregate subscription's open window. Only the publishing node
-// accumulates a reading (exactly-once network-wide); under the exact
-// baseline the reading is instead relayed raw towards the subscriber.
-func (n *Node) accumulateLocal(ctx *netsim.Context, ev model.Event) {
-	for _, a := range n.aggList {
+// AccumulateReading folds one reading into every matching aggregate
+// subscription's open window. The caller feeds each reading once
+// network-wide — the publishing node in the network, the centre in the
+// centralized baseline; under the exact baseline a node that does not
+// finalise instead relays the reading raw towards the subscriber.
+func (r *Aggregates) AccumulateReading(ctx *netsim.Context, ev model.Event) {
+	for _, a := range r.list {
 		if !a.sub.MatchesReading(ev) {
 			continue
 		}
@@ -284,7 +329,7 @@ func (n *Node) accumulateLocal(ctx *netsim.Context, ev model.Event) {
 			// window; the window's result has shipped.
 			continue
 		}
-		if a.cfg.Exact && !a.isLocal {
+		if a.cfg.Exact && !a.final {
 			_, end := a.spec.WindowBounds(g)
 			ctx.SendPartialAggregate(a.origin, &netsim.PartialAggregate{
 				SubID:    a.sub.ID,
@@ -303,30 +348,33 @@ func (n *Node) accumulateLocal(ctx *netsim.Context, ev model.Event) {
 // that every item of rounds ≤ wm has been dispatched network-wide. Ticks
 // can arrive out of order under the concurrent engine; stale ones are
 // ignored.
-func (n *Node) HandleWatermark(ctx *netsim.Context, wm int) {
-	if wm <= n.lastTick {
+func (r *Aggregates) HandleWatermark(ctx *netsim.Context, wm int) {
+	if wm <= r.lastTick {
 		return
 	}
-	n.lastTick = wm
-	for _, a := range n.aggList {
+	r.lastTick = wm
+	for _, a := range r.list {
 		if wm > a.maxTick {
 			a.maxTick = wm
-			n.closeAggWindows(ctx, a)
+			a.closeWindows(ctx)
 		}
 	}
 }
 
 // HandlePartialAggregate implements netsim.AggregateHandler: a child (or,
 // for raw relays, any downstream node) shipped window data upstream.
-func (n *Node) HandlePartialAggregate(ctx *netsim.Context, from topology.NodeID, pa *netsim.PartialAggregate) {
-	a := n.aggs[pa.SubID]
+// Finalised results travelling down from the centralized baseline's centre
+// find no registration on their way and are dropped: the centre charged
+// their whole path when it shipped them.
+func (r *Aggregates) HandlePartialAggregate(ctx *netsim.Context, from topology.NodeID, pa *netsim.PartialAggregate) {
+	a := r.byID[pa.SubID]
 	if a == nil {
 		return
 	}
 	if pa.Raw {
 		// Exact baseline: a relayed raw reading. Aggregate it here if this
-		// is the subscriber's node, otherwise pass it one hop closer.
-		if !a.isLocal {
+		// is the finalising node, otherwise pass it one hop closer.
+		if !a.final {
 			ctx.SendPartialAggregate(a.origin, pa, 1)
 			return
 		}
@@ -352,14 +400,14 @@ func (n *Node) HandlePartialAggregate(ctx *netsim.Context, from topology.NodeID,
 		}
 	}
 	w.childDone++
-	n.closeAggWindows(ctx, a)
+	a.closeWindows(ctx)
 }
 
-// closeAggWindows finalises every closable window of one subscription, in
+// closeWindows finalises every closable window of the subscription, in
 // window order: the watermark must have passed the window's end round and
 // every child must have reported. Closing ships one partial upstream — or
-// delivers the result at the subscriber's node — and recycles the window.
-func (n *Node) closeAggWindows(ctx *netsim.Context, a *aggSub) {
+// finalises the result — and recycles the window.
+func (a *aggSub) closeWindows(ctx *netsim.Context) {
 	for {
 		g := a.nextClose
 		_, end := a.spec.WindowBounds(g)
@@ -375,23 +423,31 @@ func (n *Node) closeAggWindows(ctx *netsim.Context, a *aggSub) {
 			delete(a.windows, g)
 		}
 		a.fold(w)
-		n.emitWindow(ctx, a, g, w)
+		a.emit(ctx, g, w)
 		a.release(w)
 	}
 }
 
-// emitWindow produces one finalised window: the subscriber's node delivers
-// the result to the user; every other node ships exactly one partial to its
-// tree parent (a nil state for an empty window). Exact-baseline nodes other
-// than the subscriber's have already relayed their readings raw and ship
-// nothing at close.
-func (n *Node) emitWindow(ctx *netsim.Context, a *aggSub, g int, w *aggWindow) {
+// emit produces one finalised window. The finalising node delivers the
+// result to the user, after charging its shipment to the subscriber's node
+// when that is elsewhere; every other node ships exactly one partial to its
+// tree parent (a nil state for an empty window). Exact-baseline nodes that
+// do not finalise have already relayed their readings raw and ship nothing
+// at close.
+func (a *aggSub) emit(ctx *netsim.Context, g int, w *aggWindow) {
 	start, end := a.spec.WindowBounds(g)
-	if a.isLocal {
+	if a.final {
 		value, count := a.empty, int64(0)
 		if w != nil && w.state != nil {
 			value = w.state.Result()
 			count = w.state.Count()
+		}
+		if a.resultHops > 0 {
+			ctx.SendPartialAggregate(a.resultHop, &netsim.PartialAggregate{
+				SubID:    a.sub.ID,
+				Window:   g,
+				EndRound: end,
+			}, a.resultHops)
 		}
 		ctx.DeliverAggregate(a.sub.ID, netsim.AggregateResult{
 			Window:     g,
@@ -425,7 +481,3 @@ func (n *Node) emitWindow(ctx *netsim.Context, a *aggSub, g int, w *aggWindow) {
 		State:    st,
 	}, 1)
 }
-
-// AggregateSubscriptionCount reports how many aggregate subscriptions are
-// registered at this node (for tests and diagnostics).
-func (n *Node) AggregateSubscriptionCount() int { return len(n.aggList) }

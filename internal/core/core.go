@@ -205,19 +205,10 @@ type Node struct {
 	// storage instead of growing fresh slices for every registration.
 	fwdFree [][]forwardedOp
 
-	// aggs registers the windowed aggregate subscriptions routed through
-	// this node, keyed by subscription ID; aggList iterates them in
-	// registration order for reading accumulation and watermark ticks.
-	// Aggregate subscriptions bypass the subscription table, the subsumption
-	// checker and the match indexes entirely (see aggregate.go).
-	aggs    map[model.SubscriptionID]*aggSub
-	aggList []*aggSub
-
-	// lastTick is the highest watermark announced to this node. It is
-	// tracked even before any aggregate subscription registers, because a
-	// registration arriving mid-stream needs it to catch up on windows the
-	// network has already finalised.
-	lastTick int
+	// Aggregates registers the windowed aggregate subscriptions routed
+	// through this node. They bypass the subscription table, the
+	// subsumption checker and the match indexes entirely (see aggregate.go).
+	Aggregates
 
 	// reexposeScratch backs the list of affected covered operators each
 	// retraction's re-exposure walk iterates (the walk promotes entries, which

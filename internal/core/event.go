@@ -22,8 +22,8 @@ func (n *Node) LocalPublish(ctx *netsim.Context, ev model.Event) {
 	// Aggregate queries consume readings at the publishing node only, which
 	// is what makes network-wide accumulation exactly-once (forwarded copies
 	// of the event never reach this path).
-	if len(n.aggList) > 0 {
-		n.accumulateLocal(ctx, ev)
+	if len(n.Aggregates.list) > 0 {
+		n.AccumulateReading(ctx, ev)
 	}
 	n.processEvent(ctx, n.self, ev)
 }

@@ -46,7 +46,7 @@ func (n *Node) unregisterLocal(id model.SubscriptionID) {
 func (n *Node) retract(ctx *netsim.Context, m topology.NodeID, id model.SubscriptionID) {
 	// Aggregate subscriptions live in their own registry and forward their
 	// retraction along the recorded child links (see aggregate.go).
-	if n.retractAggregate(ctx, m, id) {
+	if n.RetractAggregate(ctx, m, id) {
 		return
 	}
 	if sub, wasUncovered := n.release(ctx, m, id); wasUncovered {

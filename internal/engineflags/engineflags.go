@@ -1,6 +1,7 @@
 // Package engineflags registers and validates the command-line flags that
 // select an engine and a delivery mode. cqsim, cqexp and cqd share it so the
-// flags are spelled, described and checked in one place.
+// flags are spelled, described and checked in one place; cqd, which ingests
+// every request as one quiescent round, rejects any other delivery mode.
 package engineflags
 
 import (

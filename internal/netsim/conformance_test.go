@@ -515,6 +515,149 @@ func TestAggregateConformanceAllApproaches(t *testing.T) {
 	}
 }
 
+// aggregateResultKey canonicalizes one aggregate delivery without its node:
+// the centralized baseline delivers at the centre, the other approaches at
+// the subscriber's node, and the result must be the same either way.
+func aggregateResultKey(d netsim.Delivery) string {
+	a := d.Aggregate
+	return fmt.Sprintf("%s|w%d:%d-%d:%x:%d|r%d", d.SubID, a.Window, a.StartRound, a.EndRound, math.Float64bits(a.Value), a.Count, d.Round)
+}
+
+// TestAggregateResultsAgreeAcrossApproaches pins the five approaches to one
+// answer: on the sequential engine under quiescent replay, every approach
+// must deliver the centralized baseline's multiset of window results — same
+// window, bounds, value bits, count and round stamp — for the count, min,
+// q-digest and exact-quantile queries. The per-approach conformance suite
+// cannot see a defect that moves every engine and mode of one approach
+// alike; this comparison does. The float mean is left out: the centre sums
+// readings in arrival order, the in-network path folds child partials in
+// child order, and the two differ in the last bit (ROADMAP direction 5(b),
+// "close the excused corners").
+func TestAggregateResultsAgreeAcrossApproaches(t *testing.T) {
+	for _, seed := range []int64{11, 42} {
+		w, err := experiment.BuildWorkload(conformanceScenario(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		placements := aggregateConformancePlacements(t, w, false)
+		totalRounds := w.Scenario.Batches * w.Scenario.RoundsPerBatch
+		results := map[experiment.ApproachID]map[string]int{}
+		windows, readings := 0, int64(0)
+		for _, id := range experiment.All() {
+			factory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{Seed: seed + 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := netsim.NewEngine(w.Deployment.Graph, factory)
+			driveRoundsWith(t, rt, w, placements, netsim.ReplayOptions{Mode: netsim.Quiescent})
+			m := map[string]int{}
+			for _, d := range rt.Deliveries() {
+				if d.Aggregate == nil {
+					continue
+				}
+				m[aggregateResultKey(d)]++
+				if id == experiment.Centralized {
+					windows++
+					readings += d.Aggregate.Count
+				}
+			}
+			results[id] = m
+		}
+
+		want := 0
+		for _, p := range placements {
+			want += totalRounds / p.sub.Aggregate.WindowRounds
+		}
+		if windows != want || readings == 0 {
+			t.Fatalf("seed %d: centralized delivered %d windows (want %d) over %d readings; the comparison is vacuous", seed, windows, want, readings)
+		}
+		base := results[experiment.Centralized]
+		for _, id := range experiment.All() {
+			if id == experiment.Centralized {
+				continue
+			}
+			var diffs []string
+			for k, c := range base {
+				if got := results[id][k]; got != c {
+					diffs = append(diffs, fmt.Sprintf("%s %d times, centralized %d", k, got, c))
+				}
+			}
+			for k, c := range results[id] {
+				if _, ok := base[k]; !ok {
+					diffs = append(diffs, fmt.Sprintf("%s %d times, centralized 0", k, c))
+				}
+			}
+			if len(diffs) > 0 {
+				sort.Strings(diffs)
+				t.Errorf("seed %d: %s differs from centralized in %d window results, first: %s", seed, id, len(diffs), diffs[0])
+			}
+		}
+	}
+}
+
+// TestAggregateRetractionStopsWindows retracts every aggregate query on
+// every approach and both engines, then replays the trace again: once the
+// retraction has drained, no node may ship another partial or result and
+// no aggregate result may be delivered. Windows left registered anywhere —
+// at a tree node or at the centralized baseline's centre — keep closing on
+// watermark ticks and show up in both counts.
+func TestAggregateRetractionStopsWindows(t *testing.T) {
+	const seed = 11
+	w, err := experiment.BuildWorkload(conformanceScenario(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	placements := aggregateConformancePlacements(t, w, true)
+	for _, id := range experiment.All() {
+		for _, concurrent := range []bool{false, true} {
+			name := fmt.Sprintf("%s/concurrent=%v", id, concurrent)
+			factory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{Seed: seed + 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rt netsim.Runtime
+			if concurrent {
+				conc := netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, factory, 2)
+				defer conc.Close()
+				rt = conc
+			} else {
+				rt = netsim.NewEngine(w.Deployment.Graph, factory)
+			}
+			opts := netsim.ReplayOptions{Mode: netsim.Quiescent}
+			driveRoundsWith(t, rt, w, placements, opts)
+			before := rt.Metrics().Snapshot().PartialAggregateLoad
+			if before == 0 {
+				t.Fatalf("%s: no partial aggregates before the retraction; the check is vacuous", name)
+			}
+			for _, p := range placements {
+				if err := rt.Unsubscribe(p.node, p.sub.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rt.Flush()
+			retracted := len(rt.Deliveries())
+			for b := 0; b < w.Scenario.Batches; b++ {
+				if err := rt.ReplayRounds(w.PublicationRounds(b), opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rt.Flush()
+			if after := rt.Metrics().Snapshot().PartialAggregateLoad; after != before {
+				t.Errorf("%s: partial-aggregate load grew after the retraction: %d -> %d", name, before, after)
+			}
+			late := 0
+			for _, d := range rt.Deliveries()[retracted:] {
+				if d.Aggregate != nil {
+					late++
+				}
+			}
+			if late != 0 {
+				t.Errorf("%s: %d aggregate windows delivered after the retraction", name, late)
+			}
+		}
+	}
+}
+
 // TestAdvertisementFloodReachesEveryNode pins the size of Algorithm 1's
 // flood on both engines: on a tree every sensor's advertisement crosses
 // every link exactly once, sensors × (nodes − 1) messages in all. A table

@@ -120,21 +120,25 @@ func (o ReplayOptions) Validate() error {
 
 // RequiredValidityFactor returns the minimum event-window validity factor
 // (validity = factor x max δt) a protocol node needs for the given replay
-// semantics. Quiescent and Pipelined replays skew arrivals by less than one
-// round interval, so the default factor of 2 suffices; a Windowed replay with
-// lag L lets arrivals of rounds r..r+L interleave, so a node may see a
-// round-r trigger after it already pruned against a round-(r+L) timestamp,
-// and L+2 round intervals keep the partners of such a trigger stored.
-// Runs with different factors then agree only where no trigger reaches
-// further back than that, and a forwarded component is a trigger one round
-// older per matching stage, so the factor needed grows with an operator's
-// matching depth (ROADMAP, finding 2) and L+2 is not always enough: the
-// sequential `cqexp -scale quick -quiet -delivery windowed -lag 2` differs
-// from the quiescent run in 13 lines. On the evaluation scenarios the tests
-// pin windowed equal to quiescent only for operator placement and
-// Filter-Split-Forward on the small one, and Filter-Split-Forward's final
-// points across lags; the conformance suite pins every approach, on its own
-// fixture only. ROADMAP direction 5(a) replaces the factor.
+// semantics: the default factor of 2 for Quiescent and Pipelined replays,
+// L+2 for a Windowed replay with lag L. A windowed replay lets arrivals of
+// rounds r..r+L interleave, so a node may see a round-r trigger after it
+// already pruned against a round-(r+L) timestamp, and L+2 round intervals
+// are meant to keep the partners of such a trigger stored. Runs with
+// different factors then agree only where no trigger reaches further back
+// than that, and a forwarded component is a trigger one round older per
+// matching stage, so the factor needed grows with an operator's matching
+// depth (ROADMAP, finding 2) and L+2 is not always enough: the sequential
+// `cqexp -scale quick -quiet -delivery windowed -lag 2` differs from the
+// quiescent run in 13 lines. Nor does the default factor make a pipelined
+// replay, whose arrivals are reordered within a round only, equal to the
+// quiescent one: `cqexp -scale quick -quiet -delivery pipelined` differs
+// from it in 16 lines (23 at default scale). The conformance suite pins
+// every approach in every mode, on its own fixture only; on the evaluation
+// scenarios the tests pin windowed equal to quiescent only for operator
+// placement and Filter-Split-Forward on the small one, and
+// Filter-Split-Forward's final points across lags. ROADMAP direction 5(a)
+// replaces the factor.
 func RequiredValidityFactor(mode DeliveryMode, lag int) int {
 	if mode == Windowed && lag > 0 {
 		return lag + 2

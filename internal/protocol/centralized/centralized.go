@@ -11,12 +11,17 @@
 // crosses the network to the centre whether or not anyone is interested —
 // which is what makes it lose against the distributed approaches on the
 // event-load metric even though its subscription load is the lowest.
+//
+// Windowed aggregate queries are evaluated at the centre by the registry the
+// distributed approaches use (core.Aggregates): the centre is the one node
+// that holds each query, with no child links, and each finalised result is
+// charged the subscriber's whole shortest path.
 package centralized
 
 import (
 	"strconv"
 
-	"sensorcq/internal/agg"
+	"sensorcq/internal/core"
 	"sensorcq/internal/model"
 	"sensorcq/internal/netsim"
 	"sensorcq/internal/stores"
@@ -64,44 +69,9 @@ type Node struct {
 	// other handler.
 	scratch model.MatchScratch
 
-	// Aggregate-query state, central node only. Readings reach the centre
-	// unconditionally, so windowed aggregates are evaluated there from the
-	// full reading stream and closed by watermark ticks; finalised results
-	// are charged the full downward path like any other result shipment.
-	aggs     map[model.SubscriptionID]*aggEntry
-	aggOrder []*aggEntry
-	lastTick int
-}
-
-// aggEntry is one windowed aggregate query registered at the central node.
-type aggEntry struct {
-	sub       *model.Subscription
-	spec      *model.AggregateSpec
-	cfg       agg.Config
-	firstHop  topology.NodeID
-	pathLen   int64
-	nextClose int
-	maxTick   int
-	empty     float64
-	windows   map[int]agg.State
-	free      []agg.State
-}
-
-// state returns the accumulation state for a window, creating (or
-// recycling) it on first touch.
-func (e *aggEntry) state(g int) agg.State {
-	st := e.windows[g]
-	if st == nil {
-		if k := len(e.free); k > 0 {
-			st = e.free[k-1]
-			e.free[k-1] = nil
-			e.free = e.free[:k-1]
-		} else {
-			st = e.cfg.New()
-		}
-		e.windows[g] = st
-	}
-	return st
+	// Aggregates holds the windowed aggregate queries, at the central node
+	// only (see the package doc).
+	core.Aggregates
 }
 
 // subEntry is a subscription registered at the central node together with
@@ -161,7 +131,7 @@ func (n *Node) LocalSubscribe(ctx *netsim.Context, sub *model.Subscription) {
 	stamped := sub.Clone()
 	stamped.SubscriberNode = strconv.Itoa(int(n.self))
 	if n.self == n.center {
-		n.register(ctx, stamped)
+		n.register(ctx, n.self, stamped)
 		return
 	}
 	ctx.SendSubscription(n.toCenter, stamped)
@@ -174,7 +144,7 @@ func (n *Node) HandleSubscription(ctx *netsim.Context, from topology.NodeID, sub
 		ctx.SendSubscription(n.toCenter, sub)
 		return
 	}
-	n.register(ctx, sub)
+	n.register(ctx, from, sub)
 }
 
 // LocalUnsubscribe implements netsim.Handler: the retraction travels the
@@ -182,7 +152,7 @@ func (n *Node) HandleSubscription(ctx *netsim.Context, from topology.NodeID, sub
 // table entry is dropped.
 func (n *Node) LocalUnsubscribe(ctx *netsim.Context, id model.SubscriptionID) {
 	if n.self == n.center {
-		n.deregister(id)
+		n.deregister(ctx, n.self, id)
 		return
 	}
 	ctx.SendUnsubscription(n.toCenter, id)
@@ -195,23 +165,15 @@ func (n *Node) HandleUnsubscription(ctx *netsim.Context, from topology.NodeID, i
 		ctx.SendUnsubscription(n.toCenter, id)
 		return
 	}
-	n.deregister(id)
+	n.deregister(ctx, from, id)
 }
 
-// deregister removes the subscription from the central table and the range
-// index (an incremental splice, not a rebuild); matching and result routing
-// stop immediately. Unknown IDs are a no-op.
-func (n *Node) deregister(id model.SubscriptionID) {
-	if e := n.aggs[id]; e != nil {
-		delete(n.aggs, id)
-		for i, x := range n.aggOrder {
-			if x == e {
-				copy(n.aggOrder[i:], n.aggOrder[i+1:])
-				n.aggOrder[len(n.aggOrder)-1] = nil
-				n.aggOrder = n.aggOrder[:len(n.aggOrder)-1]
-				break
-			}
-		}
+// deregister removes the subscription, retracted on the link from, from the
+// central table and the range index (an incremental splice, not a rebuild)
+// or from the aggregate registry; matching and result routing stop
+// immediately. Unknown IDs are a no-op.
+func (n *Node) deregister(ctx *netsim.Context, from topology.NodeID, id model.SubscriptionID) {
+	if n.RetractAggregate(ctx, from, id) {
 		return
 	}
 	if _, known := n.entries[id]; !known {
@@ -221,26 +183,32 @@ func (n *Node) deregister(id model.SubscriptionID) {
 	n.idx.Remove(id)
 }
 
-func (n *Node) register(ctx *netsim.Context, sub *model.Subscription) {
+// register stores a subscription that reached the centre on the link from,
+// with the first hop and length of the shortest path its results take back
+// to the subscriber's node.
+func (n *Node) register(ctx *netsim.Context, from topology.NodeID, sub *model.Subscription) {
 	subscriber := n.self
 	if sub.SubscriberNode != "" {
 		if v, err := strconv.Atoi(sub.SubscriberNode); err == nil {
 			subscriber = topology.NodeID(v)
 		}
 	}
-	if sub.Aggregate != nil {
-		n.registerAggregate(ctx, sub, subscriber)
-		return
-	}
-	entry := &subEntry{sub: sub, subscriber: subscriber, sentKey: n.window.KeyID("s:" + string(sub.ID))}
+	var firstHop topology.NodeID
+	var pathLen int64
 	if subscriber != n.self {
 		path := ctx.Graph().Path(n.self, subscriber)
 		if len(path) >= 2 {
-			entry.firstHop = path[1]
-			entry.pathLen = int64(len(path) - 1)
+			firstHop = path[1]
+			pathLen = int64(len(path) - 1)
 		}
 	}
-	n.entries[sub.ID] = entry
+	if sub.Aggregate != nil {
+		// The query never joins the complex-event index: its results come
+		// from the registry's window-close path.
+		n.AddAggregate(ctx, sub, from, nil, true, firstHop, pathLen)
+		return
+	}
+	n.entries[sub.ID] = &subEntry{sub: sub, subscriber: subscriber, firstHop: firstHop, pathLen: pathLen, sentKey: n.window.KeyID("s:" + string(sub.ID))}
 	n.idx.Add(sub)
 	if sub.DeltaT > n.maxDeltaT {
 		n.maxDeltaT = sub.DeltaT
@@ -283,9 +251,7 @@ func (n *Node) matchAtCenter(ctx *netsim.Context, ev model.Event) {
 	// Feed the unique arrival into every open aggregate window before the
 	// complex-event machinery; the duplicate check above keeps aggregate
 	// accumulation exactly-once too.
-	if len(n.aggOrder) > 0 {
-		n.accumulateAtCenter(ev)
-	}
+	n.AccumulateReading(ctx, ev)
 	now := ev.Time
 	if latest := n.window.Latest(); latest > now {
 		now = latest
@@ -316,117 +282,4 @@ func (n *Node) matchAtCenter(ctx *netsim.Context, ev model.Event) {
 		})
 		return true
 	})
-}
-
-// registerAggregate stores a windowed aggregate query at the central node.
-// The query never joins the complex-event index: its results come from the
-// window-close path.
-func (n *Node) registerAggregate(ctx *netsim.Context, sub *model.Subscription, subscriber topology.NodeID) {
-	if _, dup := n.aggs[sub.ID]; dup {
-		return
-	}
-	spec := sub.Aggregate
-	e := &aggEntry{
-		sub:     sub,
-		spec:    spec,
-		cfg:     spec.Config(),
-		windows: map[int]agg.State{},
-	}
-	// The registration cascade shares one lineage round network-wide, so the
-	// centre derives the same first window as the distributed approaches.
-	e.nextClose = spec.WindowOf(ctx.Round() + 1)
-	e.maxTick = n.lastTick
-	e.empty = e.cfg.New().Result()
-	if subscriber != n.self {
-		path := ctx.Graph().Path(n.self, subscriber)
-		if len(path) >= 2 {
-			e.firstHop = path[1]
-			e.pathLen = int64(len(path) - 1)
-		}
-	}
-	if n.aggs == nil {
-		n.aggs = map[model.SubscriptionID]*aggEntry{}
-	}
-	n.aggs[sub.ID] = e
-	n.aggOrder = append(n.aggOrder, e)
-	// Catch up on windows the watermark already finalised (possible when the
-	// registration trailed the watermark in a windowed replay).
-	n.closeAggWindows(ctx, e)
-}
-
-// accumulateAtCenter folds one unique reading arrival into every matching
-// aggregate query's open window.
-func (n *Node) accumulateAtCenter(ev model.Event) {
-	for _, e := range n.aggOrder {
-		if !e.sub.MatchesReading(ev) {
-			continue
-		}
-		if g := e.spec.WindowOf(ev.Round); g >= e.nextClose {
-			e.state(g).Add(ev.Value)
-		}
-	}
-}
-
-// HandleWatermark implements netsim.WatermarkHandler: the readings of
-// rounds ≤ wm have all been dispatched network-wide — in this scheme, have
-// all reached the centre — so windows ending at or before wm are complete.
-// Ticks can arrive out of order under the concurrent engine; stale ones are
-// ignored. Non-central nodes hold no aggregate state.
-func (n *Node) HandleWatermark(ctx *netsim.Context, wm int) {
-	if n.self != n.center || wm <= n.lastTick {
-		return
-	}
-	n.lastTick = wm
-	for _, e := range n.aggOrder {
-		if wm > e.maxTick {
-			e.maxTick = wm
-			n.closeAggWindows(ctx, e)
-		}
-	}
-}
-
-// closeAggWindows finalises every window the watermark has passed, in
-// window order: the result is delivered at the centre (stamped with the
-// window's end round, like every centralized delivery) and the shipment to
-// the subscriber's node is charged the full path length.
-func (n *Node) closeAggWindows(ctx *netsim.Context, e *aggEntry) {
-	for {
-		g := e.nextClose
-		start, end := e.spec.WindowBounds(g)
-		if end > e.maxTick {
-			return
-		}
-		e.nextClose++
-		st := e.windows[g]
-		value, count := e.empty, int64(0)
-		if st != nil {
-			delete(e.windows, g)
-			value = st.Result()
-			count = st.Count()
-		}
-		if e.pathLen > 0 {
-			ctx.SendPartialAggregate(e.firstHop, &netsim.PartialAggregate{
-				SubID:    e.sub.ID,
-				Window:   g,
-				EndRound: end,
-			}, e.pathLen)
-		}
-		ctx.DeliverAggregate(e.sub.ID, netsim.AggregateResult{
-			Window:     g,
-			StartRound: start,
-			EndRound:   end,
-			Value:      value,
-			Count:      count,
-		})
-		if st != nil {
-			st.Reset()
-			e.free = append(e.free, st)
-		}
-	}
-}
-
-// HandlePartialAggregate implements netsim.AggregateHandler: the only
-// partial-aggregate messages in this scheme are finalised results flowing
-// down from the centre, whose remaining hops the centre already charged.
-func (n *Node) HandlePartialAggregate(ctx *netsim.Context, from topology.NodeID, pa *netsim.PartialAggregate) {
 }
