@@ -215,8 +215,6 @@ type Node struct {
 	// mutates the covered list under it). Borrowed and returned within one
 	// reexpose call; safe for the same reason scratch is.
 	reexposeScratch []*model.Subscription
-
-	maxDeltaT model.Timestamp
 }
 
 // forwardedOp is one recorded forwarding decision: the operator with ID op
@@ -286,15 +284,6 @@ func (n *Node) IndexStats() stores.IndexStats {
 		stats.Merge(idx.Stats())
 	}
 	return stats
-}
-
-// observeDeltaT grows the event window validity so that it always exceeds
-// the largest temporal correlation distance seen so far.
-func (n *Node) observeDeltaT(dt model.Timestamp) {
-	if dt > n.maxDeltaT {
-		n.maxDeltaT = dt
-		n.window.Validity = model.Timestamp(n.cfg.ValidityFactor) * dt
-	}
 }
 
 // addMatcher registers an operator for event matching on behalf of origin

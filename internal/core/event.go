@@ -36,17 +36,12 @@ func (n *Node) HandleEvent(ctx *netsim.Context, from topology.NodeID, ev model.E
 
 // processEvent is the body of Algorithm 5.
 func (n *Node) processEvent(ctx *netsim.Context, from topology.NodeID, ev model.Event) {
-	if !n.window.Insert(ev) {
+	if !n.window.Receive(ev) {
 		// Duplicate arrival (possible when per-subscription result sets
 		// overlap): the window content did not change, so every match this
 		// event can participate in has already been evaluated.
 		return
 	}
-	now := ev.Time
-	if latest := n.window.Latest(); latest > now {
-		now = latest
-	}
-	n.window.Prune(now)
 
 	// Every operator this trigger stabs — each origin's matchers and the
 	// local subscriptions — gathers its candidates from one partition of one
@@ -54,7 +49,7 @@ func (n *Node) processEvent(ctx *netsim.Context, from topology.NodeID, ev model.
 	// shorter δt drops the excess while gathering, which leaves its matches
 	// exactly those of its own window (see ForEachComplexMatchPartitioned).
 	// Nothing below inserts or prunes, so the view stays valid throughout.
-	n.scratch.Partition(n.window.Around(ev.Time, n.maxDeltaT))
+	n.scratch.Partition(n.window.Around(ev.Time, n.window.MaxDeltaT()))
 
 	// Forward towards every origin that registered interest, except the
 	// node the event just came from.

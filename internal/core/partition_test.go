@@ -49,10 +49,9 @@ func (r *rescanNode) process(ctx *netsim.Context, from topology.NodeID, ev model
 		return
 	}
 	n := r.Node
-	if !n.window.Insert(ev) {
+	if !n.window.Receive(ev) {
 		return
 	}
-	n.window.Prune(max(ev.Time, n.window.Latest()))
 	kinds, deltas := map[model.Kind]bool{}, map[model.Timestamp]bool{}
 	// matches enumerates with fresh working storage over the operator's own
 	// window: nothing is shared between candidates.

@@ -19,7 +19,7 @@ func (n *Node) LocalSubscribe(ctx *netsim.Context, sub *model.Subscription) {
 	if sub == nil {
 		return
 	}
-	n.observeDeltaT(sub.DeltaT)
+	n.window.ObserveDeltaT(sub.DeltaT, model.Timestamp(n.cfg.ValidityFactor))
 	n.registerLocal(sub)
 	n.processSubscription(ctx, n.self, sub, true)
 }
@@ -30,7 +30,7 @@ func (n *Node) HandleSubscription(ctx *netsim.Context, from topology.NodeID, sub
 	if sub == nil {
 		return
 	}
-	n.observeDeltaT(sub.DeltaT)
+	n.window.ObserveDeltaT(sub.DeltaT, model.Timestamp(n.cfg.ValidityFactor))
 	n.processSubscription(ctx, from, sub, false)
 }
 

@@ -9,6 +9,13 @@
 // set filter derives its sampling RNG per decision from the candidate
 // identity, so filtering verdicts cannot depend on how the engines
 // interleave unrelated decisions.
+//
+// The suites are one matrix. A row names a fixture and its seeds, the trace
+// plan its runs replay (plain, churn with a retraction set, or plain plus
+// aggregate queries) and the replay variants it checks. runConformance
+// builds every run with experiment.Start, replays it with replay and holds
+// each variant to checkConformance against the sequential quiescent
+// baseline; a suite adds only its own checks, through its trace plan.
 package netsim_test
 
 import (
@@ -27,8 +34,9 @@ import (
 	"sensorcq/internal/topology"
 )
 
-// conformanceScenario is a small randomized workload; the seed varies the
-// topology, the trace and the subscription population.
+// conformanceScenario is a small randomized workload: 24 nodes, 15 sensor
+// nodes in 5 groups (3 sensors per group); the seed varies the topology,
+// the trace and the subscription population.
 func conformanceScenario(seed int64) experiment.Scenario {
 	return experiment.Scenario{
 		Name:           "conformance",
@@ -45,31 +53,93 @@ func conformanceScenario(seed int64) experiment.Scenario {
 	}
 }
 
-// drive replays the workload on the runtime: sensors first (sorted, like
-// the experiment harness), then each subscription propagated to quiescence,
-// then every event segment through the batched replay path.
-func drive(t *testing.T, rt netsim.Runtime, w *experiment.Workload) {
+// denseConformanceScenario is the conformance workload at 10 sensors per
+// group: 40 nodes, 30 sensor nodes in 3 groups, 2–5 attributes per
+// subscription. At this density the lag-0 replays already deliver fewer
+// complex events than the quiescent run (ROADMAP, direction 5(a)), so only
+// the quiescent row runs it.
+func denseConformanceScenario(seed int64) experiment.Scenario {
+	s := conformanceScenario(seed)
+	s.Name = "conformance-dense"
+	s.TotalNodes, s.SensorNodes, s.Groups, s.MaxAttrs = 40, 30, 3, 5
+	return s
+}
+
+var quiescent = netsim.ReplayOptions{Mode: netsim.Quiescent}
+
+// aggPlacement pins one aggregate query to its subscriber node.
+type aggPlacement struct {
+	node topology.NodeID
+	sub  *model.Subscription
+}
+
+// tracePlan is what a run replays beyond the workload's subscriptions and
+// rounds, and the checks its suite adds to the shared one. The zero plan is
+// the plain trace.
+type tracePlan struct {
+	// aggs are registered after the workload's subscriptions, before any
+	// event replay — the registration shape the aggregate oracle assumes
+	// (mid-stream registration is delivery-mode dependent; see
+	// core.registerAggregate).
+	aggs []aggPlacement
+	// retract names the subscriptions retracted once the first batch's
+	// rounds have drained.
+	retract map[model.SubscriptionID]bool
+	// checkBaseline and checkRun, when set, are the suite's own checks of
+	// the baseline run and of every variant run.
+	checkBaseline func(t *testing.T, base netsim.Runtime)
+	checkRun      func(t *testing.T, label string, rt netsim.Runtime)
+}
+
+// start builds one run of the approach on the workload's deployment with
+// experiment.Start — every sensor attached, the flood drained — at the
+// validity factor the replay options need, and closes it when the test
+// ends.
+func start(t *testing.T, w *experiment.Workload, id experiment.ApproachID, concurrent bool, workers int, opts netsim.ReplayOptions) netsim.Runtime {
 	t.Helper()
-	sensors := make([]model.Sensor, len(w.Deployment.Sensors))
-	copy(sensors, w.Deployment.Sensors)
-	sort.Slice(sensors, func(i, j int) bool { return sensors[i].ID < sensors[j].ID })
-	for _, sensor := range sensors {
-		if err := rt.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
-			t.Fatal(err)
-		}
-		rt.Flush()
+	rt, err := experiment.Start(w.Deployment, id, experiment.FactorySpec{
+		Seed:           w.Scenario.Seed + 7,
+		ValidityFactor: netsim.RequiredValidityFactor(opts.Mode, opts.Lag),
+	}, concurrent, workers)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(rt.Close)
+	return rt
+}
+
+// replay plays one run's trace, the same way for every suite: every
+// subscription of the workload, then the plan's aggregate queries, each
+// propagated to quiescence; then one Runtime.ReplayRounds call per batch
+// with the batch's true round structure (the replay shape of the experiment
+// harness), with the plan's retractions, each drained, between the first
+// batch and the second.
+func replay(t *testing.T, rt netsim.Runtime, w *experiment.Workload, plan tracePlan, opts netsim.ReplayOptions) {
+	t.Helper()
+	ctx := context.Background()
 	for _, p := range w.Placed {
-		if err := rt.SubscribeContext(context.Background(), p.Node, p.Sub.Clone()); err != nil {
+		if err := rt.SubscribeContext(ctx, p.Node, p.Sub.Clone()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, segment := range w.Segments {
-		batch := make([]netsim.Publication, len(segment))
-		for i, ev := range segment {
-			batch[i] = netsim.Publication{Node: w.Deployment.SensorHost[ev.Sensor], Event: ev}
+	for _, p := range plan.aggs {
+		if err := rt.SubscribeContext(ctx, p.node, p.sub.Clone()); err != nil {
+			t.Fatal(err)
 		}
-		if err := rt.ReplayRounds([][]netsim.Publication{batch}, netsim.ReplayOptions{}); err != nil {
+	}
+	for b := 0; b < w.Scenario.Batches; b++ {
+		if b == 1 {
+			for _, p := range w.Placed {
+				if !plan.retract[p.Sub.ID] {
+					continue
+				}
+				if err := rt.Unsubscribe(p.Node, p.Sub.ID); err != nil {
+					t.Fatal(err)
+				}
+				rt.Flush()
+			}
+		}
+		if err := rt.ReplayRounds(w.PublicationRounds(b), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,55 +170,6 @@ func deliveryMultiset(ds []netsim.Delivery) map[string]int {
 	return m
 }
 
-// driveRounds replays the workload like drive, but pushes the event trace
-// through Runtime.ReplayRounds with the given replay options, one
-// ReplayRounds call per batch with the batch's true round structure — the
-// replay shape the experiment harness and the replay benchmarks use.
-func driveRounds(t *testing.T, rt netsim.Runtime, w *experiment.Workload, opts netsim.ReplayOptions) {
-	t.Helper()
-	driveRoundsWith(t, rt, w, nil, opts)
-}
-
-// aggPlacement pins one aggregate query to its subscriber node.
-type aggPlacement struct {
-	node topology.NodeID
-	sub  *model.Subscription
-}
-
-// driveRoundsWith is driveRounds with extra aggregate queries registered
-// after the sensors and the regular subscription population, before any
-// event replay — the registration shape the aggregate conformance oracle
-// assumes (mid-stream registration is delivery-mode dependent; see
-// core.registerAggregate).
-func driveRoundsWith(t *testing.T, rt netsim.Runtime, w *experiment.Workload, aggs []aggPlacement, opts netsim.ReplayOptions) {
-	t.Helper()
-	sensors := make([]model.Sensor, len(w.Deployment.Sensors))
-	copy(sensors, w.Deployment.Sensors)
-	sort.Slice(sensors, func(i, j int) bool { return sensors[i].ID < sensors[j].ID })
-	for _, sensor := range sensors {
-		if err := rt.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
-			t.Fatal(err)
-		}
-		rt.Flush()
-	}
-	for _, p := range w.Placed {
-		if err := rt.SubscribeContext(context.Background(), p.Node, p.Sub.Clone()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range aggs {
-		if err := rt.SubscribeContext(context.Background(), p.node, p.sub.Clone()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for b := 0; b < w.Scenario.Batches; b++ {
-		if err := rt.ReplayRounds(w.PublicationRounds(b), opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rt.Flush()
-}
-
 // perRoundMultisets groups the delivery multiset by replay round.
 func perRoundMultisets(ds []netsim.Delivery) map[int]map[string]int {
 	out := map[int]map[string]int{}
@@ -161,23 +182,6 @@ func perRoundMultisets(ds []netsim.Delivery) map[int]map[string]int {
 		m[deliveryKey(d)]++
 	}
 	return out
-}
-
-// assertSameTraffic compares the headline traffic counters of two runs.
-func assertSameTraffic(t *testing.T, label string, a, b netsim.Snapshot) {
-	t.Helper()
-	if a.AdvertisementLoad != b.AdvertisementLoad {
-		t.Errorf("%s: advertisement load: baseline=%d got=%d", label, a.AdvertisementLoad, b.AdvertisementLoad)
-	}
-	if a.SubscriptionLoad != b.SubscriptionLoad {
-		t.Errorf("%s: subscription load: baseline=%d got=%d", label, a.SubscriptionLoad, b.SubscriptionLoad)
-	}
-	if a.EventLoad != b.EventLoad {
-		t.Errorf("%s: event load: baseline=%d got=%d", label, a.EventLoad, b.EventLoad)
-	}
-	if a.PartialAggregateLoad != b.PartialAggregateLoad {
-		t.Errorf("%s: partial-aggregate load: baseline=%d got=%d", label, a.PartialAggregateLoad, b.PartialAggregateLoad)
-	}
 }
 
 // assertSamePerRoundDeliveries compares delivery multisets round by round.
@@ -202,23 +206,44 @@ func assertSamePerRoundDeliveries(t *testing.T, label string, base, got []netsim
 	}
 	for round := range gm {
 		if _, ok := bm[round]; !ok {
-			t.Errorf("%s: round %d has deliveries only in the pipelined run", label, round)
+			t.Errorf("%s: round %d has deliveries only in the variant run", label, round)
 		}
 	}
 }
 
-// conformanceVariants are the replay configurations validated against the
-// sequential quiescent baseline: the pipelined mode on both engines, the
-// windowed mode at lag 0 (which must degenerate to exactly pipelined
-// behaviour) on both engines, and the windowed mode at lag >= 1 — genuine
-// cross-round overlap — where the relaxed oracle still requires identical
-// traffic totals and identical per-round delivery multisets, with only the
-// ordering inside the lag window left free.
-var conformanceVariants = []struct {
+// checkConformance is the one check every variant run must pass against the
+// sequential quiescent baseline: the same traffic totals (every counter of
+// the snapshot), the same per-round delivery multisets, no dropped message
+// and every round retired.
+func checkConformance(t *testing.T, label string, w *experiment.Workload, base, rt netsim.Runtime) {
+	t.Helper()
+	if a, b := base.Metrics().Snapshot(), rt.Metrics().Snapshot(); a != b {
+		t.Errorf("%s: traffic totals:\nbaseline %+v\ngot      %+v", label, a, b)
+	}
+	assertSamePerRoundDeliveries(t, label, base.Deliveries(), rt.Deliveries())
+	if n := rt.Metrics().DroppedMessages(); n != 0 {
+		t.Errorf("%s dropped %d messages", label, n)
+	}
+	if wm, want := rt.Watermark(), w.Scenario.Batches*w.Scenario.RoundsPerBatch; wm != want {
+		t.Errorf("%s: final watermark = %d, want %d (all rounds retired)", label, wm, want)
+	}
+}
+
+// conformanceVariant is one replay configuration validated against the
+// sequential quiescent baseline.
+type conformanceVariant struct {
 	name       string
 	concurrent bool
 	opts       netsim.ReplayOptions
-}{
+}
+
+// replayVariants are the pipelined mode on both engines, the windowed mode
+// at lag 0 (which must degenerate to exactly pipelined behaviour) on both
+// engines, and the windowed mode at lag >= 1 — genuine cross-round overlap —
+// where the relaxed oracle still requires identical traffic totals and
+// identical per-round delivery multisets, with only the ordering inside the
+// lag window left free.
+var replayVariants = []conformanceVariant{
 	{"sequential-pipelined", false, netsim.ReplayOptions{Mode: netsim.Pipelined}},
 	{"concurrent-pipelined", true, netsim.ReplayOptions{Mode: netsim.Pipelined}},
 	{"sequential-windowed-lag0", false, netsim.ReplayOptions{Mode: netsim.Windowed, Lag: 0}},
@@ -239,23 +264,71 @@ func workerCounts() []int {
 	return counts
 }
 
-// variantRun is one engine run of a conformance variant: sequential variants
-// run once (workers is ignored by the sequential engine), concurrent ones
-// once per swept worker count, each labelled for the failure messages.
-type variantRun struct {
-	name    string
-	workers int
+// conformanceRow is one row of the matrix: a fixture at its seeds, the trace
+// plan of its runs (nil: the plain trace) and the replay variants checked
+// against the sequential quiescent baseline, concurrent ones once per
+// worker count (0 selects GOMAXPROCS).
+type conformanceRow struct {
+	fixture  string // subtest-name prefix; empty for conformanceScenario
+	scenario func(seed int64) experiment.Scenario
+	seeds    []int64
+	plan     func(t *testing.T, id experiment.ApproachID, w *experiment.Workload) tracePlan
+	variants []conformanceVariant
+	workers  []int
 }
 
-func variantRuns(name string, concurrent bool) []variantRun {
-	if !concurrent {
-		return []variantRun{{name: name}}
+// runConformance runs the rows: one subtest per seed and approach, named
+// "<approach>/seed=<seed>" behind the fixture's prefix, in which the
+// sequential quiescent baseline must drop nothing and pass the plan's
+// baseline checks, and every variant run must pass checkConformance and the
+// plan's run checks.
+func runConformance(t *testing.T, rows ...conformanceRow) {
+	for _, row := range rows {
+		for _, seed := range row.seeds {
+			w, err := experiment.BuildWorkload(row.scenario(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range experiment.All() {
+				name := fmt.Sprintf("%s/seed=%d", id, seed)
+				if row.fixture != "" {
+					name = row.fixture + "/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					var plan tracePlan
+					if row.plan != nil {
+						plan = row.plan(t, id, w)
+					}
+					base := start(t, w, id, false, 0, quiescent)
+					replay(t, base, w, plan, quiescent)
+					if n := base.Metrics().DroppedMessages(); n != 0 {
+						t.Errorf("baseline dropped %d messages", n)
+					}
+					if plan.checkBaseline != nil {
+						plan.checkBaseline(t, base)
+					}
+					for _, v := range row.variants {
+						workers := []int{0}
+						if v.concurrent {
+							workers = row.workers
+						}
+						for _, n := range workers {
+							label := v.name
+							if v.concurrent {
+								label = fmt.Sprintf("%s/workers=%d", v.name, n)
+							}
+							rt := start(t, w, id, v.concurrent, n, v.opts)
+							replay(t, rt, w, plan, v.opts)
+							checkConformance(t, label, w, base, rt)
+							if plan.checkRun != nil {
+								plan.checkRun(t, label, rt)
+							}
+						}
+					}
+				})
+			}
+		}
 	}
-	var runs []variantRun
-	for _, wc := range workerCounts() {
-		runs = append(runs, variantRun{name: fmt.Sprintf("%s/workers=%d", name, wc), workers: wc})
-	}
-	return runs
 }
 
 // TestPipelinedConformanceAllApproaches is the per-round oracle of the
@@ -265,117 +338,26 @@ func variantRuns(name string, concurrent bool) []variantRun {
 // the lag window is free, the outcome of each round is not. Windowed
 // variants build their nodes with the lag-matched validity factor and are
 // compared with the default-validity baseline, which holds at this
-// scenario's 5 sensors per group; at 10 the factor changes match sets (see
-// netsim.RequiredValidityFactor and ROADMAP direction 5(a)).
+// scenario's 3 sensors per group; at 10 the lag-0 variants already diverge
+// (see netsim.RequiredValidityFactor and ROADMAP direction 5(a)).
 func TestPipelinedConformanceAllApproaches(t *testing.T) {
-	for _, seed := range []int64{11, 42, 1234} {
-		w, err := experiment.BuildWorkload(conformanceScenario(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range experiment.All() {
-			id := id
-			t.Run(fmt.Sprintf("%s/seed=%d", id, seed), func(t *testing.T) {
-				newRuntime := func(concurrent bool, workers int, opts netsim.ReplayOptions) netsim.Runtime {
-					factory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{
-						Seed:           seed + 7,
-						ValidityFactor: netsim.RequiredValidityFactor(opts.Mode, opts.Lag),
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if concurrent {
-						return netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, factory, workers)
-					}
-					return netsim.NewEngine(w.Deployment.Graph, factory)
-				}
-
-				baseline := newRuntime(false, 0, netsim.ReplayOptions{Mode: netsim.Quiescent})
-				driveRounds(t, baseline, w, netsim.ReplayOptions{Mode: netsim.Quiescent})
-				base := baseline.Metrics().Snapshot()
-				if n := baseline.Metrics().DroppedMessages(); n != 0 {
-					t.Errorf("baseline dropped %d messages", n)
-				}
-
-				for _, v := range conformanceVariants {
-					for _, run := range variantRuns(v.name, v.concurrent) {
-						rt := newRuntime(v.concurrent, run.workers, v.opts)
-						if conc, ok := rt.(*netsim.ConcurrentEngine); ok {
-							defer conc.Close()
-						}
-						driveRounds(t, rt, w, v.opts)
-						assertSameTraffic(t, run.name, base, rt.Metrics().Snapshot())
-						assertSamePerRoundDeliveries(t, run.name, baseline.Deliveries(), rt.Deliveries())
-						if n := rt.Metrics().DroppedMessages(); n != 0 {
-							t.Errorf("%s dropped %d messages", run.name, n)
-						}
-						if wm, want := rt.Watermark(), w.Scenario.Batches*w.Scenario.RoundsPerBatch; wm != want {
-							t.Errorf("%s: final watermark = %d, want %d (all rounds retired)", run.name, wm, want)
-						}
-					}
-				}
-			})
-		}
-	}
+	runConformance(t, conformanceRow{
+		scenario: conformanceScenario, seeds: []int64{11, 42, 1234},
+		variants: replayVariants, workers: workerCounts(),
+	})
 }
 
+// TestEngineConformanceAllApproaches is the quiescent row: the concurrent
+// engine at GOMAXPROCS workers must replay the plain trace exactly like the
+// sequential one, on the conformance fixture and on its 10-per-group
+// version.
 func TestEngineConformanceAllApproaches(t *testing.T) {
-	for _, seed := range []int64{11, 42} {
-		w, err := experiment.BuildWorkload(conformanceScenario(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range experiment.All() {
-			id := id
-			t.Run(fmt.Sprintf("%s/seed=%d", id, seed), func(t *testing.T) {
-				seqFactory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{Seed: seed + 7})
-				if err != nil {
-					t.Fatal(err)
-				}
-				concFactory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{Seed: seed + 7})
-				if err != nil {
-					t.Fatal(err)
-				}
-				seq := netsim.NewEngine(w.Deployment.Graph, seqFactory)
-				conc := netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, concFactory, 0)
-				defer conc.Close()
-
-				drive(t, seq, w)
-				drive(t, conc, w)
-
-				a, b := seq.Metrics().Snapshot(), conc.Metrics().Snapshot()
-				if a.AdvertisementLoad != b.AdvertisementLoad {
-					t.Errorf("advertisement load: sequential=%d concurrent=%d", a.AdvertisementLoad, b.AdvertisementLoad)
-				}
-				if a.SubscriptionLoad != b.SubscriptionLoad {
-					t.Errorf("subscription load: sequential=%d concurrent=%d", a.SubscriptionLoad, b.SubscriptionLoad)
-				}
-				if a.EventLoad != b.EventLoad {
-					t.Errorf("event load: sequential=%d concurrent=%d", a.EventLoad, b.EventLoad)
-				}
-
-				sd, cd := seq.Deliveries(), conc.Deliveries()
-				if len(sd) == 0 {
-					t.Fatalf("workload produced no deliveries; the conformance check is vacuous")
-				}
-				sm, cm := deliveryMultiset(sd), deliveryMultiset(cd)
-				if len(sm) != len(cm) {
-					t.Fatalf("delivery multisets differ in size: sequential=%d concurrent=%d", len(sm), len(cm))
-				}
-				for k, n := range sm {
-					if cm[k] != n {
-						t.Errorf("delivery %q: sequential=%d concurrent=%d", k, n, cm[k])
-					}
-				}
-				if n := seq.Metrics().DroppedMessages(); n != 0 {
-					t.Errorf("sequential engine dropped %d messages", n)
-				}
-				if n := conc.Metrics().DroppedMessages(); n != 0 {
-					t.Errorf("concurrent engine dropped %d messages", n)
-				}
-			})
-		}
-	}
+	variants := []conformanceVariant{{"concurrent-quiescent", true, quiescent}}
+	runConformance(t,
+		conformanceRow{scenario: conformanceScenario, seeds: []int64{11, 42}, variants: variants, workers: []int{0}},
+		conformanceRow{fixture: "dense", scenario: denseConformanceScenario, seeds: []int64{11, 42, 1234},
+			variants: variants, workers: []int{0}},
+	)
 }
 
 // aggregateConformancePlacements builds a mixed population of windowed
@@ -434,6 +416,31 @@ func aggregateConformancePlacements(t *testing.T, w *experiment.Workload, floatS
 	return out
 }
 
+// aggregateTrace is the aggregate suite's trace plan: the plain trace plus
+// aggregateConformancePlacements' queries. The baseline must ship partials
+// and close exactly total rounds / window rounds windows per query, each
+// reaching its subscriber once.
+func aggregateTrace(t *testing.T, id experiment.ApproachID, w *experiment.Workload) tracePlan {
+	placements := aggregateConformancePlacements(t, w, id != experiment.Centralized)
+	totalRounds := w.Scenario.Batches * w.Scenario.RoundsPerBatch
+	return tracePlan{aggs: placements, checkBaseline: func(t *testing.T, base netsim.Runtime) {
+		if base.Metrics().Snapshot().PartialAggregateLoad == 0 {
+			t.Fatal("baseline shipped no partial aggregates; the conformance check is vacuous")
+		}
+		perSub := map[model.SubscriptionID]int{}
+		for _, d := range base.Deliveries() {
+			if d.Aggregate != nil {
+				perSub[d.SubID]++
+			}
+		}
+		for _, p := range placements {
+			if got, want := perSub[p.sub.ID], totalRounds/p.sub.Aggregate.WindowRounds; got != want {
+				t.Errorf("baseline delivered %d windows for %s, want %d", got, p.sub.ID, want)
+			}
+		}
+	}}
+}
+
 // TestAggregateConformanceAllApproaches extends the per-round oracle to
 // windowed aggregate queries: for every approach, both engines and every
 // replay variant must produce the sequential quiescent run's per-window
@@ -442,77 +449,10 @@ func aggregateConformancePlacements(t *testing.T, w *experiment.Workload, floatS
 // traffic totals (partial-aggregate load and bytes included) and the
 // unchanged complex-event delivery multisets.
 func TestAggregateConformanceAllApproaches(t *testing.T) {
-	for _, seed := range []int64{11, 42} {
-		w, err := experiment.BuildWorkload(conformanceScenario(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalRounds := w.Scenario.Batches * w.Scenario.RoundsPerBatch
-		for _, id := range experiment.All() {
-			id := id
-			t.Run(fmt.Sprintf("%s/seed=%d", id, seed), func(t *testing.T) {
-				placements := aggregateConformancePlacements(t, w, id != experiment.Centralized)
-				newRuntime := func(concurrent bool, workers int, opts netsim.ReplayOptions) netsim.Runtime {
-					factory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{
-						Seed:           seed + 7,
-						ValidityFactor: netsim.RequiredValidityFactor(opts.Mode, opts.Lag),
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if concurrent {
-						return netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, factory, workers)
-					}
-					return netsim.NewEngine(w.Deployment.Graph, factory)
-				}
-
-				baseline := newRuntime(false, 0, netsim.ReplayOptions{Mode: netsim.Quiescent})
-				driveRoundsWith(t, baseline, w, placements, netsim.ReplayOptions{Mode: netsim.Quiescent})
-				base := baseline.Metrics().Snapshot()
-				baseBytes := baseline.Metrics().Snapshot().PartialAggregateBytes
-				if n := baseline.Metrics().DroppedMessages(); n != 0 {
-					t.Errorf("baseline dropped %d messages", n)
-				}
-				if base.PartialAggregateLoad == 0 {
-					t.Fatal("baseline shipped no partial aggregates; the conformance check is vacuous")
-				}
-				// Every query closes exactly totalRounds/W windows, and each
-				// closed window reaches its subscriber exactly once.
-				perSub := map[model.SubscriptionID]int{}
-				for _, d := range baseline.Deliveries() {
-					if d.Aggregate != nil {
-						perSub[d.SubID]++
-					}
-				}
-				for _, p := range placements {
-					if got, want := perSub[p.sub.ID], totalRounds/p.sub.Aggregate.WindowRounds; got != want {
-						t.Errorf("baseline delivered %d windows for %s, want %d", got, p.sub.ID, want)
-					}
-				}
-
-				for _, v := range conformanceVariants {
-					for _, run := range variantRuns(v.name, v.concurrent) {
-						rt := newRuntime(v.concurrent, run.workers, v.opts)
-						if conc, ok := rt.(*netsim.ConcurrentEngine); ok {
-							defer conc.Close()
-						}
-						driveRoundsWith(t, rt, w, placements, v.opts)
-						assertSameTraffic(t, run.name, base, rt.Metrics().Snapshot())
-						if got := rt.Metrics().Snapshot().PartialAggregateBytes; got != baseBytes {
-							t.Errorf("%s: partial-aggregate bytes: baseline=%d got=%d", run.name, baseBytes, got)
-						}
-						assertSamePerRoundDeliveries(t, run.name, baseline.Deliveries(), rt.Deliveries())
-						if n := rt.Metrics().DroppedMessages(); n != 0 {
-							t.Errorf("%s dropped %d messages", run.name, n)
-						}
-						if wm := rt.Watermark(); wm != totalRounds {
-							t.Errorf("%s: final watermark = %d, want %d (all rounds retired)", run.name, wm, totalRounds)
-						}
-					}
-				}
-			})
-		}
-	}
+	runConformance(t, conformanceRow{
+		scenario: conformanceScenario, seeds: []int64{11, 42}, plan: aggregateTrace,
+		variants: replayVariants, workers: workerCounts(),
+	})
 }
 
 // aggregateResultKey canonicalizes one aggregate delivery without its node:
@@ -544,12 +484,8 @@ func TestAggregateResultsAgreeAcrossApproaches(t *testing.T) {
 		results := map[experiment.ApproachID]map[string]int{}
 		windows, readings := 0, int64(0)
 		for _, id := range experiment.All() {
-			factory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{Seed: seed + 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt := netsim.NewEngine(w.Deployment.Graph, factory)
-			driveRoundsWith(t, rt, w, placements, netsim.ReplayOptions{Mode: netsim.Quiescent})
+			rt := start(t, w, id, false, 0, quiescent)
+			replay(t, rt, w, tracePlan{aggs: placements}, quiescent)
 			m := map[string]int{}
 			for _, d := range rt.Deliveries() {
 				if d.Aggregate == nil {
@@ -611,20 +547,8 @@ func TestAggregateRetractionStopsWindows(t *testing.T) {
 	for _, id := range experiment.All() {
 		for _, concurrent := range []bool{false, true} {
 			name := fmt.Sprintf("%s/concurrent=%v", id, concurrent)
-			factory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{Seed: seed + 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rt netsim.Runtime
-			if concurrent {
-				conc := netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, factory, 2)
-				defer conc.Close()
-				rt = conc
-			} else {
-				rt = netsim.NewEngine(w.Deployment.Graph, factory)
-			}
-			opts := netsim.ReplayOptions{Mode: netsim.Quiescent}
-			driveRoundsWith(t, rt, w, placements, opts)
+			rt := start(t, w, id, concurrent, 2, quiescent)
+			replay(t, rt, w, tracePlan{aggs: placements}, quiescent)
 			before := rt.Metrics().Snapshot().PartialAggregateLoad
 			if before == 0 {
 				t.Fatalf("%s: no partial aggregates before the retraction; the check is vacuous", name)
@@ -637,7 +561,7 @@ func TestAggregateRetractionStopsWindows(t *testing.T) {
 			rt.Flush()
 			retracted := len(rt.Deliveries())
 			for b := 0; b < w.Scenario.Batches; b++ {
-				if err := rt.ReplayRounds(w.PublicationRounds(b), opts); err != nil {
+				if err := rt.ReplayRounds(w.PublicationRounds(b), quiescent); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -664,38 +588,26 @@ func TestAggregateRetractionStopsWindows(t *testing.T) {
 // that mistook a new sensor for a known one (or the reverse) would move the
 // count; so would a set-up that "saved" messages by not telling some node,
 // which the subscriptions routed by those tables would then pay for. The
-// Trim that follows the flood in NewSystem must leave the engines ready for
-// the next burst.
+// Trim that follows the flood in experiment.Start must leave the engines
+// ready for the next burst.
 func TestAdvertisementFloodReachesEveryNode(t *testing.T) {
 	w, err := experiment.BuildWorkload(conformanceScenario(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc := netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, factory, 2)
-	defer conc.Close()
-	engines := map[string]netsim.Runtime{
-		"sequential": netsim.NewEngine(w.Deployment.Graph, factory),
-		"concurrent": conc,
-	}
 	want := int64(len(w.Deployment.Sensors)) * int64(w.Deployment.Graph.NumNodes()-1)
-	for name, rt := range engines {
-		for _, sensor := range w.Deployment.Sensors {
-			if err := rt.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
-				t.Fatal(err)
-			}
+	for _, concurrent := range []bool{false, true} {
+		name := "sequential"
+		if concurrent {
+			name = "concurrent"
 		}
-		rt.Flush()
+		rt := start(t, w, experiment.FilterSplitForward, concurrent, 2, quiescent)
 		if got := rt.Metrics().Snapshot().AdvertisementLoad; got != want {
 			t.Errorf("%s: advertisement load %d, want %d sensors × %d links = %d", name, got,
 				len(w.Deployment.Sensors), w.Deployment.Graph.NumNodes()-1, want)
 		}
 		// Re-attaching is a duplicate at the host and must not flood again —
 		// and it is the first burst through the trimmed queues.
-		rt.Trim()
 		for _, sensor := range w.Deployment.Sensors {
 			if err := rt.AttachSensor(w.Deployment.SensorHost[sensor.ID], sensor); err != nil {
 				t.Fatal(err)

@@ -30,31 +30,22 @@ func TestEnginesDeliverAlike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := func(name string, build func(netsim.HandlerFactory) netsim.Runtime) *deliveryRun {
-		factory, err := experiment.FactoryForSpec(experiment.FilterSplitForward, experiment.FactorySpec{Seed: 49})
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := &deliveryRun{name: name, rt: build(factory)}
+	pipelined := netsim.ReplayOptions{Mode: netsim.Pipelined}
+	record := func(name string, concurrent bool, workers int) *deliveryRun {
+		run := &deliveryRun{name: name, rt: start(t, w, experiment.FilterSplitForward, concurrent, workers, pipelined)}
 		var mu sync.Mutex
 		run.rt.SetDeliveryObserver(func(d netsim.Delivery) {
 			mu.Lock()
 			run.observed = append(run.observed, d)
 			mu.Unlock()
 		})
-		driveRounds(t, run.rt, w, netsim.ReplayOptions{Mode: netsim.Pipelined})
+		replay(t, run.rt, w, tracePlan{}, pipelined)
 		return run
 	}
-	seq := replay("sequential", func(f netsim.HandlerFactory) netsim.Runtime {
-		return netsim.NewEngine(w.Deployment.Graph, f)
-	})
+	seq := record("sequential", false, 0)
 	runs := []*deliveryRun{seq}
 	for _, wc := range workerCounts() {
-		runs = append(runs, replay(fmt.Sprintf("concurrent/workers=%d", wc), func(f netsim.HandlerFactory) netsim.Runtime {
-			conc := netsim.NewConcurrentEngineWorkers(w.Deployment.Graph, f, wc)
-			t.Cleanup(conc.Close)
-			return conc
-		}))
+		runs = append(runs, record(fmt.Sprintf("concurrent/workers=%d", wc), true, wc))
 	}
 
 	// The sequential log is in dispatch order: exactly what the observer saw.

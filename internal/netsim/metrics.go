@@ -30,26 +30,12 @@ type Metrics struct {
 	log *deliveryLog
 }
 
-// metricsShard holds one node's slice of every counter. The trailing pad
+// metricsShard holds one node's traffic counters. The trailing pad
 // keeps neighbouring shards out of each other's cache lines, so per-node
 // writers do not false-share.
 type metricsShard struct {
 	mu sync.Mutex
-
-	advertisementLoad  int64
-	subscriptionLoad   int64
-	unsubscriptionLoad int64
-	eventLoad          int64
-
-	// partialAggregateLoad counts link traversals of windowed partial
-	// aggregates (and of the exact baseline's relayed raw readings);
-	// partialAggregateBytes accumulates their encoded wire sizes, the unit
-	// of the bytes-upstream axis of the error-vs-traffic experiment. Both
-	// are deliberately kept out of eventLoad so the paper's data-unit
-	// figures are unaffected by aggregate queries.
-	partialAggregateLoad  int64
-	partialAggregateBytes int64
-
+	Snapshot
 	_ [64]byte
 }
 
@@ -70,16 +56,16 @@ func (m *Metrics) recordSend(from topology.NodeID, msg *Message) {
 	defer s.mu.Unlock()
 	switch msg.Kind {
 	case KindAdvertisement:
-		s.advertisementLoad += units
+		s.AdvertisementLoad += units
 	case KindSubscription:
-		s.subscriptionLoad += units
+		s.SubscriptionLoad += units
 	case KindUnsubscription:
-		s.unsubscriptionLoad += units
+		s.UnsubscriptionLoad += units
 	case KindEvent:
-		s.eventLoad += units
+		s.EventLoad += units
 	case KindPartialAggregate:
-		s.partialAggregateLoad += units
-		s.partialAggregateBytes += units * encodedAggBytes(msg.Agg)
+		s.PartialAggregateLoad += units
+		s.PartialAggregateBytes += units * encodedAggBytes(msg.Agg)
 	}
 }
 
@@ -124,8 +110,9 @@ func (m *Metrics) DeliveredSeqs(sub model.SubscriptionID) map[uint64]bool {
 	return out
 }
 
-// Snapshot is an immutable copy of the traffic counters, each one merged
-// across the node shards. Every counter counts link traversals.
+// Snapshot is the one record of the traffic counters: each node's shard
+// keeps one, and Metrics.Snapshot returns a copy merged across the shards.
+// Every counter counts link traversals.
 type Snapshot struct {
 	// AdvertisementLoad counts forwarded advertisements.
 	AdvertisementLoad int64
@@ -152,12 +139,12 @@ func (m *Metrics) Snapshot() Snapshot {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
-		snap.AdvertisementLoad += s.advertisementLoad
-		snap.SubscriptionLoad += s.subscriptionLoad
-		snap.UnsubscriptionLoad += s.unsubscriptionLoad
-		snap.EventLoad += s.eventLoad
-		snap.PartialAggregateLoad += s.partialAggregateLoad
-		snap.PartialAggregateBytes += s.partialAggregateBytes
+		snap.AdvertisementLoad += s.AdvertisementLoad
+		snap.SubscriptionLoad += s.SubscriptionLoad
+		snap.UnsubscriptionLoad += s.UnsubscriptionLoad
+		snap.EventLoad += s.EventLoad
+		snap.PartialAggregateLoad += s.PartialAggregateLoad
+		snap.PartialAggregateBytes += s.PartialAggregateBytes
 		s.mu.Unlock()
 	}
 	return snap

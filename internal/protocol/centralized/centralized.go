@@ -60,10 +60,9 @@ type Node struct {
 	// the subscriptions it satisfies instead of scanning every registration
 	// that shares the attribute, and retractions splice entries out
 	// incrementally.
-	window    *stores.EventWindow
-	entries   map[model.SubscriptionID]*subEntry
-	idx       *stores.EventIndex
-	maxDeltaT model.Timestamp
+	window  *stores.EventWindow
+	entries map[model.SubscriptionID]*subEntry
+	idx     *stores.EventIndex
 	// scratch is the centre's reusable complex-match working storage; the
 	// central node's handler runs on one goroutine at a time, like every
 	// other handler.
@@ -210,10 +209,7 @@ func (n *Node) register(ctx *netsim.Context, from topology.NodeID, sub *model.Su
 	}
 	n.entries[sub.ID] = &subEntry{sub: sub, subscriber: subscriber, firstHop: firstHop, pathLen: pathLen, sentKey: n.window.KeyID("s:" + string(sub.ID))}
 	n.idx.Add(sub)
-	if sub.DeltaT > n.maxDeltaT {
-		n.maxDeltaT = sub.DeltaT
-		n.window.Validity = n.validityFactor * n.maxDeltaT
-	}
+	n.window.ObserveDeltaT(sub.DeltaT, n.validityFactor)
 }
 
 // LocalPublish implements netsim.Handler: a local sensor reading is shipped
@@ -245,18 +241,13 @@ func (n *Node) HandleEvent(ctx *netsim.Context, from topology.NodeID, ev model.E
 // subscription table and ships each subscription's result set back to its
 // owner, charging the full path length for every forwarded data unit.
 func (n *Node) matchAtCenter(ctx *netsim.Context, ev model.Event) {
-	if !n.window.Insert(ev) {
+	if !n.window.Receive(ev) {
 		return
 	}
 	// Feed the unique arrival into every open aggregate window before the
 	// complex-event machinery; the duplicate check above keeps aggregate
 	// accumulation exactly-once too.
 	n.AccumulateReading(ctx, ev)
-	now := ev.Time
-	if latest := n.window.Latest(); latest > now {
-		now = latest
-	}
-	n.window.Prune(now)
 
 	// The range index hands over exactly the subscriptions the reading
 	// satisfies; registrations that merely share the attribute are pruned

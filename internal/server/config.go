@@ -7,19 +7,20 @@ import (
 	"sensorcq"
 )
 
-// Defaults applied by Config.withDefaults for fields left at their zero
-// value.
+// Server settings. A registration may choose its own sink buffer and
+// backpressure policy; everything else is fixed.
 const (
 	// DefaultSinkBuffer is the per-subscription delivery-channel capacity
 	// used when a registration does not choose its own.
 	DefaultSinkBuffer = 64
-	// DefaultMaxBatchBytes bounds the body of a single /events request.
+	// DefaultMaxBatchBytes bounds the body of a single /events or
+	// /subscriptions request; larger bodies fail with 413.
 	DefaultMaxBatchBytes = 8 << 20
 	// DefaultDrainTimeout bounds the in-flight drain of a graceful
 	// shutdown.
 	DefaultDrainTimeout = 30 * time.Second
 	// DefaultKeepAliveInterval is the period of SSE keep-alive comments on
-	// an idle stream.
+	// an idle stream, so intermediaries do not time the connection out.
 	DefaultKeepAliveInterval = 15 * time.Second
 )
 
@@ -31,67 +32,28 @@ type Config struct {
 	// the node closest to the daemon's users).
 	DefaultNode sensorcq.NodeID
 
-	// SinkBuffer is the default delivery-channel capacity per
-	// subscription; specs may override it. Values < 1 take
-	// DefaultSinkBuffer (a server-side subscription always has a channel
-	// sink — it feeds the SSE stream).
-	SinkBuffer int
-
-	// Backpressure and BackpressureTimeout are the default sink policy
-	// applied when a spec does not choose one. The zero value is
-	// DropNewest (count-and-drop), matching the library default.
-	Backpressure        sensorcq.BackpressureMode
-	BackpressureTimeout time.Duration
-
-	// MaxBatchBytes caps the request body accepted by /events; larger
-	// bodies fail with 413. Values < 1 take DefaultMaxBatchBytes.
-	MaxBatchBytes int64
-
 	// DrainTimeout bounds how long Shutdown waits for in-flight rounds to
 	// propagate before forcing handles closed. Values <= 0 take
 	// DefaultDrainTimeout.
 	DrainTimeout time.Duration
-
-	// KeepAliveInterval is the period of SSE keep-alive comments sent on
-	// idle streams so intermediaries do not time the connection out.
-	// Values <= 0 take DefaultKeepAliveInterval.
-	KeepAliveInterval time.Duration
 }
 
 // withDefaults returns the config with zero-valued fields replaced by the
 // package defaults.
 func (c Config) withDefaults() Config {
-	if c.SinkBuffer < 1 {
-		c.SinkBuffer = DefaultSinkBuffer
-	}
-	if c.Backpressure == sensorcq.BlockWithTimeout && c.BackpressureTimeout <= 0 {
-		c.BackpressureTimeout = sensorcq.DefaultBackpressureTimeout
-	}
-	if c.MaxBatchBytes < 1 {
-		c.MaxBatchBytes = DefaultMaxBatchBytes
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = DefaultDrainTimeout
-	}
-	if c.KeepAliveInterval <= 0 {
-		c.KeepAliveInterval = DefaultKeepAliveInterval
 	}
 	return c
 }
 
-// validate rejects configs that cannot serve: an out-of-range default node
-// or an unknown backpressure mode.
+// validate rejects configs that cannot serve: an out-of-range default node.
 func (c Config) validate(sys *sensorcq.System) error {
 	if sys == nil {
 		return fmt.Errorf("server: nil System")
 	}
 	if n := sys.Deployment().Graph.NumNodes(); int(c.DefaultNode) < 0 || int(c.DefaultNode) >= n {
 		return fmt.Errorf("server: default node %d outside deployment [0,%d)", c.DefaultNode, n)
-	}
-	switch c.Backpressure {
-	case sensorcq.DropNewest, sensorcq.DropOldest, sensorcq.BlockWithTimeout:
-	default:
-		return fmt.Errorf("server: invalid backpressure mode %v", c.Backpressure)
 	}
 	return nil
 }

@@ -56,7 +56,7 @@ func statusLocked(id string, e *subEntry) SubscriptionStatus {
 // handleRegister serves POST /subscriptions.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var spec SubscriptionSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, DefaultMaxBatchBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding subscription spec: %w", err))
@@ -147,7 +147,7 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 // batch is validated before any event enters the network, so a malformed
 // line rejects the batch atomically.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
+	body := http.MaxBytesReader(w, r.Body, DefaultMaxBatchBytes)
 	var events []sensorcq.Event
 	if isNDJSON(r) {
 		sc := bufio.NewScanner(body)
@@ -173,6 +173,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := sc.Err(); err != nil {
 			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		// An empty batch would still replay a round and advance the
+		// watermark, shifting every aggregate window.
+		if len(events) == 0 {
+			writeError(w, http.StatusBadRequest, errors.New("empty batch: no event lines"))
 			return
 		}
 	} else {

@@ -295,18 +295,27 @@ var controlPlaneErrors = []struct {
 	{"unknown event sensor", http.MethodPost, "/events", "application/json", `{"sensor":"ghost","value":1}`, http.StatusBadRequest},
 	{"malformed ndjson line", http.MethodPost, "/events", "application/x-ndjson",
 		`{"sensor":"a","value":1}` + "\n" + `{"sensor":`, http.StatusBadRequest},
+	{"empty json event", http.MethodPost, "/events", "application/json", "", http.StatusBadRequest},
+	{"empty ndjson batch", http.MethodPost, "/events", "application/x-ndjson", "", http.StatusBadRequest},
+	{"blank-line ndjson batch", http.MethodPost, "/events", "application/x-ndjson", "\n  \n\n", http.StatusBadRequest},
 	{"unknown subscription status", http.MethodGet, "/subscriptions/nope", "", "", http.StatusNotFound},
 	{"unknown subscription stream", http.MethodGet, "/subscriptions/nope/stream", "", "", http.StatusNotFound},
 	{"unknown subscription retract", http.MethodDelete, "/subscriptions/nope", "", "", http.StatusNotFound},
 }
 
-// TestControlPlaneErrors pins the error contract of the control plane.
+// TestControlPlaneErrors pins the error contract of the control plane. A
+// rejected request changes nothing: in particular no rejected /events body
+// replays a round, so the watermark stays where it was.
 func TestControlPlaneErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 
 	for _, tc := range controlPlaneErrors {
 		t.Run(tc.name, func(t *testing.T) {
+			before := srv.sys.Watermark()
 			resp, body := doJSON(t, tc.method, ts.URL+tc.path, tc.ct, tc.body)
+			if after := srv.sys.Watermark(); after != before {
+				t.Errorf("%s %s moved the watermark %d -> %d", tc.method, tc.path, before, after)
+			}
 			if resp.StatusCode != tc.want {
 				t.Fatalf("%s %s = %s %s, want %d", tc.method, tc.path, resp.Status, body, tc.want)
 			}
@@ -544,15 +553,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(sys, Config{DefaultNode: 7}); err == nil {
 		t.Error("out-of-range default node should fail")
 	}
-	if _, err := New(sys, Config{Backpressure: sensorcq.BackpressureMode(42)}); err == nil {
-		t.Error("unknown backpressure mode should fail")
-	}
 	srv, err := New(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.cfg.SinkBuffer != DefaultSinkBuffer || srv.cfg.DrainTimeout != DefaultDrainTimeout ||
-		srv.cfg.KeepAliveInterval != DefaultKeepAliveInterval || srv.cfg.MaxBatchBytes != DefaultMaxBatchBytes {
+	if srv.cfg.DrainTimeout != DefaultDrainTimeout {
 		t.Errorf("defaults not applied: %+v", srv.cfg)
 	}
 }

@@ -18,7 +18,7 @@ import (
 //
 // When the subscription is retracted (or the server drains) the sink
 // closes and the stream ends with an "event: end" frame. Idle streams carry
-// keep-alive comments every Config.KeepAliveInterval. At most one stream per
+// keep-alive comments every DefaultKeepAliveInterval. At most one stream per
 // subscription is served at a time; a second reader gets 409.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -52,7 +52,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	keepAlive := time.NewTicker(s.cfg.KeepAliveInterval)
+	keepAlive := time.NewTicker(DefaultKeepAliveInterval)
 	defer keepAlive.Stop()
 	for {
 		select {

@@ -309,7 +309,7 @@ func (s *Server) buildSubscription(spec *SubscriptionSpec) (*sensorcq.Subscripti
 		return nil, 0, nil, err
 	}
 
-	buffer := s.cfg.SinkBuffer
+	buffer := DefaultSinkBuffer
 	if spec.SinkBuffer != nil {
 		if *spec.SinkBuffer < 1 {
 			return nil, 0, nil, fmt.Errorf("sink_buffer must be >= 1 (the SSE stream needs a channel sink)")
@@ -319,7 +319,7 @@ func (s *Server) buildSubscription(spec *SubscriptionSpec) (*sensorcq.Subscripti
 		}
 		buffer = *spec.SinkBuffer
 	}
-	mode, timeout := s.cfg.Backpressure, s.cfg.BackpressureTimeout
+	mode, timeout := sensorcq.DropNewest, time.Duration(0)
 	if spec.Backpressure != nil {
 		mode, err = sensorcq.ParseBackpressureMode(spec.Backpressure.Mode)
 		if err != nil {

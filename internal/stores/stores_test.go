@@ -261,6 +261,35 @@ func TestEventWindowAroundAndPrune(t *testing.T) {
 	}
 }
 
+// TestEventWindowValidityRule pins the rule both protocol handlers apply:
+// validity grows to factor × the largest δt seen and never shrinks, and an
+// arrival prunes to the newest timestamp seen, not to its own.
+func TestEventWindowValidityRule(t *testing.T) {
+	w := NewEventWindow(1)
+	w.ObserveDeltaT(10, 3)
+	w.ObserveDeltaT(4, 3)
+	if w.Validity != 30 || w.MaxDeltaT() != 10 {
+		t.Fatalf("validity %d, max δt %d after δt 10 then 4 at factor 3; want 30, 10", w.Validity, w.MaxDeltaT())
+	}
+	for i, ts := range []model.Timestamp{10, 50, 20, 45} {
+		if !w.Receive(model.Event{Seq: uint64(i + 1), Time: ts}) {
+			t.Fatalf("arrival at %d rejected", ts)
+		}
+	}
+	// Newest is 50, cutoff 20: the event at 10 is gone, the late one at 20
+	// stays, and so does every later one.
+	var got []model.Timestamp
+	for _, e := range w.Events() {
+		got = append(got, e.Time)
+	}
+	if !slices.Equal(got, []model.Timestamp{20, 45, 50}) {
+		t.Errorf("stored %v, want [20 45 50]", got)
+	}
+	if w.Receive(model.Event{Seq: 2, Time: 50}) || w.Len() != 3 {
+		t.Error("a duplicate arrival must leave the window unchanged")
+	}
+}
+
 func TestEventWindowSentFlags(t *testing.T) {
 	w := NewEventWindow(100)
 	stored := model.Event{Seq: 1, Time: 10}

@@ -27,8 +27,11 @@ import (
 type EventWindow struct {
 	// Validity is how long an event stays stored after its timestamp. The
 	// paper requires it to be at least δt so that late correlations can
-	// still be detected.
+	// still be detected; ObserveDeltaT keeps it at a fixed factor of the
+	// largest δt seen.
 	Validity model.Timestamp
+	// maxDeltaT is the largest δt ObserveDeltaT has seen.
+	maxDeltaT model.Timestamp
 
 	evs    []model.Event // sorted by (Time, Seq)
 	sent   [][]uint32    // parallel to evs: sorted interned key IDs
@@ -104,6 +107,34 @@ func (w *EventWindow) Insert(ev model.Event) bool {
 	if ev.Time > w.latest {
 		w.latest = ev.Time
 	}
+	return true
+}
+
+// ObserveDeltaT is the window-validity rule: once a stored operator's
+// temporal correlation distance dt exceeds every δt seen before, Validity
+// grows to factor × dt. It never shrinks. Both the distributed nodes and the
+// centralized baseline's centre apply it to every operator they store.
+func (w *EventWindow) ObserveDeltaT(dt, factor model.Timestamp) {
+	if dt > w.maxDeltaT {
+		w.maxDeltaT = dt
+		w.Validity = factor * dt
+	}
+}
+
+// MaxDeltaT returns the largest δt ObserveDeltaT has seen: the widest
+// ±δt any stored operator matches over.
+func (w *EventWindow) MaxDeltaT() model.Timestamp { return w.maxDeltaT }
+
+// Receive stores an arriving event and prunes the window to the newest
+// timestamp seen — the arrival step of Algorithm 5, after which the event
+// triggers matching. It returns false, leaving the window unchanged, when
+// the event is already stored. Like Prune, it invalidates every slice a
+// previous Around returned.
+func (w *EventWindow) Receive(ev model.Event) bool {
+	if !w.Insert(ev) {
+		return false
+	}
+	w.Prune(w.latest)
 	return true
 }
 

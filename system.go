@@ -123,28 +123,12 @@ type System struct {
 	handles sync.Map
 }
 
-// TrafficStats summarises the traffic generated so far.
-type TrafficStats struct {
-	// AdvertisementLoad counts forwarded advertisements.
-	AdvertisementLoad int64
-	// SubscriptionLoad counts forwarded subscriptions/operators — the
-	// paper's "number of forwarded queries".
-	SubscriptionLoad int64
-	// UnsubscriptionLoad counts forwarded retraction messages generated by
-	// Unsubscribe (control traffic, accounted separately from the
-	// subscription load).
-	UnsubscriptionLoad int64
-	// EventLoad counts forwarded simple events — the paper's "number of
-	// forwarded data units".
-	EventLoad int64
-	// PartialAggregateLoad counts forwarded windowed partial-aggregate
-	// messages (and, for the exact baseline, relayed raw readings),
-	// accounted separately from EventLoad.
-	PartialAggregateLoad int64
-	// PartialAggregateBytes accumulates the encoded wire size of those
-	// messages — the byte cost the error-vs-traffic experiment plots.
-	PartialAggregateBytes int64
-}
+// TrafficStats summarises the traffic generated so far: forwarded
+// advertisements, subscriptions and operators (the paper's "number of
+// forwarded queries"), retractions, simple events (the paper's "number of
+// forwarded data units"), and windowed partial aggregates with their
+// encoded bytes — each counted per link traversal.
+type TrafficStats = netsim.Snapshot
 
 // NewSystem builds a System over the deployment, attaches and advertises
 // every sensor of the deployment, and returns it ready for Subscribe and
@@ -447,15 +431,7 @@ func (s *System) Watermark() int { return s.runtime.Watermark() }
 
 // Traffic returns the accumulated traffic counters.
 func (s *System) Traffic() TrafficStats {
-	snap := s.runtime.Metrics().Snapshot()
-	return TrafficStats{
-		AdvertisementLoad:     snap.AdvertisementLoad,
-		SubscriptionLoad:      snap.SubscriptionLoad,
-		UnsubscriptionLoad:    snap.UnsubscriptionLoad,
-		EventLoad:             snap.EventLoad,
-		PartialAggregateLoad:  snap.PartialAggregateLoad,
-		PartialAggregateBytes: snap.PartialAggregateBytes,
-	}
+	return s.runtime.Metrics().Snapshot()
 }
 
 // IndexStats summarises the shape and observed lookup cost of the match
