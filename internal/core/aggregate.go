@@ -89,8 +89,6 @@ type aggSub struct {
 	// nextClose is the next window to finalise; windows close strictly in
 	// order. Initialised to the first window after the registration round.
 	nextClose int
-	// maxTick is the highest watermark this subscription has processed.
-	maxTick int
 	// empty is the result value of an empty window (0 for count/sum, NaN
 	// for the rest); cached at the finalising node.
 	empty float64
@@ -267,7 +265,6 @@ func (r *Aggregates) AddAggregate(ctx *netsim.Context, sub *model.Subscription, 
 	// every node derives the same first window: the one holding the round
 	// after the registration round.
 	a.nextClose = spec.WindowOf(ctx.Round() + 1)
-	a.maxTick = r.lastTick
 	if final {
 		a.empty = a.cfg.New().Result()
 	}
@@ -279,7 +276,7 @@ func (r *Aggregates) AddAggregate(ctx *netsim.Context, sub *model.Subscription, 
 	// Catch up: when the watermark overtook the registration cascade
 	// (windowed replay), windows may already be finalisable — close them now
 	// (shipping empty partials) so parents upstream are never left waiting.
-	a.closeWindows(ctx)
+	a.closeWindows(ctx, r.lastTick)
 }
 
 // RetractAggregate intercepts the retraction of an aggregate subscription
@@ -354,10 +351,7 @@ func (r *Aggregates) HandleWatermark(ctx *netsim.Context, wm int) {
 	}
 	r.lastTick = wm
 	for _, a := range r.list {
-		if wm > a.maxTick {
-			a.maxTick = wm
-			a.closeWindows(ctx)
-		}
+		a.closeWindows(ctx, wm)
 	}
 }
 
@@ -400,18 +394,18 @@ func (r *Aggregates) HandlePartialAggregate(ctx *netsim.Context, from topology.N
 		}
 	}
 	w.childDone++
-	a.closeWindows(ctx)
+	a.closeWindows(ctx, r.lastTick)
 }
 
 // closeWindows finalises every closable window of the subscription, in
-// window order: the watermark must have passed the window's end round and
+// window order: the watermark wm must have passed the window's end round and
 // every child must have reported. Closing ships one partial upstream — or
 // finalises the result — and recycles the window.
-func (a *aggSub) closeWindows(ctx *netsim.Context) {
+func (a *aggSub) closeWindows(ctx *netsim.Context, wm int) {
 	for {
 		g := a.nextClose
 		_, end := a.spec.WindowBounds(g)
-		if end > a.maxTick {
+		if end > wm {
 			return
 		}
 		w := a.windows[g]

@@ -16,7 +16,8 @@
 //
 // The Filter-Split-Forward approach of the paper is NewFSFConfig; the
 // competitors differ only in the Config handed to NewFactory, and all four
-// rows sit side by side in internal/experiment (ConfigFor).
+// rows sit side by side in internal/experiment (ConfigFor), where one table
+// test, TestTableIIApproachMatrix, checks them.
 package core
 
 import (

@@ -1,4 +1,4 @@
-package protocol_test
+package experiment_test
 
 import (
 	"context"

@@ -62,11 +62,11 @@ type Runtime interface {
 	// next waits until it has drained); Quiescent additionally drains the
 	// network after every single event (the conformance baseline), so one
 	// quiescent round is a batch of readings each fully propagated in turn.
-	// Every
-	// round advances the engine's round counter; deliveries are stamped with
-	// the round of their newest component event. The whole trace is
-	// validated up front; an unknown target node rejects it before any event
-	// enters the network.
+	// Every round advances the engine's round counter; deliveries are
+	// stamped with the round of their newest component event. The whole
+	// trace is validated up front; an unknown target node rejects it before
+	// any event enters the network. The replay ends with a Flush, so it
+	// returns with the network quiescent and every due watermark announced.
 	ReplayRounds(rounds [][]Publication, opts ReplayOptions) error
 	// ReplayRoundsContext is ReplayRounds with cancellation: the context is
 	// checked between dispatch bursts (sequential engine) and wakes any

@@ -1,13 +1,12 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
-	"strings"
 
 	"sensorcq"
 )
@@ -60,6 +59,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding subscription spec: %w", err))
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, errors.New("decoding subscription spec: data after the spec"))
 		return
 	}
 	sub, node, opts, err := s.buildSubscription(&spec)
@@ -142,57 +145,35 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleEvents serves POST /events: a single JSON EventSpec, or an NDJSON
-// batch (Content-Type application/x-ndjson, one spec per line). The whole
-// batch is validated before any event enters the network, so a malformed
-// line rejects the batch atomically.
+// handleEvents serves POST /events: a stream of whitespace-separated JSON
+// EventSpecs — one reading, or an NDJSON batch with one spec per line; the
+// Content-Type does not change the parsing. The whole batch is validated
+// before any event enters the network, so anything that is not a reading
+// rejects the batch atomically.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, DefaultMaxBatchBytes)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, DefaultMaxBatchBytes))
 	var events []sensorcq.Event
-	if isNDJSON(r) {
-		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 64<<10), 1<<20)
-		line := 0
-		for sc.Scan() {
-			line++
-			text := strings.TrimSpace(sc.Text())
-			if text == "" {
-				continue
-			}
-			var spec EventSpec
-			if err := json.Unmarshal([]byte(text), &spec); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("line %d: %w", line, err))
-				return
-			}
-			ev, err := s.buildEvent(&spec)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("line %d: %w", line, err))
-				return
-			}
-			events = append(events, ev)
-		}
-		if err := sc.Err(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		// An empty batch would still replay a round and advance the
-		// watermark, shifting every aggregate window.
-		if len(events) == 0 {
-			writeError(w, http.StatusBadRequest, errors.New("empty batch: no event lines"))
-			return
-		}
-	} else {
+	for i := 1; ; i++ {
 		var spec EventSpec
-		if err := json.NewDecoder(body).Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding event: %w", err))
-			return
+		err := dec.Decode(&spec)
+		if err == io.EOF {
+			break
 		}
-		ev, err := s.buildEvent(&spec)
+		var ev sensorcq.Event
+		if err == nil {
+			ev, err = s.buildEvent(&spec)
+		}
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, http.StatusBadRequest, fmt.Errorf("reading %d: %w", i, err))
 			return
 		}
 		events = append(events, ev)
+	}
+	// An empty batch would still replay a round and advance the watermark,
+	// shifting every aggregate window.
+	if len(events) == 0 {
+		writeError(w, http.StatusBadRequest, errors.New("empty batch: no readings"))
+		return
 	}
 
 	if !s.beginMutation(w) {
@@ -255,15 +236,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": status})
-}
-
-// isNDJSON reports whether the request carries a newline-delimited batch.
-func isNDJSON(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.TrimSpace(ct) == "application/x-ndjson"
 }
 
 // statusFor maps a mutation error onto an HTTP status: a cancelled request

@@ -8,8 +8,9 @@
 //	GET    /subscriptions          list registered subscriptions
 //	GET    /subscriptions/{id}     one subscription's status
 //	DELETE /subscriptions/{id}     retract network-wide
-//	POST   /events                 ingest one reading (JSON) or a batch
-//	                               (NDJSON, one EventSpec per line)
+//	POST   /events                 ingest a batch of readings: EventSpecs
+//	                               separated by whitespace (one JSON
+//	                               reading, or NDJSON, one per line)
 //	GET    /metrics                traffic, watermark, drop and index stats
 //	GET    /healthz                liveness ("ok", or "draining")
 //

@@ -278,6 +278,7 @@ var controlPlaneErrors = []struct {
 	want                         int
 }{
 	{"malformed spec", http.MethodPost, "/subscriptions", "application/json", `{"id":`, http.StatusBadRequest},
+	{"data after the spec", http.MethodPost, "/subscriptions", "application/json", walkthroughSpec + ` {"junk":1}`, http.StatusBadRequest},
 	{"no filters", http.MethodPost, "/subscriptions", "application/json", `{"id":"x","delta_t":30}`, http.StatusBadRequest},
 	{"both filter kinds", http.MethodPost, "/subscriptions", "application/json",
 		`{"id":"x","delta_t":30,"sensors":[{"sensor":"a","min":0,"max":1}],"attributes":[{"attr":"wind_speed","min":0,"max":1}]}`,
@@ -295,6 +296,8 @@ var controlPlaneErrors = []struct {
 	{"unknown event sensor", http.MethodPost, "/events", "application/json", `{"sensor":"ghost","value":1}`, http.StatusBadRequest},
 	{"malformed ndjson line", http.MethodPost, "/events", "application/x-ndjson",
 		`{"sensor":"a","value":1}` + "\n" + `{"sensor":`, http.StatusBadRequest},
+	{"json reading with trailing garbage", http.MethodPost, "/events", "application/json",
+		`{"sensor":"a","value":1}` + " trailing garbage", http.StatusBadRequest},
 	{"empty json event", http.MethodPost, "/events", "application/json", "", http.StatusBadRequest},
 	{"empty ndjson batch", http.MethodPost, "/events", "application/x-ndjson", "", http.StatusBadRequest},
 	{"blank-line ndjson batch", http.MethodPost, "/events", "application/x-ndjson", "\n  \n\n", http.StatusBadRequest},
@@ -333,6 +336,28 @@ func TestControlPlaneErrors(t *testing.T) {
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/subscriptions", "application/json", walkthroughSpec)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate register = %s %s, want 409", resp.Status, body)
+	}
+}
+
+// TestJSONBodyPublishesEveryReading pins that a JSON body is a batch like an
+// NDJSON one: every reading in it is published, in one round.
+func TestJSONBodyPublishesEveryReading(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	before := srv.sys.Watermark()
+	body := `{"sensor":"a","value":62,"time":100} {"sensor":"b","value":22,"time":105}`
+	resp, got := doJSON(t, http.MethodPost, ts.URL+"/events", "application/json", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %s %s", resp.Status, got)
+	}
+	var pub map[string]int
+	if err := json.Unmarshal(got, &pub); err != nil {
+		t.Fatal(err)
+	}
+	if pub["published"] != 2 {
+		t.Errorf("published = %d, want 2", pub["published"])
+	}
+	if after := srv.sys.Watermark(); after != before+1 {
+		t.Errorf("watermark %d -> %d, want one round", before, after)
 	}
 }
 

@@ -94,12 +94,13 @@ type SubscriptionStatus struct {
 	DroppedPushes int64  `json:"dropped_pushes"`
 }
 
-// EventSpec is one reading POSTed to /events (single JSON object, or one
-// NDJSON line of a batch). The sensor's attribute type and location are
-// resolved from the deployment. A zero Seq is assigned from the server's
-// own counter; callers injecting their own sequence numbers should do so
-// for every event. There is no round field: the engine stamps every
-// injected reading with its own round.
+// EventSpec is one reading POSTed to /events. A body is a batch of them
+// separated by whitespace, so one JSON object and an NDJSON batch (one per
+// line) parse alike, whatever the Content-Type. The sensor's attribute type
+// and location are resolved from the deployment. A zero Seq is assigned
+// from the server's own counter; callers injecting their own sequence
+// numbers should do so for every event. There is no round field: the
+// engine stamps every injected reading with its own round.
 type EventSpec struct {
 	Seq    uint64  `json:"seq,omitempty"`
 	Sensor string  `json:"sensor"`

@@ -376,8 +376,9 @@ func (s *System) PublishBatchContext(ctx context.Context, events []Event) error 
 }
 
 // replay pairs every reading with the node hosting its sensor (an unknown
-// sensor rejects the trace before any event enters the network), replays the
-// rounds under the given options and flushes.
+// sensor rejects the trace before any event enters the network) and replays
+// the rounds under the given options; the runtime's replay ends with the
+// flush.
 func (s *System) replay(ctx context.Context, rounds [][]Event, opts netsim.ReplayOptions) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -393,10 +394,7 @@ func (s *System) replay(ctx context.Context, rounds [][]Event, opts netsim.Repla
 			pubRounds[r][i] = netsim.Publication{Node: host, Event: ev}
 		}
 	}
-	if err := s.runtime.ReplayRoundsContext(ctx, pubRounds, opts); err != nil {
-		return err
-	}
-	return s.runtime.FlushContext(ctx)
+	return s.runtime.ReplayRoundsContext(ctx, pubRounds, opts)
 }
 
 // ReplayRounds replays a trace structured as measurement rounds (a
