@@ -51,6 +51,13 @@ func rangeSub(t *testing.T, id string, lo, hi float64) *model.Subscription {
 	return sub
 }
 
+// property is one of a Table II row's defining behaviours, run as a subtest
+// under its name.
+type property struct {
+	name  string
+	check func(t *testing.T, cfg core.Config)
+}
+
 func TestTableIIApproachMatrix(t *testing.T) {
 	rows := []struct {
 		id experiment.ApproachID
@@ -62,8 +69,7 @@ func TestTableIIApproachMatrix(t *testing.T) {
 		shared      bool
 		split       core.SplitPolicy
 		propagation core.EventPropagation
-		// property checks the row's defining behaviour.
-		property func(t *testing.T, cfg core.Config)
+		properties  []property
 		// setFilterErrors are the set-filter error probabilities the
 		// delivery smoke run builds the factory with; nil runs it once at 0.
 		setFilterErrors []float64
@@ -74,30 +80,43 @@ func TestTableIIApproachMatrix(t *testing.T) {
 			split: core.SplitSimple, propagation: core.PerSubscription,
 			// Even a subscription identical to a stored one is not subsumed,
 			// so every subscription travels and is evaluated separately.
-			property: func(t *testing.T, cfg core.Config) {
+			properties: []property{{"none-checker-never-filters", func(t *testing.T, cfg core.Config) {
 				q := rangeSub(t, "q", 0, 100)
 				if cfg.Checker(0).Subsumed(q, []*model.Subscription{q.Clone()}) {
 					t.Error("the naive checker filtered an identical subscription")
 				}
-			},
+			}}},
 		},
 		{
 			id: experiment.OperatorPlacement, checker: "subsume.PairwiseChecker", shared: true,
 			split: core.SplitSimple, propagation: core.PerSubscription,
-			// A subscription nested in a stored one shares its operators; a
-			// straddling one does not, and neither does the reverse direction.
-			property: func(t *testing.T, cfg core.Config) {
-				c := cfg.Checker(0)
-				wide, narrow, straddle := rangeSub(t, "wide", 0, 100), rangeSub(t, "narrow", 40, 60), rangeSub(t, "straddle", 50, 150)
-				if !c.Subsumed(narrow, []*model.Subscription{wide}) {
-					t.Error("nested subscription not covered")
-				}
-				if c.Subsumed(straddle, []*model.Subscription{wide}) {
-					t.Error("straddling subscription covered")
-				}
-				if c.Subsumed(wide, []*model.Subscription{narrow}) {
-					t.Error("wide subscription covered by the narrow one")
-				}
+			properties: []property{
+				// A subscription nested in a stored one shares its operators; a
+				// straddling one does not, and neither does the reverse direction.
+				{"pairwise-covering-shares", func(t *testing.T, cfg core.Config) {
+					c := cfg.Checker(0)
+					wide, narrow, straddle := rangeSub(t, "wide", 0, 100), rangeSub(t, "narrow", 40, 60), rangeSub(t, "straddle", 50, 150)
+					if !c.Subsumed(narrow, []*model.Subscription{wide}) {
+						t.Error("nested subscription not covered")
+					}
+					if c.Subsumed(straddle, []*model.Subscription{wide}) {
+						t.Error("straddling subscription covered")
+					}
+					if c.Subsumed(wide, []*model.Subscription{narrow}) {
+						t.Error("wide subscription covered by the narrow one")
+					}
+				}},
+				// Operator placement routes subscriptions with the multi-join
+				// row's checker; it differs in storing whole multi-joins.
+				{"shares-routing-with-multi-join", func(t *testing.T, cfg core.Config) {
+					mj := configFor(t, experiment.MultiJoin, 7)
+					if got, want := fmt.Sprintf("%T", cfg.Checker(0)), fmt.Sprintf("%T", mj.Checker(0)); got != want {
+						t.Errorf("checker = %s, want the multi-join row's %s", got, want)
+					}
+					if cfg.Split == mj.Split {
+						t.Errorf("split = %v, the multi-join row's; want whole multi-joins stored", cfg.Split)
+					}
+				}},
 			},
 		},
 		{
@@ -105,7 +124,7 @@ func TestTableIIApproachMatrix(t *testing.T) {
 			split: core.SplitBinaryJoin, propagation: core.PerNeighbor,
 			// The ring pairing: a k-attribute multi-join (k >= 3) splits into
 			// k binary joins rooted at the parent; a binary join stays whole.
-			property: func(t *testing.T, _ core.Config) {
+			properties: []property{{"ring-pairing-decomposition", func(t *testing.T, _ core.Config) {
 				filters := []model.AttributeFilter{
 					{Attr: model.AmbientTemperature, Range: geom.NewInterval(0, 10)},
 					{Attr: model.RelativeHumidity, Range: geom.NewInterval(20, 30)},
@@ -126,14 +145,14 @@ func TestTableIIApproachMatrix(t *testing.T) {
 						}
 					}
 				}
-			},
+			}}},
 		},
 		{
 			id: experiment.FilterSplitForward, checker: "*subsume.SetChecker", shared: false,
 			split: core.SplitSimple, propagation: core.PerNeighbor,
 			// The set filter detects a cover by a union of stored
 			// subscriptions that pairwise covering misses.
-			property: func(t *testing.T, cfg core.Config) {
+			properties: []property{{"set-checker-detects-set-covers", func(t *testing.T, cfg core.Config) {
 				candidate := rangeSub(t, "cand", 10, 90)
 				union := []*model.Subscription{rangeSub(t, "left", 0, 55), rangeSub(t, "right", 45, 100)}
 				if !cfg.Checker(0).Subsumed(candidate, union) {
@@ -142,7 +161,7 @@ func TestTableIIApproachMatrix(t *testing.T) {
 				if (subsume.PairwiseChecker{}).Subsumed(candidate, union) {
 					t.Error("pairwise covering detected the set cover; the row shows nothing")
 				}
-			},
+			}}},
 			setFilterErrors: []float64{0, 0.01, 0.1},
 		},
 	}
@@ -154,59 +173,84 @@ func TestTableIIApproachMatrix(t *testing.T) {
 	if !slices.Equal(experiment.All(), ids) || !slices.Equal(experiment.AllDistributed(), ids[1:]) {
 		t.Errorf("All() = %v, AllDistributed() = %v, want the table's rows %v", experiment.All(), experiment.AllDistributed(), ids)
 	}
-	if _, err := experiment.FactoryForSpec("bogus", experiment.FactorySpec{Seed: 1}); err == nil {
-		t.Error("unknown approach should fail")
-	}
 
 	for _, row := range rows {
 		t.Run(string(row.id), func(t *testing.T) {
-			if row.checker == "" {
-				if _, err := experiment.ConfigFor(row.id, experiment.FactorySpec{}); err == nil {
-					t.Error("the centralized baseline should have no Table II row")
-				}
-			} else {
+			if row.checker != "" {
 				cfg := configFor(t, row.id, 7)
-				if cfg.Name != string(row.id) {
-					t.Errorf("config name = %q, want %q", cfg.Name, row.id)
-				}
-				if err := cfg.Validate(); err != nil {
-					t.Fatalf("config invalid: %v", err)
-				}
-				a, b, c := cfg.Checker(1), cfg.Checker(2), cfg.Checker(1)
-				if got := fmt.Sprintf("%T", a); got != row.checker {
-					t.Errorf("checker = %s, want %s", got, row.checker)
-				}
-				if row.shared {
-					if a != b || a != c {
-						t.Error("nodes do not share one checker")
+				t.Run("config", func(t *testing.T) {
+					if cfg.Name != string(row.id) {
+						t.Errorf("config name = %q, want %q", cfg.Name, row.id)
 					}
-				} else if a == b || a == c {
-					t.Error("the checker factory handed out one instance twice")
+					if err := cfg.Validate(); err != nil {
+						t.Fatalf("config invalid: %v", err)
+					}
+					if got := fmt.Sprintf("%T", cfg.Checker(0)); got != row.checker {
+						t.Errorf("checker = %s, want %s", got, row.checker)
+					}
+					if cfg.Split != row.split {
+						t.Errorf("split = %v, want %v", cfg.Split, row.split)
+					}
+					if cfg.Propagation != row.propagation {
+						t.Errorf("propagation = %v, want %v", cfg.Propagation, row.propagation)
+					}
+				})
+				t.Run("checker-instances", func(t *testing.T) {
+					a, b, c := cfg.Checker(1), cfg.Checker(2), cfg.Checker(1)
+					if row.shared {
+						if a != b || a != c {
+							t.Error("nodes do not share one checker")
+						}
+					} else if a == b || a == c {
+						t.Error("the checker factory handed out one instance twice")
+					}
+				})
+				for _, p := range row.properties {
+					t.Run(p.name, func(t *testing.T) { p.check(t, cfg) })
 				}
-				if cfg.Split != row.split {
-					t.Errorf("split = %v, want %v", cfg.Split, row.split)
+			}
+			t.Run("delivery", func(t *testing.T) {
+				setFilterErrors := row.setFilterErrors
+				if setFilterErrors == nil {
+					setFilterErrors = []float64{0}
 				}
-				if cfg.Propagation != row.propagation {
-					t.Errorf("propagation = %v, want %v", cfg.Propagation, row.propagation)
+				for _, p := range setFilterErrors {
+					deliversPair(t, row.id, experiment.FactorySpec{Seed: 7, SetFilterError: p})
 				}
-				row.property(t, cfg)
-			}
-			setFilterErrors := row.setFilterErrors
-			if setFilterErrors == nil {
-				setFilterErrors = []float64{0}
-			}
-			for _, p := range setFilterErrors {
-				deliversPair(t, row.id, experiment.FactorySpec{Seed: 7, SetFilterError: p}, row.checker != "")
-			}
+			})
 		})
 	}
 }
 
+// TestFactoriesProduceHandlers checks the handler each factory builds, FSF's
+// at every set-filter error: a *core.Node named after the approach for the
+// distributed approaches, a handler of its own for the centralized baseline.
+func TestFactoriesProduceHandlers(t *testing.T) {
+	for _, id := range experiment.All() {
+		for _, p := range []float64{0, 0.01, 0.1} {
+			factory, err := experiment.FactoryForSpec(id, experiment.FactorySpec{Seed: 7, SetFilterError: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := factory(3)
+			node, ok := h.(*core.Node)
+			switch {
+			case h == nil:
+				t.Errorf("%s factory at set-filter error %v built a nil handler", id, p)
+			case id == experiment.Centralized && ok:
+				t.Errorf("the centralized factory built a *core.Node, want the baseline's own handler")
+			case id != experiment.Centralized && (!ok || node.Name() != string(id)):
+				t.Errorf("%s factory at set-filter error %v built a %T, want a *core.Node named %q", id, p, h, id)
+			}
+		}
+	}
+}
+
 // deliversPair builds the approach's nodes on a three-node line — sensor a at
-// node 0, the subscriber at node 1, sensor b at node 2 — and checks their
-// type and that one matching (a, b) pair is delivered exactly once, at the
-// subscriber, with both readings.
-func deliversPair(t *testing.T, id experiment.ApproachID, spec experiment.FactorySpec, distributed bool) {
+// node 0, the subscriber at node 1, sensor b at node 2 — and checks that one
+// matching (a, b) pair is delivered exactly once, at the subscriber, with
+// both readings.
+func deliversPair(t *testing.T, id experiment.ApproachID, spec experiment.FactorySpec) {
 	t.Helper()
 	factory, err := experiment.FactoryForSpec(id, spec)
 	if err != nil {
@@ -220,15 +264,6 @@ func deliversPair(t *testing.T, id experiment.ApproachID, spec experiment.Factor
 	}
 	e := netsim.NewEngine(g, factory)
 	defer e.Close()
-	for n := range topology.NodeID(3) {
-		node, ok := e.Handler(n).(*core.Node)
-		if distributed && (!ok || node.Name() != string(id)) {
-			t.Fatalf("node %d is a %T, want a *core.Node named %q", n, e.Handler(n), id)
-		}
-		if !distributed && ok {
-			t.Fatalf("node %d is a *core.Node, want the baseline's own handler", n)
-		}
-	}
 	if err := e.AttachSensor(0, model.Sensor{ID: "a", Attr: model.AmbientTemperature}); err != nil {
 		t.Fatal(err)
 	}

@@ -76,6 +76,24 @@ func TestScenarioScaleAndValidate(t *testing.T) {
 	}
 }
 
+func TestFactoryForAllApproaches(t *testing.T) {
+	for _, id := range All() {
+		f, err := FactoryForSpec(id, FactorySpec{Seed: 1})
+		if err != nil || f == nil {
+			t.Errorf("FactoryForSpec(%s) failed: %v", id, err)
+		}
+	}
+	if _, err := FactoryForSpec("bogus", FactorySpec{Seed: 1}); err == nil {
+		t.Error("unknown approach should fail")
+	}
+	if _, err := ConfigFor(Centralized, FactorySpec{}); err == nil {
+		t.Error("the centralized baseline should have no Table II row")
+	}
+	if len(All()) != 5 || len(AllDistributed()) != 4 {
+		t.Error("approach lists wrong")
+	}
+}
+
 func TestBuildWorkloadSegments(t *testing.T) {
 	s := QuickScale(SmallScale())
 	w, err := BuildWorkload(s)
