@@ -58,11 +58,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, DefaultMaxBatchBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding subscription spec: %w", err))
+		writeError(w, bodyStatus(err), fmt.Errorf("decoding subscription spec: %w", err))
 		return
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, errors.New("decoding subscription spec: data after the spec"))
+		writeError(w, bodyStatus(err), errors.New("decoding subscription spec: data after the spec"))
 		return
 	}
 	sub, node, opts, err := s.buildSubscription(&spec)
@@ -164,7 +164,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			ev, err = s.buildEvent(&spec)
 		}
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading %d: %w", i, err))
+			writeError(w, bodyStatus(err), fmt.Errorf("reading %d: %w", i, err))
 			return
 		}
 		events = append(events, ev)
@@ -236,6 +236,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": status})
+}
+
+// bodyStatus maps an error reading a request body onto an HTTP status: 413
+// for a body past DefaultMaxBatchBytes, 400 for anything else the client
+// sent wrong.
+func bodyStatus(err error) int {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // statusFor maps a mutation error onto an HTTP status: a cancelled request

@@ -272,7 +272,8 @@ func TestEndToEnd(t *testing.T) {
 }
 
 // controlPlaneErrors is the error contract of the control plane, one
-// request per case. The wire fuzzers seed their corpora with its bodies.
+// request per case. The wire fuzzers seed their corpora with its bodies,
+// all but the two past DefaultMaxBatchBytes.
 var controlPlaneErrors = []struct {
 	name, method, path, ct, body string
 	want                         int
@@ -301,6 +302,10 @@ var controlPlaneErrors = []struct {
 	{"empty json event", http.MethodPost, "/events", "application/json", "", http.StatusBadRequest},
 	{"empty ndjson batch", http.MethodPost, "/events", "application/x-ndjson", "", http.StatusBadRequest},
 	{"blank-line ndjson batch", http.MethodPost, "/events", "application/x-ndjson", "\n  \n\n", http.StatusBadRequest},
+	{"oversized spec", http.MethodPost, "/subscriptions", "application/json",
+		`{"id":"` + strings.Repeat("x", DefaultMaxBatchBytes) + `","delta_t":30}`, http.StatusRequestEntityTooLarge},
+	{"oversized ndjson batch", http.MethodPost, "/events", "application/x-ndjson",
+		strings.Repeat(`{"sensor":"a","value":1}`+"\n", DefaultMaxBatchBytes/25+1), http.StatusRequestEntityTooLarge},
 	{"unknown subscription status", http.MethodGet, "/subscriptions/nope", "", "", http.StatusNotFound},
 	{"unknown subscription stream", http.MethodGet, "/subscriptions/nope/stream", "", "", http.StatusNotFound},
 	{"unknown subscription retract", http.MethodDelete, "/subscriptions/nope", "", "", http.StatusNotFound},

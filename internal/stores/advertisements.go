@@ -8,12 +8,16 @@
 // geom.BoxTree that stabs every filter dimension (value range × spatial
 // region) at once and maintains itself incrementally under
 // subscribe/unsubscribe churn, one ordinary entry per registered
-// subscription — and the advertisement table's per-(origin, attribute)
-// geom.PointGrid location grids (there is no table-wide grid: a question
-// about every origin asks each of the node's few origins in turn).
+// subscription — and the advertisement table's per-origin sets of sensor
+// refs and per-(origin, attribute) geom.PointGrid location grids (there is
+// no table-wide grid: a question about every origin asks each of the node's
+// few origins in turn).
 //
 // The structures are not safe for concurrent use; each protocol handler owns
 // one set of them and the engines guarantee per-node sequential execution.
+// The one exception is shared by design: the process-wide, append-only table
+// that interns sensor IDs as the dense refs the advertisement tables store,
+// which guards itself with an RWMutex.
 package stores
 
 import (
@@ -28,12 +32,19 @@ import (
 // received from each neighbour (and from locally attached sensors, filed
 // under the node's own ID). Algorithm 1 floods every advertisement to every
 // node — n nodes and s sensors make n·s entries — so the table keeps of one
-// only what its readers ask: per origin the set of advertised sensor IDs
-// (the exact answer to Add's "already advertised by this origin" and to
-// Known's and Project's "behind this neighbour"), and per (origin,
-// attribute) the advertised locations, in a grid that answers "any of this
-// attribute inside this region via this neighbour" (Project, HasAllSources,
-// OriginsMatching). Which sensor sits at which location is not kept.
+// only what its readers ask: per origin the set of advertised sensors (the
+// exact answer to Add's "already advertised by this origin" and to Known's
+// and Project's "behind this neighbour"), and per (origin, attribute) the
+// advertised locations, in a grid that answers "any of this attribute inside
+// this region via this neighbour" (Project, HasAllSources, OriginsMatching).
+// Which sensor sits at which location is not kept.
+//
+// A sensor is stored as its ref, a uint32 from the process-wide intern
+// table (sensorrefs.go) that Add fills on a sensor's first advertisement
+// anywhere, and each origin's sensors are a pointer-free open-addressing set
+// of refs: 8–16 bytes per entry that the garbage collector never scans. The
+// readers only look refs up, so asking about a sensor nobody advertised
+// answers "not known" and leaves the intern table as it was.
 type AdvertisementTable struct {
 	self topology.NodeID
 	// origins has one entry per origin heard from, in order of first
@@ -54,7 +65,7 @@ type AdvertisementTable struct {
 // per attribute type (a handful of types, found by scan like the origins).
 type originAds struct {
 	origin  topology.NodeID
-	sensors map[model.SensorID]struct{}
+	sensors refSet
 	attrs   []attrLocations
 }
 
@@ -101,14 +112,10 @@ func (t *AdvertisementTable) from(origin topology.NodeID) *originAds {
 func (t *AdvertisementTable) Add(origin topology.NodeID, adv model.Advertisement) bool {
 	o := t.from(origin)
 	if o == nil {
-		t.origins = append(t.origins, originAds{origin: origin, sensors: map[model.SensorID]struct{}{}})
+		t.origins = append(t.origins, originAds{origin: origin})
 		o = &t.origins[len(t.origins)-1]
 	}
-	// One map operation both answers and records: an insert that does not
-	// grow the set found the sensor there.
-	known := len(o.sensors)
-	o.sensors[adv.Sensor] = struct{}{}
-	if len(o.sensors) == known {
+	if !o.sensors.insert(internSensor(adv.Sensor)) {
 		return false
 	}
 	i := 0
@@ -124,8 +131,12 @@ func (t *AdvertisementTable) Add(origin topology.NodeID, adv model.Advertisement
 
 // Known reports whether the sensor was advertised by any origin.
 func (t *AdvertisementTable) Known(sensor model.SensorID) bool {
+	ref, ok := lookupSensor(sensor)
+	if !ok {
+		return false
+	}
 	for i := range t.origins {
-		if _, ok := t.origins[i].sensors[sensor]; ok {
+		if t.origins[i].sensors.has(ref) {
 			return true
 		}
 	}
@@ -136,7 +147,7 @@ func (t *AdvertisementTable) Known(sensor model.SensorID) bool {
 func (t *AdvertisementTable) Count() int {
 	total := 0
 	for i := range t.origins {
-		total += len(t.origins[i].sensors)
+		total += t.origins[i].sensors.n
 	}
 	return total
 }
@@ -154,7 +165,7 @@ func (t *AdvertisementTable) Project(sub *model.Subscription, origin topology.No
 	if sub.Kind == model.KindIdentified {
 		sensors := t.sensorScratch[:0]
 		for d := range sub.SensorFilters {
-			if _, ok := o.sensors[d]; ok {
+			if ref, ok := lookupSensor(d); ok && o.sensors.has(ref) {
 				sensors = append(sensors, d)
 			}
 		}

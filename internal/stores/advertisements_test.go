@@ -3,6 +3,7 @@ package stores
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"sensorcq/internal/geom"
@@ -123,6 +124,162 @@ func projectionKeys(p *model.Subscription) []string {
 	return keys
 }
 
+// advSelf is the node whose table the reference test and the fuzzer drive,
+// and advOrigins the origins it hears from, itself included.
+const advSelf = topology.NodeID(7)
+
+var advOrigins = []topology.NodeID{advSelf, 1, 2, 3, 12}
+
+// advGhost names a sensor that no test in this package advertises: only
+// Add interns, so it must stay out of the intern table however often the
+// readers are asked about it.
+const advGhost = model.SensorID("never-advertised")
+
+// internedSensors returns the size of the intern table.
+func internedSensors() int {
+	sensorRefs.RLock()
+	defer sensorRefs.RUnlock()
+	return len(sensorRefs.ids)
+}
+
+// advPool returns n sensor IDs.
+func advPool(prefix string, n int) []model.SensorID {
+	sensors := make([]model.SensorID, n)
+	for i := range sensors {
+		sensors[i] = model.SensorID(fmt.Sprintf("%s%04d", prefix, i))
+	}
+	return sensors
+}
+
+// advSubscriptions draws the subscriptions the table is questioned with:
+// identified ones naming two pooled sensors, every other one also advGhost,
+// and abstract ones over advertised attributes — every fifth also over the
+// silent one nobody advertises — in empty, whole-plane, degenerate and
+// random regions.
+func advSubscriptions(t testing.TB, rng *stats.RNG, sensors []model.SensorID, advertised []model.AttributeType, silent model.AttributeType) []*model.Subscription {
+	pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
+	var subs []*model.Subscription
+	for i := 0; i < 6; i++ {
+		a := pick(len(sensors))
+		ids := []model.SensorID{sensors[a], sensors[(a+1+pick(len(sensors)-1))%len(sensors)]}
+		if i%2 == 1 {
+			ids = append(ids, advGhost)
+		}
+		var filters []model.SensorFilter
+		for _, d := range ids {
+			filters = append(filters, model.SensorFilter{Sensor: d, Attr: model.WindSpeed, Range: geom.NewInterval(0, 100)})
+		}
+		s, err := model.NewIdentifiedSubscription(model.SubscriptionID(fmt.Sprintf("id%d", i)), filters, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, s)
+	}
+	regions := []geom.Region{
+		geom.WholePlane(),
+		{X: geom.Interval{Min: 1, Max: 0}, Y: geom.Interval{Min: 0, Max: 1}}, // empty
+		geom.RegionAround(geom.Point2D{X: 250, Y: 250}, 0),                   // one point
+		geom.NewRegion(0, 0, 1000, 0),                                        // one line
+	}
+	for i := 0; i < 8; i++ {
+		x, y := rng.Range(-100, 900), rng.Range(-100, 900)
+		regions = append(regions, geom.NewRegion(x, y, x+rng.Range(0, 500), y+rng.Range(0, 500)))
+	}
+	for i, region := range regions {
+		filters := []model.AttributeFilter{{Attr: advertised[i%len(advertised)], Range: geom.NewInterval(0, 100)}}
+		if i%2 == 0 {
+			filters = append(filters, model.AttributeFilter{Attr: advertised[(i+1)%len(advertised)], Range: geom.NewInterval(0, 100)})
+		}
+		if i%5 == 4 {
+			filters = append(filters, model.AttributeFilter{Attr: silent, Range: geom.NewInterval(0, 100)})
+		}
+		// The constructor refuses an empty region but still returns the
+		// subscription; the table must answer for it all the same.
+		s, err := model.NewAbstractSubscription(model.SubscriptionID(fmt.Sprintf("abs%d", i)), filters, region, 30, model.NoSpatialConstraint)
+		if err != nil && !region.Empty() {
+			t.Fatal(err)
+		}
+		subs = append(subs, s)
+	}
+	return subs
+}
+
+// newRefAdvTable returns an empty reference for advSelf's table.
+func newRefAdvTable() *refAdvTable {
+	return &refAdvTable{self: advSelf, byOrigin: map[topology.NodeID]map[model.SensorID]model.Advertisement{}}
+}
+
+// checkKnown compares Known for every probed sensor.
+func checkKnown(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdvTable, probes []model.SensorID) {
+	t.Helper()
+	for _, d := range probes {
+		if got, want := tbl.Known(d), ref.known(d); got != want {
+			t.Fatalf("%s: Known(%q) = %v, reference %v", at, d, got, want)
+		}
+	}
+}
+
+// checkProject compares Project of the subscription onto the origin.
+func checkProject(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdvTable, sub *model.Subscription, o topology.NodeID) {
+	t.Helper()
+	if got, want := projectionKeys(tbl.Project(sub, o)), ref.project(sub, o); !slices.Equal(got, want) {
+		t.Fatalf("%s: Project(%s, %d) = %v, reference %v", at, sub.ID, o, got, want)
+	}
+}
+
+// checkHasAllSources compares HasAllSources of the subscription.
+func checkHasAllSources(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdvTable, sub *model.Subscription) {
+	t.Helper()
+	if got, want := tbl.HasAllSources(sub), ref.hasAllSources(sub); got != want {
+		t.Fatalf("%s: HasAllSources(%s) = %v, reference %v", at, sub.ID, got, want)
+	}
+}
+
+// checkOriginsMatching compares OriginsMatching of the subscription.
+func checkOriginsMatching(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdvTable, sub *model.Subscription, exclude topology.NodeID) {
+	t.Helper()
+	if got, want := tbl.OriginsMatching(sub, exclude), ref.originsMatching(sub, exclude); !slices.Equal(got, want) {
+		t.Fatalf("%s: OriginsMatching(%s, %d) = %v, reference %v", at, sub.ID, exclude, got, want)
+	}
+}
+
+// checkAdvTable compares every reader's answer: Known for every probe,
+// Project onto every origin (and one never heard from), HasAllSources and
+// OriginsMatching. The readers only look sensors up, so the intern table
+// must be as large after them as before, and advGhost never in it.
+func checkAdvTable(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdvTable, probes []model.SensorID, subs []*model.Subscription, origins []topology.NodeID) {
+	t.Helper()
+	interned := internedSensors()
+	checkKnown(t, at, tbl, ref, probes)
+	for _, sub := range subs {
+		for _, o := range append(slices.Clone(origins), 99) {
+			checkProject(t, at, tbl, ref, sub, o)
+		}
+		checkHasAllSources(t, at, tbl, ref, sub)
+		for _, exclude := range []topology.NodeID{-1, 1, advSelf} {
+			checkOriginsMatching(t, at, tbl, ref, sub, exclude)
+		}
+	}
+	if n := internedSensors(); n != interned {
+		t.Fatalf("%s: the readers grew the intern table %d -> %d", at, interned, n)
+	}
+	if _, ok := lookupSensor(advGhost); ok {
+		t.Fatalf("%s: the never-advertised %q was interned", at, advGhost)
+	}
+}
+
+// checkCount compares Count with the number of (origin, sensor) pairs.
+func checkCount(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdvTable) {
+	t.Helper()
+	stored := 0
+	for _, m := range ref.byOrigin {
+		stored += len(m)
+	}
+	if tbl.Count() != stored {
+		t.Fatalf("%s: Count = %d, reference %d", at, tbl.Count(), stored)
+	}
+}
+
 // TestAdvertisementTableMatchesReference drives the table and the reference
 // with the same random Add sequences — duplicates from one origin, one
 // sensor heard via two origins (with differing attribute and location), local
@@ -130,10 +287,10 @@ func projectionKeys(p *model.Subscription) []string {
 // compares every answer after every step: Add's verdict, Known, Project per
 // origin (identified and abstract, over empty, whole-plane, degenerate and
 // random regions, and over an attribute nobody advertises), HasAllSources
-// and OriginsMatching.
+// and OriginsMatching. A last run floods 5000 sensors over three origins, so
+// the origins' ref sets grow through several sizes and probe past collisions;
+// it compares every Add verdict and the readers at checkpoints.
 func TestAdvertisementTableMatchesReference(t *testing.T) {
-	const self = topology.NodeID(7)
-	origins := []topology.NodeID{self, 1, 2, 3, 12}
 	attrs := model.DefaultAttributes()
 	advertised, silent := attrs[:len(attrs)-1], attrs[len(attrs)-1]
 	for seed := int64(1); seed <= 6; seed++ {
@@ -145,69 +302,19 @@ func TestAdvertisementTableMatchesReference(t *testing.T) {
 			}
 			return float64(pick(40)) * 25 // repeats are common
 		}
-		sensors := make([]model.SensorID, 40)
-		for i := range sensors {
-			sensors[i] = model.SensorID(fmt.Sprintf("d%02d", i))
-		}
-		randomAdv := func() model.Advertisement {
-			return model.Advertisement{
+		sensors := advPool("d", 40)
+		subs := advSubscriptions(t, rng, sensors, advertised, silent)
+		probes := append(slices.Clone(sensors), advGhost, "")
+
+		tbl, ref := NewAdvertisementTable(advSelf), newRefAdvTable()
+		var last model.Advertisement
+		for step := 0; step < 150; step++ {
+			origin := advOrigins[pick(len(advOrigins))]
+			adv := model.Advertisement{
 				Sensor:   sensors[pick(len(sensors))],
 				Attr:     advertised[pick(len(advertised))],
 				Location: geom.Point2D{X: coord(), Y: coord()},
 			}
-		}
-
-		var subs []*model.Subscription
-		for i := 0; i < 6; i++ {
-			// Two distinct sensors of the pool, and every other time one
-			// that is never advertised.
-			a := pick(40)
-			ids := []model.SensorID{sensors[a], sensors[(a+1+pick(39))%40]}
-			if i%2 == 1 {
-				ids = append(ids, "d40")
-			}
-			var filters []model.SensorFilter
-			for _, d := range ids {
-				filters = append(filters, model.SensorFilter{Sensor: d, Attr: model.WindSpeed, Range: geom.NewInterval(0, 100)})
-			}
-			s, err := model.NewIdentifiedSubscription(model.SubscriptionID(fmt.Sprintf("id%d", i)), filters, 30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			subs = append(subs, s)
-		}
-		regions := []geom.Region{
-			geom.WholePlane(),
-			{X: geom.Interval{Min: 1, Max: 0}, Y: geom.Interval{Min: 0, Max: 1}}, // empty
-			geom.RegionAround(geom.Point2D{X: 250, Y: 250}, 0),                   // one point
-			geom.NewRegion(0, 0, 1000, 0),                                        // one line
-		}
-		for i := 0; i < 8; i++ {
-			x, y := rng.Range(-100, 900), rng.Range(-100, 900)
-			regions = append(regions, geom.NewRegion(x, y, x+rng.Range(0, 500), y+rng.Range(0, 500)))
-		}
-		for i, region := range regions {
-			filters := []model.AttributeFilter{{Attr: advertised[i%len(advertised)], Range: geom.NewInterval(0, 100)}}
-			if i%2 == 0 {
-				filters = append(filters, model.AttributeFilter{Attr: advertised[(i+1)%len(advertised)], Range: geom.NewInterval(0, 100)})
-			}
-			if i%5 == 4 {
-				filters = append(filters, model.AttributeFilter{Attr: silent, Range: geom.NewInterval(0, 100)})
-			}
-			// The constructor refuses an empty region but still returns the
-			// subscription; the table must answer for it all the same.
-			s, err := model.NewAbstractSubscription(model.SubscriptionID(fmt.Sprintf("abs%d", i)), filters, region, 30, model.NoSpatialConstraint)
-			if err != nil && !region.Empty() {
-				t.Fatal(err)
-			}
-			subs = append(subs, s)
-		}
-
-		tbl := NewAdvertisementTable(self)
-		ref := &refAdvTable{self: self, byOrigin: map[topology.NodeID]map[model.SensorID]model.Advertisement{}}
-		var last model.Advertisement
-		for step := 0; step < 150; step++ {
-			origin, adv := origins[pick(len(origins))], randomAdv()
 			if step%7 == 6 {
 				adv = last // a straight repeat, same or another origin
 			}
@@ -215,33 +322,130 @@ func TestAdvertisementTableMatchesReference(t *testing.T) {
 			if got, want := tbl.Add(origin, adv), ref.add(origin, adv); got != want {
 				t.Fatalf("seed %d step %d: Add(%d, %v) = %v, reference %v", seed, step, origin, adv, got, want)
 			}
-			for _, d := range append(sensors, "d40", "") {
-				if got, want := tbl.Known(d), ref.known(d); got != want {
-					t.Fatalf("seed %d step %d: Known(%q) = %v, reference %v", seed, step, d, got, want)
-				}
-			}
-			for _, sub := range subs {
-				for _, o := range append(origins, 99) {
-					if got, want := projectionKeys(tbl.Project(sub, o)), ref.project(sub, o); !slices.Equal(got, want) {
-						t.Fatalf("seed %d step %d: Project(%s, %d) = %v, reference %v", seed, step, sub.ID, o, got, want)
-					}
-				}
-				if got, want := tbl.HasAllSources(sub), ref.hasAllSources(sub); got != want {
-					t.Fatalf("seed %d step %d: HasAllSources(%s) = %v, reference %v", seed, step, sub.ID, got, want)
-				}
-				for _, exclude := range []topology.NodeID{-1, 1, self} {
-					if got, want := tbl.OriginsMatching(sub, exclude), ref.originsMatching(sub, exclude); !slices.Equal(got, want) {
-						t.Fatalf("seed %d step %d: OriginsMatching(%s, %d) = %v, reference %v", seed, step, sub.ID, exclude, got, want)
-					}
-				}
-			}
+			checkAdvTable(t, fmt.Sprintf("seed %d step %d", seed, step), tbl, ref, probes, subs, advOrigins)
 		}
-		stored := 0
-		for _, m := range ref.byOrigin {
-			stored += len(m)
+		checkCount(t, fmt.Sprintf("seed %d", seed), tbl, ref)
+	}
+
+	rng := stats.NewRNG(7)
+	pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
+	sensors := advPool("w", 5000)
+	subs := advSubscriptions(t, rng, sensors, advertised, silent)
+	probes := append(slices.Clone(sensors), advGhost)
+	origins := []topology.NodeID{advSelf, 1, 2}
+	tbl, ref := NewAdvertisementTable(advSelf), newRefAdvTable()
+	for step := 1; step <= 24000; step++ {
+		origin := origins[pick(len(origins))]
+		adv := model.Advertisement{
+			Sensor:   sensors[pick(len(sensors))],
+			Attr:     advertised[pick(len(advertised))],
+			Location: geom.Point2D{X: rng.Range(0, 1000), Y: rng.Range(0, 1000)},
 		}
-		if tbl.Count() != stored {
-			t.Errorf("seed %d: Count = %d, reference %d", seed, tbl.Count(), stored)
+		if got, want := tbl.Add(origin, adv), ref.add(origin, adv); got != want {
+			t.Fatalf("wide step %d: Add(%d, %v) = %v, reference %v", step, origin, adv, got, want)
+		}
+		if step%3000 == 0 {
+			at := fmt.Sprintf("wide step %d", step)
+			checkAdvTable(t, at, tbl, ref, probes, subs, origins)
+			checkCount(t, at, tbl, ref)
 		}
 	}
+}
+
+// TestAdvertisementTablesInternConcurrently gives four tables, one per
+// goroutine as the concurrent engine's workers hold them, the same sensors
+// at once in four orders, so first advertisements race to intern them:
+// every sensor must end with exactly one ref and every table must know
+// every sensor. Run it under -race.
+func TestAdvertisementTablesInternConcurrently(t *testing.T) {
+	sensors := advPool("c", 500)
+	tables := make([]*AdvertisementTable, 4)
+	var wg sync.WaitGroup
+	for w, stride := range []int{1, 3, 7, 9} { // coprime with 500: each visits every sensor
+		tables[w] = NewAdvertisementTable(topology.NodeID(w))
+		wg.Add(1)
+		go func(tbl *AdvertisementTable) {
+			defer wg.Done()
+			for i := range sensors {
+				d := sensors[i*stride%len(sensors)]
+				if !tbl.Add(1, model.Advertisement{Sensor: d, Attr: model.WindSpeed}) || !tbl.Known(d) {
+					t.Errorf("table %d: %q not added and known", w, d)
+				}
+			}
+		}(tables[w])
+	}
+	wg.Wait()
+	seen := map[sensorRef]model.SensorID{}
+	for _, d := range sensors {
+		ref, ok := lookupSensor(d)
+		if !ok {
+			t.Fatalf("%q has no ref", d)
+		}
+		if other, dup := seen[ref]; dup {
+			t.Fatalf("%q and %q share ref %d", d, other, ref)
+		}
+		seen[ref] = d
+		for w, tbl := range tables {
+			if !tbl.Known(d) {
+				t.Errorf("table %d does not know %q", w, d)
+			}
+		}
+	}
+	for w, tbl := range tables {
+		if tbl.Count() != len(sensors) {
+			t.Errorf("table %d: Count = %d, want %d", w, tbl.Count(), len(sensors))
+		}
+	}
+}
+
+// FuzzAdvertisementTable runs random sequences of Add, Known, Project,
+// HasAllSources and OriginsMatching against the reference, each drawn from
+// its seed like the reference test's runs (whose seeds are the corpus): a
+// pool of 2–401 sensors, the subscriptions over it, and 400 operations.
+func FuzzAdvertisementTable(f *testing.F) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(seed)
+	}
+	attrs := model.DefaultAttributes()
+	advertised, silent := attrs[:len(attrs)-1], attrs[len(attrs)-1]
+	origins := append(slices.Clone(advOrigins), 99)
+	excludes := []topology.NodeID{-1, 1, advSelf}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := stats.NewRNG(seed)
+		pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
+		sensors := advPool("d", 2+pick(400))
+		subs := advSubscriptions(t, rng, sensors, advertised, silent)
+		probes := append(slices.Clone(sensors), advGhost, "")
+		tbl, ref := NewAdvertisementTable(advSelf), newRefAdvTable()
+		for op := 0; op < 400; op++ {
+			at := fmt.Sprintf("seed %d op %d", seed, op)
+			interned := internedSensors()
+			switch sub := subs[pick(len(subs))]; pick(5) {
+			case 0:
+				origin := advOrigins[pick(len(advOrigins))]
+				adv := model.Advertisement{
+					Sensor:   sensors[pick(len(sensors))],
+					Attr:     advertised[pick(len(advertised))],
+					Location: geom.Point2D{X: float64(pick(40)) * 25, Y: float64(pick(40)) * 25},
+				}
+				if got, want := tbl.Add(origin, adv), ref.add(origin, adv); got != want {
+					t.Fatalf("%s: Add(%d, %v) = %v, reference %v", at, origin, adv, got, want)
+				}
+				continue
+			case 1:
+				d := pick(len(probes))
+				checkKnown(t, at, tbl, ref, probes[d:d+1])
+			case 2:
+				checkProject(t, at, tbl, ref, sub, origins[pick(len(origins))])
+			case 3:
+				checkHasAllSources(t, at, tbl, ref, sub)
+			case 4:
+				checkOriginsMatching(t, at, tbl, ref, sub, excludes[pick(len(excludes))])
+			}
+			if n := internedSensors(); n != interned {
+				t.Fatalf("%s: a reader grew the intern table %d -> %d", at, interned, n)
+			}
+		}
+		checkCount(t, fmt.Sprintf("seed %d", seed), tbl, ref)
+	})
 }
