@@ -100,7 +100,8 @@ type Config struct {
 	Propagation EventPropagation
 	// ValidityFactor scales each node's event validity: validity =
 	// ValidityFactor × (largest δt seen). The paper only requires validity
-	// to exceed δt; the default factor is 2.
+	// to exceed δt; a factor <= 0 selects the default of 2 (see
+	// stores.EventWindow.ObserveDeltaT).
 	ValidityFactor int
 }
 
@@ -228,9 +229,6 @@ type forwardedOp struct {
 // NewNode builds a protocol node. Most callers should use NewFactory and let
 // the engine construct nodes.
 func NewNode(self topology.NodeID, cfg Config) *Node {
-	if cfg.ValidityFactor <= 0 {
-		cfg.ValidityFactor = 2
-	}
 	return &Node{
 		cfg:       cfg,
 		checker:   cfg.Checker(self),

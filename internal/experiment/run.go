@@ -203,12 +203,17 @@ func publicationRounds(dep *topology.Deployment, rounds [][]model.Event) [][]net
 	return out
 }
 
+// batchBounds returns the [start, end) slice of Placed that holds the given
+// batch's subscriptions, clamped to the workload.
+func (w *Workload) batchBounds(batch int) (start, end int) {
+	start = min(batch*w.Scenario.BatchSize, len(w.Placed))
+	end = min(start+w.Scenario.BatchSize, len(w.Placed))
+	return start, end
+}
+
 // SubscriptionsUpTo returns the subscriptions of batches 0..batch inclusive.
 func (w *Workload) SubscriptionsUpTo(batch int) []*model.Subscription {
-	end := (batch + 1) * w.Scenario.BatchSize
-	if end > len(w.Placed) {
-		end = len(w.Placed)
-	}
+	_, end := w.batchBounds(batch)
 	out := make([]*model.Subscription, 0, end)
 	for _, p := range w.Placed[:end] {
 		out = append(out, p.Sub)
@@ -242,14 +247,7 @@ func churnCount(n int, churn float64) int {
 func (w *Workload) survivorsForBatch(batch int, churn float64) []*model.Subscription {
 	var out []*model.Subscription
 	for b := 0; b <= batch; b++ {
-		start := b * w.Scenario.BatchSize
-		end := start + w.Scenario.BatchSize
-		if end > len(w.Placed) {
-			end = len(w.Placed)
-		}
-		if start > end {
-			start = end
-		}
+		start, end := w.batchBounds(b)
 		placed := w.Placed[start:end]
 		if b < batch {
 			placed = placed[churnCount(len(placed), churn):]
@@ -294,9 +292,6 @@ func Run(s Scenario, opts *Options) (*Result, error) {
 	o := DefaultOptions()
 	if opts != nil {
 		o = *opts
-		if opts.Approaches == nil {
-			o.Approaches = nil
-		}
 	}
 	w, err := BuildWorkload(s)
 	if err != nil {
@@ -349,11 +344,7 @@ func runApproach(w *Workload, id ApproachID, o Options) (*ApproachSeries, error)
 
 	series := &ApproachSeries{Approach: id}
 	for b := 0; b < s.Batches; b++ {
-		start := b * s.BatchSize
-		end := start + s.BatchSize
-		if end > len(w.Placed) {
-			end = len(w.Placed)
-		}
+		start, end := w.batchBounds(b)
 		batch := w.Placed[start:end]
 		for _, p := range batch {
 			if err := engine.SubscribeContext(context.Background(), p.Node, p.Sub); err != nil {

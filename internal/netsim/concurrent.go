@@ -23,9 +23,8 @@ import (
 // mailbox, but the scheduled unit is a node *activation* — a push that makes
 // a mailbox non-empty appends the node to the engine's one FIFO run queue
 // (see runQueue), and a small pool of workers (default GOMAXPROCS) takes
-// active nodes from it and drains them burst by burst. Wakeups, ledger
-// settlement and in-flight accounting therefore cost O(active nodes), not
-// O(topology).
+// active nodes from it and drains them burst by burst. Wakeups and ledger
+// settlement therefore cost O(active nodes), not O(topology).
 //
 // How many nodes are active at once is the delivery mode's doing: under
 // Quiescent replay at most one event is in flight, so the activations take
@@ -34,21 +33,17 @@ import (
 //
 // The hot delivery path is lock-free with respect to the engine: traffic
 // counters and deliveries go to per-node shards (see Metrics and
-// deliveryLog), in-flight and per-round accounting are one atomic each,
-// and the per-message lock is the target node's mailbox mutex — which a
-// worker drains in batches, one lock round-trip per burst. The run queue's
-// lock is taken twice per activation: to queue the node and to take it.
+// deliveryLog), the in-flight accounting is the driver's round ledger (two
+// atomics per item and per run of equal rounds in a burst), and the
+// per-message lock is the target node's mailbox mutex — which a worker
+// drains in batches, one lock round-trip per burst. The run queue's lock
+// is taken twice per activation: to queue the node and to take it. Drains
+// and the replay loop's watermark gate are one wait on the ledger (await).
 type ConcurrentEngine struct {
 	driver
 	mailboxes []*mailbox
 	runs      *runQueue
-
-	// inflight counts queued-but-not-yet-dispatched items; drain waits for
-	// it to reach zero via idleCond.
-	inflight atomic.Int64
-	idleMu   sync.Mutex
-	idleCond *sync.Cond
-	trims    atomic.Uint32 // Trim calls, see runWorker
+	trims     atomic.Uint32 // Trim calls, see runWorker
 }
 
 var _ Runtime = (*ConcurrentEngine)(nil)
@@ -212,7 +207,6 @@ func NewConcurrentEngineWorkers(graph *topology.Graph, factory HandlerFactory, w
 		mailboxes: make([]*mailbox, n),
 		runs:      newRunQueue(n),
 	}
-	e.idleCond = sync.NewCond(&e.idleMu)
 	for i := range e.mailboxes {
 		e.mailboxes[i] = &mailbox{}
 	}
@@ -263,8 +257,7 @@ func (e *ConcurrentEngine) Trim() {
 
 // runNode drains one burst from node n's mailbox: take the queue in one
 // swap, dispatch every item, deactivate the node (rescheduling it if it
-// refilled mid-burst), then release the burst from the ledger and the
-// in-flight count.
+// refilled mid-burst), then release the burst from the ledger.
 func (e *ConcurrentEngine) runNode(n int, spare []queued) []queued {
 	m := e.mailboxes[n]
 	items := m.take(spare)
@@ -289,9 +282,6 @@ func (e *ConcurrentEngine) runNode(n int, spare []queued) []queued {
 		}
 		i = j
 	}
-	if e.inflight.Add(int64(-len(items))) == 0 {
-		e.wakeIdle()
-	}
 	if zeroed {
 		e.led.wake()
 	}
@@ -311,7 +301,6 @@ func (e *ConcurrentEngine) add(item *queued) error {
 	if e.closed.Load() {
 		return errClosed
 	}
-	e.inflight.Add(1)
 	// Count the item in the ledger before it becomes reachable: a child
 	// produced during a dispatch is therefore counted while its parent is
 	// still counted, so a round can only read drained once no item of it
@@ -322,22 +311,12 @@ func (e *ConcurrentEngine) add(item *queued) error {
 		if e.led.done(item.round, 1) {
 			e.led.wake()
 		}
-		if e.inflight.Add(-1) == 0 {
-			e.wakeIdle()
-		}
 		return fmt.Errorf("netsim: node %d mailbox closed", item.to)
 	}
 	if activate {
 		e.runs.push(int32(item.to))
 	}
 	return nil
-}
-
-// wakeIdle re-checks every drain waiting for the in-flight count.
-func (e *ConcurrentEngine) wakeIdle() {
-	e.idleMu.Lock()
-	e.idleCond.Broadcast()
-	e.idleMu.Unlock()
 }
 
 // enqueue implements sink (called from dispatches on worker goroutines). A
@@ -350,37 +329,21 @@ func (e *ConcurrentEngine) enqueue(item queued) {
 	}
 }
 
-// drain implements scheduler: it blocks until every in-flight item (and
-// every item transitively produced by it) has been dispatched, or the
-// context is cancelled — the work then keeps running on the workers. A
-// context that can never be cancelled takes the hook-free path, so
-// steady-state replay loops pay nothing for the hook.
-func (e *ConcurrentEngine) drain(ctx context.Context) error {
-	if ctx.Done() != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		stop := context.AfterFunc(ctx, e.wakeIdle)
-		defer stop()
-	}
-	e.idleMu.Lock()
-	for e.inflight.Load() > 0 && ctx.Err() == nil {
-		e.idleCond.Wait()
-	}
-	e.idleMu.Unlock()
-	return ctx.Err()
-}
-
-// awaitWatermark implements scheduler: it blocks the injector until the
-// ledger's watermark reaches the target round, the engine is closed or the
-// context is cancelled. Workers wake it whenever a round's count drains to
-// zero, Close and the context's hook when they fire.
-func (e *ConcurrentEngine) awaitWatermark(ctx context.Context, target int) error {
+// await implements scheduler: it blocks on the ledger until the target is
+// reached or the context is cancelled (the work then keeps running on the
+// workers). A watermark wait also gives up on Close, after which the gated
+// replay can inject nothing more; a drain still waits out the items queued
+// before Close, which the workers run before they exit. A context that can
+// never be cancelled takes the hook-free path, so steady-state replay loops
+// pay nothing for the hook.
+func (e *ConcurrentEngine) await(ctx context.Context, target int) error {
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, e.led.wake)
 		defer stop()
 	}
-	e.led.wait(target, func() bool { return e.closed.Load() || ctx.Err() != nil })
+	e.led.wait(target, func() bool {
+		return ctx.Err() != nil || (target != drained && e.closed.Load())
+	})
 	return ctx.Err()
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"sensorcq/internal/model"
@@ -15,19 +14,19 @@ import (
 // items get run. The sequential Engine runs them from one FIFO queue on the
 // caller's goroutine; the ConcurrentEngine hands them to its worker pool.
 // Both count every item in the driver's ledger (add before the item becomes
-// reachable, done after its dispatch returned).
+// reachable, done after its dispatch returned), the one record of
+// outstanding work, and both wait on it through one method.
 type scheduler interface {
 	// The node contexts send through the same engine.
 	sink
 	// submit queues one local injection.
 	submit(item queued) error
-	// drain returns once nothing is in flight, or with the context's error
-	// (the remaining work stays queued or keeps running).
-	drain(ctx context.Context) error
-	// awaitWatermark returns once the ledger's watermark has reached target
-	// or can make no further progress (engine closed), or with the
-	// context's error.
-	awaitWatermark(ctx context.Context, target int) error
+	// await returns once the ledger has reached target — nothing in flight
+	// for drained, otherwise a watermark at or past it, or, for a
+	// watermark, no further progress possible (engine closed) — or with
+	// the context's error (the remaining work stays queued or keeps
+	// running).
+	await(ctx context.Context, target int) error
 	// stop releases the scheduler's goroutines; queued items still run.
 	stop()
 }
@@ -57,11 +56,8 @@ type driver struct {
 	// aggTicks is set when an aggregate subscription registers; it gates all
 	// watermark-tick work so replays without aggregate queries pay one
 	// atomic load per round boundary and keep their zero-allocation steady
-	// state. tickMu guards ticked, the highest watermark already announced
-	// to the nodes.
+	// state.
 	aggTicks atomic.Bool
-	tickMu   sync.Mutex
-	ticked   int
 }
 
 // init builds one handler and context per node over the engine's scheduler,
@@ -100,14 +96,14 @@ func (d *driver) Watermark() int { return d.led.watermark() }
 
 // Close implements Runtime. Items already queued still run, so a Close
 // racing in-flight work leaves no goroutine behind once that work has run
-// out.
+// out, and a drain after Close still waits for them.
 func (d *driver) Close() {
 	if d.closed.Swap(true) {
 		return
 	}
 	d.sched.stop()
 	// Wake an injector waiting at the watermark gate so it observes the
-	// closed flag instead of blocking forever.
+	// closed flag instead of blocking forever; a drain keeps waiting.
 	d.led.wake()
 }
 
@@ -235,7 +231,7 @@ func (d *driver) ReplayRoundsContext(ctx context.Context, rounds [][]Publication
 func (d *driver) replay(ctx context.Context, rounds [][]Publication, lag int, settle bool) error {
 	for _, round := range rounds {
 		r := int(d.round.Load()) + 1
-		if err := d.sched.awaitWatermark(ctx, r-1-lag); err != nil {
+		if err := d.sched.await(ctx, r-1-lag); err != nil {
 			return err
 		}
 		// The gate advanced the watermark: announce it before round r's
@@ -243,7 +239,7 @@ func (d *driver) replay(ctx context.Context, rounds [][]Publication, lag int, se
 		// The window-close cascades the ticks trigger interleave with the
 		// replay like any other overlapping work, unless the mode settles.
 		if d.maybeTick() && settle {
-			if err := d.sched.drain(ctx); err != nil {
+			if err := d.sched.await(ctx, drained); err != nil {
 				return err
 			}
 		}
@@ -268,7 +264,7 @@ func (d *driver) injectRound(ctx context.Context, round []Publication, r int, se
 			return err
 		}
 		if settle {
-			if err := d.sched.drain(ctx); err != nil {
+			if err := d.sched.await(ctx, drained); err != nil {
 				return err
 			}
 		}
@@ -288,11 +284,11 @@ func (d *driver) FlushContext(ctx context.Context) error { return d.flush(ctx) }
 // through it, so an aggregate window never stays open once the watermark
 // has passed its end.
 func (d *driver) flush(ctx context.Context) error {
-	if err := d.sched.drain(ctx); err != nil {
+	if err := d.sched.await(ctx, drained); err != nil {
 		return err
 	}
 	for d.maybeTick() {
-		if err := d.sched.drain(ctx); err != nil {
+		if err := d.sched.await(ctx, drained); err != nil {
 			return err
 		}
 	}
@@ -301,22 +297,18 @@ func (d *driver) flush(ctx context.Context) error {
 
 // maybeTick queues one watermark tick per node when the watermark advanced
 // past the last announced value, reporting whether it did. Without
-// aggregate subscriptions no tick is ever queued. Concurrent callers are
-// serialised on ticked, but their submission loops may interleave, so a
-// node can observe ticks out of order — handlers must ignore a tick below
-// one they have already seen.
+// aggregate subscriptions no tick is ever queued. The ledger hands each
+// advance to one of concurrent callers, but their submission loops may
+// interleave, so a node can observe ticks out of order — handlers must
+// ignore a tick below one they have already seen.
 func (d *driver) maybeTick() bool {
 	if !d.aggTicks.Load() {
 		return false
 	}
-	wm := d.led.watermark()
-	d.tickMu.Lock()
-	if wm <= d.ticked {
-		d.tickMu.Unlock()
+	wm, advanced := d.led.announce()
+	if !advanced {
 		return false
 	}
-	d.ticked = wm
-	d.tickMu.Unlock()
 	for n := range d.handlers {
 		id := topology.NodeID(n)
 		// A failed submit only happens when the engine is shutting down;

@@ -129,7 +129,9 @@ type Runtime interface {
 	Watermark() int
 	// Close releases the engine's goroutines (the sequential engine has
 	// none) and rejects every later injection. Flush first: items already
-	// queued still run, but nothing waits for them. Close is idempotent.
+	// queued still run, but Close does not wait for them. A drain after
+	// Close (Flush, FlushContext) still waits out the items queued before
+	// it; a replay's watermark gate gives up instead. Close is idempotent.
 	Close()
 }
 
@@ -229,37 +231,31 @@ func (e *Engine) Trim() {
 // stop implements scheduler; there is no goroutine to release.
 func (e *Engine) stop() {}
 
-// drain implements scheduler: it dispatches queued items in FIFO order until
-// none remain.
-func (e *Engine) drain(ctx context.Context) error { return e.run(ctx, math.MaxInt) }
-
-// awaitWatermark implements scheduler: it dispatches queued items in FIFO
-// order only until the watermark reaches the target (a no-op when it
-// already has), so the items of up to lag+1 rounds interleave on the queue.
-func (e *Engine) awaitWatermark(ctx context.Context, target int) error { return e.run(ctx, target) }
-
 // drainCheckMask paces the context checks of the drain loop: the context is
 // consulted once per (mask+1) dispatched items, so a background context
 // costs one predictable nil check per burst rather than one per message.
 const drainCheckMask = 255
 
-// run is the dispatch loop: items leave the queue head in FIFO order until
-// the queue is empty, the watermark reaches the target (math.MaxInt: never),
-// or the context is cancelled — then the remaining items stay queued for
-// the next drain and the context's error is returned. The queue's backing
-// array is retained and reused across runs, so a long replay does not
-// reallocate it per event.
+// await implements scheduler with the dispatch loop: items leave the queue
+// head in FIFO order until the queue is empty, the watermark reaches the
+// target (drained: never, so the queue empties), or the context is
+// cancelled — then the remaining items stay queued for the next drain and
+// the context's error is returned. A watermark target stops the loop as
+// soon as it is reached (at once when it already is), so the items of up
+// to lag+1 rounds interleave on the queue. The queue's backing array is
+// retained and reused across runs, so a long replay does not reallocate it
+// per event.
 //
-// Dispatched items stay in the queue until the run completes, so a nested
-// run (a handler calling back into the engine mid-dispatch — nothing does
+// Dispatched items stay in the queue until the loop completes, so a nested
+// call (a handler calling back into the engine mid-dispatch — nothing does
 // today) must not re-drain; it returns immediately and leaves the work to
-// the outer run, which also picks up anything queued in between.
-func (e *Engine) run(ctx context.Context, target int) error {
+// the outer loop, which also picks up anything queued in between.
+func (e *Engine) await(ctx context.Context, target int) error {
 	if e.draining {
 		return nil
 	}
 	e.draining = true
-	gated := target != math.MaxInt
+	gated := target != drained
 	wm := math.MinInt
 	if gated {
 		wm = e.led.watermark()

@@ -138,6 +138,52 @@ func (h heldCounter) LocalPublish(_ *Context, ev model.Event) {
 	}
 }
 
+// TestConcurrentEngineFlushAfterCloseWaits pins what a drain does after
+// Close: the items queued before Close still run, and Flush waits for them
+// (only the replay loop's watermark gate gives up on Close). A worker is
+// held inside a dispatch at node 0 with a second reading queued behind it
+// when the engine closes; Flush must not return until both have run.
+func TestConcurrentEngineFlushAfterCloseWaits(t *testing.T) {
+	for _, workers := range workerCounts() {
+		t.Run(workersLabel(workers), func(t *testing.T) {
+			var count atomic.Int64
+			held, release := make(chan struct{}), make(chan struct{})
+			e := NewConcurrentEngineWorkers(lineGraph(t, 2), func(topology.NodeID) Handler {
+				return heldCounter{count: &count, held: held, release: release}
+			}, workers)
+			for _, seq := range []uint64{0, 1} {
+				if err := e.post(context.Background(), 0, queued{msg: Message{Kind: localPublish, Ev: testEvent(seq)}}); err != nil {
+					t.Fatal(err)
+				}
+				if seq == 0 {
+					<-held
+				}
+			}
+			e.Close()
+			flushed := make(chan struct{})
+			go func() {
+				e.Flush()
+				close(flushed)
+			}()
+			// Only a bounded wait can show that Flush has not returned.
+			select {
+			case <-flushed:
+				t.Error("Flush returned while a dispatch queued before Close was held")
+			case <-time.After(50 * time.Millisecond):
+			}
+			release <- struct{}{}
+			select {
+			case <-flushed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Flush did not return once the held dispatch was released")
+			}
+			if n := count.Load(); n != 2 {
+				t.Errorf("dispatched %d readings, want the 2 queued before Close", n)
+			}
+		})
+	}
+}
+
 // TestConcurrentEngineRunQueueAtCapacity fills the run queue to its capacity
 // of one slot per node. Each of the w workers is held inside a dispatch at
 // one of the nodes 0..w-1 while one reading is injected at every node, so

@@ -12,10 +12,16 @@ import (
 
 // TestRoundLedger exercises the ledger both engines account into: rounds
 // retire in order, only once fully injected, and empty rounds retire as soon
-// as they are marked.
+// as they are marked; each advance is announced once; and the drained
+// target waits for every item, whatever the watermark reads.
 func TestRoundLedger(t *testing.T) {
 	var l roundLedger
 	l.init()
+	isDrained := func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.reachedLocked(drained)
+	}
 	if l.watermark() != 0 {
 		t.Fatalf("fresh ledger watermark = %d, want 0", l.watermark())
 	}
@@ -59,6 +65,37 @@ func TestRoundLedger(t *testing.T) {
 		t.Errorf("slot re-use moved the watermark: %d, want 3", l.watermark())
 	}
 	l.done(3+ledgerRingSize, 1)
+	if wm, ok := l.announce(); wm != 3 || !ok {
+		t.Errorf("announce() = %d, %v; want 3, true", wm, ok)
+	}
+	if wm, ok := l.announce(); wm != 3 || ok {
+		t.Errorf("second announce() = %d, %v; want 3, false", wm, ok)
+	}
+
+	// Items of an already retired round and round-0 (tick) items are
+	// behind the watermark but still in flight: drained is not reached
+	// until they are released.
+	if !isDrained() {
+		t.Fatal("drained not reached with nothing in flight")
+	}
+	l.add(2)
+	l.add(0)
+	if l.watermark() != 3 {
+		t.Errorf("late items moved the watermark: %d, want 3", l.watermark())
+	}
+	if isDrained() {
+		t.Error("drained reached with a retired round's item and a tick in flight")
+	}
+	l.done(2, 1)
+	if isDrained() {
+		t.Error("drained reached with a tick in flight")
+	}
+	if !l.done(0, 1) {
+		t.Error("done did not report the last release")
+	}
+	if !isDrained() {
+		t.Error("drained not reached once every item was released")
+	}
 
 	// The rounds that can be in flight at once under the largest lag must
 	// not share a slot, or one round's items would hold back another's.
@@ -101,9 +138,10 @@ func TestRoundLedgerConcurrent(t *testing.T) {
 		}()
 	}
 	// The gate of the replay loop, as the concurrent engine waits at it.
-	await := func(target int) int { return l.wait(target, func() bool { return false }) }
+	await := func(target int) { l.wait(target, func() bool { return false }) }
 	for r := 1; r <= rounds; r++ {
-		wm := await(r - 1 - lag)
+		await(r - 1 - lag)
+		wm := l.watermark()
 		for q := 1; q <= wm; q++ {
 			if n := live[q].Load(); n != 0 {
 				t.Fatalf("watermark %d passed round %d with %d items in flight", wm, q, n)
@@ -117,7 +155,8 @@ func TestRoundLedgerConcurrent(t *testing.T) {
 		l.markInjected(r)
 	}
 	// Hanging here is the failure mode of a lost wake-up.
-	if wm := await(rounds); wm != rounds {
+	await(drained)
+	if wm := l.watermark(); wm != rounds {
 		t.Errorf("final watermark = %d, want %d", wm, rounds)
 	}
 	close(work)

@@ -33,14 +33,12 @@ const Name = "centralized"
 
 // NewFactory returns the handler factory for the centralized baseline with
 // the given event-window validity factor (validity = factor x max δt);
-// validityFactor <= 0 selects the default of 2. Windowed replays with lag L
+// validityFactor <= 0 selects the default of 2 (see
+// stores.EventWindow.ObserveDeltaT). Windowed replays with lag L
 // need a factor of at least L+2 so that a late-arriving trigger still finds
 // every partner within δt stored at the centre (see
 // netsim.RequiredValidityFactor).
 func NewFactory(validityFactor int) netsim.HandlerFactory {
-	if validityFactor <= 0 {
-		validityFactor = 2
-	}
 	return func(node topology.NodeID) netsim.Handler {
 		return &Node{self: node, validityFactor: model.Timestamp(validityFactor)}
 	}

@@ -262,9 +262,17 @@ func TestEventWindowAroundAndPrune(t *testing.T) {
 }
 
 // TestEventWindowValidityRule pins the rule both protocol handlers apply:
-// validity grows to factor × the largest δt seen and never shrinks, and an
-// arrival prunes to the newest timestamp seen, not to its own.
+// validity grows to factor × the largest δt seen (a factor <= 0 counting as
+// 2) and never shrinks, and an arrival prunes to the newest timestamp seen,
+// not to its own.
 func TestEventWindowValidityRule(t *testing.T) {
+	for _, factor := range []model.Timestamp{0, -1} {
+		w := NewEventWindow(1)
+		w.ObserveDeltaT(10, factor)
+		if w.Validity != 20 {
+			t.Errorf("validity %d after δt 10 at factor %d; want the default factor's 20", w.Validity, factor)
+		}
+	}
 	w := NewEventWindow(1)
 	w.ObserveDeltaT(10, 3)
 	w.ObserveDeltaT(4, 3)

@@ -112,9 +112,13 @@ func (w *EventWindow) Insert(ev model.Event) bool {
 
 // ObserveDeltaT is the window-validity rule: once a stored operator's
 // temporal correlation distance dt exceeds every δt seen before, Validity
-// grows to factor × dt. It never shrinks. Both the distributed nodes and the
-// centralized baseline's centre apply it to every operator they store.
+// grows to factor × dt; a factor <= 0 selects the default of 2. It never
+// shrinks. Both the distributed nodes and the centralized baseline's centre
+// apply it to every operator they store.
 func (w *EventWindow) ObserveDeltaT(dt, factor model.Timestamp) {
+	if factor <= 0 {
+		factor = 2
+	}
 	if dt > w.maxDeltaT {
 		w.maxDeltaT = dt
 		w.Validity = factor * dt
