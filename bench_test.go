@@ -840,7 +840,7 @@ func (f *reexposeFixture) retract(tb testing.TB, g int) {
 // restore puts a retracted group back as it was registered.
 func (f *reexposeFixture) restore(tb testing.TB, g int) {
 	tb.Helper()
-	if got, want := f.node.Subscriptions().CountCovered(), (len(f.groups)-1)*reexposePerCover; got != want {
+	if got, want := len(f.node.Subscriptions(0).Covered()), (len(f.groups)-1)*reexposePerCover; got != want {
 		tb.Fatalf("%d operators covered after the retraction, want %d", got, want)
 	}
 	for _, s := range f.groups[g][1:] {

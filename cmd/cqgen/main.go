@@ -116,7 +116,8 @@ func dumpTopology(w io.Writer, dep *sensorcq.Deployment) error {
 }
 
 // dumpTrace writes the trace round by round as the streamer produces it, so
-// the dump runs in constant memory regardless of the round count.
+// no round outlives its write; only the streamer's value summaries grow with
+// the round count (8 bytes per reading, see dataset.Streamer).
 func dumpTrace(w io.Writer, streamer *sensorcq.TraceStreamer) error {
 	if _, err := fmt.Fprintln(w, "seq,sensor,attribute,value,time"); err != nil {
 		return err

@@ -163,26 +163,23 @@ type Node struct {
 	ctx     *netsim.Context
 
 	advs   *stores.AdvertisementTable
-	subs   *stores.SubscriptionTable
 	window *stores.EventWindow
 
-	// matchers holds, per origin, the operators used for event matching,
-	// range-indexed over their filter predicates (stores.EventIndex). With
-	// SplitBinaryJoin, multi-joins are replaced here by their binary joins;
-	// with SplitSimple the uncovered (or, for per-subscription propagation,
-	// all) operators appear as-is.
-	matchers map[topology.NodeID]*stores.EventIndex
+	// origins holds one record per origin that ever sent an operator — the
+	// node's few neighbours, and the node itself for its local users —
+	// sorted by origin ID, the order events are forwarded in. Records live
+	// as long as the node, so the forwarding keys they hold stay stable.
+	origins []*neighbour
+
+	// keys counts the event-window forwarding keys drawn so far: every key
+	// of every origin record comes from this one counter, so keys of
+	// different links never collide.
+	keys uint32
 
 	// localSubs are the whole user subscriptions registered at this node;
 	// localIdx range-indexes them for delivery matching.
 	localSubs map[model.SubscriptionID]*model.Subscription
 	localIdx  *stores.EventIndex
-
-	// forwards records, per origin and stored operator, the links the
-	// operator's split projections were forwarded on (and under which
-	// derived operator ID): the reverse forwarding paths a retraction must
-	// walk. Entries are released when the operator is retracted.
-	forwards map[topology.NodeID]map[model.SubscriptionID][]forwardedOp
 
 	// pending is the scratch buffer matchAndForward gathers a trigger's
 	// not-yet-sent match components into before sending them in canonical
@@ -197,12 +194,7 @@ type Node struct {
 	// enumeration on the same node.
 	scratch model.MatchScratch
 
-	// dedupIDs caches the interned event-window key of each (origin,
-	// operator) forwarding pair, so the per-event dedup check never renders
-	// a key string.
-	dedupIDs map[dedupCacheKey]uint32
-
-	// fwdFree recycles the per-(origin,operator) forwarding-link slices that
+	// fwdFree recycles the per-operator forwarding-link slices that
 	// retractions release, so subscribe→unsubscribe churn reuses link
 	// storage instead of growing fresh slices for every registration.
 	fwdFree [][]forwardedOp
@@ -217,6 +209,32 @@ type Node struct {
 	// mutates the covered list under it). Borrowed and returned within one
 	// reexpose call; safe for the same reason scratch is.
 	reexposeScratch []*model.Subscription
+}
+
+// neighbour is everything a node keeps for one origin m: a neighbour, or
+// the node itself for its local users.
+type neighbour struct {
+	id topology.NodeID
+	// subs is S_m, the operators m sent (Algorithm 4).
+	subs *stores.SubscriptionTable
+	// matcher range-indexes m's operators used for event matching over their
+	// filter predicates; nil until the first one is registered. With
+	// SplitBinaryJoin, multi-joins are replaced here by their binary joins;
+	// with SplitSimple the uncovered (or, for per-subscription propagation,
+	// all) operators appear as-is.
+	matcher *stores.EventIndex
+	// forwards records, per stored operator, the links the operator's split
+	// projections were forwarded on (and under which derived operator ID):
+	// the reverse forwarding paths a retraction must walk. Entries are
+	// released when the operator is retracted.
+	forwards map[model.SubscriptionID][]forwardedOp
+	// linkKey marks the events forwarded to m under per-neighbour
+	// propagation; opKeys marks them per operator under per-subscription
+	// propagation. An operator's key is drawn on its first forwarded event
+	// and kept for the node's lifetime, so a re-registered operator ID finds
+	// the marks its earlier registration left.
+	linkKey uint32
+	opKeys  map[model.SubscriptionID]uint32
 }
 
 // forwardedOp is one recorded forwarding decision: the operator with ID op
@@ -234,13 +252,35 @@ func NewNode(self topology.NodeID, cfg Config) *Node {
 		checker:   cfg.Checker(self),
 		self:      self,
 		advs:      stores.NewAdvertisementTable(self),
-		subs:      stores.NewSubscriptionTable(),
 		window:    stores.NewEventWindow(1),
-		matchers:  map[topology.NodeID]*stores.EventIndex{},
 		localSubs: map[model.SubscriptionID]*model.Subscription{},
 		localIdx:  stores.NewEventIndex(),
-		forwards:  map[topology.NodeID]map[model.SubscriptionID][]forwardedOp{},
 	}
+}
+
+// find returns m's record, or nil when m never sent an operator.
+func (n *Node) find(m topology.NodeID) *neighbour {
+	for _, o := range n.origins {
+		if o.id == m {
+			return o
+		}
+	}
+	return nil
+}
+
+// record returns m's record, adding it in ID order on first use.
+func (n *Node) record(m topology.NodeID) *neighbour {
+	i, found := slices.BinarySearchFunc(n.origins, m, func(o *neighbour, m topology.NodeID) int { return cmp.Compare(o.id, m) })
+	if !found {
+		n.origins = slices.Insert(n.origins, i, &neighbour{id: m, subs: stores.NewSubscriptionTable(), linkKey: n.newKey()})
+	}
+	return n.origins[i]
+}
+
+// newKey draws the next event-window forwarding key.
+func (n *Node) newKey() uint32 {
+	n.keys++
+	return n.keys - 1
 }
 
 // Init implements netsim.Handler.
@@ -256,9 +296,14 @@ func (n *Node) Self() topology.NodeID { return n.self }
 // diagnostics).
 func (n *Node) Advertisements() *stores.AdvertisementTable { return n.advs }
 
-// Subscriptions exposes the node's subscription table (for tests and
-// diagnostics).
-func (n *Node) Subscriptions() *stores.SubscriptionTable { return n.subs }
+// Subscriptions exposes the subscription table S_m of origin m — an empty
+// one when m never sent an operator (for tests and diagnostics).
+func (n *Node) Subscriptions(m topology.NodeID) *stores.SubscriptionTable {
+	if o := n.find(m); o != nil {
+		return o.subs
+	}
+	return stores.NewSubscriptionTable()
+}
 
 // Window exposes the node's event window (for tests and diagnostics).
 func (n *Node) Window() *stores.EventWindow { return n.window }
@@ -279,43 +324,42 @@ func (n *Node) LocalSubscriptions() []*model.Subscription {
 // origin (for tests and diagnostics).
 func (n *Node) IndexStats() stores.IndexStats {
 	stats := n.localIdx.Stats()
-	for _, idx := range n.matchers {
-		stats.Merge(idx.Stats())
+	for _, o := range n.origins {
+		if o.matcher != nil {
+			stats.Merge(o.matcher.Stats())
+		}
 	}
 	return stats
 }
 
-// addMatcher registers an operator for event matching on behalf of origin
-// (a no-op for an operator already registered).
-func (n *Node) addMatcher(origin topology.NodeID, sub *model.Subscription) {
-	idx := n.matchers[origin]
-	if idx == nil {
-		idx = stores.NewEventIndex()
-		n.matchers[origin] = idx
+// addMatcher registers an operator of o for event matching (a no-op for an
+// operator already registered).
+func (n *Node) addMatcher(o *neighbour, sub *model.Subscription) {
+	if o.matcher == nil {
+		o.matcher = stores.NewEventIndex()
 	}
 	if n.splitsForMatching(sub) {
 		for _, op := range sub.SplitBinaryJoins() {
-			idx.Add(op)
+			o.matcher.Add(op)
 		}
 		return
 	}
-	idx.Add(sub)
+	o.matcher.Add(sub)
 }
 
 // removeMatcher retracts an operator (and, for the binary-join split, every
-// binary join derived from it) from the origin's match index.
-func (n *Node) removeMatcher(origin topology.NodeID, sub *model.Subscription) {
-	idx := n.matchers[origin]
-	if idx == nil {
+// binary join derived from it) from o's match index.
+func (n *Node) removeMatcher(o *neighbour, sub *model.Subscription) {
+	if o.matcher == nil {
 		return
 	}
 	if n.splitsForMatching(sub) {
 		for _, op := range sub.SplitBinaryJoins() {
-			idx.Remove(op.ID)
+			o.matcher.Remove(op.ID)
 		}
 		return
 	}
-	idx.Remove(sub.ID)
+	o.matcher.Remove(sub.ID)
 }
 
 // splitsForMatching reports whether the subscription is evaluated as its

@@ -162,26 +162,26 @@ func TestFigure3Walkthrough(t *testing.T) {
 	}
 
 	// Sensor C's node received fc,2 (uncovered) and fc,3 (covered by fc,2).
-	cTable := coreNode(t, e, nodeSensorC).Subscriptions()
-	if got := len(cTable.Uncovered(nodeHubMain)); got != 1 {
+	cTable := coreNode(t, e, nodeSensorC).Subscriptions(nodeHubMain)
+	if got := len(cTable.Uncovered()); got != 1 {
 		t.Errorf("sensor-c node has %d uncovered operators, want 1", got)
 	}
-	if got := len(cTable.Covered(nodeHubMain)); got != 1 {
+	if got := len(cTable.Covered()); got != 1 {
 		t.Errorf("sensor-c node has %d covered operators, want 1", got)
 	}
 	// Sensor B's node received fb,1 and fb,2 (uncovered) and fb,3 — which is
 	// only covered by their UNION, the case set filtering handles and
 	// pairwise covering cannot.
-	bTable := coreNode(t, e, nodeSensorB).Subscriptions()
-	if got := len(bTable.Uncovered(nodeHubAB)); got != 2 {
+	bTable := coreNode(t, e, nodeSensorB).Subscriptions(nodeHubAB)
+	if got := len(bTable.Uncovered()); got != 2 {
 		t.Errorf("sensor-b node has %d uncovered operators, want 2", got)
 	}
-	if got := len(bTable.Covered(nodeHubAB)); got != 1 {
+	if got := len(bTable.Covered()); got != 1 {
 		t.Errorf("sensor-b node has %d covered operators, want 1 (set subsumption)", got)
 	}
 	// Sensor A's node: fa,1 uncovered, fa,3 covered pairwise.
-	aTable := coreNode(t, e, nodeSensorA).Subscriptions()
-	if len(aTable.Uncovered(nodeHubAB)) != 1 || len(aTable.Covered(nodeHubAB)) != 1 {
+	aTable := coreNode(t, e, nodeSensorA).Subscriptions(nodeHubAB)
+	if len(aTable.Uncovered()) != 1 || len(aTable.Covered()) != 1 {
 		t.Error("sensor-a node operator tables wrong")
 	}
 	// The user node keeps all three local subscriptions for delivery.
@@ -205,11 +205,11 @@ func TestTableIIOperatorPlacementStoresMoreUncovered(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bTable := coreNode(t, e, nodeSensorB).Subscriptions()
-	if got := len(bTable.Uncovered(nodeHubAB)); got != 3 {
+	bTable := coreNode(t, e, nodeSensorB).Subscriptions(nodeHubAB)
+	if got := len(bTable.Uncovered()); got != 3 {
 		t.Errorf("pairwise filtering should leave 3 uncovered operators at sensor b, got %d", got)
 	}
-	if got := len(bTable.Covered(nodeHubAB)); got != 0 {
+	if got := len(bTable.Covered()); got != 0 {
 		t.Errorf("pairwise filtering should find no covered operator at sensor b, got %d", got)
 	}
 }
@@ -492,7 +492,7 @@ func TestConfigValidation(t *testing.T) {
 	if n.Self() != 3 || n.Name() != "filter-split-forward" {
 		t.Error("node accessors wrong")
 	}
-	if n.Window() == nil || n.Advertisements() == nil || n.Subscriptions() == nil {
+	if n.Window() == nil || n.Advertisements() == nil || n.Subscriptions(3) == nil {
 		t.Error("store accessors should not be nil")
 	}
 }
@@ -505,4 +505,96 @@ func assertPanics(t *testing.T, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// coverAll files every operator as covered, even against an empty set: a
+// node running it stores what its neighbours send without ever registering
+// an operator for per-neighbour matching.
+type coverAll struct{}
+
+func (coverAll) Subsumed(*model.Subscription, []*model.Subscription) bool { return true }
+func (coverAll) Name() string                                             { return "cover-all" }
+
+// TestEventSkipsOriginsWithNothingToStab pins the origin skip rule of
+// processEvent: when sensor a's node holds operators from its one neighbour
+// but none of them is registered for matching — all retracted, or all
+// covered under per-neighbour propagation — a reading costs that origin no
+// index stab and sends nothing. Per-subscription propagation matches covered
+// operators too, and a live operator is matched under either policy: those
+// controls stab once and forward the reading.
+func TestEventSkipsOriginsWithNothingToStab(t *testing.T) {
+	checker := func(coverAtA bool) func(topology.NodeID) subsume.Checker {
+		return func(node topology.NodeID) subsume.Checker {
+			if coverAtA && node == nodeSensorA {
+				return coverAll{}
+			}
+			return subsume.PairwiseChecker{}
+		}
+	}
+	cases := []struct {
+		name        string
+		propagation EventPropagation
+		coverAtA    bool // sensor a's node files every operator covered
+		retract     bool // s1 is retracted before the reading
+		wantStab    bool
+	}{
+		{"live/per-neighbour", PerNeighbor, false, false, true},
+		{"live/per-subscription", PerSubscription, false, false, true},
+		{"retracted/per-neighbour", PerNeighbor, false, true, false},
+		{"retracted/per-subscription", PerSubscription, false, true, false},
+		{"covered/per-neighbour", PerNeighbor, true, false, false},
+		{"covered/per-subscription", PerSubscription, true, false, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := setupFigure3(t, NewFactory(Config{Name: c.name, Checker: checker(c.coverAtA), Propagation: c.propagation}))
+			if err := e.SubscribeContext(context.Background(), nodeUser, sub1(t)); err != nil {
+				t.Fatal(err)
+			}
+			if c.retract {
+				if err := e.Unsubscribe(nodeUser, "s1"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n := coreNode(t, e, nodeSensorA)
+			if stored := n.Subscriptions(nodeHubAB).Len(); (stored == 0) != c.retract {
+				t.Fatalf("sensor a's node stores %d operators from its neighbour", stored)
+			}
+			// The local delivery index is stabbed by every reading; what is
+			// left are the stabs of the neighbours' matchers.
+			originStabs := func() int64 { return n.IndexStats().Lookups - n.localIdx.Stats().Lookups }
+			stabs, load := originStabs(), e.Metrics().Snapshot().EventLoad
+			publish(t, e, nodeSensorA, 1, "a", model.AmbientTemperature, 60, 10) // inside s1's [50,80]
+			gotStabs, sent := originStabs()-stabs, e.Metrics().Snapshot().EventLoad-load
+			if c.wantStab && (gotStabs != 1 || sent == 0) {
+				t.Errorf("the reading made %d origin stabs and sent %d units, want 1 stab and a forward", gotStabs, sent)
+			}
+			if !c.wantStab && (gotStabs != 0 || sent != 0) {
+				t.Errorf("the reading made %d origin stabs and sent %d units, want none", gotStabs, sent)
+			}
+		})
+	}
+}
+
+// TestForwardingKeysStayDistinctAndStable pins the node-wide key counter:
+// the link keys of different origins and the per-operator keys of the same
+// operator ID under different origins are all distinct, and asking again —
+// as a re-registered operator does — returns the key drawn the first time.
+func TestForwardingKeysStayDistinctAndStable(t *testing.T) {
+	n := NewNode(0, Config{Name: "keys", Checker: SharedChecker(subsume.NoneChecker{}), Propagation: PerSubscription})
+	a, b := n.record(2), n.record(1)
+	if n.record(2) != a || n.origins[0] != b || n.origins[1] != a {
+		t.Fatal("records must be found again and kept in origin ID order")
+	}
+	keys := []uint32{a.linkKey, b.linkKey, n.opKey(a, "q"), n.opKey(b, "q"), n.opKey(a, "r")}
+	seen := map[uint32]bool{}
+	for _, k := range keys {
+		if seen[k] {
+			t.Fatalf("keys %v are not distinct", keys)
+		}
+		seen[k] = true
+	}
+	if n.opKey(a, "q") != keys[2] || n.opKey(b, "q") != keys[3] {
+		t.Error("an operator's key must stay the same for the node's lifetime")
+	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"sensorcq/internal/model"
@@ -51,50 +50,37 @@ func (n *Node) processEvent(ctx *netsim.Context, from topology.NodeID, ev model.
 	// Nothing below inserts or prunes, so the view stays valid throughout.
 	n.scratch.Partition(n.window.Around(ev.Time, n.window.MaxDeltaT()))
 
-	// Forward towards every origin that registered interest, except the
-	// node the event just came from.
-	for _, origin := range n.subs.Origins() {
-		if origin == from || origin == n.self {
+	// Forward towards every origin with an operator registered for
+	// matching, except the node the event just came from. An origin whose
+	// operators were all retracted, or are all covered under per-neighbour
+	// propagation, has nothing to stab and costs no index lookup.
+	for _, o := range n.origins {
+		if o.id == from || o.id == n.self || o.matcher == nil || o.matcher.Len() == 0 {
 			continue
 		}
-		n.matchAndForward(ctx, origin, ev)
+		n.matchAndForward(ctx, o, ev)
 	}
 	// Deliver to local users.
 	n.deliverLocal(ctx, ev)
 }
 
-// dedupKey returns the interned "already forwarded" key ID for an event sent
-// to the given origin on behalf of the given operator, realising the event
-// propagation column of Table II: per-neighbour forwarding shares one key
-// per link (op is ""), per-subscription forwarding uses one key per (link,
-// operator). The string is rendered once per distinct pair and cached; the
-// steady-state forwarding path reuses the small integer ID.
-func (n *Node) dedupKey(origin topology.NodeID, op model.SubscriptionID) uint32 {
-	k := dedupCacheKey{origin: origin, op: op}
-	if id, ok := n.dedupIDs[k]; ok {
-		return id
+// opKey returns the forwarding key of o's operator op under per-subscription
+// propagation, drawing it from the node's counter on first use (see
+// neighbour.opKeys).
+func (n *Node) opKey(o *neighbour, op model.SubscriptionID) uint32 {
+	key, ok := o.opKeys[op]
+	if !ok {
+		if o.opKeys == nil {
+			o.opKeys = map[model.SubscriptionID]uint32{}
+		}
+		key = n.newKey()
+		o.opKeys[op] = key
 	}
-	s := fmt.Sprintf("n:%d", origin)
-	if op != "" {
-		s += "|s:" + string(op)
-	}
-	id := n.window.KeyID(s)
-	if n.dedupIDs == nil {
-		n.dedupIDs = map[dedupCacheKey]uint32{}
-	}
-	n.dedupIDs[k] = id
-	return id
-}
-
-// dedupCacheKey identifies one interned forwarding key: the origin link and,
-// under per-subscription propagation, the operator it forwards for.
-type dedupCacheKey struct {
-	origin topology.NodeID
-	op     model.SubscriptionID
+	return key
 }
 
 // matchAndForward finds the complex events involving ev that match operators
-// stored for origin and forwards their not-yet-sent component events to it.
+// stored for o and forwards their not-yet-sent component events to it.
 // Like deliverLocal it gathers from the partition processEvent made for ev.
 //
 // Every completed match is enumerated, not just one: the set of components a
@@ -110,24 +96,19 @@ type dedupCacheKey struct {
 // link decides how the receiver's window prunes near the validity boundary —
 // sending in canonical order keeps the protocol's observable behaviour a
 // function of the match set alone, whatever structure the index uses.
-func (n *Node) matchAndForward(ctx *netsim.Context, origin topology.NodeID, ev model.Event) {
+func (n *Node) matchAndForward(ctx *netsim.Context, o *neighbour, ev model.Event) {
 	// The range index hands over exactly the operators the event satisfies
 	// (value inside the filter range, location inside the region); operators
 	// that merely share the attribute type are pruned without being visited.
-	idx := n.matchers[origin]
-	if idx == nil {
-		return
-	}
+	// Events are marked sent under the link's key, or under each operator's
+	// own key with per-subscription propagation: the event propagation
+	// column of Table II.
 	pending := n.pending[:0]
-	// Per-neighbour forwarding shares one key per link, whatever the operator.
 	perOp := n.cfg.Propagation == PerSubscription
-	var key uint32
-	if !perOp {
-		key = n.dedupKey(origin, "")
-	}
-	idx.Candidates(ev, func(op *model.Subscription) bool {
+	key := o.linkKey
+	o.matcher.Candidates(ev, func(op *model.Subscription) bool {
 		if perOp {
-			key = n.dedupKey(origin, op.ID)
+			key = n.opKey(o, op.ID)
 		}
 		op.ForEachComplexMatchPartitioned(&n.scratch, &ev, func(match model.ComplexEvent) bool {
 			for _, component := range match {
@@ -143,7 +124,7 @@ func (n *Node) matchAndForward(ctx *netsim.Context, origin topology.NodeID, ev m
 		slices.SortFunc(pending, func(a, b model.Event) int { return cmp.Compare(a.Seq, b.Seq) })
 	}
 	for _, component := range pending {
-		ctx.SendEvent(origin, component)
+		ctx.SendEvent(o.id, component)
 	}
 	n.pending = pending[:0]
 }

@@ -62,18 +62,16 @@ func (r *rescanNode) process(ctx *netsim.Context, from topology.NodeID, ev model
 			return true
 		})
 	}
-	for _, origin := range n.subs.Origins() {
-		idx := n.matchers[origin]
-		if origin == from || origin == n.self || idx == nil {
+	for _, o := range n.origins {
+		if o.id == from || o.id == n.self || o.matcher == nil {
 			continue
 		}
 		var pending []model.Event
-		idx.Candidates(ev, func(op *model.Subscription) bool {
-			var opID model.SubscriptionID
+		o.matcher.Candidates(ev, func(op *model.Subscription) bool {
+			key := o.linkKey
 			if n.cfg.Propagation == PerSubscription {
-				opID = op.ID
+				key = n.opKey(o, op.ID)
 			}
-			key := n.dedupKey(origin, opID)
 			matches(op, func(match model.ComplexEvent) {
 				for _, component := range match {
 					if n.window.MarkSent(component, key) {
@@ -85,7 +83,7 @@ func (r *rescanNode) process(ctx *netsim.Context, from topology.NodeID, ev model
 		})
 		slices.SortFunc(pending, func(a, b model.Event) int { return cmp.Compare(a.Seq, b.Seq) })
 		for _, component := range pending {
-			ctx.SendEvent(origin, component)
+			ctx.SendEvent(o.id, component)
 		}
 	}
 	n.localIdx.Candidates(ev, func(sub *model.Subscription) bool {

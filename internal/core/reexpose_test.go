@@ -35,9 +35,9 @@ type tapNode struct {
 }
 
 func (t *tapNode) stored(m topology.NodeID, sub *model.Subscription, store func()) {
-	seen := t.subs.Seen(m, sub.ID)
+	seen := t.Subscriptions(m).Seen(sub.ID)
 	store()
-	if !seen && t.subs.Seen(m, sub.ID) {
+	if !seen && t.Subscriptions(m).Seen(sub.ID) {
 		t.arrival[m] = append(t.arrival[m], sub)
 	}
 }
@@ -67,16 +67,20 @@ func (t *tapNode) retract(ctx *netsim.Context, m topology.NodeID, id model.Subsc
 		t.Node.retract(ctx, m, id)
 		return
 	}
-	if _, wasUncovered := t.release(ctx, m, id); !wasUncovered {
+	o := t.find(m)
+	if o == nil {
+		return
+	}
+	if _, wasUncovered := t.release(ctx, o, id); !wasUncovered {
 		return
 	}
 	covered := map[model.SubscriptionID]bool{}
-	for _, c := range t.subs.Covered(m) {
+	for _, c := range o.subs.Covered() {
 		covered[c.ID] = true
 	}
 	for _, c := range t.arrival[m] {
-		if covered[c.ID] && !t.checker.Subsumed(c, t.subs.Uncovered(m)) {
-			t.promote(ctx, m, c)
+		if covered[c.ID] && !t.checker.Subsumed(c, o.subs.Uncovered()) {
+			t.promote(ctx, o, c)
 		}
 	}
 }
@@ -197,6 +201,18 @@ func candidateIDs(idx *stores.EventIndex, ev model.Event) []model.SubscriptionID
 	return ids
 }
 
+// liveOrigins returns, in ID order, the origins that have at least one
+// operator stored at the node.
+func liveOrigins(n *Node) []topology.NodeID {
+	var ids []topology.NodeID
+	for _, o := range n.origins {
+		if o.subs.Len() > 0 {
+			ids = append(ids, o.id)
+		}
+	}
+	return ids
+}
+
 // requireSameState compares everything a retraction can touch on every node
 // of the two networks: the messages received so far, the stored populations
 // in order, and the match indexes' membership.
@@ -213,27 +229,29 @@ func requireSameState(t *testing.T, step string, got, want *reexposeNet, probes 
 			}
 			t.Fatalf("%s: node %d received %d messages, full scan %d", step, i, len(g.log), len(w.log))
 		}
-		if !slices.Equal(g.subs.Origins(), w.subs.Origins()) {
-			t.Fatalf("%s: node %d origins %v, full scan %v", step, i, g.subs.Origins(), w.subs.Origins())
+		if a, b := liveOrigins(g.Node), liveOrigins(w.Node); !slices.Equal(a, b) {
+			t.Fatalf("%s: node %d origins %v, full scan %v", step, i, a, b)
 		}
-		for _, m := range g.subs.Origins() {
-			if a, b := subIDs(g.subs.Uncovered(m)), subIDs(w.subs.Uncovered(m)); !slices.Equal(a, b) {
+		for _, m := range liveOrigins(g.Node) {
+			gs, ws := g.Subscriptions(m), w.Subscriptions(m)
+			if a, b := subIDs(gs.Uncovered()), subIDs(ws.Uncovered()); !slices.Equal(a, b) {
 				t.Fatalf("%s: node %d origin %d uncovered %v, full scan %v", step, i, m, a, b)
 			}
-			if a, b := subIDs(g.subs.Covered(m)), subIDs(w.subs.Covered(m)); !slices.Equal(a, b) {
+			if a, b := subIDs(gs.Covered()), subIDs(ws.Covered()); !slices.Equal(a, b) {
 				t.Fatalf("%s: node %d origin %d covered %v, full scan %v", step, i, m, a, b)
 			}
-			for _, c := range g.subs.Covered(m) {
+			for _, c := range gs.Covered() {
 				// The invariant the affected-set walk rests on.
-				if !g.checker.Subsumed(c, g.subs.Uncovered(m)) {
+				if !g.checker.Subsumed(c, gs.Uncovered()) {
 					t.Fatalf("%s: node %d origin %d holds %s covered, but the uncovered set no longer subsumes it", step, i, m, c.ID)
 				}
 			}
-			if a, b := g.matchers[m], w.matchers[m]; (a == nil) != (b == nil) || (a != nil && a.Stats() != b.Stats()) {
+			ga, wa := g.find(m).matcher, w.find(m).matcher
+			if (ga == nil) != (wa == nil) || (ga != nil && ga.Stats() != wa.Stats()) {
 				t.Fatalf("%s: node %d origin %d match index differs from the full scan's", step, i, m)
 			}
 			for _, ev := range probes {
-				if a, b := candidateIDs(g.matchers[m], ev), candidateIDs(w.matchers[m], ev); !slices.Equal(a, b) {
+				if a, b := candidateIDs(ga, ev), candidateIDs(wa, ev); !slices.Equal(a, b) {
 					t.Fatalf("%s: node %d origin %d candidates of %v = %v, full scan %v", step, i, m, ev, a, b)
 				}
 			}

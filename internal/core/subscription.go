@@ -62,31 +62,32 @@ func (n *Node) processSubscription(ctx *netsim.Context, m topology.NodeID, sub *
 		n.registerAggregate(ctx, m, sub, isLocal)
 		return
 	}
-	if n.subs.Seen(m, sub.ID) {
+	o := n.record(m)
+	if o.subs.Seen(sub.ID) {
 		return
 	}
-	if n.checker.Subsumed(sub, n.subs.UncoveredComparable(m, sub)) {
+	if n.checker.Subsumed(sub, o.subs.UncoveredComparable(sub)) {
 		// Covered subscriptions are stored but neither forwarded nor used
 		// for per-neighbour matching (Algorithm 4, line 12). With
 		// per-subscription propagation they still generate their own result
 		// set at this node, which is exactly the "missing result set
 		// generated where covering was detected" of Section III-A.
-		n.subs.AddCovered(m, sub)
+		o.subs.AddCovered(sub)
 		if n.cfg.Propagation == PerSubscription && !isLocal {
-			n.addMatcher(m, sub)
+			n.addMatcher(o, sub)
 		}
 		return
 	}
-	n.subs.AddUncovered(m, sub)
+	o.subs.AddUncovered(sub)
 	if !isLocal {
-		n.addMatcher(m, sub)
+		n.addMatcher(o, sub)
 	}
-	n.splitAndForward(ctx, m, sub, isLocal)
+	n.splitAndForward(ctx, o, sub, isLocal)
 }
 
 // splitAndForward implements Algorithm 3 plus the binary-join variant of
-// Section III-B.
-func (n *Node) splitAndForward(ctx *netsim.Context, m topology.NodeID, sub *model.Subscription, isLocal bool) {
+// Section III-B for an operator of o.
+func (n *Node) splitAndForward(ctx *netsim.Context, o *neighbour, sub *model.Subscription, isLocal bool) {
 	// Subscriptions from local users are answerable only if every filtered
 	// source is advertised; otherwise they are dropped here (stored for
 	// delivery, never forwarded).
@@ -103,28 +104,26 @@ func (n *Node) splitAndForward(ctx *netsim.Context, m topology.NodeID, sub *mode
 	// load essentially identical to operator placement, as the paper
 	// observes in Figures 4 and 6.
 	for _, j := range ctx.Neighbors() {
-		if j == m {
+		if j == o.id {
 			continue
 		}
 		if op := n.advs.Project(sub, j); op != nil {
 			ctx.SendSubscription(j, op)
-			n.recordForward(m, sub.ID, j, op.ID)
+			n.recordForward(o, sub.ID, j, op.ID)
 		}
 	}
 }
 
-// recordForward remembers that the operator stored under (origin, id) was
-// forwarded to neighbour j as operator op. A retraction of (origin, id)
-// replays these links with unsubscription messages (see unsubscribe.go).
-// Link slices released by retractions are reused for new registrations
-// (fwdFree), so churn does not grow fresh storage per subscription.
-func (n *Node) recordForward(origin topology.NodeID, id model.SubscriptionID, j topology.NodeID, op model.SubscriptionID) {
-	byID := n.forwards[origin]
-	if byID == nil {
-		byID = map[model.SubscriptionID][]forwardedOp{}
-		n.forwards[origin] = byID
+// recordForward remembers that o's operator id was forwarded to neighbour j
+// as operator op. A retraction of the operator replays these links with
+// unsubscription messages (see unsubscribe.go). Link slices released by
+// retractions are reused for new registrations (fwdFree), so churn does not
+// grow fresh storage per subscription.
+func (n *Node) recordForward(o *neighbour, id model.SubscriptionID, j topology.NodeID, op model.SubscriptionID) {
+	if o.forwards == nil {
+		o.forwards = map[model.SubscriptionID][]forwardedOp{}
 	}
-	links, seen := byID[id]
+	links, seen := o.forwards[id]
 	if !seen {
 		if k := len(n.fwdFree); k > 0 {
 			links = n.fwdFree[k-1]
@@ -132,5 +131,5 @@ func (n *Node) recordForward(origin topology.NodeID, id model.SubscriptionID, j 
 			n.fwdFree = n.fwdFree[:k-1]
 		}
 	}
-	byID[id] = append(links, forwardedOp{to: j, op: op})
+	o.forwards[id] = append(links, forwardedOp{to: j, op: op})
 }

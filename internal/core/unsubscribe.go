@@ -39,55 +39,57 @@ func (n *Node) unregisterLocal(id model.SubscriptionID) {
 	n.localIdx.Remove(id)
 }
 
-// retract removes the operator stored under (m, id), forwards the retraction
-// along the links the operator was forwarded on, and — when the operator was
-// part of the uncovered (filtering) set — re-exposes covered operators it
-// may have been subsuming.
+// retract removes origin m's operator id, forwards the retraction along the
+// links the operator was forwarded on, and — when the operator was part of
+// the uncovered (filtering) set — re-exposes covered operators it may have
+// been subsuming.
 func (n *Node) retract(ctx *netsim.Context, m topology.NodeID, id model.SubscriptionID) {
 	// Aggregate subscriptions live in their own registry and forward their
 	// retraction along the recorded child links (see aggregate.go).
 	if n.RetractAggregate(ctx, m, id) {
 		return
 	}
-	if sub, wasUncovered := n.release(ctx, m, id); wasUncovered {
-		n.reexpose(ctx, m, sub)
+	o := n.find(m)
+	if o == nil {
+		return
+	}
+	if sub, wasUncovered := n.release(ctx, o, id); wasUncovered {
+		n.reexpose(ctx, o, sub)
 	}
 }
 
-// release drops the operator stored under (m, id) from the subscription
-// table and the match index and sends its retraction down the links it was
-// forwarded on. It returns the operator and whether it was stored uncovered
-// (nil and false when the origin never stored the ID).
-func (n *Node) release(ctx *netsim.Context, m topology.NodeID, id model.SubscriptionID) (*model.Subscription, bool) {
-	sub, wasUncovered, ok := n.subs.Remove(m, id)
+// release drops o's operator id from the subscription table and the match
+// index and sends its retraction down the links it was forwarded on. It
+// returns the operator and whether it was stored uncovered (nil and false
+// when o never stored the ID).
+func (n *Node) release(ctx *netsim.Context, o *neighbour, id model.SubscriptionID) (*model.Subscription, bool) {
+	sub, wasUncovered, ok := o.subs.Remove(id)
 	if !ok {
 		return nil, false
 	}
 	// Release the match-index entries mirroring the storage rules of
 	// processSubscription: uncovered remote operators always match; covered
 	// remote operators match only under per-subscription propagation.
-	if m != n.self && (wasUncovered || n.cfg.Propagation == PerSubscription) {
-		n.removeMatcher(m, sub)
+	if o.id != n.self && (wasUncovered || n.cfg.Propagation == PerSubscription) {
+		n.removeMatcher(o, sub)
 	}
 	// Walk the recorded reverse forwarding paths, then recycle the link
 	// slice for a future registration (cleared first so it does not pin the
 	// retracted IDs' strings).
-	if byID := n.forwards[m]; byID != nil {
-		if links, seen := byID[id]; seen {
-			for _, f := range links {
-				ctx.SendUnsubscription(f.to, f.op)
-			}
-			delete(byID, id)
-			clear(links)
-			n.fwdFree = append(n.fwdFree, links[:0])
+	if links, seen := o.forwards[id]; seen {
+		for _, f := range links {
+			ctx.SendUnsubscription(f.to, f.op)
 		}
+		delete(o.forwards, id)
+		clear(links)
+		n.fwdFree = append(n.fwdFree, links[:0])
 	}
 	return sub, wasUncovered
 }
 
-// reexpose re-evaluates covered operators of an origin after one of the
-// origin's uncovered operators was retracted: any operator no longer
-// subsumed by the remaining uncovered set is promoted back into it.
+// reexpose re-evaluates the covered operators of o after one of its
+// uncovered operators was retracted: any operator no longer subsumed by the
+// remaining uncovered set is promoted back into it.
 //
 // Only the operators the retracted one could have supported are looked at.
 // Between dispatches every covered operator c of the origin satisfies
@@ -102,37 +104,37 @@ func (n *Node) release(ctx *netsim.Context, m topology.NodeID, id model.Subscrip
 // grows as operators are promoted, so the outcome is deterministic: it
 // depends only on the stored populations, never on message interleaving (the
 // subsumption verdict is a pure function of candidate and set contents).
-func (n *Node) reexpose(ctx *netsim.Context, m topology.NodeID, retracted *model.Subscription) {
+func (n *Node) reexpose(ctx *netsim.Context, o *neighbour, retracted *model.Subscription) {
 	// Gathered into the node-owned scratch first: the walk promotes entries,
 	// which splices them out of the covered list being read. The buffer is
 	// returned before the function exits, so churn pays no per-retraction
 	// allocation once it has grown to the largest affected set.
 	affected := n.reexposeScratch[:0]
-	for _, c := range n.subs.CoveredComparable(m, retracted) {
+	for _, c := range o.subs.CoveredComparable(retracted) {
 		if subsume.Relevant(c, retracted) {
 			affected = append(affected, c)
 		}
 	}
 	for _, c := range affected {
-		if !n.checker.Subsumed(c, n.subs.UncoveredComparable(m, c)) {
-			n.promote(ctx, m, c)
+		if !n.checker.Subsumed(c, o.subs.UncoveredComparable(c)) {
+			n.promote(ctx, o, c)
 		}
 	}
 	n.reexposeScratch = affected[:0]
 }
 
-// promote moves a covered operator of an origin back into the uncovered set,
+// promote moves a covered operator of o back into the uncovered set,
 // registers a remote one for matching (a no-op under per-subscription
 // propagation, which registered it when it was filed as covered) and
 // re-splits it along the reverse advertisement paths — sharing policies must
 // re-split shared operators for their remaining dependants, not orphan them.
-func (n *Node) promote(ctx *netsim.Context, m topology.NodeID, c *model.Subscription) {
-	if n.subs.Promote(m, c.ID) == nil {
+func (n *Node) promote(ctx *netsim.Context, o *neighbour, c *model.Subscription) {
+	if o.subs.Promote(c.ID) == nil {
 		return
 	}
-	isLocal := m == n.self
+	isLocal := o.id == n.self
 	if !isLocal {
-		n.addMatcher(m, c)
+		n.addMatcher(o, c)
 	}
-	n.splitAndForward(ctx, m, c, isLocal)
+	n.splitAndForward(ctx, o, c, isLocal)
 }

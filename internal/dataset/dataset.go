@@ -91,7 +91,8 @@ type Trace struct {
 	// Events are all generated readings in timestamp order with globally
 	// unique sequence numbers.
 	Events []model.Event
-	// ByRound groups the events by measurement round.
+	// ByRound groups the events by measurement round: row r is a view of
+	// round r's stretch of Events, not a copy.
 	ByRound [][]model.Event
 	// RoundInterval echoes the configured sampling period.
 	RoundInterval model.Timestamp
@@ -119,7 +120,9 @@ type sensorState struct {
 // NextRound reuses an internal event buffer across calls — callers that
 // retain a round beyond the next NextRound call must copy it. Summary
 // statistics accumulate as rounds are generated; Stats reflects everything
-// generated so far.
+// generated so far. The summaries keep every generated value for the exact
+// median (stats.Summary), so a stream's memory still grows by 8 bytes per
+// reading — far below a materialised trace, but not constant.
 type Streamer struct {
 	interval  model.Timestamp
 	startTime model.Timestamp
@@ -245,21 +248,25 @@ func (g *Streamer) Stats() Stats {
 
 // Generate builds a trace for every sensor of the deployment. It is the
 // materialised form of the stream NewStreamer produces: every round is copied
-// out of the streamer's reusable buffer into the trace.
+// out of the streamer's reusable buffer into Events, which is sized for the
+// whole trace up front, and ByRound[r] is a view of round r's stretch of it
+// whose capacity ends where the round does, so appending to a row copies it
+// instead of overwriting the next round.
 func Generate(dep *topology.Deployment, cfg Config) (*Trace, error) {
 	g, err := NewStreamer(dep, cfg)
 	if err != nil {
 		return nil, err
 	}
-	trace := &Trace{RoundInterval: g.RoundInterval()}
-	for {
-		round := g.NextRound()
-		if round == nil {
-			break
-		}
-		copied := append([]model.Event(nil), round...)
-		trace.ByRound = append(trace.ByRound, copied)
-		trace.Events = append(trace.Events, copied...)
+	trace := &Trace{
+		Events:        make([]model.Event, 0, g.TotalRounds()*len(dep.Sensors)),
+		ByRound:       make([][]model.Event, 0, g.TotalRounds()),
+		RoundInterval: g.RoundInterval(),
+	}
+	for round := g.NextRound(); round != nil; round = g.NextRound() {
+		a := len(trace.Events)
+		trace.Events = append(trace.Events, round...)
+		b := len(trace.Events)
+		trace.ByRound = append(trace.ByRound, trace.Events[a:b:b])
 	}
 	trace.Stats = g.Stats()
 	return trace, nil

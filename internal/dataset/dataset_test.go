@@ -198,3 +198,33 @@ func TestStreamerMatchesGenerate(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateRoundsAliasEvents pins that a materialised trace stores each
+// reading once: every ByRound row is a view of its stretch of Events, and
+// its capacity ends with the round, so appending to a row reallocates it
+// instead of overwriting the first reading of the next round.
+func TestGenerateRoundsAliasEvents(t *testing.T) {
+	dep := smallDeployment(t)
+	trace, err := Generate(dep, Config{Rounds: 6, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 0
+	for r, round := range trace.ByRound {
+		if len(round) == 0 || &round[0] != &trace.Events[at] {
+			t.Fatalf("round %d is not a view of Events at %d", r, at)
+		}
+		if cap(round) != len(round) {
+			t.Fatalf("round %d has capacity %d beyond its %d readings", r, cap(round), len(round))
+		}
+		at += len(round)
+	}
+	if at != len(trace.Events) {
+		t.Fatalf("the rounds cover %d of %d readings", at, len(trace.Events))
+	}
+	next := trace.ByRound[1][0]
+	grown := append(trace.ByRound[0], model.Event{Seq: 1 << 40})
+	if trace.ByRound[1][0] != next || &grown[0] == &trace.ByRound[0][0] {
+		t.Error("appending to round 0 wrote into round 1's storage")
+	}
+}

@@ -123,10 +123,10 @@ func TestUnsubscribeRetractsForwardedOperators(t *testing.T) {
 				// S is subsumed by B at the user node: stored for local
 				// delivery but not forwarded into the network.
 				user := coreNode(t, rt, 5)
-				if got := user.Subscriptions().CountCovered(); got != 1 {
+				if got := len(user.Subscriptions(5).Covered()); got != 1 {
 					t.Fatalf("covered at user node = %d, want 1 (S subsumed by B)", got)
 				}
-				if hub := coreNode(t, rt, 4); hub.Subscriptions().Seen(5, "S") {
+				if hub := coreNode(t, rt, 4); hub.Subscriptions(5).Seen("S") {
 					t.Fatalf("covered subscription S leaked into the network")
 				}
 			}
@@ -152,11 +152,11 @@ func TestUnsubscribeRetractsForwardedOperators(t *testing.T) {
 			if c.core {
 				// B is gone from the whole reverse forwarding path...
 				for _, n := range []topology.NodeID{4, 3} {
-					if coreNode(t, rt, n).Subscriptions().Seen(n+1, "B") {
+					if coreNode(t, rt, n).Subscriptions(n + 1).Seen("B") {
 						t.Errorf("node %d still stores B after retraction", n)
 					}
 				}
-				if coreNode(t, rt, 0).Subscriptions().Seen(3, "B/[a]") {
+				if coreNode(t, rt, 0).Subscriptions(3).Seen("B/[a]") {
 					t.Error("node 0 still stores the split operator B/[a]")
 				}
 				if len(coreNode(t, rt, 5).LocalSubscriptions()) != 1 {
@@ -165,10 +165,10 @@ func TestUnsubscribeRetractsForwardedOperators(t *testing.T) {
 			}
 			if c.covering {
 				// ...and S took its place: re-exposed, re-split, forwarded.
-				if hub := coreNode(t, rt, 4); !hub.Subscriptions().Seen(5, "S") {
+				if hub := coreNode(t, rt, 4); !hub.Subscriptions(5).Seen("S") {
 					t.Error("S was not re-exposed to the network after B's retraction")
 				}
-				if src := coreNode(t, rt, 0); !src.Subscriptions().Seen(3, "S/[a]") {
+				if src := coreNode(t, rt, 0); !src.Subscriptions(3).Seen("S/[a]") {
 					t.Error("S was not re-split down to the sources")
 				}
 			}

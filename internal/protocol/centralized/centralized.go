@@ -61,6 +61,11 @@ type Node struct {
 	window  *stores.EventWindow
 	entries map[model.SubscriptionID]*subEntry
 	idx     *stores.EventIndex
+	// sentKeys holds the event-window forwarding key of every subscription
+	// ID ever registered, one per ID in registration order. It never
+	// shrinks, so a re-registered ID finds the marks its earlier
+	// registration left, as at the distributed nodes.
+	sentKeys map[model.SubscriptionID]uint32
 	// scratch is the centre's reusable complex-match working storage; the
 	// central node's handler runs on one goroutine at a time, like every
 	// other handler.
@@ -78,9 +83,8 @@ type subEntry struct {
 	subscriber topology.NodeID
 	firstHop   topology.NodeID
 	pathLen    int64
-	// sentKey is the event-window forwarding key interned for this
-	// subscription at registration, so the per-event dedup check never
-	// renders a string.
+	// sentKey is the subscription's event-window forwarding key
+	// (Node.sentKeys).
 	sentKey uint32
 }
 
@@ -92,6 +96,7 @@ func (n *Node) Init(ctx *netsim.Context) {
 		n.toCenter = -1
 		n.window = stores.NewEventWindow(1)
 		n.entries = map[model.SubscriptionID]*subEntry{}
+		n.sentKeys = map[model.SubscriptionID]uint32{}
 		n.idx = stores.NewEventIndex()
 	} else {
 		n.toCenter = ctx.Graph().NextHop(n.self, n.center)
@@ -205,7 +210,12 @@ func (n *Node) register(ctx *netsim.Context, from topology.NodeID, sub *model.Su
 		n.AddAggregate(ctx, sub, from, nil, true, firstHop, pathLen)
 		return
 	}
-	n.entries[sub.ID] = &subEntry{sub: sub, subscriber: subscriber, firstHop: firstHop, pathLen: pathLen, sentKey: n.window.KeyID("s:" + string(sub.ID))}
+	key, seen := n.sentKeys[sub.ID]
+	if !seen {
+		key = uint32(len(n.sentKeys))
+		n.sentKeys[sub.ID] = key
+	}
+	n.entries[sub.ID] = &subEntry{sub: sub, subscriber: subscriber, firstHop: firstHop, pathLen: pathLen, sentKey: key}
 	n.idx.Add(sub)
 	n.window.ObserveDeltaT(sub.DeltaT, n.validityFactor)
 }
@@ -256,13 +266,18 @@ func (n *Node) matchAtCenter(ctx *netsim.Context, ev model.Event) {
 	// forwarding of internal/core, which the pipelined delivery mode's
 	// conformance oracle relies on). Each component is still shipped down at
 	// most once per subscription.
+	//
+	// Like core's processEvent, every candidate gathers from one partition
+	// of the widest ±δt view any registration asks for: the enumeration
+	// drops the partners a full δt or more from the trigger, so each
+	// subscription still sees exactly its own window. Marking components
+	// sent does not invalidate the view.
+	n.scratch.Partition(n.window.Around(ev.Time, n.window.MaxDeltaT()))
 	n.idx.Candidates(ev, func(sub *model.Subscription) bool {
 		entry := n.entries[sub.ID]
-		key := entry.sentKey
-		window := n.window.Around(ev.Time, sub.DeltaT)
-		sub.ForEachComplexMatchScratch(window, &ev, &n.scratch, func(match model.ComplexEvent) bool {
+		sub.ForEachComplexMatchPartitioned(&n.scratch, &ev, func(match model.ComplexEvent) bool {
 			for _, component := range match {
-				if n.window.MarkSent(component, key) && entry.pathLen > 0 {
+				if n.window.MarkSent(component, entry.sentKey) && entry.pathLen > 0 {
 					ctx.SendEventUnits(entry.firstHop, component, entry.pathLen)
 				}
 			}

@@ -7,8 +7,8 @@ import (
 
 // Summary accumulates a stream of float64 observations and answers
 // descriptive queries (count, mean, variance, min, max, median, quantiles).
-// Observations are retained, so memory grows linearly with the stream; the
-// dataset generator uses it on bounded traces only.
+// Observations are retained, so memory grows linearly with the stream: 8
+// bytes per observation, which the dataset streamer pays per reading.
 type Summary struct {
 	values []float64
 	sum    float64

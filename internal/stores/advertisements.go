@@ -2,7 +2,8 @@
 // paper: the per-neighbour advertisement tables (DSA_m), the per-neighbour
 // subscription tables (S_m, split into covered and uncovered sets) and the
 // timestamp-ordered event store U with per-destination "already forwarded"
-// flags used by the event-propagation algorithm (Algorithm 5), plus the
+// flags used by the event-propagation algorithm (Algorithm 5) — integer keys
+// the protocol node draws and owns, one per destination — plus the
 // range indexes that keep matching sublinear as the stored populations
 // grow: EventIndex — a composite multi-attribute match index built on
 // geom.BoxTree that stabs every filter dimension (value range × spatial

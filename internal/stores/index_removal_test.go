@@ -5,7 +5,6 @@ import (
 
 	"sensorcq/internal/model"
 	"sensorcq/internal/stats"
-	"sensorcq/internal/topology"
 )
 
 // TestEventIndexRemovalMatchesLinearScan extends the central property test
@@ -109,51 +108,50 @@ func TestEventIndexDoubleAddIsNoop(t *testing.T) {
 func TestSubscriptionTableRemovePromote(t *testing.T) {
 	rng := stats.NewRNG(31)
 	tbl := NewSubscriptionTable()
-	origin := topology.NodeID(3)
 	a := randomSubscription(t, rng, 1)
 	b := randomSubscription(t, rng, 2)
 	c := randomSubscription(t, rng, 3)
-	tbl.AddUncovered(origin, a)
-	tbl.AddUncovered(origin, b)
-	tbl.AddCovered(origin, c)
+	tbl.AddUncovered(a)
+	tbl.AddUncovered(b)
+	tbl.AddCovered(c)
 
-	if _, _, ok := tbl.Remove(origin, "nope"); ok {
+	if _, _, ok := tbl.Remove("nope"); ok {
 		t.Error("removing an unknown ID should report !ok")
 	}
-	sub, wasUncovered, ok := tbl.Remove(origin, a.ID)
+	sub, wasUncovered, ok := tbl.Remove(a.ID)
 	if !ok || !wasUncovered || sub != a {
 		t.Fatalf("Remove(uncovered) = (%v, %v, %v)", sub, wasUncovered, ok)
 	}
-	if tbl.Seen(origin, a.ID) {
+	if tbl.Seen(a.ID) {
 		t.Error("removed ID must not stay Seen")
 	}
-	if tbl.CountUncovered() != 1 {
-		t.Errorf("uncovered count = %d, want 1", tbl.CountUncovered())
+	if n := len(tbl.Uncovered()); n != 1 {
+		t.Errorf("uncovered count = %d, want 1", n)
 	}
 	// An index over the uncovered set must follow the mutations.
 	probe := func() int {
 		count := 0
 		for q := 0; q < 400; q++ {
-			count += len(uncoveredCandidateIDs(tbl, origin, randomEvent(rng, uint64(q+1))))
+			count += len(uncoveredCandidateIDs(tbl, randomEvent(rng, uint64(q+1))))
 		}
 		return count
 	}
 	withB := probe()
 
-	if got := tbl.Promote(origin, c.ID); got != c {
+	if got := tbl.Promote(c.ID); got != c {
 		t.Fatalf("Promote(covered) = %v, want %v", got, c)
 	}
-	if tbl.Promote(origin, c.ID) != nil {
+	if tbl.Promote(c.ID) != nil {
 		t.Error("second Promote should find nothing")
 	}
-	if tbl.CountCovered() != 0 || tbl.CountUncovered() != 2 {
-		t.Errorf("after promote: covered=%d uncovered=%d, want 0/2", tbl.CountCovered(), tbl.CountUncovered())
+	if nc, nu := len(tbl.Covered()), len(tbl.Uncovered()); nc != 0 || nu != 2 {
+		t.Errorf("after promote: covered=%d uncovered=%d, want 0/2", nc, nu)
 	}
-	if !tbl.Seen(origin, c.ID) {
+	if !tbl.Seen(c.ID) {
 		t.Error("promoted ID must stay Seen")
 	}
 
-	sub, wasUncovered, ok = tbl.Remove(origin, c.ID)
+	sub, wasUncovered, ok = tbl.Remove(c.ID)
 	if !ok || !wasUncovered || sub != c {
 		t.Fatalf("Remove(promoted) = (%v, %v, %v)", sub, wasUncovered, ok)
 	}
@@ -164,13 +162,13 @@ func TestSubscriptionTableRemovePromote(t *testing.T) {
 		// being different; instead assert exact emptiness after removing b).
 		t.Logf("probe after c removal = %d (b-only baseline %d)", got, withB)
 	}
-	if _, _, ok := tbl.Remove(origin, b.ID); !ok {
+	if _, _, ok := tbl.Remove(b.ID); !ok {
 		t.Fatal("removing b should succeed")
 	}
 	if got := probe(); got != 0 {
 		t.Errorf("empty table still yields %d candidates", got)
 	}
-	if len(tbl.Origins()) != 0 {
-		t.Errorf("origins = %v, want none", tbl.Origins())
+	if tbl.Len() != 0 {
+		t.Errorf("%d subscriptions left, want none", tbl.Len())
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
 	"sensorcq/internal/stats"
-	"sensorcq/internal/topology"
 )
 
 // randomSubscription builds a random identified or abstract subscription
@@ -84,11 +83,11 @@ func candidateIDs(idx *EventIndex, ev model.Event) []string {
 	return out
 }
 
-// uncoveredCandidateIDs stabs an index loaded from the origin's uncovered
-// set, the way a protocol node builds its matchers from the table.
-func uncoveredCandidateIDs(tbl *SubscriptionTable, origin topology.NodeID, ev model.Event) []string {
+// uncoveredCandidateIDs stabs an index loaded from the table's uncovered
+// set, the way a protocol node builds an origin's matcher from its table.
+func uncoveredCandidateIDs(tbl *SubscriptionTable, ev model.Event) []string {
 	idx := NewEventIndex()
-	idx.BulkLoad(tbl.Uncovered(origin))
+	idx.BulkLoad(tbl.Uncovered())
 	return candidateIDs(idx, ev)
 }
 
@@ -212,10 +211,10 @@ func TestEventIndexEarlyStop(t *testing.T) {
 	}
 }
 
-// TestSubscriptionTableUncoveredFeedsIndex checks what the table hands an
-// index: only uncovered subscriptions of the right origin become candidates.
+// TestSubscriptionTableUncoveredFeedsIndex checks what a table hands an
+// index: only its own uncovered subscriptions become candidates.
 func TestSubscriptionTableUncoveredFeedsIndex(t *testing.T) {
-	tbl := NewSubscriptionTable()
+	tbl, other := NewSubscriptionTable(), NewSubscriptionTable()
 	mk := func(id string, lo, hi float64) *model.Subscription {
 		sub, err := model.NewAbstractSubscription(model.SubscriptionID(id),
 			[]model.AttributeFilter{{Attr: model.WindSpeed, Range: geom.NewInterval(lo, hi)}},
@@ -225,16 +224,16 @@ func TestSubscriptionTableUncoveredFeedsIndex(t *testing.T) {
 		}
 		return sub
 	}
-	tbl.AddUncovered(1, mk("u1", 0, 10))
-	tbl.AddUncovered(1, mk("u2", 20, 30))
-	tbl.AddUncovered(2, mk("other-origin", 0, 10))
-	tbl.AddCovered(1, mk("c1", 0, 10))
+	tbl.AddUncovered(mk("u1", 0, 10))
+	tbl.AddUncovered(mk("u2", 20, 30))
+	other.AddUncovered(mk("other-origin", 0, 10))
+	tbl.AddCovered(mk("c1", 0, 10))
 
 	ev := model.Event{Seq: 1, Sensor: "dx", Attr: model.WindSpeed, Value: 5}
-	if got := uncoveredCandidateIDs(tbl, 1, ev); len(got) != 1 || got[0] != "u1" {
+	if got := uncoveredCandidateIDs(tbl, ev); len(got) != 1 || got[0] != "u1" {
 		t.Errorf("candidates(origin 1) = %v, want [u1]", got)
 	}
-	if none := uncoveredCandidateIDs(tbl, 9, ev); len(none) != 0 {
+	if none := uncoveredCandidateIDs(NewSubscriptionTable(), ev); len(none) != 0 {
 		t.Errorf("candidates(unknown origin) = %v, want empty", none)
 	}
 }

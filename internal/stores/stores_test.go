@@ -162,34 +162,31 @@ func TestAdvertisementTableOriginsMatching(t *testing.T) {
 }
 
 func TestSubscriptionTable(t *testing.T) {
-	tbl := NewSubscriptionTable()
+	tbl, other := NewSubscriptionTable(), NewSubscriptionTable()
 	s1 := absSub(t, "s1", geom.WholePlane(), model.WindSpeed)
 	s2 := absSub(t, "s2", geom.WholePlane(), model.WindSpeed, model.RelativeHumidity)
 	s3 := absSub(t, "s3", geom.WholePlane(), model.AmbientTemperature)
 
-	if !tbl.AddUncovered(1, s1) || !tbl.AddUncovered(1, s2) {
+	if !tbl.AddUncovered(s1) || !tbl.AddUncovered(s2) {
 		t.Fatal("adds should succeed")
 	}
-	if tbl.AddUncovered(1, s1) {
-		t.Fatal("duplicate ID from same origin should be rejected")
+	if tbl.AddUncovered(s1) {
+		t.Fatal("duplicate ID in the same table should be rejected")
 	}
-	if !tbl.AddCovered(1, s3) {
+	if !tbl.AddCovered(s3) {
 		t.Fatal("covered add should succeed")
 	}
-	if tbl.AddCovered(1, s3) {
+	if tbl.AddCovered(s3) {
 		t.Fatal("covered duplicate should be rejected")
 	}
-	if !tbl.Seen(1, "s1") || tbl.Seen(2, "s1") {
+	if !tbl.Seen("s1") || other.Seen("s1") {
 		t.Error("Seen wrong")
 	}
-	if len(tbl.Uncovered(1)) != 2 || len(tbl.Covered(1)) != 1 || len(tbl.All(1)) != 3 {
+	if len(tbl.Uncovered()) != 2 || len(tbl.Covered()) != 1 || tbl.Len() != 3 {
 		t.Error("retrieval wrong")
 	}
-	if tbl.CountUncovered() != 2 || tbl.CountCovered() != 1 {
-		t.Error("counts wrong")
-	}
 	matchIDs := func(attr model.AttributeType) []string {
-		return uncoveredCandidateIDs(tbl, 1, model.Event{Seq: 1, Sensor: "dx", Attr: attr, Value: 50})
+		return uncoveredCandidateIDs(tbl, model.Event{Seq: 1, Sensor: "dx", Attr: attr, Value: 50})
 	}
 	if got := matchIDs(model.WindSpeed); len(got) != 2 {
 		t.Errorf("candidates(wind) = %d entries, want 2", len(got))
@@ -200,9 +197,8 @@ func TestSubscriptionTable(t *testing.T) {
 	if got := matchIDs(model.AmbientTemperature); len(got) != 0 {
 		t.Error("covered subscriptions must not be indexed for matching")
 	}
-	origins := tbl.Origins()
-	if len(origins) != 1 || origins[0] != 1 {
-		t.Errorf("Origins = %v", origins)
+	if other.Len() != 0 {
+		t.Errorf("a second table holds %d subscriptions, want none", other.Len())
 	}
 }
 
@@ -302,19 +298,15 @@ func TestEventWindowSentFlags(t *testing.T) {
 	w := NewEventWindow(100)
 	stored := model.Event{Seq: 1, Time: 10}
 	w.Insert(stored)
-	k2, k3 := w.KeyID("n:2"), w.KeyID("n:3")
-	if w.KeyID("n:2") != k2 {
-		t.Error("KeyID must be stable for the same key")
-	}
+	const k2, k3 = 2, 3
 	if !w.MarkSent(stored, k2) {
 		t.Error("the first mark of a fresh event should be new")
 	}
 	if w.MarkSent(stored, k2) {
 		t.Error("a repeated mark should not be new")
 	}
-	keys := w.SentKeys(stored)
-	if len(keys) != 1 || keys[0] != "n:2" {
-		t.Errorf("SentKeys = %v", keys)
+	if keys := w.sent[0]; !slices.Equal(keys, []uint32{k2}) {
+		t.Errorf("sent keys = %v, want [%d]", keys, k2)
 	}
 	if !w.MarkSent(stored, k3) {
 		t.Error("marks under different keys are independent")
@@ -324,8 +316,8 @@ func TestEventWindowSentFlags(t *testing.T) {
 	if w.MarkSent(unknown, k2) {
 		t.Error("unknown events should report already sent")
 	}
-	if w.SentKeys(unknown) != nil {
-		t.Error("unknown events have no keys")
+	if _, found := w.find(unknown.Time, unknown.Seq); found {
+		t.Error("a mark must not store an unknown event")
 	}
 	if NewEventWindow(0).Validity != 1 {
 		t.Error("non-positive validity should be clamped to 1")
@@ -342,7 +334,7 @@ func TestEventWindowMarkSent(t *testing.T) {
 	old, kept := model.Event{Seq: 1, Time: 10}, model.Event{Seq: 2, Time: 40}
 	w.Insert(old)
 	w.Insert(kept)
-	keys := []uint32{w.KeyID("n:5"), w.KeyID("n:1"), w.KeyID("n:9"), w.KeyID("n:3")}
+	keys := []uint32{5, 1, 9, 3}
 	for _, k := range []int{2, 0, 3, 1} {
 		if !w.MarkSent(old, keys[k]) {
 			t.Fatalf("first mark under key %d not reported new", keys[k])
@@ -380,8 +372,9 @@ func TestEventWindowMarkSent(t *testing.T) {
 	if &w.sent[idx][0] != recycled {
 		t.Error("the fresh event's marks should live in the recycled list's storage")
 	}
-	if got := w.SentKeys(kept); len(got) != 1 || got[0] != "n:5" {
-		t.Errorf("marks of the surviving event = %v, want [n:5]", got)
+	idx, _ = w.find(kept.Time, kept.Seq)
+	if got := w.sent[idx]; !slices.Equal(got, []uint32{keys[0]}) {
+		t.Errorf("marks of the surviving event = %v, want [%d]", got, keys[0])
 	}
 }
 

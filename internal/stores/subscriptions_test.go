@@ -7,12 +7,10 @@ import (
 
 	"sensorcq/internal/model"
 	"sensorcq/internal/stats"
-	"sensorcq/internal/topology"
 )
 
 // flatTable is the subscription table without class buckets: one uncovered
-// and one covered list per origin in storage order, every scan over the
-// whole origin. The bucketed table must answer like it.
+// and one covered list in storage order, every scan over the whole table. The bucketed table must answer like it.
 type flatTable struct {
 	uncovered, covered []*model.Subscription
 }
@@ -61,13 +59,12 @@ func inOrder(subs []*model.Subscription) []model.SubscriptionID {
 	return ids
 }
 
-// TestSubscriptionTableMatchesFlatTable churns one origin of a table through
-// random additions, removals and promotions and compares it, after every
+// TestSubscriptionTableMatchesFlatTable churns a table through random
+// additions, removals and promotions and compares it, after every
 // step, with the flat reference: the same members, the same storage order
 // within every comparability class, the same counts and one bucket per live
 // class.
 func TestSubscriptionTableMatchesFlatTable(t *testing.T) {
-	const origin = topology.NodeID(4)
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := stats.NewRNG(seed)
 		tbl := NewSubscriptionTable()
@@ -83,13 +80,13 @@ func TestSubscriptionTableMatchesFlatTable(t *testing.T) {
 				}
 				stored = append(stored, sub)
 				if rng.Bool(0.5) {
-					tbl.AddCovered(origin, sub)
+					tbl.AddCovered(sub)
 					flat.covered = append(flat.covered, sub)
 				} else {
-					tbl.AddUncovered(origin, sub)
+					tbl.AddUncovered(sub)
 					flat.uncovered = append(flat.uncovered, sub)
 				}
-				if tbl.AddUncovered(origin, sub) || tbl.AddCovered(origin, sub) {
+				if tbl.AddUncovered(sub) || tbl.AddCovered(sub) {
 					t.Fatalf("seed %d step %d: %s stored twice", seed, step, sub.ID)
 				}
 			case op < 8:
@@ -97,50 +94,46 @@ func TestSubscriptionTableMatchesFlatTable(t *testing.T) {
 				sub := stored[i]
 				stored = slices.Delete(stored, i, i+1)
 				wasUncovered := slices.Contains(flat.uncovered, sub)
-				got, gotUncovered, ok := tbl.Remove(origin, sub.ID)
+				got, gotUncovered, ok := tbl.Remove(sub.ID)
 				if !ok || got != sub || gotUncovered != wasUncovered {
 					t.Fatalf("seed %d step %d: Remove(%s) = %v, %v, %v", seed, step, sub.ID, got, gotUncovered, ok)
 				}
 				flat.remove(sub.ID)
-				if tbl.Seen(origin, sub.ID) {
+				if tbl.Seen(sub.ID) {
 					t.Fatalf("seed %d step %d: %s still seen after Remove", seed, step, sub.ID)
 				}
 			case len(flat.covered) > 0:
 				sub := flat.covered[rng.Intn(len(flat.covered))]
-				if tbl.Promote(origin, sub.ID) != sub || tbl.Promote(origin, sub.ID) != nil {
+				if tbl.Promote(sub.ID) != sub || tbl.Promote(sub.ID) != nil {
 					t.Fatalf("seed %d step %d: Promote(%s) wrong", seed, step, sub.ID)
 				}
 				flat.promote(sub.ID)
 			}
 
-			if a, b := sortedByID(tbl.Uncovered(origin)), sortedByID(flat.uncovered); !slices.Equal(a, b) {
+			if a, b := sortedByID(tbl.Uncovered()), sortedByID(flat.uncovered); !slices.Equal(a, b) {
 				t.Fatalf("seed %d step %d: uncovered %v, want %v", seed, step, a, b)
 			}
-			if a, b := sortedByID(tbl.Covered(origin)), sortedByID(flat.covered); !slices.Equal(a, b) {
+			if a, b := sortedByID(tbl.Covered()), sortedByID(flat.covered); !slices.Equal(a, b) {
 				t.Fatalf("seed %d step %d: covered %v, want %v", seed, step, a, b)
 			}
-			if tbl.CountUncovered() != len(flat.uncovered) || tbl.CountCovered() != len(flat.covered) || len(tbl.All(origin)) != len(stored) {
-				t.Fatalf("seed %d step %d: counts %d/%d, want %d/%d", seed, step, tbl.CountUncovered(), tbl.CountCovered(), len(flat.uncovered), len(flat.covered))
+			if nu, nc := len(tbl.Uncovered()), len(tbl.Covered()); nu != len(flat.uncovered) || nc != len(flat.covered) || tbl.Len() != len(stored) {
+				t.Fatalf("seed %d step %d: counts %d/%d of %d, want %d/%d of %d", seed, step, nu, nc, tbl.Len(), len(flat.uncovered), len(flat.covered), len(stored))
 			}
 			for _, s := range stored {
-				if a, b := inOrder(tbl.UncoveredComparable(origin, s)), inOrder(inClass(flat.uncovered, s)); !slices.Equal(a, b) {
+				if a, b := inOrder(tbl.UncoveredComparable(s)), inOrder(inClass(flat.uncovered, s)); !slices.Equal(a, b) {
 					t.Fatalf("seed %d step %d: uncovered of %s's class %v, want %v", seed, step, s.ID, a, b)
 				}
-				if a, b := inOrder(tbl.CoveredComparable(origin, s)), inOrder(inClass(flat.covered, s)); !slices.Equal(a, b) {
+				if a, b := inOrder(tbl.CoveredComparable(s)), inOrder(inClass(flat.covered, s)); !slices.Equal(a, b) {
 					t.Fatalf("seed %d step %d: covered of %s's class %v, want %v", seed, step, s.ID, a, b)
 				}
 			}
 			mostCovered = max(mostCovered, len(flat.covered))
-			o := tbl.origins[origin]
 			classes := map[model.Class]bool{}
 			for _, s := range stored {
 				classes[s.Class()] = true
 			}
-			if len(o.classes) != len(classes) || len(o.order) != len(classes) {
-				t.Fatalf("seed %d step %d: %d class buckets (%d ordered) for %d live classes", seed, step, len(o.classes), len(o.order), len(classes))
-			}
-			if (len(stored) == 0) != (len(tbl.Origins()) == 0) {
-				t.Fatalf("seed %d step %d: %d stored, origins %v", seed, step, len(stored), tbl.Origins())
+			if len(tbl.classes) != len(classes) || len(tbl.order) != len(classes) {
+				t.Fatalf("seed %d step %d: %d class buckets (%d ordered) for %d live classes", seed, step, len(tbl.classes), len(tbl.order), len(classes))
 			}
 		}
 		if mostCovered < 5 {

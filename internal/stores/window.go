@@ -10,13 +10,12 @@ import (
 // simple events ordered by timestamp, each carrying a set of "already
 // forwarded to" flags, with expiry after a configurable validity period.
 //
-// The flag keys are free-form strings chosen by the protocol: the
-// per-neighbour forwarding of Filter-Split-Forward uses one key per
-// neighbour, while the per-subscription result sets of the naive and
-// operator-placement approaches use one key per (neighbour, subscription)
-// pair — that difference is exactly the "event propagation" column of
-// Table II. Keys are interned into small integer IDs (KeyID) on first use;
-// the steady-state forwarding path then never touches a string.
+// The flag keys are small integers each protocol handler draws and owns:
+// the per-neighbour forwarding of Filter-Split-Forward uses one key per
+// neighbour link, while the per-subscription result sets of the naive and
+// operator-placement approaches use one key per (neighbour, operator) pair —
+// that difference is exactly the "event propagation" column of Table II. The
+// window only compares keys, so the forwarding path never touches a string.
 //
 // The window is a structure of arrays: one timestamp-sorted slice of events
 // and one parallel slice of per-event sent-key ID lists. Storing events by
@@ -34,12 +33,9 @@ type EventWindow struct {
 	maxDeltaT model.Timestamp
 
 	evs    []model.Event // sorted by (Time, Seq)
-	sent   [][]uint32    // parallel to evs: sorted interned key IDs
+	sent   [][]uint32    // parallel to evs: sorted forwarding keys
 	free   [][]uint32    // recycled sent lists (capacity retained)
 	latest model.Timestamp
-
-	keyIDs  map[string]uint32
-	keyStrs []string // index = key ID, for SentKeys
 }
 
 // NewEventWindow returns an empty window with the given validity.
@@ -47,21 +43,7 @@ func NewEventWindow(validity model.Timestamp) *EventWindow {
 	if validity <= 0 {
 		validity = 1
 	}
-	return &EventWindow{Validity: validity, keyIDs: map[string]uint32{}}
-}
-
-// KeyID interns a forwarding key, returning the stable small integer the
-// mark fast path uses. Handlers intern each key once (per neighbour or per
-// (neighbour, subscription) pair) and cache the ID; a per-event forwarding
-// decision then costs one MarkSent — two binary searches, no allocation.
-func (w *EventWindow) KeyID(key string) uint32 {
-	if id, ok := w.keyIDs[key]; ok {
-		return id
-	}
-	id := uint32(len(w.keyStrs))
-	w.keyIDs[key] = id
-	w.keyStrs = append(w.keyStrs, key)
-	return id
+	return &EventWindow{Validity: validity}
 }
 
 // find returns the index of the stored event with this (Time, Seq), or
@@ -213,9 +195,10 @@ func sentIdx(list []uint32, key uint32) (int, bool) {
 }
 
 // MarkSent records that the stored event has been forwarded under the given
-// interned key and reports whether the mark is new, i.e. whether the caller
-// should forward the event now. An event not (or no longer) stored reports
-// false and is left alone, so that stale events are never re-forwarded.
+// key and reports whether the mark is new, i.e. whether the caller should
+// forward the event now — two binary searches, no allocation. An event not
+// (or no longer) stored reports false and is left alone, so that stale
+// events are never re-forwarded.
 func (w *EventWindow) MarkSent(ev model.Event, key uint32) bool {
 	idx, ok := w.find(ev.Time, ev.Seq)
 	if !ok {
@@ -231,23 +214,4 @@ func (w *EventWindow) MarkSent(ev model.Event, key uint32) bool {
 	list[pos] = key
 	w.sent[idx] = list
 	return true
-}
-
-// SentKeys returns the forwarding keys recorded for an event, as the strings
-// they were interned from, sorted; it is a debugging/testing helper.
-func (w *EventWindow) SentKeys(ev model.Event) []string {
-	idx, ok := w.find(ev.Time, ev.Seq)
-	if !ok {
-		return nil
-	}
-	list := w.sent[idx]
-	if len(list) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(list))
-	for _, id := range list {
-		out = append(out, w.keyStrs[id])
-	}
-	sort.Strings(out)
-	return out
 }
