@@ -102,10 +102,12 @@ func TestReexposeAllocatesNothing(t *testing.T) {
 // TestAdvertisementFloodRetainedHeap pins what set-up at width leaves
 // behind: after the advertisement flood of a 1000-node, 250-sensor network on
 // the concurrent engine (attach, Flush, Trim, as NewSystem runs them), the
-// network retains at most 60 bytes per advertisement message. floodOnce
-// checks the message count itself, sensors × (nodes − 1).
+// network retains at most 25 bytes per advertisement message: every node's
+// table keeps a sensor as a bit of its origin's bitset and a 4-byte ref in
+// one of its grids, and the network's registry keeps the coordinates once.
+// floodOnce checks the message count itself, sensors × (nodes − 1).
 func TestAdvertisementFloodRetainedHeap(t *testing.T) {
-	const nodes, allowed = 1000, 60
+	const nodes, allowed = 1000, 25
 	dep, factory := floodDeployment(t, nodes)
 	nop := func() {}
 	live, messages := floodOnce(t, dep, factory, nop, nop)

@@ -12,9 +12,14 @@ import (
 // reverse dissemination path.
 
 // LocalSensor implements netsim.Handler. A new sensor attached to this node
-// is recorded under the node's own ID and advertised to every neighbour.
+// is recorded under the node's own ID and advertised to every neighbour,
+// under the ref the network's registry gave it on attach.
 func (n *Node) LocalSensor(ctx *netsim.Context, sensor model.Sensor) {
-	adv := sensor.Advertisement()
+	ref, ok := ctx.Sensors().Lookup(sensor.ID)
+	if !ok {
+		return // the engines register a sensor before attaching it
+	}
+	adv := ctx.Sensors().Advertisement(ref)
 	if !n.advs.Add(n.self, adv) {
 		return
 	}

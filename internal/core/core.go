@@ -251,7 +251,7 @@ func NewNode(self topology.NodeID, cfg Config) *Node {
 		cfg:       cfg,
 		checker:   cfg.Checker(self),
 		self:      self,
-		advs:      stores.NewAdvertisementTable(self),
+		advs:      stores.NewAdvertisementTable(self, nil),
 		window:    stores.NewEventWindow(1),
 		localSubs: map[model.SubscriptionID]*model.Subscription{},
 		localIdx:  stores.NewEventIndex(),
@@ -283,8 +283,12 @@ func (n *Node) newKey() uint32 {
 	return n.keys - 1
 }
 
-// Init implements netsim.Handler.
-func (n *Node) Init(ctx *netsim.Context) { n.ctx = ctx }
+// Init implements netsim.Handler. The advertisement table is rebuilt here
+// over the network's sensor registry: until Init it has none to read.
+func (n *Node) Init(ctx *netsim.Context) {
+	n.ctx = ctx
+	n.advs = stores.NewAdvertisementTable(n.self, ctx.Sensors())
+}
 
 // Name returns the configured approach name.
 func (n *Node) Name() string { return n.cfg.Name }

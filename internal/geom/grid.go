@@ -11,51 +11,54 @@ import (
 // onto a neighbour's data space touches only the advertisements near the
 // subscription's region instead of scanning all of them.
 //
-// The grid is rebuilt lazily: Add records the point and
-// marks the grid dirty, and the first Query after a batch of insertions
-// rebuilds it — the bounding box of all points is split into roughly sqrt(n)
-// cells per axis, giving O(1) expected points per cell for the roughly
-// uniform sensor placements the topology generator produces.
-//
-// A point is identified by its insertion index (the first Add is 0). A wide
+// A point is stored as its ref, an index into a coordinate slice the caller
+// owns and passes to Query (the network's sensor registry keeps each
+// sensor's location once, and every node's grids index into it). A wide
 // network holds millions of points across its nodes' grids, most never
-// queried, so a grid retains 16 bytes per point until its first Query and 4
-// more after: the cells are one flat index array cut by per-cell offsets,
-// not a slice header per cell. Queries check exact containment, so
-// unbounded regions (WholePlane) and degenerate regions work and duplicate
-// coordinates are fine. Not safe for concurrent use.
+// queried, so a grid keeps 4 bytes per point: the refs themselves, which a
+// rebuild reorders cell by cell and cuts by per-cell offsets.
+//
+// The grid is rebuilt lazily: Add appends the ref and marks the grid dirty,
+// and the first Query after a batch of insertions rebuilds it — the bounding
+// box of all points is split into roughly sqrt(n) cells per axis, giving O(1)
+// expected points per cell for the roughly uniform sensor placements the
+// topology generator produces. Queries check exact containment, so unbounded
+// regions (WholePlane) and degenerate regions work and duplicate coordinates
+// are fine. Not safe for concurrent use.
 type PointGrid struct {
-	pts   []Point2D
+	// refs lists the points cell by cell up to the last rebuild (the first
+	// cellStart[len(cellStart)-1] of them), then those added since.
+	refs  []uint32
 	dirty bool
 
 	minX, minY float64
 	invCW      float64 // cells per unit length in x
 	invCH      float64 // cells per unit length in y
 	nx, ny     int
-	// cellStart[c]..cellStart[c+1] bounds cell c's run in cellPts, which
-	// lists point indexes cell by cell.
+	// cellStart[c]..cellStart[c+1] bounds cell c's run in refs.
 	cellStart []int32
-	cellPts   []int32
 }
 
-// Add registers a point. The grid is rebuilt lazily on the next Query.
-func (g *PointGrid) Add(p Point2D) {
-	g.pts = append(g.pts, p)
+// Add registers a point by its ref. The grid is rebuilt lazily on the next
+// Query.
+func (g *PointGrid) Add(ref uint32) {
+	g.refs = append(g.refs, ref)
 	g.dirty = true
 }
 
 // Len returns the number of stored points.
-func (g *PointGrid) Len() int { return len(g.pts) }
+func (g *PointGrid) Len() int { return len(g.refs) }
 
-// Query invokes fn with the insertion index of every stored point inside the
-// region (closed bounds). Iteration stops early when fn returns false. The
-// order of indexes is unspecified.
-func (g *PointGrid) Query(r Region, fn func(i int) bool) {
-	if len(g.pts) == 0 || r.Empty() {
+// Query invokes fn with the ref of every stored point inside the region
+// (closed bounds); pts[ref] is the point's location, and must cover every
+// ref added. Iteration stops early when fn returns false. The order of refs
+// is unspecified.
+func (g *PointGrid) Query(pts []Point2D, r Region, fn func(ref uint32) bool) {
+	if len(g.refs) == 0 || r.Empty() {
 		return
 	}
 	if g.dirty {
-		g.rebuild()
+		g.rebuild(pts)
 	}
 	x0 := g.cellX(r.X.Min)
 	x1 := g.cellX(r.X.Max)
@@ -64,8 +67,8 @@ func (g *PointGrid) Query(r Region, fn func(i int) bool) {
 	for cy := y0; cy <= y1; cy++ {
 		// The cells of one row are adjacent, and so are their runs.
 		row := cy * g.nx
-		for _, i := range g.cellPts[g.cellStart[row+x0]:g.cellStart[row+x1+1]] {
-			if r.Contains(g.pts[i]) && !fn(int(i)) {
+		for _, ref := range g.refs[g.cellStart[row+x0]:g.cellStart[row+x1+1]] {
+			if r.Contains(pts[ref]) && !fn(ref) {
 				return
 			}
 		}
@@ -99,12 +102,13 @@ func clampCell(v, min, inv float64, n int) int {
 	return c
 }
 
-// rebuild reconstructs the cells from the recorded points.
-func (g *PointGrid) rebuild() {
-	n := len(g.pts)
+// rebuild sorts the refs into cells over the bounding box of their points.
+func (g *PointGrid) rebuild(pts []Point2D) {
+	n := len(g.refs)
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, p := range g.pts {
+	for _, ref := range g.refs {
+		p := pts[ref]
 		minX = math.Min(minX, p.X)
 		maxX = math.Max(maxX, p.X)
 		minY = math.Min(minY, p.Y)
@@ -126,23 +130,24 @@ func (g *PointGrid) rebuild() {
 	g.nx, g.ny = side, side
 	g.invCW = float64(side) / w
 	g.invCH = float64(side) / h
-	cell := func(p Point2D) int { return g.cellY(p.Y)*g.nx + g.cellX(p.X) }
+	cell := func(ref uint32) int { return g.cellY(pts[ref].Y)*g.nx + g.cellX(pts[ref].X) }
 	// Counting sort by cell: start[c+2] counts cell c; summed, start[c+1] is
 	// where cell c's run begins, and filling advances it to where the run
 	// ends — where cell c+1's begins, so start[:cells+1] are the offsets.
 	start := make([]int32, side*side+2)
-	for _, p := range g.pts {
-		start[cell(p)+2]++
+	for _, ref := range g.refs {
+		start[cell(ref)+2]++
 	}
 	for c := 2; c < len(start); c++ {
 		start[c] += start[c-1]
 	}
-	g.cellPts = make([]int32, n)
-	for i, p := range g.pts {
-		c := cell(p) + 1
-		g.cellPts[start[c]] = int32(i)
+	sorted := make([]uint32, n)
+	for _, ref := range g.refs {
+		c := cell(ref) + 1
+		sorted[start[c]] = ref
 		start[c]++
 	}
+	g.refs = sorted
 	g.cellStart = start[:side*side+1]
 	g.dirty = false
 }

@@ -6,8 +6,9 @@
 //   - BoxTree, an incrementally maintained (O(log n) insert/remove, AVL-style
 //     rotations, pooled nodes) point-stabbing tree over k-dimensional boxes —
 //     the composite multi-attribute structure behind the event-match index;
-//   - PointGrid, a lazily rebuilt uniform grid over 2D points for region
-//     containment queries over advertised sensor locations.
+//   - PointGrid, a lazily rebuilt uniform grid of 4-byte refs into a
+//     caller-owned slice of 2D points, for region containment queries over
+//     advertised sensor locations.
 //
 // The value types are plain values: safe to copy, compare and use as map
 // values, with meaningful zero values (the zero Interval is the degenerate

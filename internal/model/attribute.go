@@ -65,12 +65,18 @@ type Sensor struct {
 // publishes to make its presence known. The sensor identity is carried along
 // so that identified subscriptions can be routed.
 type Advertisement struct {
+	// Ref is the sensor's number in the registry of the network that
+	// floods the advertisement (SensorRegistry.Advertisement sets it). A
+	// link message carries only the ref, and the advertisement tables
+	// store only refs.
+	Ref      SensorRef
 	Sensor   SensorID
 	Attr     AttributeType
 	Location geom.Point2D
 }
 
-// Advertisement returns the advertisement describing the sensor.
+// Advertisement returns the advertisement describing the sensor. Its Ref is
+// 0: only a network's registry numbers sensors.
 func (s Sensor) Advertisement() Advertisement {
 	return Advertisement{Sensor: s.ID, Attr: s.Attr, Location: s.Location}
 }

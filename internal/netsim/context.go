@@ -24,6 +24,7 @@ type Context struct {
 	metrics *Metrics
 	out     sink
 	log     *deliveryLog
+	sensors *model.SensorRegistry
 
 	// round is the lineage round of the item currently being dispatched on
 	// this node; dispatch() maintains it. A context is only ever touched by
@@ -94,10 +95,15 @@ func (c *Context) IsNeighbor(n topology.NodeID) bool { return c.graph.HasEdge(c.
 // for diagnostics.
 func (c *Context) Graph() *topology.Graph { return c.graph }
 
-// SendAdvertisement forwards an advertisement to a neighbouring node.
+// Sensors returns the network's sensor registry: every attached sensor, by
+// the ref the advertisements carry.
+func (c *Context) Sensors() *model.SensorRegistry { return c.sensors }
+
+// SendAdvertisement forwards an advertisement to a neighbouring node. The
+// message carries only the advertisement's Ref, so adv must come from the
+// network's registry (Sensors, or a HandleAdvertisement argument).
 func (c *Context) SendAdvertisement(to topology.NodeID, adv model.Advertisement) {
-	ev := model.Event{Sensor: adv.Sensor, Attr: adv.Attr, Location: adv.Location}
-	c.send(to, Message{Kind: KindAdvertisement, Ev: ev})
+	c.send(to, Message{Kind: KindAdvertisement, Ref: adv.Ref})
 }
 
 // SendSubscription forwards a subscription or correlation operator to a

@@ -17,7 +17,8 @@ func dispatch(h Handler, ctx *Context, item *queued) {
 	msg := &item.msg
 	switch msg.Kind {
 	case localSensor:
-		h.LocalSensor(ctx, model.Sensor{ID: msg.Ev.Sensor, Attr: msg.Ev.Attr, Location: msg.Ev.Location})
+		adv := ctx.sensors.Advertisement(msg.Ref)
+		h.LocalSensor(ctx, model.Sensor{ID: adv.Sensor, Attr: adv.Attr, Location: adv.Location})
 	case localSubscribe:
 		h.LocalSubscribe(ctx, msg.Sub)
 	case localUnsubscribe:
@@ -32,7 +33,7 @@ func dispatch(h Handler, ctx *Context, item *queued) {
 			wh.HandleWatermark(ctx, msg.Ev.Round)
 		}
 	case KindAdvertisement:
-		h.HandleAdvertisement(ctx, item.from, model.Advertisement{Sensor: msg.Ev.Sensor, Attr: msg.Ev.Attr, Location: msg.Ev.Location})
+		h.HandleAdvertisement(ctx, item.from, ctx.sensors.Advertisement(msg.Ref))
 	case KindSubscription:
 		h.HandleSubscription(ctx, item.from, msg.Sub)
 	case KindUnsubscription:

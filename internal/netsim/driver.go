@@ -45,6 +45,9 @@ type driver struct {
 	metrics  *Metrics
 	led      roundLedger
 	sched    scheduler
+	// sensors numbers every attached sensor for the whole network; the
+	// node contexts share it.
+	sensors *model.SensorRegistry
 
 	// plainWaits is the engine's column of the blocking rule (see Runtime):
 	// whether AttachSensor and Unsubscribe drain before returning.
@@ -72,10 +75,11 @@ func (d *driver) init(graph *topology.Graph, factory HandlerFactory, sched sched
 	d.led.init()
 	d.sched = sched
 	d.plainWaits = plainWaits
+	d.sensors = model.NewSensorRegistry()
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
 		d.handlers[i] = factory(id)
-		d.ctxs[i] = &Context{self: id, graph: graph, metrics: d.metrics, out: sched, log: &d.deliveryLog}
+		d.ctxs[i] = &Context{self: id, graph: graph, metrics: d.metrics, out: sched, log: &d.deliveryLog, sensors: d.sensors}
 		d.handlers[i].Init(d.ctxs[i])
 	}
 }
@@ -148,10 +152,18 @@ func (d *driver) inject(ctx context.Context, node topology.NodeID, item queued, 
 	return d.flush(ctx)
 }
 
-// AttachSensor implements Runtime.
+// AttachSensor implements Runtime. The sensor is registered on the caller's
+// goroutine, before its item is queued, so the ref the item carries is
+// readable wherever the item runs.
 func (d *driver) AttachSensor(node topology.NodeID, sensor model.Sensor) error {
-	ev := model.Event{Sensor: sensor.ID, Attr: sensor.Attr, Location: sensor.Location}
-	return d.inject(context.Background(), node, queued{msg: Message{Kind: localSensor, Ev: ev}}, d.plainWaits)
+	if err := d.validNode(node); err != nil {
+		return err
+	}
+	ref, err := d.sensors.Register(sensor)
+	if err != nil {
+		return fmt.Errorf("netsim: %w", err)
+	}
+	return d.inject(context.Background(), node, queued{msg: Message{Kind: localSensor, Ref: ref}}, d.plainWaits)
 }
 
 // SubscribeContext implements Runtime.

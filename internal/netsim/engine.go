@@ -31,7 +31,10 @@ import (
 // back and flush once.
 type Runtime interface {
 	// AttachSensor attaches a sensor to a node; the node's protocol handler
-	// reacts by advertising it (Algorithm 1).
+	// reacts by advertising it (Algorithm 1). The network's registry
+	// (Context.Sensors) numbers the sensor in attach order. Attaching an ID
+	// again with the same attribute type and location keeps its number; with
+	// a different one it is an error, and nothing is queued.
 	AttachSensor(node topology.NodeID, sensor model.Sensor) error
 	// Unsubscribe retracts a subscription previously registered at the node.
 	// The retraction propagates network-wide: every node that stored or

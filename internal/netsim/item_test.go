@@ -42,7 +42,7 @@ func (h *relayHandler) record(method string, from topology.NodeID, arg any) {
 func (h *relayHandler) Init(*Context) {}
 func (h *relayHandler) LocalSensor(ctx *Context, sensor model.Sensor) {
 	h.record("LocalSensor", ctx.Self(), sensor)
-	ctx.SendAdvertisement(1, sensor.Advertisement())
+	ctx.SendAdvertisement(1, registered(ctx, sensor))
 }
 func (h *relayHandler) LocalSubscribe(ctx *Context, sub *model.Subscription) {
 	h.record("LocalSubscribe", ctx.Self(), sub)
@@ -76,8 +76,8 @@ func (h *relayHandler) HandlePartialAggregate(_ *Context, from topology.NodeID, 
 // TestDispatchRebuildsHandlerArguments sends one payload of every shape
 // through the item's shared slots — injected at node 0, relayed to node 1 —
 // and checks that each handler method receives exactly what was injected or
-// sent: an advertisement and a sensor ride in the event slot, and must come
-// out with their own three fields and nothing of an event's.
+// sent: an advertisement and a sensor ride as their ref in the network's
+// registry, and must come out with the registered fields.
 func TestDispatchRebuildsHandlerArguments(t *testing.T) {
 	e := NewEngine(lineGraph(t, 2), func(topology.NodeID) Handler { return &relayHandler{} })
 	sensor := model.Sensor{ID: "d1", Attr: model.WindSpeed, Location: geom.Point2D{X: 3, Y: -4}}
@@ -106,7 +106,7 @@ func TestDispatchRebuildsHandlerArguments(t *testing.T) {
 			{"LocalUnsubscribe", 0, model.SubscriptionID("q")},
 		},
 		{
-			{"HandleAdvertisement", 0, sensor.Advertisement()},
+			{"HandleAdvertisement", 0, model.Advertisement{Ref: 0, Sensor: "d1", Attr: model.WindSpeed, Location: sensor.Location}},
 			{"HandleSubscription", 0, sub},
 			{"HandlePartialAggregate", 0, PartialAggregate{SubID: "q", Window: 3}},
 			{"HandleEvent", 0, ev},

@@ -523,6 +523,22 @@ func TestEnginesRejectAlike(t *testing.T) {
 		{name: "invalid subscription", calls: []call{
 			{"SubscribeContext", func(rt Runtime) error { return rt.SubscribeContext(ctx, 0, bad) }},
 		}},
+		{
+			name: "sensor re-attached with other contents",
+			setup: func(t *testing.T, rt Runtime) {
+				if err := rt.AttachSensor(0, model.Sensor{ID: "d1", Attr: model.WindSpeed, Location: geom.Point2D{X: 1, Y: 2}}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			calls: []call{
+				{"other attribute", func(rt Runtime) error {
+					return rt.AttachSensor(0, model.Sensor{ID: "d1", Attr: model.RelativeHumidity, Location: geom.Point2D{X: 1, Y: 2}})
+				}},
+				{"other location, other node", func(rt Runtime) error {
+					return rt.AttachSensor(3, model.Sensor{ID: "d1", Attr: model.WindSpeed, Location: geom.Point2D{X: 1, Y: 3}})
+				}},
+			},
+		},
 		{name: "invalid replay options", calls: []call{
 			{"lag without windowed", func(rt Runtime) error { return rt.ReplayRounds(oneRound(0), ReplayOptions{Mode: Pipelined, Lag: 1}) }},
 		}},

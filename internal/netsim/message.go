@@ -44,7 +44,7 @@ import (
 // events, and the retraction companion of a subscription — the unsubscription
 // that walks the reverse forwarding paths when a continuous query is
 // deregistered.
-type MessageKind int
+type MessageKind uint8
 
 const (
 	// KindAdvertisement carries a data-source advertisement.
@@ -67,7 +67,7 @@ const (
 	// The kinds below tag local injections, which never cross a link: the
 	// driver queues them in the same Message shape, each in the slot of its
 	// payload's type, and dispatch turns them into the Local* calls.
-	localSensor      // attach the sensor in Ev's Sensor, Attr and Location
+	localSensor      // attach the registered sensor Ref
 	localSubscribe   // register Sub for a user at the node
 	localUnsubscribe // retract the local registration UnsubID
 	localPublish     // inject the reading Ev
@@ -101,10 +101,12 @@ func (k MessageKind) String() string {
 // struct holds each payload shape once and nothing beside it.
 type Message struct {
 	Kind MessageKind
-	// Ev is the value payload: the event of a KindEvent message, or the
-	// advertisement of a KindAdvertisement message in the event's Sensor,
-	// Attr and Location fields (an advertisement is exactly those three).
-	// Context.SendAdvertisement packs it and dispatch unpacks it.
+	// Ref is the payload of a KindAdvertisement message: the advertised
+	// sensor's number in the network's registry, from which dispatch
+	// rebuilds the advertisement. It packs beside Kind, so it costs the
+	// item no size.
+	Ref model.SensorRef
+	// Ev is the value payload: the event of a KindEvent message.
 	Ev model.Event
 	// Sub is the payload of a KindSubscription message.
 	Sub *model.Subscription

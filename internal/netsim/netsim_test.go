@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"sensorcq/internal/geom"
@@ -30,7 +31,17 @@ func (h *floodHandler) LocalSubscribe(ctx *Context, s *model.Subscription)     {
 func (h *floodHandler) LocalUnsubscribe(ctx *Context, id model.SubscriptionID) {}
 
 func (h *floodHandler) LocalSensor(ctx *Context, sensor model.Sensor) {
-	h.HandleAdvertisement(ctx, h.node, sensor.Advertisement())
+	h.HandleAdvertisement(ctx, h.node, registered(ctx, sensor))
+}
+
+// registered returns the advertisement of an attached sensor, under the ref
+// the network's registry gave it.
+func registered(ctx *Context, sensor model.Sensor) model.Advertisement {
+	ref, ok := ctx.Sensors().Lookup(sensor.ID)
+	if !ok {
+		panic(fmt.Sprintf("sensor %q is not registered", sensor.ID))
+	}
+	return ctx.Sensors().Advertisement(ref)
 }
 
 func (h *floodHandler) LocalPublish(ctx *Context, ev model.Event) {
@@ -116,6 +127,57 @@ func TestSequentialEngineFloodCounts(t *testing.T) {
 	}
 	if got := e.DeliveriesFor("sink"); len(got) != 1 || got[0].SubID != "sink" {
 		t.Errorf("DeliveriesFor(sink) = %v", got)
+	}
+}
+
+// TestAttachSensorNumbersSensorsPerNetwork pins the registry's numbering on
+// both engines: refs are dense in attach order, re-attaching an ID with the
+// same contents keeps its ref (and advertises it again from the new node),
+// and an attach that fails — bad node, or the same ID with other contents —
+// numbers nothing and queues nothing.
+func TestAttachSensorNumbersSensorsPerNetwork(t *testing.T) {
+	for _, rt := range []Runtime{NewEngine(lineGraph(t, 4), newFloodHandler), NewConcurrentEngineWorkers(lineGraph(t, 4), newFloodHandler, 2)} {
+		sensors := rt.Handler(0).(*floodHandler).ctx.Sensors()
+		attach := []model.Sensor{
+			{ID: "d0", Attr: model.WindSpeed, Location: geom.Point2D{X: 1}},
+			{ID: "d1", Attr: model.RelativeHumidity, Location: geom.Point2D{X: 2}},
+			{ID: "d2", Attr: model.WindSpeed, Location: geom.Point2D{X: 3}},
+		}
+		for i, s := range attach {
+			if err := rt.AttachSensor(topology.NodeID(i), s); err != nil {
+				t.Fatal(err)
+			}
+			rt.Flush() // the concurrent engine only queues an attach
+		}
+		if err := rt.AttachSensor(3, attach[1]); err != nil {
+			t.Errorf("re-attaching %s with the same contents: %v", attach[1].ID, err)
+		}
+		if err := rt.AttachSensor(9, model.Sensor{ID: "d3"}); err == nil {
+			t.Error("attaching to an unknown node should fail")
+		}
+		if err := rt.AttachSensor(3, model.Sensor{ID: "d2", Attr: model.WindSpeed, Location: geom.Point2D{X: 4}}); err == nil {
+			t.Error("re-attaching d2 at another location should fail")
+		}
+		rt.Flush()
+		if ref, ok := sensors.Lookup("d3"); ok {
+			t.Errorf("d3 got ref %d on a failed attach", ref)
+		}
+		for i, s := range attach {
+			ref, ok := sensors.Lookup(s.ID)
+			if !ok || ref != model.SensorRef(i) {
+				t.Errorf("%s has ref %d (registered %v), want %d", s.ID, ref, ok, i)
+			}
+			want := model.Advertisement{Ref: model.SensorRef(i), Sensor: s.ID, Attr: s.Attr, Location: s.Location}
+			if got := sensors.Advertisement(model.SensorRef(i)); got != want {
+				t.Errorf("ref %d reads %v, want %v", i, got, want)
+			}
+		}
+		// Each of the three sensors floods the 4-node line once; node 3 has
+		// already heard of the re-attached d1, so it sends nothing.
+		if got := rt.Metrics().Snapshot().AdvertisementLoad; got != 3*3 {
+			t.Errorf("advertisement load = %d, want %d", got, 3*3)
+		}
+		rt.Close()
 	}
 }
 

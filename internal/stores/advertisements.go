@@ -9,16 +9,14 @@
 // geom.BoxTree that stabs every filter dimension (value range × spatial
 // region) at once and maintains itself incrementally under
 // subscribe/unsubscribe churn, one ordinary entry per registered
-// subscription — and the advertisement table's per-origin sets of sensor
+// subscription — and the advertisement table's per-origin bitsets of sensor
 // refs and per-(origin, attribute) geom.PointGrid location grids (there is
 // no table-wide grid: a question about every origin asks each of the node's
 // few origins in turn).
 //
 // The structures are not safe for concurrent use; each protocol handler owns
 // one set of them and the engines guarantee per-node sequential execution.
-// The one exception is shared by design: the process-wide, append-only table
-// that interns sensor IDs as the dense refs the advertisement tables store,
-// which guards itself with an RWMutex.
+// The package holds no package-level mutable state.
 package stores
 
 import (
@@ -33,21 +31,18 @@ import (
 // received from each neighbour (and from locally attached sensors, filed
 // under the node's own ID). Algorithm 1 floods every advertisement to every
 // node — n nodes and s sensors make n·s entries — so the table keeps of one
-// only what its readers ask: per origin the set of advertised sensors (the
-// exact answer to Add's "already advertised by this origin" and to Known's
-// and Project's "behind this neighbour"), and per (origin, attribute) the
-// advertised locations, in a grid that answers "any of this attribute inside
-// this region via this neighbour" (Project, HasAllSources, OriginsMatching).
-// Which sensor sits at which location is not kept.
-//
-// A sensor is stored as its ref, a uint32 from the process-wide intern
-// table (sensorrefs.go) that Add fills on a sensor's first advertisement
-// anywhere, and each origin's sensors are a pointer-free open-addressing set
-// of refs: 8–16 bytes per entry that the garbage collector never scans. The
-// readers only look refs up, so asking about a sensor nobody advertised
-// answers "not known" and leaves the intern table as it was.
+// only its sensor's ref in the network's registry (model.SensorRegistry),
+// which holds each sensor's ID, attribute type and location once for every
+// node. Per origin it keeps a bitset over the network's refs (the exact
+// answer to Add's "already advertised by this origin" and to Known's and
+// Project's "behind this neighbour"), and per (origin, attribute) a
+// geom.PointGrid of refs that reads the locations from the registry and
+// answers "any of this attribute inside this region via this neighbour"
+// (Project, HasAllSources, OriginsMatching). That is a bit and four bytes
+// per entry, none of it scanned by the garbage collector.
 type AdvertisementTable struct {
-	self topology.NodeID
+	self    topology.NodeID
+	sensors *model.SensorRegistry
 	// origins has one entry per origin heard from, in order of first
 	// advertisement: a node's few neighbours and itself, found by scan.
 	origins []originAds
@@ -66,7 +61,7 @@ type AdvertisementTable struct {
 // per attribute type (a handful of types, found by scan like the origins).
 type originAds struct {
 	origin  topology.NodeID
-	sensors refSet
+	sensors refBits
 	attrs   []attrLocations
 }
 
@@ -75,15 +70,39 @@ type attrLocations struct {
 	locs geom.PointGrid
 }
 
+// refBits is a set of sensor refs as a bitset, grown to cover the largest
+// ref it holds.
+type refBits []uint64
+
+func (b refBits) has(ref model.SensorRef) bool {
+	w := int(ref / 64)
+	return w < len(b) && b[w]&(1<<(ref%64)) != 0
+}
+
+// insert adds the ref and reports whether it was absent.
+func (b *refBits) insert(ref model.SensorRef) bool {
+	w := int(ref / 64)
+	if w >= len(*b) {
+		*b = append(*b, make(refBits, w+1-len(*b))...)
+	}
+	bit := uint64(1) << (ref % 64)
+	if (*b)[w]&bit != 0 {
+		return false
+	}
+	(*b)[w] |= bit
+	return true
+}
+
 // anyInRegion reports whether the origin advertised at least one sensor of
-// the attribute type located inside the region.
-func (o *originAds) anyInRegion(attr model.AttributeType, r geom.Region) bool {
+// the attribute type located inside the region; locs are the registry's
+// locations.
+func (o *originAds) anyInRegion(locs []geom.Point2D, attr model.AttributeType, r geom.Region) bool {
 	for i := range o.attrs {
 		if o.attrs[i].attr != attr {
 			continue
 		}
 		found := false
-		o.attrs[i].locs.Query(r, func(int) bool {
+		o.attrs[i].locs.Query(locs, r, func(uint32) bool {
 			found = true
 			return false
 		})
@@ -92,9 +111,11 @@ func (o *originAds) anyInRegion(attr model.AttributeType, r geom.Region) bool {
 	return false
 }
 
-// NewAdvertisementTable returns an empty table for the given node.
-func NewAdvertisementTable(self topology.NodeID) *AdvertisementTable {
-	return &AdvertisementTable{self: self}
+// NewAdvertisementTable returns an empty table for the given node, over the
+// registry of the node's network. A table without a registry (nil) must not
+// be used.
+func NewAdvertisementTable(self topology.NodeID, sensors *model.SensorRegistry) *AdvertisementTable {
+	return &AdvertisementTable{self: self, sensors: sensors}
 }
 
 // from returns the entry of an origin, nil when it advertised nothing yet.
@@ -108,7 +129,8 @@ func (t *AdvertisementTable) from(origin topology.NodeID) *originAds {
 }
 
 // Add records an advertisement received from origin (use the node's own ID
-// for local sensors). It returns false when the same sensor was already
+// for local sensors). The advertisement must come from the table's registry
+// (its Ref set). Add returns false when the same sensor was already
 // advertised by that origin, which callers use to stop re-flooding.
 func (t *AdvertisementTable) Add(origin topology.NodeID, adv model.Advertisement) bool {
 	o := t.from(origin)
@@ -116,7 +138,7 @@ func (t *AdvertisementTable) Add(origin topology.NodeID, adv model.Advertisement
 		t.origins = append(t.origins, originAds{origin: origin})
 		o = &t.origins[len(t.origins)-1]
 	}
-	if !o.sensors.insert(internSensor(adv.Sensor)) {
+	if !o.sensors.insert(adv.Ref) {
 		return false
 	}
 	i := 0
@@ -126,13 +148,13 @@ func (t *AdvertisementTable) Add(origin topology.NodeID, adv model.Advertisement
 	if i == len(o.attrs) {
 		o.attrs = append(o.attrs, attrLocations{attr: adv.Attr})
 	}
-	o.attrs[i].locs.Add(adv.Location)
+	o.attrs[i].locs.Add(uint32(adv.Ref))
 	return true
 }
 
 // Known reports whether the sensor was advertised by any origin.
 func (t *AdvertisementTable) Known(sensor model.SensorID) bool {
-	ref, ok := lookupSensor(sensor)
+	ref, ok := t.sensors.Lookup(sensor)
 	if !ok {
 		return false
 	}
@@ -148,7 +170,10 @@ func (t *AdvertisementTable) Known(sensor model.SensorID) bool {
 func (t *AdvertisementTable) Count() int {
 	total := 0
 	for i := range t.origins {
-		total += t.origins[i].sensors.n
+		attrs := t.origins[i].attrs
+		for j := range attrs {
+			total += attrs[j].locs.Len()
+		}
 	}
 	return total
 }
@@ -166,7 +191,7 @@ func (t *AdvertisementTable) Project(sub *model.Subscription, origin topology.No
 	if sub.Kind == model.KindIdentified {
 		sensors := t.sensorScratch[:0]
 		for d := range sub.SensorFilters {
-			if ref, ok := lookupSensor(d); ok && o.sensors.has(ref) {
+			if ref, ok := t.sensors.Lookup(d); ok && o.sensors.has(ref) {
 				sensors = append(sensors, d)
 			}
 		}
@@ -177,8 +202,9 @@ func (t *AdvertisementTable) Project(sub *model.Subscription, origin topology.No
 		return sub.ProjectSensors(sensors)
 	}
 	attrs := t.attrScratch[:0]
+	locs := t.sensors.Locations()
 	for a := range sub.AttrFilters {
-		if o.anyInRegion(a, sub.Region) {
+		if o.anyInRegion(locs, a, sub.Region) {
 			attrs = append(attrs, a)
 		}
 	}
@@ -212,8 +238,9 @@ func (t *AdvertisementTable) HasAllSources(sub *model.Subscription) bool {
 // anyInRegion asks every origin in turn: with few origins per node that
 // costs less than a second, table-wide grid would to keep.
 func (t *AdvertisementTable) anyInRegion(attr model.AttributeType, r geom.Region) bool {
+	locs := t.sensors.Locations()
 	for i := range t.origins {
-		if t.origins[i].anyInRegion(attr, r) {
+		if t.origins[i].anyInRegion(locs, attr, r) {
 			return true
 		}
 	}

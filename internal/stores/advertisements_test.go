@@ -3,7 +3,6 @@ package stores
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"sensorcq/internal/geom"
@@ -130,25 +129,25 @@ const advSelf = topology.NodeID(7)
 
 var advOrigins = []topology.NodeID{advSelf, 1, 2, 3, 12}
 
-// advGhost names a sensor that no test in this package advertises: only
-// Add interns, so it must stay out of the intern table however often the
-// readers are asked about it.
+// advGhost names a sensor that no test in this package registers: the
+// readers must answer "not known" for it however often they are asked.
 const advGhost = model.SensorID("never-advertised")
 
-// internedSensors returns the size of the intern table.
-func internedSensors() int {
-	sensorRefs.RLock()
-	defer sensorRefs.RUnlock()
-	return len(sensorRefs.ids)
-}
-
-// advPool returns n sensor IDs.
-func advPool(prefix string, n int) []model.SensorID {
-	sensors := make([]model.SensorID, n)
-	for i := range sensors {
-		sensors[i] = model.SensorID(fmt.Sprintf("%s%04d", prefix, i))
+// advPool registers n sensors in a fresh network registry, each with one
+// attribute type drawn from attrs and one location from coord — a network
+// advertises a sensor once, so every advertisement of it carries the same
+// pair — and returns the registry and the sensors' IDs, in ref order.
+func advPool(t testing.TB, rng *stats.RNG, prefix string, n int, attrs []model.AttributeType, coord func() geom.Point2D) (*model.SensorRegistry, []model.SensorID) {
+	sensors := model.NewSensorRegistry()
+	ids := make([]model.SensorID, n)
+	for i := range ids {
+		ids[i] = model.SensorID(fmt.Sprintf("%s%04d", prefix, i))
+		s := model.Sensor{ID: ids[i], Attr: attrs[rng.Uint64()%uint64(len(attrs))], Location: coord()}
+		if _, err := sensors.Register(s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return sensors
+	return sensors, ids
 }
 
 // advSubscriptions draws the subscriptions the table is questioned with:
@@ -245,11 +244,9 @@ func checkOriginsMatching(t testing.TB, at string, tbl *AdvertisementTable, ref 
 
 // checkAdvTable compares every reader's answer: Known for every probe,
 // Project onto every origin (and one never heard from), HasAllSources and
-// OriginsMatching. The readers only look sensors up, so the intern table
-// must be as large after them as before, and advGhost never in it.
+// OriginsMatching.
 func checkAdvTable(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdvTable, probes []model.SensorID, subs []*model.Subscription, origins []topology.NodeID) {
 	t.Helper()
-	interned := internedSensors()
 	checkKnown(t, at, tbl, ref, probes)
 	for _, sub := range subs {
 		for _, o := range append(slices.Clone(origins), 99) {
@@ -259,12 +256,6 @@ func checkAdvTable(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdv
 		for _, exclude := range []topology.NodeID{-1, 1, advSelf} {
 			checkOriginsMatching(t, at, tbl, ref, sub, exclude)
 		}
-	}
-	if n := internedSensors(); n != interned {
-		t.Fatalf("%s: the readers grew the intern table %d -> %d", at, interned, n)
-	}
-	if _, ok := lookupSensor(advGhost); ok {
-		t.Fatalf("%s: the never-advertised %q was interned", at, advGhost)
 	}
 }
 
@@ -282,14 +273,16 @@ func checkCount(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdvTab
 
 // TestAdvertisementTableMatchesReference drives the table and the reference
 // with the same random Add sequences — duplicates from one origin, one
-// sensor heard via two origins (with differing attribute and location), local
-// sensors under the node's own ID, repeated and collinear coordinates — and
-// compares every answer after every step: Add's verdict, Known, Project per
-// origin (identified and abstract, over empty, whole-plane, degenerate and
-// random regions, and over an attribute nobody advertises), HasAllSources
-// and OriginsMatching. A last run floods 5000 sensors over three origins, so
-// the origins' ref sets grow through several sizes and probe past collisions;
-// it compares every Add verdict and the readers at checkpoints.
+// sensor heard via several origins, local sensors under the node's own ID,
+// repeated and collinear coordinates, and registered sensors this table
+// never hears of — and compares every answer after every step: Add's
+// verdict, Known, Project per origin (identified and abstract, over empty,
+// whole-plane, degenerate and random regions, and over an attribute nobody
+// advertises), HasAllSources and OriginsMatching. Each pooled sensor has one
+// attribute type and one location, as in a network. A last run floods 5000
+// sensors over three origins, so the origins' bitsets and grids grow through
+// several sizes; it compares every Add verdict and the readers at
+// checkpoints.
 func TestAdvertisementTableMatchesReference(t *testing.T) {
 	attrs := model.DefaultAttributes()
 	advertised, silent := attrs[:len(attrs)-1], attrs[len(attrs)-1]
@@ -302,19 +295,15 @@ func TestAdvertisementTableMatchesReference(t *testing.T) {
 			}
 			return float64(pick(40)) * 25 // repeats are common
 		}
-		sensors := advPool("d", 40)
+		registry, sensors := advPool(t, rng, "d", 40, advertised, func() geom.Point2D { return geom.Point2D{X: coord(), Y: coord()} })
 		subs := advSubscriptions(t, rng, sensors, advertised, silent)
 		probes := append(slices.Clone(sensors), advGhost, "")
 
-		tbl, ref := NewAdvertisementTable(advSelf), newRefAdvTable()
+		tbl, ref := NewAdvertisementTable(advSelf, registry), newRefAdvTable()
 		var last model.Advertisement
 		for step := 0; step < 150; step++ {
 			origin := advOrigins[pick(len(advOrigins))]
-			adv := model.Advertisement{
-				Sensor:   sensors[pick(len(sensors))],
-				Attr:     advertised[pick(len(advertised))],
-				Location: geom.Point2D{X: coord(), Y: coord()},
-			}
+			adv := registry.Advertisement(model.SensorRef(pick(len(sensors))))
 			if step%7 == 6 {
 				adv = last // a straight repeat, same or another origin
 			}
@@ -329,18 +318,16 @@ func TestAdvertisementTableMatchesReference(t *testing.T) {
 
 	rng := stats.NewRNG(7)
 	pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
-	sensors := advPool("w", 5000)
+	registry, sensors := advPool(t, rng, "w", 5000, advertised, func() geom.Point2D {
+		return geom.Point2D{X: rng.Range(0, 1000), Y: rng.Range(0, 1000)}
+	})
 	subs := advSubscriptions(t, rng, sensors, advertised, silent)
 	probes := append(slices.Clone(sensors), advGhost)
 	origins := []topology.NodeID{advSelf, 1, 2}
-	tbl, ref := NewAdvertisementTable(advSelf), newRefAdvTable()
+	tbl, ref := NewAdvertisementTable(advSelf, registry), newRefAdvTable()
 	for step := 1; step <= 24000; step++ {
 		origin := origins[pick(len(origins))]
-		adv := model.Advertisement{
-			Sensor:   sensors[pick(len(sensors))],
-			Attr:     advertised[pick(len(advertised))],
-			Location: geom.Point2D{X: rng.Range(0, 1000), Y: rng.Range(0, 1000)},
-		}
+		adv := registry.Advertisement(model.SensorRef(pick(len(sensors))))
 		if got, want := tbl.Add(origin, adv), ref.add(origin, adv); got != want {
 			t.Fatalf("wide step %d: Add(%d, %v) = %v, reference %v", step, origin, adv, got, want)
 		}
@@ -352,56 +339,60 @@ func TestAdvertisementTableMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAdvertisementTablesInternConcurrently gives four tables, one per
-// goroutine as the concurrent engine's workers hold them, the same sensors
-// at once in four orders, so first advertisements race to intern them:
-// every sensor must end with exactly one ref and every table must know
-// every sensor. Run it under -race.
-func TestAdvertisementTablesInternConcurrently(t *testing.T) {
-	sensors := advPool("c", 500)
-	tables := make([]*AdvertisementTable, 4)
-	var wg sync.WaitGroup
-	for w, stride := range []int{1, 3, 7, 9} { // coprime with 500: each visits every sensor
-		tables[w] = NewAdvertisementTable(topology.NodeID(w))
-		wg.Add(1)
-		go func(tbl *AdvertisementTable) {
-			defer wg.Done()
-			for i := range sensors {
-				d := sensors[i*stride%len(sensors)]
-				if !tbl.Add(1, model.Advertisement{Sensor: d, Attr: model.WindSpeed}) || !tbl.Known(d) {
-					t.Errorf("table %d: %q not added and known", w, d)
-				}
-			}
-		}(tables[w])
+// TestAdvertisementTablesOfTwoNetworks gives two networks the same sensor
+// IDs, at different attribute types and locations: each table answers from
+// its own network's registry.
+func TestAdvertisementTablesOfTwoNetworks(t *testing.T) {
+	here, there := model.NewSensorRegistry(), model.NewSensorRegistry()
+	register := func(r *model.SensorRegistry, s model.Sensor) model.Advertisement {
+		ref, err := r.Register(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Advertisement(ref)
 	}
-	wg.Wait()
-	seen := map[sensorRef]model.SensorID{}
-	for _, d := range sensors {
-		ref, ok := lookupSensor(d)
-		if !ok {
-			t.Fatalf("%q has no ref", d)
-		}
-		if other, dup := seen[ref]; dup {
-			t.Fatalf("%q and %q share ref %d", d, other, ref)
-		}
-		seen[ref] = d
-		for w, tbl := range tables {
-			if !tbl.Known(d) {
-				t.Errorf("table %d does not know %q", w, d)
-			}
-		}
+	// Registered in opposite orders, so the same ID has a different ref too.
+	a1 := register(here, model.Sensor{ID: "a", Attr: model.WindSpeed, Location: geom.Point2D{X: 10, Y: 10}})
+	b1 := register(here, model.Sensor{ID: "b", Attr: model.RelativeHumidity, Location: geom.Point2D{X: 20, Y: 20}})
+	register(there, model.Sensor{ID: "b", Attr: model.WindSpeed, Location: geom.Point2D{X: 900, Y: 900}})
+	a2 := register(there, model.Sensor{ID: "a", Attr: model.RelativeHumidity, Location: geom.Point2D{X: 910, Y: 910}})
+	t1, t2 := NewAdvertisementTable(0, here), NewAdvertisementTable(0, there)
+	t1.Add(1, a1)
+	t1.Add(1, b1)
+	t2.Add(1, a2) // "b" is registered there but not advertised to this node
+
+	near := geom.NewRegion(0, 0, 100, 100)
+	wind := absSub(t, "wind", near, model.WindSpeed)
+	if p := t1.Project(wind, 1); p == nil || !t1.HasAllSources(wind) {
+		t.Errorf("here: wind near the origin projects to %v", p)
 	}
-	for w, tbl := range tables {
-		if tbl.Count() != len(sensors) {
-			t.Errorf("table %d: Count = %d, want %d", w, tbl.Count(), len(sensors))
-		}
+	if p := t2.Project(wind, 1); p != nil || t2.HasAllSources(wind) {
+		t.Errorf("there: no wind sensor near the origin, but it projects to %v", p)
+	}
+	far := absSub(t, "far", geom.NewRegion(800, 800, 1000, 1000), model.RelativeHumidity)
+	if p := t2.Project(far, 1); p == nil || !t2.HasAllSources(far) {
+		t.Errorf("there: humidity far out projects to %v", p)
+	}
+	if p := t1.Project(far, 1); p != nil || t1.HasAllSources(far) {
+		t.Errorf("here: no humidity far out, but it projects to %v", p)
+	}
+	both := idSub(t, "both", "a", "b")
+	if p := t1.Project(both, 1); p == nil || !slices.Equal(p.Sensors(), []model.SensorID{"a", "b"}) || !t1.HasAllSources(both) {
+		t.Errorf("here: a and b project to %v", p)
+	}
+	if p := t2.Project(both, 1); p == nil || !slices.Equal(p.Sensors(), []model.SensorID{"a"}) || t2.HasAllSources(both) {
+		t.Errorf("there: only a is advertised, but a and b project to %v", p)
+	}
+	if !t1.Known("b") || t2.Known("b") {
+		t.Errorf("Known(b) = %v here, %v there; want true, false", t1.Known("b"), t2.Known("b"))
 	}
 }
 
 // FuzzAdvertisementTable runs random sequences of Add, Known, Project,
 // HasAllSources and OriginsMatching against the reference, each drawn from
 // its seed like the reference test's runs (whose seeds are the corpus): a
-// pool of 2–401 sensors, the subscriptions over it, and 400 operations.
+// pool of 2–401 sensors, each with one attribute type and one location, the
+// subscriptions over it, and 400 operations.
 func FuzzAdvertisementTable(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(seed)
@@ -413,25 +404,21 @@ func FuzzAdvertisementTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := stats.NewRNG(seed)
 		pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
-		sensors := advPool("d", 2+pick(400))
+		registry, sensors := advPool(t, rng, "d", 2+pick(400), advertised, func() geom.Point2D {
+			return geom.Point2D{X: float64(pick(40)) * 25, Y: float64(pick(40)) * 25}
+		})
 		subs := advSubscriptions(t, rng, sensors, advertised, silent)
 		probes := append(slices.Clone(sensors), advGhost, "")
-		tbl, ref := NewAdvertisementTable(advSelf), newRefAdvTable()
+		tbl, ref := NewAdvertisementTable(advSelf, registry), newRefAdvTable()
 		for op := 0; op < 400; op++ {
 			at := fmt.Sprintf("seed %d op %d", seed, op)
-			interned := internedSensors()
 			switch sub := subs[pick(len(subs))]; pick(5) {
 			case 0:
 				origin := advOrigins[pick(len(advOrigins))]
-				adv := model.Advertisement{
-					Sensor:   sensors[pick(len(sensors))],
-					Attr:     advertised[pick(len(advertised))],
-					Location: geom.Point2D{X: float64(pick(40)) * 25, Y: float64(pick(40)) * 25},
-				}
+				adv := registry.Advertisement(model.SensorRef(pick(len(sensors))))
 				if got, want := tbl.Add(origin, adv), ref.add(origin, adv); got != want {
 					t.Fatalf("%s: Add(%d, %v) = %v, reference %v", at, origin, adv, got, want)
 				}
-				continue
 			case 1:
 				d := pick(len(probes))
 				checkKnown(t, at, tbl, ref, probes[d:d+1])
@@ -441,9 +428,6 @@ func FuzzAdvertisementTable(f *testing.F) {
 				checkHasAllSources(t, at, tbl, ref, sub)
 			case 4:
 				checkOriginsMatching(t, at, tbl, ref, sub, excludes[pick(len(excludes))])
-			}
-			if n := internedSensors(); n != interned {
-				t.Fatalf("%s: a reader grew the intern table %d -> %d", at, interned, n)
 			}
 		}
 		checkCount(t, fmt.Sprintf("seed %d", seed), tbl, ref)

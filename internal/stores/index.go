@@ -56,9 +56,11 @@ type EventIndex struct {
 
 	// Until the first lookup, members are staged in pending instead of
 	// being inserted into the trees one by one; build() packs them all at
-	// once. A staged member removed before the build is only deleted from
+	// once. A staged member removed before the build is deleted from
 	// members — the flush skips entries the map no longer owns — so pending
-	// may briefly hold dead members, never miss a live one.
+	// may hold dead members, never miss a live one. Remove compacts it once
+	// the dead outnumber the live twice over, so an index no reading ever
+	// stabs does not keep every subscription ever registered in it.
 	pending []*ixMember
 	built   bool
 
@@ -109,7 +111,23 @@ func (x *EventIndex) Remove(id model.SubscriptionID) bool {
 		e.list.release(e)
 	}
 	m.entries = nil
+	if !x.built && len(x.pending) > 2*len(x.members)+16 {
+		x.compactPending()
+	}
 	return true
+}
+
+// compactPending drops the staged members that are no longer live, keeping
+// the order of the rest, so the deferred build packs the same batch.
+func (x *EventIndex) compactPending() {
+	live := x.pending[:0]
+	for _, m := range x.pending {
+		if x.members[m.sub.ID] == m {
+			live = append(live, m)
+		}
+	}
+	clear(x.pending[len(live):])
+	x.pending = live
 }
 
 // Len returns the number of live subscriptions in the index.

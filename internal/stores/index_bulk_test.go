@@ -99,6 +99,52 @@ func TestEventIndexStagedRemovalAndReAdd(t *testing.T) {
 	}
 }
 
+// TestEventIndexStagingStaysBounded churns 10 000 add/remove pairs through
+// an index no lookup has ever built, beside 50 members that stay: the
+// staged list must stay bounded by the live population instead of keeping
+// every subscription ever registered, and the first lookup must then see
+// exactly the members that stayed.
+func TestEventIndexStagingStaysBounded(t *testing.T) {
+	rng := stats.NewRNG(91)
+	idx := NewEventIndex()
+	var kept []*model.Subscription
+	for i := 0; i < 50; i++ {
+		sub := randomSubscription(t, rng, i)
+		kept = append(kept, sub)
+		idx.Add(sub)
+	}
+	// A few subscriptions are drawn once and re-registered under one ID,
+	// as a client that reuses its query ID does.
+	churn := make([]*model.Subscription, 8)
+	for i := range churn {
+		churn[i] = randomSubscription(t, rng, 1000+i)
+	}
+	peak := 0
+	for i := 0; i < 10000; i++ {
+		sub := churn[i%len(churn)]
+		if i%2 == 0 {
+			sub = randomSubscription(t, rng, 2000+i) // a fresh ID
+		}
+		idx.Add(sub)
+		if !idx.Remove(sub.ID) {
+			t.Fatalf("pair %d: Remove(%s) failed", i, sub.ID)
+		}
+		peak = max(peak, len(idx.pending))
+	}
+	if bound := 2*len(kept) + 17; peak > bound {
+		t.Fatalf("staged list peaked at %d entries for %d live members, want at most %d", peak, len(kept), bound)
+	}
+	if idx.Len() != len(kept) {
+		t.Fatalf("Len() = %d, want %d", idx.Len(), len(kept))
+	}
+	for q := 0; q < 200; q++ {
+		ev := randomEvent(rng, uint64(q+1))
+		if got, want := candidateIDs(idx, ev), linearMatchIDs(kept, ev); !equalStrings(got, want) {
+			t.Fatalf("candidates(%v) = %v, want %v", ev, got, want)
+		}
+	}
+}
+
 // TestEventIndexStats sanity-checks the diagnostic counters: entry and tree
 // counts match the population, the packed trees respect the balance bound,
 // and the lookup tallies advance with queries.

@@ -10,8 +10,19 @@ import (
 	"sensorcq/internal/topology"
 )
 
-func adv(sensor model.SensorID, attr model.AttributeType, x, y float64) model.Advertisement {
-	return model.Advertisement{Sensor: sensor, Attr: attr, Location: geom.Point2D{X: x, Y: y}}
+// newAdvTable returns self's table over a fresh network registry, and adv,
+// which registers a sensor in that registry and returns its advertisement.
+func newAdvTable(t testing.TB, self topology.NodeID) (*AdvertisementTable, func(model.SensorID, model.AttributeType, float64, float64) model.Advertisement) {
+	sensors := model.NewSensorRegistry()
+	adv := func(sensor model.SensorID, attr model.AttributeType, x, y float64) model.Advertisement {
+		t.Helper()
+		ref, err := sensors.Register(model.Sensor{ID: sensor, Attr: attr, Location: geom.Point2D{X: x, Y: y}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sensors.Advertisement(ref)
+	}
+	return NewAdvertisementTable(self, sensors), adv
 }
 
 func absSub(t *testing.T, id string, region geom.Region, attrs ...model.AttributeType) *model.Subscription {
@@ -41,7 +52,7 @@ func idSub(t *testing.T, id string, sensors ...model.SensorID) *model.Subscripti
 }
 
 func TestAdvertisementTableBasics(t *testing.T) {
-	tbl := NewAdvertisementTable(5)
+	tbl, adv := newAdvTable(t, 5)
 	if !tbl.Add(1, adv("d1", model.WindSpeed, 0, 0)) {
 		t.Fatal("first add should succeed")
 	}
@@ -76,7 +87,7 @@ func TestAdvertisementTableBasics(t *testing.T) {
 }
 
 func TestAdvertisementTableProjectIdentified(t *testing.T) {
-	tbl := NewAdvertisementTable(0)
+	tbl, adv := newAdvTable(t, 0)
 	tbl.Add(1, adv("a", model.AmbientTemperature, 0, 0))
 	tbl.Add(1, adv("b", model.RelativeHumidity, 0, 0))
 	tbl.Add(2, adv("c", model.WindSpeed, 0, 0))
@@ -100,7 +111,7 @@ func TestAdvertisementTableProjectIdentified(t *testing.T) {
 }
 
 func TestAdvertisementTableProjectAbstractRespectsRegion(t *testing.T) {
-	tbl := NewAdvertisementTable(0)
+	tbl, adv := newAdvTable(t, 0)
 	tbl.Add(1, adv("near", model.WindSpeed, 10, 10))
 	tbl.Add(2, adv("far", model.WindSpeed, 900, 900))
 	tbl.Add(2, adv("hum", model.RelativeHumidity, 20, 20))
@@ -120,7 +131,7 @@ func TestAdvertisementTableProjectAbstractRespectsRegion(t *testing.T) {
 }
 
 func TestAdvertisementTableHasAllSources(t *testing.T) {
-	tbl := NewAdvertisementTable(0)
+	tbl, adv := newAdvTable(t, 0)
 	tbl.Add(1, adv("a", model.WindSpeed, 10, 10))
 	tbl.Add(2, adv("b", model.RelativeHumidity, 20, 20))
 
@@ -144,7 +155,7 @@ func TestAdvertisementTableHasAllSources(t *testing.T) {
 }
 
 func TestAdvertisementTableOriginsMatching(t *testing.T) {
-	tbl := NewAdvertisementTable(9)
+	tbl, adv := newAdvTable(t, 9)
 	tbl.Add(1, adv("a", model.WindSpeed, 10, 10))
 	tbl.Add(2, adv("b", model.RelativeHumidity, 20, 20))
 	tbl.Add(3, adv("c", model.AmbientTemperature, 30, 30))

@@ -167,6 +167,9 @@ func GenerateDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		// Shuffle the attribute order along the chain so that different
 		// groups expose their sensors in different orders.
 		order := rng.Perm(count)
+		// perAttr numbers each attribute type's sensors within the group,
+		// so sensor IDs are unique however many sensors a group holds.
+		perAttr := map[model.AttributeType]int{}
 		prev := hub
 		for k := 0; k < count; k++ {
 			node := NodeID(next)
@@ -182,10 +185,11 @@ func GenerateDeployment(cfg DeploymentConfig) (*Deployment, error) {
 				Y: groupCenter[gi].Y + rng.Range(-radius, radius),
 			}
 			sensor := model.Sensor{
-				ID:       model.SensorID(fmt.Sprintf("g%02d-%s-%d", gi, attr, k/len(cfg.Attributes))),
+				ID:       model.SensorID(fmt.Sprintf("g%02d-%s-%d", gi, attr, perAttr[attr])),
 				Attr:     attr,
 				Location: loc,
 			}
+			perAttr[attr]++
 			dep.Sensors = append(dep.Sensors, sensor)
 			dep.SensorHost[sensor.ID] = node
 			dep.NodeSensors[node] = append(dep.NodeSensors[node], sensor)

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -308,5 +309,38 @@ func TestPropertyGeneratedDeploymentsAreTrees(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGeneratedSensorIDsAreUnique generates groups of 1 to 12 sensors over
+// the five default attribute types: every sensor ID must be distinct, since a
+// network advertises each sensor once. Up to one sensor per attribute type a
+// group's IDs all end in -0; past that each type's sensors count up.
+func TestGeneratedSensorIDsAreUnique(t *testing.T) {
+	attrs := model.DefaultAttributes()
+	for perGroup := 1; perGroup <= 12; perGroup++ {
+		for seed := int64(1); seed <= 5; seed++ {
+			const groups = 3
+			dep, err := GenerateDeployment(DeploymentConfig{
+				TotalNodes: groups*perGroup + groups + 4, SensorNodes: groups * perGroup, Groups: groups,
+				Attributes: attrs, Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[model.SensorID]bool{}
+			for _, s := range dep.Sensors {
+				if seen[s.ID] {
+					t.Fatalf("%d per group, seed %d: sensor ID %s is generated twice", perGroup, seed, s.ID)
+				}
+				seen[s.ID] = true
+				if perGroup <= len(attrs) && !strings.HasSuffix(string(s.ID), "-0") {
+					t.Errorf("%d per group, seed %d: sensor ID %s, want suffix -0", perGroup, seed, s.ID)
+				}
+			}
+			if len(dep.SensorHost) != len(dep.Sensors) {
+				t.Fatalf("%d per group, seed %d: %d hosts for %d sensors", perGroup, seed, len(dep.SensorHost), len(dep.Sensors))
+			}
+		}
 	}
 }
