@@ -102,12 +102,13 @@ func TestReexposeAllocatesNothing(t *testing.T) {
 // TestAdvertisementFloodRetainedHeap pins what set-up at width leaves
 // behind: after the advertisement flood of a 1000-node, 250-sensor network on
 // the concurrent engine (attach, Flush, Trim, as NewSystem runs them), the
-// network retains at most 25 bytes per advertisement message: every node's
-// table keeps a sensor as a bit of its origin's bitset and a 4-byte ref in
-// one of its grids, and the network's registry keeps the coordinates once.
+// network retains at most 10 bytes per advertisement message: a sensor costs
+// each node one bit, in the bitset of the origin it arrived from, and no
+// more, and the network's registry keeps its attribute type and location
+// once; the rest is the nodes' and the engine's own state.
 // floodOnce checks the message count itself, sensors × (nodes − 1).
 func TestAdvertisementFloodRetainedHeap(t *testing.T) {
-	const nodes, allowed = 1000, 25
+	const nodes, allowed = 1000, 10
 	dep, factory := floodDeployment(t, nodes)
 	nop := func() {}
 	live, messages := floodOnce(t, dep, factory, nop, nop)

@@ -251,7 +251,7 @@ func NewNode(self topology.NodeID, cfg Config) *Node {
 		cfg:       cfg,
 		checker:   cfg.Checker(self),
 		self:      self,
-		advs:      stores.NewAdvertisementTable(self, nil),
+		advs:      stores.NewAdvertisementTable(nil),
 		window:    stores.NewEventWindow(1),
 		localSubs: map[model.SubscriptionID]*model.Subscription{},
 		localIdx:  stores.NewEventIndex(),
@@ -287,7 +287,7 @@ func (n *Node) newKey() uint32 {
 // over the network's sensor registry: until Init it has none to read.
 func (n *Node) Init(ctx *netsim.Context) {
 	n.ctx = ctx
-	n.advs = stores.NewAdvertisementTable(n.self, ctx.Sensors())
+	n.advs = stores.NewAdvertisementTable(ctx.Sensors())
 }
 
 // Name returns the configured approach name.

@@ -13,20 +13,29 @@ import (
 )
 
 // tableAnswers renders what a node's advertisement table answers about every
-// sensor (which origins an identified query on it projects onto) and about
-// every attribute type in every region (the origins an abstract query
+// sensor (which neighbours an identified query on it projects onto) and about
+// every attribute type in every region (the neighbours an abstract query
 // projects onto, and whether it has all its sources), so that two tables
 // can be compared whatever refs their networks gave the sensors.
 func tableAnswers(t *testing.T, n *Node, sensors []model.Sensor, regions []geom.Region) []string {
 	t.Helper()
 	advs := n.Advertisements()
+	via := func(sub *model.Subscription) []topology.NodeID {
+		var out []topology.NodeID
+		for _, j := range n.ctx.Neighbors() {
+			if advs.Project(sub, j) != nil {
+				out = append(out, j)
+			}
+		}
+		return out
+	}
 	out := []string{fmt.Sprintf("count %d", advs.Count())}
 	for _, s := range sensors {
 		sub, err := model.NewIdentifiedSubscription("id", []model.SensorFilter{{Sensor: s.ID, Attr: s.Attr, Range: geom.NewInterval(0, 100)}}, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, fmt.Sprintf("%s: known %v via %v", s.ID, advs.Known(s.ID), advs.OriginsMatching(sub, -1)))
+		out = append(out, fmt.Sprintf("%s: known %v via %v", s.ID, advs.Known(s.ID), via(sub)))
 	}
 	for i, r := range regions {
 		for _, a := range model.DefaultAttributes() {
@@ -34,7 +43,7 @@ func tableAnswers(t *testing.T, n *Node, sensors []model.Sensor, regions []geom.
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, fmt.Sprintf("region %d %s: all %v via %v", i, a, advs.HasAllSources(sub), advs.OriginsMatching(sub, -1)))
+			out = append(out, fmt.Sprintf("region %d %s: all %v via %v", i, a, advs.HasAllSources(sub), via(sub)))
 		}
 	}
 	return out

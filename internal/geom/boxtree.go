@@ -17,8 +17,7 @@ import (
 // structure with (value, x, y) instead of stabbing a per-attribute interval
 // tree and re-checking the region on every candidate.
 //
-// Unlike PointGrid — which records insertions and rebuilds lazily on the
-// next query — the BoxTree is a dynamic bounding-volume tree
+// The BoxTree is a dynamic bounding-volume tree
 // maintained in place: Insert descends to the cheapest sibling (capped
 // perimeter heuristic), splices in a new parent and rebalances with AVL-style
 // rotations on the way up; Remove splices the leaf out and refits/rebalances
@@ -37,9 +36,8 @@ import (
 //
 // Boxes with an empty dimension can contain no point; Insert reports them
 // with a negative token and stores nothing (Remove of a negative token is a
-// no-op). A BoxTree is not safe for concurrent use; like the other geom
-// indexes, every protocol handler owns its own and the engines guarantee
-// per-node sequential execution.
+// no-op). A BoxTree is not safe for concurrent use; every protocol handler
+// owns its own and the engines guarantee per-node sequential execution.
 type BoxTree struct {
 	dims  int
 	nodes []btNode

@@ -1,19 +1,15 @@
 // Package geom provides the small geometric vocabulary used throughout the
 // library — closed numeric intervals, 2D points and rectangular regions, and
 // axis-aligned hyper-rectangles ("boxes") used by the subsumption checker —
-// plus the spatial indexes the matching fast paths are built on:
-//
-//   - BoxTree, an incrementally maintained (O(log n) insert/remove, AVL-style
-//     rotations, pooled nodes) point-stabbing tree over k-dimensional boxes —
-//     the composite multi-attribute structure behind the event-match index;
-//   - PointGrid, a lazily rebuilt uniform grid of 4-byte refs into a
-//     caller-owned slice of 2D points, for region containment queries over
-//     advertised sensor locations.
+// plus the spatial index the matching fast path is built on: BoxTree, an
+// incrementally maintained (O(log n) insert/remove, AVL-style rotations,
+// pooled nodes) point-stabbing tree over k-dimensional boxes, the composite
+// multi-attribute structure behind the event-match index.
 //
 // The value types are plain values: safe to copy, compare and use as map
 // values, with meaningful zero values (the zero Interval is the degenerate
 // point [0,0], the zero Region is the degenerate point region at the
-// origin). The index structures are not safe for concurrent use.
+// origin). The index is not safe for concurrent use.
 package geom
 
 import (

@@ -16,7 +16,8 @@ type SensorRef uint32
 // SensorRegistry is one network's append-only record of its sensors. It
 // gives each sensor a SensorRef on its first registration and keeps the
 // sensor's ID, attribute type and location once for the whole network, so
-// every node's advertisement table stores refs and reads coordinates here.
+// every node's advertisement table stores a bit per ref and reads each
+// sensor's attribute type and location here.
 //
 // Registration takes a lock; reading a registered sensor by ref does not. The
 // columns are republished as one snapshot on every registration, and a ref
@@ -85,6 +86,10 @@ func (r *SensorRegistry) Advertisement(ref SensorRef) Advertisement {
 	return Advertisement{Ref: ref, Sensor: cols.ids[ref], Attr: cols.attrs[ref], Location: cols.locs[ref]}
 }
 
-// Locations returns the registered sensors' locations, indexed by ref. The
-// slice is a snapshot: callers read it and never write it.
-func (r *SensorRegistry) Locations() []geom.Point2D { return r.cols.Load().locs }
+// Columns returns the registered sensors' attribute types and locations,
+// each indexed by ref, from one snapshot. The slices are shared: callers read
+// them and never write them.
+func (r *SensorRegistry) Columns() ([]AttributeType, []geom.Point2D) {
+	cols := r.cols.Load()
+	return cols.attrs, cols.locs
+}

@@ -4,15 +4,14 @@
 // timestamp-ordered event store U with per-destination "already forwarded"
 // flags used by the event-propagation algorithm (Algorithm 5) — integer keys
 // the protocol node draws and owns, one per destination — plus the
-// range indexes that keep matching sublinear as the stored populations
-// grow: EventIndex — a composite multi-attribute match index built on
+// range index that keeps matching sublinear as the stored population
+// grows: EventIndex — a composite multi-attribute match index built on
 // geom.BoxTree that stabs every filter dimension (value range × spatial
 // region) at once and maintains itself incrementally under
 // subscribe/unsubscribe churn, one ordinary entry per registered
-// subscription — and the advertisement table's per-origin bitsets of sensor
-// refs and per-(origin, attribute) geom.PointGrid location grids (there is
-// no table-wide grid: a question about every origin asks each of the node's
-// few origins in turn).
+// subscription. The advertisement table keeps one bitset of sensor refs per
+// origin and answers region questions by walking it over the network's
+// sensor registry.
 //
 // The structures are not safe for concurrent use; each protocol handler owns
 // one set of them and the engines guarantee per-node sequential execution.
@@ -20,7 +19,7 @@
 package stores
 
 import (
-	"slices"
+	"math/bits"
 
 	"sensorcq/internal/geom"
 	"sensorcq/internal/model"
@@ -31,17 +30,16 @@ import (
 // received from each neighbour (and from locally attached sensors, filed
 // under the node's own ID). Algorithm 1 floods every advertisement to every
 // node — n nodes and s sensors make n·s entries — so the table keeps of one
-// only its sensor's ref in the network's registry (model.SensorRegistry),
-// which holds each sensor's ID, attribute type and location once for every
-// node. Per origin it keeps a bitset over the network's refs (the exact
-// answer to Add's "already advertised by this origin" and to Known's and
-// Project's "behind this neighbour"), and per (origin, attribute) a
-// geom.PointGrid of refs that reads the locations from the registry and
-// answers "any of this attribute inside this region via this neighbour"
-// (Project, HasAllSources, OriginsMatching). That is a bit and four bytes
+// only its sensor's bit in the origin's bitset over the refs of the
+// network's registry (model.SensorRegistry), which holds each sensor's ID,
+// attribute type and location once for every node. The bitset answers Add's
+// "already advertised by this origin" and Known's and the identified
+// Project's "behind this neighbour" exactly; "any of this attribute inside
+// this region via this neighbour" (the abstract Project, HasAllSources)
+// walks the origin's set bits and reads each sensor's attribute type and
+// location from the registry, stopping at the first inside. That is one bit
 // per entry, none of it scanned by the garbage collector.
 type AdvertisementTable struct {
-	self    topology.NodeID
 	sensors *model.SensorRegistry
 	// origins has one entry per origin heard from, in order of first
 	// advertisement: a node's few neighbours and itself, found by scan.
@@ -57,17 +55,10 @@ type AdvertisementTable struct {
 	attrScratch   []model.AttributeType
 }
 
-// originAds is what one origin advertised: its sensors, and their locations
-// per attribute type (a handful of types, found by scan like the origins).
+// originAds is what one origin advertised: its sensors' refs.
 type originAds struct {
 	origin  topology.NodeID
 	sensors refBits
-	attrs   []attrLocations
-}
-
-type attrLocations struct {
-	attr model.AttributeType
-	locs geom.PointGrid
 }
 
 // refBits is a set of sensor refs as a bitset, grown to cover the largest
@@ -93,29 +84,24 @@ func (b *refBits) insert(ref model.SensorRef) bool {
 	return true
 }
 
-// anyInRegion reports whether the origin advertised at least one sensor of
-// the attribute type located inside the region; locs are the registry's
-// locations.
-func (o *originAds) anyInRegion(locs []geom.Point2D, attr model.AttributeType, r geom.Region) bool {
-	for i := range o.attrs {
-		if o.attrs[i].attr != attr {
-			continue
+// anyInRegion reports whether the set holds a sensor of the attribute type
+// located inside the region; attrs and locs are the registry's columns.
+func (b refBits) anyInRegion(attrs []model.AttributeType, locs []geom.Point2D, attr model.AttributeType, r geom.Region) bool {
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			ref := w*64 + bits.TrailingZeros64(word)
+			if attrs[ref] == attr && r.Contains(locs[ref]) {
+				return true
+			}
 		}
-		found := false
-		o.attrs[i].locs.Query(locs, r, func(uint32) bool {
-			found = true
-			return false
-		})
-		return found
 	}
 	return false
 }
 
-// NewAdvertisementTable returns an empty table for the given node, over the
-// registry of the node's network. A table without a registry (nil) must not
-// be used.
-func NewAdvertisementTable(self topology.NodeID, sensors *model.SensorRegistry) *AdvertisementTable {
-	return &AdvertisementTable{self: self, sensors: sensors}
+// NewAdvertisementTable returns an empty table over the registry of the
+// node's network. A table without a registry (nil) must not be used.
+func NewAdvertisementTable(sensors *model.SensorRegistry) *AdvertisementTable {
+	return &AdvertisementTable{sensors: sensors}
 }
 
 // from returns the entry of an origin, nil when it advertised nothing yet.
@@ -138,18 +124,7 @@ func (t *AdvertisementTable) Add(origin topology.NodeID, adv model.Advertisement
 		t.origins = append(t.origins, originAds{origin: origin})
 		o = &t.origins[len(t.origins)-1]
 	}
-	if !o.sensors.insert(adv.Ref) {
-		return false
-	}
-	i := 0
-	for i < len(o.attrs) && o.attrs[i].attr != adv.Attr {
-		i++
-	}
-	if i == len(o.attrs) {
-		o.attrs = append(o.attrs, attrLocations{attr: adv.Attr})
-	}
-	o.attrs[i].locs.Add(uint32(adv.Ref))
-	return true
+	return o.sensors.insert(adv.Ref)
 }
 
 // Known reports whether the sensor was advertised by any origin.
@@ -170,9 +145,8 @@ func (t *AdvertisementTable) Known(sensor model.SensorID) bool {
 func (t *AdvertisementTable) Count() int {
 	total := 0
 	for i := range t.origins {
-		attrs := t.origins[i].attrs
-		for j := range attrs {
-			total += attrs[j].locs.Len()
+		for _, word := range t.origins[i].sensors {
+			total += bits.OnesCount64(word)
 		}
 	}
 	return total
@@ -202,9 +176,9 @@ func (t *AdvertisementTable) Project(sub *model.Subscription, origin topology.No
 		return sub.ProjectSensors(sensors)
 	}
 	attrs := t.attrScratch[:0]
-	locs := t.sensors.Locations()
+	types, locs := t.sensors.Columns()
 	for a := range sub.AttrFilters {
-		if o.anyInRegion(locs, a, sub.Region) {
+		if o.sensors.anyInRegion(types, locs, a, sub.Region) {
 			attrs = append(attrs, a)
 		}
 	}
@@ -227,40 +201,15 @@ func (t *AdvertisementTable) HasAllSources(sub *model.Subscription) bool {
 		}
 		return true
 	}
+	types, locs := t.sensors.Columns()
+next:
 	for a := range sub.AttrFilters {
-		if !t.anyInRegion(a, sub.Region) {
-			return false
+		for i := range t.origins {
+			if t.origins[i].sensors.anyInRegion(types, locs, a, sub.Region) {
+				continue next
+			}
 		}
+		return false
 	}
 	return true
-}
-
-// anyInRegion asks every origin in turn: with few origins per node that
-// costs less than a second, table-wide grid would to keep.
-func (t *AdvertisementTable) anyInRegion(attr model.AttributeType, r geom.Region) bool {
-	locs := t.sensors.Locations()
-	for i := range t.origins {
-		if t.origins[i].anyInRegion(locs, attr, r) {
-			return true
-		}
-	}
-	return false
-}
-
-// OriginsMatching returns the origins (excluding the given one) whose
-// advertised data space overlaps the subscription, i.e. the neighbours the
-// subscription must be forwarded to. The result is sorted.
-func (t *AdvertisementTable) OriginsMatching(sub *model.Subscription, exclude topology.NodeID) []topology.NodeID {
-	var out []topology.NodeID
-	for i := range t.origins {
-		origin := t.origins[i].origin
-		if origin == exclude || origin == t.self {
-			continue
-		}
-		if t.Project(sub, origin) != nil {
-			out = append(out, origin)
-		}
-	}
-	slices.Sort(out)
-	return out
 }

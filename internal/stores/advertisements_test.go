@@ -15,7 +15,6 @@ import (
 // against: every advertisement kept whole, per origin and sensor, and every
 // question answered by scanning them.
 type refAdvTable struct {
-	self     topology.NodeID
 	byOrigin map[topology.NodeID]map[model.SensorID]model.Advertisement
 }
 
@@ -93,17 +92,6 @@ func (r *refAdvTable) hasAllSources(sub *model.Subscription) bool {
 		}
 	}
 	return true
-}
-
-func (r *refAdvTable) originsMatching(sub *model.Subscription, exclude topology.NodeID) []topology.NodeID {
-	var out []topology.NodeID
-	for o := range r.byOrigin {
-		if o != exclude && o != r.self && len(r.project(sub, o)) > 0 {
-			out = append(out, o)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // projectionKeys flattens a projected operator into its sorted filter keys.
@@ -203,9 +191,9 @@ func advSubscriptions(t testing.TB, rng *stats.RNG, sensors []model.SensorID, ad
 	return subs
 }
 
-// newRefAdvTable returns an empty reference for advSelf's table.
+// newRefAdvTable returns an empty reference table.
 func newRefAdvTable() *refAdvTable {
-	return &refAdvTable{self: advSelf, byOrigin: map[topology.NodeID]map[model.SensorID]model.Advertisement{}}
+	return &refAdvTable{byOrigin: map[topology.NodeID]map[model.SensorID]model.Advertisement{}}
 }
 
 // checkKnown compares Known for every probed sensor.
@@ -234,17 +222,8 @@ func checkHasAllSources(t testing.TB, at string, tbl *AdvertisementTable, ref *r
 	}
 }
 
-// checkOriginsMatching compares OriginsMatching of the subscription.
-func checkOriginsMatching(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdvTable, sub *model.Subscription, exclude topology.NodeID) {
-	t.Helper()
-	if got, want := tbl.OriginsMatching(sub, exclude), ref.originsMatching(sub, exclude); !slices.Equal(got, want) {
-		t.Fatalf("%s: OriginsMatching(%s, %d) = %v, reference %v", at, sub.ID, exclude, got, want)
-	}
-}
-
 // checkAdvTable compares every reader's answer: Known for every probe,
-// Project onto every origin (and one never heard from), HasAllSources and
-// OriginsMatching.
+// Project onto every origin (and one never heard from) and HasAllSources.
 func checkAdvTable(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdvTable, probes []model.SensorID, subs []*model.Subscription, origins []topology.NodeID) {
 	t.Helper()
 	checkKnown(t, at, tbl, ref, probes)
@@ -253,9 +232,6 @@ func checkAdvTable(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdv
 			checkProject(t, at, tbl, ref, sub, o)
 		}
 		checkHasAllSources(t, at, tbl, ref, sub)
-		for _, exclude := range []topology.NodeID{-1, 1, advSelf} {
-			checkOriginsMatching(t, at, tbl, ref, sub, exclude)
-		}
 	}
 }
 
@@ -278,11 +254,10 @@ func checkCount(t testing.TB, at string, tbl *AdvertisementTable, ref *refAdvTab
 // never hears of — and compares every answer after every step: Add's
 // verdict, Known, Project per origin (identified and abstract, over empty,
 // whole-plane, degenerate and random regions, and over an attribute nobody
-// advertises), HasAllSources and OriginsMatching. Each pooled sensor has one
-// attribute type and one location, as in a network. A last run floods 5000
-// sensors over three origins, so the origins' bitsets and grids grow through
-// several sizes; it compares every Add verdict and the readers at
-// checkpoints.
+// advertises) and HasAllSources. Each pooled sensor has one attribute type
+// and one location, as in a network. A last run floods 5000 sensors over
+// three origins, so the origins' bitsets grow through several sizes; it
+// compares every Add verdict and the readers at checkpoints.
 func TestAdvertisementTableMatchesReference(t *testing.T) {
 	attrs := model.DefaultAttributes()
 	advertised, silent := attrs[:len(attrs)-1], attrs[len(attrs)-1]
@@ -291,7 +266,7 @@ func TestAdvertisementTableMatchesReference(t *testing.T) {
 		pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
 		coord := func() float64 {
 			if seed%3 == 0 {
-				return 250 // every sensor on one spot: a grid without extent
+				return 250 // every sensor on one spot
 			}
 			return float64(pick(40)) * 25 // repeats are common
 		}
@@ -299,7 +274,7 @@ func TestAdvertisementTableMatchesReference(t *testing.T) {
 		subs := advSubscriptions(t, rng, sensors, advertised, silent)
 		probes := append(slices.Clone(sensors), advGhost, "")
 
-		tbl, ref := NewAdvertisementTable(advSelf, registry), newRefAdvTable()
+		tbl, ref := NewAdvertisementTable(registry), newRefAdvTable()
 		var last model.Advertisement
 		for step := 0; step < 150; step++ {
 			origin := advOrigins[pick(len(advOrigins))]
@@ -324,7 +299,7 @@ func TestAdvertisementTableMatchesReference(t *testing.T) {
 	subs := advSubscriptions(t, rng, sensors, advertised, silent)
 	probes := append(slices.Clone(sensors), advGhost)
 	origins := []topology.NodeID{advSelf, 1, 2}
-	tbl, ref := NewAdvertisementTable(advSelf, registry), newRefAdvTable()
+	tbl, ref := NewAdvertisementTable(registry), newRefAdvTable()
 	for step := 1; step <= 24000; step++ {
 		origin := origins[pick(len(origins))]
 		adv := registry.Advertisement(model.SensorRef(pick(len(sensors))))
@@ -356,7 +331,7 @@ func TestAdvertisementTablesOfTwoNetworks(t *testing.T) {
 	b1 := register(here, model.Sensor{ID: "b", Attr: model.RelativeHumidity, Location: geom.Point2D{X: 20, Y: 20}})
 	register(there, model.Sensor{ID: "b", Attr: model.WindSpeed, Location: geom.Point2D{X: 900, Y: 900}})
 	a2 := register(there, model.Sensor{ID: "a", Attr: model.RelativeHumidity, Location: geom.Point2D{X: 910, Y: 910}})
-	t1, t2 := NewAdvertisementTable(0, here), NewAdvertisementTable(0, there)
+	t1, t2 := NewAdvertisementTable(here), NewAdvertisementTable(there)
 	t1.Add(1, a1)
 	t1.Add(1, b1)
 	t2.Add(1, a2) // "b" is registered there but not advertised to this node
@@ -388,9 +363,8 @@ func TestAdvertisementTablesOfTwoNetworks(t *testing.T) {
 	}
 }
 
-// FuzzAdvertisementTable runs random sequences of Add, Known, Project,
-// HasAllSources and OriginsMatching against the reference, each drawn from
-// its seed like the reference test's runs (whose seeds are the corpus): a
+// FuzzAdvertisementTable runs random sequences of Add, Known, Project and
+// HasAllSources against the reference, each drawn from its seed like the reference test's runs (whose seeds are the corpus): a
 // pool of 2–401 sensors, each with one attribute type and one location, the
 // subscriptions over it, and 400 operations.
 func FuzzAdvertisementTable(f *testing.F) {
@@ -400,7 +374,6 @@ func FuzzAdvertisementTable(f *testing.F) {
 	attrs := model.DefaultAttributes()
 	advertised, silent := attrs[:len(attrs)-1], attrs[len(attrs)-1]
 	origins := append(slices.Clone(advOrigins), 99)
-	excludes := []topology.NodeID{-1, 1, advSelf}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := stats.NewRNG(seed)
 		pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
@@ -409,10 +382,10 @@ func FuzzAdvertisementTable(f *testing.F) {
 		})
 		subs := advSubscriptions(t, rng, sensors, advertised, silent)
 		probes := append(slices.Clone(sensors), advGhost, "")
-		tbl, ref := NewAdvertisementTable(advSelf, registry), newRefAdvTable()
+		tbl, ref := NewAdvertisementTable(registry), newRefAdvTable()
 		for op := 0; op < 400; op++ {
 			at := fmt.Sprintf("seed %d op %d", seed, op)
-			switch sub := subs[pick(len(subs))]; pick(5) {
+			switch sub := subs[pick(len(subs))]; pick(4) {
 			case 0:
 				origin := advOrigins[pick(len(advOrigins))]
 				adv := registry.Advertisement(model.SensorRef(pick(len(sensors))))
@@ -426,8 +399,6 @@ func FuzzAdvertisementTable(f *testing.F) {
 				checkProject(t, at, tbl, ref, sub, origins[pick(len(origins))])
 			case 3:
 				checkHasAllSources(t, at, tbl, ref, sub)
-			case 4:
-				checkOriginsMatching(t, at, tbl, ref, sub, excludes[pick(len(excludes))])
 			}
 		}
 		checkCount(t, fmt.Sprintf("seed %d", seed), tbl, ref)

@@ -10,9 +10,9 @@ import (
 	"sensorcq/internal/topology"
 )
 
-// newAdvTable returns self's table over a fresh network registry, and adv,
+// newAdvTable returns a table over a fresh network registry, and adv,
 // which registers a sensor in that registry and returns its advertisement.
-func newAdvTable(t testing.TB, self topology.NodeID) (*AdvertisementTable, func(model.SensorID, model.AttributeType, float64, float64) model.Advertisement) {
+func newAdvTable(t testing.TB) (*AdvertisementTable, func(model.SensorID, model.AttributeType, float64, float64) model.Advertisement) {
 	sensors := model.NewSensorRegistry()
 	adv := func(sensor model.SensorID, attr model.AttributeType, x, y float64) model.Advertisement {
 		t.Helper()
@@ -22,7 +22,7 @@ func newAdvTable(t testing.TB, self topology.NodeID) (*AdvertisementTable, func(
 		}
 		return sensors.Advertisement(ref)
 	}
-	return NewAdvertisementTable(self, sensors), adv
+	return NewAdvertisementTable(sensors), adv
 }
 
 func absSub(t *testing.T, id string, region geom.Region, attrs ...model.AttributeType) *model.Subscription {
@@ -52,7 +52,7 @@ func idSub(t *testing.T, id string, sensors ...model.SensorID) *model.Subscripti
 }
 
 func TestAdvertisementTableBasics(t *testing.T) {
-	tbl, adv := newAdvTable(t, 5)
+	tbl, adv := newAdvTable(t)
 	if !tbl.Add(1, adv("d1", model.WindSpeed, 0, 0)) {
 		t.Fatal("first add should succeed")
 	}
@@ -72,14 +72,13 @@ func TestAdvertisementTableBasics(t *testing.T) {
 		t.Errorf("Count = %d", tbl.Count())
 	}
 	// Who advertised what is read through the projections: the table keeps
-	// no advertisement list to return. The node's own ID is not a neighbour
-	// to forward to.
+	// no advertisement list to return. Local sensors are filed under the
+	// node's own ID like any origin's.
 	all := idSub(t, "all", "d1", "d2", "d3")
-	if got := tbl.OriginsMatching(all, -1); !slices.Equal(got, []topology.NodeID{1, 2}) {
-		t.Errorf("OriginsMatching = %v, want [1 2]", got)
-	}
-	if p := tbl.Project(all, 1); p == nil || !slices.Equal(p.Sensors(), []model.SensorID{"d1"}) {
-		t.Errorf("Project onto origin 1 = %v, want d1 alone", p)
+	for origin, want := range map[topology.NodeID]model.SensorID{1: "d1", 2: "d2", 5: "d3"} {
+		if p := tbl.Project(all, origin); p == nil || !slices.Equal(p.Sensors(), []model.SensorID{want}) {
+			t.Errorf("Project onto origin %d = %v, want %s alone", origin, p, want)
+		}
 	}
 	if tbl.Project(all, 9) != nil {
 		t.Error("unknown origin should have no advertisements")
@@ -87,7 +86,7 @@ func TestAdvertisementTableBasics(t *testing.T) {
 }
 
 func TestAdvertisementTableProjectIdentified(t *testing.T) {
-	tbl, adv := newAdvTable(t, 0)
+	tbl, adv := newAdvTable(t)
 	tbl.Add(1, adv("a", model.AmbientTemperature, 0, 0))
 	tbl.Add(1, adv("b", model.RelativeHumidity, 0, 0))
 	tbl.Add(2, adv("c", model.WindSpeed, 0, 0))
@@ -111,7 +110,7 @@ func TestAdvertisementTableProjectIdentified(t *testing.T) {
 }
 
 func TestAdvertisementTableProjectAbstractRespectsRegion(t *testing.T) {
-	tbl, adv := newAdvTable(t, 0)
+	tbl, adv := newAdvTable(t)
 	tbl.Add(1, adv("near", model.WindSpeed, 10, 10))
 	tbl.Add(2, adv("far", model.WindSpeed, 900, 900))
 	tbl.Add(2, adv("hum", model.RelativeHumidity, 20, 20))
@@ -131,7 +130,7 @@ func TestAdvertisementTableProjectAbstractRespectsRegion(t *testing.T) {
 }
 
 func TestAdvertisementTableHasAllSources(t *testing.T) {
-	tbl, adv := newAdvTable(t, 0)
+	tbl, adv := newAdvTable(t)
 	tbl.Add(1, adv("a", model.WindSpeed, 10, 10))
 	tbl.Add(2, adv("b", model.RelativeHumidity, 20, 20))
 
@@ -154,21 +153,25 @@ func TestAdvertisementTableHasAllSources(t *testing.T) {
 	}
 }
 
+// TestAdvertisementTableOriginsMatching asks for the origins whose advertised
+// data space a subscription overlaps, as the split-and-forward phase does:
+// one projection per neighbour, kept when it is not empty.
 func TestAdvertisementTableOriginsMatching(t *testing.T) {
-	tbl, adv := newAdvTable(t, 9)
+	tbl, adv := newAdvTable(t)
 	tbl.Add(1, adv("a", model.WindSpeed, 10, 10))
 	tbl.Add(2, adv("b", model.RelativeHumidity, 20, 20))
 	tbl.Add(3, adv("c", model.AmbientTemperature, 30, 30))
-	tbl.Add(9, adv("local", model.WindDirection, 40, 40)) // local sensors never count
+	tbl.Add(4, adv("far", model.WindSpeed, 900, 900))
 
 	sub := absSub(t, "s", geom.NewRegion(0, 0, 100, 100), model.WindSpeed, model.RelativeHumidity)
-	got := tbl.OriginsMatching(sub, 2) // exclude origin 2
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("OriginsMatching = %v, want [1]", got)
+	var got []topology.NodeID
+	for _, origin := range []topology.NodeID{1, 2, 3, 4, 9} {
+		if tbl.Project(sub, origin) != nil {
+			got = append(got, origin)
+		}
 	}
-	got = tbl.OriginsMatching(sub, -1)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("OriginsMatching = %v, want [1 2]", got)
+	if !slices.Equal(got, []topology.NodeID{1, 2}) {
+		t.Errorf("origins matching = %v, want [1 2]", got)
 	}
 }
 
