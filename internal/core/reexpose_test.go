@@ -346,3 +346,42 @@ func TestReexposeMatchesFullScan(t *testing.T) {
 		}
 	}
 }
+
+// TestReexposeClearsItsScratch: the affected operators a retraction gathers
+// go back to the node cleared, so an operator retracted afterwards is not
+// kept reachable from the scratch.
+func TestReexposeClearsItsScratch(t *testing.T) {
+	e := newHubEngine(t, fsfFactory())
+	for _, f := range []struct {
+		id     model.SubscriptionID
+		lo, hi float64
+	}{{"wide", 0, 100}, {"narrow", 10, 20}, {"narrower", 12, 18}} {
+		sub, err := model.NewAbstractSubscription(f.id, []model.AttributeFilter{{Attr: "a0", Range: geom.NewInterval(f.lo, f.hi)}},
+			geom.WholePlane(), 30, model.NoSpatialConstraint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SubscribeContext(context.Background(), 0, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := coreNode(t, e, 0)
+	if got := subIDs(n.Subscriptions(0).Covered()); !slices.Equal(got, []model.SubscriptionID{"narrow", "narrower"}) {
+		t.Fatalf("covered before the retraction: %v", got)
+	}
+	if err := e.Unsubscribe(0, "wide"); err != nil {
+		t.Fatal(err)
+	}
+	if got := subIDs(n.Subscriptions(0).Covered()); !slices.Equal(got, []model.SubscriptionID{"narrower"}) {
+		t.Fatalf("covered after the retraction: %v (narrow should be re-exposed)", got)
+	}
+	scratch := n.reexposeScratch[:cap(n.reexposeScratch)]
+	if len(scratch) < 2 {
+		t.Fatalf("the retraction gathered %d affected operators into the scratch, want 2", len(scratch))
+	}
+	for i, s := range scratch {
+		if s != nil {
+			t.Errorf("scratch slot %d still holds %s", i, s.ID)
+		}
+	}
+}

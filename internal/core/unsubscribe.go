@@ -107,8 +107,9 @@ func (n *Node) release(ctx *netsim.Context, o *neighbour, id model.SubscriptionI
 func (n *Node) reexpose(ctx *netsim.Context, o *neighbour, retracted *model.Subscription) {
 	// Gathered into the node-owned scratch first: the walk promotes entries,
 	// which splices them out of the covered list being read. The buffer is
-	// returned before the function exits, so churn pays no per-retraction
-	// allocation once it has grown to the largest affected set.
+	// returned, cleared, before the function exits, so churn pays no
+	// per-retraction allocation once it has grown to the largest affected
+	// set, and an operator retracted later is not kept reachable from it.
 	affected := n.reexposeScratch[:0]
 	for _, c := range o.subs.CoveredComparable(retracted) {
 		if subsume.Relevant(c, retracted) {
@@ -120,6 +121,7 @@ func (n *Node) reexpose(ctx *netsim.Context, o *neighbour, retracted *model.Subs
 			n.promote(ctx, o, c)
 		}
 	}
+	clear(affected)
 	n.reexposeScratch = affected[:0]
 }
 

@@ -1,15 +1,18 @@
 // Package geom provides the small geometric vocabulary used throughout the
 // library — closed numeric intervals, 2D points and rectangular regions, and
-// axis-aligned hyper-rectangles ("boxes") used by the subsumption checker —
-// plus the spatial index the matching fast path is built on: BoxTree, an
-// incrementally maintained (O(log n) insert/remove, AVL-style rotations,
-// pooled nodes) point-stabbing tree over k-dimensional boxes, the composite
-// multi-attribute structure behind the event-match index.
+// axis-aligned hyper-rectangles ("boxes", one interval per dimension, by
+// position) used by the subsumption checker — plus the spatial index the
+// matching fast path is built on: BoxTree, an incrementally maintained
+// (O(log n) insert/remove, AVL-style rotations, pooled nodes) point-stabbing
+// tree over k-dimensional boxes, the composite multi-attribute structure
+// behind the event-match index.
 //
-// The value types are plain values: safe to copy, compare and use as map
-// values, with meaningful zero values (the zero Interval is the degenerate
-// point [0,0], the zero Region is the degenerate point region at the
-// origin). The index is not safe for concurrent use.
+// Nothing here names a dimension: a box's owner knows what each position
+// means (see Box). Interval, Point2D and Region are plain values: safe to
+// copy, compare and use as map values, with meaningful zero values (the zero
+// Interval is the degenerate point [0,0], the zero Region is the degenerate
+// point region at the origin). A Box is a slice and shares its storage with
+// its copies. The index is not safe for concurrent use.
 package geom
 
 import (

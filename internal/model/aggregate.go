@@ -104,6 +104,6 @@ func NewAggregateSubscription(id SubscriptionID, filter AttributeFilter, region 
 	}
 	specCopy := spec
 	s.Aggregate = &specCopy
-	s.cacheDerived()
+	s.cacheDerived(s.slots)
 	return s, nil
 }

@@ -9,7 +9,6 @@ package model
 
 import (
 	"fmt"
-	"slices"
 
 	"sensorcq/internal/geom"
 )
@@ -89,24 +88,4 @@ func (s Sensor) String() string {
 // String implements fmt.Stringer.
 func (a Advertisement) String() string {
 	return fmt.Sprintf("adv(%s %s @ %s)", a.Sensor, a.Attr, a.Location)
-}
-
-// SortedAttributes returns the attribute set in sorted order.
-func SortedAttributes(in map[AttributeType]AttributeFilter) []AttributeType {
-	out := make([]AttributeType, 0, len(in))
-	for a := range in {
-		out = append(out, a)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// SortedSensors returns the sensor set in sorted order.
-func SortedSensors(in map[SensorID]SensorFilter) []SensorID {
-	out := make([]SensorID, 0, len(in))
-	for d := range in {
-		out = append(out, d)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -223,7 +223,7 @@ func checkCompiledMatch(t *testing.T, rng *stats.RNG, sc *MatchScratch) {
 			t.Fatalf("%s: enumeration delivered %d matches after being stopped at %d", s, seen, stopAfter)
 		}
 	}
-	if literal && (s.slots != nil || s.class.Sig != "" || s.box.NumDims() != 0) {
+	if literal && (s.slots != nil || s.class.Sig != "" || len(s.box) != 0) {
 		t.Fatalf("%s: matching wrote a cache into a struct-literal subscription", s)
 	}
 }
@@ -324,7 +324,7 @@ func TestSharedSubscriptionMatchesConcurrently(t *testing.T) {
 						got++
 						return true
 					})
-					if got != want || !s.MatchesEvent(trigger) || s.Class().Sig == "" || s.Box().NumDims() == 0 {
+					if got != want || !s.MatchesEvent(trigger) || s.Class().Sig == "" || len(s.Box()) == 0 {
 						t.Errorf("%s: %d matches, want %d", s.ID, got, want)
 						return
 					}

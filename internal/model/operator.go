@@ -1,8 +1,7 @@
 package model
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -19,32 +18,7 @@ func (s *Subscription) ProjectAttributes(attrs []AttributeType) *Subscription {
 	if s.Kind != KindAbstract {
 		return nil
 	}
-	kept := map[AttributeType]AttributeFilter{}
-	for _, a := range attrs {
-		if f, ok := s.AttrFilters[a]; ok {
-			kept[a] = f
-		}
-	}
-	if len(kept) == 0 {
-		return nil
-	}
-	if len(kept) == len(s.AttrFilters) {
-		// Projection onto the full attribute set is the operator itself.
-		// Subscriptions are immutable once published (every mutator clones
-		// first), so the split-and-forward hot path shares the instance
-		// instead of deep-copying it per neighbour.
-		return s
-	}
-	// A plain struct copy suffices: the copied AttrFilters pointer is
-	// replaced by kept, and abstract subscriptions carry no SensorFilters —
-	// nothing mutable is shared, without Clone's map copies.
-	out := &Subscription{}
-	*out = *s
-	out.AttrFilters = kept
-	out.Parent = s.ID
-	out.ID = deriveOperatorID(s.ID, attributeNames(kept))
-	out.cacheDerived()
-	return out
+	return project(s, attrs)
 }
 
 // ProjectSensors returns the operator obtained by restricting an identified
@@ -53,24 +27,66 @@ func (s *Subscription) ProjectSensors(sensors []SensorID) *Subscription {
 	if s.Kind != KindIdentified {
 		return nil
 	}
-	kept := map[SensorID]SensorFilter{}
-	for _, d := range sensors {
-		if f, ok := s.SensorFilters[d]; ok {
-			kept[d] = f
+	return project(s, sensors)
+}
+
+// project restricts s to the filters whose raw key (sensor or attribute
+// type, by kind) is among keys. It returns nil when no filter is kept and s
+// itself when every filter is: subscriptions are immutable once published
+// (every mutator clones first), so the split-and-forward hot path shares the
+// instance instead of copying it per neighbour. A proper projection records
+// s as its parent and gets a deterministic ID built from the kept keys, in
+// slot order — "<parent>/[<key>,<key>,…]" — so the same projection of the
+// same subscription always has the same ID whichever node splits it. The set
+// filter seeds its decisions from that ID.
+func project[K ~string](s *Subscription, keys []K) *Subscription {
+	slots := s.filterSlots()
+	keep := func(sl filterSlot) bool { return slices.Contains(keys, K(sl.key)) }
+	n := 0
+	for _, sl := range slots {
+		if keep(sl) {
+			n++
 		}
 	}
-	if len(kept) == 0 {
+	if n == 0 {
 		return nil
 	}
-	if len(kept) == len(s.SensorFilters) {
-		// See ProjectAttributes: the full projection shares the instance.
+	if n == len(slots) {
 		return s
 	}
-	out := s.Clone()
-	out.SensorFilters = kept
+	kept := make([]filterSlot, 0, n)
+	var id strings.Builder
+	id.WriteString(string(s.ID))
+	id.WriteString("/[")
+	for _, sl := range slots {
+		if keep(sl) {
+			if len(kept) > 0 {
+				id.WriteByte(',')
+			}
+			id.WriteString(sl.key)
+			kept = append(kept, sl)
+		}
+	}
+	id.WriteByte(']')
+
+	// A plain struct copy suffices: the filter map of s's kind is replaced
+	// and the other one is nil, so nothing mutable is shared.
+	out := &Subscription{}
+	*out = *s
+	if s.Kind == KindIdentified {
+		out.SensorFilters = make(map[SensorID]SensorFilter, n)
+		for _, sl := range kept {
+			out.SensorFilters[SensorID(sl.key)] = s.SensorFilters[SensorID(sl.key)]
+		}
+	} else {
+		out.AttrFilters = make(map[AttributeType]AttributeFilter, n)
+		for _, sl := range kept {
+			out.AttrFilters[AttributeType(sl.key)] = s.AttrFilters[AttributeType(sl.key)]
+		}
+	}
 	out.Parent = s.ID
-	out.ID = deriveOperatorID(s.ID, sensorNames(kept))
-	out.cacheDerived()
+	out.ID = SubscriptionID(id.String())
+	out.cacheDerived(kept)
 	return out
 }
 
@@ -87,46 +103,10 @@ func (s *Subscription) SplitBinaryJoins() []*Subscription {
 	if s.NumFilters() <= 2 {
 		return []*Subscription{s.Clone()}
 	}
-	var out []*Subscription
-	if s.Kind == KindAbstract {
-		attrs := s.Attributes()
-		for i, a := range attrs {
-			if op := s.ProjectAttributes([]AttributeType{a, attrs[(i+1)%len(attrs)]}); op != nil {
-				out = append(out, op)
-			}
-		}
-		return out
-	}
-	sensors := s.Sensors()
-	for i, d := range sensors {
-		if op := s.ProjectSensors([]SensorID{d, sensors[(i+1)%len(sensors)]}); op != nil {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// deriveOperatorID builds a deterministic operator identifier from the parent
-// subscription ID and the kept filter keys, so that the same projection of
-// the same subscription always yields the same operator ID regardless of the
-// node performing the split.
-func deriveOperatorID(parent SubscriptionID, keys []string) SubscriptionID {
-	sort.Strings(keys)
-	return SubscriptionID(fmt.Sprintf("%s/[%s]", parent, strings.Join(keys, ",")))
-}
-
-func attributeNames(in map[AttributeType]AttributeFilter) []string {
-	out := make([]string, 0, len(in))
-	for a := range in {
-		out = append(out, string(a))
-	}
-	return out
-}
-
-func sensorNames(in map[SensorID]SensorFilter) []string {
-	out := make([]string, 0, len(in))
-	for d := range in {
-		out = append(out, string(d))
+	slots := s.filterSlots()
+	out := make([]*Subscription, len(slots))
+	for i, sl := range slots {
+		out[i] = project(s, []string{sl.key, slots[(i+1)%len(slots)].key})
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"testing"
 
 	"sensorcq/internal/geom"
@@ -71,6 +72,27 @@ func TestDerivedOperatorIDsDeterministic(t *testing.T) {
 	if a.ID != b.ID {
 		t.Errorf("projection IDs must be order independent: %s vs %s", a.ID, b.ID)
 	}
+	// The set filter seeds each decision from the candidate's ID, so the
+	// rendering is part of the protocol: a changed ID moves FSF's verdicts.
+	if a.ID != "q1/[ambient_temperature,wind_speed]" {
+		t.Errorf("abstract projection ID = %q", a.ID)
+	}
+	id := mustIdentified(t, "q1", 30,
+		sf("a", AmbientTemperature, 50, 80),
+		sf("b", RelativeHumidity, 10, 30),
+		sf("c", WindSpeed, 2, 20))
+	if got := id.ProjectSensors([]SensorID{"c", "a"}).ID; got != "q1/[a,c]" {
+		t.Errorf("identified projection ID = %q", got)
+	}
+}
+
+// joinIDs returns the IDs of the binary joins, in split order.
+func joinIDs(joins []*Subscription) []SubscriptionID {
+	out := make([]SubscriptionID, len(joins))
+	for i, j := range joins {
+		out[i] = j.ID
+	}
+	return out
 }
 
 func TestSplitBinaryJoinsRing(t *testing.T) {
@@ -80,6 +102,14 @@ func TestSplitBinaryJoinsRing(t *testing.T) {
 	joins := s.SplitBinaryJoins()
 	if len(joins) != 4 {
 		t.Fatalf("ring pairing of 4 attributes should give 4 binary joins, got %d", len(joins))
+	}
+	if got, want := joinIDs(joins), []SubscriptionID{
+		"q1/[ambient_temperature,relative_humidity]",
+		"q1/[relative_humidity,surface_temperature]",
+		"q1/[surface_temperature,wind_speed]",
+		"q1/[ambient_temperature,wind_speed]",
+	}; !slices.Equal(got, want) {
+		t.Errorf("ring IDs = %q, want %q", got, want)
 	}
 	attrCount := map[AttributeType]int{}
 	for _, j := range joins {
@@ -111,6 +141,9 @@ func TestSplitBinaryJoinsSmallAndIdentified(t *testing.T) {
 	j3 := id.SplitBinaryJoins()
 	if len(j3) != 3 {
 		t.Fatalf("ring pairing of 3 sensors should give 3 binary joins, got %d", len(j3))
+	}
+	if got, want := joinIDs(j3), []SubscriptionID{"q3/[a,b]", "q3/[b,c]", "q3/[a,c]"}; !slices.Equal(got, want) {
+		t.Errorf("ring IDs = %q, want %q", got, want)
 	}
 }
 

@@ -100,14 +100,16 @@ type Subscription struct {
 	class Class
 	// box caches Box's result under the same rules as class: filled eagerly
 	// wherever class is, never written lazily. A filled box has at least one
-	// dimension (a valid subscription has a filter), so the zero value marks
-	// a struct-literal subscription whose box is computed per call.
+	// dimension (a valid subscription has a filter), so an empty one marks a
+	// struct-literal subscription whose box is computed per call.
 	box geom.Box
 	// slots is the compiled form of the filter set the event path reads
 	// instead of the maps: one entry per filter, sorted by raw key — the
-	// enumeration order of the complex-match search. Same rules as class and
-	// box: filled eagerly by cacheDerived, immutable afterwards, and nil only
-	// on a struct-literal subscription, which compiles per call.
+	// enumeration order of the complex-match search. They are the one
+	// statement of the subscription's dimensions: the signature names them
+	// and the box lays its filter intervals out in their order. Same rules as
+	// class and box: filled eagerly by cacheDerived, immutable afterwards, and
+	// nil only on a struct-literal subscription, which compiles per call.
 	slots []filterSlot
 }
 
@@ -141,7 +143,7 @@ func NewIdentifiedSubscription(id SubscriptionID, filters []SensorFilter, deltaT
 		DeltaT:        deltaT,
 		DeltaL:        NoSpatialConstraint,
 	}
-	s.cacheDerived()
+	s.cacheDerived(s.compileSlots())
 	return s, s.Validate()
 }
 
@@ -167,7 +169,7 @@ func NewAbstractSubscription(id SubscriptionID, filters []AttributeFilter, regio
 		DeltaT:      deltaT,
 		DeltaL:      deltaL,
 	}
-	s.cacheDerived()
+	s.cacheDerived(s.compileSlots())
 	return s, s.Validate()
 }
 
@@ -240,18 +242,19 @@ func (s *Subscription) IsSimple() bool { return s.NumFilters() == 1 }
 // Attributes returns the attribute types the subscription involves, sorted.
 // For identified subscriptions this is derived from the sensor filters.
 func (s *Subscription) Attributes() []AttributeType {
-	if s.Kind == KindAbstract {
-		return SortedAttributes(s.AttrFilters)
+	slots := s.filterSlots()
+	out := make([]AttributeType, len(slots))
+	for i, sl := range slots {
+		if s.Kind == KindAbstract {
+			out[i] = AttributeType(sl.key)
+		} else {
+			out[i] = s.SensorFilters[SensorID(sl.key)].Attr
+		}
 	}
-	set := map[AttributeType]bool{}
-	for _, f := range s.SensorFilters {
-		set[f.Attr] = true
+	if s.Kind == KindIdentified {
+		slices.Sort(out)
+		out = slices.Compact(out)
 	}
-	out := make([]AttributeType, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	slices.Sort(out)
 	return out
 }
 
@@ -261,7 +264,12 @@ func (s *Subscription) Sensors() []SensorID {
 	if s.Kind != KindIdentified {
 		return nil
 	}
-	return SortedSensors(s.SensorFilters)
+	slots := s.filterSlots()
+	out := make([]SensorID, len(slots))
+	for i, sl := range slots {
+		out[i] = SensorID(sl.key)
+	}
+	return out
 }
 
 // SignatureKey returns a canonical key identifying the set of "attributes"
@@ -276,15 +284,15 @@ func (s *Subscription) Sensors() []SensorID {
 // subscription would race.
 func (s *Subscription) SignatureKey() string { return s.Class().Sig }
 
-// cacheDerived fills the caches derived from the filter sets and correlation
-// distances (slots, class and box). Everything that builds a subscription or
-// replaces its filters calls it before the subscription is published; Clone
-// inherits the caches with the struct copy.
-func (s *Subscription) cacheDerived() {
-	s.slots = s.compileSlots()
-	keys := filterKeys(s.Kind, s.slots)
-	s.class = s.computeClass(keys)
-	s.box = s.computeBox(keys, s.slots)
+// cacheDerived stores the compiled slots of the filter sets and the caches
+// derived from them and the correlation distances (class and box).
+// Everything that builds a subscription or replaces its filters calls it
+// before the subscription is published; Clone inherits the caches with the
+// struct copy.
+func (s *Subscription) cacheDerived(slots []filterSlot) {
+	s.slots = slots
+	s.class = s.computeClass(slots)
+	s.box = s.computeBox(slots)
 }
 
 // compileSlots builds the key-sorted filter slots from the filter maps.
@@ -313,32 +321,6 @@ func (s *Subscription) filterSlots() []filterSlot {
 	return s.compileSlots()
 }
 
-// filterKeys returns the prefixed completeness keys of the given slots, in
-// slot (sorted) order: "d:<sensor>" per filtered sensor, or "a:<attr>" per
-// filtered attribute. The signature key is made of them and they name the
-// filter dimensions of the box.
-func filterKeys(kind Kind, slots []filterSlot) []string {
-	prefix, size := "a:", 0
-	if kind == KindIdentified {
-		prefix = "d:"
-	}
-	for _, sl := range slots {
-		size += len(prefix) + len(sl.key)
-	}
-	// The prefixed keys are cut from one string: one allocation whatever
-	// the number of filters, on a path every registration pays.
-	keys := make([]string, len(slots))
-	var all strings.Builder
-	all.Grow(size)
-	for i, sl := range slots {
-		start := all.Len()
-		all.WriteString(prefix)
-		all.WriteString(sl.key)
-		keys[i] = all.String()[start:]
-	}
-	return keys
-}
-
 // Class identifies a comparability class: two subscriptions can take part in
 // one coverage decision (pairwise covering or set filtering, Section V-B)
 // only when their classes are equal — same kind, same signature key, same
@@ -358,13 +340,13 @@ func (s *Subscription) Class() Class {
 	if s.class.Sig != "" {
 		return s.class
 	}
-	return s.computeClass(filterKeys(s.Kind, s.filterSlots()))
+	return s.computeClass(s.filterSlots())
 }
 
 // computeClass derives the class from the subscription's current contents,
-// given its filterKeys.
-func (s *Subscription) computeClass(keys []string) Class {
-	c := Class{Kind: s.Kind, DeltaT: s.DeltaT, Sig: s.computeSignature(keys)}
+// given its compiled slots.
+func (s *Subscription) computeClass(slots []filterSlot) Class {
+	c := Class{Kind: s.Kind, DeltaT: s.DeltaT, Sig: s.computeSignature(slots)}
 	if s.Kind == KindAbstract {
 		c.DeltaL = s.DeltaL
 	}
@@ -372,20 +354,33 @@ func (s *Subscription) computeClass(keys []string) Class {
 }
 
 // computeSignature renders the signature key from the subscription's
-// filterKeys.
-func (s *Subscription) computeSignature(keys []string) string {
-	filters := strings.Join(keys, "|")
+// compiled slots: a kind header, then the slots' keys in slot order, each
+// prefixed "d:" (a filtered sensor) or "a:" (a filtered attribute type) and
+// separated by "|".
+func (s *Subscription) computeSignature(slots []filterSlot) string {
+	prefix := "a:"
+	if s.Kind == KindIdentified {
+		prefix = "d:"
+	}
+	var filters strings.Builder
+	for i, sl := range slots {
+		if i > 0 {
+			filters.WriteByte('|')
+		}
+		filters.WriteString(prefix)
+		filters.WriteString(sl.key)
+	}
 	if s.Aggregate != nil {
 		// Aggregate queries are never comparable with plain
 		// subscriptions (or with aggregates of another function or
 		// window), so the whole spec is part of the signature.
 		a := s.Aggregate
-		return fmt.Sprintf("ag:%s:w%d:q%g:k%d:x%t:%s", a.Func, a.WindowRounds, a.Quantile, a.K, a.Exact, filters)
+		return fmt.Sprintf("ag:%s:w%d:q%g:k%d:x%t:%s", a.Func, a.WindowRounds, a.Quantile, a.K, a.Exact, filters.String())
 	}
 	if s.Kind == KindIdentified {
-		return "id:" + filters
+		return "id:" + filters.String()
 	}
-	return "ab:" + filters
+	return "ab:" + filters.String()
 }
 
 // Clone returns a deep copy of the subscription.
@@ -426,51 +421,34 @@ func (s *Subscription) String() string {
 	return fmt.Sprintf("sub(%s abstract {%s} %s δt=%d δl=%g)", s.ID, strings.Join(parts, ", "), s.Region, s.DeltaT, s.DeltaL)
 }
 
-// locDimX and locDimY are the reserved dimension names used when translating
-// an abstract subscription's region into extra box dimensions, as described
-// in Section V-B ("the location meta-attribute ... can be treated as just
-// another data attribute").
-const (
-	locDimX = "__loc_x"
-	locDimY = "__loc_y"
-)
-
 // Box returns the hyper-rectangle representation of the subscription used by
-// the subsumption checker: one dimension per filtered sensor (identified) or
-// per filtered attribute plus the two spatial dimensions (abstract, when the
-// region is bounded). The box is cached like the signature key and shared by
-// every caller: Clone it before changing it.
+// the subsumption checker (Section V-B): for an abstract subscription whose
+// region is bounded, the region's X and Y intervals first, then one interval
+// per compiled slot, in slot order. An identified subscription's box has no
+// location dimensions, whatever its Region holds. Two subscriptions of one
+// class therefore lay their boxes out alike, except that a bounded abstract
+// box is two dimensions longer than a whole-plane one. The box is cached like
+// the signature key and shared by every caller: it must not be changed.
 func (s *Subscription) Box() geom.Box {
-	if s.box.NumDims() > 0 {
+	if len(s.box) > 0 {
 		return s.box
 	}
-	slots := s.filterSlots()
-	return s.computeBox(filterKeys(s.Kind, slots), slots)
+	return s.computeBox(s.filterSlots())
 }
 
-// computeBox builds the box from the compiled slots and their filterKeys.
-// The location dimensions sort before every filter dimension, so a box's
-// trailing NumFilters dimensions are its filter ranges, in slot order.
-func (s *Subscription) computeBox(keys []string, slots []filterSlot) geom.Box {
-	if s.Kind == KindIdentified {
-		b := geom.NewBoxSized(len(keys))
-		for i, k := range keys {
-			b = b.Set(k, slots[i].iv)
-		}
-		return b
-	}
-	bounded := !s.Region.IsWholePlane()
-	n := len(keys)
+// computeBox builds the box from the compiled slots.
+func (s *Subscription) computeBox(slots []filterSlot) geom.Box {
+	bounded := s.Kind == KindAbstract && !s.Region.IsWholePlane()
+	n := len(slots)
 	if bounded {
 		n += 2
 	}
-	b := geom.NewBoxSized(n)
+	b := make(geom.Box, 0, n)
 	if bounded {
-		b = b.Set(locDimX, s.Region.X)
-		b = b.Set(locDimY, s.Region.Y)
+		b = append(b, s.Region.X, s.Region.Y)
 	}
-	for i, k := range keys {
-		b = b.Set(k, slots[i].iv)
+	for _, sl := range slots {
+		b = append(b, sl.iv)
 	}
 	return b
 }

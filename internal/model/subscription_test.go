@@ -141,16 +141,22 @@ func TestSubscriptionBox(t *testing.T) {
 	s := mustAbstract(t, "q1", geom.NewRegion(0, 0, 10, 10), 30, NoSpatialConstraint,
 		af(WindSpeed, 0, 20), af(AmbientTemperature, -5, 5))
 	b := s.Box()
-	if b.NumDims() != 4 {
-		t.Fatalf("bounded-region abstract subscription box should have 4 dims, got %d (%v)", b.NumDims(), b.Dims())
+	if len(b) != 4 {
+		t.Fatalf("bounded-region abstract subscription box should have 4 dims, got %d (%v)", len(b), b)
 	}
 	unbounded := mustAbstract(t, "q2", geom.WholePlane(), 30, NoSpatialConstraint, af(WindSpeed, 0, 20))
-	if unbounded.Box().NumDims() != 1 {
+	if len(unbounded.Box()) != 1 {
 		t.Error("whole-plane abstract subscription contributes no spatial dims")
 	}
 	id := mustIdentified(t, "q3", 30, sf("d1", WindSpeed, 0, 1), sf("d2", WindSpeed, 2, 3))
-	if id.Box().NumDims() != 2 {
+	if len(id.Box()) != 2 {
 		t.Error("identified subscription box has one dim per sensor")
+	}
+	// An identified subscription's region never becomes box dimensions.
+	literal := &Subscription{ID: "q4", Kind: KindIdentified, SensorFilters: id.SensorFilters,
+		Region: geom.NewRegion(0, 0, 10, 10), DeltaT: 30}
+	if got := literal.Box(); !slices.Equal(got, id.Box()) {
+		t.Errorf("identified box with a bounded Region = %v, want %v", got, id.Box())
 	}
 }
 
@@ -175,7 +181,7 @@ func TestSubscriptionDerivedCaches(t *testing.T) {
 		"binary join":          ab.SplitBinaryJoins()[1],
 	}
 	for name, s := range built {
-		if s.class.Sig == "" || s.box.NumDims() == 0 || len(s.slots) != s.NumFilters() {
+		if s.class.Sig == "" || len(s.box) == 0 || len(s.slots) != s.NumFilters() {
 			t.Errorf("%s: caches not filled", name)
 			continue
 		}
@@ -186,18 +192,21 @@ func TestSubscriptionDerivedCaches(t *testing.T) {
 		if literal.Class() != s.Class() || literal.SignatureKey() != s.SignatureKey() {
 			t.Errorf("%s: cached class %q, contents give %q", name, s.SignatureKey(), literal.SignatureKey())
 		}
-		if got, want := s.Box().String(), literal.Box().String(); got != want {
-			t.Errorf("%s: cached box %s, contents give %s", name, got, want)
+		if got, want := s.Box(), literal.Box(); !slices.Equal(got, want) {
+			t.Errorf("%s: cached box %v, contents give %v", name, got, want)
 		}
 		if !s.CoveredBy(literal) || !literal.CoveredBy(s) {
 			t.Errorf("%s: a subscription and its struct-literal twin must cover each other", name)
 		}
 	}
-	if got := ab.Box().Dims(); !slices.Equal(got, []string{"__loc_x", "__loc_y", "a:ambient_temperature", "a:relative_humidity", "a:wind_speed"}) {
-		t.Errorf("abstract box dimensions = %v", got)
+	// Region X and Y first when bounded, then one interval per filter in key
+	// order: the set filter samples the dimensions in this order.
+	iv := geom.NewInterval
+	if got, want := ab.Box(), (geom.Box{iv(0, 10), iv(0, 10), iv(-5, 5), iv(40, 90), iv(0, 20)}); !slices.Equal(got, want) {
+		t.Errorf("abstract box = %v, want %v (x, y, ambient_temperature, relative_humidity, wind_speed)", got, want)
 	}
-	if got := id.Box().Dims(); !slices.Equal(got, []string{"d:d1", "d:d2", "d:d3"}) {
-		t.Errorf("identified box dimensions = %v", got)
+	if got, want := id.Box(), (geom.Box{iv(0, 1), iv(2, 3), iv(4, 5)}); !slices.Equal(got, want) {
+		t.Errorf("identified box = %v, want %v (d1, d2, d3)", got, want)
 	}
 }
 
@@ -224,7 +233,7 @@ func TestSubscriptionClass(t *testing.T) {
 	a := mustIdentified(t, "q7", 30, sf("d1", WindSpeed, 0, 1))
 	b := a.Clone()
 	b.DeltaL = 7
-	b.cacheDerived()
+	b.cacheDerived(b.compileSlots())
 	if a.Class() != b.Class() {
 		t.Error("δl must not split identified subscriptions into classes")
 	}

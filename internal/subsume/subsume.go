@@ -169,8 +169,9 @@ type SetChecker struct {
 
 	// boxScratch and pt back Subsumed's per-decision collections. Checkers
 	// are per-node (core.Config.Checker) and nodes execute sequentially, so
-	// one buffer set per checker suffices; Subsumed never retains them beyond
-	// a call, and every value of pt it reads was written by the same decision.
+	// one buffer set per checker suffices; Subsumed clears the boxes it used
+	// before returning, so no member's box outlives the decision, and every
+	// value of pt it reads was written by the same decision.
 	boxScratch []geom.Box
 	pt         []float64
 }
@@ -213,26 +214,27 @@ func (c *SetChecker) Samples() int {
 // Subsumed implements Checker.
 func (c *SetChecker) Subsumed(candidate *model.Subscription, set []*model.Subscription) bool {
 	overlapping, covered := relevantBoxes(c.boxScratch[:0], candidate, set)
+	covered = covered || len(overlapping) > 0 && c.sampledCovered(candidate, overlapping)
+	clear(overlapping)
 	c.boxScratch = overlapping[:0]
-	if covered {
-		return true
-	}
-	if len(overlapping) == 0 {
-		return false
-	}
+	return covered
+}
 
-	// One value per dimension of the candidate's box, in the box's dimension
-	// order; the overlapping boxes are over the same dimensions. That order,
-	// and drawing nothing for a zero-width dimension, fix the stream's use
-	// and with it every verdict.
+// sampledCovered is the Monte-Carlo test of Subsumed: whether every sampled
+// point of the candidate's box lies in one of the overlapping boxes.
+func (c *SetChecker) sampledCovered(candidate *model.Subscription, overlapping []geom.Box) bool {
+	// One value per dimension of the candidate's box, in box order (region X,
+	// Y when bounded, then slot order); the overlapping boxes are laid out
+	// alike. That order, and drawing nothing for a zero-width dimension, fix
+	// the stream's use and with it every verdict.
 	cbox := candidate.Box()
-	pt := slices.Grow(c.pt[:0], cbox.NumDims())[:cbox.NumDims()]
+	pt := slices.Grow(c.pt[:0], len(cbox))[:len(cbox)]
 	c.pt = pt
 	var rng stats.RNG
 	rng.Seed(c.decisionSeed(candidate.ID))
 	for i, samples := 0, c.Samples(); i < samples; i++ {
 		for d := range pt {
-			iv := cbox.At(d)
+			iv := cbox[d]
 			if iv.Width() == 0 {
 				pt[d] = iv.Min
 			} else {
@@ -316,26 +318,27 @@ func boxCoveredByUnion(box geom.Box, covers []geom.Box, budget *int) (covered, o
 }
 
 // subtractBox returns the fragments of box not covered by cut, as a list of
-// disjoint boxes over the same dimensions. cut must overlap box.
-func subtractBox(box, cut geom.Box, // both over identical dimension sets
-) []geom.Box {
+// disjoint boxes of the same layout, cutting dimension by dimension in box
+// order. cut must overlap box (and so be as long).
+func subtractBox(box, cut geom.Box) []geom.Box {
 	var fragments []geom.Box
-	remaining := box.Clone()
-	for _, dim := range box.Dims() {
-		rIv, _ := remaining.Get(dim)
-		cIv, _ := cut.Get(dim)
+	remaining := slices.Clone(box)
+	for d, cIv := range cut {
+		rIv := remaining[d]
 		// Left fragment: the part of remaining below the cut in this dim.
 		if rIv.Min < cIv.Min {
-			frag := remaining.Clone().Set(dim, geom.Interval{Min: rIv.Min, Max: math.Min(rIv.Max, cIv.Min)})
+			frag := slices.Clone(remaining)
+			frag[d] = geom.Interval{Min: rIv.Min, Max: math.Min(rIv.Max, cIv.Min)}
 			fragments = append(fragments, frag)
 		}
 		// Right fragment: the part above the cut in this dim.
 		if rIv.Max > cIv.Max {
-			frag := remaining.Clone().Set(dim, geom.Interval{Min: math.Max(rIv.Min, cIv.Max), Max: rIv.Max})
+			frag := slices.Clone(remaining)
+			frag[d] = geom.Interval{Min: math.Max(rIv.Min, cIv.Max), Max: rIv.Max}
 			fragments = append(fragments, frag)
 		}
 		// Narrow remaining to the overlap in this dimension and continue.
-		remaining = remaining.Set(dim, rIv.Intersect(cIv))
+		remaining[d] = rIv.Intersect(cIv)
 	}
 	return fragments
 }

@@ -2,6 +2,8 @@ package subsume
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -593,4 +595,307 @@ func FuzzSetCheckerDenseEquivalence(f *testing.F) {
 			checkDenseEquivalence(t, checker, rng)
 		}
 	})
+}
+
+// --- ExactChecker against a subtraction over the map boxes ---
+
+func (b refBox) covers(o refBox) bool {
+	if len(b) != len(o) {
+		return false
+	}
+	for k, iv := range b {
+		ov, ok := o[k]
+		if !ok || !iv.Covers(ov) {
+			return false
+		}
+	}
+	return true
+}
+
+func (b refBox) empty() bool {
+	for _, iv := range b {
+		if iv.Empty() {
+			return true
+		}
+	}
+	return false
+}
+
+// refSubtract is subtractBox over map boxes, cutting the dimensions in
+// sorted name order.
+func refSubtract(box, cut refBox) []refBox {
+	var fragments []refBox
+	remaining := maps.Clone(box)
+	for _, d := range slices.Sorted(maps.Keys(box)) {
+		rIv, cIv := remaining[d], cut[d]
+		if rIv.Min < cIv.Min {
+			frag := maps.Clone(remaining)
+			frag[d] = geom.Interval{Min: rIv.Min, Max: math.Min(rIv.Max, cIv.Min)}
+			fragments = append(fragments, frag)
+		}
+		if rIv.Max > cIv.Max {
+			frag := maps.Clone(remaining)
+			frag[d] = geom.Interval{Min: math.Max(rIv.Min, cIv.Max), Max: rIv.Max}
+			fragments = append(fragments, frag)
+		}
+		remaining[d] = rIv.Intersect(cIv)
+	}
+	return fragments
+}
+
+// refCoveredByUnion is boxCoveredByUnion over map boxes, spending the budget
+// the same way.
+func refCoveredByUnion(box refBox, covers []refBox, budget *int) (covered, ok bool) {
+	if *budget <= 0 {
+		return false, false
+	}
+	*budget--
+	if box.empty() {
+		return true, true
+	}
+	for i, cv := range covers {
+		if !cv.overlaps(box) {
+			continue
+		}
+		if cv.covers(box) {
+			return true, true
+		}
+		rest := covers[i+1:]
+		for _, frag := range refSubtract(box, cv) {
+			c, o := refCoveredByUnion(frag, rest, budget)
+			if !o {
+				return false, false
+			}
+			if !c {
+				return false, true
+			}
+		}
+		return true, true
+	}
+	return false, true
+}
+
+// randomTiling draws a candidate over two or three attributes and, as the
+// set, the cells of a grid cut at random points across the whole space,
+// shuffled, now and then without one cell. Subtracting the cells from the
+// candidate takes many steps, and how many depends on the order the
+// dimensions are cut in.
+func randomTiling(rng *stats.RNG, id string) (*model.Subscription, []*model.Subscription) {
+	k := 2 + rng.Intn(2)
+	mk := func(id string, ivs []geom.Interval) *model.Subscription {
+		filters := make([]model.AttributeFilter, len(ivs))
+		for i, iv := range ivs {
+			filters[i] = model.AttributeFilter{Attr: model.AttributeType(fmt.Sprintf("t%d", i)), Range: iv}
+		}
+		s, err := model.NewAbstractSubscription(model.SubscriptionID(id), filters, geom.WholePlane(), 30, model.NoSpatialConstraint)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+	candidate := make([]geom.Interval, k)
+	cuts := make([][]float64, k)
+	for d := range candidate {
+		candidate[d] = geom.NewInterval(rng.Range(0, 20), rng.Range(80, 100))
+		cuts[d] = []float64{0}
+		for range 1 + rng.Intn(2) {
+			cuts[d] = append(cuts[d], cuts[d][len(cuts[d])-1]+rng.Range(10, 45))
+		}
+		cuts[d] = append(cuts[d], 100)
+	}
+	var set []*model.Subscription
+	var cells func(ivs []geom.Interval)
+	cells = func(ivs []geom.Interval) {
+		d := len(ivs)
+		if d == k {
+			set = append(set, mk(fmt.Sprintf("m%d", len(set)), slices.Clone(ivs)))
+			return
+		}
+		for i := 0; i+1 < len(cuts[d]); i++ {
+			cells(append(ivs, geom.NewInterval(cuts[d][i], cuts[d][i+1])))
+		}
+	}
+	cells(nil)
+	for i := len(set) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		set[i], set[j] = set[j], set[i]
+	}
+	if rng.Bool(0.3) {
+		set = set[1:]
+	}
+	return mk(id, candidate), set
+}
+
+// exactOutcome says how a refExactSubsumed verdict was reached.
+type exactOutcome int
+
+const (
+	exactUnsubtracted exactOutcome = iota // a single cover, or nothing overlapping
+	exactCovered                          // the subtraction used up the candidate
+	exactGap                              // the subtraction left a fragment
+	exactExhausted                        // the budget ran out
+)
+
+// refExactSubsumed is ExactChecker.Subsumed over map boxes: a single
+// comparable cover decides, otherwise the comparable overlapping members, in
+// set order, are subtracted from the candidate. steps is the budget the
+// subtraction spent.
+func refExactSubsumed(c ExactChecker, candidate *model.Subscription, set []*model.Subscription) (verdict bool, outcome exactOutcome, steps int) {
+	cbox := refBoxOf(candidate)
+	var overlapping []refBox
+	for _, s := range set {
+		if s == nil || !refComparable(s, candidate) {
+			continue
+		}
+		if refCoveredBy(candidate, s) {
+			return true, exactUnsubtracted, 0
+		}
+		if b := refBoxOf(s); b.overlaps(cbox) {
+			overlapping = append(overlapping, b)
+		}
+	}
+	if len(overlapping) == 0 {
+		return false, exactUnsubtracted, 0
+	}
+	budget := c.MaxDepth
+	if budget <= 0 {
+		budget = 10000
+	}
+	start := budget
+	covered, ok := refCoveredByUnion(cbox, overlapping, &budget)
+	steps = start - budget
+	switch {
+	case !ok:
+		return false, exactExhausted, steps
+	case covered:
+		return true, exactCovered, steps
+	default:
+		return false, exactGap, steps
+	}
+}
+
+// TestExactCheckerDenseEquivalence holds ExactChecker — whose verdicts
+// TestPaperEvaluation's fig12 false-positive count rests on — to a box
+// subtraction over named dimensions, on fixed rows and random pairs. Small
+// subtraction budgets, and a covered verdict checked again with exactly the
+// budget the reference spent on it and with one step less, make the verdict
+// depend on the order fragments are cut in, not only on the geometry.
+func TestExactCheckerDenseEquivalence(t *testing.T) {
+	check := func(c ExactChecker, candidate *model.Subscription, set []*model.Subscription) exactOutcome {
+		t.Helper()
+		want, outcome, steps := refExactSubsumed(c, candidate, set)
+		if got := c.Subsumed(candidate, set); got != want {
+			t.Fatalf("exact checker (budget %d) says %v, map-based reference %v\ncandidate %s\nset %v", c.MaxDepth, got, want, candidate, set)
+		}
+		if outcome == exactCovered && steps > 1 {
+			if !(ExactChecker{MaxDepth: steps}).Subsumed(candidate, set) || (ExactChecker{MaxDepth: steps - 1}).Subsumed(candidate, set) {
+				t.Fatalf("the reference needs exactly %d subtraction steps, the exact checker does not\ncandidate %s\nset %v", steps, candidate, set)
+			}
+		}
+		return outcome
+	}
+
+	// Fixed rows: one class mixing whole-plane and bounded abstract
+	// subscriptions (the region is not part of a class). A whole-plane box
+	// is two dimensions shorter than a bounded one, so it never joins a
+	// union covering a bounded candidate, even where its region would: the
+	// conservative "not subsumed", on both checkers.
+	mk := func(id string, region geom.Region, lo, hi float64) *model.Subscription {
+		s, err := model.NewAbstractSubscription(model.SubscriptionID(id),
+			[]model.AttributeFilter{{Attr: "t0", Range: geom.NewInterval(lo, hi)}}, region, 30, model.NoSpatialConstraint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	area := geom.NewRegion(0, 0, 100, 100)
+	candidate := mk("cand", geom.NewRegion(10, 10, 90, 90), 20, 80)
+	for _, row := range []struct {
+		name string
+		set  []*model.Subscription
+		want bool
+	}{
+		{"bounded members", []*model.Subscription{mk("left", area, 0, 60), mk("right", area, 40, 100)}, true},
+		{"a whole-plane member", []*model.Subscription{mk("left", geom.WholePlane(), 0, 60), mk("right", area, 40, 100)}, false},
+		{"whole-plane members", []*model.Subscription{mk("left", geom.WholePlane(), 0, 60), mk("right", geom.WholePlane(), 40, 100)}, false},
+	} {
+		if !candidate.ComparableWith(row.set[0]) || !candidate.ComparableWith(row.set[1]) {
+			t.Fatalf("%s: the members must share the candidate's class", row.name)
+		}
+		check(ExactChecker{}, candidate, row.set)
+		if got := (ExactChecker{}).Subsumed(candidate, row.set); got != row.want {
+			t.Errorf("%s: exact checker says %v, want %v", row.name, got, row.want)
+		}
+		checker := NewSetChecker(0.02, 17)
+		if want, _ := refSubsumed(checker, candidate, row.set); want != row.want {
+			t.Errorf("%s: map-based set checker reference says %v, want %v", row.name, want, row.want)
+		}
+		if got := checker.Subsumed(candidate, row.set); got != row.want {
+			t.Errorf("%s: set checker says %v, want %v", row.name, got, row.want)
+		}
+	}
+
+	rng := stats.NewRNG(2025)
+	var outcomes [4]int
+	for i := 0; i < 12000; i++ {
+		id := fmt.Sprintf("c%d", rng.Intn(1<<20))
+		var candidate *model.Subscription
+		var set []*model.Subscription
+		switch {
+		case rng.Bool(0.05):
+			candidate, set = randomFrame(rng, id)
+		case rng.Bool(0.1):
+			candidate, set = randomTiling(rng, id)
+		default:
+			candidate, set = randomSub(rng, id, 30), randomPopulation(rng, 1+rng.Intn(40))
+			if rng.Bool(0.1) {
+				set[rng.Intn(len(set))] = nil
+			}
+		}
+		var c ExactChecker
+		if rng.Bool(0.3) {
+			c.MaxDepth = 1 + rng.Intn(12)
+		}
+		outcomes[check(c, candidate, set)]++
+	}
+	t.Logf("decided without subtraction %d, covered %d, gap %d, budget exhausted %d",
+		outcomes[exactUnsubtracted], outcomes[exactCovered], outcomes[exactGap], outcomes[exactExhausted])
+	for _, n := range outcomes {
+		if n < 100 {
+			t.Error("the random pairs leave one kind of decision almost untested")
+		}
+	}
+}
+
+// TestSetCheckerClearsItsScratch: the boxes a decision gathered do not stay
+// reachable from the checker after it, whichever way it was decided.
+func TestSetCheckerClearsItsScratch(t *testing.T) {
+	left := abs2(t, "left", 30, map[model.AttributeType][2]float64{"a": {0, 60}, "b": {0, 100}})
+	right := abs2(t, "right", 30, map[model.AttributeType][2]float64{"a": {40, 100}, "b": {0, 100}})
+	gapRight := abs2(t, "gap", 30, map[model.AttributeType][2]float64{"a": {70, 100}, "b": {0, 100}})
+	wide := abs2(t, "wide", 30, map[model.AttributeType][2]float64{"a": {0, 100}, "b": {0, 100}})
+	mid := abs2(t, "mid", 30, map[model.AttributeType][2]float64{"a": {20, 80}, "b": {10, 90}})
+	checker := NewSetChecker(0.01, 42)
+	for _, row := range []struct {
+		name string
+		set  []*model.Subscription
+		want bool
+	}{
+		{"sampled, covered", []*model.Subscription{left, right}, true},
+		{"sampled, gap", []*model.Subscription{left, gapRight}, false},
+		{"single cover after two overlapping members", []*model.Subscription{left, right, wide}, true},
+	} {
+		if got := checker.Subsumed(mid, row.set); got != row.want {
+			t.Fatalf("%s: verdict %v, want %v", row.name, got, row.want)
+		}
+		scratch := checker.boxScratch[:cap(checker.boxScratch)]
+		if len(scratch) < 2 {
+			t.Fatalf("%s: the decision gathered %d boxes into the scratch, want 2", row.name, len(scratch))
+		}
+		for i, b := range scratch {
+			if b != nil {
+				t.Errorf("%s: scratch slot %d still holds a member's box %v", row.name, i, b)
+			}
+		}
+	}
 }
